@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"cloudiq/internal/buffer"
 	"cloudiq/internal/column"
 	"cloudiq/internal/core"
+	"cloudiq/internal/expr"
 	"cloudiq/internal/keygen"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/rfrb"
@@ -40,106 +42,31 @@ func sampleBatch(t *testing.T) *table.Batch {
 	})
 }
 
-func TestExprArithmeticAndComparison(t *testing.T) {
+// TestExprOverBatch drives the kernel through this package's constructors
+// and a *table.Batch environment; evaluator semantics themselves are tabled in
+// internal/expr.
+func TestExprOverBatch(t *testing.T) {
 	b := sampleBatch(t)
-	v, err := Add(Col("id"), ConstI(100)).Eval(b)
-	if err != nil || v.I64[3] != 103 {
-		t.Fatalf("Add = %v, %v", v, err)
-	}
-	v, err = Mul(Col("price"), ConstF(2)).Eval(b)
-	if err != nil || v.F64[2] != 40 {
-		t.Fatalf("Mul = %v, %v", v, err)
-	}
-	v, err = Div(Col("price"), ConstI(2)).Eval(b) // mixed types promote
-	if err != nil || v.F64[4] != 20 {
-		t.Fatalf("Div = %v, %v", v, err)
-	}
-	v, err = Sub(Col("id"), ConstI(1)).Eval(b)
-	if err != nil || v.I64[0] != -1 {
-		t.Fatalf("Sub = %v, %v", v, err)
-	}
-	v, err = Ge(Col("id"), ConstI(4)).Eval(b)
-	if err != nil || !reflect.DeepEqual(v.I64, []int64{0, 0, 0, 0, 1, 1}) {
-		t.Fatalf("Ge = %v, %v", v.I64, err)
-	}
-	v, err = Eq(Col("tag"), ConstS("red")).Eval(b)
-	if err != nil || !reflect.DeepEqual(v.I64, []int64{1, 0, 1, 0, 1, 0}) {
-		t.Fatalf("Eq = %v", v.I64)
-	}
-	v, err = And(Lt(Col("id"), ConstI(4)), Ne(Col("tag"), ConstS("red"))).Eval(b)
+	v, err := And(Lt(Add(Col("id"), ConstI(1)), ConstI(5)), Ne(Col("tag"), ConstS("red"))).Eval(b)
 	if err != nil || !reflect.DeepEqual(v.I64, []int64{0, 1, 0, 1, 0, 0}) {
-		t.Fatalf("And = %v", v.I64)
+		t.Fatalf("And = %v, %v", v, err)
 	}
-	v, err = Not(Or(Eq(Col("id"), ConstI(0)), Gt(Col("id"), ConstI(3)))).Eval(b)
-	if err != nil || !reflect.DeepEqual(v.I64, []int64{0, 1, 1, 1, 0, 0}) {
-		t.Fatalf("NotOr = %v", v.I64)
-	}
-	if _, err := Add(Col("tag"), ConstI(1)).Eval(b); err == nil {
-		t.Fatal("string arithmetic accepted")
-	}
-	if _, err := Eq(Col("tag"), ConstI(1)).Eval(b); err == nil {
-		t.Fatal("string/int comparison accepted")
-	}
-	if _, err := Col("ghost").Eval(b); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
-func TestLikePatterns(t *testing.T) {
-	cases := []struct {
-		s, p string
-		want bool
-	}{
-		{"PROMO BRUSHED", "PROMO%", true},
-		{"STANDARD", "PROMO%", false},
-		{"large brass bolt", "%brass%", true},
-		{"forest green", "forest%", true},
-		{"xspecialyrequestsz", "%special%requests%", true},
-		{"specialrequests", "%special%requests%", true},
-		{"requests special", "%special%requests%", false},
-		{"exact", "exact", true},
-		{"exac", "exact", false},
-		{"MEDIUM POLISHED BRASS", "%BRASS", true},
-	}
-	for _, c := range cases {
-		if got := matchLike(c.s, c.p); got != c.want {
-			t.Errorf("matchLike(%q, %q) = %v", c.s, c.p, got)
-		}
-	}
-	b := sampleBatch(t)
-	v, err := Like(Col("tag"), "%ed").Eval(b)
-	if err != nil || v.I64[0] != 1 || v.I64[1] != 0 {
-		t.Fatalf("Like = %v, %v", v.I64, err)
-	}
-	v, _ = NotLike(Col("tag"), "%ed").Eval(b)
-	if v.I64[0] != 0 || v.I64[1] != 1 {
-		t.Fatalf("NotLike = %v", v.I64)
-	}
-}
-
-func TestInCaseSubstrYear(t *testing.T) {
-	b := sampleBatch(t)
-	v, err := InS(Col("tag"), "red", "green").Eval(b)
-	if err != nil || v.I64[0] != 1 || v.I64[1] != 0 {
-		t.Fatalf("InS = %v", v.I64)
-	}
-	v, err = Case(Eq(Col("tag"), ConstS("red")), Col("price"), ConstF(0)).Eval(b)
+	v, err = Case(InS(Col("tag"), "red", "green", "red"), Col("price"), ConstF(0)).Eval(b)
 	if err != nil || v.F64[2] != 20 || v.F64[3] != 0 {
-		t.Fatalf("Case = %v", v.F64)
+		t.Fatalf("Case = %v, %v", v, err)
 	}
-	v, err = Case(Eq(Col("id"), ConstI(1)), ConstI(7), ConstI(9)).Eval(b)
-	if err != nil || v.I64[1] != 7 || v.I64[0] != 9 {
-		t.Fatalf("int Case = %v", v.I64)
+	if _, err := Col("ghost").Eval(b); !errors.Is(err, expr.ErrInvalid) {
+		t.Fatalf("unknown column: %v", err)
 	}
-	v, err = Substr(Col("tag"), 1, 2).Eval(b)
-	if err != nil || v.Str[0] != "re" || v.Str[1] != "bl" {
-		t.Fatalf("Substr = %v", v.Str)
+	// The drift the two evaluators had: these index-panicked reader-side.
+	if _, err := And(Col("price"), Col("price")).Eval(b); !errors.Is(err, expr.ErrInvalid) {
+		t.Fatalf("And over floats: %v", err)
 	}
-	days := column.DateToDays(1995, 6, 15)
-	db := batchOf(t, []table.ColumnDef{intCol("d")}, func(b *table.Batch) { b.Vecs[0].AppendInt(days) })
-	v, err = Year(Col("d")).Eval(db)
-	if err != nil || v.I64[0] != 1995 {
-		t.Fatalf("Year = %v", v.I64)
+	if _, err := FilterBatch(b, Case(Col("price"), Col("tag"), Col("tag"))); !errors.Is(err, expr.ErrInvalid) {
+		t.Fatalf("ill-typed Case filter: %v", err)
+	}
+	if _, err := HashAgg(ctxb(), SliceSource(b), nil, []Agg{{Func: Sum, Expr: Col("tag"), As: "s"}}); !errors.Is(err, expr.ErrInvalid) {
+		t.Fatalf("Sum over strings: %v", err)
 	}
 }
 

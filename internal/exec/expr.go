@@ -6,491 +6,94 @@
 // Go, as the reproduction's stand-in for SAP IQ's optimizer output.
 package exec
 
-import (
-	"fmt"
-	"strings"
+import "cloudiq/internal/expr"
 
-	"cloudiq/internal/column"
-	"cloudiq/internal/table"
-)
+// Expr is an expression tree of the shared kernel (internal/expr), the same
+// nodes the object store evaluates for a pushed-down scan. Eval takes any
+// expr.Env — a *table.Batch is one — and yields one vector over it; boolean
+// expressions yield Int64 vectors of 0/1. A nil Expr means "absent".
+type Expr = *expr.Node
 
-// Expr evaluates to one vector over a batch. Boolean expressions yield
-// Int64 vectors of 0/1.
-type Expr interface {
-	Eval(b *table.Batch) (*column.Vector, error)
-}
+func binop(op expr.Op, a, b Expr) Expr { return &expr.Node{Op: op, Args: []*expr.Node{a, b}} }
 
 // Col references a column of the input batch by name.
-func Col(name string) Expr { return colExpr(name) }
-
-type colExpr string
-
-func (c colExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	i := b.Schema.ColIndex(string(c))
-	if i < 0 {
-		return nil, fmt.Errorf("exec: no column %q in batch", string(c))
-	}
-	return b.Vecs[i], nil
-}
+func Col(name string) Expr { return &expr.Node{Op: expr.OpCol, Col: name} }
 
 // ConstI is an int64 literal. Dates are int64 days, so date literals use
 // ConstI(column.DateToDays(...)).
-func ConstI(v int64) Expr { return constI(v) }
+func ConstI(v int64) Expr { return &expr.Node{Op: expr.OpInt, I: v} }
 
 // ConstF is a float64 literal.
-func ConstF(v float64) Expr { return constF(v) }
+func ConstF(v float64) Expr { return &expr.Node{Op: expr.OpFloat, F: v} }
 
 // ConstS is a string literal.
-func ConstS(v string) Expr { return constS(v) }
-
-type constI int64
-type constF float64
-type constS string
-
-func broadcastLen(b *table.Batch) int { return b.Rows() }
-
-func (c constI) Eval(b *table.Batch) (*column.Vector, error) {
-	n := broadcastLen(b)
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = int64(c)
-	}
-	return &column.Vector{Typ: column.Int64, I64: v}, nil
-}
-
-func (c constF) Eval(b *table.Batch) (*column.Vector, error) {
-	n := broadcastLen(b)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = float64(c)
-	}
-	return &column.Vector{Typ: column.Float64, F64: v}, nil
-}
-
-func (c constS) Eval(b *table.Batch) (*column.Vector, error) {
-	n := broadcastLen(b)
-	v := make([]string, n)
-	for i := range v {
-		v[i] = string(c)
-	}
-	return &column.Vector{Typ: column.String, Str: v}, nil
-}
-
-// binary arithmetic -------------------------------------------------------
-
-type arithOp uint8
-
-const (
-	opAdd arithOp = iota
-	opSub
-	opMul
-	opDiv
-)
-
-type arithExpr struct {
-	op   arithOp
-	a, b Expr
-}
+func ConstS(v string) Expr { return &expr.Node{Op: expr.OpStr, S: v} }
 
 // Add returns a+b with numeric promotion (any float operand makes the
 // result float).
-func Add(a, b Expr) Expr { return arithExpr{opAdd, a, b} }
+func Add(a, b Expr) Expr { return binop(expr.OpAdd, a, b) }
 
 // Sub returns a-b.
-func Sub(a, b Expr) Expr { return arithExpr{opSub, a, b} }
+func Sub(a, b Expr) Expr { return binop(expr.OpSub, a, b) }
 
 // Mul returns a*b.
-func Mul(a, b Expr) Expr { return arithExpr{opMul, a, b} }
+func Mul(a, b Expr) Expr { return binop(expr.OpMul, a, b) }
 
 // Div returns a/b (float division).
-func Div(a, b Expr) Expr { return arithExpr{opDiv, a, b} }
-
-func (e arithExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	bv, err := e.b.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if av.Typ == column.String || bv.Typ == column.String {
-		return nil, fmt.Errorf("exec: arithmetic on strings")
-	}
-	if av.Typ == column.Int64 && bv.Typ == column.Int64 && e.op != opDiv {
-		out := make([]int64, av.Len())
-		for i := range out {
-			switch e.op {
-			case opAdd:
-				out[i] = av.I64[i] + bv.I64[i]
-			case opSub:
-				out[i] = av.I64[i] - bv.I64[i]
-			case opMul:
-				out[i] = av.I64[i] * bv.I64[i]
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	}
-	af := asFloats(av)
-	bf := asFloats(bv)
-	out := make([]float64, len(af))
-	for i := range out {
-		switch e.op {
-		case opAdd:
-			out[i] = af[i] + bf[i]
-		case opSub:
-			out[i] = af[i] - bf[i]
-		case opMul:
-			out[i] = af[i] * bf[i]
-		case opDiv:
-			out[i] = af[i] / bf[i]
-		}
-	}
-	return &column.Vector{Typ: column.Float64, F64: out}, nil
-}
-
-func asFloats(v *column.Vector) []float64 {
-	if v.Typ == column.Float64 {
-		return v.F64
-	}
-	out := make([]float64, len(v.I64))
-	for i, x := range v.I64 {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// comparisons -------------------------------------------------------------
-
-type cmpOp uint8
-
-const (
-	opEq cmpOp = iota
-	opNe
-	opLt
-	opLe
-	opGt
-	opGe
-)
-
-type cmpExpr struct {
-	op   cmpOp
-	a, b Expr
-}
+func Div(a, b Expr) Expr { return binop(expr.OpDiv, a, b) }
 
 // Eq returns a = b as 0/1.
-func Eq(a, b Expr) Expr { return cmpExpr{opEq, a, b} }
+func Eq(a, b Expr) Expr { return binop(expr.OpEq, a, b) }
 
 // Ne returns a <> b.
-func Ne(a, b Expr) Expr { return cmpExpr{opNe, a, b} }
+func Ne(a, b Expr) Expr { return binop(expr.OpNe, a, b) }
 
 // Lt returns a < b.
-func Lt(a, b Expr) Expr { return cmpExpr{opLt, a, b} }
+func Lt(a, b Expr) Expr { return binop(expr.OpLt, a, b) }
 
 // Le returns a <= b.
-func Le(a, b Expr) Expr { return cmpExpr{opLe, a, b} }
+func Le(a, b Expr) Expr { return binop(expr.OpLe, a, b) }
 
 // Gt returns a > b.
-func Gt(a, b Expr) Expr { return cmpExpr{opGt, a, b} }
+func Gt(a, b Expr) Expr { return binop(expr.OpGt, a, b) }
 
 // Ge returns a >= b.
-func Ge(a, b Expr) Expr { return cmpExpr{opGe, a, b} }
-
-func cmpBool(op cmpOp, c int) bool {
-	switch op {
-	case opEq:
-		return c == 0
-	case opNe:
-		return c != 0
-	case opLt:
-		return c < 0
-	case opLe:
-		return c <= 0
-	case opGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
-}
-
-func (e cmpExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	bv, err := e.b.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	n := av.Len()
-	out := make([]int64, n)
-	switch {
-	case av.Typ == column.String && bv.Typ == column.String:
-		for i := 0; i < n; i++ {
-			if cmpBool(e.op, strings.Compare(av.Str[i], bv.Str[i])) {
-				out[i] = 1
-			}
-		}
-	case av.Typ == column.Int64 && bv.Typ == column.Int64:
-		for i := 0; i < n; i++ {
-			c := 0
-			if av.I64[i] < bv.I64[i] {
-				c = -1
-			} else if av.I64[i] > bv.I64[i] {
-				c = 1
-			}
-			if cmpBool(e.op, c) {
-				out[i] = 1
-			}
-		}
-	case av.Typ != column.String && bv.Typ != column.String:
-		af, bf := asFloats(av), asFloats(bv)
-		for i := 0; i < n; i++ {
-			c := 0
-			if af[i] < bf[i] {
-				c = -1
-			} else if af[i] > bf[i] {
-				c = 1
-			}
-			if cmpBool(e.op, c) {
-				out[i] = 1
-			}
-		}
-	default:
-		return nil, fmt.Errorf("exec: comparing %v with %v", av.Typ, bv.Typ)
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
-}
-
-// boolean combinators ------------------------------------------------------
-
-type boolExpr struct {
-	and  bool
-	a, b Expr
-}
+func Ge(a, b Expr) Expr { return binop(expr.OpGe, a, b) }
 
 // And returns a AND b.
-func And(a, b Expr) Expr { return boolExpr{true, a, b} }
+func And(a, b Expr) Expr { return binop(expr.OpAnd, a, b) }
 
 // Or returns a OR b.
-func Or(a, b Expr) Expr { return boolExpr{false, a, b} }
-
-func (e boolExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	bv, err := e.b.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, av.Len())
-	for i := range out {
-		x, y := av.I64[i] != 0, bv.I64[i] != 0
-		if (e.and && x && y) || (!e.and && (x || y)) {
-			out[i] = 1
-		}
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
-}
+func Or(a, b Expr) Expr { return binop(expr.OpOr, a, b) }
 
 // Not negates a boolean expression.
-func Not(a Expr) Expr { return notExpr{a} }
-
-type notExpr struct{ a Expr }
-
-func (e notExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, av.Len())
-	for i, x := range av.I64 {
-		if x == 0 {
-			out[i] = 1
-		}
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
-}
-
-// string predicates & functions -------------------------------------------
+func Not(a Expr) Expr { return &expr.Node{Op: expr.OpNot, Args: []*expr.Node{a}} }
 
 // Like matches a SQL LIKE pattern (only '%' wildcards, as TPC-H uses).
-func Like(a Expr, pattern string) Expr { return likeExpr{a, pattern, false} }
+func Like(a Expr, pattern string) Expr {
+	return &expr.Node{Op: expr.OpLike, Pattern: pattern, Args: []*expr.Node{a}}
+}
 
 // NotLike is the negation of Like.
-func NotLike(a Expr, pattern string) Expr { return likeExpr{a, pattern, true} }
-
-type likeExpr struct {
-	a       Expr
-	pattern string
-	neg     bool
-}
-
-// matchLike matches s against a '%'-wildcard pattern.
-func matchLike(s, pattern string) bool {
-	parts := strings.Split(pattern, "%")
-	if len(parts) == 1 {
-		return s == pattern
-	}
-	if !strings.HasPrefix(s, parts[0]) {
-		return false
-	}
-	s = s[len(parts[0]):]
-	last := parts[len(parts)-1]
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
-		}
-		idx := strings.Index(s, mid)
-		if idx < 0 {
-			return false
-		}
-		s = s[idx+len(mid):]
-	}
-	return strings.HasSuffix(s, last)
-}
-
-func (e likeExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if av.Typ != column.String {
-		return nil, fmt.Errorf("exec: LIKE on %v", av.Typ)
-	}
-	out := make([]int64, av.Len())
-	for i, s := range av.Str {
-		if matchLike(s, e.pattern) != e.neg {
-			out[i] = 1
-		}
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
+func NotLike(a Expr, pattern string) Expr {
+	return &expr.Node{Op: expr.OpLike, Pattern: pattern, Neg: true, Args: []*expr.Node{a}}
 }
 
 // InS tests membership in a string list.
 func InS(a Expr, vals ...string) Expr {
-	set := make(map[string]bool, len(vals))
-	for _, v := range vals {
-		set[v] = true
-	}
-	return inExpr{a, set}
+	return &expr.Node{Op: expr.OpIn, Set: expr.NewSet(vals), Args: []*expr.Node{a}}
 }
 
-type inExpr struct {
-	a   Expr
-	set map[string]bool
-}
-
-func (e inExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if av.Typ != column.String {
-		return nil, fmt.Errorf("exec: IN list on %v", av.Typ)
-	}
-	out := make([]int64, av.Len())
-	for i, s := range av.Str {
-		if e.set[s] {
-			out[i] = 1
-		}
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
-}
-
-// Case returns then where cond is true, otherwise els. then/els must share
-// a numeric type.
-func Case(cond, then, els Expr) Expr { return caseExpr{cond, then, els} }
-
-type caseExpr struct{ cond, then, els Expr }
-
-func (e caseExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	cv, err := e.cond.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	tv, err := e.then.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := e.els.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if tv.Typ == column.Int64 && ev.Typ == column.Int64 {
-		out := make([]int64, cv.Len())
-		for i := range out {
-			if cv.I64[i] != 0 {
-				out[i] = tv.I64[i]
-			} else {
-				out[i] = ev.I64[i]
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	}
-	tf, ef := asFloats(tv), asFloats(ev)
-	out := make([]float64, cv.Len())
-	for i := range out {
-		if cv.I64[i] != 0 {
-			out[i] = tf[i]
-		} else {
-			out[i] = ef[i]
-		}
-	}
-	return &column.Vector{Typ: column.Float64, F64: out}, nil
+// Case returns then where cond is true, otherwise els. then/els must be
+// numeric; unless both are Int64 the result is Float64.
+func Case(cond, then, els Expr) Expr {
+	return &expr.Node{Op: expr.OpCase, Args: []*expr.Node{cond, then, els}}
 }
 
 // Substr returns the 1-based substring of length n.
-func Substr(a Expr, start, n int) Expr { return substrExpr{a, start, n} }
-
-type substrExpr struct {
-	a        Expr
-	start, n int
-}
-
-func (e substrExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if av.Typ != column.String {
-		return nil, fmt.Errorf("exec: SUBSTRING on %v", av.Typ)
-	}
-	out := make([]string, av.Len())
-	for i, s := range av.Str {
-		lo := e.start - 1
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + e.n
-		if lo > len(s) {
-			lo = len(s)
-		}
-		if hi > len(s) {
-			hi = len(s)
-		}
-		out[i] = s[lo:hi]
-	}
-	return &column.Vector{Typ: column.String, Str: out}, nil
+func Substr(a Expr, start, n int) Expr {
+	return &expr.Node{Op: expr.OpSubstr, Start: start, N: n, Args: []*expr.Node{a}}
 }
 
 // Year extracts the calendar year of a date (int64 days) expression.
-func Year(a Expr) Expr { return yearExpr{a} }
-
-type yearExpr struct{ a Expr }
-
-func (e yearExpr) Eval(b *table.Batch) (*column.Vector, error) {
-	av, err := e.a.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if av.Typ != column.Int64 {
-		return nil, fmt.Errorf("exec: YEAR on %v", av.Typ)
-	}
-	out := make([]int64, av.Len())
-	for i, d := range av.I64 {
-		out[i] = int64(column.DaysToDate(d).Year())
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
-}
+func Year(a Expr) Expr { return &expr.Node{Op: expr.OpYear, Args: []*expr.Node{a}} }

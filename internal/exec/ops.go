@@ -8,7 +8,7 @@ import (
 	"sort"
 
 	"cloudiq/internal/column"
-	"cloudiq/internal/objstore"
+	"cloudiq/internal/expr"
 	"cloudiq/internal/table"
 	"cloudiq/internal/trace"
 )
@@ -65,10 +65,9 @@ type scanSource struct {
 	pos      int
 	fetched  int
 
-	planFilter *objstore.PlanExpr // translated Filter, when pushdown is on
-	push       []bool             // per-segment pushdown decision, parallel to segs
-	emitted    bool               // whether any batch has been returned yet
-	deltaDone  bool               // whether the delta merge batch was emitted
+	push      []bool // per-segment pushdown decision, parallel to segs
+	emitted   bool   // whether any batch has been returned yet
+	deltaDone bool   // whether the delta merge batch was emitted
 }
 
 // Scan streams the named columns of t, pruning segments by zone maps and
@@ -283,7 +282,7 @@ func Collect(ctx context.Context, src Source) (*table.Batch, error) {
 func FilterBatch(b *table.Batch, pred Expr) (*table.Batch, error) {
 	pv, err := pred.Eval(b)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exec: filter: %w", err)
 	}
 	if pv.Typ != column.Int64 {
 		return nil, fmt.Errorf("exec: filter predicate yields %v", pv.Typ)
@@ -484,16 +483,16 @@ func appendZero(v *column.Vector, t column.Type) {
 // --- aggregation ---
 
 // AggFunc enumerates aggregate functions.
-type AggFunc uint8
+type AggFunc = expr.AggFunc
 
 // Supported aggregates.
 const (
-	Sum AggFunc = iota
-	Avg
-	Min
-	Max
-	Count
-	CountDistinct
+	Sum           = expr.Sum
+	Avg           = expr.Avg
+	Min           = expr.Min
+	Max           = expr.Max
+	Count         = expr.Count
+	CountDistinct = expr.CountDistinct
 )
 
 // Agg is one aggregate column: Func over Expr (nil for Count(*)), emitted
@@ -504,24 +503,30 @@ type Agg struct {
 	As   string
 }
 
-type aggState struct {
-	sumF     float64
-	sumI     int64
-	count    int64
-	minF     float64
-	maxF     float64
-	minI     int64
-	maxI     int64
-	minS     string
-	maxS     string
-	seen     bool
-	distinct map[string]struct{}
-	typ      column.Type
-}
-
 type group struct {
 	keyVals []any
-	states  []*aggState
+	states  []*expr.AggState
+}
+
+func newStates(n int) []*expr.AggState {
+	states := make([]*expr.AggState, n)
+	for i := range states {
+		states[i] = &expr.AggState{}
+	}
+	return states
+}
+
+// aggInputs evaluates every aggregate's input over b, once per batch.
+func aggInputs(aggs []Agg, b *table.Batch) ([]*column.Vector, error) {
+	inputs := make([]*column.Vector, len(aggs))
+	for i, a := range aggs {
+		v, err := expr.AggInput(a.Func, a.Expr, b)
+		if err != nil {
+			return nil, fmt.Errorf("exec: aggregate %s: %w", a.As, err)
+		}
+		inputs[i] = v
+	}
+	return inputs, nil
 }
 
 // HashAgg groups src by the named columns and computes the aggregates.
@@ -552,27 +557,16 @@ func HashAgg(ctx context.Context, src Source, groupBy []string, aggs []Agg) (*ta
 				groupTypes = append(groupTypes, v.Typ)
 			}
 		}
-		// Evaluate aggregate inputs once per batch.
-		inputs := make([]*column.Vector, len(aggs))
-		for i, a := range aggs {
-			if a.Expr == nil {
-				continue
-			}
-			v, err := a.Expr.Eval(b)
-			if err != nil {
-				return nil, err
-			}
-			inputs[i] = v
+		inputs, err := aggInputs(aggs, b)
+		if err != nil {
+			return nil, err
 		}
 		var kb []byte
 		for r := 0; r < b.Rows(); r++ {
 			kb = rowKey(kb[:0], gvecs, r)
 			g, ok := groups[string(kb)]
 			if !ok {
-				g = &group{states: make([]*aggState, len(aggs))}
-				for i := range g.states {
-					g.states[i] = &aggState{}
-				}
+				g = &group{states: newStates(len(aggs))}
 				for _, v := range gvecs {
 					switch v.Typ {
 					case column.Int64:
@@ -587,17 +581,13 @@ func HashAgg(ctx context.Context, src Source, groupBy []string, aggs []Agg) (*ta
 				order = append(order, string(kb))
 			}
 			for i, a := range aggs {
-				updateAgg(g.states[i], a, inputs[i], r)
+				g.states[i].Update(a.Func, inputs[i], r)
 			}
 		}
 	}
 
 	if len(groupBy) == 0 && len(groups) == 0 {
-		g := &group{states: make([]*aggState, len(aggs))}
-		for i := range g.states {
-			g.states[i] = &aggState{}
-		}
-		groups[""] = g
+		groups[""] = &group{states: newStates(len(aggs))}
 		order = append(order, "")
 	}
 
@@ -636,61 +626,6 @@ func HashAgg(ctx context.Context, src Source, groupBy []string, aggs []Agg) (*ta
 	return out, nil
 }
 
-func updateAgg(st *aggState, a Agg, input *column.Vector, r int) {
-	if a.Func == Count && a.Expr == nil {
-		st.count++
-		return
-	}
-	st.typ = input.Typ
-	switch a.Func {
-	case CountDistinct:
-		if st.distinct == nil {
-			st.distinct = make(map[string]struct{})
-		}
-		st.distinct[string(rowKey(nil, []*column.Vector{input}, r))] = struct{}{}
-	case Count:
-		st.count++
-	case Sum, Avg:
-		st.count++
-		switch input.Typ {
-		case column.Int64:
-			st.sumI += input.I64[r]
-			st.sumF += float64(input.I64[r])
-		default:
-			st.sumF += input.F64[r]
-		}
-	case Min, Max:
-		st.count++
-		switch input.Typ {
-		case column.Int64:
-			x := input.I64[r]
-			if !st.seen || x < st.minI {
-				st.minI = x
-			}
-			if !st.seen || x > st.maxI {
-				st.maxI = x
-			}
-		case column.Float64:
-			x := input.F64[r]
-			if !st.seen || x < st.minF {
-				st.minF = x
-			}
-			if !st.seen || x > st.maxF {
-				st.maxF = x
-			}
-		default:
-			x := input.Str[r]
-			if !st.seen || x < st.minS {
-				st.minS = x
-			}
-			if !st.seen || x > st.maxS {
-				st.maxS = x
-			}
-		}
-		st.seen = true
-	}
-}
-
 func aggOutputType(a Agg, groups map[string]*group, order []string, i int) column.Type {
 	switch a.Func {
 	case Count, CountDistinct:
@@ -701,48 +636,48 @@ func aggOutputType(a Agg, groups map[string]*group, order []string, i int) colum
 	// Sum/Min/Max follow the input type; inspect any group.
 	for _, k := range order {
 		st := groups[k].states[i]
-		if st.count > 0 || st.seen {
-			return st.typ
+		if st.Count > 0 || st.Seen {
+			return st.Typ
 		}
 	}
 	return column.Float64
 }
 
-func emitAgg(v *column.Vector, st *aggState, a Agg) {
+func emitAgg(v *column.Vector, st *expr.AggState, a Agg) {
 	switch a.Func {
 	case Count:
-		v.AppendInt(st.count)
+		v.AppendInt(st.Count)
 	case CountDistinct:
-		v.AppendInt(int64(len(st.distinct)))
+		v.AppendInt(int64(st.Distinct()))
 	case Avg:
-		if st.count == 0 {
+		if st.Count == 0 {
 			v.AppendFloat(0)
 		} else {
-			v.AppendFloat(st.sumF / float64(st.count))
+			v.AppendFloat(st.SumF / float64(st.Count))
 		}
 	case Sum:
 		if v.Typ == column.Int64 {
-			v.AppendInt(st.sumI)
+			v.AppendInt(st.SumI)
 		} else {
-			v.AppendFloat(st.sumF)
+			v.AppendFloat(st.SumF)
 		}
 	case Min:
 		switch v.Typ {
 		case column.Int64:
-			v.AppendInt(st.minI)
+			v.AppendInt(st.MinI)
 		case column.Float64:
-			v.AppendFloat(st.minF)
+			v.AppendFloat(st.MinF)
 		default:
-			v.AppendStr(st.minS)
+			v.AppendStr(st.MinS)
 		}
 	case Max:
 		switch v.Typ {
 		case column.Int64:
-			v.AppendInt(st.maxI)
+			v.AppendInt(st.MaxI)
 		case column.Float64:
-			v.AppendFloat(st.maxF)
+			v.AppendFloat(st.MaxF)
 		default:
-			v.AppendStr(st.maxS)
+			v.AppendStr(st.MaxS)
 		}
 	}
 }

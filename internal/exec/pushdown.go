@@ -1,19 +1,21 @@
 package exec
 
-// Pushdown: lowering scan filters and ungrouped aggregates into the object
-// store's compute endpoint (objstore.Selector). The reader keeps full
-// authority over semantics — the store plan mini-language replicates exec's
-// evaluator exactly, and every pushdown failure (store without the
-// capability, unsupported plan, injected fault, dirty page in cache)
-// degrades to the plain ReadSegment path, so a scan with pushdown enabled
-// returns the same rows as one without.
+// Pushdown: handing scan filters and ungrouped aggregates to the object
+// store's compute endpoint (objstore.Selector). A store plan carries the
+// reader's own expr.Node trees and the store runs them through the same
+// evaluator and aggregate state (internal/expr), so there is nothing to
+// translate and no expression shape that cannot be pushed. Every pushdown
+// failure (store without the capability, rejected plan, injected fault,
+// dirty page in cache) degrades to the plain ReadSegment path, so a scan with
+// pushdown enabled returns the same rows as one without.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
 
 	"cloudiq/internal/column"
+	"cloudiq/internal/expr"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/table"
 	"cloudiq/internal/trace"
@@ -32,92 +34,14 @@ const (
 	// an unselective pushdown returns nearly the whole segment and just
 	// adds the compute charge.
 	PushdownAuto
-	// PushdownForce pushes every segment whose plan translates, regardless
-	// of estimated selectivity. Differential harnesses use it to maximize
-	// pushdown coverage.
+	// PushdownForce pushes every segment, regardless of estimated
+	// selectivity. Differential harnesses use it to maximize pushdown
+	// coverage.
 	PushdownForce
 )
 
 // autoPushThreshold is the estimated-selectivity ceiling for PushdownAuto.
 const autoPushThreshold = 0.5
-
-var arithOpNames = map[arithOp]string{opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div"}
-var cmpOpNames = map[cmpOp]string{opEq: "eq", opNe: "ne", opLt: "lt", opLe: "le", opGt: "gt", opGe: "ge"}
-
-// translateExpr lowers a reader expression into the store's plan
-// mini-language. The second result is false for nodes the store does not
-// evaluate (CASE, SUBSTRING, YEAR) — callers then stay on plain reads.
-func translateExpr(e Expr) (*objstore.PlanExpr, bool) {
-	switch x := e.(type) {
-	case colExpr:
-		return &objstore.PlanExpr{Op: "col", Col: string(x)}, true
-	case constI:
-		return &objstore.PlanExpr{Op: "int", I: int64(x)}, true
-	case constF:
-		return &objstore.PlanExpr{Op: "float", F: float64(x)}, true
-	case constS:
-		return &objstore.PlanExpr{Op: "str", S: string(x)}, true
-	case arithExpr:
-		a, ok := translateExpr(x.a)
-		if !ok {
-			return nil, false
-		}
-		b, ok := translateExpr(x.b)
-		if !ok {
-			return nil, false
-		}
-		return &objstore.PlanExpr{Op: arithOpNames[x.op], Args: []*objstore.PlanExpr{a, b}}, true
-	case cmpExpr:
-		a, ok := translateExpr(x.a)
-		if !ok {
-			return nil, false
-		}
-		b, ok := translateExpr(x.b)
-		if !ok {
-			return nil, false
-		}
-		return &objstore.PlanExpr{Op: cmpOpNames[x.op], Args: []*objstore.PlanExpr{a, b}}, true
-	case boolExpr:
-		a, ok := translateExpr(x.a)
-		if !ok {
-			return nil, false
-		}
-		b, ok := translateExpr(x.b)
-		if !ok {
-			return nil, false
-		}
-		op := "or"
-		if x.and {
-			op = "and"
-		}
-		return &objstore.PlanExpr{Op: op, Args: []*objstore.PlanExpr{a, b}}, true
-	case notExpr:
-		a, ok := translateExpr(x.a)
-		if !ok {
-			return nil, false
-		}
-		return &objstore.PlanExpr{Op: "not", Args: []*objstore.PlanExpr{a}}, true
-	case likeExpr:
-		a, ok := translateExpr(x.a)
-		if !ok {
-			return nil, false
-		}
-		return &objstore.PlanExpr{Op: "like", Pattern: x.pattern, Neg: x.neg, Args: []*objstore.PlanExpr{a}}, true
-	case inExpr:
-		a, ok := translateExpr(x.a)
-		if !ok {
-			return nil, false
-		}
-		set := make([]string, 0, len(x.set))
-		for s := range x.set {
-			set = append(set, s)
-		}
-		sort.Strings(set)
-		return &objstore.PlanExpr{Op: "in", Set: set, Args: []*objstore.PlanExpr{a}}, true
-	default:
-		return nil, false
-	}
-}
 
 // --- selectivity estimation -----------------------------------------------
 
@@ -126,71 +50,61 @@ func translateExpr(e Expr) (*objstore.PlanExpr, bool) {
 // assumption. It only needs to be good enough to separate "returns a sliver"
 // from "returns most of the segment"; anything it cannot model answers 0.5.
 func estimateSelectivity(e Expr, sch table.Schema, zones []column.ZoneMap) float64 {
-	switch x := e.(type) {
-	case cmpExpr:
-		return cmpSelectivity(x, sch, zones)
-	case boolExpr:
-		pa := estimateSelectivity(x.a, sch, zones)
-		pb := estimateSelectivity(x.b, sch, zones)
-		if x.and {
+	switch {
+	case e == nil:
+		return 0.5
+	case e.Op >= expr.OpEq && e.Op <= expr.OpGe && len(e.Args) == 2:
+		return cmpSelectivity(e, sch, zones)
+	case (e.Op == expr.OpAnd || e.Op == expr.OpOr) && len(e.Args) == 2:
+		pa := estimateSelectivity(e.Args[0], sch, zones)
+		pb := estimateSelectivity(e.Args[1], sch, zones)
+		if e.Op == expr.OpAnd {
 			return pa * pb
 		}
 		return clamp01(pa + pb - pa*pb)
-	case notExpr:
-		return clamp01(1 - estimateSelectivity(x.a, sch, zones))
-	case likeExpr:
-		if x.neg {
+	case e.Op == expr.OpNot && len(e.Args) == 1:
+		return clamp01(1 - estimateSelectivity(e.Args[0], sch, zones))
+	case e.Op == expr.OpLike:
+		if e.Neg {
 			return 0.9
 		}
 		return 0.1
-	case inExpr:
-		return clamp01(0.1 * float64(len(x.set)))
-	default:
-		return 0.5
+	case e.Op == expr.OpIn:
+		return clamp01(0.1 * float64(len(e.Set)))
 	}
+	return 0.5
 }
 
-func exprConst(e Expr) (float64, bool) {
-	switch x := e.(type) {
-	case constI:
-		return float64(int64(x)), true
-	case constF:
-		return float64(x), true
+// colConst matches the shape "column OP numeric literal".
+func colConst(col, lit Expr) (string, float64, bool) {
+	if col == nil || lit == nil || col.Op != expr.OpCol {
+		return "", 0, false
 	}
-	return 0, false
+	switch lit.Op {
+	case expr.OpInt:
+		return col.Col, float64(lit.I), true
+	case expr.OpFloat:
+		return col.Col, lit.F, true
+	}
+	return "", 0, false
 }
 
-func flipCmp(op cmpOp) cmpOp {
-	switch op {
-	case opLt:
-		return opGt
-	case opLe:
-		return opGe
-	case opGt:
-		return opLt
-	case opGe:
-		return opLe
-	}
-	return op // eq / ne are symmetric
-}
+// flipCmp mirrors a comparison for swapped operands; eq and ne are symmetric.
+var flipCmp = map[expr.Op]expr.Op{expr.OpEq: expr.OpEq, expr.OpNe: expr.OpNe,
+	expr.OpLt: expr.OpGt, expr.OpLe: expr.OpGe, expr.OpGt: expr.OpLt, expr.OpGe: expr.OpLe}
 
-func cmpSelectivity(e cmpExpr, sch table.Schema, zones []column.ZoneMap) float64 {
-	op := e.op
-	col, okCol := e.a.(colExpr)
-	c, okConst := exprConst(e.b)
-	if !okCol || !okConst {
+func cmpSelectivity(e Expr, sch table.Schema, zones []column.ZoneMap) float64 {
+	op := e.Op
+	col, c, ok := colConst(e.Args[0], e.Args[1])
+	if !ok {
 		// Try the mirrored form: const OP col.
-		if col2, ok := e.b.(colExpr); ok {
-			if c2, ok2 := exprConst(e.a); ok2 {
-				col, c, op = col2, c2, flipCmp(e.op)
-				okCol, okConst = true, true
-			}
-		}
+		col, c, ok = colConst(e.Args[1], e.Args[0])
+		op = flipCmp[op]
 	}
-	if !okCol || !okConst {
+	if !ok {
 		return 0.5
 	}
-	ci := sch.ColIndex(string(col))
+	ci := sch.ColIndex(col)
 	if ci < 0 || ci >= len(zones) {
 		return 0.5
 	}
@@ -199,7 +113,7 @@ func cmpSelectivity(e cmpExpr, sch table.Schema, zones []column.ZoneMap) float64
 
 // rangeSelectivity treats the zone-map range as a uniform distribution:
 // integers as max-min+1 equally likely points, floats as a continuum.
-func rangeSelectivity(op cmpOp, c float64, z column.ZoneMap) float64 {
+func rangeSelectivity(op expr.Op, c float64, z column.ZoneMap) float64 {
 	var lo, hi float64
 	discrete := false
 	switch z.Typ {
@@ -220,7 +134,7 @@ func rangeSelectivity(op cmpOp, c float64, z column.ZoneMap) float64 {
 	}
 	if width <= 0 {
 		// Single-point float range: the comparison is decided outright.
-		if cmpHoldsFloat(op, lo, c) {
+		if op.Holds(cmp.Compare(lo, c)) {
 			return 1
 		}
 		return 0
@@ -238,29 +152,19 @@ func rangeSelectivity(op cmpOp, c float64, z column.ZoneMap) float64 {
 		return clamp01(f)
 	}
 	switch op {
-	case opEq:
+	case expr.OpEq:
 		return clamp01(point)
-	case opNe:
+	case expr.OpNe:
 		return clamp01(1 - point)
-	case opLt:
+	case expr.OpLt:
 		return below(false)
-	case opLe:
+	case expr.OpLe:
 		return below(true)
-	case opGt:
+	case expr.OpGt:
 		return clamp01(1 - below(true))
-	default: // opGe
+	default: // OpGe
 		return clamp01(1 - below(false))
 	}
-}
-
-func cmpHoldsFloat(op cmpOp, a, b float64) bool {
-	c := 0
-	if a < b {
-		c = -1
-	} else if a > b {
-		c = 1
-	}
-	return cmpBool(op, c)
 }
 
 func clamp01(f float64) float64 {
@@ -288,13 +192,7 @@ func (s *scanSource) planPushdown() {
 		// stay on plain local reads and merge the delta rows reader-side.
 		return
 	}
-	if s.opts.Filter != nil {
-		pf, ok := translateExpr(s.opts.Filter)
-		if !ok {
-			return // untranslatable filter: plain reads everywhere
-		}
-		s.planFilter = pf
-	} else if s.opts.Pushdown != PushdownForce {
+	if s.opts.Filter == nil && s.opts.Pushdown != PushdownForce {
 		return // pushing an unfiltered scan returns every byte anyway
 	}
 	s.push = make([]bool, len(s.segs))
@@ -314,7 +212,7 @@ func (s *scanSource) planPushdown() {
 // filtered. Any error sends the caller to the plain ReadSegment path.
 func (s *scanSource) pushSegment(ctx context.Context, seg int) (*table.Batch, error) {
 	res, err := s.tbl.SelectSegment(ctx, seg, s.cols, objstore.SelectPlan{
-		Filter:  s.planFilter,
+		Filter:  s.opts.Filter,
 		Project: s.colNames,
 	})
 	if err != nil {
@@ -350,101 +248,30 @@ func (s *scanSource) emptyBatch() *table.Batch {
 
 // --- aggregate pushdown ----------------------------------------------------
 
-// aggFuncNames maps the pushable aggregate functions to their plan names.
-// Avg and CountDistinct stay reader-side.
-var aggFuncNames = map[AggFunc]string{Count: "count", Sum: "sum", Min: "min", Max: "max"}
-
-// translateAggPlan lowers the filter and aggregate list into a store plan,
-// or reports that some part is not pushable.
-func translateAggPlan(opts ScanOptions, aggs []Agg) (objstore.SelectPlan, bool) {
-	var plan objstore.SelectPlan
-	if opts.Filter != nil {
-		pf, ok := translateExpr(opts.Filter)
-		if !ok {
-			return plan, false
-		}
-		plan.Filter = pf
-	}
-	if len(aggs) == 0 {
-		return plan, false
-	}
+// aggPlan builds the store plan for an ungrouped aggregation. The one
+// pushability rule is on the aggregate function: only Mergeable ones have the
+// fixed-size partial state a store returns (and the cost model charges for).
+func aggPlan(opts ScanOptions, aggs []Agg) (objstore.SelectPlan, bool) {
+	plan := objstore.SelectPlan{Filter: opts.Filter}
 	for _, a := range aggs {
-		name, ok := aggFuncNames[a.Func]
-		if !ok {
+		if !a.Func.Mergeable() {
 			return plan, false
 		}
-		pa := objstore.PlanAgg{Func: name}
-		if a.Expr != nil {
-			pe, ok := translateExpr(a.Expr)
-			if !ok {
-				return plan, false
-			}
-			pa.Expr = pe
-		} else if a.Func != Count {
-			return plan, false
-		}
-		plan.Aggs = append(plan.Aggs, pa)
+		plan.Aggs = append(plan.Aggs, objstore.PlanAgg{Func: a.Func, Expr: a.Expr})
 	}
-	return plan, true
+	return plan, len(aggs) > 0
 }
 
-// mergeAggState folds a store-side partial state into the reader's
-// accumulator with the same arithmetic updateAgg applies row by row, so
-// counts, integer sums and min/max merge exactly. (Float sums regroup the
-// additions per segment, as any partitioned sum does.)
-func mergeAggState(st *aggState, o objstore.AggState) {
-	if o.Count == 0 && !o.Seen {
-		return
-	}
-	st.typ = o.Typ
-	st.count += o.Count
-	st.sumI += o.SumI
-	st.sumF += o.SumF
-	if o.Seen {
-		switch o.Typ {
-		case column.Int64:
-			if !st.seen || o.MinI < st.minI {
-				st.minI = o.MinI
-			}
-			if !st.seen || o.MaxI > st.maxI {
-				st.maxI = o.MaxI
-			}
-		case column.Float64:
-			if !st.seen || o.MinF < st.minF {
-				st.minF = o.MinF
-			}
-			if !st.seen || o.MaxF > st.maxF {
-				st.maxF = o.MaxF
-			}
-		default:
-			if !st.seen || o.MinS < st.minS {
-				st.minS = o.MinS
-			}
-			if !st.seen || o.MaxS > st.maxS {
-				st.maxS = o.MaxS
-			}
-		}
-		st.seen = true
-	}
-}
-
-// foldBatch accumulates a reader-side batch into the aggregate states,
-// mirroring HashAgg's per-batch input evaluation.
-func foldBatch(states []*aggState, aggs []Agg, b *table.Batch) error {
-	inputs := make([]*column.Vector, len(aggs))
-	for i, a := range aggs {
-		if a.Expr == nil {
-			continue
-		}
-		v, err := a.Expr.Eval(b)
-		if err != nil {
-			return err
-		}
-		inputs[i] = v
+// foldBatch accumulates a reader-side batch into the aggregate states, as
+// HashAgg does for its one global group.
+func foldBatch(states []*expr.AggState, aggs []Agg, b *table.Batch) error {
+	inputs, err := aggInputs(aggs, b)
+	if err != nil {
+		return err
 	}
 	for r := 0; r < b.Rows(); r++ {
 		for i, a := range aggs {
-			updateAgg(states[i], a, inputs[i], r)
+			states[i].Update(a.Func, inputs[i], r)
 		}
 	}
 	return nil
@@ -452,8 +279,8 @@ func foldBatch(states []*aggState, aggs []Agg, b *table.Batch) error {
 
 // ScanAgg computes ungrouped aggregates over a table scan, pushing the
 // filter and partial aggregation into the object store when opts.Pushdown
-// allows and every aggregate is pushable (Count, Sum, Min, Max over
-// translatable expressions). Each partial state that comes back is ~64 bytes
+// allows and every aggregate is pushable (Count, Sum, Min, Max over any
+// expression). Each partial state that comes back is ~64 bytes
 // regardless of how many rows qualified — the extreme case of the
 // scanned/returned asymmetry pushdown exists for — so any allowed aggregate
 // push is taken without a selectivity estimate. Segments whose pushdown
@@ -461,7 +288,7 @@ func foldBatch(states []*aggState, aggs []Agg, b *table.Batch) error {
 // HashAgg over Scan. The result is one row, matching
 // HashAgg(Scan(...), nil, aggs).
 func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOptions, aggs []Agg) (*table.Batch, error) {
-	plan, pushable := translateAggPlan(opts, aggs)
+	plan, pushable := aggPlan(opts, aggs)
 	// A delta-dirty table refuses aggregate pushdown outright: the store
 	// cannot see the delta rows, so its partial states would be stale. The
 	// Scan fallback below merges them reader-side.
@@ -479,10 +306,7 @@ func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOption
 		return nil, err
 	}
 	sc := src.(*scanSource)
-	states := make([]*aggState, len(aggs))
-	for i := range states {
-		states[i] = &aggState{}
-	}
+	states := newStates(len(aggs))
 	for _, seg := range sc.segs {
 		if err := YieldPoint(ctx); err != nil {
 			return nil, err
@@ -495,7 +319,7 @@ func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOption
 			rsp.AddInt("rows", int64(res.Rows))
 			rsp.End()
 			for i := range states {
-				mergeAggState(states[i], res.Aggs[i])
+				states[i].Merge(&res.Aggs[i])
 			}
 			continue
 		}

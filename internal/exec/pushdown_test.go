@@ -90,19 +90,33 @@ func collectScan(t *testing.T, tbl *table.Table, opts ScanOptions) *table.Batch 
 }
 
 // TestPushdownDifferentialScan runs random filters through all three scan
-// modes and demands byte-identical results. Filters that the plan language
-// cannot express (CASE, SUBSTRING) exercise the whole-scan fallback; the
-// rest exercise store-side evaluation.
+// modes and demands byte-identical results. The store evaluates the reader's
+// own trees, so under PushdownForce no generated shape (CASE and SUBSTRING
+// included) may fall back: every segment of every forced scan must be
+// answered by Select, with no plain read beside it.
 func TestPushdownDifferentialScan(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{})
 	tbl, _ := pushdownTable(t, store, 500, 64, 0x9055)
 	rng := mt.New(0x9056)
 	g := &diffGen{rng: rng}
 	trials := diffTrials(t)
+	// A select that answers scans its segment's stored columns whole; one the
+	// store rejects scans nothing. An unfiltered forced scan sets the mark.
+	m := store.Metrics()
+	collectScan(t, tbl, ScanOptions{Pushdown: PushdownForce})
+	segs, tableBytes := int64(tbl.Segments()), m.SelectScannedBytes()
+	if m.Selects() != segs || tableBytes == 0 {
+		t.Fatalf("unfiltered forced scan: %d selects over %d segments, %d bytes", m.Selects(), segs, tableBytes)
+	}
 	for trial := 0; trial < trials; trial++ {
 		pred := g.boolExpr(3)
 		plain := collectScan(t, tbl, ScanOptions{Filter: pred.expr()})
+		selects, scanned := m.Selects(), m.SelectScannedBytes()
 		forced := collectScan(t, tbl, ScanOptions{Filter: pred.expr(), Pushdown: PushdownForce})
+		if ds, db := m.Selects()-selects, m.SelectScannedBytes()-scanned; ds != segs || db != tableBytes {
+			t.Fatalf("trial %d: %s: forced scan made %d selects scanning %d bytes, want %d and %d: a segment fell back",
+				trial, pred, ds, db, segs, tableBytes)
+		}
 		auto := collectScan(t, tbl, ScanOptions{Filter: pred.expr(), Pushdown: PushdownAuto})
 		if !sameBatch(plain, forced) {
 			t.Fatalf("trial %d: %s: forced pushdown diverged (%d vs %d rows)",
@@ -112,9 +126,6 @@ func TestPushdownDifferentialScan(t *testing.T) {
 			t.Fatalf("trial %d: %s: auto pushdown diverged (%d vs %d rows)",
 				trial, pred, auto.Rows(), plain.Rows())
 		}
-	}
-	if store.Metrics().Selects() == 0 {
-		t.Fatal("no select ever reached the store; pushdown never engaged")
 	}
 }
 
@@ -297,44 +308,6 @@ func TestPushdownByteAsymmetry(t *testing.T) {
 	pushed := bytesFor(PushdownForce)
 	if pushed*5 > plain {
 		t.Fatalf("pushdown moved %dB vs %dB plain; expected at least 5x reduction", pushed, plain)
-	}
-}
-
-// TestTranslateExpr covers the plan lowering: pushable nodes round-trip
-// through the store evaluator, unpushable ones are refused.
-func TestTranslateExpr(t *testing.T) {
-	pushable := []Expr{
-		Col("a"),
-		ConstI(5),
-		ConstF(2.5),
-		ConstS("x"),
-		Add(Col("a"), ConstI(1)),
-		Div(Col("b"), ConstI(2)),
-		Lt(Col("f"), ConstF(3)),
-		And(Ge(Col("a"), ConstI(0)), Not(Eq(Col("s"), ConstS("alpha")))),
-		Or(Like(Col("s"), "alp%"), NotLike(Col("t"), "%ta")),
-		InS(Col("s"), "beta", "alpha"),
-	}
-	for i, e := range pushable {
-		if _, ok := translateExpr(e); !ok {
-			t.Errorf("expr %d: not translated", i)
-		}
-	}
-	unpushable := []Expr{
-		Case(Eq(Col("a"), ConstI(1)), ConstI(1), ConstI(0)),
-		Substr(Col("s"), 1, 2),
-		Year(Col("a")),
-		Eq(Substr(Col("s"), 1, 2), ConstS("al")),
-	}
-	for i, e := range unpushable {
-		if _, ok := translateExpr(e); ok {
-			t.Errorf("unpushable expr %d: translated", i)
-		}
-	}
-	// IN sets are emitted sorted for deterministic plans.
-	pe, ok := translateExpr(InS(Col("s"), "zeta", "alpha", "mid"))
-	if !ok || len(pe.Set) != 3 || pe.Set[0] != "alpha" || pe.Set[2] != "zeta" {
-		t.Fatalf("IN set = %+v", pe)
 	}
 }
 

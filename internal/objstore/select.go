@@ -2,10 +2,10 @@ package objstore
 
 // The store-side compute endpoint: an S3 Select-style operation that
 // evaluates filter + projection + partial aggregation against stored encoded
-// column segments and returns only the qualifying bytes. The plan is a small
-// self-contained expression tree (no dependency on the exec package) whose
-// semantics mirror exec's expression evaluator exactly — readers rely on the
-// pushdown result being byte-identical to a plain scan-then-filter.
+// column segments and returns only the qualifying bytes. A plan's filter and
+// aggregate inputs are expr.Node trees, evaluated here by the same kernel
+// (internal/expr) the reader runs them through — which is why a pushdown
+// result is byte-identical to a plain scan-then-filter.
 
 import (
 	"bytes"
@@ -14,15 +14,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"cloudiq/internal/column"
+	"cloudiq/internal/expr"
 	"cloudiq/internal/faultinject"
 )
 
-// ErrUnsupportedPlan reports that the store rejected a pushed-down plan:
-// unknown operator, type mismatch, missing column, or an encoding it cannot
-// evaluate. Callers must fall back to plain segment reads.
+// ErrUnsupportedPlan reports that the store rejected a pushed-down plan: a
+// tree the kernel refuses (expr.ErrInvalid — unknown operator, type mismatch,
+// missing column), an aggregate without a mergeable partial state, or an
+// encoding it cannot decode. Callers must fall back to plain segment reads.
 var ErrUnsupportedPlan = errors.New("objstore: unsupported select plan")
 
 // Selector is the optional compute capability of a store. MemStore
@@ -60,66 +61,19 @@ type SelectRequest struct {
 // state per aggregate and Project is ignored.
 type SelectPlan struct {
 	// Filter, if non-nil, keeps rows where it evaluates non-zero (Int64).
-	Filter *PlanExpr
+	Filter *expr.Node
 	// Project lists the column names to return in row mode.
 	Project []string
 	// Aggs, if non-empty, requests partial aggregation instead of rows.
 	Aggs []PlanAgg
 }
 
-// PlanExpr is one node of the pushdown expression mini-language. Op selects
-// the operator; the operand fields used depend on Op:
-//
-//	"col"                     Col (column reference)
-//	"int" / "float" / "str"   I / F / S (literals)
-//	"add" "sub" "mul" "div"   Args[0], Args[1]
-//	"eq" "ne" "lt" "le"
-//	"gt" "ge"                 Args[0], Args[1]
-//	"and" "or"                Args[0], Args[1]
-//	"not"                     Args[0]
-//	"like"                    Args[0], Pattern, Neg
-//	"in"                      Args[0], Set (string membership)
-//
-// Booleans are Int64 0/1 vectors, matching exec.
-type PlanExpr struct {
-	Op      string
-	Col     string
-	I       int64
-	F       float64
-	S       string
-	Pattern string
-	Neg     bool
-	Set     []string
-	Args    []*PlanExpr
-}
-
 // PlanAgg is one partial aggregate: Func over Expr (nil for count(*)).
 type PlanAgg struct {
-	// Func is "count", "sum", "min" or "max".
-	Func string
+	// Func must be mergeable (expr.AggFunc.Mergeable): count, sum, min, max.
+	Func expr.AggFunc
 	// Expr is the aggregate input; nil means count(*).
-	Expr *PlanExpr
-}
-
-// AggState is a mergeable partial aggregate computed store-side. Its fields
-// mirror the reader's accumulator so merging partial states row-order-
-// sequentially reproduces the reader's own arithmetic for integer sums,
-// counts, and min/max exactly.
-type AggState struct {
-	Count int64
-	SumI  int64
-	SumF  float64
-	MinI  int64
-	MaxI  int64
-	MinF  float64
-	MaxF  float64
-	MinS  string
-	MaxS  string
-	// Seen reports whether any row reached a min/max accumulator.
-	Seen bool
-	// Typ is the column type of the aggregate input (meaningful only when
-	// Count > 0 or Seen).
-	Typ column.Type
+	Expr *expr.Node
 }
 
 // SelectResult is the store's answer to one SelectRequest.
@@ -130,7 +84,7 @@ type SelectResult struct {
 	// (row mode).
 	Cols [][]byte
 	// Aggs holds one partial state per Plan.Aggs entry (aggregate mode).
-	Aggs []AggState
+	Aggs []expr.AggState
 	// ScannedBytes is the stored bytes the select read to answer — what the
 	// compute charge is billed on.
 	ScannedBytes int64
@@ -144,373 +98,12 @@ func unsupported(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrUnsupportedPlan, fmt.Sprintf(format, args...))
 }
 
-// evalPlanExpr evaluates e over the named vectors (all of length n). The
-// semantics replicate exec's expression evaluator: integer arithmetic stays
-// Int64 except division, any float operand promotes to Float64, booleans are
-// Int64 0/1, mixed numeric comparisons promote, LIKE/IN are string-only.
-func evalPlanExpr(e *PlanExpr, env map[string]*column.Vector, n int) (*column.Vector, error) {
-	if e == nil {
-		return nil, unsupported("nil expression")
-	}
-	switch e.Op {
-	case "col":
-		v, ok := env[e.Col]
-		if !ok {
-			return nil, unsupported("no column %q in request", e.Col)
-		}
-		return v, nil
-	case "int":
-		v := make([]int64, n)
-		for i := range v {
-			v[i] = e.I
-		}
-		return &column.Vector{Typ: column.Int64, I64: v}, nil
-	case "float":
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = e.F
-		}
-		return &column.Vector{Typ: column.Float64, F64: v}, nil
-	case "str":
-		v := make([]string, n)
-		for i := range v {
-			v[i] = e.S
-		}
-		return &column.Vector{Typ: column.String, Str: v}, nil
-	case "add", "sub", "mul", "div":
-		return evalArith(e, env, n)
-	case "eq", "ne", "lt", "le", "gt", "ge":
-		return evalCmp(e, env, n)
-	case "and", "or":
-		av, bv, err := evalBinary(e, env, n)
-		if err != nil {
-			return nil, err
-		}
-		if av.Typ != column.Int64 || bv.Typ != column.Int64 {
-			return nil, unsupported("boolean on non-boolean operands")
-		}
-		out := make([]int64, av.Len())
-		and := e.Op == "and"
-		for i := range out {
-			x, y := av.I64[i] != 0, bv.I64[i] != 0
-			if (and && x && y) || (!and && (x || y)) {
-				out[i] = 1
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	case "not":
-		av, err := evalArg(e, 0, env, n)
-		if err != nil {
-			return nil, err
-		}
-		if av.Typ != column.Int64 {
-			return nil, unsupported("NOT on non-boolean operand")
-		}
-		out := make([]int64, av.Len())
-		for i, x := range av.I64 {
-			if x == 0 {
-				out[i] = 1
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	case "like":
-		av, err := evalArg(e, 0, env, n)
-		if err != nil {
-			return nil, err
-		}
-		if av.Typ != column.String {
-			return nil, unsupported("LIKE on %v", av.Typ)
-		}
-		out := make([]int64, av.Len())
-		for i, s := range av.Str {
-			if matchLikePlan(s, e.Pattern) != e.Neg {
-				out[i] = 1
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	case "in":
-		av, err := evalArg(e, 0, env, n)
-		if err != nil {
-			return nil, err
-		}
-		if av.Typ != column.String {
-			return nil, unsupported("IN list on %v", av.Typ)
-		}
-		set := make(map[string]bool, len(e.Set))
-		for _, s := range e.Set {
-			set[s] = true
-		}
-		out := make([]int64, av.Len())
-		for i, s := range av.Str {
-			if set[s] {
-				out[i] = 1
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	default:
-		return nil, unsupported("unknown operator %q", e.Op)
-	}
-}
-
-func evalArg(e *PlanExpr, i int, env map[string]*column.Vector, n int) (*column.Vector, error) {
-	if i >= len(e.Args) {
-		return nil, unsupported("%s: missing operand %d", e.Op, i)
-	}
-	return evalPlanExpr(e.Args[i], env, n)
-}
-
-func evalBinary(e *PlanExpr, env map[string]*column.Vector, n int) (*column.Vector, *column.Vector, error) {
-	av, err := evalArg(e, 0, env, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	bv, err := evalArg(e, 1, env, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return av, bv, nil
-}
-
-func evalArith(e *PlanExpr, env map[string]*column.Vector, n int) (*column.Vector, error) {
-	av, bv, err := evalBinary(e, env, n)
-	if err != nil {
-		return nil, err
-	}
-	if av.Typ == column.String || bv.Typ == column.String {
-		return nil, unsupported("arithmetic on strings")
-	}
-	if av.Typ == column.Int64 && bv.Typ == column.Int64 && e.Op != "div" {
-		out := make([]int64, av.Len())
-		for i := range out {
-			switch e.Op {
-			case "add":
-				out[i] = av.I64[i] + bv.I64[i]
-			case "sub":
-				out[i] = av.I64[i] - bv.I64[i]
-			case "mul":
-				out[i] = av.I64[i] * bv.I64[i]
-			}
-		}
-		return &column.Vector{Typ: column.Int64, I64: out}, nil
-	}
-	af, bf := planFloats(av), planFloats(bv)
-	out := make([]float64, len(af))
-	for i := range out {
-		switch e.Op {
-		case "add":
-			out[i] = af[i] + bf[i]
-		case "sub":
-			out[i] = af[i] - bf[i]
-		case "mul":
-			out[i] = af[i] * bf[i]
-		case "div":
-			out[i] = af[i] / bf[i]
-		}
-	}
-	return &column.Vector{Typ: column.Float64, F64: out}, nil
-}
-
-func evalCmp(e *PlanExpr, env map[string]*column.Vector, n int) (*column.Vector, error) {
-	av, bv, err := evalBinary(e, env, n)
-	if err != nil {
-		return nil, err
-	}
-	m := av.Len()
-	out := make([]int64, m)
-	switch {
-	case av.Typ == column.String && bv.Typ == column.String:
-		for i := 0; i < m; i++ {
-			if cmpHolds(e.Op, strings.Compare(av.Str[i], bv.Str[i])) {
-				out[i] = 1
-			}
-		}
-	case av.Typ == column.Int64 && bv.Typ == column.Int64:
-		for i := 0; i < m; i++ {
-			c := 0
-			if av.I64[i] < bv.I64[i] {
-				c = -1
-			} else if av.I64[i] > bv.I64[i] {
-				c = 1
-			}
-			if cmpHolds(e.Op, c) {
-				out[i] = 1
-			}
-		}
-	case av.Typ != column.String && bv.Typ != column.String:
-		af, bf := planFloats(av), planFloats(bv)
-		for i := 0; i < m; i++ {
-			c := 0
-			if af[i] < bf[i] {
-				c = -1
-			} else if af[i] > bf[i] {
-				c = 1
-			}
-			if cmpHolds(e.Op, c) {
-				out[i] = 1
-			}
-		}
-	default:
-		return nil, unsupported("comparing %v with %v", av.Typ, bv.Typ)
-	}
-	return &column.Vector{Typ: column.Int64, I64: out}, nil
-}
-
-func cmpHolds(op string, c int) bool {
-	switch op {
-	case "eq":
-		return c == 0
-	case "ne":
-		return c != 0
-	case "lt":
-		return c < 0
-	case "le":
-		return c <= 0
-	case "gt":
-		return c > 0
-	default: // "ge"
-		return c >= 0
-	}
-}
-
-func planFloats(v *column.Vector) []float64 {
-	if v.Typ == column.Float64 {
-		return v.F64
-	}
-	out := make([]float64, len(v.I64))
-	for i, x := range v.I64 {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// matchLikePlan matches s against a '%'-wildcard pattern, identically to the
-// reader-side evaluator.
-func matchLikePlan(s, pattern string) bool {
-	parts := strings.Split(pattern, "%")
-	if len(parts) == 1 {
-		return s == pattern
-	}
-	if !strings.HasPrefix(s, parts[0]) {
-		return false
-	}
-	s = s[len(parts[0]):]
-	last := parts[len(parts)-1]
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
-		}
-		idx := strings.Index(s, mid)
-		if idx < 0 {
-			return false
-		}
-		s = s[idx+len(mid):]
-	}
-	return strings.HasSuffix(s, last)
-}
-
-// updatePlanAgg folds row r of input into st, mirroring the reader's
-// accumulator arithmetic.
-func updatePlanAgg(st *AggState, a PlanAgg, input *column.Vector, r int) error {
-	if a.Expr == nil {
-		if a.Func != "count" {
-			return unsupported("aggregate %q needs an input expression", a.Func)
-		}
-		st.Count++
-		return nil
-	}
-	st.Typ = input.Typ
-	switch a.Func {
-	case "count":
-		st.Count++
-	case "sum":
-		st.Count++
-		switch input.Typ {
-		case column.Int64:
-			st.SumI += input.I64[r]
-			st.SumF += float64(input.I64[r])
-		case column.Float64:
-			st.SumF += input.F64[r]
-		default:
-			return unsupported("SUM over strings")
-		}
-	case "min", "max":
-		st.Count++
-		switch input.Typ {
-		case column.Int64:
-			x := input.I64[r]
-			if !st.Seen || x < st.MinI {
-				st.MinI = x
-			}
-			if !st.Seen || x > st.MaxI {
-				st.MaxI = x
-			}
-		case column.Float64:
-			x := input.F64[r]
-			if !st.Seen || x < st.MinF {
-				st.MinF = x
-			}
-			if !st.Seen || x > st.MaxF {
-				st.MaxF = x
-			}
-		default:
-			x := input.Str[r]
-			if !st.Seen || x < st.MinS {
-				st.MinS = x
-			}
-			if !st.Seen || x > st.MaxS {
-				st.MaxS = x
-			}
-		}
-		st.Seen = true
-	default:
-		return unsupported("unknown aggregate %q", a.Func)
-	}
-	return nil
-}
-
-// Merge folds the partial state o into st (o's rows follow st's).
-func (st *AggState) Merge(o AggState) {
-	if o.Count == 0 && !o.Seen {
-		return
-	}
-	st.Typ = o.Typ
-	st.Count += o.Count
-	st.SumI += o.SumI
-	st.SumF += o.SumF
-	if o.Seen {
-		switch o.Typ {
-		case column.Int64:
-			if !st.Seen || o.MinI < st.MinI {
-				st.MinI = o.MinI
-			}
-			if !st.Seen || o.MaxI > st.MaxI {
-				st.MaxI = o.MaxI
-			}
-		case column.Float64:
-			if !st.Seen || o.MinF < st.MinF {
-				st.MinF = o.MinF
-			}
-			if !st.Seen || o.MaxF > st.MaxF {
-				st.MaxF = o.MaxF
-			}
-		default:
-			if !st.Seen || o.MinS < st.MinS {
-				st.MinS = o.MinS
-			}
-			if !st.Seen || o.MaxS > st.MaxS {
-				st.MaxS = o.MaxS
-			}
-		}
-		st.Seen = true
-	}
-}
-
 // evalSelect runs the plan against the decoded column vectors. raw holds the
 // stored (possibly compressed) images parallel to req.Cols; the vectors are
 // decoded from them.
 func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 	res := &SelectResult{}
-	env := make(map[string]*column.Vector, len(req.Cols))
+	cols := make(map[string]*column.Vector, len(req.Cols))
 	n := -1
 	for i, c := range req.Cols {
 		res.ScannedBytes += int64(len(raw[i]))
@@ -532,17 +125,16 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 			return nil, unsupported("column %q has %d rows, want %d", c.Name, v.Len(), n)
 		}
 		n = v.Len()
-		env[c.Name] = v
+		cols[c.Name] = v
 	}
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
+	env := expr.Vectors{Cols: cols, N: n}
 
 	rows := make([]int, 0, n)
 	if req.Plan.Filter != nil {
-		pv, err := evalPlanExpr(req.Plan.Filter, env, n)
+		pv, err := req.Plan.Filter.Eval(env)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: filter: %w", ErrUnsupportedPlan, err)
 		}
 		if pv.Typ != column.Int64 {
 			return nil, unsupported("filter yields %v", pv.Typ)
@@ -562,24 +154,21 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 		// Aggregate mode: fold the qualifying rows into partial states.
 		// Inputs are evaluated over the filtered mini-batch so constant
 		// broadcasts size correctly.
-		fenv := make(map[string]*column.Vector, len(env))
-		for name, v := range env {
-			fenv[name] = v.Gather(rows)
+		fenv := expr.Vectors{Cols: make(map[string]*column.Vector, len(cols)), N: len(rows)}
+		for name, v := range cols {
+			fenv.Cols[name] = v.Gather(rows)
 		}
-		res.Aggs = make([]AggState, len(req.Plan.Aggs))
+		res.Aggs = make([]expr.AggState, len(req.Plan.Aggs))
 		for i, a := range req.Plan.Aggs {
-			var input *column.Vector
-			if a.Expr != nil {
-				v, err := evalPlanExpr(a.Expr, fenv, len(rows))
-				if err != nil {
-					return nil, err
-				}
-				input = v
+			if !a.Func.Mergeable() {
+				return nil, unsupported("aggregate %d has no mergeable partial state", a.Func)
 			}
-			for r := 0; r < len(rows); r++ {
-				if err := updatePlanAgg(&res.Aggs[i], a, input, r); err != nil {
-					return nil, err
-				}
+			input, err := expr.AggInput(a.Func, a.Expr, fenv)
+			if err != nil {
+				return nil, fmt.Errorf("%w: aggregate %d: %w", ErrUnsupportedPlan, i, err)
+			}
+			for r := range rows {
+				res.Aggs[i].Update(a.Func, input, r)
 			}
 			// One partial state is ~64 bytes on the wire.
 			res.ReturnedBytes += 64
@@ -592,7 +181,7 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 	res.Rows = len(rows)
 	res.Cols = make([][]byte, len(req.Plan.Project))
 	for i, name := range req.Plan.Project {
-		v, ok := env[name]
+		v, ok := cols[name]
 		if !ok {
 			return nil, unsupported("projected column %q not in request", name)
 		}

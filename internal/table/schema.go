@@ -70,6 +70,15 @@ func (b *Batch) Rows() int {
 	return b.Vecs[0].Len()
 }
 
+// Vec returns the vector of the named column, or nil if the batch has none;
+// with Rows it makes a batch an expression environment (expr.Env).
+func (b *Batch) Vec(name string) *column.Vector {
+	if i := b.Schema.ColIndex(name); i >= 0 {
+		return b.Vecs[i]
+	}
+	return nil
+}
+
 // Col returns the vector of the named column.
 func (b *Batch) Col(name string) *column.Vector {
 	return b.Vecs[b.Schema.MustCol(name)]
