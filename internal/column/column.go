@@ -8,6 +8,7 @@ package column
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -93,6 +94,44 @@ func (v *Vector) Append(src *Vector, i int) {
 	}
 }
 
+// Grow makes room for n more values without changing the length.
+func (v *Vector) Grow(n int) {
+	switch v.Typ {
+	case Int64:
+		v.I64 = slices.Grow(v.I64, n)
+	case Float64:
+		v.F64 = slices.Grow(v.F64, n)
+	default:
+		v.Str = slices.Grow(v.Str, n)
+	}
+}
+
+// AppendVector appends every value of src (which must share v's type).
+func (v *Vector) AppendVector(src *Vector) {
+	switch v.Typ {
+	case Int64:
+		v.I64 = append(v.I64, src.I64...)
+	case Float64:
+		v.F64 = append(v.F64, src.F64...)
+	default:
+		v.Str = append(v.Str, src.Str...)
+	}
+}
+
+// AppendGather appends src's values (src must share v's type) at the given
+// row indexes, in order. A negative index appends the zero value: the build
+// columns of an outer join's unmatched row.
+func (v *Vector) AppendGather(src *Vector, rows []int32) {
+	switch v.Typ {
+	case Int64:
+		v.I64 = gather(v.I64, src.I64, rows)
+	case Float64:
+		v.F64 = gather(v.F64, src.F64, rows)
+	default:
+		v.Str = gather(v.Str, src.Str, rows)
+	}
+}
+
 // Slice returns a view of rows [lo, hi).
 func (v *Vector) Slice(lo, hi int) *Vector {
 	out := &Vector{Typ: v.Typ}
@@ -112,20 +151,28 @@ func (v *Vector) Gather(rows []int) *Vector {
 	out := &Vector{Typ: v.Typ}
 	switch v.Typ {
 	case Int64:
-		out.I64 = make([]int64, len(rows))
-		for i, r := range rows {
-			out.I64[i] = v.I64[r]
-		}
+		out.I64 = gather(nil, v.I64, rows)
 	case Float64:
-		out.F64 = make([]float64, len(rows))
-		for i, r := range rows {
-			out.F64[i] = v.F64[r]
-		}
+		out.F64 = gather(nil, v.F64, rows)
 	default:
-		out.Str = make([]string, len(rows))
-		for i, r := range rows {
-			out.Str[i] = v.Str[r]
-		}
+		out.Str = gather(nil, v.Str, rows)
 	}
 	return out
+}
+
+// gather appends src[r] for each r in rows to dst, the zero value where r is
+// negative.
+func gather[T any, I int | int32](dst, src []T, rows []I) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	out := dst[n:]
+	for i, r := range rows {
+		if r < 0 {
+			var zero T
+			out[i] = zero
+			continue
+		}
+		out[i] = src[r]
+	}
+	return dst
 }

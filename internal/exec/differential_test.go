@@ -485,128 +485,283 @@ func TestDifferentialProject(t *testing.T) {
 	}
 }
 
+// diffEdgeFloats overwrites some values of the float columns with the keys a
+// hash operator must tell apart by bit pattern: both zeros, and NaN (which
+// equals itself as a key).
+func diffEdgeFloats(rng *mt.Source, b *table.Batch, rows []diffRow) {
+	edge := []float64{0, math.Copysign(0, -1), math.NaN()}
+	for i := range rows {
+		if rng.Uint64()%4 == 0 {
+			rows[i].f = edge[rng.Uint64()%3]
+			b.Vecs[2].F64[i] = rows[i].f
+		}
+		if rng.Uint64()%4 == 0 {
+			rows[i].g = edge[rng.Uint64()%3]
+			b.Vecs[3].F64[i] = rows[i].g
+		}
+	}
+}
+
+// diffSplit cuts b into up to three consecutive batches (views), with a
+// schemaless empty batch thrown in now and then, as a scan over several
+// segments would deliver it.
+func diffSplit(rng *mt.Source, b *table.Batch) []*table.Batch {
+	var out []*table.Batch
+	lo, n := 0, b.Rows()
+	for parts := int(rng.Uint64()%3) + 1; parts > 0; parts-- {
+		hi := n
+		if parts > 1 {
+			hi = lo + int(rng.Uint64()%uint64(n-lo+1))
+		}
+		if rng.Uint64()%4 == 0 {
+			out = append(out, &table.Batch{})
+		}
+		out = append(out, rowsOf(b, lo, hi))
+		lo = hi
+	}
+	return out
+}
+
+// refKey is the reference's idea of a key: the named fields of a row printed
+// out, floats as their bit pattern.
+func refKey(r diffRow, cols []string) string {
+	var sb strings.Builder
+	for _, c := range cols {
+		switch c {
+		case "a":
+			fmt.Fprintf(&sb, "%d|", r.a)
+		case "b":
+			fmt.Fprintf(&sb, "%d|", r.b)
+		case "f":
+			fmt.Fprintf(&sb, "%x|", math.Float64bits(r.f))
+		case "g":
+			fmt.Fprintf(&sb, "%x|", math.Float64bits(r.g))
+		case "s":
+			fmt.Fprintf(&sb, "%q|", r.s)
+		default:
+			fmt.Fprintf(&sb, "%q|", r.t)
+		}
+	}
+	return sb.String()
+}
+
+// TestDifferentialHashJoin checks every join type against a nested loop over
+// the same rows: for each probe row in order, each build row in order whose
+// key fields are equal. The output must match row for row, not as a multiset
+// — the golden query fingerprints depend on that order.
+func TestDifferentialHashJoin(t *testing.T) {
+	rng := mt.New(0xD1FF + 3)
+	keySets := [][]string{{"a"}, {"f"}, {"s"}, {"a", "s"}, {"g", "t", "b"}, {"f", "g"}}
+	for trial := 0; trial < diffTrials(t); trial++ {
+		keys := keySets[trial%len(keySets)]
+		typ := JoinType(trial / len(keySets) % 4)
+		sizes := [2]int{int(rng.Uint64() % 60), int(rng.Uint64() % 90)}
+		if trial%11 == 0 {
+			sizes[trial/11%2] = 0 // an empty side
+		}
+		build, brows := diffBatch(rng, sizes[0])
+		probe, prows := diffBatch(rng, sizes[1])
+		diffEdgeFloats(rng, build, brows)
+		diffEdgeFloats(rng, probe, prows)
+		bkeys := make([]string, len(keys))
+		for i := range build.Schema.Cols {
+			build.Schema.Cols[i].Name = "b_" + build.Schema.Cols[i].Name
+		}
+		for i, k := range keys {
+			bkeys[i] = "b_" + k
+		}
+		bparts, pparts := diffSplit(rng, build), diffSplit(rng, probe)
+		if trial%13 == 0 {
+			bparts = nil // a build side with no batches at all
+		}
+
+		got, err := HashJoin(ctxb(), SliceSource(bparts...), bkeys, SliceSource(pparts...), keys, typ)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+
+		// The reference: which (probe row, build row) pairs come out, in
+		// order; -1 stands for "no build row".
+		if bparts == nil {
+			brows = nil
+		}
+		var pairs [][2]int
+		for pi, pr := range prows {
+			matched := false
+			for bi, br := range brows {
+				if refKey(pr, keys) != refKey(br, keys) {
+					continue
+				}
+				matched = true
+				if typ == Inner || typ == LeftOuter {
+					pairs = append(pairs, [2]int{pi, bi})
+				}
+			}
+			if (typ == Semi && matched) || ((typ == Anti || typ == LeftOuter) && !matched) {
+				pairs = append(pairs, [2]int{pi, -1})
+			}
+		}
+		want := &table.Batch{}
+		if !(bparts == nil && typ == Inner) { // no build schema: nothing to type an inner result with
+			srcs := []*table.Batch{probe}
+			if (typ == Inner || typ == LeftOuter) && bparts != nil {
+				srcs = append(srcs, build)
+			}
+			for si, src := range srcs {
+				for c, v := range src.Vecs {
+					out := column.NewVector(v.Typ)
+					for _, p := range pairs {
+						switch {
+						case p[si] >= 0:
+							out.Append(v, p[si])
+						case v.Typ == column.Int64:
+							out.AppendInt(0)
+						case v.Typ == column.Float64:
+							out.AppendFloat(0)
+						default:
+							out.AppendStr("")
+						}
+					}
+					want.Schema.Cols = append(want.Schema.Cols, src.Schema.Cols[c])
+					want.Vecs = append(want.Vecs, out)
+				}
+			}
+		}
+		if !sameBatch(got, want) {
+			t.Fatalf("trial %d: join type %d on %v, %d×%d rows:\n got %+v\nwant %+v",
+				trial, typ, keys, len(brows), len(prows), got, want)
+		}
+	}
+}
+
 // TestDifferentialHashAgg compares grouped and global aggregation against
-// naive per-group accumulators. Group output order is unspecified, so the
-// comparison is keyed by group value, not position.
+// naive per-group accumulators fed one row at a time: groups must come out in
+// the order their first row arrived, and float sums must carry the bits the
+// row-order additions produce.
 func TestDifferentialHashAgg(t *testing.T) {
 	rng := mt.New(0xD1FF + 2)
 	g := &diffGen{rng: rng}
-	trials := diffTrials(t) / 5
+	groupings := [][]string{nil, {"s"}, {"a", "t"}, {"g"}, {"s", "f", "b"}}
+	trials := diffTrials(t) / 3
 	for trial := 0; trial < trials; trial++ {
 		e := g.numExpr(3)
 		batch, rows := diffBatch(rng, int(rng.Uint64()%150))
+		diffEdgeFloats(rng, batch, rows)
 		aggs := []Agg{
 			{Func: Count, As: "cnt"},
 			{Func: Sum, Expr: e.expr(), As: "sum"},
 			{Func: Avg, Expr: e.expr(), As: "avg"},
 			{Func: Min, Expr: e.expr(), As: "min"},
 			{Func: Max, Expr: e.expr(), As: "max"},
-			{Func: CountDistinct, Expr: Col("s"), As: "dist"},
+			{Func: CountDistinct, Expr: Col("s"), As: "dist_s"},
+			{Func: CountDistinct, Expr: Col("b"), As: "dist_b"},
+			{Func: CountDistinct, Expr: Col("g"), As: "dist_g"},
 		}
-		groupBy := []string{"s"}
-		if trial%3 == 0 {
-			groupBy = nil // global aggregate
-		}
-		out, err := HashAgg(ctxb(), SliceSource(batch), groupBy, aggs)
+		groupBy := groupings[trial%len(groupings)]
+		out, err := HashAgg(ctxb(), SliceSource(diffSplit(rng, batch)...), groupBy, aggs)
 		if err != nil {
 			t.Fatalf("trial %d: %s: %v", trial, e, err)
 		}
 
-		// Reference accumulation, row-at-a-time in input order (matching
-		// the engine's floating-point accumulation order).
+		// Reference accumulation, row-at-a-time in input order.
 		type acc struct {
+			first    diffRow
 			cnt      int64
 			sumI     int64
 			sumF     float64
 			min, max dval
-			seen     bool
-			dist     map[string]struct{}
 			isF      bool
+			dist     [3]map[string]struct{}
+		}
+		newAcc := func(r diffRow) *acc {
+			return &acc{first: r, dist: [3]map[string]struct{}{{}, {}, {}}}
 		}
 		ref := map[string]*acc{}
+		var order []*acc
 		for _, r := range rows {
-			key := ""
-			if groupBy != nil {
-				key = r.s
-			}
+			key := refKey(r, groupBy)
 			a := ref[key]
 			if a == nil {
-				a = &acc{dist: map[string]struct{}{}}
+				a = newAcc(r)
 				ref[key] = a
+				order = append(order, a)
 			}
 			v := e.evalNum(r)
+			if a.cnt == 0 || lessVal(v, a.min) {
+				a.min = v
+			}
+			if a.cnt == 0 || lessVal(a.max, v) {
+				a.max = v
+			}
 			a.cnt++
 			a.sumI += v.i
 			a.sumF += v.asF()
-			if v.isF {
-				a.isF = true
+			a.isF = a.isF || v.isF
+			for i, c := range []string{"s", "b", "g"} {
+				a.dist[i][refKey(r, []string{c})] = struct{}{}
 			}
-			if !a.seen || lessVal(v, a.min) {
-				a.min = v
-			}
-			if !a.seen || lessVal(a.max, v) {
-				a.max = v
-			}
-			a.seen = true
-			a.dist[r.s] = struct{}{}
 		}
-		if groupBy == nil && len(ref) == 0 {
-			ref[""] = &acc{dist: map[string]struct{}{}}
+		if groupBy == nil && len(order) == 0 {
+			order = append(order, newAcc(diffRow{}))
 		}
 
-		if out.Rows() != len(ref) {
-			t.Fatalf("trial %d: %s: %d groups, want %d", trial, e, out.Rows(), len(ref))
+		if out.Rows() != len(order) {
+			t.Fatalf("trial %d: %s by %v: %d groups, want %d", trial, e, groupBy, out.Rows(), len(order))
 		}
-		col := func(name string) *column.Vector {
-			for i, c := range out.Schema.Cols {
-				if c.Name == name {
-					return out.Vecs[i]
+		for i, a := range order {
+			where := fmt.Sprintf("trial %d: %s by %v: group %d", trial, e, groupBy, i)
+			// First-seen order: group i carries the key of the i-th new key.
+			for _, c := range groupBy {
+				v := out.Col(c)
+				got := diffRow{}
+				switch c {
+				case "a":
+					got.a = v.I64[i]
+				case "b":
+					got.b = v.I64[i]
+				case "f":
+					got.f = v.F64[i]
+				case "g":
+					got.g = v.F64[i]
+				case "s":
+					got.s = v.Str[i]
+				default:
+					got.t = v.Str[i]
+				}
+				if refKey(got, []string{c}) != refKey(a.first, []string{c}) {
+					t.Fatalf("%s: key column %s out of first-seen order", where, c)
 				}
 			}
-			t.Fatalf("no column %s", name)
-			return nil
-		}
-		for i := 0; i < out.Rows(); i++ {
-			key := ""
-			if groupBy != nil {
-				key = col("s").Str[i]
+			if got := out.Col("cnt").I64[i]; got != a.cnt {
+				t.Fatalf("%s: count = %d, want %d", where, got, a.cnt)
 			}
-			a := ref[key]
-			if a == nil {
-				t.Fatalf("trial %d: %s: unexpected group %q", trial, e, key)
+			for j, name := range []string{"dist_s", "dist_b", "dist_g"} {
+				if got := out.Col(name).I64[i]; got != int64(len(a.dist[j])) {
+					t.Fatalf("%s: %s = %d, want %d", where, name, got, len(a.dist[j]))
+				}
 			}
-			if got := col("cnt").I64[i]; got != a.cnt {
-				t.Fatalf("trial %d: %s: group %q count = %d, want %d", trial, e, key, got, a.cnt)
+			if a.cnt == 0 {
+				continue // empty global group: the engine emits zero values
 			}
-			if got := col("dist").I64[i]; got != int64(len(a.dist)) {
-				t.Fatalf("trial %d: %s: group %q distinct = %d, want %d", trial, e, key, got, len(a.dist))
-			}
-			wantSum, wantMin, wantMax := df(a.sumF), a.min, a.max
+			wantSum := df(a.sumF)
 			if !a.isF {
 				wantSum = di(a.sumI)
 			}
-			check := func(name string, want dval) {
-				v := col(name)
-				var got dval
-				if v.Typ == column.Int64 {
-					got = di(v.I64[i])
-				} else {
-					got = df(v.F64[i])
-				}
-				if a.cnt == 0 {
-					return // empty global group: engine emits zero values
-				}
-				if !sameVal(got, want) {
-					t.Fatalf("trial %d: %s: group %q %s = %+v, want %+v", trial, e, key, name, got, want)
-				}
-			}
-			check("sum", wantSum)
-			check("min", wantMin)
-			check("max", wantMax)
-			if a.cnt > 0 {
-				wantAvg := a.sumF / float64(a.cnt)
-				if got := col("avg").F64[i]; got != wantAvg && !(math.IsNaN(got) && math.IsNaN(wantAvg)) {
-					t.Fatalf("trial %d: %s: group %q avg = %v, want %v", trial, e, key, got, wantAvg)
+			for name, want := range map[string]dval{"sum": wantSum, "min": a.min, "max": a.max, "avg": df(a.sumF / float64(a.cnt))} {
+				v := out.Col(name)
+				switch {
+				case v.Typ == column.Int64 && !want.isF:
+					if v.I64[i] != want.i {
+						t.Fatalf("%s: %s = %d, want %d", where, name, v.I64[i], want.i)
+					}
+				case v.Typ == column.Float64 && want.isF:
+					// Bit for bit: the engine adds a group's rows in row order.
+					if math.Float64bits(v.F64[i]) != math.Float64bits(want.f) {
+						t.Fatalf("%s: %s = %v (%x), want %v (%x)", where, name,
+							v.F64[i], math.Float64bits(v.F64[i]), want.f, math.Float64bits(want.f))
+					}
+				default:
+					t.Fatalf("%s: %s has type %v, want float=%v", where, name, v.Typ, want.isF)
 				}
 			}
 		}

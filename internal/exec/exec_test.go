@@ -28,6 +28,15 @@ func batchOf(t *testing.T, cols []table.ColumnDef, build func(b *table.Batch)) *
 	return b
 }
 
+// rowsOf returns rows [lo, hi) of b as a view.
+func rowsOf(b *table.Batch, lo, hi int) *table.Batch {
+	part := &table.Batch{Schema: b.Schema}
+	for _, v := range b.Vecs {
+		part.Vecs = append(part.Vecs, v.Slice(lo, hi))
+	}
+	return part
+}
+
 func intCol(name string) table.ColumnDef { return table.ColumnDef{Name: name, Typ: column.Int64} }
 func fltCol(name string) table.ColumnDef { return table.ColumnDef{Name: name, Typ: column.Float64} }
 func strCol(name string) table.ColumnDef { return table.ColumnDef{Name: name, Typ: column.String} }
@@ -230,6 +239,74 @@ func TestHashAggCountDistinctAndEmptyInput(t *testing.T) {
 	empty, err := HashAgg(ctxb(), SliceSource(), nil, []Agg{{Func: Count, As: "n"}})
 	if err != nil || empty.Rows() != 1 || empty.Col("n").I64[0] != 0 {
 		t.Fatalf("empty global agg = %+v, %v", empty, err)
+	}
+}
+
+// TestHashKeysWithNUL: the byte-encoded keys these operators used to build
+// ended each string with 0x00, so ("a\x00","b") and ("a","\x00b") encoded
+// alike; HashAgg merged them into one group and HashJoin matched them.
+// Equality is now per column.
+func TestHashKeysWithNUL(t *testing.T) {
+	pairs := func(p, q string, vals ...string) *table.Batch {
+		return batchOf(t, []table.ColumnDef{strCol(p), strCol(q)}, func(b *table.Batch) {
+			for i := 0; i < len(vals); i += 2 {
+				b.Vecs[0].AppendStr(vals[i])
+				b.Vecs[1].AppendStr(vals[i+1])
+			}
+		})
+	}
+	in := pairs("p", "q", "a\x00", "b", "a", "\x00b", "a\x00", "b")
+	g, err := HashAgg(ctxb(), SliceSource(in), []string{"p", "q"}, []Agg{{Func: Count, As: "n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Rows() != 2 || !reflect.DeepEqual(g.Col("n").I64, []int64{2, 1}) ||
+		!reflect.DeepEqual(g.Col("p").Str, []string{"a\x00", "a"}) {
+		t.Fatalf("groups = %v %v n=%v", g.Col("p").Str, g.Col("q").Str, g.Col("n").I64)
+	}
+	build := pairs("bp", "bq", "a\x00", "b")
+	j, err := HashJoin(ctxb(), SliceSource(build), []string{"bp", "bq"}, SliceSource(in), []string{"p", "q"}, Inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Rows() != 2 || j.Col("p").Str[0] != "a\x00" || j.Col("p").Str[1] != "a\x00" {
+		t.Fatalf("join matched %d rows: %v", j.Rows(), j.Col("p").Str)
+	}
+}
+
+// TestHashKeyTypeMismatch: keys that differ in number or type between the two
+// sides of a join, or between batches of a grouped source, are an error, not
+// a panic inside the typed compare.
+func TestHashKeyTypeMismatch(t *testing.T) {
+	ints := batchOf(t, []table.ColumnDef{intCol("k")}, func(b *table.Batch) { b.Vecs[0].AppendInt(1) })
+	flts := batchOf(t, []table.ColumnDef{fltCol("k")}, func(b *table.Batch) { b.Vecs[0].AppendFloat(1) })
+	other := batchOf(t, []table.ColumnDef{fltCol("j"), intCol("j2")}, func(b *table.Batch) {
+		b.Vecs[0].AppendFloat(1)
+		b.Vecs[1].AppendInt(1)
+	})
+	if _, err := HashJoin(ctxb(), SliceSource(ints), []string{"k"}, SliceSource(other), []string{"j"}, Inner); err == nil {
+		t.Error("join of an int key with a float key accepted")
+	}
+	if _, err := HashJoin(ctxb(), SliceSource(ints), []string{"k"}, SliceSource(other), []string{"j2", "j"}, Semi); err == nil {
+		t.Error("join with one build key and two probe keys accepted")
+	}
+	if _, err := HashAgg(ctxb(), SliceSource(ints, flts), []string{"k"}, []Agg{{Func: Count, As: "n"}}); err == nil {
+		t.Error("group column changing type between batches accepted")
+	}
+}
+
+// TestFilterBatchWholeAndEmpty: a predicate that keeps every row returns the
+// batch itself; one that keeps none returns a typed empty batch.
+func TestFilterBatchWholeAndEmpty(t *testing.T) {
+	b := sampleBatch(t)
+	all, err := FilterBatch(b, Ge(Col("id"), ConstI(0)))
+	if err != nil || all != b {
+		t.Fatalf("all rows pass: got a copy (%v)", err)
+	}
+	none, err := FilterBatch(b, Lt(Col("id"), ConstI(0)))
+	if err != nil || none.Rows() != 0 || len(none.Vecs) != 3 || none.Vecs[2].Typ != column.String ||
+		!reflect.DeepEqual(none.Schema, b.Schema) {
+		t.Fatalf("no rows pass: %+v, %v", none, err)
 	}
 }
 

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cloudiq/internal/column"
@@ -248,37 +248,58 @@ func (s *sliceSource) Next(ctx context.Context) (*table.Batch, error) {
 	return b, nil
 }
 
-// Collect drains src into one batch.
-func Collect(ctx context.Context, src Source) (*table.Batch, error) {
-	var out *table.Batch
+// drain reads src to its end and returns the batches that carry a schema
+// (a schemaless empty batch adds nothing to any consumer).
+func drain(ctx context.Context, src Source) ([]*table.Batch, error) {
+	var bs []*table.Batch
 	for {
 		b, err := src.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			break
+			return bs, nil
 		}
-		if out == nil {
-			out = &table.Batch{Schema: b.Schema, Vecs: make([]*column.Vector, len(b.Vecs))}
-			for i, v := range b.Vecs {
-				nv := column.NewVector(v.Typ)
-				out.Vecs[i] = nv
-			}
-		}
-		for i, v := range b.Vecs {
-			for r := 0; r < v.Len(); r++ {
-				out.Vecs[i].Append(v, r)
-			}
+		if len(b.Vecs) > 0 {
+			bs = append(bs, b)
 		}
 	}
-	if out == nil {
-		return &table.Batch{}, nil
-	}
-	return out, nil
 }
 
-// FilterBatch returns the rows of b where pred is non-zero.
+// concat copies the batches, which share a schema, into one new batch: each
+// column is sized once and filled a whole vector at a time.
+func concat(bs []*table.Batch) *table.Batch {
+	if len(bs) == 0 {
+		return &table.Batch{}
+	}
+	rows := 0
+	for _, b := range bs {
+		rows += b.Rows()
+	}
+	out := &table.Batch{Schema: bs[0].Schema, Vecs: make([]*column.Vector, len(bs[0].Vecs))}
+	for i, v := range bs[0].Vecs {
+		nv := column.NewVector(v.Typ)
+		nv.Grow(rows)
+		for _, b := range bs {
+			nv.AppendVector(b.Vecs[i])
+		}
+		out.Vecs[i] = nv
+	}
+	return out
+}
+
+// Collect drains src into one batch. The result shares no storage with the
+// source's batches.
+func Collect(ctx context.Context, src Source) (*table.Batch, error) {
+	bs, err := drain(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	return concat(bs), nil
+}
+
+// FilterBatch returns the rows of b where pred is non-zero: b itself when
+// every row passes, else a new batch (typed, possibly empty).
 func FilterBatch(b *table.Batch, pred Expr) (*table.Batch, error) {
 	pv, err := pred.Eval(b)
 	if err != nil {
@@ -287,7 +308,16 @@ func FilterBatch(b *table.Batch, pred Expr) (*table.Batch, error) {
 	if pv.Typ != column.Int64 {
 		return nil, fmt.Errorf("exec: filter predicate yields %v", pv.Typ)
 	}
-	var rows []int
+	kept := 0
+	for _, x := range pv.I64 {
+		if x != 0 {
+			kept++
+		}
+	}
+	if kept == b.Rows() {
+		return b, nil
+	}
+	rows := make([]int, 0, kept)
 	for i, x := range pv.I64 {
 		if x != 0 {
 			rows = append(rows, i)
@@ -320,9 +350,14 @@ func Project(b *table.Batch, exprs []NamedExpr) (*table.Batch, error) {
 	return out, nil
 }
 
-// --- key encoding for joins and grouping ---
+// --- joins and grouping ---
 
+// keyCols resolves the named key columns of b. Row numbers inside the hash
+// operators are int32, which bounds a batch.
 func keyCols(b *table.Batch, names []string) ([]*column.Vector, error) {
+	if b.Rows() > math.MaxInt32 {
+		return nil, fmt.Errorf("exec: batch of %d rows exceeds the hash operators' 2^31-1", b.Rows())
+	}
 	vecs := make([]*column.Vector, len(names))
 	for i, n := range names {
 		ci := b.Schema.ColIndex(n)
@@ -334,19 +369,18 @@ func keyCols(b *table.Batch, names []string) ([]*column.Vector, error) {
 	return vecs, nil
 }
 
-func rowKey(buf []byte, vecs []*column.Vector, row int) []byte {
-	for _, v := range vecs {
-		switch v.Typ {
-		case column.Int64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[row]))
-		case column.Float64:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[row]))
-		default:
-			buf = append(buf, v.Str[row]...)
-			buf = append(buf, 0)
+// sameTypes reports whether the two key column lists agree in number and
+// type, which is what lets the hash table compare them value by value.
+func sameTypes(a, b []*column.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Typ != b[i].Typ {
+			return false
 		}
 	}
-	return buf
+	return true
 }
 
 // JoinType selects join semantics. The preserved side is always the probe.
@@ -367,44 +401,55 @@ const (
 // HashJoin builds a hash table over build and probes it with probe. Output
 // columns are the probe columns followed by the build columns (for Inner
 // and LeftOuter); column names must be disjoint, which TPC-H's prefixed
-// names guarantee.
+// names guarantee. Rows come out in probe order, a probe row's matches in
+// ascending build-row order. Keys are equal column by column under the
+// column's type, floats by bit pattern.
 func HashJoin(ctx context.Context, build Source, buildKeys []string, probe Source, probeKeys []string, typ JoinType) (*table.Batch, error) {
-	bb, err := Collect(ctx, build)
+	bs, err := drain(ctx, build)
 	if err != nil {
 		return nil, err
+	}
+	// A build side that is already one batch is only read, so it is indexed
+	// where it is.
+	var bb *table.Batch
+	if len(bs) == 1 {
+		bb = bs[0]
+	} else {
+		bb = concat(bs)
 	}
 	buildEmpty := len(bb.Vecs) == 0
 	if buildEmpty && typ == Inner {
 		return &table.Batch{}, nil
 	}
-	ht := make(map[string][]int)
-	var kb []byte
+	// The table maps a key to the first build row holding it; next chains
+	// each build row to the following row with the same key (-1 at the end).
+	var (
+		ht    *column.HashTable
+		bvecs []*column.Vector
+		next  []int32
+	)
 	if !buildEmpty {
-		bvecs, err := keyCols(bb, buildKeys)
-		if err != nil {
+		if bvecs, err = keyCols(bb, buildKeys); err != nil {
 			return nil, err
 		}
-		for r := 0; r < bb.Rows(); r++ {
-			kb = rowKey(kb[:0], bvecs, r)
-			ht[string(kb)] = append(ht[string(kb)], r)
+		var first []int32
+		ht, first = column.IndexRows(bvecs, bb.Rows(), nil)
+		next = make([]int32, len(first))
+		for r := range next {
+			next[r] = -1
 		}
-	}
-
-	var out *table.Batch
-	initOut := func(pb *table.Batch) {
-		out = &table.Batch{}
-		out.Schema.Cols = append(out.Schema.Cols, pb.Schema.Cols...)
-		for _, v := range pb.Vecs {
-			out.Vecs = append(out.Vecs, column.NewVector(v.Typ))
-		}
-		if typ == Inner || typ == LeftOuter {
-			out.Schema.Cols = append(out.Schema.Cols, bb.Schema.Cols...)
-			for _, v := range bb.Vecs {
-				out.Vecs = append(out.Vecs, column.NewVector(v.Typ))
+		// Walking backwards, next[f] of a key's first row f holds the
+		// nearest later row seen so far — which is what row r must point at.
+		for r := len(first) - 1; r >= 0; r-- {
+			if f := first[r]; int(f) != r {
+				next[r] = next[f]
+				next[f] = int32(r)
 			}
 		}
 	}
 
+	var out *table.Batch
+	var ids, prow, brow []int32 // per probe batch: match heads, then the (probe, build) row pairs
 	for {
 		pb, err := probe.Next(ctx)
 		if err != nil {
@@ -416,68 +461,71 @@ func HashJoin(ctx context.Context, build Source, buildKeys []string, probe Sourc
 		if len(pb.Vecs) == 0 {
 			continue // schemaless empty batch
 		}
-		if out == nil {
-			initOut(pb)
-		}
 		pvecs, err := keyCols(pb, probeKeys)
 		if err != nil {
 			return nil, err
 		}
-		np := len(pb.Vecs)
-		for r := 0; r < pb.Rows(); r++ {
-			kb = rowKey(kb[:0], pvecs, r)
-			matches := ht[string(kb)]
-			switch typ {
-			case Semi:
-				if len(matches) > 0 {
-					for c, v := range pb.Vecs {
-						out.Vecs[c].Append(v, r)
-					}
-				}
-			case Anti:
-				if len(matches) == 0 {
-					for c, v := range pb.Vecs {
-						out.Vecs[c].Append(v, r)
-					}
-				}
-			case LeftOuter:
-				if len(matches) == 0 {
-					for c, v := range pb.Vecs {
-						out.Vecs[c].Append(v, r)
-					}
-					for c, v := range bb.Vecs {
-						appendZero(out.Vecs[np+c], v.Typ)
-					}
-					continue
-				}
-				fallthrough
-			default: // Inner (and LeftOuter with matches)
-				for _, m := range matches {
-					for c, v := range pb.Vecs {
-						out.Vecs[c].Append(v, r)
-					}
-					for c, v := range bb.Vecs {
-						out.Vecs[np+c].Append(v, m)
-					}
+		if out == nil {
+			out = &table.Batch{}
+			out.Schema.Cols = append(out.Schema.Cols, pb.Schema.Cols...)
+			if typ == Inner || typ == LeftOuter {
+				out.Schema.Cols = append(out.Schema.Cols, bb.Schema.Cols...)
+			}
+			for _, c := range out.Schema.Cols {
+				out.Vecs = append(out.Vecs, column.NewVector(c.Typ))
+			}
+		}
+		n := pb.Rows()
+		if buildEmpty {
+			ids = ids[:0]
+			for r := 0; r < n; r++ {
+				ids = append(ids, -1)
+			}
+		} else {
+			if !sameTypes(pvecs, bvecs) {
+				return nil, fmt.Errorf("exec: join keys %v and %v differ in number or type", buildKeys, probeKeys)
+			}
+			ids = ht.Find(pvecs, n, ids)
+		}
+		// Room for one match per probe row, the common case; more is appended.
+		prow, brow = slices.Grow(prow[:0], n), slices.Grow(brow[:0], n)
+		switch typ {
+		case Semi:
+			for r, m := range ids {
+				if m >= 0 {
+					prow = append(prow, int32(r))
 				}
 			}
+		case Anti:
+			for r, m := range ids {
+				if m < 0 {
+					prow = append(prow, int32(r))
+				}
+			}
+		default:
+			for r, m := range ids {
+				if m < 0 && typ == LeftOuter {
+					prow = append(prow, int32(r))
+					brow = append(brow, -1) // gathers as the zero value
+				}
+				for ; m >= 0; m = next[m] {
+					prow = append(prow, int32(r))
+					brow = append(brow, m)
+				}
+			}
+		}
+		np := len(pb.Vecs)
+		for c, v := range pb.Vecs {
+			out.Vecs[c].AppendGather(v, prow)
+		}
+		for c := np; c < len(out.Vecs); c++ {
+			out.Vecs[c].AppendGather(bb.Vecs[c-np], brow)
 		}
 	}
 	if out == nil {
 		return &table.Batch{}, nil
 	}
 	return out, nil
-}
-
-func appendZero(v *column.Vector, t column.Type) {
-	switch t {
-	case column.Int64:
-		v.AppendInt(0)
-	case column.Float64:
-		v.AppendFloat(0)
-	default:
-		v.AppendStr("")
-	}
 }
 
 // --- aggregation ---
@@ -503,40 +551,79 @@ type Agg struct {
 	As   string
 }
 
-type group struct {
-	keyVals []any
-	states  []*expr.AggState
+// aggSet is the running state of a list of aggregates over dense group ids:
+// one expr.Aggregator each, shared by HashAgg and ScanAgg.
+type aggSet struct {
+	aggs  []Agg
+	folds []expr.Aggregator
+	zeros []int32 // group 0 for every row, for callers without group keys
 }
 
-func newStates(n int) []*expr.AggState {
-	states := make([]*expr.AggState, n)
-	for i := range states {
-		states[i] = &expr.AggState{}
-	}
-	return states
-}
-
-// aggInputs evaluates every aggregate's input over b, once per batch.
-func aggInputs(aggs []Agg, b *table.Batch) ([]*column.Vector, error) {
-	inputs := make([]*column.Vector, len(aggs))
+func newAggSet(aggs []Agg) *aggSet {
+	s := &aggSet{aggs: aggs, folds: make([]expr.Aggregator, len(aggs))}
 	for i, a := range aggs {
-		v, err := expr.AggInput(a.Func, a.Expr, b)
-		if err != nil {
-			return nil, fmt.Errorf("exec: aggregate %s: %w", a.As, err)
-		}
-		inputs[i] = v
+		s.folds[i].Func = a.Func
 	}
-	return inputs, nil
+	return s
+}
+
+// fold evaluates every aggregate's input over b, once, and folds row r into
+// group gids[r]; nil gids puts every row in group 0.
+func (s *aggSet) fold(b *table.Batch, gids []int32, groups int) error {
+	if gids == nil {
+		if n := b.Rows(); len(s.zeros) < n {
+			s.zeros = make([]int32, n)
+		}
+		gids = s.zeros[:b.Rows()]
+	}
+	for i, a := range s.aggs {
+		input, err := expr.AggInput(a.Func, a.Expr, b)
+		if err != nil {
+			return fmt.Errorf("exec: aggregate %s: %w", a.As, err)
+		}
+		s.folds[i].Fold(input, gids, groups)
+	}
+	return nil
+}
+
+// merge adds a store's partial state of aggregate i, whose rows follow the
+// ones folded so far, to the global group.
+func (s *aggSet) merge(i int, part *expr.AggState) {
+	s.folds[i].Grow(1)
+	s.folds[i].States[0].Merge(part)
+}
+
+// emit appends one output column per aggregate, a row per group, to out.
+func (s *aggSet) emit(out *table.Batch, groups int) {
+	for i, a := range s.aggs {
+		s.folds[i].Grow(groups)
+		states := s.folds[i].States[:groups]
+		t := aggOutputType(a, states)
+		v := column.NewVector(t)
+		v.Grow(groups)
+		for g := range states {
+			emitAgg(v, &states[g], a)
+		}
+		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: a.As, Typ: t})
+		out.Vecs = append(out.Vecs, v)
+	}
 }
 
 // HashAgg groups src by the named columns and computes the aggregates.
-// With no group columns, a single global group is produced (even on empty
-// input, matching SQL aggregate semantics).
+// Groups come out in the order their first row arrived; group keys are equal
+// column by column under the column's type, floats by bit pattern. With no
+// group columns, a single global group is produced (even on empty input,
+// matching SQL aggregate semantics).
 func HashAgg(ctx context.Context, src Source, groupBy []string, aggs []Agg) (*table.Batch, error) {
-	groups := make(map[string]*group)
-	var order []string // deterministic-ish output: first-seen order
-	var groupTypes []column.Type
-
+	var (
+		ht     column.HashTable // its key columns become the group columns of the result
+		gids   []int32
+		groups int
+	)
+	if len(groupBy) == 0 {
+		groups = 1
+	}
+	set := newAggSet(aggs)
 	for {
 		b, err := src.Next(ctx)
 		if err != nil {
@@ -552,81 +639,34 @@ func HashAgg(ctx context.Context, src Source, groupBy []string, aggs []Agg) (*ta
 		if err != nil {
 			return nil, err
 		}
-		if groupTypes == nil {
-			for _, v := range gvecs {
-				groupTypes = append(groupTypes, v.Typ)
+		if len(groupBy) > 0 {
+			if keys := ht.Keys(); keys != nil && !sameTypes(gvecs, keys) {
+				return nil, fmt.Errorf("exec: group columns %v change type between batches", groupBy)
 			}
+			gids = ht.Insert(gvecs, b.Rows(), gids)
+			groups = ht.Len()
 		}
-		inputs, err := aggInputs(aggs, b)
-		if err != nil {
+		if err := set.fold(b, gids, groups); err != nil {
 			return nil, err
 		}
-		var kb []byte
-		for r := 0; r < b.Rows(); r++ {
-			kb = rowKey(kb[:0], gvecs, r)
-			g, ok := groups[string(kb)]
-			if !ok {
-				g = &group{states: newStates(len(aggs))}
-				for _, v := range gvecs {
-					switch v.Typ {
-					case column.Int64:
-						g.keyVals = append(g.keyVals, v.I64[r])
-					case column.Float64:
-						g.keyVals = append(g.keyVals, v.F64[r])
-					default:
-						g.keyVals = append(g.keyVals, v.Str[r])
-					}
-				}
-				groups[string(kb)] = g
-				order = append(order, string(kb))
-			}
-			for i, a := range aggs {
-				g.states[i].Update(a.Func, inputs[i], r)
-			}
-		}
-	}
-
-	if len(groupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{states: newStates(len(aggs))}
-		order = append(order, "")
 	}
 
 	out := &table.Batch{}
 	for i, name := range groupBy {
 		// With zero input batches the group types are unknown; default to
 		// Int64 — the result has no rows, so only the names matter.
-		t := column.Int64
-		if i < len(groupTypes) {
-			t = groupTypes[i]
+		v := column.NewVector(column.Int64)
+		if keys := ht.Keys(); keys != nil {
+			v = keys[i]
 		}
-		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: name, Typ: t})
-		out.Vecs = append(out.Vecs, column.NewVector(t))
+		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: name, Typ: v.Typ})
+		out.Vecs = append(out.Vecs, v)
 	}
-	for i, a := range aggs {
-		t := aggOutputType(a, groups, order, i)
-		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: a.As, Typ: t})
-		out.Vecs = append(out.Vecs, column.NewVector(t))
-	}
-	for _, k := range order {
-		g := groups[k]
-		for i := range groupBy {
-			switch v := g.keyVals[i].(type) {
-			case int64:
-				out.Vecs[i].AppendInt(v)
-			case float64:
-				out.Vecs[i].AppendFloat(v)
-			case string:
-				out.Vecs[i].AppendStr(v)
-			}
-		}
-		for i, a := range aggs {
-			emitAgg(out.Vecs[len(groupBy)+i], g.states[i], a)
-		}
-	}
+	set.emit(out, groups)
 	return out, nil
 }
 
-func aggOutputType(a Agg, groups map[string]*group, order []string, i int) column.Type {
+func aggOutputType(a Agg, states []expr.AggState) column.Type {
 	switch a.Func {
 	case Count, CountDistinct:
 		return column.Int64
@@ -634,9 +674,8 @@ func aggOutputType(a Agg, groups map[string]*group, order []string, i int) colum
 		return column.Float64
 	}
 	// Sum/Min/Max follow the input type; inspect any group.
-	for _, k := range order {
-		st := groups[k].states[i]
-		if st.Count > 0 || st.Seen {
+	for i := range states {
+		if st := &states[i]; st.Count > 0 || st.Seen {
 			return st.Typ
 		}
 	}

@@ -262,21 +262,6 @@ func aggPlan(opts ScanOptions, aggs []Agg) (objstore.SelectPlan, bool) {
 	return plan, len(aggs) > 0
 }
 
-// foldBatch accumulates a reader-side batch into the aggregate states, as
-// HashAgg does for its one global group.
-func foldBatch(states []*expr.AggState, aggs []Agg, b *table.Batch) error {
-	inputs, err := aggInputs(aggs, b)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < b.Rows(); r++ {
-		for i, a := range aggs {
-			states[i].Update(a.Func, inputs[i], r)
-		}
-	}
-	return nil
-}
-
 // ScanAgg computes ungrouped aggregates over a table scan, pushing the
 // filter and partial aggregation into the object store when opts.Pushdown
 // allows and every aggregate is pushable (Count, Sum, Min, Max over any
@@ -306,7 +291,7 @@ func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOption
 		return nil, err
 	}
 	sc := src.(*scanSource)
-	states := newStates(len(aggs))
+	set := newAggSet(aggs)
 	for _, seg := range sc.segs {
 		if err := YieldPoint(ctx); err != nil {
 			return nil, err
@@ -318,8 +303,8 @@ func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOption
 			rsp.AddInt("pushdown", 1)
 			rsp.AddInt("rows", int64(res.Rows))
 			rsp.End()
-			for i := range states {
-				states[i].Merge(&res.Aggs[i])
+			for i := range res.Aggs {
+				set.merge(i, &res.Aggs[i])
 			}
 			continue
 		}
@@ -339,21 +324,12 @@ func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOption
 				return nil, err
 			}
 		}
-		if err := foldBatch(states, aggs, b); err != nil {
+		if err := set.fold(b, nil, 1); err != nil {
 			return nil, err
 		}
 	}
 	// Emit exactly as HashAgg's global group would.
-	groups := map[string]*group{"": {states: states}}
-	order := []string{""}
 	out := &table.Batch{}
-	for i, a := range aggs {
-		typ := aggOutputType(a, groups, order, i)
-		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: a.As, Typ: typ})
-		out.Vecs = append(out.Vecs, column.NewVector(typ))
-	}
-	for i, a := range aggs {
-		emitAgg(out.Vecs[i], states[i], a)
-	}
+	set.emit(out, 1)
 	return out, nil
 }

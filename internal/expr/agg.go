@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"math"
-
-	"cloudiq/internal/column"
-)
+import "cloudiq/internal/column"
 
 // AggFunc enumerates aggregate functions.
 type AggFunc uint8
@@ -45,11 +41,11 @@ func AggInput(f AggFunc, e *Node, env Env) (*column.Vector, error) {
 	return v, nil
 }
 
-// AggState is one aggregate's accumulator. The exported fields are the
-// partial state a store returns: merging partial states in row order repeats
-// the additions and comparisons Update would have made row by row, so counts,
-// integer sums and min/max merge exactly (a float sum regroups its
-// additions per partial, as any partitioned sum does).
+// AggState is one group's running value of one aggregate. The exported
+// fields are the partial state a store returns: merging partial states in row
+// order repeats the additions and comparisons Fold would have made row by
+// row, so counts, integer sums and min/max merge exactly (a float sum
+// regroups its additions per partial, as any partitioned sum does).
 type AggState struct {
 	Count int64
 	SumI  int64
@@ -66,62 +62,118 @@ type AggState struct {
 	// or Seen).
 	Typ column.Type
 
-	distinct map[distinctKey]struct{}
-}
-
-// distinctKey identifies one input value: numbers by bit pattern, strings by
-// content. A state only ever sees one input type, so the two cannot collide.
-type distinctKey struct {
-	bits uint64
-	s    string
+	distinct int64
 }
 
 // Distinct returns the number of distinct inputs CountDistinct has seen.
-func (st *AggState) Distinct() int { return len(st.distinct) }
+func (st *AggState) Distinct() int { return int(st.distinct) }
 
-// Update folds row r of input — as returned by AggInput for f — into st.
-func (st *AggState) Update(f AggFunc, input *column.Vector, r int) {
-	if input == nil {
-		st.Count++
+// Aggregator folds one aggregate over batches of rows, each row assigned to a
+// group by a dense id. States[g] is group g's state; a caller with a single
+// global group assigns every row to group 0. It is the one place rows become
+// aggregate state: HashAgg, ScanAgg's reader-side fold and the store-side
+// select all call Fold.
+type Aggregator struct {
+	Func   AggFunc
+	States []AggState
+
+	// CountDistinct keeps one set of (group, value) pairs for the whole
+	// aggregate, not a set per group; the rest is its per-batch scratch.
+	pairs  column.HashTable
+	groups column.Vector
+	ids    []int32
+}
+
+// Grow extends States to cover group ids below groups.
+func (a *Aggregator) Grow(groups int) {
+	if n := groups - len(a.States); n > 0 {
+		a.States = append(a.States, make([]AggState, n)...)
+	}
+}
+
+// Fold adds a batch to the states: row r of input — as returned by AggInput
+// for a.Func — goes to group gids[r], and every id is below groups. Rows of a
+// group are folded in row order, so a float sum adds in the order a
+// row-at-a-time loop would. The type switch runs once per batch.
+func (a *Aggregator) Fold(input *column.Vector, gids []int32, groups int) {
+	a.Grow(groups)
+	st := a.States
+	if input == nil { // count(*)
+		for _, g := range gids {
+			st[g].Count++
+		}
 		return
 	}
-	st.Typ = input.Typ
-	switch f {
+	typ := input.Typ
+	gids = gids[:input.Len()]
+	switch a.Func {
 	case CountDistinct:
-		var k distinctKey
-		switch input.Typ {
-		case column.Int64:
-			k.bits = uint64(input.I64[r])
-		case column.Float64:
-			k.bits = math.Float64bits(input.F64[r])
-		default:
-			k.s = input.Str[r]
-		}
-		if st.distinct == nil {
-			st.distinct = make(map[distinctKey]struct{})
-		}
-		st.distinct[k] = struct{}{}
+		a.foldDistinct(input, gids)
 	case Count:
-		st.Count++
+		for _, g := range gids {
+			s := &st[g]
+			s.Typ = typ
+			s.Count++
+		}
 	case Sum, Avg:
-		st.Count++
-		if input.Typ == column.Int64 {
-			st.SumI += input.I64[r]
-			st.SumF += float64(input.I64[r])
+		if typ == column.Int64 {
+			for r, x := range input.I64 {
+				s := &st[gids[r]]
+				s.Typ = typ
+				s.Count++
+				s.SumI += x
+				s.SumF += float64(x)
+			}
 		} else {
-			st.SumF += input.F64[r]
+			for r, x := range input.F64 {
+				s := &st[gids[r]]
+				s.Typ = typ
+				s.Count++
+				s.SumF += x
+			}
 		}
 	case Min, Max:
-		st.Count++
-		switch input.Typ {
+		switch typ {
 		case column.Int64:
-			st.MinI, st.MaxI = widen(st.Seen, st.MinI, st.MaxI, input.I64[r], input.I64[r])
+			for r, x := range input.I64 {
+				s := &st[gids[r]]
+				s.MinI, s.MaxI = widen(s.Seen, s.MinI, s.MaxI, x, x)
+				s.Typ, s.Seen = typ, true
+				s.Count++
+			}
 		case column.Float64:
-			st.MinF, st.MaxF = widen(st.Seen, st.MinF, st.MaxF, input.F64[r], input.F64[r])
+			for r, x := range input.F64 {
+				s := &st[gids[r]]
+				s.MinF, s.MaxF = widen(s.Seen, s.MinF, s.MaxF, x, x)
+				s.Typ, s.Seen = typ, true
+				s.Count++
+			}
 		default:
-			st.MinS, st.MaxS = widen(st.Seen, st.MinS, st.MaxS, input.Str[r], input.Str[r])
+			for r, x := range input.Str {
+				s := &st[gids[r]]
+				s.MinS, s.MaxS = widen(s.Seen, s.MinS, s.MaxS, x, x)
+				s.Typ, s.Seen = typ, true
+				s.Count++
+			}
 		}
-		st.Seen = true
+	}
+}
+
+// foldDistinct inserts each row's (group, value) pair into the aggregate's
+// set and counts, per group, the pairs that were new. Numbers are told apart
+// by bit pattern, strings by content.
+func (a *Aggregator) foldDistinct(input *column.Vector, gids []int32) {
+	a.groups.I64 = a.groups.I64[:0]
+	for _, g := range gids {
+		a.groups.I64 = append(a.groups.I64, int64(g))
+	}
+	next := int32(a.pairs.Len())
+	a.ids = a.pairs.Insert([]*column.Vector{&a.groups, input}, len(gids), a.ids)
+	for r, id := range a.ids {
+		if id == next { // ids are dense in first-seen order: this pair is new
+			next++
+			a.States[gids[r]].distinct++
+		}
 	}
 }
 

@@ -186,10 +186,10 @@ func TestNewSet(t *testing.T) {
 	}
 }
 
-// TestAggMergeEqualsUpdate: folding rows into partial states and merging them
+// TestAggMergeEqualsFold: folding rows into partial states and merging them
 // in order gives the state one fold over all rows gives — the property that
 // makes store-side partial aggregation exact.
-func TestAggMergeEqualsUpdate(t *testing.T) {
+func TestAggMergeEqualsFold(t *testing.T) {
 	env := testEnv()
 	for _, in := range []*Node{nil, col("i"), col("s"), op(OpMul, col("i"), ci(3)), col("d")} {
 		for _, f := range []AggFunc{Count, Sum, Min, Max} {
@@ -198,37 +198,36 @@ func TestAggMergeEqualsUpdate(t *testing.T) {
 				continue // count(*) is the only function of a nil input; sum has no strings
 			}
 			for cut := 0; cut <= env.N; cut++ {
-				var whole, left, right, merged AggState
-				for r := 0; r < env.N; r++ {
-					whole.Update(f, input, r)
-					if r < cut {
-						left.Update(f, input, r)
-					} else {
-						right.Update(f, input, r)
-					}
+				// One fold with every row in group 0, one with the rows
+				// split at cut into groups 0 and 1.
+				whole, halves := Aggregator{Func: f}, Aggregator{Func: f}
+				split := make([]int32, env.N)
+				for r := cut; r < env.N; r++ {
+					split[r] = 1
 				}
-				merged.Merge(&left)
-				merged.Merge(&right)
-				if !reflect.DeepEqual(merged, whole) {
-					t.Errorf("func %d cut %d: merged %+v, whole %+v", f, cut, merged, whole)
+				whole.Fold(input, make([]int32, env.N), 1)
+				halves.Fold(input, split, 2)
+				var merged AggState
+				merged.Merge(&halves.States[0])
+				merged.Merge(&halves.States[1])
+				if !reflect.DeepEqual(merged, whole.States[0]) {
+					t.Errorf("func %d cut %d: merged %+v, whole %+v", f, cut, merged, whole.States[0])
 				}
 			}
 		}
 	}
 }
 
-func TestAggUpdate(t *testing.T) {
+func TestAggFold(t *testing.T) {
 	env := testEnv()
 	fold := func(f AggFunc, e *Node) *AggState {
 		input, err := AggInput(f, e, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &AggState{}
-		for r := 0; r < env.N; r++ {
-			st.Update(f, input, r)
-		}
-		return st
+		a := Aggregator{Func: f}
+		a.Fold(input, make([]int32, env.N), 1)
+		return &a.States[0]
 	}
 	if st := fold(Count, nil); st.Count != 4 {
 		t.Errorf("count(*) = %d", st.Count)
@@ -250,5 +249,35 @@ func TestAggUpdate(t *testing.T) {
 	}
 	if st := fold(CountDistinct, col("s")); st.Distinct() != 4 {
 		t.Errorf("count(distinct s) = %d", st.Distinct())
+	}
+}
+
+// TestAggFoldGroups: rows of different groups keep apart, a group's rows are
+// folded in row order across batches, and count(distinct) counts a value once
+// per group however many batches repeat it.
+func TestAggFoldGroups(t *testing.T) {
+	f64 := func(xs ...float64) *column.Vector { return &column.Vector{Typ: column.Float64, F64: xs} }
+	sum := Aggregator{Func: Sum}
+	sum.Fold(f64(1e16, 1, 1, -1e16), []int32{0, 1, 0, 0}, 2)
+	sum.Fold(f64(1, 2), []int32{0, 1}, 2)
+	want := 0.0
+	for _, x := range []float64{1e16, 1, -1e16, 1} { // group 0's rows in order: the 1 after 1e16 is absorbed
+		want += x
+	}
+	if got := sum.States[0].SumF; got != want || want != 1 {
+		t.Errorf("group 0 sum = %v, want the row-order sum %v", got, want)
+	}
+	if sum.States[1].SumF != 3 || sum.States[1].Count != 2 {
+		t.Errorf("group 1 = %+v", sum.States[1])
+	}
+
+	dist := Aggregator{Func: CountDistinct}
+	negZero := math.Copysign(0, -1)
+	dist.Fold(f64(0, negZero, math.NaN(), 7), []int32{0, 0, 1, 2}, 3)
+	dist.Fold(f64(0, math.NaN(), 7, 7), []int32{0, 1, 1, 3}, 4)
+	for g, want := range []int{2, 2, 1, 1} {
+		if got := dist.States[g].Distinct(); got != want {
+			t.Errorf("group %d distinct = %d, want %d", g, got, want)
+		}
 	}
 }
