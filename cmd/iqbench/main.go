@@ -12,9 +12,11 @@
 // Experiments: table1, table2, table3, table4, table5, fig6, fig7, fig8,
 // fig9, ablations, sched, failover, pushdown, ingest, all.
 //
-//	iqbench -exp sched -short -schedout BENCH_sched.json
-//	iqbench -exp pushdown -short -pushdownout BENCH_pushdown.json
-//	iqbench -exp ingest -short -ingestout BENCH_ingest.json
+// The sched, failover, pushdown and ingest experiments have a JSON report;
+// -out writes the report of the one selected experiment:
+//
+//	iqbench -exp sched -short -out BENCH_sched.json
+//	iqbench -exp ingest -short -out BENCH_ingest.json
 package main
 
 import (
@@ -38,10 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "jitter seed")
 	short := flag.Bool("short", false, "shrink scale factor and timescale for a fast smoke run (overrides -sf/-timescale)")
 	iostats := flag.String("iostats", "", "write per-layer pageio statistics JSON to this file after the run")
-	schedOut := flag.String("schedout", "", "write the mixed-fleet scheduler report JSON to this file (sched experiment)")
-	failoverOut := flag.String("failoverout", "", "write the coordinator-failover report JSON to this file (failover experiment)")
-	pushdownOut := flag.String("pushdownout", "", "write the predicate-pushdown report JSON to this file (pushdown experiment)")
-	ingestOut := flag.String("ingestout", "", "write the real-time ingest report JSON to this file (ingest experiment)")
+	out := flag.String("out", "", "write the selected experiment's report JSON to this file (sched, failover, pushdown or ingest; not with -exp all)")
 	failoverCycles := flag.Int("failover-cycles", 5, "kill/promote cycles for the failover experiment")
 	traceOut := flag.String("trace", "", "write structured span JSON to this file after the run and print the slowest operation tree")
 	flag.Parse()
@@ -65,7 +64,7 @@ func main() {
 		})
 	}
 	ctx := context.Background()
-	if err := run(ctx, strings.ToLower(*exp), base, *schedOut, *failoverOut, *pushdownOut, *ingestOut, *failoverCycles); err != nil {
+	if err := run(ctx, strings.ToLower(*exp), base, *out, *failoverCycles); err != nil {
 		fmt.Fprintln(os.Stderr, "iqbench:", err)
 		os.Exit(1)
 	}
@@ -106,22 +105,21 @@ func writeTrace(path string, t *trace.Tracer) error {
 	return nil
 }
 
-// writeSchedReport dumps the mixed-fleet scheduler report as indented JSON.
-func writeSchedReport(path string, rep *bench.SchedReport) error {
+// writeJSON dumps an experiment report as indented JSON to path, if one was
+// given.
+func writeJSON(path string, rep any) error {
+	if path == "" {
+		return nil
+	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeFailoverReport dumps the coordinator-failover report as indented JSON.
-func writeFailoverReport(path string, rep *bench.FailoverReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	fmt.Printf("report written to %s\n", path)
+	return nil
 }
 
 // writeStats dumps the per-layer I/O counters collected during the run.
@@ -137,26 +135,12 @@ func writeStats(path string, reg *pageio.StatsRegistry) error {
 	return f.Close()
 }
 
-// writePushdownReport dumps the predicate-pushdown report as indented JSON.
-func writePushdownReport(path string, rep *bench.PushdownReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeIngestReport dumps the real-time ingest report as indented JSON.
-func writeIngestReport(path string, rep *bench.IngestReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func run(ctx context.Context, exp string, base bench.Options, schedOut, failoverOut, pushdownOut, ingestOut string, failoverCycles int) error {
+func run(ctx context.Context, exp string, base bench.Options, out string, failoverCycles int) error {
 	all := exp == "all"
+	hasReport := map[string]bool{"sched": true, "failover": true, "pushdown": true, "ingest": true}
+	if out != "" && !hasReport[exp] {
+		return fmt.Errorf("-out writes one experiment's JSON report: use it with -exp sched, failover, pushdown or ingest, not %q", exp)
+	}
 	started := time.Now()
 
 	var volumeRuns []bench.VolumeRun
@@ -279,11 +263,8 @@ func run(ctx context.Context, exp string, base bench.Options, schedOut, failover
 		}
 		section(fmt.Sprintf("Mixed fleet: %d concurrent queries, 3 priority lanes over %d readers", rep.Queries, rep.Readers))
 		fmt.Print(bench.FormatSched(rep))
-		if schedOut != "" {
-			if err := writeSchedReport(schedOut, rep); err != nil {
-				return err
-			}
-			fmt.Printf("scheduler report written to %s\n", schedOut)
+		if err := writeJSON(out, rep); err != nil {
+			return err
 		}
 	}
 
@@ -294,11 +275,8 @@ func run(ctx context.Context, exp string, base bench.Options, schedOut, failover
 		}
 		section(fmt.Sprintf("Coordinator failover: %d kill/promote cycles under the reconcile-loop controller", rep.Cycles))
 		fmt.Print(bench.FormatFailover(rep))
-		if failoverOut != "" {
-			if err := writeFailoverReport(failoverOut, rep); err != nil {
-				return err
-			}
-			fmt.Printf("failover report written to %s\n", failoverOut)
+		if err := writeJSON(out, rep); err != nil {
+			return err
 		}
 	}
 
@@ -309,11 +287,8 @@ func run(ctx context.Context, exp string, base bench.Options, schedOut, failover
 		}
 		section("Pushdown: store-side filter + partial aggregation vs plain reads")
 		fmt.Print(bench.FormatPushdown(rep))
-		if pushdownOut != "" {
-			if err := writePushdownReport(pushdownOut, rep); err != nil {
-				return err
-			}
-			fmt.Printf("pushdown report written to %s\n", pushdownOut)
+		if err := writeJSON(out, rep); err != nil {
+			return err
 		}
 	}
 
@@ -324,11 +299,8 @@ func run(ctx context.Context, exp string, base bench.Options, schedOut, failover
 		}
 		section("Ingest: trickle inserts through the delta store, MVCC-merged scans, compaction drain")
 		fmt.Print(bench.FormatIngest(rep))
-		if ingestOut != "" {
-			if err := writeIngestReport(ingestOut, rep); err != nil {
-				return err
-			}
-			fmt.Printf("ingest report written to %s\n", ingestOut)
+		if err := writeJSON(out, rep); err != nil {
+			return err
 		}
 	}
 

@@ -7,17 +7,17 @@ import (
 
 // deterministicPkgs are the packages whose behaviour must be a pure function
 // of their seeds: the simulation substrate (iomodel, objstore, blockdev),
-// the fault planner and crash harness, the PRNG itself, and the tracer
-// (span timestamps come from an injected clock — usually iomodel's charged
-// simulated time — never from the wall). Wall-clock reads or draws from the
-// process-global math/rand source in any of them would make crash-recovery
-// runs irreproducible.
+// the fault planner, the PRNG itself, and the tracer (span timestamps come
+// from an injected clock — usually iomodel's charged simulated time — never
+// from the wall). Wall-clock reads or draws from the process-global
+// math/rand source in any of them would make crash-recovery runs
+// irreproducible. The crash harness itself (simtest's step loop and all it
+// reaches) is detclosure's to police.
 var deterministicPkgs = map[string]bool{
 	"iomodel":     true,
 	"objstore":    true,
 	"blockdev":    true,
 	"faultinject": true,
-	"crashsim":    true,
 	"mt":          true,
 	"trace":       true,
 }

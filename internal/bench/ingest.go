@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"cloudiq"
-	"cloudiq/internal/faultinject"
 	"cloudiq/internal/mt"
 	"cloudiq/tpch"
 )
@@ -16,9 +14,9 @@ import (
 // into lineitem through the WAL-fed delta store, the cost a live delta adds
 // to a warm Q6-shaped scan (the MVCC merge of delta rows with encoded
 // segments), and how fast the background compactor drains the backlog into
-// column pages. A separate crash loop dooms compaction drains and commit
-// records mid-cycle and counts rows lost or duplicated across recovery —
-// the number the lane exists to keep at zero.
+// column pages. Crash safety of the lane is not measured here: delta_test.go
+// and `iqsim -delta` doom drains and commit records at all three compaction
+// fault sites and audit the recovered rows.
 
 // IngestPoint is one trickle-rate cell: rows inserted in commit batches of
 // Batch, scanned with the delta live, then drained.
@@ -47,22 +45,10 @@ type IngestPoint struct {
 	DrainedRows int
 }
 
-// IngestCrash summarizes the crash loop: Cycles crash-recovery rounds, each
-// trickling Rows rows and dooming a compaction drain (or the trickle commit
-// itself) mid-cycle. LostRows and DupRows compare every recovered row set
-// against the committed ledger; both must be zero.
-type IngestCrash struct {
-	Cycles   int
-	Rows     int
-	LostRows int
-	DupRows  int
-}
-
 // IngestReport is the full experiment result (iqbench -exp ingest).
 type IngestReport struct {
 	SF     float64
 	Points []IngestPoint
-	Crash  IngestCrash
 }
 
 // lineitemBatch synthesizes n lineitem-shaped rows with Q6-relevant value
@@ -135,7 +121,7 @@ func countRows(ctx context.Context, db *cloudiq.Database, space, name string) (i
 }
 
 // RunIngest runs the trickle-rate points against a loaded environment and
-// the standalone crash loop, and cross-checks row counts after every drain.
+// cross-checks row counts after every drain.
 func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 	opts := base
 	opts.Volume = "s3"
@@ -222,150 +208,7 @@ func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 		}
 		rep.Points = append(rep.Points, p)
 	}
-
-	crash, err := runIngestCrash(ctx, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rep.Crash = *crash
 	return rep, nil
-}
-
-// runIngestCrash is the crash half: a standalone node (memory store and log
-// device, no simulated clock) trickles rows, dooms the compaction drain —
-// at the cycle site, at the swap site, or at the trickle commit record —
-// crashes, recovers, and compares the recovered row set against the
-// committed ledger.
-func runIngestCrash(ctx context.Context, seed int64) (*IngestCrash, error) {
-	const (
-		cycles  = 6
-		perCyc  = 200
-		space   = "user"
-		tblName = "ingest"
-	)
-	store := cloudiq.NewMemObjectStore(cloudiq.ObjectStoreConfig{})
-	logDev := cloudiq.NewMemBlockDevice(cloudiq.BlockDeviceConfig{Growable: true})
-	plan := faultinject.New(uint64(seed) + 77)
-	open := func() (*cloudiq.Database, error) {
-		db, err := cloudiq.Open(ctx, cloudiq.Config{LogDevice: logDev, Faults: plan})
-		if err != nil {
-			return nil, err
-		}
-		if err := db.AttachCloudDbspace(space, store, cloudiq.CloudOptions{}); err != nil {
-			return nil, err
-		}
-		return db, nil
-	}
-	db, err := open()
-	if err != nil {
-		return nil, err
-	}
-	tx := db.Begin()
-	schema := cloudiq.Schema{Cols: []cloudiq.ColumnDef{{Name: "k", Typ: cloudiq.Int64}}}
-	if _, err := tx.CreateTable(ctx, space, tblName, schema, cloudiq.TableOptions{SegRows: 64}); err != nil {
-		return nil, err
-	}
-	if err := tx.Commit(ctx); err != nil {
-		return nil, err
-	}
-
-	committed := make(map[int64]bool)
-	sites := []faultinject.Site{
-		faultinject.DeltaCompact,
-		faultinject.DeltaCompact.With("swap"),
-		faultinject.WALAppend.With("commit"),
-	}
-	crash := &IngestCrash{Cycles: cycles, Rows: perCyc}
-	for c := 0; c < cycles; c++ {
-		batch := cloudiq.NewBatch(schema)
-		for i := 0; i < perCyc; i++ {
-			batch.Vecs[0].AppendInt(int64(c*perCyc + i))
-		}
-		site := sites[c%len(sites)]
-		plan.Always(site)
-		w := db.Begin()
-		if err := w.Insert(ctx, tblName, batch); err != nil {
-			return nil, err
-		}
-		err := w.Commit(ctx)
-		if err == nil {
-			for i := 0; i < perCyc; i++ {
-				committed[int64(c*perCyc+i)] = true
-			}
-		} else if !errors.Is(err, faultinject.ErrInjected) {
-			return nil, err
-		}
-		db.FreezeDelta()
-		if _, err := db.CompactDelta(ctx, space); err != nil && !errors.Is(err, faultinject.ErrInjected) {
-			return nil, err
-		}
-		plan.Clear(site)
-
-		// Crash: abandon the open handle and recover from the log.
-		db, err = open()
-		if err != nil {
-			return nil, err
-		}
-		if err := db.Recover(ctx); err != nil {
-			return nil, err
-		}
-		lost, dup, err := auditRows(ctx, db, space, tblName, committed)
-		if err != nil {
-			return nil, err
-		}
-		crash.LostRows += lost
-		crash.DupRows += dup
-	}
-	// Final full drain, then one last audit against encoded segments only.
-	for db.DeltaLiveRows(tblName) > 0 {
-		if _, err := db.CompactDelta(ctx, space); err != nil {
-			return nil, err
-		}
-	}
-	lost, dup, err := auditRows(ctx, db, space, tblName, committed)
-	if err != nil {
-		return nil, err
-	}
-	crash.LostRows += lost
-	crash.DupRows += dup
-	return crash, nil
-}
-
-// auditRows scans every key and compares against the committed ledger,
-// returning (lost, duplicated) counts.
-func auditRows(ctx context.Context, db *cloudiq.Database, space, name string, committed map[int64]bool) (int, int, error) {
-	tx := db.Begin()
-	defer tx.Rollback(ctx)
-	tbl, err := tx.Table(ctx, space, name)
-	if err != nil {
-		return 0, 0, err
-	}
-	src, err := cloudiq.Scan(tbl, []string{"k"}, cloudiq.ScanOptions{Pushdown: cloudiq.PushdownOff})
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := cloudiq.Collect(ctx, src)
-	if err != nil {
-		return 0, 0, err
-	}
-	seen := make(map[int64]int, len(committed))
-	for _, k := range b.Vecs[0].I64 {
-		seen[k]++
-	}
-	lost, dup := 0, 0
-	for k := range committed {
-		if seen[k] == 0 {
-			lost++
-		}
-	}
-	for k, n := range seen {
-		if !committed[k] {
-			dup += n
-		} else if n > 1 {
-			dup += n - 1
-		}
-	}
-	return lost, dup, nil
 }
 
 // FormatIngest renders the ingest experiment report.
@@ -384,9 +227,6 @@ func FormatIngest(rep *IngestReport) string {
 			fmt.Sprint(p.DrainedRows),
 		})
 	}
-	out := FormatTable([]string{"batch", "rows", "ingest (s)", "rows/sim-s",
+	return FormatTable([]string{"batch", "rows", "ingest (s)", "rows/sim-s",
 		"scan base (s)", "scan +delta (s)", "slowdown", "delta rows", "drain (s)", "drained"}, rows)
-	out += fmt.Sprintf("\ncrash loop: %d cycles x %d rows: %d lost, %d duplicated\n",
-		rep.Crash.Cycles, rep.Crash.Rows, rep.Crash.LostRows, rep.Crash.DupRows)
-	return out
 }

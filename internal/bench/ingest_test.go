@@ -5,9 +5,8 @@ import "testing"
 // TestIngestLaneProperties runs a scaled-down ingest experiment (the full
 // run is iqbench's job) and checks the acceptance properties: every trickled
 // row survives the drain (RunIngest errors on a count mismatch), the
-// with-delta scan is measured against a warm drained baseline, each point's
-// backlog drains completely, and the crash loop loses and duplicates
-// nothing.
+// with-delta scan is measured against a warm drained baseline, and each
+// point's backlog drains completely.
 func TestIngestLaneProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated-latency experiment")
@@ -29,12 +28,5 @@ func TestIngestLaneProperties(t *testing.T) {
 		if p.DeltaRows != p.Rows {
 			t.Errorf("batch %d: %d delta rows at scan time, want %d", p.Batch, p.DeltaRows, p.Rows)
 		}
-	}
-	if rep.Crash.LostRows != 0 || rep.Crash.DupRows != 0 {
-		t.Fatalf("crash loop: %d lost, %d duplicated rows; want zero both",
-			rep.Crash.LostRows, rep.Crash.DupRows)
-	}
-	if rep.Crash.Cycles == 0 {
-		t.Fatal("crash loop ran no cycles")
 	}
 }

@@ -90,7 +90,6 @@ func pushdownQueries() []pushdownQuery {
 			_, err := cloudiq.ScanAgg(ctx, conn.Table("lineitem"), cols,
 				cloudiq.ScanOptions{
 					Filter:   q6Filter(),
-					Zones:    []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", q6lo, q6hi-1)},
 					Pushdown: mode,
 				},
 				[]cloudiq.Agg{{Func: cloudiq.Sum,
@@ -104,7 +103,6 @@ func pushdownQueries() []pushdownQuery {
 			src, err := cloudiq.Scan(conn.Table("lineitem"), cols,
 				cloudiq.ScanOptions{
 					Filter:   q6Filter(),
-					Zones:    []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", q6lo, q6hi-1)},
 					Pushdown: mode,
 				})
 			if err != nil {
@@ -122,7 +120,6 @@ func pushdownQueries() []pushdownQuery {
 				[]string{"l_shipdate", "l_quantity", "l_extendedprice", "l_discount"},
 				cloudiq.ScanOptions{
 					Filter:   cloudiq.Le(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q1cut)),
-					Zones:    []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", 0, q1cut)},
 					Pushdown: mode,
 				},
 				[]cloudiq.Agg{

@@ -46,7 +46,8 @@ type SchedReport struct {
 	ChargedMs  map[string]float64 `json:"charged_sim_ms_per_tenant"`
 	// DirectQ6Sim / SchedQ6Sim compare a warm Q6 run directly on a reader
 	// conn against the same run routed through a one-tenant, one-reader
-	// scheduler — the scheduler's concurrency-1 overhead.
+	// scheduler — the scheduler's concurrency-1 overhead, in charged
+	// simulated I/O seconds (every other time here is elapsed ÷ timescale).
 	DirectQ6Sim float64 `json:"direct_q6_sim_seconds"`
 	SchedQ6Sim  float64 `json:"sched_q6_sim_seconds"`
 }
@@ -141,7 +142,15 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 		conns[name] = conn
 	}
 
-	s := sched.New(sched.Config{Clock: coord.Scale.Charged, Scale: coord.Scale})
+	// Queue waits, tenant charges and the total share one clock: elapsed
+	// wall time ÷ timescale. Scale.Charged is not that clock — it sums every
+	// goroutine's sleeps, so with N queries in flight it runs N times fast,
+	// and waits read off it came out longer than the whole run.
+	epoch := time.Now()
+	simNow := func() time.Duration {
+		return time.Duration(coord.SimSeconds(time.Since(epoch)) * float64(time.Second))
+	}
+	s := sched.New(sched.Config{Clock: simNow, Scale: coord.Scale})
 	for _, cfg := range schedTenants {
 		if err := s.AddTenant(cfg); err != nil {
 			return nil, err
@@ -158,7 +167,7 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	var wg sync.WaitGroup
 	fleetCtx, fleetSp := trace.Root(ctx, opts.withDefaults().Trace, "bench.schedfleet",
 		trace.Int("queries", int64(queries)), trace.Int("readers", int64(readers)))
-	start := time.Now()
+	start := simNow()
 	for i := 0; i < queries; i++ {
 		tenant := schedTenants[i%len(schedTenants)].Name
 		lane := sched.Lane((i / len(schedTenants)) % int(sched.NumLanes))
@@ -179,11 +188,9 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 						return
 					}
 					atomic.AddInt64(&retries, 1)
-					// Growing backoff from the hint. Every retry sleep
-					// charges the shared simulated clock, so persistent
-					// fast polling would inflate everyone's measured queue
-					// waits; backing off keeps the clock dominated by real
-					// service time. The cap keeps rejected clients live.
+					// Growing backoff from the hint, so rejected clients
+					// do not poll the scheduler lock hot; the cap keeps
+					// them live.
 					wait := rej.RetryAfter
 					if wait < 10*time.Millisecond {
 						wait = 10 * time.Millisecond
@@ -207,7 +214,7 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	}
 	wg.Wait()
 	fleetSp.End()
-	totalSim := coord.SimSeconds(time.Since(start))
+	totalSim := (simNow() - start).Seconds()
 	if err, ok := firstErr.Load().(error); ok && err != nil {
 		return nil, err
 	}
@@ -254,7 +261,10 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	}
 
 	// Concurrency-1 overhead probe: a warm Q6 on one reader, direct vs
-	// through a fresh one-tenant scheduler, both on the simulated clock.
+	// through a fresh one-tenant scheduler. These two fields are charged
+	// simulated I/O time, not the clock above: with one query in flight
+	// nothing else advances Scale.Charged, and unlike elapsed time it leaves
+	// out the host's CPU time, which would drown a difference this small.
 	probe := conns["r1"]
 	if _, err := probe.Query(ctx, 6); err != nil { // warm the reader's cache
 		return nil, err
@@ -315,14 +325,14 @@ func FormatSched(rep *SchedReport) string {
 		})
 	}
 	out := FormatTable([]string{"lane", "admitted", "rejected", "p50 wait ms", "p99 wait ms", "max wait ms"}, rows)
-	out += "(queue waits tick on the fleet-shared charged clock — every in-flight query's\n simulated service advances it — so they rank lanes rather than measure wall time)\n"
+	out += "(waits, charges and the total are on one clock: elapsed wall time ÷ timescale)\n"
 	out += fmt.Sprintf("%d queries over %d readers: %d completed, %d failed, %d retried rejections, %.2f sim s total\n",
 		rep.Queries, rep.Readers, rep.Completed, rep.Failed, rep.Retries, rep.TotalSim)
 	for _, cfg := range schedTenants {
 		out += fmt.Sprintf("  %-6s w%d: %4d dispatches, %8.1f sim ms charged\n",
 			cfg.Name, cfg.Weight, rep.Dispatches[cfg.Name], rep.ChargedMs[cfg.Name])
 	}
-	out += fmt.Sprintf("concurrency-1 overhead: warm Q6 direct %.4f sim s vs scheduled %.4f sim s\n",
+	out += fmt.Sprintf("concurrency-1 overhead: warm Q6 direct %.4f vs scheduled %.4f charged sim I/O s\n",
 		rep.DirectQ6Sim, rep.SchedQ6Sim)
 	return out
 }

@@ -36,6 +36,12 @@ func TestSchedFleetMixed(t *testing.T) {
 		if l.P99WaitMs < l.P50WaitMs {
 			t.Errorf("lane %s: p99 %.2fms < p50 %.2fms", l.Lane, l.P99WaitMs, l.P50WaitMs)
 		}
+		// Waits and the total are on one clock, so no query can have
+		// waited longer than the run took.
+		if l.MaxWaitMs > rep.TotalSim*1000 {
+			t.Errorf("lane %s: max wait %.2f sim ms exceeds the run's %.2f sim ms: two clocks in one report",
+				l.Lane, l.MaxWaitMs, rep.TotalSim*1000)
+		}
 	}
 	if rep.DirectQ6Sim <= 0 || rep.SchedQ6Sim <= 0 {
 		t.Errorf("overhead probe missing: direct=%.4f sched=%.4f", rep.DirectQ6Sim, rep.SchedQ6Sim)

@@ -272,6 +272,13 @@ func TestZoneMapFloatAndString(t *testing.T) {
 	if !zf.MayContainF64(2, 3) || zf.MayContainF64(3, 4) {
 		t.Fatal("float zone map wrong")
 	}
+	// A NaN anywhere (first or not) must leave bounds that prune nothing:
+	// comparisons treat NaN as equal to every value.
+	for _, v := range []*Vector{floatVec(math.NaN(), 1, 2), floatVec(1, math.NaN(), 2)} {
+		if z := BuildZoneMap(v); !z.MayContainF64(100, 200) || !z.MayContainF64(-7, -7) {
+			t.Fatalf("zone map of %v prunes: %+v", v.F64, z)
+		}
+	}
 	zs := BuildZoneMap(strVec("EUROPE", "ASIA"))
 	if !zs.MayContainStr("ASIA", "ASIA") || zs.MayContainStr("F", "Z") {
 		t.Fatal("string zone map wrong")

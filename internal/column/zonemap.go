@@ -47,6 +47,12 @@ func BuildZoneMap(v *Vector) ZoneMap {
 		}
 		z.MinF64, z.MaxF64 = v.F64[0], v.F64[0]
 		for _, x := range v.F64 {
+			if x != x {
+				// NaN is outside every order, and comparisons treat it as
+				// equal to anything: no bounds may prune this segment.
+				z.MinF64, z.MaxF64 = math.Inf(-1), math.Inf(1)
+				return z
+			}
 			if x < z.MinF64 {
 				z.MinF64 = x
 			}

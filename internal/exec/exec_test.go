@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"cloudiq/internal/core"
 	"cloudiq/internal/expr"
 	"cloudiq/internal/keygen"
+	"cloudiq/internal/mt"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/rfrb"
 	"cloudiq/internal/table"
@@ -337,13 +339,16 @@ func TestScanWithZonePruningAndFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Zone predicate restricts to ids 250..349 => exactly one segment.
+	// The filter admits ids 250..349: the zone maps of the clustered id
+	// column leave exactly the two segments that overlap that range.
 	src, err := Scan(tbl, []string{"id", "tag"}, ScanOptions{
-		Zones:  []ZonePred{ZoneI("id", 250, 349)},
 		Filter: And(Ge(Col("id"), ConstI(250)), Lt(Col("id"), ConstI(350))),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if segs := src.(*scanSource).segs; !reflect.DeepEqual(segs, []int{2, 3}) {
+		t.Fatalf("scan kept segments %v, want [2 3]", segs)
 	}
 	out, err := Collect(ctxb(), src)
 	if err != nil {
@@ -352,31 +357,88 @@ func TestScanWithZonePruningAndFilter(t *testing.T) {
 	if out.Rows() != 100 {
 		t.Fatalf("rows = %d, want 100", out.Rows())
 	}
-	// Only segments 2 and 3 overlap [250,349]: at most 2 of 10 segments
-	// read (2 columns each), plus meta/blockmap traffic.
+	// 2 of 10 segments read (2 columns each), plus meta/blockmap traffic.
 	if gets := store.Metrics().Gets(); gets > 12 {
 		t.Fatalf("scan issued %d GETs; zone pruning not effective", gets)
 	}
 	if _, err := Scan(tbl, []string{"nope"}, ScanOptions{}); err == nil {
 		t.Fatal("scan of unknown column accepted")
 	}
-	if _, err := Scan(tbl, []string{"id"}, ScanOptions{Zones: []ZonePred{ZoneI("nope", 0, 1)}}); err == nil {
-		t.Fatal("zone predicate on unknown column accepted")
+}
+
+// TestMayMatch pins what zone pruning decides and, as important, what it
+// leaves alone: only a column against a literal of a comparable type, in
+// either operand order, under AND/OR.
+func TestMayMatch(t *testing.T) {
+	sch := table.Schema{Cols: []table.ColumnDef{intCol("i"), fltCol("f"), strCol("s"), fltCol("n")}}
+	zones := []column.ZoneMap{
+		column.BuildZoneMap(&column.Vector{Typ: column.Int64, I64: []int64{5, 10}}),
+		column.BuildZoneMap(&column.Vector{Typ: column.Float64, F64: []float64{1.5, 2.5}}),
+		column.BuildZoneMap(&column.Vector{Typ: column.String, Str: []string{"b", "d"}}),
+		column.BuildZoneMap(&column.Vector{Typ: column.Float64, F64: []float64{1, math.NaN()}}),
+	}
+	i, f, s := Col("i"), Col("f"), Col("s")
+	cases := []struct {
+		e    Expr
+		want bool
+	}{
+		{nil, true},
+		{Eq(i, ConstI(7)), true}, {Eq(i, ConstI(11)), false}, {Eq(ConstI(4), i), false},
+		{Lt(i, ConstI(5)), false}, {Le(i, ConstI(5)), true}, {Gt(i, ConstI(10)), false}, {Ge(i, ConstI(10)), true},
+		{Gt(ConstI(5), i), false}, {Ge(ConstI(5), i), true}, // mirrored: i < 5, i <= 5
+		{Lt(i, ConstI(math.MinInt64)), false}, {Gt(i, ConstI(math.MaxInt64)), false},
+		{Ne(i, ConstI(7)), true},
+		{Eq(f, ConstF(2)), true}, {Eq(f, ConstF(3)), false}, {Ge(f, ConstF(2.75)), false}, {Le(f, ConstF(1.25)), false},
+		{Lt(f, ConstF(1.5)), true},                          // strict float bounds stay inclusive
+		{Gt(f, ConstI(2)), true}, {Gt(f, ConstI(3)), false}, // int literal promotes as Eval does
+		{Ge(f, ConstF(math.NaN())), true}, // NaN equals everything
+		{Ge(Col("n"), ConstF(100)), true}, // a NaN row passes >=, = and <=
+		{Eq(s, ConstS("c")), true}, {Eq(s, ConstS("e")), false}, {Lt(s, ConstS("a")), false}, {Ge(ConstS("a"), s), false},
+		{Gt(i, ConstF(10.5)), true}, {Eq(s, ConstI(1)), true}, {Eq(i, ConstS("x")), true}, // other type pairs: Eval's call
+		{Eq(Col("nope"), ConstI(1)), true}, {Eq(i, Col("i")), true}, {Eq(Add(i, ConstI(0)), ConstI(99)), true},
+		{Like(s, "z%"), true}, {Not(Eq(i, ConstI(7))), true},
+		{And(Ge(i, ConstI(5)), Lt(i, ConstI(5))), false}, {And(Ge(i, ConstI(5)), Like(s, "z%")), true},
+		{Or(Lt(i, ConstI(5)), Gt(f, ConstF(3))), false}, {Or(Lt(i, ConstI(5)), Eq(s, ConstS("c"))), true},
+	}
+	for n, c := range cases {
+		if got := mayMatch(c.e, sch, zones); got != c.want {
+			t.Errorf("case %d: mayMatch = %v, want %v", n, got, c.want)
+		}
+	}
+	// An empty segment's inverted bounds match nothing.
+	empty := []column.ZoneMap{column.BuildZoneMap(&column.Vector{Typ: column.Int64})}
+	if mayMatch(Ge(i, ConstI(0)), sch, empty) {
+		t.Error("empty segment kept")
 	}
 }
 
-func TestZonePredVariants(t *testing.T) {
-	zi := column.BuildZoneMap(&column.Vector{Typ: column.Int64, I64: []int64{5, 10}})
-	zf := column.BuildZoneMap(&column.Vector{Typ: column.Float64, F64: []float64{1.5, 2.5}})
-	zs := column.BuildZoneMap(&column.Vector{Typ: column.String, Str: []string{"b", "d"}})
-	if !ZoneI("c", 7, 8).ok(zi) || ZoneI("c", 11, 20).ok(zi) {
-		t.Fatal("ZoneI pruning wrong")
+// TestMayMatchSound holds pruning to the reference evaluator: over random
+// predicates and segments of a few rows (narrow zone maps, so pruning fires
+// often), a pruned segment must hold no row that passes.
+func TestMayMatchSound(t *testing.T) {
+	rng := mt.New(0x20E5)
+	g := &diffGen{rng: rng}
+	pruned := 0
+	trials := 100 * diffTrials(t)
+	for trial := 0; trial < trials; trial++ {
+		pred := g.boolExpr(3)
+		batch, rows := diffBatch(rng, 1+int(rng.Uint64()%3))
+		zones := make([]column.ZoneMap, len(batch.Vecs))
+		for c, v := range batch.Vecs {
+			zones[c] = column.BuildZoneMap(v)
+		}
+		if mayMatch(pred.expr(), batch.Schema, zones) {
+			continue
+		}
+		pruned++
+		for _, r := range rows {
+			if pred.evalBool(r) {
+				t.Fatalf("trial %d: %s: pruned a segment holding the passing row %+v", trial, pred, r)
+			}
+		}
 	}
-	if !ZoneF("c", 2, 3).ok(zf) || ZoneF("c", 3, 4).ok(zf) {
-		t.Fatal("ZoneF pruning wrong")
-	}
-	if !ZoneS("c", "c", "c").ok(zs) || ZoneS("c", "e", "f").ok(zs) {
-		t.Fatal("ZoneS pruning wrong")
+	if pruned < trials/100 {
+		t.Fatalf("only %d of %d trials pruned; the test is vacuous", pruned, trials)
 	}
 }
 

@@ -18,33 +18,11 @@ type Source interface {
 	Next(ctx context.Context) (*table.Batch, error)
 }
 
-// ZonePred prunes segments whose zone map cannot match.
-type ZonePred struct {
-	Col string
-	ok  func(z column.ZoneMap) bool
-}
-
-// ZoneI prunes on an int64 range [lo, hi].
-func ZoneI(col string, lo, hi int64) ZonePred {
-	return ZonePred{Col: col, ok: func(z column.ZoneMap) bool { return z.MayContainI64(lo, hi) }}
-}
-
-// ZoneF prunes on a float range [lo, hi].
-func ZoneF(col string, lo, hi float64) ZonePred {
-	return ZonePred{Col: col, ok: func(z column.ZoneMap) bool { return z.MayContainF64(lo, hi) }}
-}
-
-// ZoneS prunes on a string range [lo, hi].
-func ZoneS(col string, lo, hi string) ZonePred {
-	return ZonePred{Col: col, ok: func(z column.ZoneMap) bool { return z.MayContainStr(lo, hi) }}
-}
-
 // ScanOptions tunes a table scan.
 type ScanOptions struct {
-	// Filter, if non-nil, is applied to every segment batch.
+	// Filter, if non-nil, is applied to every segment batch; segments whose
+	// zone maps show that no row can pass it are skipped before any I/O.
 	Filter Expr
-	// Zones prune whole segments before any I/O.
-	Zones []ZonePred
 	// Prefetch is the segment read-ahead window. Zero selects 4; a
 	// negative value disables read-ahead entirely, making the scan fully
 	// synchronous (deterministic simulation harnesses rely on this).
@@ -89,19 +67,7 @@ func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
 		s.cols = append(s.cols, i)
 	}
 	for seg := 0; seg < t.Segments(); seg++ {
-		sm := t.Seg(seg)
-		keep := true
-		for _, zp := range opts.Zones {
-			ci := t.Schema().ColIndex(zp.Col)
-			if ci < 0 {
-				return nil, fmt.Errorf("exec: zone predicate on unknown column %q", zp.Col)
-			}
-			if !zp.ok(sm.Zones[ci]) {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if mayMatch(opts.Filter, t.Schema(), t.Seg(seg).Zones) {
 			s.segs = append(s.segs, seg)
 		}
 	}

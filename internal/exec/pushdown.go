@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 
 	"cloudiq/internal/column"
 	"cloudiq/internal/expr"
@@ -75,18 +76,21 @@ func estimateSelectivity(e Expr, sch table.Schema, zones []column.ZoneMap) float
 	return 0.5
 }
 
-// colConst matches the shape "column OP numeric literal".
-func colConst(col, lit Expr) (string, float64, bool) {
-	if col == nil || lit == nil || col.Op != expr.OpCol {
-		return "", 0, false
+// colCmpLit matches "column OP literal" in either operand order and returns
+// it column first, the comparison mirrored if the literal came first.
+func colCmpLit(e Expr) (col string, op expr.Op, lit Expr, ok bool) {
+	a, b, op := e.Args[0], e.Args[1], e.Op
+	if a != nil && a.Op != expr.OpCol {
+		a, b, op = b, a, flipCmp[op]
 	}
-	switch lit.Op {
-	case expr.OpInt:
-		return col.Col, float64(lit.I), true
-	case expr.OpFloat:
-		return col.Col, lit.F, true
+	if a == nil || b == nil || a.Op != expr.OpCol {
+		return "", 0, nil, false
 	}
-	return "", 0, false
+	switch b.Op {
+	case expr.OpInt, expr.OpFloat, expr.OpStr:
+		return a.Col, op, b, true
+	}
+	return "", 0, nil, false
 }
 
 // flipCmp mirrors a comparison for swapped operands; eq and ne are symmetric.
@@ -94,21 +98,21 @@ var flipCmp = map[expr.Op]expr.Op{expr.OpEq: expr.OpEq, expr.OpNe: expr.OpNe,
 	expr.OpLt: expr.OpGt, expr.OpLe: expr.OpGe, expr.OpGt: expr.OpLt, expr.OpGe: expr.OpLe}
 
 func cmpSelectivity(e Expr, sch table.Schema, zones []column.ZoneMap) float64 {
-	op := e.Op
-	col, c, ok := colConst(e.Args[0], e.Args[1])
-	if !ok {
-		// Try the mirrored form: const OP col.
-		col, c, ok = colConst(e.Args[1], e.Args[0])
-		op = flipCmp[op]
-	}
-	if !ok {
-		return 0.5
-	}
+	col, op, lit, ok := colCmpLit(e)
 	ci := sch.ColIndex(col)
-	if ci < 0 || ci >= len(zones) {
+	if !ok || lit.Op == expr.OpStr || ci < 0 || ci >= len(zones) {
 		return 0.5
 	}
-	return rangeSelectivity(op, c, zones[ci])
+	return rangeSelectivity(op, numLit(lit), zones[ci])
+}
+
+// numLit is a numeric literal's value as the evaluator's mixed comparisons
+// see it.
+func numLit(lit Expr) float64 {
+	if lit.Op == expr.OpInt {
+		return float64(lit.I)
+	}
+	return lit.F
 }
 
 // rangeSelectivity treats the zone-map range as a uniform distribution:
@@ -175,6 +179,78 @@ func clamp01(f float64) float64 {
 		return 1
 	}
 	return f
+}
+
+// --- zone pruning ----------------------------------------------------------
+
+// mayMatch reports whether any row of a segment with these zone maps can pass
+// the filter. Scan skips a segment on false without reading it, so false must
+// be certain: only what min/max bounds decide exactly is decided — a column
+// compared with a literal, joined by AND/OR — and every other shape keeps the
+// segment. The density estimate above is no substitute; it rounds at float
+// boundaries.
+func mayMatch(e Expr, sch table.Schema, zones []column.ZoneMap) bool {
+	switch {
+	case e == nil || len(e.Args) != 2:
+		return true
+	case e.Op == expr.OpAnd:
+		return mayMatch(e.Args[0], sch, zones) && mayMatch(e.Args[1], sch, zones)
+	case e.Op == expr.OpOr:
+		return mayMatch(e.Args[0], sch, zones) || mayMatch(e.Args[1], sch, zones)
+	case e.Op >= expr.OpEq && e.Op <= expr.OpGe:
+		return cmpMayMatch(e, sch, zones)
+	}
+	return true
+}
+
+// cmpMayMatch asks the column's zone map whether it overlaps the values a
+// "column OP literal" comparison accepts. The literal must be of the column's
+// type, or an int against a float column (promoted as the evaluator promotes
+// it); any other pairing keeps the segment, leaving the comparison — or the
+// type error — to Eval.
+func cmpMayMatch(e Expr, sch table.Schema, zones []column.ZoneMap) bool {
+	col, op, lit, ok := colCmpLit(e)
+	ci := sch.ColIndex(col)
+	if !ok || op == expr.OpNe || ci < 0 || ci >= len(zones) {
+		return true
+	}
+	z := zones[ci]
+	switch {
+	case z.Typ == column.Int64 && lit.Op == expr.OpInt:
+		// Integers turn a strict bound into an inclusive one exactly.
+		c := lit.I
+		switch {
+		case op == expr.OpLt && c == math.MinInt64, op == expr.OpGt && c == math.MaxInt64:
+			return false
+		case op == expr.OpLt:
+			c--
+		case op == expr.OpGt:
+			c++
+		}
+		return z.MayContainI64(accepted(op, z.MinI64, z.MaxI64, c))
+	case z.Typ == column.Float64 && lit.Op != expr.OpStr:
+		c := numLit(lit)
+		if c != c {
+			return true // NaN compares equal to every value
+		}
+		return z.MayContainF64(accepted(op, z.MinF64, z.MaxF64, c))
+	case z.Typ == column.String && lit.Op == expr.OpStr:
+		return z.MayContainStr(accepted(op, z.MinStr, z.MaxStr, lit.S))
+	}
+	return true
+}
+
+// accepted cuts a zone's own [min, max] down to the closed range that
+// "OP c" accepts; a strict bound stays inclusive, which only keeps more.
+func accepted[T cmp.Ordered](op expr.Op, min, max, c T) (lo, hi T) {
+	switch op {
+	case expr.OpEq:
+		return c, c
+	case expr.OpLt, expr.OpLe:
+		return min, c
+	default: // OpGt, OpGe
+		return c, max
+	}
 }
 
 // --- scan integration ------------------------------------------------------

@@ -74,8 +74,8 @@ const (
 	// upload as if the process died before it drained.
 	OCMUploadDrop Site = "ocm.uploaddrop"
 
-	// Coordinator<->writer RPCs (internal/multiplex and the crashsim
-	// closures). A fault on RPCNotify models a lost commit notification.
+	// Coordinator<->writer RPCs (internal/multiplex and the simtest
+	// cluster's closures). A fault on RPCNotify models a lost commit notification.
 	// RPCProbe fails a health probe — a partition between the cluster
 	// controller and the probed node, which can make a live coordinator
 	// look dead and trigger a (fenced, therefore safe) failover.

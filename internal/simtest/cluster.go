@@ -51,10 +51,10 @@ type ClusterConfig struct {
 // object store, one log device per node — and the node handles currently
 // "running" on it. Crashing a node abandons its handle (RAM state is lost,
 // devices and store survive); reopening replays its WAL. All methods are for
-// single-goroutine deterministic drivers; the same wiring (allocation RPC
+// single-goroutine deterministic drivers: the iqsim runner, which also runs
+// the crash-cycle scripts. The RPC wiring is faulted throughout — allocation
 // gated by RPCAlloc, notifications dropped by RPCNotify outside recovery,
-// restart announcements gated by RPCRestart) backs both the iqsim runner and
-// the crashsim suite.
+// restart announcements gated by RPCRestart.
 type Cluster struct {
 	cfg ClusterConfig
 

@@ -359,6 +359,60 @@ func generate(seed uint64, queries, cluster, delta bool) *Script {
 	return sc
 }
 
+// CrashCycles builds the crash/recover suite as an ordinary script: a fixed
+// schedule, not a random mix. Every cycle opens with a quiescent point
+// (recover the whole multiplex in Table 1's order — replay, re-notification,
+// restart GC, GC — then every oracle) and checkpoints all nodes every fourth
+// cycle, so later recoveries go through checkpoint restore instead of full
+// replay. Then every node opens a transaction and appends, and one process
+// dies while all the others' transactions are still open: a secondary writer
+// (rotating) in the middle of its commit's page flush, after a number of
+// uploads drawn from the seed; the same writer with its transaction only in
+// RAM; or the coordinator. The dead process restarts at once, so the restart
+// GC that reclaims its orphaned key ranges runs beside keys the survivors
+// have consumed but not yet committed — the hazard the suite exists for —
+// and then the survivors commit. The suite runs as CrashCycles(seed, 1, 51)
+// (coordinator + one writer) and CrashCycles(seed, 2, 21).
+func CrashCycles(seed uint64, writers, cycles int) *Script {
+	rng := mt.New(seed)
+	sc := &Script{
+		Seed: seed, Writers: writers, Tables: 1, SegRows: 8, Retent: 60, MissReads: 2,
+		FaultPut: true, FaultDelete: true, FaultVisibility: true, FaultRPC: true,
+	}
+	nodes := sc.NodeNames()
+	add := func(op Op, node string, arg int) {
+		sc.Steps = append(sc.Steps, Step{Op: op, Node: node, Table: -1, Arg: arg})
+	}
+	for c := 0; c < cycles; c++ {
+		add(OpQuiesce, "", 0)
+		if c%4 == 3 {
+			// Writers first: a writer checkpoint is safe only once its earlier
+			// commits were re-notified, which the quiesce just did.
+			for i := len(nodes) - 1; i >= 0; i-- {
+				add(OpCheckpoint, nodes[i], 0)
+			}
+		}
+		for _, n := range nodes {
+			add(OpBegin, n, 0)
+			sc.Steps = append(sc.Steps, Step{Op: OpAppend, Node: n, Table: 0, Rows: 3 * sc.SegRows})
+		}
+		victim := nodes[1+c%writers]
+		switch c % 3 {
+		case 0:
+			add(OpCrashCommit, victim, 1+int(rng.Uint64()%8))
+		case 1:
+			add(OpCrash, victim, 0)
+		case 2:
+			add(OpCrash, "coord", 0)
+		}
+		for _, n := range nodes {
+			add(OpCommit, n, 0)
+		}
+	}
+	add(OpQuiesce, "", 0)
+	return sc
+}
+
 // String serializes the script in the text format Parse reads — the
 // reproducer `iqsim -script` takes.
 func (sc *Script) String() string {

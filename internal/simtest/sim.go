@@ -15,6 +15,7 @@ import (
 	"cloudiq/internal/iomodel"
 	"cloudiq/internal/mt"
 	"cloudiq/internal/objstore"
+	"cloudiq/internal/pageio"
 	"cloudiq/internal/sched"
 )
 
@@ -181,6 +182,13 @@ type runner struct {
 // Run executes one simulation and returns its deterministic report. A nil
 // error means every oracle held at every quiescent point.
 func Run(ctx context.Context, opts Options) (*Report, error) {
+	return runWithStats(ctx, opts, nil)
+}
+
+// runWithStats is Run with every node's per-layer pageio counters collected
+// in ioStats (nil collects nothing). It exists for the package's own tests,
+// which assert that a whole simulation went through the pageio pipeline.
+func runWithStats(ctx context.Context, opts Options, ioStats *pageio.StatsRegistry) (*Report, error) {
 	sc := opts.Script
 	if sc == nil {
 		switch {
@@ -257,6 +265,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		Plan:        plan,
 		Store:       store,
 		Scale:       scale,
+		IOStats:     ioStats,
 		BrokenRetry: opts.BrokenRetry,
 		Ambient:     ambient,
 	}

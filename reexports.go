@@ -157,8 +157,6 @@ type (
 	Source = exec.Source
 	// ScanOptions tunes a table scan.
 	ScanOptions = exec.ScanOptions
-	// ZonePred prunes segments by zone map.
-	ZonePred = exec.ZonePred
 	// NamedExpr pairs an output name with an expression.
 	NamedExpr = exec.NamedExpr
 	// Agg is one aggregate column.
@@ -247,10 +245,6 @@ var (
 	SortBatch = exec.Sort
 	// Limit truncates a batch.
 	Limit = exec.Limit
-	// ZoneI / ZoneF / ZoneS build zone predicates.
-	ZoneI = exec.ZoneI
-	ZoneF = exec.ZoneF
-	ZoneS = exec.ZoneS
 )
 
 // Multiplex distribution layer (coordinator RPC endpoint + node clients).

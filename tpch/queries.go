@@ -112,7 +112,6 @@ func (c *Conn) q1(ctx context.Context) (*cloudiq.Batch, error) {
 		[]string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"},
 		cloudiq.ScanOptions{
 			Filter: le(cref("l_shipdate"), iv(cutoff)),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", 0, cutoff)},
 		})
 	if err != nil {
 		return nil, err
@@ -234,7 +233,6 @@ func (c *Conn) q3(ctx context.Context) (*cloudiq.Batch, error) {
 	ord, err := c.scan("orders", []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"},
 		cloudiq.ScanOptions{
 			Filter: lt(cref("o_orderdate"), iv(cut)),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("o_orderdate", 0, cut-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -276,7 +274,6 @@ func (c *Conn) q4(ctx context.Context) (*cloudiq.Batch, error) {
 	ord, err := c.scan("orders", []string{"o_orderkey", "o_orderpriority", "o_orderdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("o_orderdate"), iv(lo)), lt(cref("o_orderdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("o_orderdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -312,7 +309,6 @@ func (c *Conn) q5(ctx context.Context) (*cloudiq.Batch, error) {
 	ord, err := c.scan("orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("o_orderdate"), iv(lo)), lt(cref("o_orderdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("o_orderdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -359,7 +355,6 @@ func (c *Conn) q6(ctx context.Context) (*cloudiq.Batch, error) {
 					lt(cref("l_quantity"), fv(24)),
 				),
 			),
-			Zones: []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -418,7 +413,6 @@ func (c *Conn) q7(ctx context.Context) (*cloudiq.Batch, error) {
 	li, err := c.scan("lineitem", []string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("l_shipdate"), iv(lo)), le(cref("l_shipdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", lo, hi)},
 		})
 	if err != nil {
 		return nil, err
@@ -474,7 +468,6 @@ func (c *Conn) q8(ctx context.Context) (*cloudiq.Batch, error) {
 	ord, err := c.scan("orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("o_orderdate"), iv(lo)), le(cref("o_orderdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("o_orderdate", lo, hi)},
 		})
 	if err != nil {
 		return nil, err
@@ -621,7 +614,6 @@ func (c *Conn) q10(ctx context.Context) (*cloudiq.Batch, error) {
 	ord, err := c.collect(ctx, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("o_orderdate"), iv(lo)), lt(cref("o_orderdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("o_orderdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err

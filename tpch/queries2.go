@@ -22,7 +22,6 @@ func (c *Conn) q12(ctx context.Context) (*cloudiq.Batch, error) {
 					and2(ge(cref("l_receiptdate"), iv(lo)), lt(cref("l_receiptdate"), iv(hi))),
 				),
 			),
-			Zones: []cloudiq.ZonePred{cloudiq.ZoneI("l_receiptdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -84,7 +83,6 @@ func (c *Conn) q14(ctx context.Context) (*cloudiq.Batch, error) {
 	li, err := c.scan("lineitem", []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -115,7 +113,6 @@ func (c *Conn) q15(ctx context.Context) (*cloudiq.Batch, error) {
 	li, err := c.scan("lineitem", []string{"l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
@@ -370,7 +367,6 @@ func (c *Conn) q20(ctx context.Context) (*cloudiq.Batch, error) {
 	li, err := c.scan("lineitem", []string{"l_partkey", "l_suppkey", "l_quantity", "l_shipdate"},
 		cloudiq.ScanOptions{
 			Filter: and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))),
-			Zones:  []cloudiq.ZonePred{cloudiq.ZoneI("l_shipdate", lo, hi-1)},
 		})
 	if err != nil {
 		return nil, err
