@@ -1,261 +1,41 @@
 package cloudiq_test
 
-// Benchmark harness: one testing.B benchmark per table and figure in the
-// paper's evaluation (§6), plus ablation benches for the design choices
-// DESIGN.md calls out. Each benchmark executes the corresponding experiment
-// from internal/bench at a reduced scale factor and reports simulated
-// seconds via b.ReportMetric; absolute wall times include real sleeps at the
+// Benchmark harness: one sub-benchmark per row of bench.Experiments — every
+// table and figure in the paper's evaluation (§6), the ablations for the
+// design choices DESIGN.md calls out, and the repo's own experiments. Each
+// executes the experiment at a reduced scale factor and logs its tables; the
+// numbers are simulated seconds, while ns/op includes real sleeps at the
 // configured time scale. Run a single experiment with e.g.
 //
-//	go test -bench BenchmarkTable2 -benchtime 1x
+//	go test -bench 'BenchmarkPaper/table2$' -benchtime 1x
 //
-// or the whole suite (the cmd/iqbench binary prints the full tables).
+// or the whole suite (the cmd/iqbench binary prints the full tables and
+// writes the JSON report).
 
 import (
 	"context"
 	"testing"
-	"time"
 
 	"cloudiq"
 	"cloudiq/internal/bench"
 )
 
-// benchOpts are deliberately small so `go test -bench .` completes in
-// minutes; cmd/iqbench uses larger defaults for the printed tables.
-func benchOpts() bench.Options {
-	return bench.Options{SF: 0.004, TimeScale: 0.02, FilesPerTable: 4}
-}
-
-// BenchmarkTable1Recovery replays the recovery/GC walkthrough of Table 1.
-func BenchmarkTable1Recovery(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		events, err := bench.RunTable1(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(events) != 11 {
-			b.Fatalf("events = %d", len(events))
-		}
-	}
-}
-
-// BenchmarkTable2_VolumeComparison regenerates Table 2 (and feeds Tables
-// 3/4): load + Q1–Q22 on S3, EBS and EFS.
-func BenchmarkTable2_VolumeComparison(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		runs, err := bench.RunVolumeComparison(ctx, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range runs {
-			b.ReportMetric(r.LoadSim, r.Volume+"_load_sim_s")
-			b.ReportMetric(r.GeoMean, r.Volume+"_geomean_sim_s")
-		}
-	}
-}
-
-// BenchmarkTable3Costs prices the volume-comparison runs.
-func BenchmarkTable3Costs(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		runs, err := bench.RunVolumeComparison(ctx, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		costs, err := bench.Costs(runs, "m5ad.24xlarge")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range costs {
-			b.ReportMetric(c.LoadCost, c.Volume+"_load_usd")
-			b.ReportMetric(c.QueryCost, c.Volume+"_query_usd")
-		}
-	}
-}
-
-// BenchmarkTable4StorageCost prices the compressed data at rest.
-func BenchmarkTable4StorageCost(b *testing.B) {
-	ctx := context.Background()
-	opts := benchOpts()
-	opts.Volume = "s3"
-	opts.OCM = true
-	e, err := bench.Setup(ctx, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	stored := e.Store.StoredBytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.StorageCosts(stored)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !(rows[0].Monthly < rows[1].Monthly && rows[1].Monthly < rows[2].Monthly) {
-			b.Fatalf("ordering: %+v", rows)
-		}
-	}
-	b.ReportMetric(float64(stored), "compressed_bytes")
-}
-
-// BenchmarkTable5OCMUtilization measures OCM hit/miss/eviction counters
-// during the query run (Table 5).
-func BenchmarkTable5OCMUtilization(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		runs, err := bench.RunOCM(ctx, benchOpts(), bench.M5ad24xl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := runs[0].Stats
-		b.ReportMetric(float64(st.Hits), "hits")
-		b.ReportMetric(float64(st.Misses), "misses")
-		b.ReportMetric(float64(st.Evictions), "evictions")
-		b.ReportMetric(st.HitRate()*100, "hit_pct")
-	}
-}
-
-// BenchmarkFig6OCM_SmallInstance measures per-query OCM impact on the
-// m5ad.4xlarge profile (Figure 6, left).
-func BenchmarkFig6OCM_SmallInstance(b *testing.B) {
-	benchmarkFig6(b, bench.M5ad4xl)
-}
-
-// BenchmarkFig6OCM_LargeInstance measures per-query OCM impact on the
-// m5ad.24xlarge profile (Figure 6, right).
-func BenchmarkFig6OCM_LargeInstance(b *testing.B) {
-	benchmarkFig6(b, bench.M5ad24xl)
-}
-
-func benchmarkFig6(b *testing.B, inst bench.Instance) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		runs, err := bench.RunOCM(ctx, benchOpts(), inst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var with, without float64
-		for q := 0; q < 22; q++ {
-			with += runs[0].WithOCM[q]
-			without += runs[0].WithoutOCM[q]
-		}
-		b.ReportMetric(with, "ocm_total_sim_s")
-		b.ReportMetric(without, "no_ocm_total_sim_s")
-	}
-}
-
-// BenchmarkFig7ScaleUp runs the instance ladder (16/48/96 CPUs).
-func BenchmarkFig7ScaleUp(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		points, err := bench.RunScaleUp(ctx, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			b.ReportMetric(p.TotalSim, p.Instance+"_total_sim_s")
-		}
-	}
-}
-
-// BenchmarkFig8LoadBandwidth samples NIC utilization during the load.
-func BenchmarkFig8LoadBandwidth(b *testing.B) {
-	ctx := context.Background()
-	opts := benchOpts()
-	opts.TimeScale = 0.1 // the sampler needs wall time to tick
-	for i := 0; i < b.N; i++ {
-		samples, err := bench.RunLoadBandwidth(ctx, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var peak float64
-		for _, s := range samples {
-			if s.Gbps > peak {
-				peak = s.Gbps
+// BenchmarkPaper runs every experiment of the table, deliberately small so
+// `go test -bench .` completes in minutes; cmd/iqbench uses larger defaults
+// for the printed tables.
+func BenchmarkPaper(b *testing.B) {
+	opts := bench.Options{SF: 0.004, TimeScale: 0.02, FilesPerTable: 4}
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			var entry bench.ExperimentReport
+			for i := 0; i < b.N; i++ {
+				var err error
+				if entry, err = e.Report(context.Background(), opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(peak, "peak_gbps")
-	}
-}
-
-// BenchmarkFig9ScaleOut runs 8 query streams over 2 and 4 reader nodes.
-func BenchmarkFig9ScaleOut(b *testing.B) {
-	ctx := context.Background()
-	opts := benchOpts()
-	opts.TimeScale = 0.05
-	for i := 0; i < b.N; i++ {
-		points, err := bench.RunScaleOut(ctx, opts, []int{2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			b.ReportMetric(p.TotalSim, nodesLabel(p.Nodes))
-		}
-	}
-}
-
-func nodesLabel(n int) string {
-	return map[int]string{1: "n1_sim_s", 2: "n2_sim_s", 4: "n4_sim_s", 8: "n8_sim_s"}[n]
-}
-
-// --- ablations ---
-
-// BenchmarkAblationPrefixHashing compares hashed vs sequential key prefixes
-// under per-prefix request throttling (§3.1).
-func BenchmarkAblationPrefixHashing(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationPrefixHashing(ctx, 40, 0.002)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].SimSec, "hashed_sim_s")
-		b.ReportMetric(rows[1].SimSec, "sequential_sim_s")
-	}
-}
-
-// BenchmarkAblationKeyRangeSize compares cached key ranges against one key
-// per coordinator RPC (§3.2).
-func BenchmarkAblationKeyRangeSize(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationKeyRangeSize(ctx, 5000, 2*time.Millisecond, 0.002)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].SimSec, "ranged_sim_s")
-		b.ReportMetric(rows[1].SimSec, "per_key_sim_s")
-	}
-}
-
-// BenchmarkAblationRetryPolicy demonstrates bounded retry-until-found under
-// eventual consistency (§3).
-func BenchmarkAblationRetryPolicy(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationRetryPolicy(ctx, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows[1].Note != "0/100 reads failed" {
-			b.Fatalf("retries did not recover reads: %+v", rows[1])
-		}
-	}
-}
-
-// BenchmarkAblationOCMWriteMode compares churn-phase write-back against
-// write-through (§4).
-func BenchmarkAblationOCMWriteMode(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationOCMWriteMode(ctx, 200, 0.002, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].SimSec, "writeback_churn_sim_s")
-		b.ReportMetric(rows[1].SimSec, "writethrough_churn_sim_s")
+			b.Logf("%s\n%s", e.Title, entry.Result.Table())
+		})
 	}
 }
 

@@ -69,8 +69,6 @@ type Config struct {
 	PrefetchWorkers int
 	// Compress enables page-level compression.
 	Compress bool
-	// BlockmapFanout is the blockmap tree fanout. Zero selects 64.
-	BlockmapFanout int
 	// Scale is the simulated-time scale shared with the storage devices.
 	// Nil disables latency simulation inside the engine (retry backoff).
 	Scale *iomodel.Scale
@@ -80,7 +78,8 @@ type Config struct {
 	Faults *faultinject.Plan
 	// IOStats, when non-nil, collects per-layer pageio counters and latency
 	// histograms from every dbspace and OCM cache attached to this node.
-	// Dump it with its WriteJSON method (iqbench -iostats does).
+	// Read it with Snapshot or dump it with WriteJSON (an iqbench -out
+	// report carries each experiment's snapshot as its "layers").
 	IOStats *pageio.StatsRegistry
 	// Trace, when non-nil, collects structured spans from commits, recovery,
 	// buffer flushes, scans and every pageio layer of every dbspace attached
@@ -138,9 +137,6 @@ func Open(ctx context.Context, cfg Config) (*Database, error) {
 	}
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
-	}
-	if cfg.BlockmapFanout <= 0 {
-		cfg.BlockmapFanout = 64
 	}
 	if cfg.LogDevice == nil {
 		cfg.LogDevice = blockdev.NewMem(blockdev.Config{Growable: true})
@@ -240,10 +236,8 @@ type CloudOptions struct {
 	// CacheDevice, when non-nil, enables the Object Cache Manager on this
 	// dbspace, backed by the given locally attached device.
 	CacheDevice blockdev.Device
-	// CacheBlockSize is the OCM allocation granularity (default 4096).
-	CacheBlockSize int
-	// ReadRetries / WriteRetries / RetryDelay tune eventual-consistency
-	// retry behaviour; zero values select defaults.
+	// ReadRetries / WriteRetries bound eventual-consistency retries; zero
+	// values select defaults.
 	ReadRetries  int
 	WriteRetries int
 	// SequentialKeys disables hashed key prefixes (ablation only).
@@ -272,12 +266,11 @@ func (db *Database) AttachCloudDbspace(name string, store objstore.Store, opts C
 	}
 	if opts.CacheDevice != nil {
 		cache, err := ocm.New(ocm.Config{
-			Device:    opts.CacheDevice,
-			Store:     store,
-			BlockSize: opts.CacheBlockSize,
-			Workers:   db.cfg.PrefetchWorkers,
-			Stats:     db.cfg.IOStats,
-			Trace:     db.cfg.Trace,
+			Device:  opts.CacheDevice,
+			Store:   store,
+			Workers: db.cfg.PrefetchWorkers,
+			Stats:   db.cfg.IOStats,
+			Trace:   db.cfg.Trace,
 		})
 		if err != nil {
 			return fmt.Errorf("cloudiq: dbspace %q: %w", name, err)

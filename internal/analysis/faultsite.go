@@ -6,86 +6,66 @@ import (
 	"strings"
 )
 
-// boundaryPkgs are the storage-boundary packages: every exported mutating
-// operation they offer must be reachable by the fault planner, or new
-// operations silently escape crash-simulation coverage.
-var boundaryPkgs = map[string]bool{
-	"objstore": true,
-	"blockdev": true,
-	"wal":      true,
-	"ocm":      true,
-	"pageio":   true,
+// obligation is one row of the faultsite rule: in the packages named by pkgs,
+// every exported context-first method on an exported type whose name starts
+// with one of prefixes must reach a fault hook. The context-first requirement
+// separates real operations from similarly-named counter accessors
+// (Metrics.Puts, Stats.Writes, Log.CheckpointLSN).
+type obligation struct {
+	kind     string
+	pkgs     []string
+	prefixes []string
 }
 
-// mutatingPrefixes identify state-changing operations by name. Read paths
-// (Get, ReadAt, List, Exists, Replay) are injected too in practice, but the
-// invariant the paper needs is that no WRITE can bypass fault coverage —
-// a write that never sees a fault in simulation is a write whose failure
-// handling is never exercised.
-var mutatingPrefixes = []string{"Put", "Write", "Append", "Delete", "Checkpoint", "Remove", "Truncate"}
+func (o obligation) covers(pkg string) bool { return contains(o.pkgs, pkg) }
 
-// servingPkgs are admission boundaries: packages whose exported serving
-// entry points take work in from concurrent clients. Their obligation is the
-// serving analogue of the write rule — a query that can be admitted without
-// passing a fault site is a query whose rejection handling is never
-// exercised by the crash simulator.
-var servingPkgs = map[string]bool{
-	"sched": true,
+func (o obligation) names(method string) bool {
+	for _, p := range o.prefixes {
+		if strings.HasPrefix(method, p) {
+			return true
+		}
+	}
+	return false
 }
 
-// servingPrefixes identify admission entry points by name (Scheduler.Run and
-// friends). The context-first requirement below separates them from
-// similarly-named pure helpers.
-var servingPrefixes = []string{"Run"}
+// writeRule is the storage-boundary obligation. Read paths (Get, ReadAt,
+// List, Exists, Replay) are injected too in practice, but the invariant the
+// paper needs is that no WRITE can bypass fault coverage — a write that never
+// sees a fault in simulation is a write whose failure handling is never
+// exercised. A call into a different package it covers also discharges an
+// obligation (isBoundaryDelegate).
+var writeRule = obligation{"mutating",
+	[]string{"objstore", "blockdev", "wal", "ocm", "pageio"},
+	[]string{"Put", "Write", "Append", "Delete", "Checkpoint", "Remove", "Truncate"}}
 
-// reconcilePkgs are control-loop boundaries: packages whose exported
-// reconcile entry points mutate cluster topology (promotions, restarts,
-// scaling). Their obligation mirrors the write rule one level up — a
-// reconcile round that cannot be crashed by the fault planner is a failover
-// path whose mid-takeover behavior the simulator never exercises.
-var reconcilePkgs = map[string]bool{
-	"cluster": true,
+// obligations is the whole rule: one row per boundary. A package may appear
+// in several rows; a method is checked under the first row that names it.
+var obligations = []obligation{
+	writeRule,
+	// Admission (Scheduler.Run): a query that can be admitted without
+	// passing a fault site is one whose rejection handling the crash
+	// simulator never exercises.
+	{"serving", []string{"sched"}, []string{"Run"}},
+	// Control loop (Controller.ReconcileOnce, Converge): a reconcile round
+	// the planner cannot crash is a failover path whose mid-takeover
+	// behaviour is never exercised.
+	{"reconcile", []string{"cluster"}, []string{"Reconcile", "Converge"}},
+	// Compute pushdown (MemStore.Select), the read-path exception to the
+	// write rule: a pushdown that cannot fail is a fallback-to-plain-reads
+	// path never taken, which is where a scan would silently diverge.
+	{"select", []string{"objstore"}, []string{"Select"}},
+	// Ingest lane (Compactor.CompactTable, CompactAll): a drain the planner
+	// cannot doom is a crash-mid-swap recovery never exercised, which is
+	// where trickle rows would be lost or duplicated.
+	{"compact", []string{"delta"}, []string{"Compact"}},
 }
 
-// reconcilePrefixes identify reconcile entry points by name
-// (Controller.ReconcileOnce, Controller.Converge).
-var reconcilePrefixes = []string{"Reconcile", "Converge"}
-
-// selectPkgs are compute-pushdown boundaries: packages whose exported
-// Select-family entry points evaluate plans store-side. Their obligation is
-// the read-path exception to the write rule: a pushdown that cannot be
-// failed by the fault planner is a fallback-to-plain-reads path the
-// simulator never exercises, which is exactly where a scan would silently
-// diverge.
-var selectPkgs = map[string]bool{
-	"objstore": true,
-}
-
-// selectPrefixes identify pushdown entry points by name (MemStore.Select).
-var selectPrefixes = []string{"Select"}
-
-// compactPkgs are ingest-lane boundaries: packages whose exported compaction
-// entry points drain delta rows into encoded segments and publish the swap.
-// Their obligation is the write rule for background work — a compaction
-// cycle the fault planner cannot doom is a drain whose crash-mid-swap
-// recovery the simulator never exercises, which is exactly where trickle
-// rows would be lost or duplicated.
-var compactPkgs = map[string]bool{
-	"delta": true,
-}
-
-// compactPrefixes identify compaction entry points by name
-// (Compactor.CompactTable, Compactor.CompactAll).
-var compactPrefixes = []string{"Compact"}
-
-// FaultSite checks that every exported mutating method on the
-// objstore/blockdev/wal/ocm boundary — and every serving, reconcile,
-// select, or compact entry point (sched admission, cluster controller
-// rounds, objstore pushdown, delta compaction) — routes through a
-// faultinject hook:
-// its same-package transitive call closure must reach Plan.Check or
-// Plan.LagAt, or delegate the mutation to another covered boundary (for
-// example, ocm's write paths delegate to objstore.Store.Put and
+// FaultSite checks that every method an obligation row names — exported
+// mutating methods on the objstore/blockdev/wal/ocm/pageio boundary, and the
+// serving, reconcile, select and compact entry points — routes through a
+// faultinject hook: its same-package transitive call closure must reach
+// Plan.Check or Plan.LagAt, or delegate the mutation to another covered
+// boundary (for example, ocm's write paths delegate to objstore.Store.Put and
 // blockdev.Device.WriteAt, which are themselves hooked).
 func FaultSite() *Analyzer {
 	a := &Analyzer{
@@ -94,9 +74,13 @@ func FaultSite() *Analyzer {
 	}
 	a.Run = func(pass *Pass) {
 		base := pkgBase(pass.Pkg.Path())
-		mutating, serving, reconciling := boundaryPkgs[base], servingPkgs[base], reconcilePkgs[base]
-		selecting, compacting := selectPkgs[base], compactPkgs[base]
-		if !mutating && !serving && !reconciling && !selecting && !compacting {
+		var rows []obligation
+		for _, o := range obligations {
+			if o.covers(base) {
+				rows = append(rows, o)
+			}
+		}
+		if len(rows) == 0 {
 			return
 		}
 		// Map every function/method declared in this unit to its body so
@@ -118,22 +102,12 @@ func FaultSite() *Analyzer {
 				if pass.InTestFile(fd.Pos()) {
 					continue
 				}
-				switch {
-				case mutating && isExportedMutatingMethod(fd, fn):
-					targets = append(targets, fd)
-					kinds[fd] = "mutating"
-				case serving && isExportedServingMethod(fd, fn):
-					targets = append(targets, fd)
-					kinds[fd] = "serving"
-				case reconciling && isExportedPrefixedMethod(fd, fn, reconcilePrefixes):
-					targets = append(targets, fd)
-					kinds[fd] = "reconcile"
-				case selecting && isExportedPrefixedMethod(fd, fn, selectPrefixes):
-					targets = append(targets, fd)
-					kinds[fd] = "select"
-				case compacting && isExportedPrefixedMethod(fd, fn, compactPrefixes):
-					targets = append(targets, fd)
-					kinds[fd] = "compact"
+				for _, o := range rows {
+					if isExportedPrefixedMethod(fd, fn, o) {
+						targets = append(targets, fd)
+						kinds[fd] = o.kind
+						break
+					}
 				}
 			}
 		}
@@ -151,12 +125,10 @@ func FaultSite() *Analyzer {
 	return a
 }
 
-// isExportedMutatingMethod selects exported methods on exported receiver
-// types whose name carries a mutating verb. Requiring a leading
-// context.Context parameter separates real I/O operations from
-// similarly-named counter accessors (Metrics.Puts, Stats.Writes,
-// Log.CheckpointLSN): every boundary mutation is context-aware.
-func isExportedMutatingMethod(fd *ast.FuncDecl, fn *types.Func) bool {
+// isExportedPrefixedMethod selects the methods o obliges: exported,
+// context-first methods on exported receiver types whose name carries one of
+// o's prefixes.
+func isExportedPrefixedMethod(fd *ast.FuncDecl, fn *types.Func, o obligation) bool {
 	if fd.Recv == nil || !fn.Exported() {
 		return false
 	}
@@ -164,52 +136,11 @@ func isExportedMutatingMethod(fd *ast.FuncDecl, fn *types.Func) bool {
 	if name == "" || !ast.IsExported(name) {
 		return false
 	}
-	if !hasMutatingName(fn.Name()) {
+	if !o.names(fn.Name()) {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
-}
-
-// isExportedServingMethod selects exported admission entry points on
-// exported receiver types in serving packages: Run-prefixed methods taking a
-// leading context.Context (the signature every concurrent client calls).
-func isExportedServingMethod(fd *ast.FuncDecl, fn *types.Func) bool {
-	return isExportedPrefixedMethod(fd, fn, servingPrefixes)
-}
-
-// isExportedPrefixedMethod selects exported, context-first methods on
-// exported receiver types whose name carries one of the given prefixes — the
-// shared shape of serving and reconcile obligations.
-func isExportedPrefixedMethod(fd *ast.FuncDecl, fn *types.Func, prefixes []string) bool {
-	if fd.Recv == nil || !fn.Exported() {
-		return false
-	}
-	name := recvTypeName(fn)
-	if name == "" || !ast.IsExported(name) {
-		return false
-	}
-	matched := false
-	for _, p := range prefixes {
-		if strings.HasPrefix(fn.Name(), p) {
-			matched = true
-			break
-		}
-	}
-	if !matched {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
-}
-
-func hasMutatingName(name string) bool {
-	for _, p := range mutatingPrefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
 }
 
 func recvTypeName(fn *types.Func) string {
@@ -281,8 +212,8 @@ func isFaultHook(fn *types.Func) bool {
 // obligations guarantee the hook.
 func isBoundaryDelegate(pass *Pass, fn *types.Func) bool {
 	path := fn.Pkg().Path()
-	if fn.Pkg() == pass.Pkg || !boundaryPkgs[pkgBase(path)] {
+	if fn.Pkg() == pass.Pkg || !writeRule.covers(pkgBase(path)) {
 		return false
 	}
-	return hasMutatingName(fn.Name())
+	return writeRule.names(fn.Name())
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 func ctxb() context.Context { return context.Background() }
@@ -52,25 +51,20 @@ func TestSetupAndPowerOnEveryVolume(t *testing.T) {
 		t.Errorf("S3 accounting: %+v", byVol["s3"])
 	}
 
-	costs, err := Costs(runs, "m5ad.24xlarge")
-	if err != nil || len(costs) != 3 {
-		t.Fatalf("costs = %v, %v", costs, err)
+	for _, r := range runs {
+		if r.LoadCost <= 0 || r.QueryCost <= 0 {
+			t.Errorf("%s: unpriced run: load $%g, query $%g", r.Volume, r.LoadCost, r.QueryCost)
+		}
 	}
-	storage, err := StorageCosts(byVol["s3"].StoredBytes)
-	if err != nil || len(storage) != 3 {
-		t.Fatal(err)
-	}
-	if !(storage[0].Monthly < storage[1].Monthly && storage[1].Monthly < storage[2].Monthly) {
-		t.Errorf("storage cost ordering wrong: %+v", storage)
+	if !(runs[0].Monthly < runs[1].Monthly && runs[1].Monthly < runs[2].Monthly) {
+		t.Errorf("storage cost ordering wrong: %+v", runs)
 	}
 	// EFS costs ~13x S3 for the same bytes.
-	if ratio := storage[2].Monthly / storage[0].Monthly; ratio < 12 || ratio > 14 {
+	if ratio := runs[2].Monthly / runs[0].Monthly; ratio < 12 || ratio > 14 {
 		t.Errorf("EFS/S3 storage ratio = %.1f", ratio)
 	}
-	for _, s := range []string{FormatVolumeRuns(runs), FormatCosts(costs), FormatStorage(storage)} {
-		if !strings.Contains(s, "S3") {
-			t.Errorf("format output missing S3 row:\n%s", s)
-		}
+	if s := runs.Table(); strings.Count(s, "S3") < 4 {
+		t.Errorf("Tables 2, 3, 4 and 4-extrapolated should each have an S3 row:\n%s", s)
 	}
 }
 
@@ -83,11 +77,11 @@ func TestOCMExperimentShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := runs[0]
-	if r.Stats.Hits == 0 {
-		t.Fatalf("OCM saw no hits: %+v", r.Stats)
+	if r.Hits == 0 {
+		t.Fatalf("OCM saw no hits: %+v", r)
 	}
-	if r.AvertedGets != r.Stats.Hits {
-		t.Fatalf("averted %d != hits %d", r.AvertedGets, r.Stats.Hits)
+	if r.AvertedGets != r.Hits {
+		t.Fatalf("averted %d != hits %d", r.AvertedGets, r.Hits)
 	}
 	// The OCM must help overall (geomean improvement, as in §6's ~25%).
 	with := geoMean(r.WithOCM[:])
@@ -99,7 +93,7 @@ func TestOCMExperimentShape(t *testing.T) {
 	if with >= without {
 		t.Errorf("OCM did not improve geomean: %.3f vs %.3f", with, without)
 	}
-	out := FormatOCM(runs)
+	out := runs.Table()
 	if !strings.Contains(out, "cache hits") {
 		t.Errorf("FormatOCM output:\n%s", out)
 	}
@@ -125,7 +119,7 @@ func TestScaleUpShape(t *testing.T) {
 	if points[2].TotalSim >= points[0].TotalSim {
 		t.Errorf("scale-up: 96 CPUs (%.2fs) not faster than 16 (%.2fs)", points[2].TotalSim, points[0].TotalSim)
 	}
-	if s := FormatScaleUp(points); !strings.Contains(s, "m5ad.24xlarge") {
+	if s := points.Table(); !strings.Contains(s, "m5ad.24xlarge") {
 		t.Errorf("format:\n%s", s)
 	}
 }
@@ -157,7 +151,7 @@ func TestLoadBandwidthSamples(t *testing.T) {
 	if peak > 14 {
 		t.Errorf("peak bandwidth %.1f Gbit/s exceeds the 9 Gbit/s model", peak)
 	}
-	_ = FormatBandwidth(samples)
+	_ = samples.Table()
 }
 
 func TestScaleOutShape(t *testing.T) {
@@ -181,7 +175,7 @@ func TestScaleOutShape(t *testing.T) {
 	if points[1].TotalSim >= points[0].TotalSim {
 		t.Errorf("scale-out: 4 nodes (%.2fs) not faster than 1 (%.2fs)", points[1].TotalSim, points[0].TotalSim)
 	}
-	if s := FormatScaleOut(points); !strings.Contains(s, "4") {
+	if s := points.Table(); !strings.Contains(s, "4") {
 		t.Errorf("format:\n%s", s)
 	}
 }
@@ -190,7 +184,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated-latency experiment")
 	}
-	prefix, err := AblationPrefixHashing(ctxb(), 40, 0.005)
+	prefix, err := AblationPrefixHashing(ctxb(), Options{TimeScale: 0.005}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +200,7 @@ func TestAblations(t *testing.T) {
 			prefix[0].SimSec, prefix[1].SimSec)
 	}
 
-	ranged, err := AblationKeyRangeSize(ctxb(), 3000, 2*time.Millisecond, 0.005)
+	ranged, err := AblationKeyRangeSize(ctxb(), Options{TimeScale: 0.005}, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +209,7 @@ func TestAblations(t *testing.T) {
 			ranged[0].SimSec, ranged[1].SimSec)
 	}
 
-	retry, err := AblationRetryPolicy(ctxb(), 50)
+	retry, err := AblationRetryPolicy(ctxb(), Options{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,5 +219,5 @@ func TestAblations(t *testing.T) {
 	if !strings.Contains(retry[1].Note, "0/50 reads failed") {
 		t.Errorf("retries=8 should recover every read: %+v", retry[1])
 	}
-	_ = FormatAblation("prefixes", prefix)
+	_ = Ablations{{Title: "prefixes", Rows: prefix}}.Table()
 }

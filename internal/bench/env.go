@@ -8,49 +8,57 @@ import (
 	"cloudiq"
 	"cloudiq/internal/iomodel"
 	"cloudiq/internal/pageio"
+	"cloudiq/internal/rfrb"
 	"cloudiq/internal/trace"
 	"cloudiq/tpch"
 )
 
-// Options configures one experiment environment.
+// Options configures one experiment environment. The JSON form is what a
+// Report records: the knobs a caller chooses for a whole run. Instance,
+// Volume, OCM, CacheBytes and SkipLoad are what each experiment sets for
+// itself, so the report leaves them out.
 type Options struct {
 	// SF is the TPC-H scale factor. Zero selects 0.01.
-	SF float64
+	SF float64 `json:"sf"`
 	// TimeScale maps simulated seconds to real seconds (0.05 = a simulated
 	// second costs 50 ms of wall time). Zero selects 0.05.
-	TimeScale float64
+	TimeScale float64 `json:"timescale"`
 	// BandwidthScale scales transfer-rate constants so that the dataset-to-
 	// bandwidth and per-page transfer-to-latency ratios stay in the paper's
 	// regime despite the small scale factor. Zero selects 0.01.
-	BandwidthScale float64
+	BandwidthScale float64 `json:"bandwidth_scale"`
 	// Instance selects the compute profile. Zero value selects m5ad.24xlarge.
-	Instance Instance
+	Instance Instance `json:"-"`
 	// Volume selects the user dbspace substrate: "s3", "ebs" or "efs".
-	Volume string
+	Volume string `json:"-"`
 	// OCM enables the Object Cache Manager (cloud dbspaces only).
-	OCM bool
-	// SegRows is the table segment size. Zero selects 2048.
-	SegRows int
+	OCM bool `json:"-"`
+	// SegRows is the table segment size. Zero selects 512.
+	SegRows int `json:"seg_rows"`
 	// FilesPerTable is the input-file fan-out. Zero selects 8.
-	FilesPerTable int
+	FilesPerTable int `json:"files_per_table"`
 	// Seed perturbs the latency jitter streams.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// CacheBytes overrides the buffer-manager budget (normally sized from
 	// the instance profile). The pushdown experiment uses a deliberately
 	// small cache so scans run in the cache-miss regime the paper's S3
 	// numbers live in.
-	CacheBytes int64
+	CacheBytes int64 `json:"-"`
 	// SkipLoad builds the environment without loading (the bandwidth
 	// experiment drives the load itself).
-	SkipLoad bool
+	SkipLoad bool `json:"-"`
 	// IOStats, when non-nil, collects the engine's per-layer pageio
-	// counters (iqbench -iostats plumbs it here).
-	IOStats *pageio.StatsRegistry
+	// counters. Experiment.Report hands every run a fresh registry here and
+	// publishes its snapshot as the entry's "layers".
+	IOStats *pageio.StatsRegistry `json:"-"`
 	// Trace, when non-nil, collects structured spans from the whole engine
 	// stack, timestamped on the environment's simulated clock (iqbench
 	// -trace plumbs it here).
-	Trace *trace.Tracer
+	Trace *trace.Tracer `json:"-"`
 }
+
+// Short is the reduced scale `iqbench -short` and the smoke tests run at.
+var Short = Options{SF: 0.002, TimeScale: 0.01}
 
 func (o Options) withDefaults() Options {
 	if o.SF == 0 {
@@ -240,6 +248,57 @@ func (e *Env) Close() error {
 	// Disable simulated sleeping so teardown (OCM drain) is instant.
 	e.Scale.Set(0)
 	return e.DB.Close()
+}
+
+// OpenReader opens a secondary (reader) node over this environment's object
+// store, the recipe the scale-out and mixed-fleet experiments share: its own
+// copy of the system dbspace, its own NIC, a small buffer pool and no key
+// allocation. The caller closes the returned database.
+func (e *Env) OpenReader(ctx context.Context, name string) (*cloudiq.Database, *tpch.Conn, error) {
+	logCopy, err := copyDevice(ctx, e.LogDev)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Reader NICs are scaled down further so the experiments run in the
+	// network-bound regime the paper's scale-out depends on (aggregate S3
+	// throughput growing with node count).
+	nic := netResource(e.Scale, M5ad4xl, e.Opts.BandwidthScale/5)
+	// Reader caches follow the paper's RAM-to-data ratio at SF 1000
+	// (m5ad.4xlarge holds only a small slice of the dataset), which keeps
+	// the streams object-store-bound.
+	cache := int64(float64(estDataBytes(e.Opts.SF)) * 0.02)
+	if cache < 256<<10 {
+		cache = 256 << 10
+	}
+	db, err := cloudiq.Open(ctx, cloudiq.Config{
+		LogDevice:       logCopy,
+		CacheBytes:      cache,
+		PrefetchWorkers: M5ad4xl.CPUs,
+		Compress:        true,
+		Scale:           e.Scale,
+		IOStats:         e.Opts.IOStats,
+		Node:            name,
+		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {
+			return rfrb.Range{}, fmt.Errorf("bench: reader nodes do not allocate keys")
+		},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := db.AttachCloudDbspace("user", &nodeStore{inner: e.Store, nic: nic}, cloudiq.CloudOptions{}); err != nil {
+		_ = db.Close()
+		return nil, nil, err
+	}
+	if err := db.RecoverAsReader(ctx); err != nil {
+		_ = db.Close()
+		return nil, nil, err
+	}
+	conn, err := tpch.OpenConn(ctx, db.Begin(), "user")
+	if err != nil {
+		_ = db.Close()
+		return nil, nil, err
+	}
+	return db, conn, nil
 }
 
 // copyDevice clones a device image — used to hand reader nodes their own

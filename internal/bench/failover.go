@@ -32,11 +32,12 @@ type FailoverCycle struct {
 	RestoreSimMs float64 `json:"kill_to_first_commit_sim_ms"`
 }
 
-// FailoverReport is BENCH_failover.json: repeated coordinator kills against
-// the reconcile-loop controller, measuring the unavailability window from
-// kill to the first transaction committed under the promoted standby, and
-// auditing that no committed row and no allocated key is lost across any
-// takeover.
+// FailoverReport is the result of the failover experiment: repeated
+// coordinator kills against the reconcile-loop controller, measuring the
+// unavailability window from kill to the first transaction committed under
+// the promoted standby, and auditing that no committed row and no allocated
+// key is lost across any takeover. The run is one goroutine on a scale that
+// never sleeps, so its simulated times are Scale.Charged and elapsed at once.
 type FailoverReport struct {
 	Cycles          int     `json:"cycles"`
 	Writers         int     `json:"writers"`
@@ -67,9 +68,6 @@ const failoverRounds = 64
 // allocation resumes at the new epoch, and that the deposed handle is
 // permanently fenced.
 func RunFailover(ctx context.Context, base Options, cycles int) (*FailoverReport, error) {
-	if cycles <= 0 {
-		cycles = 5
-	}
 	const (
 		commitsPerCycle = 4
 		rowsPerCommit   = 8
@@ -82,7 +80,7 @@ func RunFailover(ctx context.Context, base Options, cycles int) (*FailoverReport
 		Scale:        scale,
 		Faults:       plan,
 	})
-	cl, err := simtest.NewCluster(simtest.ClusterConfig{Plan: plan, Store: store, Scale: scale})
+	cl, err := simtest.NewCluster(simtest.ClusterConfig{Plan: plan, Store: store, Scale: scale, IOStats: base.IOStats})
 	if err != nil {
 		return nil, err
 	}
@@ -269,8 +267,8 @@ func failoverSchema() cloudiq.Schema {
 	return cloudiq.Schema{Cols: []cloudiq.ColumnDef{{Name: "k", Typ: cloudiq.Int64}}}
 }
 
-// FormatFailover renders the failover report.
-func FormatFailover(rep *FailoverReport) string {
+// Table renders the failover report.
+func (rep *FailoverReport) Table() string {
 	rows := make([][]string, 0, len(rep.PerCycle))
 	for _, c := range rep.PerCycle {
 		rows = append(rows, []string{

@@ -22,33 +22,32 @@ import (
 // Batch, scanned with the delta live, then drained.
 type IngestPoint struct {
 	// Batch is the rows per trickle commit.
-	Batch int
+	Batch int `json:"batch_rows"`
 	// Rows is the total rows trickled at this point.
-	Rows int
+	Rows int `json:"rows"`
 	// IngestSim is the simulated seconds spent inserting and committing.
-	IngestSim float64
+	IngestSim float64 `json:"ingest_sim_s"`
 	// Rate is rows per simulated second.
-	Rate float64
+	Rate float64 `json:"rows_per_sim_s"`
 	// ScanBaseSim is the warm Q6-shaped scan with the delta empty,
 	// measured immediately before the trickle.
-	ScanBaseSim float64
+	ScanBaseSim float64 `json:"scan_base_sim_s"`
 	// ScanDeltaSim is the same warm scan with the trickled rows still in
 	// the delta store, merged under MVCC.
-	ScanDeltaSim float64
+	ScanDeltaSim float64 `json:"scan_delta_sim_s"`
 	// Slowdown is ScanDeltaSim / ScanBaseSim.
-	Slowdown float64
+	Slowdown float64 `json:"slowdown_ratio"`
 	// DeltaRows is the live delta backlog at scan time.
-	DeltaRows int
+	DeltaRows int `json:"delta_rows"`
 	// DrainSim is the simulated seconds one compactor cycle took to drain
 	// the backlog into encoded segments; DrainedRows is what it moved.
-	DrainSim    float64
-	DrainedRows int
+	DrainSim    float64 `json:"drain_sim_s"`
+	DrainedRows int     `json:"drained_rows"`
 }
 
-// IngestReport is the full experiment result (iqbench -exp ingest).
+// IngestReport is the result of the ingest experiment.
 type IngestReport struct {
-	SF     float64
-	Points []IngestPoint
+	Points []IngestPoint `json:"points"`
 }
 
 // lineitemBatch synthesizes n lineitem-shaped rows with Q6-relevant value
@@ -83,24 +82,7 @@ func lineitemBatch(rng *mt.Source, n int) *cloudiq.Batch {
 // view disables pushdown anyway; keeping both arms on plain reads makes the
 // with-delta / drained comparison apples-to-apples).
 func ingestQ6Scan(ctx context.Context, conn *tpch.Conn) error {
-	q6lo := cloudiq.DateToDays(1994, time.January, 1)
-	q6hi := cloudiq.DateToDays(1995, time.January, 1)
-	filter := cloudiq.AndE(
-		cloudiq.AndE(
-			cloudiq.GeE(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q6lo)),
-			cloudiq.Lt(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q6hi))),
-		cloudiq.AndE(
-			cloudiq.AndE(
-				cloudiq.GeE(cloudiq.Col("l_discount"), cloudiq.ConstF(0.05)),
-				cloudiq.Le(cloudiq.Col("l_discount"), cloudiq.ConstF(0.07))),
-			cloudiq.Lt(cloudiq.Col("l_quantity"), cloudiq.ConstF(24))))
-	_, err := cloudiq.ScanAgg(ctx, conn.Table("lineitem"),
-		[]string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"},
-		cloudiq.ScanOptions{Filter: filter, Pushdown: cloudiq.PushdownOff},
-		[]cloudiq.Agg{{Func: cloudiq.Sum,
-			Expr: cloudiq.MulE(cloudiq.Col("l_extendedprice"), cloudiq.Col("l_discount")),
-			As:   "revenue"}})
-	return err
+	return q6Agg(ctx, conn, cloudiq.PushdownOff)
 }
 
 // countRows counts a table's rows at a fresh snapshot (delta rows included).
@@ -130,7 +112,7 @@ func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 		return nil, err
 	}
 	defer e.Close()
-	rep := &IngestReport{SF: e.Opts.SF}
+	rep := &IngestReport{}
 	rng := mt.New(uint64(opts.Seed)*0x9e3779b9 + 1)
 
 	total, err := countRows(ctx, e.DB, "user", "lineitem")
@@ -211,8 +193,8 @@ func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 	return rep, nil
 }
 
-// FormatIngest renders the ingest experiment report.
-func FormatIngest(rep *IngestReport) string {
+// Table renders the ingest experiment report.
+func (rep *IngestReport) Table() string {
 	var rows [][]string
 	for _, p := range rep.Points {
 		rows = append(rows, []string{

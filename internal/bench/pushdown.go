@@ -24,41 +24,40 @@ import (
 // PushdownQueryRun is one (query, mode) cell of the pushdown experiment.
 type PushdownQueryRun struct {
 	// Query names the scan shape ("q6-agg", "q6-rows", "q1-agg").
-	Query string
+	Query string `json:"query"`
 	// Mode is "off" (plain segment reads) or "auto" (per-segment pushdown).
-	Mode string
+	Mode string `json:"mode"`
 	// Sim is the query's simulated seconds.
-	Sim float64
+	Sim float64 `json:"sim_s"`
 	// StoreBytes is the bytes that left the store across the simulated
 	// network: full objects for plain reads, only qualifying rows or
 	// aggregate states for pushdown.
-	StoreBytes int64
+	StoreBytes int64 `json:"net_bytes"`
 	// Gets and Selects count the store requests the query issued.
-	Gets    int64
-	Selects int64
+	Gets    int64 `json:"gets"`
+	Selects int64 `json:"selects"`
 	// SelectScanned and SelectReturned are the select-billing inputs: bytes
 	// the store examined locally vs bytes it sent back.
-	SelectScanned  int64
-	SelectReturned int64
+	SelectScanned  int64 `json:"select_scanned_bytes"`
+	SelectReturned int64 `json:"select_returned_bytes"`
 	// Cost is the S3 request + select charge for the query, in USD.
-	Cost float64
+	Cost float64 `json:"cost_usd"`
 }
 
 // PushdownFactor summarizes one query's off/auto byte asymmetry.
 type PushdownFactor struct {
-	Query    string
-	BytesOff int64
-	BytesOn  int64
+	Query    string `json:"query"`
+	BytesOff int64  `json:"bytes_off"`
+	BytesOn  int64  `json:"bytes_on"`
 	// Factor is BytesOff/BytesOn — how many times fewer bytes crossed the
 	// network with pushdown on.
-	Factor float64
+	Factor float64 `json:"reduction_ratio"`
 }
 
-// PushdownReport is the full experiment result (iqbench -exp pushdown).
+// PushdownReport is the result of the pushdown experiment.
 type PushdownReport struct {
-	SF      float64
-	Runs    []PushdownQueryRun
-	Factors []PushdownFactor
+	Runs    []PushdownQueryRun `json:"runs"`
+	Factors []PushdownFactor   `json:"factors"`
 }
 
 // pushdownQuery is one scan shape the experiment drives in both modes.
@@ -67,40 +66,43 @@ type pushdownQuery struct {
 	run  func(ctx context.Context, conn *tpch.Conn, mode cloudiq.PushdownMode) error
 }
 
-func pushdownQueries() []pushdownQuery {
+// q6Cols and q6Filter are Q6's scan: a highly selective conjunction over
+// lineitem.
+var q6Cols = []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}
+
+func q6Filter() cloudiq.Expr {
 	q6lo := cloudiq.DateToDays(1994, time.January, 1)
 	q6hi := cloudiq.DateToDays(1995, time.January, 1)
+	return cloudiq.AndE(
+		cloudiq.AndE(
+			cloudiq.GeE(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q6lo)),
+			cloudiq.Lt(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q6hi))),
+		cloudiq.AndE(
+			cloudiq.AndE(
+				cloudiq.GeE(cloudiq.Col("l_discount"), cloudiq.ConstF(0.05)),
+				cloudiq.Le(cloudiq.Col("l_discount"), cloudiq.ConstF(0.07))),
+			cloudiq.Lt(cloudiq.Col("l_quantity"), cloudiq.ConstF(24))))
+}
+
+// q6Agg runs Q6's aggregate: one SUM over q6Filter. Pushdown returns one
+// 64-byte partial state per segment.
+func q6Agg(ctx context.Context, conn *tpch.Conn, mode cloudiq.PushdownMode) error {
+	_, err := cloudiq.ScanAgg(ctx, conn.Table("lineitem"), q6Cols,
+		cloudiq.ScanOptions{Filter: q6Filter(), Pushdown: mode},
+		[]cloudiq.Agg{{Func: cloudiq.Sum,
+			Expr: cloudiq.MulE(cloudiq.Col("l_extendedprice"), cloudiq.Col("l_discount")),
+			As:   "revenue"}})
+	return err
+}
+
+func pushdownQueries() []pushdownQuery {
 	q1cut := cloudiq.DateToDays(1998, time.December, 1) - 90
-	cols := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}
-	q6Filter := func() cloudiq.Expr {
-		return cloudiq.AndE(
-			cloudiq.AndE(
-				cloudiq.GeE(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q6lo)),
-				cloudiq.Lt(cloudiq.Col("l_shipdate"), cloudiq.ConstI(q6hi))),
-			cloudiq.AndE(
-				cloudiq.AndE(
-					cloudiq.GeE(cloudiq.Col("l_discount"), cloudiq.ConstF(0.05)),
-					cloudiq.Le(cloudiq.Col("l_discount"), cloudiq.ConstF(0.07))),
-				cloudiq.Lt(cloudiq.Col("l_quantity"), cloudiq.ConstF(24))))
-	}
 	return []pushdownQuery{
-		// Q6's aggregate: one SUM over a highly selective filter. Pushdown
-		// returns one 64-byte partial state per segment.
-		{name: "q6-agg", run: func(ctx context.Context, conn *tpch.Conn, mode cloudiq.PushdownMode) error {
-			_, err := cloudiq.ScanAgg(ctx, conn.Table("lineitem"), cols,
-				cloudiq.ScanOptions{
-					Filter:   q6Filter(),
-					Pushdown: mode,
-				},
-				[]cloudiq.Agg{{Func: cloudiq.Sum,
-					Expr: cloudiq.MulE(cloudiq.Col("l_extendedprice"), cloudiq.Col("l_discount")),
-					As:   "revenue"}})
-			return err
-		}},
+		{name: "q6-agg", run: q6Agg},
 		// The same scan materialized as rows: pushdown ships back only the
 		// ~2% of rows that pass the filter, re-encoded.
 		{name: "q6-rows", run: func(ctx context.Context, conn *tpch.Conn, mode cloudiq.PushdownMode) error {
-			src, err := cloudiq.Scan(conn.Table("lineitem"), cols,
+			src, err := cloudiq.Scan(conn.Table("lineitem"), q6Cols,
 				cloudiq.ScanOptions{
 					Filter:   q6Filter(),
 					Pushdown: mode,
@@ -159,7 +161,6 @@ func RunPushdown(ctx context.Context, base Options) (*PushdownReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.SF = e.Opts.SF
 		m := e.Store.Metrics()
 		for _, q := range pushdownQueries() {
 			preBytes, preGets := m.BytesOut(), m.Gets()
@@ -201,8 +202,8 @@ func RunPushdown(ctx context.Context, base Options) (*PushdownReport, error) {
 	return rep, nil
 }
 
-// FormatPushdown renders the pushdown experiment report.
-func FormatPushdown(rep *PushdownReport) string {
+// Table renders the pushdown experiment report.
+func (rep *PushdownReport) Table() string {
 	var rows [][]string
 	for _, r := range rep.Runs {
 		rows = append(rows, []string{

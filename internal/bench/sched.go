@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cloudiq"
-	"cloudiq/internal/rfrb"
 	"cloudiq/internal/sched"
 	"cloudiq/internal/trace"
 	"cloudiq/tpch"
@@ -26,7 +25,7 @@ type SchedLaneStat struct {
 	MaxWaitMs float64 `json:"max_wait_sim_ms"`
 }
 
-// SchedReport is the output of the mixed-fleet experiment (BENCH_sched.json):
+// SchedReport is the result of the mixed-fleet experiment:
 // hundreds of concurrent TPC-H-shaped queries at three priorities, admitted
 // by the scheduler and balanced over a reader fleet sharing one object store.
 type SchedReport struct {
@@ -70,18 +69,12 @@ const schedRetryCap = 2000
 
 // RunSchedFleet executes the concurrent-serving experiment: a coordinator
 // loads TPC-H once, `readers` reader nodes recover from the shared store,
-// and `queries` goroutines (default 240) submit cheap TPC-H queries through
+// and `queries` goroutines submit cheap TPC-H queries through
 // a sched.Scheduler at three priorities for three tenants. Rejected
 // submissions back off by the rejection's RetryAfter (simulated time) and
 // resubmit. The run fails if any query is lost or double-terminated, or if
 // the conservation ledger does not balance.
 func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*SchedReport, error) {
-	if queries <= 0 {
-		queries = 240
-	}
-	if readers <= 0 {
-		readers = 3
-	}
 	opts := base
 	opts.Volume = "s3"
 	opts.Instance = M5ad4xl
@@ -91,9 +84,8 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	}
 	defer coord.Close()
 
-	// Reader fleet: same recipe as the scale-out experiment — each reader
-	// has its own copy of the system dbspace, its own NIC and small buffer
-	// pool, all over the coordinator's object store.
+	// Reader fleet: each reader has its own copy of the system dbspace, its
+	// own NIC and small buffer pool, all over the coordinator's object store.
 	conns := make(map[string]*tpch.Conn, readers)
 	dbs := make([]*cloudiq.Database, 0, readers)
 	defer func() {
@@ -103,42 +95,12 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 		}
 	}()
 	for i := 0; i < readers; i++ {
-		logCopy, err := copyDevice(ctx, coord.LogDev)
-		if err != nil {
-			return nil, err
-		}
-		nic := netResource(coord.Scale, M5ad4xl, opts.withDefaults().BandwidthScale/5)
-		store := &nodeStore{inner: coord.Store, nic: nic}
-		readerCache := int64(float64(estDataBytes(opts.withDefaults().SF)) * 0.02)
-		if readerCache < 256<<10 {
-			readerCache = 256 << 10
-		}
 		name := fmt.Sprintf("r%d", i+1)
-		db, err := cloudiq.Open(ctx, cloudiq.Config{
-			LogDevice:       logCopy,
-			CacheBytes:      readerCache,
-			PrefetchWorkers: M5ad4xl.CPUs,
-			Compress:        true,
-			Scale:           coord.Scale,
-			Node:            name,
-			AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {
-				return rfrb.Range{}, fmt.Errorf("bench: reader nodes do not allocate keys")
-			},
-		})
+		db, conn, err := coord.OpenReader(ctx, name)
 		if err != nil {
 			return nil, err
 		}
 		dbs = append(dbs, db)
-		if err := db.AttachCloudDbspace("user", store, cloudiq.CloudOptions{}); err != nil {
-			return nil, err
-		}
-		if err := db.RecoverAsReader(ctx); err != nil {
-			return nil, err
-		}
-		conn, err := tpch.OpenConn(ctx, db.Begin(), "user")
-		if err != nil {
-			return nil, err
-		}
 		conns[name] = conn
 	}
 
@@ -165,7 +127,7 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	var completed, failed, retries int64
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
-	fleetCtx, fleetSp := trace.Root(ctx, opts.withDefaults().Trace, "bench.schedfleet",
+	fleetCtx, fleetSp := trace.Root(ctx, opts.Trace, "bench.schedfleet",
 		trace.Int("queries", int64(queries)), trace.Int("readers", int64(readers)))
 	start := simNow()
 	for i := 0; i < queries; i++ {
@@ -311,8 +273,8 @@ func waitQuantileMs(waits []time.Duration, q float64) float64 {
 	return float64(sorted[idx]) / float64(time.Millisecond)
 }
 
-// FormatSched renders the mixed-fleet report.
-func FormatSched(rep *SchedReport) string {
+// Table renders the mixed-fleet report.
+func (rep *SchedReport) Table() string {
 	rows := make([][]string, 0, len(rep.Lanes))
 	for _, l := range rep.Lanes {
 		rows = append(rows, []string{

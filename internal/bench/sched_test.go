@@ -46,10 +46,10 @@ func TestSchedFleetMixed(t *testing.T) {
 	if rep.DirectQ6Sim <= 0 || rep.SchedQ6Sim <= 0 {
 		t.Errorf("overhead probe missing: direct=%.4f sched=%.4f", rep.DirectQ6Sim, rep.SchedQ6Sim)
 	}
-	out := FormatSched(rep)
+	out := rep.Table()
 	for _, want := range []string{"high", "normal", "low", "gold", "concurrency-1"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("FormatSched missing %q:\n%s", want, out)
+			t.Errorf("SchedReport.Table missing %q:\n%s", want, out)
 		}
 	}
 	if raceEnabled {

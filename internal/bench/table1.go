@@ -15,11 +15,14 @@ import (
 
 // Table1Event is one row of the paper's Table 1 walkthrough.
 type Table1Event struct {
-	Clock     int
-	Event     string
-	ActiveSet string
-	Objects   int // objects in the store after the event
+	Clock     int    `json:"clock"`
+	Event     string `json:"event"`
+	ActiveSet string `json:"active_set"`
+	Objects   int    `json:"objects"` // objects in the store after the event
 }
+
+// Table1Events is the replayed walkthrough, in clock order.
+type Table1Events []Table1Event
 
 // RunTable1 replays the recovery and garbage-collection example of Table 1:
 // a coordinator and writer W1, transactions T1–T3, a coordinator crash with
@@ -27,7 +30,7 @@ type Table1Event struct {
 // coordinator notification, and the restart GC that polls W1's outstanding
 // key range. It returns the event log with the observed active sets; any
 // divergence from the paper's protocol yields an error.
-func RunTable1(ctx context.Context) ([]Table1Event, error) {
+func RunTable1(ctx context.Context, o Options) (Table1Events, error) {
 	fmtSet := func(rs []rfrb.Range) string {
 		if len(rs) == 0 {
 			return "{}"
@@ -57,7 +60,7 @@ func RunTable1(ctx context.Context) ([]Table1Event, error) {
 	client := keygen.NewClient(func(ctx context.Context, n uint64) (rfrb.Range, error) {
 		return gen.Allocate(ctx, "W1", 100)
 	})
-	cloud := core.NewCloud(core.CloudConfig{Name: "user", Store: store, Keys: client})
+	cloud := core.NewCloud(core.CloudConfig{Name: "user", Store: store, Keys: client, Stats: o.IOStats})
 	coord.Register(cloud)
 
 	w1LogDev := blockdev.NewMem(blockdev.Config{Growable: true})
@@ -80,7 +83,7 @@ func RunTable1(ctx context.Context) ([]Table1Event, error) {
 	}
 	w1.Register(cloud)
 
-	var events []Table1Event
+	var events Table1Events
 	emit := func(clock int, desc string, g *keygen.Generator) {
 		events = append(events, Table1Event{
 			Clock: clock, Event: desc,
@@ -172,8 +175,8 @@ func RunTable1(ctx context.Context) ([]Table1Event, error) {
 	return events, nil
 }
 
-// FormatTable1 renders the replayed Table 1.
-func FormatTable1(events []Table1Event) string {
+// Table renders the replayed Table 1.
+func (events Table1Events) Table() string {
 	var rows [][]string
 	for _, e := range events {
 		rows = append(rows, []string{fmt.Sprint(e.Clock), e.Event, e.ActiveSet, fmt.Sprint(e.Objects)})

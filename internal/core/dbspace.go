@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/freelist"
@@ -112,9 +111,6 @@ type CloudConfig struct {
 	// the cache owns upload retries, so the pipeline writes once.
 	ReadRetries  int
 	WriteRetries int
-	// RetryDelay is the first simulated backoff between attempts; it doubles
-	// per retry, capped at 8x.
-	RetryDelay time.Duration
 	// Scale drives the backoff sleeps. Nil disables sleeping.
 	Scale *iomodel.Scale
 
@@ -129,7 +125,6 @@ type CloudConfig struct {
 const (
 	defaultReadRetries  = 10
 	defaultWriteRetries = 3
-	retryCapFactor      = 8
 )
 
 // CloudDbspace stores each page as one object under a never-reused key.
@@ -180,8 +175,6 @@ func NewCloud(cfg CloudConfig) *CloudDbspace {
 		pageio.Retry(pageio.Policy{
 			ReadAttempts:  cfg.ReadRetries,
 			WriteAttempts: writeAttempts,
-			Delay:         cfg.RetryDelay,
-			Cap:           retryCapFactor * cfg.RetryDelay,
 			Scale:         cfg.Scale,
 			Pool:          cfg.Pool,
 		}),
@@ -194,8 +187,6 @@ func NewCloud(cfg CloudConfig) *CloudDbspace {
 		pageio.Retry(pageio.Policy{
 			ReadAttempts:  cfg.ReadRetries,
 			WriteAttempts: 1,
-			Delay:         cfg.RetryDelay,
-			Cap:           retryCapFactor * cfg.RetryDelay,
 			Scale:         cfg.Scale,
 			Pool:          cfg.Pool,
 		}),
@@ -408,14 +399,15 @@ func (d *CloudDbspace) Reclaim(ctx context.Context, r rfrb.Range) error {
 	return nil
 }
 
+// maxPageBlocks caps the blocks a single page may occupy (the paper's pages
+// span 1–16 blocks).
+const maxPageBlocks = 16
+
 // BlockConfig parameterizes a conventional dbspace.
 type BlockConfig struct {
 	Name      string
 	Device    blockdev.Device
 	BlockSize int
-	// MaxBlocks caps the blocks a single page may occupy (the paper's pages
-	// span 1–16 blocks). Zero selects 16.
-	MaxBlocks int
 	// Blocks is the number of blocks the dbspace manages. Zero derives it
 	// from the device size.
 	Blocks uint64
@@ -448,9 +440,6 @@ var _ Dbspace = (*BlockDbspace)(nil)
 func NewBlock(cfg BlockConfig) (*BlockDbspace, error) {
 	if cfg.BlockSize <= 0 {
 		return nil, fmt.Errorf("dbspace %s: block size %d", cfg.Name, cfg.BlockSize)
-	}
-	if cfg.MaxBlocks <= 0 {
-		cfg.MaxBlocks = 16
 	}
 	if cfg.Blocks == 0 {
 		cfg.Blocks = uint64(cfg.Device.Size()) / uint64(cfg.BlockSize)
@@ -493,9 +482,9 @@ func (d *BlockDbspace) allocate(data []byte) (start uint64, n int, err error) {
 	if n == 0 {
 		n = 1
 	}
-	if n > d.cfg.MaxBlocks {
+	if n > maxPageBlocks {
 		return 0, 0, fmt.Errorf("dbspace %s: page of %d bytes needs %d blocks, max %d",
-			d.cfg.Name, len(data), n, d.cfg.MaxBlocks)
+			d.cfg.Name, len(data), n, maxPageBlocks)
 	}
 	start, err = d.free.Allocate(uint64(n))
 	if err != nil {

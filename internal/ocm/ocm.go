@@ -34,6 +34,9 @@ var ErrClosed = errors.New("ocm: cache closed")
 // uploaded within the retry budget; the caller rolls the transaction back.
 var ErrUploadFailed = errors.New("ocm: upload failed")
 
+// uploadAttempts bounds store-upload attempts per page (§4's retry budget).
+const uploadAttempts = 3
+
 // Config parameterizes a Cache.
 type Config struct {
 	// Device is the locally attached SSD/HDD.
@@ -45,8 +48,6 @@ type Config struct {
 	// Workers is the number of asynchronous upload/fill workers. Zero
 	// selects 4.
 	Workers int
-	// UploadRetries bounds store-upload attempts per page. Zero selects 3.
-	UploadRetries int
 	// Faults, when non-nil, arms the OCMUploadDrop site: a fault drops a
 	// queued write-back upload without attempting the store — the page a
 	// crashed process never drained from its write queue. The entry moves
@@ -86,7 +87,8 @@ func (s Stats) HitRate() float64 {
 type entryState int
 
 const (
-	stateCached    entryState = iota // on device, in LRU
+	stateFilling   entryState = iota // indexed, device write in flight: the blocks are not readable yet
+	stateCached                      // on device, in LRU
 	stateUploading                   // on device, upload pending; pinned out of LRU
 	stateFailed                      // upload abandoned; awaiting FlushForCommit error
 )
@@ -147,9 +149,6 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.UploadRetries <= 0 {
-		cfg.UploadRetries = 3
-	}
 	blocks := uint64(cfg.Device.Size()) / uint64(cfg.BlockSize)
 	if blocks == 0 {
 		return nil, fmt.Errorf("ocm: device smaller than one block")
@@ -160,7 +159,7 @@ func New(cfg Config) (*Cache, error) {
 		free:    freelist.New(blocks),
 		dev:     pageio.Chain(pageio.NewDevice(cfg.Device, nil), pageio.Trace("ocmdev"), pageio.Meter(cfg.Stats, "ocmdev")),
 		up:      up,
-		upload:  pageio.Chain(up, pageio.Retry(pageio.Policy{WriteAttempts: cfg.UploadRetries})),
+		upload:  pageio.Chain(up, pageio.Retry(pageio.Policy{WriteAttempts: uploadAttempts})),
 		index:   make(map[string]*entry),
 		lruList: list.New(),
 		queue:   list.New(),
@@ -258,7 +257,9 @@ func (c *Cache) touch(ent *entry) {
 }
 
 // Get implements read-through semantics: device hit, else object store with
-// an asynchronous cache fill.
+// an asynchronous cache fill. An entry whose device write has not landed
+// (stateFilling) is a miss — its blocks still hold zeros or the previous
+// tenant's page — and the duplicate fill the miss starts is dropped.
 func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 	ctx, sp := trace.Start(ctx, "ocm.get", trace.String("key", key))
 	defer sp.End()
@@ -267,7 +268,7 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if ent, ok := c.index[key]; ok && ent.state != stateFailed {
+	if ent, ok := c.index[key]; ok && (ent.state == stateCached || ent.state == stateUploading) {
 		ent.pins++
 		c.touch(ent)
 		c.stats.Hits++
@@ -329,7 +330,7 @@ func (c *Cache) fill(ctx context.Context, key string, data []byte) {
 		c.mu.Unlock()
 		return
 	}
-	ent := &entry{key: key, off: off, blocks: nblocks, size: len(data), state: stateCached, pins: 1}
+	ent := &entry{key: key, off: off, blocks: nblocks, size: len(data), state: stateFilling, pins: 1}
 	c.index[key] = ent
 	c.mu.Unlock()
 
@@ -341,6 +342,7 @@ func (c *Cache) fill(ctx context.Context, key string, data []byte) {
 		c.removeLocked(ent)
 		c.stats.FillDrops++
 	} else {
+		ent.state = stateCached
 		ent.lru = c.lruList.PushFront(ent)
 	}
 	c.cond.Broadcast()
@@ -367,7 +369,7 @@ func (c *Cache) PutBack(ctx context.Context, key string, data []byte) error {
 		c.mu.Unlock()
 		return c.putDirect(ctx, key, cp)
 	}
-	ent := &entry{key: key, off: off, blocks: nblocks, size: len(cp), state: stateUploading, pins: 1, data: cp}
+	ent := &entry{key: key, off: off, blocks: nblocks, size: len(cp), state: stateFilling, pins: 1, data: cp}
 	c.index[key] = ent
 	c.mu.Unlock()
 
@@ -384,6 +386,7 @@ func (c *Cache) PutBack(ctx context.Context, key string, data []byte) error {
 
 	c.mu.Lock()
 	ent.pins--
+	ent.state = stateUploading
 	c.queue.PushBack(uploadJob{ent: ent, enqueuedAt: c.cfg.Trace.Now(), depth: c.queue.Len()})
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -565,12 +568,22 @@ func (c *Cache) Quiesce() {
 // budget as writes, not fail permanently on the first hiccup.
 func (c *Cache) Delete(ctx context.Context, key string) error {
 	c.mu.Lock()
-	if ent, ok := c.index[key]; ok {
-		// Wait for any pending upload to settle so block reuse is safe.
-		for ent.state == stateUploading || ent.pins > 0 {
+	for {
+		ent, ok := c.index[key]
+		if !ok {
+			break
+		}
+		// Wait for any pending upload or reader to settle so block reuse
+		// is safe, then look the key up again: while this call slept the
+		// entry may have been evicted and its blocks handed to another
+		// key, and releasing them a second time would give that key's
+		// blocks away.
+		if ent.state == stateUploading || ent.pins > 0 {
 			c.cond.Wait()
+			continue
 		}
 		c.removeLocked(ent)
+		break
 	}
 	c.mu.Unlock()
 	return c.upload.Delete(ctx, pageio.Ref{Key: key})

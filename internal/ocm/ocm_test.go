@@ -48,7 +48,7 @@ func TestReadThroughMissThenHit(t *testing.T) {
 		t.Fatalf("miss read = %q, %v", got, err)
 	}
 	// The fill is asynchronous; wait for it to land.
-	waitFor(t, func() bool { return c.Len() == 1 }, "cache fill")
+	c.Quiesce()
 
 	storeGets := store.Metrics().Gets()
 	got, err = c.Get(ctxb(), "k1")
@@ -184,7 +184,7 @@ func TestLRUEviction(t *testing.T) {
 		key := fmt.Sprintf("k%d", i)
 		_ = store.Put(ctxb(), key, []byte{byte(i)})
 		_, _ = c.Get(ctxb(), key)
-		waitFor(t, func() bool { return c.Len() == i+1 }, "fill")
+		c.Quiesce()
 	}
 	// Touch k0 so k1 becomes the LRU victim.
 	_, _ = c.Get(ctxb(), "k0")
@@ -285,6 +285,75 @@ func TestWriteBackEntriesNotEvictableUntilUploaded(t *testing.T) {
 	}
 	if got, err := store.Get(ctxb(), "pending"); err != nil || string(got) != "p" {
 		t.Fatalf("pending entry lost: %q, %v", got, err)
+	}
+}
+
+// gatedDevice holds every WriteAt open until released, so tests can probe
+// the cache while an entry is indexed but its blocks are not yet written.
+type gatedDevice struct {
+	blockdev.Device
+	blocked atomic.Int64
+	release chan struct{}
+}
+
+func (g *gatedDevice) WriteAt(ctx context.Context, p []byte, off int64) error {
+	g.blocked.Add(1)
+	<-g.release
+	return g.Device.WriteAt(ctx, p, off)
+}
+
+// An entry is indexed before its device write lands. Until it has landed the
+// blocks hold zeros (or the previous tenant's page), so a concurrent Get must
+// go to the store instead of serving them.
+func TestGetDuringFillReadsStoreNotDevice(t *testing.T) {
+	store := objstore.NewMem(objstore.Config{})
+	_ = store.Put(ctxb(), "k", []byte("contents"))
+	dev := &gatedDevice{
+		Device:  blockdev.NewMem(blockdev.Config{Capacity: 1 << 12}),
+		release: make(chan struct{}),
+	}
+	c, err := New(Config{Device: dev, Store: store, BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	// Runs before Close, which waits for the gated fill.
+	var release sync.Once
+	openGate := func() { release.Do(func() { close(dev.release) }) }
+	t.Cleanup(openGate)
+
+	if got, err := c.Get(ctxb(), "k"); err != nil || string(got) != "contents" {
+		t.Fatalf("first read = %q, %v", got, err)
+	}
+	waitFor(t, func() bool { return dev.blocked.Load() == 1 }, "fill to reach the device")
+	if got, err := c.Get(ctxb(), "k"); err != nil || string(got) != "contents" {
+		t.Fatalf("read during fill = %q, %v", got, err)
+	}
+
+	// Same window on the write-back path: the page is on neither the device
+	// nor the store until PutBack returns, so the honest answer is not-found.
+	putDone := make(chan error, 1)
+	go func() { putDone <- c.PutBack(ctxb(), "n", []byte("new page")) }()
+	waitFor(t, func() bool { return dev.blocked.Load() == 2 }, "PutBack to reach the device")
+	if got, err := c.Get(ctxb(), "n"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("read during PutBack = %q, %v", got, err)
+	}
+
+	openGate()
+	if err := <-putDone; err != nil {
+		t.Fatal(err)
+	}
+	c.Quiesce()
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 3 || s.FillDrops != 1 {
+		t.Fatalf("stats = %+v, want 0 hits, 3 misses, the duplicate fill dropped", s)
+	}
+	for key, want := range map[string]string{"k": "contents", "n": "new page"} {
+		if got, err := c.Get(ctxb(), key); err != nil || string(got) != want {
+			t.Fatalf("Get(%s) after the writes landed = %q, %v", key, got, err)
+		}
+	}
+	if s := c.Stats(); s.Hits != 2 {
+		t.Fatalf("stats = %+v, want both reads served from the device", s)
 	}
 }
 

@@ -23,10 +23,10 @@ type Config struct {
 	// Scale, when non-nil, charges injected reader stalls as simulated
 	// time (a stalled reader really does serve later).
 	Scale *iomodel.Scale
-	// StallUnit converts a SchedStall lag draw to simulated time
-	// (default 1ms per unit).
-	StallUnit time.Duration
 }
+
+// stallUnit converts a SchedStall lag draw to simulated time.
+const stallUnit = time.Millisecond
 
 // grant delivers a dispatch decision to a waiting query goroutine.
 type grant struct {
@@ -53,9 +53,6 @@ type Scheduler struct {
 
 // New builds a Scheduler.
 func New(cfg Config) *Scheduler {
-	if cfg.StallUnit <= 0 {
-		cfg.StallUnit = time.Millisecond
-	}
 	return &Scheduler{
 		cfg:     cfg,
 		core:    NewCore(cfg.Clock),
@@ -133,7 +130,7 @@ func (s *Scheduler) pumpLocked() {
 		}
 		g := grant{reader: q.Reader}
 		if lag := s.cfg.Faults.LagAt(faultinject.SchedStall, q.Reader); lag > 0 {
-			g.stall = time.Duration(lag) * s.cfg.StallUnit
+			g.stall = time.Duration(lag) * stallUnit
 		}
 		if ch, ok := s.waiters[q.ID]; ok {
 			ch <- g // buffered: never blocks the pump

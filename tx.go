@@ -18,6 +18,9 @@ import (
 	"cloudiq/internal/wal"
 )
 
+// blockmapFanout is the fanout of every table's blockmap tree.
+const blockmapFanout = 64
+
 // Tx is a transaction with snapshot isolation. Readers see the catalog as of
 // the transaction's begin; writers stage new table versions that become
 // visible atomically at commit. A Tx is not safe for concurrent use, except
@@ -116,7 +119,7 @@ func (tx *Tx) CreateTable(ctx context.Context, space, name string, schema table.
 	if err != nil {
 		return nil, err
 	}
-	bm, err := core.NewBlockmap(ds, tx.db.cfg.BlockmapFanout)
+	bm, err := core.NewBlockmap(ds, blockmapFanout)
 	if err != nil {
 		return nil, err
 	}
