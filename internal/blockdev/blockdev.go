@@ -118,6 +118,19 @@ func NewMem(cfg Config) *MemDevice {
 	}
 }
 
+// grow extends data to length end with zero bytes. Capacity doubles when it
+// runs out, so appending records to a log copies each byte a bounded number
+// of times instead of once per append; spare capacity is only ever handed out
+// by make and never written, so the bytes a reslice exposes are zero.
+func grow(data []byte, end int64) []byte {
+	if end <= int64(cap(data)) {
+		return data[:end]
+	}
+	grown := make([]byte, end, max(end, 2*int64(cap(data))))
+	copy(grown, data)
+	return grown
+}
+
 // Stats exposes the operation counters.
 func (d *MemDevice) Stats() *Stats { return &d.stats }
 
@@ -185,9 +198,7 @@ func (d *MemDevice) WriteAt(ctx context.Context, p []byte, off int64) error {
 		if !d.cfg.Growable {
 			return fmt.Errorf("write [%d,%d) of %d: %w", off, end, len(d.data), ErrOutOfRange)
 		}
-		grown := make([]byte, end)
-		copy(grown, d.data)
-		d.data = grown
+		d.data = grow(d.data, end)
 	}
 	if torn >= 0 {
 		copy(d.data[off:], p[:torn])

@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -59,6 +60,59 @@ func TestGrowableDevice(t *testing.T) {
 	}
 	if string(got) != "abcdef" {
 		t.Fatalf("ReadAt = %q", got)
+	}
+}
+
+// TestGrowthIsAmortised pins ROADMAP 4b: appending 4 KiB records used to
+// reallocate and copy the whole device per append, so a log append cost grew
+// with the log (16 MiB of appends copied 32 GiB). Size still reports the
+// written length, and a sparse write past the end reads back zeros in between.
+func TestGrowthIsAmortised(t *testing.T) {
+	const record, final = 4 << 10, 16 << 20
+	d := NewMem(Config{Growable: true})
+	rec := bytes.Repeat([]byte{0xab}, record)
+	var copied int64
+	for off := int64(0); off < final; off += record {
+		before, held := cap(d.data), int64(len(d.data))
+		if err := d.WriteAt(ctxb(), rec, off); err != nil {
+			t.Fatal(err)
+		}
+		if cap(d.data) != before {
+			copied += held
+		}
+		if got := d.Size(); got != off+record {
+			t.Fatalf("Size = %d after appending to %d", got, off+record)
+		}
+	}
+	if copied > 3*final {
+		t.Errorf("growth copied %d bytes to reach %d, limit 3x — is every append reallocating again?", copied, final)
+	}
+
+	// A write that leaves a gap inside spare capacity: the gap must be zero.
+	if err := d.WriteAt(ctxb(), rec, final); err != nil {
+		t.Fatal(err)
+	}
+	gapStart := d.Size()
+	if int64(cap(d.data)) < gapStart+2*record {
+		t.Fatalf("capacity %d leaves no spare room after %d: the gap check below would not test a reslice", cap(d.data), gapStart)
+	}
+	if err := d.WriteAt(ctxb(), rec, gapStart+record); err != nil {
+		t.Fatal(err)
+	}
+	gap := bytes.Repeat([]byte{0xff}, record)
+	if err := d.ReadAt(ctxb(), gap, gapStart); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gap, make([]byte, record)) {
+		t.Error("bytes between the old and the new length are not zero")
+	}
+
+	fixed := NewMem(Config{Capacity: record})
+	if err := fixed.WriteAt(ctxb(), rec, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("non-growable device: write past the end err = %v, want ErrOutOfRange", err)
+	}
+	if got := fixed.Size(); got != record {
+		t.Errorf("non-growable device: Size = %d, want %d", got, record)
 	}
 }
 

@@ -1,10 +1,9 @@
 package buffer
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
+
+	"cloudiq/internal/deflate"
 )
 
 // Codec compresses page images before they reach permanent storage and
@@ -27,34 +26,17 @@ func (NopCodec) Compress(src []byte) []byte { return src }
 func (NopCodec) Decompress(src []byte) ([]byte, error) { return src, nil }
 
 // FlateCodec applies DEFLATE page-level compression, the reproduction's
-// stand-in for SAP IQ's page compression.
-type FlateCodec struct {
-	// Level is the flate compression level; 0 selects flate.DefaultCompression.
-	Level int
-}
+// stand-in for SAP IQ's page compression. It has no state of its own: every
+// FlateCodec shares internal/deflate's pooled compressors, and both methods
+// return slices the caller owns.
+type FlateCodec struct{}
 
 // Compress implements Codec.
-func (c FlateCodec) Compress(src []byte) []byte {
-	level := c.Level
-	if level == 0 {
-		level = flate.DefaultCompression
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
-	if err != nil {
-		// Only an invalid level can fail; fall back to default.
-		w, _ = flate.NewWriter(&buf, flate.DefaultCompression)
-	}
-	_, _ = w.Write(src)
-	_ = w.Close()
-	return buf.Bytes()
-}
+func (FlateCodec) Compress(src []byte) []byte { return deflate.Compress(src) }
 
 // Decompress implements Codec.
-func (c FlateCodec) Decompress(src []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	out, err := io.ReadAll(r)
+func (FlateCodec) Decompress(src []byte) ([]byte, error) {
+	out, err := deflate.Decompress(src)
 	if err != nil {
 		return nil, fmt.Errorf("buffer: decompress page: %w", err)
 	}

@@ -8,14 +8,12 @@ package objstore
 // result is byte-identical to a plain scan-then-filter.
 
 import (
-	"bytes"
-	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"cloudiq/internal/column"
+	"cloudiq/internal/deflate"
 	"cloudiq/internal/expr"
 	"cloudiq/internal/faultinject"
 )
@@ -109,13 +107,10 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 		res.ScannedBytes += int64(len(raw[i]))
 		img := raw[i]
 		if req.Flate {
-			r := flate.NewReader(bytes.NewReader(img))
-			out, err := io.ReadAll(r)
-			r.Close()
-			if err != nil {
+			var err error
+			if img, err = deflate.Decompress(img); err != nil {
 				return nil, unsupported("inflate %q: %v", c.Key, err)
 			}
-			img = out
 		}
 		v, err := column.DecodeSegment(img)
 		if err != nil {

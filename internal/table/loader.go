@@ -103,36 +103,53 @@ func Load(ctx context.Context, t *Table, store objstore.Store, prefix string, pa
 }
 
 // ParseRows parses '|'-separated lines into a batch of the given schema.
+// Blank lines are skipped and one trailing '|' per line is tolerated; line
+// numbers in errors count every line, blank ones included. Lines and fields
+// are walked in place: string columns keep substrings of data.
 func ParseRows(schema Schema, data string) (*Batch, error) {
 	b := NewBatch(schema)
-	for lineNo, line := range strings.Split(data, "\n") {
+	// One row per newline plus an unterminated last line: an upper bound
+	// (blank lines count), so no vector regrows while parsing.
+	maxRows := strings.Count(data, "\n") + 1
+	for _, v := range b.Vecs {
+		v.Grow(maxRows)
+	}
+	for lineNo := 1; data != ""; lineNo++ {
+		line := data
+		if nl := strings.IndexByte(data, '\n'); nl >= 0 {
+			line, data = data[:nl], data[nl+1:]
+		} else {
+			data = ""
+		}
 		if line == "" {
 			continue
 		}
 		line = strings.TrimSuffix(line, "|")
-		fields := strings.Split(line, "|")
-		if len(fields) != len(schema.Cols) {
-			return nil, fmt.Errorf("table: line %d has %d fields, schema %d", lineNo+1, len(fields), len(schema.Cols))
+		if n := strings.Count(line, "|") + 1; n != len(schema.Cols) {
+			return nil, fmt.Errorf("table: line %d has %d fields, schema %d", lineNo, n, len(schema.Cols))
 		}
-		for c, f := range fields {
-			def := schema.Cols[c]
+		for c, def := range schema.Cols {
+			f := line
+			if bar := strings.IndexByte(line, '|'); bar >= 0 {
+				f, line = line[:bar], line[bar+1:]
+			}
 			switch {
 			case def.Date:
 				days, err := parseDate(f)
 				if err != nil {
-					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo+1, def.Name, err)
+					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
 				}
 				b.Vecs[c].AppendInt(days)
 			case def.Typ == column.Int64:
 				v, err := strconv.ParseInt(f, 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo+1, def.Name, err)
+					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
 				}
 				b.Vecs[c].AppendInt(v)
 			case def.Typ == column.Float64:
 				v, err := strconv.ParseFloat(f, 64)
 				if err != nil {
-					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo+1, def.Name, err)
+					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
 				}
 				b.Vecs[c].AppendFloat(v)
 			default:

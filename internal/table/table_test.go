@@ -353,6 +353,33 @@ func TestParseRows(t *testing.T) {
 	if _, err := ParseRows(schema, "1|2.5|ASIA|15-03-1995|\n"); err == nil {
 		t.Fatal("bad date accepted")
 	}
+
+	// The line and field walk: what is tolerated, and what each error says.
+	good, err := ParseRows(schema, "\n1|2.5|ASIA|1995-03-15\n\n\n2|3.5||1996-01-01|")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good.Rows() != 2 || good.Vecs[0].I64[1] != 2 || good.Vecs[2].Str[0] != "ASIA" || good.Vecs[2].Str[1] != "" ||
+		good.Vecs[3].I64[1] != column.DateToDays(1996, 1, 1) {
+		t.Fatalf("blank lines / no trailing bar / no final newline: parsed %+v", good.Vecs)
+	}
+	if empty, err := ParseRows(schema, ""); err != nil || empty.Rows() != 0 {
+		t.Fatalf("empty input: %d rows, err %v", empty.Rows(), err)
+	}
+	for _, c := range []struct{ in, want string }{
+		{"1|2.5|ASIA|\n", "table: line 1 has 3 fields, schema 4"},
+		{"1|2.5|ASIA|1995-03-15||\n", "table: line 1 has 5 fields, schema 4"},
+		{"|\n", "table: line 1 has 1 fields, schema 4"},
+		// The field count is checked before any field of the line is parsed.
+		{"x|2.5|ASIA|\n", "table: line 1 has 3 fields, schema 4"},
+		{"1|2.5|ASIA|1995-03-15|\n\n\nx|2.5|ASIA|1995-03-15|\n", `table: line 4 column id: strconv.ParseInt: parsing "x": invalid syntax`},
+		{"1|x|ASIA|1995-03-15", `table: line 1 column price: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"1|2.5|ASIA|1995-13-15|\n", `table: line 1 column shipdate: bad date "1995-13-15"`},
+	} {
+		if _, err := ParseRows(schema, c.in); err == nil || err.Error() != c.want {
+			t.Errorf("ParseRows(%q) err = %v, want %s", c.in, err, c.want)
+		}
+	}
 }
 
 func TestLoadFromObjectStore(t *testing.T) {
