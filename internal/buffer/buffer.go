@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cloudiq/internal/core"
 	"cloudiq/internal/pageio"
@@ -39,17 +40,28 @@ type Stats struct {
 	Flushes   int64 // dirty pages written out (eviction or commit)
 }
 
+// pageKey names a cached page in one of two shapes, both built by
+// (*Object).entryKey. A clean page stored under a cloud key is shared:
+// space is its dbspace's id and page the object key, which is written once
+// and never rewritten (§3.1), so every handle, transaction and table version
+// that maps a logical page to that key reads one image. Every other page — a
+// dirty page, and any page of a block dbspace, whose runs are reused and
+// rewritten in place — is private: space is the handle's id and page the
+// logical page number. Handle and dbspace ids come from one counter.
 type pageKey struct {
-	obj     uint64
-	logical uint64
+	space uint64
+	page  uint64
 }
 
+// page is one cache slot. Every field except data's contents, and logical
+// (fixed at creation), changes only under Pool.mu.
 type page struct {
 	key     pageKey
-	owner   *Object
+	owner   *Object // the handle that must flush it; set while dirty
+	logical uint64  // the page's number in the handle that created the slot
 	data    []byte
 	dirty   bool
-	loading bool
+	loading bool // being loaded or flushed: accessors wait on Pool.cond
 	pins    int
 	lru     *list.Element
 }
@@ -63,7 +75,8 @@ type Pool struct {
 	pages   map[pageKey]*page
 	lruList *list.List // front = most recent
 	size    int64
-	nextObj uint64
+	nextObj uint64                  // last id handed to a handle or a dbspace
+	spaces  map[core.Dbspace]uint64 // cloud dbspace -> id in shared keys
 	stats   Stats
 
 	prefetchSem chan struct{}
@@ -80,6 +93,7 @@ func NewPool(cfg Config) *Pool {
 	p := &Pool{
 		cfg:         cfg,
 		pages:       make(map[pageKey]*page),
+		spaces:      make(map[core.Dbspace]uint64),
 		lruList:     list.New(),
 		prefetchSem: make(chan struct{}, cfg.PrefetchWorkers),
 	}
@@ -107,11 +121,19 @@ func (p *Pool) Size() int64 {
 type Object struct {
 	pool  *Pool
 	id    uint64
+	space uint64 // ds's id in shared keys; zero for a block dbspace
 	ds    core.Dbspace
 	bm    *core.Blockmap
 	sink  core.FlushSink
 	codec Codec
 
+	// memo caches the cloud key of each logical page for a read-only handle,
+	// whose blockmap never changes, so a hit resolves its key without a lock.
+	// Nil for writable handles.
+	memo *keyMemo
+
+	// mu guards dirty and flushed, nothing else; where Pool.mu is also held
+	// it is taken first.
 	mu    sync.Mutex
 	dirty map[uint64]*page // logical -> dirty page (subset of pool cache)
 	// flushed records pages this handle (i.e. this transaction) already
@@ -122,17 +144,87 @@ type Object struct {
 	flushed map[uint64]core.Entry
 }
 
+// keyMemo holds one cloud key per logical page below memoPages, in chunks
+// allocated on first use: index pages live at logical 2^40 and above, so the
+// table is sized by the pages touched, not by Blockmap.Pages. Zero means not
+// resolved yet (cloud keys start at 2^63).
+type keyMemo [memoPages / memoChunk]atomic.Pointer[[memoChunk]atomic.Uint64]
+
+const (
+	memoChunk = 1 << 9
+	memoPages = 1 << 16
+)
+
 // OpenObject registers an object with the pool. sink may be nil, making the
 // handle read-only. codec may be nil for uncompressed pages.
 func (p *Pool) OpenObject(ds core.Dbspace, bm *core.Blockmap, sink core.FlushSink, codec Codec) *Object {
 	if codec == nil {
 		codec = NopCodec{}
 	}
+	o := &Object{pool: p, ds: ds, bm: bm, sink: sink, codec: codec}
 	p.mu.Lock()
 	p.nextObj++
-	id := p.nextObj
+	o.id = p.nextObj
+	if ds.IsCloud() {
+		if o.space = p.spaces[ds]; o.space == 0 {
+			p.nextObj++
+			o.space = p.nextObj
+			p.spaces[ds] = o.space
+		}
+	}
 	p.mu.Unlock()
-	return &Object{pool: p, id: id, ds: ds, bm: bm, sink: sink, codec: codec}
+	if sink == nil && o.space != 0 {
+		o.memo = new(keyMemo)
+	}
+	return o
+}
+
+// entryKey is the one place a cache key is built: shared when the page is
+// stored under a cloud key, private to this handle otherwise (a block run, or
+// the zero entry of a page with no stored image that counts).
+func (o *Object) entryKey(logical uint64, e core.Entry) pageKey {
+	if o.space != 0 && e.IsCloud() {
+		return pageKey{o.space, e.Loc}
+	}
+	return pageKey{o.id, logical}
+}
+
+// key resolves the cache key logical has in this handle right now: private
+// while the page is dirty here, else whatever entryKey makes of its blockmap
+// entry. It takes no Pool.mu because the blockmap may have to load a node; a
+// failed lookup yields the private key, whose miss path reports the error.
+func (o *Object) key(ctx context.Context, logical uint64) pageKey {
+	if o.memo != nil && logical < memoPages {
+		if c := o.memo[logical/memoChunk].Load(); c != nil {
+			if loc := c[logical%memoChunk].Load(); loc != 0 {
+				return o.entryKey(logical, core.Entry{Loc: loc})
+			}
+		}
+	}
+	return o.resolveKey(ctx, logical)
+}
+
+func (o *Object) resolveKey(ctx context.Context, logical uint64) pageKey {
+	var e core.Entry
+	if o.space != 0 && !o.isDirty(logical) {
+		e, _ = o.bm.Get(ctx, logical)
+		if o.memo != nil && logical < memoPages && e.IsCloud() {
+			chunk := &o.memo[logical/memoChunk]
+			chunk.CompareAndSwap(nil, new([memoChunk]atomic.Uint64))
+			chunk.Load()[logical%memoChunk].Store(e.Loc)
+		}
+	}
+	return o.entryKey(logical, e)
+}
+
+func (o *Object) isDirty(logical uint64) bool {
+	if o.sink == nil {
+		return false
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	_, dirty := o.dirty[logical]
+	return dirty
 }
 
 // Blockmap exposes the object's blockmap (commit needs to flush it).
@@ -142,58 +234,78 @@ func (o *Object) Blockmap() *core.Blockmap { return o.bm }
 // cached image and must not be modified; use Write to modify a page.
 func (o *Object) Read(ctx context.Context, logical uint64) ([]byte, error) {
 	p := o.pool
-	key := pageKey{o.id, logical}
-	p.mu.Lock()
 	for {
+		key := o.key(ctx, logical)
+		p.mu.Lock()
 		pg, ok := p.pages[key]
-		if !ok {
-			break
-		}
-		if pg.loading {
+		if ok && pg.loading {
+			// A flush may re-key the page it was waiting for: resolve again.
 			p.cond.Wait()
+			p.mu.Unlock()
 			continue
 		}
-		pg.pins++
-		p.touch(pg)
-		p.stats.Hits++
-		data := pg.data
-		pg.pins--
+		if ok {
+			pg.pins++
+			p.touch(pg)
+			p.stats.Hits++
+			data := pg.data
+			pg.pins--
+			p.mu.Unlock()
+			return data, nil
+		}
+		// Miss: install a loading placeholder and fetch outside the lock.
+		pg = &page{key: key, logical: logical, loading: true}
+		p.pages[key] = pg
+		p.stats.Misses++
+		p.mu.Unlock()
+
+		data, err := o.load(ctx, logical, key)
+
+		p.mu.Lock()
+		pg.loading = false
+		p.cond.Broadcast()
+		if err != nil {
+			delete(p.pages, key)
+			p.mu.Unlock()
+			if err == errRekeyed {
+				continue
+			}
+			return nil, err
+		}
+		pg.data = data
+		pg.lru = p.lruList.PushFront(pg)
+		p.size += int64(len(data))
+		p.evictLocked(ctx)
 		p.mu.Unlock()
 		return data, nil
 	}
-	// Miss: install a loading placeholder and fetch outside the lock.
-	pg := &page{key: key, owner: o, loading: true}
-	p.pages[key] = pg
-	p.stats.Misses++
-	p.mu.Unlock()
+}
 
-	data, err := o.load(ctx, logical)
+// errRekeyed reports that a page's blockmap entry no longer has the key a
+// miss resolved — this handle flushed the page in between — so whatever is
+// stored there must not be installed under that key; the read resolves again.
+var errRekeyed = errors.New("buffer: page re-keyed during load")
 
-	p.mu.Lock()
-	pg.loading = false
+// storedEntry returns the entry to load for a miss on key.
+func (o *Object) storedEntry(ctx context.Context, logical uint64, key pageKey) (core.Entry, error) {
+	entry, err := o.bm.Get(ctx, logical)
 	if err != nil {
-		delete(p.pages, key)
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		return nil, err
+		return entry, err
 	}
-	pg.data = data
-	pg.lru = p.lruList.PushFront(pg)
-	p.size += int64(len(data))
-	p.cond.Broadcast()
-	p.evictLocked(ctx)
-	p.mu.Unlock()
-	return data, nil
+	if entry.IsZero() {
+		return entry, fmt.Errorf("buffer: object %d has no page %d", o.id, logical)
+	}
+	if o.entryKey(logical, entry) != key {
+		return entry, errRekeyed
+	}
+	return entry, nil
 }
 
 // load fetches and decompresses the stored page image.
-func (o *Object) load(ctx context.Context, logical uint64) ([]byte, error) {
-	entry, err := o.bm.Get(ctx, logical)
+func (o *Object) load(ctx context.Context, logical uint64, key pageKey) ([]byte, error) {
+	entry, err := o.storedEntry(ctx, logical, key)
 	if err != nil {
 		return nil, err
-	}
-	if entry.IsZero() {
-		return nil, fmt.Errorf("buffer: object %d has no page %d", o.id, logical)
 	}
 	stored, err := o.ds.ReadPage(ctx, entry)
 	if err != nil {
@@ -222,11 +334,21 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 		pg *page
 	}
 	var misses []miss
-	var waiters []int // pages another goroutine is loading right now
+	var waiters []int // pages to take through Read: loading elsewhere, or re-keyed
+
+	// Keys resolve before the lock; a segment's worth fits on the stack.
+	var keyBuf [16]pageKey
+	keys := keyBuf[:]
+	if len(logicals) > len(keyBuf) {
+		keys = make([]pageKey, len(logicals))
+	}
+	keys = keys[:len(logicals)]
+	for i, logical := range logicals {
+		keys[i] = o.key(ctx, logical)
+	}
 
 	p.mu.Lock()
-	for i, logical := range logicals {
-		key := pageKey{o.id, logical}
+	for i, key := range keys {
 		pg, ok := p.pages[key]
 		switch {
 		case ok && !pg.loading:
@@ -236,7 +358,7 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 		case ok:
 			waiters = append(waiters, i)
 		default:
-			npg := &page{key: key, owner: o, loading: true}
+			npg := &page{key: key, logical: logicals[i], loading: true}
 			p.pages[key] = npg
 			p.stats.Misses++
 			misses = append(misses, miss{i: i, pg: npg})
@@ -251,10 +373,7 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 		var entries []core.Entry
 		var submit []int
 		for j, m := range misses {
-			entry, err := o.bm.Get(ctx, logicals[m.i])
-			if err == nil && entry.IsZero() {
-				err = fmt.Errorf("buffer: object %d has no page %d", o.id, logicals[m.i])
-			}
+			entry, err := o.storedEntry(ctx, logicals[m.i], m.pg.key)
 			if err != nil {
 				itemErrs[j] = err
 				continue
@@ -280,9 +399,13 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 		p.mu.Lock()
 		for j, m := range misses {
 			m.pg.loading = false
-			if itemErrs[j] != nil {
+			if err := itemErrs[j]; err != nil {
 				delete(p.pages, m.pg.key)
-				errs = append(errs, itemErrs[j])
+				if err == errRekeyed {
+					waiters = append(waiters, m.i) // Read resolves it afresh
+				} else {
+					errs = append(errs, err)
+				}
 				continue
 			}
 			m.pg.data = data[j]
@@ -319,7 +442,7 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 		return err
 	}
 	p := o.pool
-	key := pageKey{o.id, logical}
+	key := o.entryKey(logical, core.Entry{}) // dirty pages are private
 	cp := make([]byte, len(data))
 	copy(cp, data)
 
@@ -327,7 +450,7 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	for {
 		pg, ok := p.pages[key]
 		if !ok {
-			pg = &page{key: key, owner: o}
+			pg = &page{key: key, logical: logical}
 			p.pages[key] = pg
 			pg.lru = p.lruList.PushFront(pg)
 			break
@@ -343,6 +466,7 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	pg := p.pages[key]
 	pg.data = cp
 	pg.dirty = true
+	pg.owner = o
 	p.size += int64(len(cp))
 
 	o.mu.Lock()
@@ -389,31 +513,30 @@ func (p *Pool) evictLocked(ctx context.Context) {
 				p.lruList.Remove(victim.lru)
 				victim.lru = nil
 			}
+			owner := victim.owner
 			p.mu.Unlock()
-			err := victim.owner.flushPage(ctx, victim, core.WriteBack)
+			err := owner.flushPage(ctx, victim, core.WriteBack)
 			p.mu.Lock()
 			victim.loading = false
-			if err != nil {
+			p.cond.Broadcast()
+			if err != nil && victim.dirty {
 				// The page cannot be dropped without losing data; put it
 				// back and stay over budget.
 				victim.lru = p.lruList.PushFront(victim)
-				p.cond.Broadcast()
 				return
 			}
-			delete(p.pages, victim.key)
-			p.size -= int64(len(victim.data))
-			p.cond.Broadcast()
-			p.stats.Flushes++
-			p.stats.Evictions++
-			continue
 		}
 		p.removeLocked(victim)
 		p.stats.Evictions++
 	}
 }
 
-// removeLocked unlinks pg from the cache. Called with p.mu held.
+// removeLocked unlinks pg from the cache, unless a flush that found its
+// shared key taken already has. Called with p.mu held.
 func (p *Pool) removeLocked(pg *page) {
+	if p.pages[pg.key] != pg {
+		return
+	}
 	if pg.lru != nil {
 		p.lruList.Remove(pg.lru)
 		pg.lru = nil
@@ -431,7 +554,7 @@ func (o *Object) flushPage(ctx context.Context, pg *page, mode core.WriteMode) e
 	stored := o.codec.Compress(pg.data)
 
 	o.mu.Lock()
-	prev, rewritable := o.flushed[pg.key.logical]
+	prev, rewritable := o.flushed[pg.logical]
 	o.mu.Unlock()
 	if rewritable {
 		if bds, isBlock := o.ds.(*core.BlockDbspace); isBlock {
@@ -441,14 +564,14 @@ func (o *Object) flushPage(ctx context.Context, pg *page, mode core.WriteMode) e
 			}
 			if inPlace {
 				// Same extent, possibly new size: no allocation events.
-				if _, err := o.bm.Set(ctx, pg.key.logical, entry); err != nil {
+				if _, err := o.bm.Set(ctx, pg.logical, entry); err != nil {
 					return err
 				}
 				return o.finishFlush(pg, entry)
 			}
 			// Did not fit: a fresh run was allocated; the previous one is
 			// superseded within this transaction.
-			if _, err := o.bm.Set(ctx, pg.key.logical, entry); err != nil {
+			if _, err := o.bm.Set(ctx, pg.logical, entry); err != nil {
 				return err
 			}
 			o.sink.NoteAllocated(entry)
@@ -461,7 +584,7 @@ func (o *Object) flushPage(ctx context.Context, pg *page, mode core.WriteMode) e
 	if err != nil {
 		return err
 	}
-	old, err := o.bm.Set(ctx, pg.key.logical, entry)
+	old, err := o.bm.Set(ctx, pg.logical, entry)
 	if err != nil {
 		return err
 	}
@@ -472,15 +595,33 @@ func (o *Object) flushPage(ctx context.Context, pg *page, mode core.WriteMode) e
 	return o.finishFlush(pg, entry)
 }
 
+// finishFlush is the flushing -> clean transition, the write path's only
+// touch of the shared cache: under Pool.mu the page stops being dirty and
+// moves from its private key to the key of the entry the flush produced, so
+// the next reader of that entry — in any handle — hits it.
 func (o *Object) finishFlush(pg *page, entry core.Entry) error {
+	p := o.pool
+	p.mu.Lock()
 	pg.dirty = false
+	pg.owner = nil
+	p.stats.Flushes++
 	o.mu.Lock()
 	if o.flushed == nil {
 		o.flushed = make(map[uint64]core.Entry)
 	}
-	o.flushed[pg.key.logical] = entry
-	delete(o.dirty, pg.key.logical)
+	o.flushed[pg.logical] = entry
+	delete(o.dirty, pg.logical)
 	o.mu.Unlock()
+	if key := o.entryKey(pg.logical, entry); key != pg.key && p.pages[pg.key] == pg {
+		if _, taken := p.pages[key]; taken {
+			p.removeLocked(pg) // a reader raced us to the stored image
+		} else {
+			delete(p.pages, pg.key)
+			pg.key = key
+			p.pages[key] = pg
+		}
+	}
+	p.mu.Unlock()
 	return nil
 }
 
@@ -508,7 +649,7 @@ func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
 	}
 	o.mu.Unlock()
 	fsp.AddInt("dirty", int64(len(dirty)))
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].key.logical < dirty[j].key.logical })
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].logical < dirty[j].logical })
 
 	_, isBlock := o.ds.(*core.BlockDbspace)
 	var errs []error
@@ -526,7 +667,7 @@ func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
 		}
 		if isBlock {
 			o.mu.Lock()
-			_, rewritable := o.flushed[pg.key.logical]
+			_, rewritable := o.flushed[pg.logical]
 			o.mu.Unlock()
 			if rewritable {
 				rewrites = append(rewrites, pg)
@@ -544,11 +685,7 @@ func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
 		// the allocating WriteBatch; overlap their device latency in the
 		// worker pool instead (a size-1 pool keeps logical order).
 		rwErrs := pageio.NewPool(o.pool.cfg.PrefetchWorkers).Do(ctx, len(rewrites), func(i int) error {
-			if err := o.flushPage(ctx, rewrites[i], core.WriteThrough); err != nil {
-				return err
-			}
-			o.noteFlushed()
-			return nil
+			return o.flushPage(ctx, rewrites[i], core.WriteThrough)
 		})
 		for _, err := range rwErrs {
 			if err != nil {
@@ -602,7 +739,7 @@ func (o *Object) flushBatch(ctx context.Context, batch []*page) []error {
 				errs = append(errs, itemErr)
 				continue
 			}
-			old, setErr := o.bm.Set(ctx, pg.key.logical, res.entries[j])
+			old, setErr := o.bm.Set(ctx, pg.logical, res.entries[j])
 			if setErr != nil {
 				errs = append(errs, setErr)
 				continue
@@ -612,7 +749,6 @@ func (o *Object) flushBatch(ctx context.Context, batch []*page) []error {
 				o.sink.NoteFreed(old)
 			}
 			_ = o.finishFlush(pg, res.entries[j])
-			o.noteFlushed()
 		}
 	}
 
@@ -667,12 +803,6 @@ func (o *Object) flushBatch(ctx context.Context, batch []*page) []error {
 	return errs
 }
 
-func (o *Object) noteFlushed() {
-	o.pool.mu.Lock()
-	o.pool.stats.Flushes++
-	o.pool.mu.Unlock()
-}
-
 // DirtyCount reports the object's dirty pages awaiting flush.
 func (o *Object) DirtyCount() int {
 	o.mu.Lock()
@@ -680,21 +810,32 @@ func (o *Object) DirtyCount() int {
 	return len(o.dirty)
 }
 
-// Discard drops every cached page of the object (dirty pages included) —
-// the rollback path: permanent storage is reclaimed via the RB bitmap, RAM
-// via this call.
+// Discard drops the object's dirty pages and the cached images of everything
+// it flushed — the rollback path: permanent storage is reclaimed via the RB
+// bitmap, RAM via this call. It walks the handle's own maps, not the pool;
+// clean images of committed pages it merely read belong to every reader and
+// stay.
 func (o *Object) Discard() {
 	p := o.pool
 	p.mu.Lock()
-	for key, pg := range p.pages {
-		if key.obj == o.id && !pg.loading && pg.pins == 0 {
-			p.removeLocked(pg)
-		}
-	}
-	p.mu.Unlock()
 	o.mu.Lock()
-	o.dirty = nil
+	for logical := range o.dirty {
+		p.dropLocked(o.entryKey(logical, core.Entry{}))
+	}
+	for logical, entry := range o.flushed {
+		p.dropLocked(o.entryKey(logical, entry))
+	}
+	o.dirty, o.flushed = nil, nil
 	o.mu.Unlock()
+	p.mu.Unlock()
+}
+
+// dropLocked removes the page cached under key unless someone is loading or
+// flushing it. Called with p.mu held.
+func (p *Pool) dropLocked(key pageKey) {
+	if pg, ok := p.pages[key]; ok && !pg.loading && pg.pins == 0 {
+		p.removeLocked(pg)
+	}
 }
 
 // Prefetch schedules an asynchronous batched load of the given logical

@@ -1,10 +1,11 @@
 package tpch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"cloudiq"
 )
@@ -68,16 +69,81 @@ var (
 	endDate   = cloudiq.DateToDays(1998, 8, 2)
 )
 
-func fmtDate(days int64) string {
-	return cloudiq.DaysToDate(days).Format("2006-01-02")
+// The row formatters below append to one reused buffer with strconv instead
+// of going through fmt: the output is byte-identical (TestGenerateGolden) and
+// generation is a fixed cost of every benchmark run's set-up.
+
+// appendInt appends v in decimal, zero-padded to width digits (fmt's %0*d
+// for the non-negative values used here).
+func appendInt(b []byte, v int64, width int) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendInt(tmp[:0], v, 10)
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
-func comment(r *rand.Rand, n int) string {
-	words := make([]string, n)
-	for i := range words {
-		words[i] = fillerWords[r.Intn(len(fillerWords))]
+// appendMoney appends f as fmt's %.2f would. Most amounts are the double
+// nearest some whole number of cents, whose shortest form has at most two
+// decimals and only needs padding; fixed-precision formatting, which strconv
+// does in multiprecision arithmetic, is left for the rest.
+func appendMoney(b []byte, f float64) []byte {
+	n := len(b)
+	b = strconv.AppendFloat(b, f, 'f', -1, 64)
+	dot := bytes.IndexByte(b[n:], '.')
+	switch {
+	case dot < 0:
+		return append(b, ".00"...)
+	case len(b)-n-dot == 2:
+		return append(b, '0')
+	case len(b)-n-dot == 3:
+		return b
 	}
-	return strings.Join(words, " ")
+	return strconv.AppendFloat(b[:n], f, 'f', 2, 64)
+}
+
+func appendDate(b []byte, days int64) []byte {
+	y, m, d := cloudiq.DaysToDate(days).Date()
+	b = appendInt(b, int64(y), 4)
+	b = append(b, '-')
+	b = appendInt(b, int64(m), 2)
+	b = append(b, '-')
+	return appendInt(b, int64(d), 2)
+}
+
+// appendComment appends n filler words separated by single spaces.
+func appendComment(b []byte, r *rand.Rand, n int) []byte {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, fillerWords[r.Intn(len(fillerWords))]...)
+	}
+	return b
+}
+
+// appendContact appends the run supplier and customer rows share,
+// "<name><key>|addr <key>|<nation>|<phone>|<balance>|", drawing the phone's
+// three groups and then the balance.
+func appendContact(b []byte, r *rand.Rand, name string, key int64, nation, balanceRange int) []byte {
+	b = append(b, name...)
+	b = appendInt(b, key, 9)
+	b = append(b, "|addr "...)
+	b = appendInt(b, key, 0)
+	b = append(b, '|')
+	b = appendInt(b, int64(nation), 0)
+	b = append(b, '|')
+	b = appendInt(b, int64(nation+10), 0)
+	b = append(b, '-')
+	b = appendInt(b, int64(r.Intn(1000)), 3)
+	b = append(b, '-')
+	b = appendInt(b, int64(r.Intn(1000)), 3)
+	b = append(b, '-')
+	b = appendInt(b, int64(r.Intn(10000)), 4)
+	b = append(b, '|')
+	b = appendMoney(b, float64(r.Intn(balanceRange))/100-1000)
+	return append(b, '|')
 }
 
 // retailPrice is dbgen's deterministic p_retailprice formula.
@@ -142,9 +208,8 @@ func Generate(ctx context.Context, store cloudiq.ObjectStore, prefix string, sf 
 	stats := GenStats{Rows: make(map[string]int64)}
 	c := countsFor(sf)
 
-	put := func(table string, chunk int, body *strings.Builder, rows int64) error {
+	put := func(table string, chunk int, data []byte, rows int64) error {
 		key := fmt.Sprintf("%s%s/chunk%03d.tbl", prefix, table, chunk)
-		data := []byte(body.String())
 		if err := store.Put(ctx, key, data); err != nil {
 			return fmt.Errorf("tpch: write %s: %w", key, err)
 		}
@@ -154,19 +219,31 @@ func Generate(ctx context.Context, store cloudiq.ObjectStore, prefix string, sf 
 		return nil
 	}
 
+	// b holds the chunk being built (lb the lineitem chunk built beside its
+	// orders) and com a comment drawn before the fields that precede it in
+	// the row; all three are reused across chunks — Put does not keep them.
+	var b, lb, com []byte
+
 	// region and nation are tiny fixed tables.
-	var sb strings.Builder
 	for i, name := range regions {
-		fmt.Fprintf(&sb, "%d|%s|%s|\n", i, name, "regional comment")
+		b = appendInt(b, int64(i), 0)
+		b = append(b, '|')
+		b = append(b, name...)
+		b = append(b, "|regional comment|\n"...)
 	}
-	if err := put("region", 0, &sb, int64(len(regions))); err != nil {
+	if err := put("region", 0, b, int64(len(regions))); err != nil {
 		return stats, err
 	}
-	sb.Reset()
+	b = b[:0]
 	for i, n := range nations {
-		fmt.Fprintf(&sb, "%d|%s|%d|%s|\n", i, n.name, n.region, "national comment")
+		b = appendInt(b, int64(i), 0)
+		b = append(b, '|')
+		b = append(b, n.name...)
+		b = append(b, '|')
+		b = appendInt(b, int64(n.region), 0)
+		b = append(b, "|national comment|\n"...)
 	}
-	if err := put("nation", 0, &sb, int64(len(nations))); err != nil {
+	if err := put("nation", 0, b, int64(len(nations))); err != nil {
 		return stats, err
 	}
 
@@ -179,85 +256,121 @@ func Generate(ctx context.Context, store cloudiq.ObjectStore, prefix string, sf 
 	for chunk := 0; chunk < filesPerTable; chunk++ {
 		// supplier
 		r := rand.New(rand.NewSource(int64(1000 + chunk)))
-		sb.Reset()
+		b = b[:0]
 		lo, hi := chunkRange(c.suppliers, chunk)
 		for k := lo; k < hi; k++ {
 			key := k + 1
 			// Round-robin nations so every nation has suppliers even at
 			// tiny scale factors (Q7/Q20/Q21 depend on specific nations).
 			nation := int(k % int64(len(nations)))
-			com := comment(r, 6)
+			com = appendComment(com[:0], r, 6)
+			b = appendInt(b, key, 0)
+			b = append(b, '|')
+			b = appendContact(b, r, "Supplier#", key, nation, 2000000)
 			if key%97 == 0 { // a sprinkle of Q16's excluded suppliers
-				com = "sly Customer foxes nag Complaints " + com
+				b = append(b, "sly Customer foxes nag Complaints "...)
 			}
-			fmt.Fprintf(&sb, "%d|Supplier#%09d|addr %d|%d|%d-%03d-%03d-%04d|%.2f|%s|\n",
-				key, key, key, nation, nation+10, r.Intn(1000), r.Intn(1000), r.Intn(10000),
-				float64(r.Intn(2000000))/100-1000, com)
+			b = append(b, com...)
+			b = append(b, "|\n"...)
 		}
-		if err := put("supplier", chunk, &sb, hi-lo); err != nil {
+		if err := put("supplier", chunk, b, hi-lo); err != nil {
 			return stats, err
 		}
 
 		// customer
 		r = rand.New(rand.NewSource(int64(2000 + chunk)))
-		sb.Reset()
+		b = b[:0]
 		lo, hi = chunkRange(c.customers, chunk)
 		for k := lo; k < hi; k++ {
 			key := k + 1
 			nation := r.Intn(len(nations))
-			fmt.Fprintf(&sb, "%d|Customer#%09d|addr %d|%d|%d-%03d-%03d-%04d|%.2f|%s|%s|\n",
-				key, key, key, nation, nation+10, r.Intn(1000), r.Intn(1000), r.Intn(10000),
-				float64(r.Intn(1100000))/100-1000, segments[r.Intn(len(segments))], comment(r, 8))
+			b = appendInt(b, key, 0)
+			b = append(b, '|')
+			b = appendContact(b, r, "Customer#", key, nation, 1100000)
+			b = append(b, segments[r.Intn(len(segments))]...)
+			b = append(b, '|')
+			b = appendComment(b, r, 8)
+			b = append(b, "|\n"...)
 		}
-		if err := put("customer", chunk, &sb, hi-lo); err != nil {
+		if err := put("customer", chunk, b, hi-lo); err != nil {
 			return stats, err
 		}
 
 		// part
 		r = rand.New(rand.NewSource(int64(3000 + chunk)))
-		sb.Reset()
+		b = b[:0]
 		lo, hi = chunkRange(c.parts, chunk)
 		for k := lo; k < hi; k++ {
 			key := k + 1
-			words := make([]string, 5)
-			for i := range words {
-				words[i] = nameWords[r.Intn(len(nameWords))]
+			b = appendInt(b, key, 0)
+			b = append(b, '|')
+			for i := 0; i < 5; i++ {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = append(b, nameWords[r.Intn(len(nameWords))]...)
 			}
 			mfgr := r.Intn(5) + 1
 			brand := mfgr*10 + r.Intn(5) + 1
-			ptype := typeSyl1[r.Intn(len(typeSyl1))] + " " + typeSyl2[r.Intn(len(typeSyl2))] + " " + typeSyl3[r.Intn(len(typeSyl3))]
-			container := containers1[r.Intn(len(containers1))] + " " + containers2[r.Intn(len(containers2))]
-			fmt.Fprintf(&sb, "%d|%s|Manufacturer#%d|Brand#%d|%s|%d|%s|%.2f|%s|\n",
-				key, strings.Join(words, " "), mfgr, brand, ptype, r.Intn(50)+1,
-				container, retailPrice(key), comment(r, 3))
+			b = append(b, "|Manufacturer#"...)
+			b = appendInt(b, int64(mfgr), 0)
+			b = append(b, "|Brand#"...)
+			b = appendInt(b, int64(brand), 0)
+			b = append(b, '|')
+			b = append(b, typeSyl1[r.Intn(len(typeSyl1))]...)
+			b = append(b, ' ')
+			b = append(b, typeSyl2[r.Intn(len(typeSyl2))]...)
+			b = append(b, ' ')
+			b = append(b, typeSyl3[r.Intn(len(typeSyl3))]...)
+			b = append(b, '|')
+			// The container is drawn before the size it follows in the row.
+			c1, c2 := containers1[r.Intn(len(containers1))], containers2[r.Intn(len(containers2))]
+			b = appendInt(b, int64(r.Intn(50)+1), 0)
+			b = append(b, '|')
+			b = append(b, c1...)
+			b = append(b, ' ')
+			b = append(b, c2...)
+			b = append(b, '|')
+			b = appendMoney(b, retailPrice(key))
+			b = append(b, '|')
+			b = appendComment(b, r, 3)
+			b = append(b, "|\n"...)
 		}
-		if err := put("part", chunk, &sb, hi-lo); err != nil {
+		if err := put("part", chunk, b, hi-lo); err != nil {
 			return stats, err
 		}
 
 		// partsupp: four suppliers per part.
 		r = rand.New(rand.NewSource(int64(4000 + chunk)))
-		sb.Reset()
+		b = b[:0]
 		var psRows int64
 		for k := lo; k < hi; k++ {
 			part := k + 1
 			for s := int64(0); s < 4; s++ {
 				supp := (part+s*(c.suppliers/4))%c.suppliers + 1
-				fmt.Fprintf(&sb, "%d|%d|%d|%.2f|%s|\n",
-					part, supp, r.Intn(9999)+1, float64(r.Intn(100000))/100+1, comment(r, 5))
+				b = appendInt(b, part, 0)
+				b = append(b, '|')
+				b = appendInt(b, supp, 0)
+				b = append(b, '|')
+				b = appendInt(b, int64(r.Intn(9999)+1), 0)
+				b = append(b, '|')
+				b = appendMoney(b, float64(r.Intn(100000))/100+1)
+				b = append(b, '|')
+				b = appendComment(b, r, 5)
+				b = append(b, "|\n"...)
 				psRows++
 			}
 		}
-		if err := put("partsupp", chunk, &sb, psRows); err != nil {
+		if err := put("partsupp", chunk, b, psRows); err != nil {
 			return stats, err
 		}
 
 		// orders + lineitem together so o_totalprice is consistent.
 		r = rand.New(rand.NewSource(int64(5000 + chunk)))
-		sb.Reset()
-		var lb strings.Builder
+		b, lb = b[:0], lb[:0]
 		lo, hi = chunkRange(c.orders, chunk)
 		var liRows int64
+		cutoff := cloudiq.DateToDays(1995, 6, 17)
 		for k := lo; k < hi; k++ {
 			orderkey := k*4 + 1 // sparse keys, as in dbgen
 			custkey := custWithOrders(r, c.customers)
@@ -275,47 +388,82 @@ func Generate(ctx context.Context, store cloudiq.ObjectStore, prefix string, sf 
 				ship := orderdate + int64(r.Intn(121)) + 1
 				commit := orderdate + int64(r.Intn(61)) + 30
 				receipt := ship + int64(r.Intn(30)) + 1
-				rf := "N"
-				cutoff := cloudiq.DateToDays(1995, 6, 17)
+				rf := byte('N')
 				if receipt <= cutoff {
 					if r.Intn(2) == 0 {
-						rf = "R"
+						rf = 'R'
 					} else {
-						rf = "A"
+						rf = 'A'
 					}
 				}
-				ls := "O"
+				ls := byte('O')
 				if ship <= cutoff {
-					ls = "F"
+					ls = 'F'
 					allO = false
 				} else {
 					allF = false
 				}
 				total += price * (1 + tax) * (1 - disc)
-				fmt.Fprintf(&lb, "%d|%d|%d|%d|%g|%.2f|%.2f|%.2f|%s|%s|%s|%s|%s|%s|%s|%s|\n",
-					orderkey, partkey, suppkey, ln+1, qty, price, disc, tax, rf, ls,
-					fmtDate(ship), fmtDate(commit), fmtDate(receipt),
-					instructs[r.Intn(len(instructs))], shipmodes[r.Intn(len(shipmodes))], comment(r, 4))
+				lb = appendInt(lb, orderkey, 0)
+				lb = append(lb, '|')
+				lb = appendInt(lb, partkey, 0)
+				lb = append(lb, '|')
+				lb = appendInt(lb, suppkey, 0)
+				lb = append(lb, '|')
+				lb = appendInt(lb, int64(ln+1), 0)
+				lb = append(lb, '|')
+				lb = strconv.AppendFloat(lb, qty, 'g', -1, 64)
+				lb = append(lb, '|')
+				lb = appendMoney(lb, price)
+				lb = append(lb, '|')
+				lb = appendMoney(lb, disc)
+				lb = append(lb, '|')
+				lb = appendMoney(lb, tax)
+				lb = append(lb, '|', rf, '|', ls, '|')
+				lb = appendDate(lb, ship)
+				lb = append(lb, '|')
+				lb = appendDate(lb, commit)
+				lb = append(lb, '|')
+				lb = appendDate(lb, receipt)
+				lb = append(lb, '|')
+				lb = append(lb, instructs[r.Intn(len(instructs))]...)
+				lb = append(lb, '|')
+				lb = append(lb, shipmodes[r.Intn(len(shipmodes))]...)
+				lb = append(lb, '|')
+				lb = appendComment(lb, r, 4)
+				lb = append(lb, "|\n"...)
 				liRows++
 			}
-			status := "P"
+			status := byte('P')
 			if allF {
-				status = "F"
+				status = 'F'
 			} else if allO {
-				status = "O"
+				status = 'O'
 			}
-			ocom := comment(r, 6)
-			if r.Intn(50) == 0 { // Q13's excluded orders
-				ocom = "waters special packages requests " + ocom
+			com = appendComment(com[:0], r, 6)
+			special := r.Intn(50) == 0 // Q13's excluded orders
+			b = appendInt(b, orderkey, 0)
+			b = append(b, '|')
+			b = appendInt(b, custkey, 0)
+			b = append(b, '|', status, '|')
+			b = appendMoney(b, total)
+			b = append(b, '|')
+			b = appendDate(b, orderdate)
+			b = append(b, '|')
+			b = append(b, priorities[r.Intn(len(priorities))]...)
+			b = append(b, "|Clerk#"...)
+			b = appendInt(b, r.Int63n(c.orders/10+1)+1, 9)
+			b = append(b, "|0|"...)
+			if special {
+				b = append(b, "waters special packages requests "...)
 			}
-			fmt.Fprintf(&sb, "%d|%d|%s|%.2f|%s|%s|Clerk#%09d|0|%s|\n",
-				orderkey, custkey, status, total, fmtDate(orderdate),
-				priorities[r.Intn(len(priorities))], r.Int63n(c.orders/10+1)+1, ocom)
+			b = append(b, com...)
+			b = append(b, "|\n"...)
 		}
-		if err := put("orders", chunk, &sb, hi-lo); err != nil {
+		if err := put("orders", chunk, b, hi-lo); err != nil {
 			return stats, err
 		}
-		if err := put("lineitem", chunk, &lb, liRows); err != nil {
+		if err := put("lineitem", chunk, lb, liRows); err != nil {
 			return stats, err
 		}
 	}
