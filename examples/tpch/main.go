@@ -1,8 +1,7 @@
 // TPC-H: the paper's evaluation workload end to end on a laptop — generate
 // dbgen-style input files into a simulated S3 bucket, load the eight tables
-// (range-partitioned, HG-indexed) through the cloud-native storage stack
-// with the Object Cache Manager enabled, and run the 22 benchmark queries
-// in power mode.
+// (range-partitioned) through the cloud-native storage stack with the Object
+// Cache Manager enabled, and run the 22 benchmark queries in power mode.
 package main
 
 import (

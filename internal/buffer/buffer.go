@@ -145,9 +145,9 @@ type Object struct {
 }
 
 // keyMemo holds one cloud key per logical page below memoPages, in chunks
-// allocated on first use: index pages live at logical 2^40 and above, so the
-// table is sized by the pages touched, not by Blockmap.Pages. Zero means not
-// resolved yet (cloud keys start at 2^63).
+// allocated on first use, so a small table pays for the pages it has; a page
+// at memoPages or above resolves through Blockmap.Get each time. Zero means
+// not resolved yet (cloud keys start at 2^63).
 type keyMemo [memoPages / memoChunk]atomic.Pointer[[memoChunk]atomic.Uint64]
 
 const (

@@ -8,9 +8,8 @@ import (
 	"cloudiq/internal/core"
 )
 
-// modelPages is the logical address space the model test draws from: data
-// pages, plus two up where a table keeps its index chunks (beyond the key
-// memo's reach).
+// modelPages is the logical address space the model test draws from: a
+// table's first pages, plus two far above them, beyond the key memo's reach.
 var modelPages = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1 << 40, 1<<40 + 1}
 
 // modelHandle is a handle beside the contents it must read back.

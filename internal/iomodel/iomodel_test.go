@@ -145,15 +145,13 @@ func TestResourceNilIsNoop(t *testing.T) {
 	r.Acquire(10) // must not panic
 }
 
-func TestResourceSetRates(t *testing.T) {
+func TestResourceChargesTransferTime(t *testing.T) {
 	scale := NewScale(0)
-	r := NewResource(scale, 0, 1e9) // 1 ns per byte
-	r.Acquire(1000)
+	NewResource(scale, 0, 1e9).Acquire(1000) // 1 ns per byte
 	if got := scale.Charged(); got != 1000*time.Nanosecond {
 		t.Fatalf("Charged = %v, want 1µs", got)
 	}
-	r.SetRates(0, 0.5e9) // 2 ns per byte
-	r.Acquire(1000)
+	NewResource(scale, 0, 0.5e9).Acquire(1000) // 2 ns per byte
 	if got := scale.Charged(); got != 3000*time.Nanosecond {
 		t.Fatalf("Charged = %v, want 3µs", got)
 	}

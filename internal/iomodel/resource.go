@@ -53,13 +53,3 @@ func (r *Resource) Stats() (ops, bytes int64) {
 	defer r.mu.Unlock()
 	return r.ops, r.bytes
 }
-
-// SetRates replaces the per-op service time and transfer capacity. It is
-// used by models whose capacity depends on state (e.g. EFS throughput
-// scaling with stored bytes).
-func (r *Resource) SetRates(perOp time.Duration, bytesPerSec float64) {
-	r.mu.Lock()
-	r.perOp = perOp
-	r.bytesPerSec = bytesPerSec
-	r.mu.Unlock()
-}

@@ -58,34 +58,6 @@ func (c *Client) NextKey(ctx context.Context) (uint64, error) {
 	return k, nil
 }
 
-// NextRange returns a contiguous run of n keys, spanning refills if needed.
-// The returned ranges are contiguous internally but the run as a whole may
-// be split across cached ranges.
-func (c *Client) NextRange(ctx context.Context, n uint64) ([]rfrb.Range, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("keygen: zero-length key request")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []rfrb.Range
-	for n > 0 {
-		if c.cur.Start >= c.cur.End {
-			if err := c.refillLocked(ctx); err != nil {
-				return nil, err
-			}
-		}
-		take := c.cur.End - c.cur.Start
-		if take > n {
-			take = n
-		}
-		out = append(out, rfrb.Range{Start: c.cur.Start, End: c.cur.Start + take})
-		c.cur.Start += take
-		c.handedOut += int64(take)
-		n -= take
-	}
-	return out, nil
-}
-
 func (c *Client) refillLocked(ctx context.Context) error {
 	// Load-adaptive sizing: consuming a full range quickly (i.e. needing
 	// another refill at all) doubles the request, bounded by MaxRangeSize.
@@ -122,11 +94,4 @@ func (c *Client) Stats() (refills, keys int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.refills, c.handedOut
-}
-
-// Remaining reports the number of keys left in the cached range.
-func (c *Client) Remaining() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur.End - c.cur.Start
 }

@@ -228,11 +228,16 @@ func TestClientAdaptiveGrowthAndShrink(t *testing.T) {
 		sizes = append(sizes, n)
 		return g.Allocate(ctx, "w1", n)
 	})
-	for i := 0; i < 4; i++ {
-		if _, err := c.NextRange(ctxb(), DefaultRangeSize*8); err != nil {
-			t.Fatal(err)
+	// drain consumes keys until the client has refilled `refills` times.
+	drain := func(refills int) {
+		t.Helper()
+		for len(sizes) < refills {
+			if _, err := c.NextKey(ctxb()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	drain(5)
 	if sizes[0] != DefaultRangeSize {
 		t.Fatalf("first request = %d, want default", sizes[0])
 	}
@@ -243,31 +248,10 @@ func TestClientAdaptiveGrowthAndShrink(t *testing.T) {
 	}
 	before := sizes[len(sizes)-1]
 	c.Shrink()
-	_, _ = c.NextRange(ctxb(), c.Remaining()+1)
+	drain(6)
 	last := sizes[len(sizes)-1]
 	if last != before { // shrink halved, next refill doubles back
 		t.Fatalf("after Shrink, refill = %d, want %d", last, before)
-	}
-}
-
-func TestClientNextRangeSpansRefills(t *testing.T) {
-	g := NewGenerator(nil)
-	c := NewClient(func(ctx context.Context, n uint64) (rfrb.Range, error) {
-		return g.Allocate(ctx, "w1", n)
-	})
-	ranges, err := c.NextRange(ctxb(), DefaultRangeSize+10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, r := range ranges {
-		total += r.Len()
-	}
-	if total != DefaultRangeSize+10 {
-		t.Fatalf("NextRange covered %d keys, want %d", total, DefaultRangeSize+10)
-	}
-	if _, err := c.NextRange(ctxb(), 0); err == nil {
-		t.Fatal("zero-length request accepted")
 	}
 }
 

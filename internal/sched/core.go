@@ -633,9 +633,6 @@ func (c *Core) ShouldYield(q *Query) bool {
 	return c.FreeSlots() == 0
 }
 
-// Backlog returns the total queued queries across tenants.
-func (c *Core) Backlog() int { return int(c.counters.Queued) }
-
 // FreeSlots returns the total unoccupied reader slots. A draining reader's
 // free slots don't count — nothing new may dispatch there.
 func (c *Core) FreeSlots() int {
@@ -690,15 +687,6 @@ func (c *Core) Load() LoadStats {
 		}
 	}
 	return s
-}
-
-// QueueDepth reports one tenant lane's queue length.
-func (c *Core) QueueDepth(tenantName string, lane Lane) int {
-	t, ok := c.tenants[tenantName]
-	if !ok || lane < 0 || lane >= NumLanes {
-		return 0
-	}
-	return len(t.lanes[lane])
 }
 
 // Dispatches reports how many dispatches a tenant has received.

@@ -2,9 +2,9 @@
 // rows are accumulated into segments, each column of a segment is encoded
 // (dictionary / n-bit / RLE) and stored as one logical page, zone maps are
 // kept per column per segment for early pruning, tables may be
-// range-partitioned, High-Group indexes are maintained and persisted, and a
-// parallel load engine ingests '|'-separated input files from an object
-// store bucket — the TPC-H load path of the paper's evaluation.
+// range-partitioned, and a parallel load engine ingests '|'-separated input
+// files from an object store bucket — the TPC-H load path of the paper's
+// evaluation.
 package table
 
 import (

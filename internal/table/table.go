@@ -11,16 +11,15 @@ import (
 	"cloudiq/internal/buffer"
 	"cloudiq/internal/column"
 	"cloudiq/internal/core"
-	"cloudiq/internal/index"
 	"cloudiq/internal/objstore"
 )
 
 const (
-	metaPage     = 0
-	dataBase     = 1
-	idxBase      = uint64(1) << 40
-	idxStride    = uint64(1) << 20
-	idxChunkSize = 1 << 18
+	// A table's logical pages are one dense range: the meta page, then one
+	// page per (segment, column). The blockmap's depth follows the highest
+	// page, so nothing may live in a sparse region above the data.
+	metaPage = 0
+	dataBase = 1
 
 	// DefaultSegRows is the default segment size in rows.
 	DefaultSegRows = 4096
@@ -33,12 +32,6 @@ type SegMeta struct {
 	Zones     []column.ZoneMap // one per schema column
 }
 
-// IdxMeta records a persisted HG index.
-type IdxMeta struct {
-	Col    int
-	Chunks int
-}
-
 // meta is the gob-encoded table descriptor stored in page 0.
 type meta struct {
 	Schema     Schema
@@ -46,7 +39,6 @@ type meta struct {
 	PartCol    int // -1 when unpartitioned
 	PartBounds []int64
 	Segs       []SegMeta
-	Indexes    []IdxMeta
 	TotalRows  int64
 }
 
@@ -59,8 +51,6 @@ type Options struct {
 	// Bounds[i], the last partition holds the rest.
 	PartitionCol    string
 	PartitionBounds []int64
-	// IndexCols names columns to maintain HG indexes on.
-	IndexCols []string
 }
 
 // DeltaView is a snapshot of a table's in-memory delta rows (trickle
@@ -85,8 +75,7 @@ type Table struct {
 	meta     meta
 	writable bool
 	builders map[int]*Batch // open (unsealed) segment per partition
-	indexes  map[int]*index.HG
-	delta    DeltaView // nil when no delta rows are visible
+	delta    DeltaView      // nil when no delta rows are visible
 }
 
 // Create makes an empty writable table whose pages live in obj.
@@ -117,27 +106,13 @@ func Create(name string, obj *buffer.Object, schema Schema, opts Options) (*Tabl
 		meta:     m,
 		writable: true,
 		builders: make(map[int]*Batch),
-		indexes:  make(map[int]*index.HG),
-	}
-	for _, col := range opts.IndexCols {
-		i := schema.ColIndex(col)
-		if i < 0 {
-			return nil, fmt.Errorf("table %s: index column %q not in schema", name, col)
-		}
-		hg, err := index.NewHG(schema.Cols[i].Typ)
-		if err != nil {
-			return nil, fmt.Errorf("table %s: index on %q: %w", name, col, err)
-		}
-		t.indexes[i] = hg
-		t.meta.Indexes = append(t.meta.Indexes, IdxMeta{Col: i})
 	}
 	return t, nil
 }
 
 // Open attaches to an existing table stored in obj (whose blockmap was
 // opened from the table's identity). Writable reports whether the caller
-// intends to append; appending to a table with persisted indexes reloads
-// them into memory.
+// intends to append.
 func Open(ctx context.Context, name string, obj *buffer.Object, writable bool) (*Table, error) {
 	raw, err := obj.Read(ctx, metaPage)
 	if err != nil {
@@ -153,7 +128,6 @@ func Open(ctx context.Context, name string, obj *buffer.Object, writable bool) (
 		meta:     m,
 		writable: writable,
 		builders: make(map[int]*Batch),
-		indexes:  make(map[int]*index.HG),
 	}
 	return t, nil
 }
@@ -197,6 +171,10 @@ func (t *Table) Segments() int {
 	return len(t.meta.Segs)
 }
 
+// Identity returns the identity of the table's blockmap: the one the table
+// was opened from or, after Commit, the one Commit returned.
+func (t *Table) Identity() core.Identity { return t.obj.Blockmap().Identity() }
+
 // SegRows returns the configured segment size.
 func (t *Table) SegRows() int { return t.meta.SegRows }
 
@@ -225,13 +203,6 @@ func (t *Table) Append(ctx context.Context, b *Batch) error {
 	}
 	if len(b.Vecs) != len(t.meta.Schema.Cols) {
 		return fmt.Errorf("table %s: batch has %d columns, schema %d", t.name, len(b.Vecs), len(t.meta.Schema.Cols))
-	}
-	// A reopened table must have its persisted indexes in memory before new
-	// rows arrive, or index maintenance would silently skip them.
-	for _, im := range t.meta.Indexes {
-		if _, err := t.Index(ctx, im.Col); err != nil {
-			return err
-		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -271,20 +242,14 @@ func (t *Table) sealLocked(ctx context.Context, part int, b *Batch) error {
 			return fmt.Errorf("table %s: seal segment %d column %d: %w", t.name, seg, c, err)
 		}
 	}
-	baseRow := uint64(seg) * uint64(t.meta.SegRows)
-	for c, hg := range t.indexes {
-		if err := hg.Add(b.Vecs[c], baseRow); err != nil {
-			return fmt.Errorf("table %s: index column %d: %w", t.name, c, err)
-		}
-	}
 	t.meta.Segs = append(t.meta.Segs, sm)
 	t.meta.TotalRows += int64(b.Rows())
 	return nil
 }
 
-// Commit seals any open builders, persists the indexes and the meta page,
-// and flushes everything (write-through) returning the table's new identity
-// for the catalog.
+// Commit seals any open builders, persists the meta page, and flushes
+// everything (write-through) returning the table's new identity for the
+// catalog.
 func (t *Table) Commit(ctx context.Context) (core.Identity, error) {
 	if !t.writable {
 		return core.Identity{}, fmt.Errorf("table %s: not writable", t.name)
@@ -306,29 +271,6 @@ func (t *Table) Commit(ctx context.Context) (core.Identity, error) {
 		}
 	}
 	t.builders = make(map[int]*Batch)
-
-	// Persist the indexes as chunked pages.
-	for i := range t.meta.Indexes {
-		im := &t.meta.Indexes[i]
-		hg, ok := t.indexes[im.Col]
-		if !ok {
-			continue // never loaded => never modified
-		}
-		img := hg.Marshal()
-		im.Chunks = (len(img) + idxChunkSize - 1) / idxChunkSize
-		for c := 0; c < im.Chunks; c++ {
-			lo := c * idxChunkSize
-			hi := lo + idxChunkSize
-			if hi > len(img) {
-				hi = len(img)
-			}
-			page := idxBase + uint64(i)*idxStride + uint64(c)
-			if err := t.obj.Write(ctx, page, img[lo:hi]); err != nil {
-				t.mu.Unlock()
-				return core.Identity{}, fmt.Errorf("table %s: persist index %d: %w", t.name, i, err)
-			}
-		}
-	}
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&t.meta); err != nil {
@@ -415,52 +357,4 @@ func (t *Table) PrefetchSegments(ctx context.Context, segs []int, cols []int) {
 		}
 	}
 	t.obj.Prefetch(ctx, pages)
-}
-
-// Index returns the HG index on the given schema column, loading it from
-// its persisted chunks on first use, or nil if the column is not indexed.
-func (t *Table) Index(ctx context.Context, col int) (*index.HG, error) {
-	t.mu.Lock()
-	if hg, ok := t.indexes[col]; ok {
-		t.mu.Unlock()
-		return hg, nil
-	}
-	var im *IdxMeta
-	var pos int
-	for i := range t.meta.Indexes {
-		if t.meta.Indexes[i].Col == col {
-			im = &t.meta.Indexes[i]
-			pos = i
-			break
-		}
-	}
-	t.mu.Unlock()
-	if im == nil {
-		return nil, nil
-	}
-	pages := make([]uint64, im.Chunks)
-	for c := range pages {
-		pages[c] = idxBase + uint64(pos)*idxStride + uint64(c)
-	}
-	chunks, err := t.obj.ReadBatch(ctx, pages)
-	if err != nil {
-		return nil, fmt.Errorf("table %s: load index %d: %w", t.name, pos, err)
-	}
-	var img []byte
-	for _, chunk := range chunks {
-		img = append(img, chunk...)
-	}
-	hg, err := index.Unmarshal(img)
-	if err != nil {
-		return nil, fmt.Errorf("table %s: index %d: %w", t.name, pos, err)
-	}
-	t.mu.Lock()
-	t.indexes[col] = hg
-	t.mu.Unlock()
-	return hg, nil
-}
-
-// RowSeg converts a global row id into (segment, offset).
-func (t *Table) RowSeg(row uint64) (seg int, off int) {
-	return int(row / uint64(t.meta.SegRows)), int(row % uint64(t.meta.SegRows))
 }

@@ -3,6 +3,7 @@ package table
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,76 +198,77 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-func TestHGIndexPersistsAcrossReopen(t *testing.T) {
-	r := newRig(t)
-	tbl, err := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 64, IndexCols: []string{"region", "id"}})
-	if err != nil {
-		t.Fatal(err)
+// wantDensePages checks that a committed table's logical pages are exactly
+// the meta page plus one page per (segment, column) — no sparse region whose
+// page numbers would deepen the blockmap — and that the tree is no deeper
+// than that many pages need.
+func wantDensePages(t *testing.T, tbl *Table, id core.Identity) {
+	t.Helper()
+	want := uint64(1 + tbl.Segments()*len(tbl.Schema().Cols))
+	if id.Pages != want {
+		t.Fatalf("identity covers %d logical pages, want 1 + %d segments x %d columns = %d",
+			id.Pages, tbl.Segments(), len(tbl.Schema().Cols), want)
 	}
-	_ = tbl.Append(ctxb(), makeBatch(t, 200, 0))
-	id, err := tbl.Commit(ctxb())
-	if err != nil {
-		t.Fatal(err)
+	levels, reach := uint32(0), uint64(id.Fanout)
+	for reach < want {
+		levels++
+		reach *= uint64(id.Fanout)
 	}
-	bm, _ := core.OpenBlockmap(r.ds, id)
-	obj := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
-	tbl2, err := Open(ctxb(), "t", obj, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hg, err := tbl2.Index(ctxb(), tbl2.Schema().MustCol("region"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hg == nil {
-		t.Fatal("region index missing after reopen")
-	}
-	asia := hg.LookupStr("ASIA")
-	if asia == nil || asia.Count() != 67 { // rows 0,3,...,198
-		t.Fatalf("ASIA postings = %v", asia)
-	}
-	// Row ids agree with RowSeg mapping: row 3 -> segment 0 offset 3.
-	if !asia.Contains(3) {
-		t.Fatal("row 3 missing from ASIA postings")
-	}
-	seg, off := tbl2.RowSeg(66) // 66 = segment 1, offset 2
-	if seg != 1 || off != 2 {
-		t.Fatalf("RowSeg(66) = %d,%d", seg, off)
-	}
-	// Unindexed column returns nil without error.
-	none, err := tbl2.Index(ctxb(), tbl2.Schema().MustCol("price"))
-	if err != nil || none != nil {
-		t.Fatalf("price index = %v, %v", none, err)
+	if id.Levels != levels {
+		t.Fatalf("blockmap root at level %d, want %d for %d pages at fanout %d", id.Levels, levels, want, id.Fanout)
 	}
 }
 
-func TestIndexMaintainedAcrossReopenAppend(t *testing.T) {
+func TestReopenAppendCommitReadsEveryRow(t *testing.T) {
 	r := newRig(t)
-	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 64, IndexCols: []string{"id"}})
+	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 64})
 	_ = tbl.Append(ctxb(), makeBatch(t, 64, 0))
 	id, err := tbl.Commit(ctxb())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen writable and append more rows: the index must cover both.
+	wantDensePages(t, tbl, id)
+	// Reopen writable and append more rows, enough for a second tree level.
 	bm, _ := core.OpenBlockmap(r.ds, id)
 	obj := r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), buffer.FlateCodec{})
 	tbl2, err := Open(ctxb(), "t", obj, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl2.Append(ctxb(), makeBatch(t, 64, 1000)); err != nil {
+	if err := tbl2.Append(ctxb(), makeBatch(t, 300, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl2.Commit(ctxb()); err != nil {
+	id2, err := tbl2.Commit(ctxb())
+	if err != nil {
 		t.Fatal(err)
 	}
-	hg, err := tbl2.Index(ctxb(), 0)
-	if err != nil || hg == nil {
+	wantDensePages(t, tbl2, id2)
+	if id2.Levels != 1 {
+		t.Fatalf("%d pages at fanout 16 sit under a level-%d root, want 1", id2.Pages, id2.Levels)
+	}
+
+	// A cold reader of the second version sees every row of both appends.
+	bm, _ = core.OpenBlockmap(r.ds, id2)
+	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
+	tbl3, err := Open(ctxb(), "t", cold, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hg.LookupInt(5) == nil || hg.LookupInt(1005) == nil {
-		t.Fatal("index missing pre- or post-reopen rows")
+	first, second := makeBatch(t, 64, 0), makeBatch(t, 300, 1000)
+	wantIDs := append(first.Vecs[0].I64, second.Vecs[0].I64...)
+	wantRegions := append(first.Vecs[2].Str, second.Vecs[2].Str...)
+	var ids []int64
+	var regions []string
+	for seg := 0; seg < tbl3.Segments(); seg++ {
+		b, err := tbl3.ReadSegment(ctxb(), seg, []int{0, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, b.Vecs[0].I64...)
+		regions = append(regions, b.Vecs[1].Str...)
+	}
+	if !slices.Equal(ids, wantIDs) || !slices.Equal(regions, wantRegions) {
+		t.Fatalf("reopened table reads %d ids and %d regions, want the %d rows appended, in order", len(ids), len(regions), len(wantIDs))
 	}
 }
 

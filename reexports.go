@@ -30,8 +30,7 @@ type (
 	Batch = table.Batch
 	// Table is a columnar table handle.
 	Table = table.Table
-	// TableOptions configures table creation (segment size, partitioning,
-	// HG indexes).
+	// TableOptions configures table creation (segment size, partitioning).
 	TableOptions = table.Options
 	// LoadStats reports what a Load ingested.
 	LoadStats = table.LoadStats

@@ -8,9 +8,9 @@ import (
 )
 
 // LoadAll creates the eight TPC-H tables in the named dbspace (with the
-// paper's partitioning and HG indexes) inside tx and loads them from the
-// .tbl objects under prefix in input, with the given intra-table
-// parallelism. It returns total rows loaded. The caller commits tx.
+// paper's partitioning) inside tx and loads them from the .tbl objects under
+// prefix in input, with the given intra-table parallelism. It returns total
+// rows loaded. The caller commits tx.
 func LoadAll(ctx context.Context, tx *cloudiq.Tx, space string, input cloudiq.ObjectStore, prefix string, sf float64, parallel, segRows int) (int64, error) {
 	schemas := Schemas()
 	opts := Options(sf, segRows)

@@ -2,11 +2,10 @@
 // deterministic dbgen-compatible data generator for the eight TPC-H tables
 // (parameterized by scale factor, emitting '|'-separated input files into an
 // object-store bucket, as the paper's loads do), table definitions matching
-// the paper's setup (range-partitioned tables and High-Group indexes on
-// o_custkey, n_regionkey, s_nationkey, c_nationkey, ps_suppkey, ps_partkey
-// and l_orderkey), and all 22 benchmark queries as hand-built physical plans
-// over the cloudiq engine. Power runs (Q1–Q22 sequentially) and throughput
-// runs (parallel permuted query streams) drive the experiments.
+// the paper's setup (range-partitioned tables), and all 22 benchmark queries
+// as hand-built physical plans over the cloudiq engine. Power runs (Q1–Q22
+// sequentially) and throughput runs (parallel permuted query streams) drive
+// the experiments.
 package tpch
 
 import (
@@ -114,8 +113,8 @@ func Schemas() map[string]cloudiq.Schema {
 }
 
 // Options returns the paper's table options: range partitioning on the
-// leading key and the HG indexes of §6. Partition bounds scale with sf;
-// segRows sets the segment size (0 selects the engine default).
+// leading key. Partition bounds scale with sf; segRows sets the segment
+// size (0 selects the engine default).
 func Options(sf float64, segRows int) map[string]cloudiq.TableOptions {
 	orders := int64(float64(ordersBase) * sf)
 	parts := int64(float64(partBase) * sf)
@@ -131,27 +130,13 @@ func Options(sf float64, segRows int) map[string]cloudiq.TableOptions {
 	}
 	out := map[string]cloudiq.TableOptions{
 		"region":   {},
-		"nation":   {IndexCols: []string{"n_regionkey"}},
-		"supplier": {IndexCols: []string{"s_nationkey"}},
-		"customer": {
-			PartitionCol: "c_custkey", PartitionBounds: bounds(custs),
-			IndexCols: []string{"c_nationkey"},
-		},
-		"part": {
-			PartitionCol: "p_partkey", PartitionBounds: bounds(parts),
-		},
-		"partsupp": {
-			PartitionCol: "ps_partkey", PartitionBounds: bounds(parts),
-			IndexCols: []string{"ps_suppkey", "ps_partkey"},
-		},
-		"orders": {
-			PartitionCol: "o_orderkey", PartitionBounds: bounds(orders * 4),
-			IndexCols: []string{"o_custkey"},
-		},
-		"lineitem": {
-			PartitionCol: "l_orderkey", PartitionBounds: bounds(orders * 4),
-			IndexCols: []string{"l_orderkey"},
-		},
+		"nation":   {},
+		"supplier": {},
+		"customer": {PartitionCol: "c_custkey", PartitionBounds: bounds(custs)},
+		"part":     {PartitionCol: "p_partkey", PartitionBounds: bounds(parts)},
+		"partsupp": {PartitionCol: "ps_partkey", PartitionBounds: bounds(parts)},
+		"orders":   {PartitionCol: "o_orderkey", PartitionBounds: bounds(orders * 4)},
+		"lineitem": {PartitionCol: "l_orderkey", PartitionBounds: bounds(orders * 4)},
 	}
 	for name, o := range out {
 		o.SegRows = segRows

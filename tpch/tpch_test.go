@@ -372,24 +372,30 @@ func TestZoneMapsPruneDateScans(t *testing.T) {
 	}
 }
 
-func TestHGIndexesPresent(t *testing.T) {
+// TestTablesHaveMinimalBlockmaps pins the page layout the §3.1 copy-on-write
+// cascade pays for on every commit: a loaded table's logical pages are the
+// meta page plus one page per (segment, column), nothing above them, so its
+// blockmap is as shallow as that many pages allow. A page region placed far
+// above the data (where per-table indexes once lived, at 2^40) makes every
+// such tree 7 levels deep at fanout 64 where 2 suffice.
+func TestTablesHaveMinimalBlockmaps(t *testing.T) {
 	e := setup(t)
-	// The paper's indexed columns must be loadable from their persisted
-	// chunks.
-	for tbl, col := range map[string]string{
-		"orders":   "o_custkey",
-		"nation":   "n_regionkey",
-		"supplier": "s_nationkey",
-		"customer": "c_nationkey",
-		"lineitem": "l_orderkey",
-	} {
-		tab := e.conn.Table(tbl)
-		hg, err := tab.Index(ctxb(), tab.Schema().MustCol(col))
-		if err != nil {
-			t.Fatalf("%s.%s: %v", tbl, col, err)
+	for _, name := range TableNames() {
+		tab := e.conn.Table(name)
+		id := tab.Identity()
+		pages := uint64(1 + tab.Segments()*len(tab.Schema().Cols))
+		if id.Pages != pages {
+			t.Errorf("%s: identity covers %d logical pages, want 1 + %d segments x %d columns = %d",
+				name, id.Pages, tab.Segments(), len(tab.Schema().Cols), pages)
 		}
-		if hg == nil || hg.Cardinality() == 0 {
-			t.Fatalf("%s.%s index empty", tbl, col)
+		levels, reach := uint32(0), uint64(id.Fanout)
+		for reach < pages {
+			levels++
+			reach *= uint64(id.Fanout)
+		}
+		if id.Levels != levels {
+			t.Errorf("%s: blockmap root at level %d, want %d for %d pages at fanout %d",
+				name, id.Levels, levels, pages, id.Fanout)
 		}
 	}
 }
