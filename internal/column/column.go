@@ -147,22 +147,15 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 }
 
 // Gather returns a new vector holding v's values at the given row indexes.
-func (v *Vector) Gather(rows []int) *Vector {
-	out := &Vector{Typ: v.Typ}
-	switch v.Typ {
-	case Int64:
-		out.I64 = gather(nil, v.I64, rows)
-	case Float64:
-		out.F64 = gather(nil, v.F64, rows)
-	default:
-		out.Str = gather(nil, v.Str, rows)
-	}
+func (v *Vector) Gather(rows []int32) *Vector {
+	out := NewVector(v.Typ)
+	out.AppendGather(v, rows)
 	return out
 }
 
 // gather appends src[r] for each r in rows to dst, the zero value where r is
 // negative.
-func gather[T any, I int | int32](dst, src []T, rows []I) []T {
+func gather[T any](dst, src []T, rows []int32) []T {
 	n := len(dst)
 	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
 	out := dst[n:]

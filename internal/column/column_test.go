@@ -219,7 +219,7 @@ func TestVectorOps(t *testing.T) {
 	if !reflect.DeepEqual(s.I64, []int64{20, 30}) {
 		t.Fatalf("Slice = %v", s.I64)
 	}
-	g := v.Gather([]int{3, 0})
+	g := v.Gather([]int32{3, 0})
 	if !reflect.DeepEqual(g.I64, []int64{40, 10}) {
 		t.Fatalf("Gather = %v", g.I64)
 	}
@@ -229,7 +229,7 @@ func TestVectorOps(t *testing.T) {
 		t.Fatalf("Append = %v", dst.I64)
 	}
 	sv := strVec("a", "b")
-	gv := sv.Gather([]int{1})
+	gv := sv.Gather([]int32{1})
 	if gv.Str[0] != "b" {
 		t.Fatalf("string gather = %v", gv.Str)
 	}

@@ -73,59 +73,140 @@ func EncodeSegment(v *Vector) []byte {
 	}
 }
 
+// MaxSegmentRows bounds the rows of one segment. Most encodings bound their
+// own count — the payload has to hold the values — but a constant n-bit block
+// and a run-length page describe any number of rows in a few bytes, so a
+// decoder allocating from the header alone needs a ceiling the writer also
+// keeps (table.Create refuses a larger SegRows).
+const MaxSegmentRows = 1 << 20
+
+// segment is a page header read and checked against the payload behind it.
+type segment struct {
+	typ     Type
+	enc     Encoding
+	n       int
+	payload []byte
+}
+
+// parseSegment reads [type u8][encoding u8][count u32] and refuses, before
+// anything is allocated from it, an encoding that does not store the type and
+// a count the payload cannot hold. The n-bit blocks, whose width sits in the
+// payload, are checked by parseNbit.
+func parseSegment(data []byte) (segment, error) {
+	if len(data) < 6 {
+		return segment{}, fmt.Errorf("column: segment too short (%d bytes)", len(data))
+	}
+	s := segment{Type(data[0]), Encoding(data[1]), int(binary.LittleEndian.Uint32(data[2:])), data[6:]}
+	typ, perValue := Int64, 0
+	switch s.enc {
+	case EncPlainInt:
+		perValue = 8
+	case EncBitPackedInt:
+	case EncRLEInt:
+		if s.n > MaxSegmentRows {
+			return segment{}, fmt.Errorf("column: %v of %d rows exceeds %d", s.enc, s.n, MaxSegmentRows)
+		}
+	case EncPlainFloat:
+		typ, perValue = Float64, 8
+	case EncPlainString:
+		typ, perValue = String, 4
+	case EncDictString:
+		typ = String
+	default:
+		return segment{}, fmt.Errorf("column: unknown encoding %d", s.enc)
+	}
+	if s.typ != typ {
+		return segment{}, fmt.Errorf("column: %v page claims type %v", s.enc, s.typ)
+	}
+	if len(s.payload) < perValue*s.n {
+		return segment{}, fmt.Errorf("column: %v truncated: %d bytes for %d values", s.enc, len(s.payload), s.n)
+	}
+	return s, nil
+}
+
+// SegmentInfo returns the value type and row count an encoded segment
+// declares, checked as far as the header allows; a reader compares them with
+// what it expects of a page it may never decode.
+func SegmentInfo(data []byte) (Type, int, error) {
+	s, err := parseSegment(data)
+	return s.typ, s.n, err
+}
+
 // DecodeSegment reverses EncodeSegment.
 func DecodeSegment(data []byte) (*Vector, error) {
-	if len(data) < 6 {
-		return nil, fmt.Errorf("column: segment too short (%d bytes)", len(data))
+	s, err := parseSegment(data)
+	if err != nil {
+		return nil, err
 	}
-	typ := Type(data[0])
-	enc := Encoding(data[1])
-	n := int(binary.LittleEndian.Uint32(data[2:]))
-	payload := data[6:]
-	v := NewVector(typ)
-	switch enc {
-	case EncPlainInt:
-		if len(payload) < 8*n {
-			return nil, fmt.Errorf("column: plain-int truncated")
+	return s.decode(nil, true)
+}
+
+// DecodeSegmentRows decodes only the values at rows, which must be strictly
+// ascending and below the segment's count: DecodeSegment followed by Gather,
+// without materialising the values in between. What it does not read it does
+// not check — a dictionary page with a bad code at a row not asked for
+// decodes here and fails in DecodeSegment.
+func DecodeSegmentRows(data []byte, rows []int32) (*Vector, error) {
+	s, err := parseSegment(data)
+	if err != nil {
+		return nil, err
+	}
+	prev := int32(-1)
+	for _, r := range rows {
+		if r <= prev {
+			return nil, fmt.Errorf("column: rows not ascending at %d", r)
 		}
-		v.I64 = make([]int64, n)
-		for i := range v.I64 {
-			v.I64[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
+		prev = r
+	}
+	if int(prev) >= s.n {
+		return nil, fmt.Errorf("column: row %d of a %d-row segment", prev, s.n)
+	}
+	return s.decode(rows, false)
+}
+
+// decode materialises every value (all) or those at rows.
+func (s segment) decode(rows []int32, all bool) (*Vector, error) {
+	v := NewVector(s.typ)
+	var err error
+	switch s.enc {
+	case EncPlainInt:
+		if all {
+			v.I64 = make([]int64, s.n)
+			for i := range v.I64 {
+				v.I64[i] = int64(binary.LittleEndian.Uint64(s.payload[8*i:]))
+			}
+			break
+		}
+		v.I64 = make([]int64, len(rows))
+		for i, r := range rows {
+			v.I64[i] = int64(binary.LittleEndian.Uint64(s.payload[8*int(r):]))
+		}
+	case EncPlainFloat:
+		if all {
+			v.F64 = make([]float64, s.n)
+			for i := range v.F64 {
+				v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.payload[8*i:]))
+			}
+			break
+		}
+		v.F64 = make([]float64, len(rows))
+		for i, r := range rows {
+			v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.payload[8*int(r):]))
 		}
 	case EncBitPackedInt:
-		vals, err := unpackInts(payload, n)
-		if err != nil {
-			return nil, err
+		var b nbit
+		if b, err = parseNbit(s.payload, s.n); err == nil {
+			v.I64 = b.unpack(s.n, rows, all)
 		}
-		v.I64 = vals
 	case EncRLEInt:
-		vals, err := decodeRLE(payload, n)
-		if err != nil {
-			return nil, err
-		}
-		v.I64 = vals
-	case EncPlainFloat:
-		if len(payload) < 8*n {
-			return nil, fmt.Errorf("column: plain-float truncated")
-		}
-		v.F64 = make([]float64, n)
-		for i := range v.F64 {
-			v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-		}
+		v.I64, err = decodeRLE(s.payload, s.n, rows, all)
 	case EncPlainString:
-		strs, err := decodePlainStrings(payload, n)
-		if err != nil {
-			return nil, err
-		}
-		v.Str = strs
-	case EncDictString:
-		strs, err := decodeDictStrings(payload, n)
-		if err != nil {
-			return nil, err
-		}
-		v.Str = strs
-	default:
-		return nil, fmt.Errorf("column: unknown encoding %d", enc)
+		v.Str, _, err = decodePlainStrings(s.payload, s.n, rows, all)
+	default: // EncDictString: parseSegment admits nothing else
+		v.Str, err = decodeDictStrings(s.payload, s.n, rows, all)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return v, nil
 }
@@ -197,38 +278,64 @@ func packInts(vals []int64, minV int64, width int) []byte {
 	return out
 }
 
-func unpackInts(payload []byte, n int) ([]int64, error) {
+// nbit is a parsed n-bit block: every value is min plus width bits of stream.
+type nbit struct {
+	min    int64
+	width  int
+	stream []byte
+}
+
+// parseNbit reads a block of n values. The packer never writes a width above
+// 56, which is also what lets one 64-bit load hold any value whole; a width of
+// 0 stores nothing per value, so there the count is held to MaxSegmentRows.
+func parseNbit(payload []byte, n int) (nbit, error) {
 	if len(payload) < 9 {
-		return nil, fmt.Errorf("column: nbit-int truncated header")
+		return nbit{}, fmt.Errorf("column: nbit-int truncated header")
 	}
-	minV := int64(binary.LittleEndian.Uint64(payload))
-	width := int(payload[8])
+	b := nbit{int64(binary.LittleEndian.Uint64(payload)), int(payload[8]), payload[9:]}
+	switch need := (n*b.width + 7) / 8; {
+	case b.width > 56:
+		return nbit{}, fmt.Errorf("column: nbit-int width %d", b.width)
+	case b.width == 0 && n > MaxSegmentRows:
+		return nbit{}, fmt.Errorf("column: constant nbit-int of %d rows exceeds %d", n, MaxSegmentRows)
+	case len(b.stream) < need:
+		return nbit{}, fmt.Errorf("column: nbit-int stream truncated: %d < %d", len(b.stream), need)
+	}
+	return b, nil
+}
+
+// unpack returns all n values, or those at rows. Value r starts at bit
+// r×width, and with width ≤ 56 the eight bytes from that bit's byte hold all
+// of it; the stream's last bytes are read through a zero-padded copy.
+func (b nbit) unpack(n int, rows []int32, all bool) []int64 {
+	if !all {
+		n = len(rows)
+	}
 	vals := make([]int64, n)
-	if width == 0 {
+	if b.width == 0 {
 		for i := range vals {
-			vals[i] = minV
+			vals[i] = b.min
 		}
-		return vals, nil
+		return vals
 	}
-	need := (n*width + 7) / 8
-	stream := payload[9:]
-	if len(stream) < need {
-		return nil, fmt.Errorf("column: nbit-int stream truncated: %d < %d", len(stream), need)
-	}
-	var acc uint64
-	var nbits, pos int
-	mask := uint64(1)<<width - 1
-	for i := 0; i < n; i++ {
-		for nbits < width {
-			acc |= uint64(stream[pos]) << nbits
-			pos++
-			nbits += 8
+	mask := uint64(1)<<b.width - 1
+	for i := range vals {
+		r := i
+		if !all {
+			r = int(rows[i])
 		}
-		vals[i] = int64(uint64(minV) + (acc & mask))
-		acc >>= width
-		nbits -= width
+		bit := r * b.width
+		var word uint64
+		if off := bit >> 3; off+8 <= len(b.stream) {
+			word = binary.LittleEndian.Uint64(b.stream[off:])
+		} else {
+			var tail [8]byte
+			copy(tail[:], b.stream[off:])
+			word = binary.LittleEndian.Uint64(tail[:])
+		}
+		vals[i] = int64(uint64(b.min) + word>>(bit&7)&mask)
 	}
-	return vals, nil
+	return vals
 }
 
 func encodeRLE(vals []int64) []byte {
@@ -246,20 +353,34 @@ func encodeRLE(vals []int64) []byte {
 	return out
 }
 
-func decodeRLE(payload []byte, n int) ([]int64, error) {
-	vals := make([]int64, 0, n)
+// decodeRLE expands the runs, which must cover exactly n values, into all of
+// them or into the values at rows; either way every run is checked.
+func decodeRLE(payload []byte, n int, rows []int32, all bool) ([]int64, error) {
+	count := len(rows)
+	if all {
+		count = n
+	}
+	vals := make([]int64, 0, count)
+	pos := 0 // values the runs so far cover
 	for off := 0; off+16 <= len(payload); off += 16 {
 		v := int64(binary.LittleEndian.Uint64(payload[off:]))
-		run := int(binary.LittleEndian.Uint64(payload[off+8:]))
-		if run <= 0 || len(vals)+run > n {
+		run := binary.LittleEndian.Uint64(payload[off+8:])
+		if run == 0 || run > uint64(n-pos) {
 			return nil, fmt.Errorf("column: rle run of %d overflows %d values", run, n)
 		}
-		for k := 0; k < run; k++ {
+		pos += int(run)
+		if all {
+			for len(vals) < pos {
+				vals = append(vals, v)
+			}
+			continue
+		}
+		for len(vals) < len(rows) && int(rows[len(vals)]) < pos {
 			vals = append(vals, v)
 		}
 	}
-	if len(vals) != n {
-		return nil, fmt.Errorf("column: rle decoded %d of %d values", len(vals), n)
+	if pos != n {
+		return nil, fmt.Errorf("column: rle decoded %d of %d values", pos, n)
 	}
 	return vals, nil
 }
@@ -275,22 +396,31 @@ func encodePlainStrings(vals []string) []byte {
 	return out
 }
 
-func decodePlainStrings(payload []byte, n int) ([]string, error) {
-	vals := make([]string, n)
+// decodePlainStrings walks n length-prefixed values, all of which must fit
+// the payload, and keeps every one (all) or those at rows — only a kept value
+// is copied out of the page. It also returns the offset just past them.
+func decodePlainStrings(payload []byte, n int, rows []int32, all bool) ([]string, int, error) {
+	count := len(rows)
+	if all {
+		count = n
+	}
+	vals := make([]string, 0, count)
 	off := 0
 	for i := 0; i < n; i++ {
 		if off+4 > len(payload) {
-			return nil, fmt.Errorf("column: plain-string truncated at value %d", i)
+			return nil, 0, fmt.Errorf("column: plain-string truncated at value %d", i)
 		}
 		l := int(binary.LittleEndian.Uint32(payload[off:]))
 		off += 4
-		if off+l > len(payload) {
-			return nil, fmt.Errorf("column: plain-string value %d overflows payload", i)
+		if l > len(payload)-off {
+			return nil, 0, fmt.Errorf("column: plain-string value %d overflows payload", i)
 		}
-		vals[i] = string(payload[off : off+l])
+		if all || (len(vals) < len(rows) && int(rows[len(vals)]) == i) {
+			vals = append(vals, string(payload[off:off+l]))
+		}
 		off += l
 	}
-	return vals, nil
+	return vals, off, nil
 }
 
 // encodeStrings dictionary-encodes when the dictionary pays for itself.
@@ -326,30 +456,25 @@ func encodeStrings(vals []string) (Encoding, []byte) {
 	return EncDictString, out
 }
 
-func decodeDictStrings(payload []byte, n int) ([]string, error) {
+// decodeDictStrings reads [words u32][words, length-prefixed][n-bit codes].
+func decodeDictStrings(payload []byte, n int, rows []int32, all bool) ([]string, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("column: dict-string truncated")
 	}
 	nw := int(binary.LittleEndian.Uint32(payload))
-	off := 4
-	words := make([]string, nw)
-	for i := 0; i < nw; i++ {
-		if off+4 > len(payload) {
-			return nil, fmt.Errorf("column: dict truncated at word %d", i)
-		}
-		l := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if off+l > len(payload) {
-			return nil, fmt.Errorf("column: dict word %d overflows payload", i)
-		}
-		words[i] = string(payload[off : off+l])
-		off += l
+	if len(payload)-4 < 4*nw {
+		return nil, fmt.Errorf("column: dict-string truncated: %d bytes for %d words", len(payload)-4, nw)
 	}
-	codes, err := unpackInts(payload[off:], n)
+	words, off, err := decodePlainStrings(payload[4:], nw, nil, true)
+	if err != nil {
+		return nil, fmt.Errorf("column: dict words: %w", err)
+	}
+	b, err := parseNbit(payload[4+off:], n)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]string, n)
+	codes := b.unpack(n, rows, all)
+	vals := make([]string, len(codes))
 	for i, c := range codes {
 		if c < 0 || int(c) >= nw {
 			return nil, fmt.Errorf("column: dict code %d out of range %d", c, nw)

@@ -34,14 +34,14 @@ func TestBulkHelpersEqualAppendLoop(t *testing.T) {
 		src, head := genVector(r, i), genVector(r, i)
 		n := src.Len()
 		rows32 := make([]int32, r.Uint64()%64)
-		var rows []int
+		var rows []int32
 		for j := range rows32 {
 			if n == 0 || r.Uint64()%8 == 0 {
 				rows32[j] = -1
 				continue
 			}
 			rows32[j] = int32(r.Uint64() % uint64(n))
-			rows = append(rows, int(rows32[j]))
+			rows = append(rows, rows32[j])
 		}
 
 		want, got := head.Slice(0, head.Len()/2), NewVector(src.Typ)
@@ -71,7 +71,7 @@ func TestBulkHelpersEqualAppendLoop(t *testing.T) {
 
 		want = NewVector(src.Typ)
 		for _, row := range rows {
-			want.Append(src, row)
+			want.Append(src, int(row))
 		}
 		if g := src.Gather(rows); !sameVector(g, want) || g.Len() != len(rows) {
 			t.Fatalf("iter %d (seed %d): Gather %v of %s differs", i, *propSeed, rows, src.Typ)
@@ -79,10 +79,10 @@ func TestBulkHelpersEqualAppendLoop(t *testing.T) {
 	}
 }
 
-func seq(n int) []int {
-	rows := make([]int, n)
+func seq(n int) []int32 {
+	rows := make([]int32, n)
 	for i := range rows {
-		rows[i] = i
+		rows[i] = int32(i)
 	}
 	return rows
 }

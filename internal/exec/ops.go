@@ -38,6 +38,8 @@ type scanSource struct {
 	tbl      *table.Table
 	cols     []int
 	colNames []string
+	schema   table.Schema // the projection: cols as column definitions
+	filtered []bool       // parallel to cols: whether opts.Filter reads the column
 	opts     ScanOptions
 	segs     []int // surviving segments after zone pruning
 	pos      int
@@ -53,6 +55,7 @@ type scanSource struct {
 // masking object-store latency.
 func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
 	s := &scanSource{tbl: t, colNames: cols, opts: opts}
+	s.schema.Cols = make([]table.ColumnDef, 0, len(cols)) // shared by every batch: no spare capacity
 	if s.opts.Prefetch == 0 {
 		s.opts.Prefetch = 4
 	}
@@ -65,7 +68,10 @@ func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
 			return nil, fmt.Errorf("exec: scan of %s: no column %q", t.Name(), name)
 		}
 		s.cols = append(s.cols, i)
+		s.schema.Cols = append(s.schema.Cols, t.Schema().Cols[i])
 	}
+	s.filtered = make([]bool, len(cols))
+	markCols(opts.Filter, cols, s.filtered)
 	for seg := 0; seg < t.Segments(); seg++ {
 		if mayMatch(opts.Filter, t.Schema(), t.Seg(seg).Zones) {
 			s.segs = append(s.segs, seg)
@@ -145,7 +151,10 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 		}
 	}
 	if !pushed {
-		b, err = s.tbl.ReadSegment(rctx, s.segs[s.pos], s.cols)
+		// Empty filtered batches are still returned: their schema lets
+		// downstream operators (joins, aggregations) type their output
+		// even when every row was filtered out.
+		b, err = s.readSegment(rctx, s.segs[s.pos])
 		if err != nil {
 			rsp.SetAttr("err", err.Error())
 			rsp.End()
@@ -155,17 +164,85 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 	rsp.AddInt("rows", int64(b.Rows()))
 	rsp.End()
 	s.pos++
-	if !pushed && s.opts.Filter != nil {
-		// Empty filtered batches are still returned: their schema lets
-		// downstream operators (joins, aggregations) type their output
-		// even when every row was filtered out. Pushed batches arrive
-		// already filtered.
-		b, err = FilterBatch(b, s.opts.Filter)
+	s.emitted = true
+	return b, nil
+}
+
+// markCols sets in[i] for every cols[i] the tree e references.
+func markCols(e Expr, cols []string, in []bool) {
+	if e == nil {
+		return
+	}
+	if i := slices.Index(cols, e.Col); e.Op == expr.OpCol && i >= 0 {
+		in[i] = true
+	}
+	for _, a := range e.Args {
+		markCols(a, cols, in)
+	}
+}
+
+// segEnv is a partly decoded segment as an expression environment: the row
+// count is the segment's, and a column not decoded yet is absent.
+type segEnv struct {
+	b    *table.Batch
+	rows int
+}
+
+func (e segEnv) Rows() int { return e.rows }
+
+func (e segEnv) Vec(name string) *column.Vector { return e.b.Vec(name) }
+
+// readSegment is the scan's one read-and-decode path for a segment that was
+// not pushed down, filter first: all requested pages are read in one batch,
+// the columns the filter reads are decoded and narrowed to a selection, and
+// only then are the other columns decoded, at the selected rows. With no
+// filter every row is selected and every column decoded whole.
+func (s *scanSource) readSegment(ctx context.Context, seg int) (*table.Batch, error) {
+	pages, rows, err := s.tbl.ReadSegmentPages(ctx, seg, s.cols)
+	if err != nil {
+		return nil, err
+	}
+	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
+	decode := func(i int, sel []int32) (err error) {
+		if sel == nil {
+			b.Vecs[i], err = column.DecodeSegment(pages[i])
+		} else {
+			b.Vecs[i], err = column.DecodeSegmentRows(pages[i], sel)
+		}
 		if err != nil {
-			return nil, err
+			err = fmt.Errorf("exec: scan of %s: segment %d column %q: %w", s.tbl.Name(), seg, s.colNames[i], err)
+		}
+		return err
+	}
+	var sel []int32 // nil selects every row: decode whole, gather nothing
+	if s.opts.Filter != nil {
+		for i, f := range s.filtered {
+			if f {
+				if err := decode(i, nil); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if sel, err = s.opts.Filter.Select(segEnv{b, rows}, expr.AllRows(rows)); err != nil {
+			return nil, fmt.Errorf("exec: filter: %w", err)
+		}
+		switch len(sel) {
+		case 0:
+			return s.emptyBatch(), nil
+		case rows:
+			sel = nil
 		}
 	}
-	s.emitted = true
+	for i, v := range b.Vecs {
+		switch {
+		case v == nil:
+			if err := decode(i, sel); err != nil {
+				return nil, err
+			}
+		case sel != nil:
+			b.Vecs[i] = v.Gather(sel)
+		}
+	}
 	return b, nil
 }
 
@@ -181,9 +258,8 @@ func (s *scanSource) deltaBatch() (*table.Batch, error) {
 	if full == nil || full.Rows() == 0 {
 		return nil, nil
 	}
-	b := &table.Batch{Vecs: make([]*column.Vector, len(s.cols))}
+	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
 	for i, c := range s.cols {
-		b.Schema.Cols = append(b.Schema.Cols, full.Schema.Cols[c])
 		b.Vecs[i] = full.Vecs[c]
 	}
 	if s.opts.Filter != nil {
@@ -267,33 +343,35 @@ func Collect(ctx context.Context, src Source) (*table.Batch, error) {
 // FilterBatch returns the rows of b where pred is non-zero: b itself when
 // every row passes, else a new batch (typed, possibly empty).
 func FilterBatch(b *table.Batch, pred Expr) (*table.Batch, error) {
-	pv, err := pred.Eval(b)
+	if err := checkRows(b); err != nil {
+		return nil, err
+	}
+	sel, err := pred.Select(b, expr.AllRows(b.Rows()))
 	if err != nil {
 		return nil, fmt.Errorf("exec: filter: %w", err)
 	}
-	if pv.Typ != column.Int64 {
-		return nil, fmt.Errorf("exec: filter predicate yields %v", pv.Typ)
-	}
-	kept := 0
-	for _, x := range pv.I64 {
-		if x != 0 {
-			kept++
-		}
-	}
-	if kept == b.Rows() {
+	if len(sel) == b.Rows() {
 		return b, nil
 	}
-	rows := make([]int, 0, kept)
-	for i, x := range pv.I64 {
-		if x != 0 {
-			rows = append(rows, i)
-		}
-	}
+	return gatherBatch(b, sel), nil
+}
+
+// gatherBatch returns a new batch of b's rows at the given row numbers.
+func gatherBatch(b *table.Batch, rows []int32) *table.Batch {
 	out := &table.Batch{Schema: b.Schema, Vecs: make([]*column.Vector, len(b.Vecs))}
 	for i, v := range b.Vecs {
 		out.Vecs[i] = v.Gather(rows)
 	}
-	return out, nil
+	return out
+}
+
+// checkRows refuses a batch whose rows an int32 cannot number: selections
+// and the hash operators' row lists are int32.
+func checkRows(b *table.Batch) error {
+	if b.Rows() > math.MaxInt32 {
+		return fmt.Errorf("exec: batch of %d rows exceeds 2^31-1", b.Rows())
+	}
+	return nil
 }
 
 // NamedExpr pairs an output column name with its expression.
@@ -318,11 +396,10 @@ func Project(b *table.Batch, exprs []NamedExpr) (*table.Batch, error) {
 
 // --- joins and grouping ---
 
-// keyCols resolves the named key columns of b. Row numbers inside the hash
-// operators are int32, which bounds a batch.
+// keyCols resolves the named key columns of b.
 func keyCols(b *table.Batch, names []string) ([]*column.Vector, error) {
-	if b.Rows() > math.MaxInt32 {
-		return nil, fmt.Errorf("exec: batch of %d rows exceeds the hash operators' 2^31-1", b.Rows())
+	if err := checkRows(b); err != nil {
+		return nil, err
 	}
 	vecs := make([]*column.Vector, len(names))
 	for i, n := range names {
@@ -709,10 +786,10 @@ func Sort(b *table.Batch, keys []SortKey) (*table.Batch, error) {
 		}
 		kvs[i] = keyVec{b.Vecs[ci], k.Desc}
 	}
-	rows := make([]int, b.Rows())
-	for i := range rows {
-		rows[i] = i
+	if err := checkRows(b); err != nil {
+		return nil, err
 	}
+	rows := expr.AllRows(b.Rows())
 	sort.SliceStable(rows, func(x, y int) bool {
 		rx, ry := rows[x], rows[y]
 		for _, kv := range kvs {
@@ -749,11 +826,7 @@ func Sort(b *table.Batch, keys []SortKey) (*table.Batch, error) {
 		}
 		return false
 	})
-	out := &table.Batch{Schema: b.Schema, Vecs: make([]*column.Vector, len(b.Vecs))}
-	for i, v := range b.Vecs {
-		out.Vecs[i] = v.Gather(rows)
-	}
-	return out, nil
+	return gatherBatch(b, rows), nil
 }
 
 // Limit returns the first n rows of b.

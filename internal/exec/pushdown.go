@@ -6,8 +6,8 @@ package exec
 // evaluator and aggregate state (internal/expr), so there is nothing to
 // translate and no expression shape that cannot be pushed. Every pushdown
 // failure (store without the capability, rejected plan, injected fault,
-// dirty page in cache) degrades to the plain ReadSegment path, so a scan with
-// pushdown enabled returns the same rows as one without.
+// dirty page in cache) degrades to the scan's plain read path, readSegment,
+// so a scan with pushdown enabled returns the same rows as one without.
 
 import (
 	"cmp"
@@ -81,7 +81,7 @@ func estimateSelectivity(e Expr, sch table.Schema, zones []column.ZoneMap) float
 func colCmpLit(e Expr) (col string, op expr.Op, lit Expr, ok bool) {
 	a, b, op := e.Args[0], e.Args[1], e.Op
 	if a != nil && a.Op != expr.OpCol {
-		a, b, op = b, a, flipCmp[op]
+		a, b, op = b, a, op.Flip()
 	}
 	if a == nil || b == nil || a.Op != expr.OpCol {
 		return "", 0, nil, false
@@ -92,10 +92,6 @@ func colCmpLit(e Expr) (col string, op expr.Op, lit Expr, ok bool) {
 	}
 	return "", 0, nil, false
 }
-
-// flipCmp mirrors a comparison for swapped operands; eq and ne are symmetric.
-var flipCmp = map[expr.Op]expr.Op{expr.OpEq: expr.OpEq, expr.OpNe: expr.OpNe,
-	expr.OpLt: expr.OpGt, expr.OpLe: expr.OpGe, expr.OpGt: expr.OpLt, expr.OpGe: expr.OpLe}
 
 func cmpSelectivity(e Expr, sch table.Schema, zones []column.ZoneMap) float64 {
 	col, op, lit, ok := colCmpLit(e)
@@ -285,7 +281,7 @@ func (s *scanSource) planPushdown() {
 
 // pushSegment reads one segment through the store's compute endpoint: the
 // filter runs store-side and only qualifying rows cross the network, already
-// filtered. Any error sends the caller to the plain ReadSegment path.
+// filtered. Any error sends the caller to readSegment, the plain path.
 func (s *scanSource) pushSegment(ctx context.Context, seg int) (*table.Batch, error) {
 	res, err := s.tbl.SelectSegment(ctx, seg, s.cols, objstore.SelectPlan{
 		Filter:  s.opts.Filter,
@@ -297,9 +293,8 @@ func (s *scanSource) pushSegment(ctx context.Context, seg int) (*table.Batch, er
 	if len(res.Cols) != len(s.cols) {
 		return nil, fmt.Errorf("exec: pushdown returned %d columns, want %d", len(res.Cols), len(s.cols))
 	}
-	b := &table.Batch{Vecs: make([]*column.Vector, len(s.cols))}
-	for i, c := range s.cols {
-		b.Schema.Cols = append(b.Schema.Cols, s.tbl.Schema().Cols[c])
+	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
+	for i := range s.cols {
 		v, err := column.DecodeSegment(res.Cols[i])
 		if err != nil {
 			return nil, fmt.Errorf("exec: decode pushdown column %q: %w", s.colNames[i], err)
@@ -312,15 +307,7 @@ func (s *scanSource) pushSegment(ctx context.Context, seg int) (*table.Batch, er
 // emptyBatch is the typed zero-row result of a scan whose every segment was
 // pruned: downstream operators still need the schema to type their output,
 // exactly as a filter that removed every row would leave behind.
-func (s *scanSource) emptyBatch() *table.Batch {
-	b := &table.Batch{Vecs: make([]*column.Vector, len(s.cols))}
-	for i, c := range s.cols {
-		def := s.tbl.Schema().Cols[c]
-		b.Schema.Cols = append(b.Schema.Cols, def)
-		b.Vecs[i] = column.NewVector(def.Typ)
-	}
-	return b
-}
+func (s *scanSource) emptyBatch() *table.Batch { return table.NewBatch(s.schema) }
 
 // --- aggregate pushdown ----------------------------------------------------
 
@@ -387,19 +374,13 @@ func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOption
 		if perr != nil {
 			rsp.SetAttr("fallback", perr.Error())
 		}
-		b, err := t.ReadSegment(rctx, seg, sc.cols)
+		b, err := sc.readSegment(rctx, seg)
 		if err != nil {
 			rsp.SetAttr("err", err.Error())
 			rsp.End()
 			return nil, err
 		}
 		rsp.End()
-		if opts.Filter != nil {
-			b, err = FilterBatch(b, opts.Filter)
-			if err != nil {
-				return nil, err
-			}
-		}
 		if err := set.fold(b, nil, 1); err != nil {
 			return nil, err
 		}

@@ -118,17 +118,25 @@ func (v Vectors) Vec(name string) *column.Vector { return v.Cols[name] }
 // Rows implements Env.
 func (v Vectors) Rows() int { return v.N }
 
+// check refuses a node that is nil, of an unknown operator, or of the wrong
+// operand count; its operands are checked when they are evaluated.
+func (e *Node) check() error {
+	switch {
+	case e == nil:
+		return invalid("nil node")
+	case e.Op >= numOps:
+		return invalid("unknown operator %d", uint8(e.Op))
+	case len(e.Args) != arity[e.Op]:
+		return invalid("%v takes %d operands, got %d", e.Op, arity[e.Op], len(e.Args))
+	}
+	return nil
+}
+
 // Eval evaluates the tree over env into one vector of env.Rows() rows.
 // Types are dispatched once per node; the per-row loops are monomorphic.
 func (e *Node) Eval(env Env) (*column.Vector, error) {
-	if e == nil {
-		return nil, invalid("nil node")
-	}
-	if e.Op >= numOps {
-		return nil, invalid("unknown operator %d", uint8(e.Op))
-	}
-	if len(e.Args) != arity[e.Op] {
-		return nil, invalid("%v takes %d operands, got %d", e.Op, arity[e.Op], len(e.Args))
+	if err := e.check(); err != nil {
+		return nil, err
 	}
 	switch e.Op {
 	case OpCol:
@@ -189,21 +197,31 @@ func (e *Node) Eval(env Env) (*column.Vector, error) {
 		for i, d := range a.I64 {
 			out[i] = int64(column.DaysToDate(d).Year())
 		}
-	case OpLike:
-		parts := strings.Split(e.Pattern, "%")
-		for i, s := range a.Str {
-			out[i] = b2i(matchLike(s, parts) != e.Neg)
-		}
-	case OpIn:
-		if !slices.IsSorted(e.Set) {
-			return nil, invalid("IN set is not sorted")
+	default: // OpLike, OpIn
+		match, err := e.matcher()
+		if err != nil {
+			return nil, err
 		}
 		for i, s := range a.Str {
-			_, found := slices.BinarySearch(e.Set, s)
-			out[i] = b2i(found)
+			out[i] = b2i(match(s))
 		}
 	}
 	return ints(out), nil
+}
+
+// matcher returns the string predicate of a LIKE or IN node.
+func (e *Node) matcher() (func(string) bool, error) {
+	if e.Op == OpLike {
+		parts := strings.Split(e.Pattern, "%")
+		return func(s string) bool { return matchLike(s, parts) != e.Neg }, nil
+	}
+	if !slices.IsSorted(e.Set) {
+		return nil, invalid("IN set is not sorted")
+	}
+	return func(s string) bool {
+		_, found := slices.BinarySearch(e.Set, s)
+		return found
+	}, nil
 }
 
 func ints(v []int64) *column.Vector { return &column.Vector{Typ: column.Int64, I64: v} }
@@ -287,6 +305,22 @@ func (op Op) Holds(c int) bool {
 	default:
 		return c >= 0
 	}
+}
+
+// Flip returns the comparison that holds of (b, a) exactly when op holds of
+// (a, b); eq and ne are their own.
+func (op Op) Flip() Op {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return op
 }
 
 func compare(op Op, a, b *column.Vector) (*column.Vector, error) {

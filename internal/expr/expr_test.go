@@ -96,6 +96,9 @@ func TestEvalSemantics(t *testing.T) {
 	}
 	env := testEnv()
 	for _, c := range cases {
+		if err := selectAgrees(c.e, env, 0b1011); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 		v, err := c.e.Eval(env)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
@@ -163,6 +166,19 @@ func TestEvalIllTyped(t *testing.T) {
 	for name, e := range cases {
 		if v, err := e.Eval(env); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: got %v, %v; want ErrInvalid", name, v, err)
+		}
+		if err := selectAgrees(e, env, 0b0110); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		// An ill-typed operand fails a selection wherever it sits, reached by
+		// a row or not.
+		for _, wrapped := range []*Node{
+			op(OpAnd, op(OpLt, col("i"), ci(-99)), e), op(OpOr, op(OpGt, col("i"), ci(-99)), e),
+			op(OpAnd, e, ci(1)), op(OpEq, e, ci(1)), op(OpGe, cf(1), e), like(e, "%", false),
+		} {
+			if sel, err := wrapped.Select(env, AllRows(env.N)); !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s under %v: selected %v, %v; want ErrInvalid", name, wrapped.Op, sel, err)
+			}
 		}
 	}
 	if _, err := AggInput(Sum, col("s"), env); !errors.Is(err, ErrInvalid) {

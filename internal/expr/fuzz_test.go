@@ -52,18 +52,16 @@ func enc(op Op, sel, num byte, kids ...[]byte) []byte {
 	return out
 }
 
-// FuzzEval: whatever the tree, Eval returns an ErrInvalid error or a vector
-// of exactly the environment's row count. It never panics.
-func FuzzEval(f *testing.F) {
-	// Seeds are the shapes exec's differential generator draws: numeric
-	// comparisons over arithmetic and CASE, LIKE and IN over SUBSTRING,
-	// string comparisons, and boolean combinators over them.
+// fuzzSeeds are the shapes exec's differential generator draws: numeric
+// comparisons over arithmetic and CASE, LIKE and IN over SUBSTRING, string
+// comparisons, and boolean combinators over them.
+func fuzzSeeds() [][]byte {
 	colI, colF, colS := enc(OpCol, 0, 0), enc(OpCol, 1, 0), enc(OpCol, 2, 0)
 	cmpIF := enc(OpLt, 0, 0, enc(OpAdd, 0, 0, colI, enc(OpInt, 0, 5)), enc(OpDiv, 0, 0, colF, enc(OpFloat, 0, 6)))
 	likeSub := enc(OpLike, 0x81, 0, enc(OpSubstr, 3, 2, colS))
 	inS := enc(OpIn, 4, 0, colS)
 	caseN := enc(OpCase, 0, 0, cmpIF, enc(OpMul, 0, 0, colI, colI), enc(OpSub, 0, 0, colF, enc(OpInt, 0, 0xFE)))
-	for _, seed := range [][]byte{
+	return [][]byte{
 		cmpIF, likeSub, inS, caseN,
 		enc(OpAnd, 0, 0, cmpIF, enc(OpNot, 0, 0, likeSub)),
 		enc(OpOr, 0, 0, inS, enc(OpGe, 0, 0, caseN, enc(OpFloat, 0, 3))),
@@ -72,7 +70,33 @@ func FuzzEval(f *testing.F) {
 		enc(OpAnd, 0, 0, colF, colF),          // ill-typed
 		enc(OpAdd, 0, 0, colI),                // wrong arity
 		enc(numOps, 0, 0), {0xFF}, {}, {1, 2}, // unknown operator, nil trees
-	} {
+	}
+}
+
+// FuzzSelect: whatever the tree and whichever rows it starts from, Select
+// keeps what Eval marks non-zero and fails when Eval does (selectAgrees).
+func FuzzSelect(f *testing.F) {
+	colI, colF := enc(OpCol, 0, 0), enc(OpCol, 1, 0)
+	for i, seed := range append(fuzzSeeds(),
+		enc(OpGt, 0, 0, enc(OpFloat, 0, 2), colF),                                             // literal on the left, NaN data
+		enc(OpOr, 0, 0, enc(OpEq, 0, 0, colI, enc(OpInt, 0, 7)), enc(OpLe, 0, 0, colF, colI)), // OR's merge, mixed vectors
+		enc(OpAnd, 0, 0, enc(OpLt, 0, 0, colI, enc(OpInt, 0, 0x80)), enc(OpCol, 4, 0)),        // nothing survives the left; the right is no column
+	) {
+		f.Add(seed, uint8(i*5))
+	}
+	env := testEnv()
+	f.Fuzz(func(t *testing.T, data []byte, mask uint8) {
+		e, _ := fuzzNode(data, 0)
+		if err := selectAgrees(e, env, uint64(mask)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzEval: whatever the tree, Eval returns an ErrInvalid error or a vector
+// of exactly the environment's row count. It never panics.
+func FuzzEval(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	env := testEnv()

@@ -125,23 +125,11 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 	n = max(n, 0)
 	env := expr.Vectors{Cols: cols, N: n}
 
-	rows := make([]int, 0, n)
+	rows := expr.AllRows(n)
 	if req.Plan.Filter != nil {
-		pv, err := req.Plan.Filter.Eval(env)
-		if err != nil {
+		var err error
+		if rows, err = req.Plan.Filter.Select(env, rows); err != nil {
 			return nil, fmt.Errorf("%w: filter: %w", ErrUnsupportedPlan, err)
-		}
-		if pv.Typ != column.Int64 {
-			return nil, unsupported("filter yields %v", pv.Typ)
-		}
-		for i, x := range pv.I64 {
-			if x != 0 {
-				rows = append(rows, i)
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			rows = append(rows, i)
 		}
 	}
 

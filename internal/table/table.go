@@ -83,6 +83,9 @@ func Create(name string, obj *buffer.Object, schema Schema, opts Options) (*Tabl
 	if opts.SegRows <= 0 {
 		opts.SegRows = DefaultSegRows
 	}
+	if opts.SegRows > column.MaxSegmentRows {
+		return nil, fmt.Errorf("table %s: segment size %d exceeds %d rows", name, opts.SegRows, column.MaxSegmentRows)
+	}
 	m := meta{Schema: schema, SegRows: opts.SegRows, PartCol: -1}
 	if opts.PartitionCol != "" {
 		i := schema.ColIndex(opts.PartitionCol)
@@ -288,27 +291,52 @@ func (t *Table) Commit(ctx context.Context) (core.Identity, error) {
 	return id, nil
 }
 
-// ReadSegment returns the requested columns of sealed segment seg. cols are
-// schema positions; the result batch's vectors align with cols.
-func (t *Table) ReadSegment(ctx context.Context, seg int, cols []int) (*Batch, error) {
+// ReadSegmentPages returns the stored pages of the requested columns of sealed
+// segment seg, parallel to cols (schema positions), read in one batch, and the
+// segment's row count. Every page is checked against the table's own
+// description before any is decoded — its type is the schema column's, its
+// count the segment's — so a caller may decode them in any order, or not all.
+func (t *Table) ReadSegmentPages(ctx context.Context, seg int, cols []int) ([][]byte, int, error) {
 	t.mu.Lock()
-	nSegs := len(t.meta.Segs)
-	t.mu.Unlock()
-	if seg < 0 || seg >= nSegs {
-		return nil, fmt.Errorf("table %s: segment %d of %d", t.name, seg, nSegs)
+	if nSegs := len(t.meta.Segs); seg < 0 || seg >= nSegs {
+		t.mu.Unlock()
+		return nil, 0, fmt.Errorf("table %s: segment %d of %d", t.name, seg, nSegs)
 	}
+	rows := t.meta.Segs[seg].Rows
+	t.mu.Unlock()
 	nCols := uint64(len(t.meta.Schema.Cols))
-	out := &Batch{Vecs: make([]*column.Vector, len(cols))}
 	pages := make([]uint64, len(cols))
 	for i, c := range cols {
-		out.Schema.Cols = append(out.Schema.Cols, t.meta.Schema.Cols[c])
 		pages[i] = dataBase + uint64(seg)*nCols + uint64(c)
 	}
 	raws, err := t.obj.ReadBatch(ctx, pages)
 	if err != nil {
-		return nil, fmt.Errorf("table %s: segment %d: %w", t.name, seg, err)
+		return nil, 0, fmt.Errorf("table %s: segment %d: %w", t.name, seg, err)
 	}
 	for i, c := range cols {
+		def := t.meta.Schema.Cols[c]
+		typ, n, err := column.SegmentInfo(raws[i])
+		if err != nil {
+			return nil, 0, fmt.Errorf("table %s: segment %d column %q: %w", t.name, seg, def.Name, err)
+		}
+		if typ != def.Typ || n != rows {
+			return nil, 0, fmt.Errorf("table %s: segment %d column %q: page holds %d %v values, want %d %v",
+				t.name, seg, def.Name, n, typ, rows, def.Typ)
+		}
+	}
+	return raws, rows, nil
+}
+
+// ReadSegment returns the requested columns of sealed segment seg, decoded.
+// cols are schema positions; the result batch's vectors align with cols.
+func (t *Table) ReadSegment(ctx context.Context, seg int, cols []int) (*Batch, error) {
+	raws, _, err := t.ReadSegmentPages(ctx, seg, cols)
+	if err != nil {
+		return nil, err
+	}
+	out := &Batch{Vecs: make([]*column.Vector, len(cols))}
+	for i, c := range cols {
+		out.Schema.Cols = append(out.Schema.Cols, t.meta.Schema.Cols[c])
 		v, err := column.DecodeSegment(raws[i])
 		if err != nil {
 			return nil, fmt.Errorf("table %s: segment %d column %d: %w", t.name, seg, c, err)

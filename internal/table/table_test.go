@@ -289,6 +289,61 @@ func TestReadSegmentOutOfRange(t *testing.T) {
 	}
 }
 
+// TestReadSegmentPagesChecksHeaders: a page whose header is not what the
+// table says of it — another column's type, another segment's count — is
+// refused by name before anyone decodes it; the pages around it still read.
+func TestReadSegmentPagesChecksHeaders(t *testing.T) {
+	r := newRig(t)
+	obj := r.object(t, 16)
+	tbl, err := Create("t", obj, testSchema(), Options{SegRows: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(ctxb(), makeBatch(t, 30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	nCols := uint64(len(testSchema().Cols))
+	short := column.EncodeSegment(makeBatch(t, 9, 0).Vecs[1])    // 9 prices where segment 1 holds 10
+	foreign := column.EncodeSegment(makeBatch(t, 10, 0).Vecs[0]) // ids where segment 2 holds regions
+	if err := obj.Write(ctxb(), dataBase+1*nCols+1, short); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Write(ctxb(), dataBase+2*nCols+2, foreign); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	for seg, want := range map[int]string{
+		1: `table t: segment 1 column "price": page holds 9 float64 values, want 10 float64`,
+		2: `table t: segment 2 column "region": page holds 10 int64 values, want 10 string`,
+	} {
+		if _, _, err := tbl.ReadSegmentPages(ctxb(), seg, []int{0, 1, 2, 3}); err == nil || err.Error() != want {
+			t.Errorf("segment %d: %v, want %s", seg, err, want)
+		}
+		if _, err := tbl.ReadSegment(ctxb(), seg, []int{3, 2, 1}); err == nil || err.Error() != want {
+			t.Errorf("segment %d decoded: %v, want %s", seg, err, want)
+		}
+	}
+	pages, rows, err := tbl.ReadSegmentPages(ctxb(), 1, []int{3, 0})
+	if err != nil || rows != 10 || len(pages) != 2 {
+		t.Fatalf("columns beside the bad page: %d pages of %d rows, %v", len(pages), rows, err)
+	}
+	if b, err := tbl.ReadSegment(ctxb(), 0, []int{0, 1, 2, 3}); err != nil || b.Rows() != 10 {
+		t.Fatalf("segment 0: %v", err)
+	}
+}
+
+func TestCreateRefusesOversizedSegments(t *testing.T) {
+	r := newRig(t)
+	if _, err := Create("t", r.object(t, 16), testSchema(), Options{SegRows: column.MaxSegmentRows + 1}); err == nil {
+		t.Fatal("a segment size no decoder accepts was accepted")
+	}
+	if _, err := Create("t", r.object(t, 16), testSchema(), Options{SegRows: column.MaxSegmentRows}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadOnlyTableRejectsWrites(t *testing.T) {
 	r := newRig(t)
 	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 10})
