@@ -603,8 +603,8 @@ func (db *Database) drainDelta(ctx context.Context, space, name string, rows *ta
 }
 
 // ReachableKeys returns, sorted, every object-store key reachable from the
-// latest committed version of every table in the named cloud dbspace: data
-// pages, blockmap tree pages, index and meta pages. Crash-simulation audits
+// latest committed version of every table in the named cloud dbspace: the
+// meta page, data pages and blockmap tree pages. Crash-simulation audits
 // compare this set against the store's actual contents — after recovery and
 // GC, anything in the store but not reachable is a leaked key, and anything
 // reachable but not in the store is lost committed data.

@@ -20,7 +20,7 @@ var pageioAllowedPkgs = map[string]bool{
 // packages, production code must not call object-store Get/Put or
 // block-device ReadAt/WriteAt directly — every page read and write flows
 // through an internal/pageio Handler pipeline, which is the one place that
-// batches, retries, meters and injects faults.
+// batches, retries, meters and traces.
 //
 // Two shapes are exempt: test files (fixtures legitimately drive the
 // simulated stores directly) and methods on decorator types that themselves

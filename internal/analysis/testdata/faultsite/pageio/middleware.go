@@ -53,7 +53,7 @@ type HookedShim struct {
 
 func (h *HookedShim) WriteBatch(ctx context.Context, pages [][]byte) error {
 	for _, p := range pages {
-		if err := h.faults.Check(faultinject.PipeWrite, ""); err != nil {
+		if err := h.faults.Check(faultinject.ObjPut, ""); err != nil {
 			return err
 		}
 		h.bytes += int64(len(p))

@@ -605,11 +605,11 @@ func AblationRetryPolicy(ctx context.Context, o Options, pages int) ([]AblationR
 		ds := core.NewCloud(core.CloudConfig{Name: "ablation", Store: store, Keys: client, ReadRetries: retries, Stats: o.IOStats})
 		failures := 0
 		for i := 0; i < pages; i++ {
-			e, err := ds.WritePage(ctx, []byte{byte(i)}, core.WriteThrough)
+			written, err := ds.WriteBatch(ctx, [][]byte{{byte(i)}}, core.WriteThrough)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := ds.ReadPage(ctx, e); err != nil {
+			if _, err := ds.ReadBatch(ctx, written); err != nil {
 				failures++
 			}
 		}

@@ -94,11 +94,11 @@ func RunTable1(ctx context.Context, o Options) (Table1Events, error) {
 	write := func(t *txn.Txn, n int) error {
 		sink := t.Sink("user")
 		for i := 0; i < n; i++ {
-			e, err := cloud.WritePage(ctx, []byte{byte(i)}, core.WriteThrough)
+			written, err := cloud.WriteBatch(ctx, [][]byte{{byte(i)}}, core.WriteThrough)
 			if err != nil {
 				return err
 			}
-			sink.NoteAllocated(e)
+			sink.NoteAllocated(written[0])
 		}
 		return nil
 	}

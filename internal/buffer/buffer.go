@@ -62,7 +62,6 @@ type page struct {
 	data    []byte
 	dirty   bool
 	loading bool // being loaded or flushed: accessors wait on Pool.cond
-	pins    int
 	lru     *list.Element
 }
 
@@ -230,55 +229,10 @@ func (o *Object) isDirty(logical uint64) bool {
 // Blockmap exposes the object's blockmap (commit needs to flush it).
 func (o *Object) Blockmap() *core.Blockmap { return o.bm }
 
-// Read returns the page's decompressed contents. The returned slice is the
-// cached image and must not be modified; use Write to modify a page.
+// Read returns the page's decompressed contents: ReadBatch with one page.
 func (o *Object) Read(ctx context.Context, logical uint64) ([]byte, error) {
-	p := o.pool
-	for {
-		key := o.key(ctx, logical)
-		p.mu.Lock()
-		pg, ok := p.pages[key]
-		if ok && pg.loading {
-			// A flush may re-key the page it was waiting for: resolve again.
-			p.cond.Wait()
-			p.mu.Unlock()
-			continue
-		}
-		if ok {
-			pg.pins++
-			p.touch(pg)
-			p.stats.Hits++
-			data := pg.data
-			pg.pins--
-			p.mu.Unlock()
-			return data, nil
-		}
-		// Miss: install a loading placeholder and fetch outside the lock.
-		pg = &page{key: key, logical: logical, loading: true}
-		p.pages[key] = pg
-		p.stats.Misses++
-		p.mu.Unlock()
-
-		data, err := o.load(ctx, logical, key)
-
-		p.mu.Lock()
-		pg.loading = false
-		p.cond.Broadcast()
-		if err != nil {
-			delete(p.pages, key)
-			p.mu.Unlock()
-			if err == errRekeyed {
-				continue
-			}
-			return nil, err
-		}
-		pg.data = data
-		pg.lru = p.lruList.PushFront(pg)
-		p.size += int64(len(data))
-		p.evictLocked(ctx)
-		p.mu.Unlock()
-		return data, nil
-	}
+	out, err := o.ReadBatch(ctx, []uint64{logical})
+	return out[0], err
 }
 
 // errRekeyed reports that a page's blockmap entry no longer has the key a
@@ -301,134 +255,124 @@ func (o *Object) storedEntry(ctx context.Context, logical uint64, key pageKey) (
 	return entry, nil
 }
 
-// load fetches and decompresses the stored page image.
-func (o *Object) load(ctx context.Context, logical uint64, key pageKey) ([]byte, error) {
-	entry, err := o.storedEntry(ctx, logical, key)
-	if err != nil {
-		return nil, err
-	}
-	stored, err := o.ds.ReadPage(ctx, entry)
-	if err != nil {
-		return nil, err
-	}
-	data, err := o.codec.Decompress(stored)
-	if err != nil {
-		return nil, fmt.Errorf("buffer: page %d of object %d: %w", logical, o.id, err)
-	}
-	return data, nil
+// miss is a position of a ReadBatch and the loading placeholder it installed.
+type miss struct {
+	i  int
+	pg *page
 }
 
-// ReadBatch returns the decompressed contents of the given logical pages.
-// Cache misses are fetched through one dbspace ReadBatch, so adjacent block
-// extents coalesce into scatter-gather reads and cloud reads overlap in the
-// pipeline's worker pool. Results are positional; like Read, the returned
-// slices are cached images and must not be modified. The error joins every
-// failed page.
+// ReadBatch returns the decompressed contents of the given logical pages; it
+// is the pool's only read path. Cache misses are fetched through one dbspace
+// ReadBatch, so adjacent block extents coalesce into scatter-gather reads and
+// cloud reads overlap in the pipeline's worker pool. Results are positional;
+// the returned slices are the cached images and must not be modified (use
+// Write to modify a page). The error joins every failed page.
 func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, error) {
 	p := o.pool
 	out := make([][]byte, len(logicals))
 	var errs []error
 
-	type miss struct {
-		i  int
-		pg *page
-	}
-	var misses []miss
-	var waiters []int // pages to take through Read: loading elsewhere, or re-keyed
-
-	// Keys resolve before the lock; a segment's worth fits on the stack.
+	// todo holds the positions still to serve: all of them, then whichever
+	// were loading or being flushed elsewhere, or re-keyed under this read.
+	// Keys resolve before the lock; a segment's worth of both fits on the
+	// stack, so a call that only hits allocates nothing but out.
 	var keyBuf [16]pageKey
-	keys := keyBuf[:]
-	if len(logicals) > len(keyBuf) {
-		keys = make([]pageKey, len(logicals))
+	var todoBuf [16]int
+	keys, todo := keyBuf[:0], todoBuf[:0]
+	for i := range logicals {
+		todo = append(todo, i)
 	}
-	keys = keys[:len(logicals)]
-	for i, logical := range logicals {
-		keys[i] = o.key(ctx, logical)
-	}
-
-	p.mu.Lock()
-	for i, key := range keys {
-		pg, ok := p.pages[key]
-		switch {
-		case ok && !pg.loading:
-			p.touch(pg)
-			p.stats.Hits++
-			out[i] = pg.data
-		case ok:
-			waiters = append(waiters, i)
-		default:
-			npg := &page{key: key, logical: logicals[i], loading: true}
-			p.pages[key] = npg
-			p.stats.Misses++
-			misses = append(misses, miss{i: i, pg: npg})
+	for len(todo) > 0 {
+		keys = keys[:0]
+		for _, i := range todo {
+			keys = append(keys, o.key(ctx, logicals[i]))
 		}
-	}
-	p.mu.Unlock()
-
-	if len(misses) > 0 {
-		itemErrs := make([]error, len(misses))
-		data := make([][]byte, len(misses))
-
-		var entries []core.Entry
-		var submit []int
-		for j, m := range misses {
-			entry, err := o.storedEntry(ctx, logicals[m.i], m.pg.key)
-			if err != nil {
-				itemErrs[j] = err
-				continue
+		var misses []miss
+		again := todo[:0]
+		p.mu.Lock()
+		for k, i := range todo {
+			pg, ok := p.pages[keys[k]]
+			switch {
+			case ok && !pg.loading:
+				p.touch(pg)
+				p.stats.Hits++
+				out[i] = pg.data
+			case ok:
+				again = append(again, i)
+			default:
+				npg := &page{key: keys[k], logical: logicals[i], loading: true}
+				p.pages[npg.key] = npg
+				p.stats.Misses++
+				misses = append(misses, miss{i: i, pg: npg})
 			}
-			entries = append(entries, entry)
-			submit = append(submit, j)
 		}
-		stored, err := o.ds.ReadBatch(ctx, entries)
-		subErrs := pageio.ItemErrors(err, len(entries))
-		for k, j := range submit {
-			if subErrs[k] != nil {
-				itemErrs[j] = subErrs[k]
-				continue
-			}
-			dec, derr := o.codec.Decompress(stored[k])
-			if derr != nil {
-				itemErrs[j] = fmt.Errorf("buffer: page %d of object %d: %w", logicals[misses[j].i], o.id, derr)
-				continue
-			}
-			data[j] = dec
+		if len(misses) == 0 && len(again) > 0 {
+			// Nothing to fetch meanwhile: wait for a load or a flush to end.
+			// The keys resolve again, because a flush re-keys its page.
+			p.cond.Wait()
+		}
+		p.mu.Unlock()
+		todo = again
+		if len(misses) == 0 {
+			continue
 		}
 
+		data, itemErrs := o.fetch(ctx, logicals, misses)
 		p.mu.Lock()
 		for j, m := range misses {
 			m.pg.loading = false
-			if err := itemErrs[j]; err != nil {
+			switch err := itemErrs[j]; {
+			case err == errRekeyed:
 				delete(p.pages, m.pg.key)
-				if err == errRekeyed {
-					waiters = append(waiters, m.i) // Read resolves it afresh
-				} else {
-					errs = append(errs, err)
-				}
-				continue
+				todo = append(todo, m.i)
+			case err != nil:
+				delete(p.pages, m.pg.key)
+				errs = append(errs, err)
+			default:
+				m.pg.data = data[j]
+				m.pg.lru = p.lruList.PushFront(m.pg)
+				p.size += int64(len(data[j]))
+				out[m.i] = data[j]
 			}
-			m.pg.data = data[j]
-			m.pg.lru = p.lruList.PushFront(m.pg)
-			p.size += int64(len(data[j]))
-			out[m.i] = data[j]
 		}
 		p.cond.Broadcast()
 		p.evictLocked(ctx)
 		p.mu.Unlock()
 	}
+	return out, errors.Join(errs...)
+}
 
-	// Pages that were mid-load by someone else resolve through Read, which
-	// waits on the loader.
-	for _, i := range waiters {
-		data, err := o.Read(ctx, logicals[i])
+// fetch reads and decompresses the stored images the misses' placeholders
+// stand for, through one dbspace ReadBatch. Both results are positional.
+func (o *Object) fetch(ctx context.Context, logicals []uint64, misses []miss) ([][]byte, []error) {
+	data := make([][]byte, len(misses))
+	errs := make([]error, len(misses))
+	var entries []core.Entry
+	var submit []int
+	for j, m := range misses {
+		entry, err := o.storedEntry(ctx, logicals[m.i], m.pg.key)
 		if err != nil {
-			errs = append(errs, err)
+			errs[j] = err
 			continue
 		}
-		out[i] = data
+		entries = append(entries, entry)
+		submit = append(submit, j)
 	}
-	return out, errors.Join(errs...)
+	if len(entries) == 0 {
+		return data, errs
+	}
+	stored, err := o.ds.ReadBatch(ctx, entries)
+	subErrs := pageio.ItemErrors(err, len(entries))
+	for k, j := range submit {
+		if subErrs[k] != nil {
+			errs[j] = subErrs[k]
+			continue
+		}
+		if data[j], err = o.codec.Decompress(stored[k]); err != nil {
+			errs[j] = fmt.Errorf("buffer: page %d of object %d: %w", logicals[misses[j].i], o.id, err)
+		}
+	}
+	return data, errs
 }
 
 // Write installs data as the new contents of the page, marking it dirty in
@@ -488,42 +432,35 @@ func (p *Pool) touch(pg *page) {
 	}
 }
 
-// evictLocked brings the cache back under budget. Dirty victims are flushed
-// in write-back mode first. Called with p.mu held; may drop and retake it.
+// evictLocked brings the cache back under budget. A dirty victim enters the
+// flushing state and is written out in write-back mode first (the churn phase
+// of §4). Called with p.mu held; may drop and retake it.
 func (p *Pool) evictLocked(ctx context.Context) {
 	for p.size > p.cfg.Capacity {
 		var victim *page
 		for el := p.lruList.Back(); el != nil; el = el.Prev() {
-			pg := el.Value.(*page)
-			if pg.pins > 0 || pg.loading {
-				continue
+			if pg := el.Value.(*page); !pg.loading {
+				victim = pg
+				break
 			}
-			victim = pg
-			break
 		}
 		if victim == nil {
-			return // everything pinned; stay over budget
+			return // everything is being flushed; stay over budget
 		}
 		if victim.dirty {
-			// Eviction-time flush uses write-back mode (churn phase). The
-			// page stays in the index marked loading so concurrent access
-			// to it blocks until the flush lands in the blockmap.
 			victim.loading = true
-			if victim.lru != nil {
-				p.lruList.Remove(victim.lru)
-				victim.lru = nil
-			}
 			owner := victim.owner
 			p.mu.Unlock()
-			err := owner.flushPage(ctx, victim, core.WriteBack)
+			errs := owner.flushBatch(ctx, []*page{victim}, core.WriteBack)
 			p.mu.Lock()
-			victim.loading = false
-			p.cond.Broadcast()
-			if err != nil && victim.dirty {
+			if len(errs) > 0 {
 				// The page cannot be dropped without losing data; put it
 				// back and stay over budget.
-				victim.lru = p.lruList.PushFront(victim)
+				p.touch(victim)
 				return
+			}
+			if victim.dirty {
+				continue // written again before the lock came back: it stays
 			}
 		}
 		p.removeLocked(victim)
@@ -545,63 +482,237 @@ func (p *Pool) removeLocked(pg *page) {
 	p.size -= int64(len(pg.data))
 }
 
-// flushPage writes one dirty page to permanent storage and updates the
-// blockmap, recording the allocation (and any superseded location) with the
-// transaction's bitmaps. On conventional dbspaces, a page this transaction
-// already flushed is rewritten in place when the new image fits its block
-// run (§3.1); on cloud dbspaces every flush allocates a fresh key.
-func (o *Object) flushPage(ctx context.Context, pg *page, mode core.WriteMode) error {
-	stored := o.codec.Compress(pg.data)
-
+// takeDirty moves every dirty page of the handle into the flushing state and
+// returns them in logical order. A page an eviction is flushing is waited for
+// and then looked at again: the eviction either wrote it or left it dirty.
+func (o *Object) takeDirty() []*page {
 	o.mu.Lock()
-	prev, rewritable := o.flushed[pg.logical]
+	dirty := make([]*page, 0, len(o.dirty))
+	for _, pg := range o.dirty {
+		dirty = append(dirty, pg)
+	}
 	o.mu.Unlock()
-	if rewritable {
-		if bds, isBlock := o.ds.(*core.BlockDbspace); isBlock {
-			entry, inPlace, err := bds.Rewrite(ctx, prev, stored)
-			if err != nil {
-				return err
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].logical < dirty[j].logical })
+
+	p := o.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	taken := dirty[:0]
+	for _, pg := range dirty {
+		for pg.loading {
+			p.cond.Wait()
+		}
+		if pg.dirty {
+			pg.loading = true
+			taken = append(taken, pg)
+		}
+	}
+	return taken
+}
+
+// FlushForCommit writes out every dirty page of the object in write-through
+// mode and then flushes the blockmap's copy-on-write cascade, returning the
+// new identity for the catalog. This is the commit-phase half of §4. Its
+// pages are in the flushing state from before the first one is compressed
+// until each one's write has landed, so an eviction never writes one of them
+// and the commit never writes one an eviction wrote.
+//
+// A cancelled context stops the flush promptly (pages not yet submitted
+// report ctx.Err()), and every distinct page failure is preserved in the
+// joined error — crash-sim triage sees all of them, not just a race winner.
+func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
+	if o.sink == nil {
+		return core.Identity{}, ErrReadOnly
+	}
+	ctx, fsp := trace.Start(ctx, "buffer.flush")
+	defer fsp.End()
+	dirty := o.takeDirty()
+	fsp.AddInt("dirty", int64(len(dirty)))
+	if err := errors.Join(o.flushBatch(ctx, dirty, core.WriteThrough)...); err != nil {
+		return core.Identity{}, err
+	}
+	return o.bm.Flush(ctx, o.sink)
+}
+
+// flushChunk bounds how many pages flushBatch compresses before handing
+// them to the dbspace, so that compressing one chunk overlaps the previous
+// chunk's storage writes. Large enough that coalescing and batch fan-out
+// see real batches, small enough that the CPU and I/O halves of a big
+// commit pipeline instead of running as two serial phases.
+const flushChunk = 64
+
+// flushBatch is the only way a dirty page reaches the dbspace: an eviction
+// calls it with one page and write-back mode, a commit with the handle's
+// dirty pages and write-through. The pages are in the flushing state, in
+// logical order, and each leaves it through install. It returns every item
+// failure.
+//
+// On a conventional dbspace, pages this transaction already flushed go first,
+// each to its own block run (§3.1): those runs are fixed, so the rewrites
+// cannot ride the allocating WriteBatch and overlap their device latency in
+// the worker pool instead (a size-1 pool keeps logical order). The rest go
+// through chunked dbspace WriteBatches, whose pipeline masks per-request
+// storage latency exactly as the paper's load engine does. Compression (the
+// CPU half of a flush) is fanned out across the flush workers and double-
+// buffered against the writes: while chunk k is in flight at the device, chunk
+// k+1 is compressing; the last chunk, with nothing left to overlap, is written
+// on the caller's goroutine. Chunks are issued strictly in order — at most one
+// write is outstanding — so a size-1 worker pool still observes the
+// deterministic page order crash simulations rely on.
+func (o *Object) flushBatch(ctx context.Context, pages []*page, mode core.WriteMode) []error {
+	var errs []error
+	settle := func(pg *page, entry core.Entry, fresh bool, err error) {
+		if err = o.install(ctx, pg, entry, fresh, err); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	workers := pageio.NewPool(o.pool.cfg.PrefetchWorkers)
+
+	batch := pages
+	if _, isBlock := o.ds.(*core.BlockDbspace); isBlock {
+		var rewrites []*page
+		batch = nil
+		o.mu.Lock()
+		for _, pg := range pages {
+			if _, rewritable := o.flushed[pg.logical]; rewritable {
+				rewrites = append(rewrites, pg)
+			} else {
+				batch = append(batch, pg)
 			}
-			if inPlace {
-				// Same extent, possibly new size: no allocation events.
-				if _, err := o.bm.Set(ctx, pg.logical, entry); err != nil {
-					return err
-				}
-				return o.finishFlush(pg, entry)
-			}
-			// Did not fit: a fresh run was allocated; the previous one is
-			// superseded within this transaction.
-			if _, err := o.bm.Set(ctx, pg.logical, entry); err != nil {
-				return err
-			}
-			o.sink.NoteAllocated(entry)
-			o.sink.NoteFreed(prev)
-			return o.finishFlush(pg, entry)
+		}
+		o.mu.Unlock()
+		entries := make([]core.Entry, len(rewrites))
+		fresh := make([]bool, len(rewrites))
+		rwErrs := workers.Do(ctx, len(rewrites), func(i int) (err error) {
+			entries[i], fresh[i], err = o.flushPage(ctx, rewrites[i])
+			return err
+		})
+		for i, pg := range rewrites {
+			settle(pg, entries[i], fresh[i], rwErrs[i])
 		}
 	}
 
-	entry, err := o.ds.WritePage(ctx, stored, mode)
-	if err != nil {
-		return err
+	type writeResult struct {
+		entries []core.Entry
+		err     error
 	}
-	old, err := o.bm.Set(ctx, pg.logical, entry)
-	if err != nil {
-		return err
+	var prevPages []*page // pages of the in-flight chunk, submit order
+	var prevDone chan writeResult
+
+	// collect waits for the in-flight write and installs its entries.
+	collect := func() {
+		if prevDone == nil {
+			return
+		}
+		res := <-prevDone
+		prevDone = nil
+		for j, itemErr := range pageio.ItemErrors(res.err, len(prevPages)) {
+			settle(prevPages[j], res.entries[j], true, itemErr)
+		}
 	}
-	o.sink.NoteAllocated(entry)
-	if !old.IsZero() {
-		o.sink.NoteFreed(old)
+
+	for start := 0; start < len(batch); start += flushChunk {
+		chunkIdx := int64(start / flushChunk)
+		chunk := batch[start:min(start+flushChunk, len(batch))]
+		stored := make([][]byte, len(chunk))
+		_, csp := trace.Start(ctx, "flush.compress",
+			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(chunk))))
+		compErrs := workers.Do(ctx, len(chunk), func(i int) error {
+			stored[i] = o.codec.Compress(chunk[i].data)
+			return nil
+		})
+		csp.End()
+		var sub [][]byte
+		var subPages []*page
+		for i, err := range compErrs {
+			if err != nil {
+				settle(chunk[i], core.Entry{}, false, err) // cancelled before compression
+				continue
+			}
+			sub = append(sub, stored[i])
+			subPages = append(subPages, chunk[i])
+		}
+		collect()
+		if len(sub) == 0 {
+			continue
+		}
+		wctx, wsp := trace.Start(ctx, "flush.write",
+			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(sub))))
+		if wsp != nil {
+			var n int64
+			for _, b := range sub {
+				n += int64(len(b))
+			}
+			wsp.AddInt("bytes", n)
+		}
+		done := make(chan writeResult, 1)
+		write := func() {
+			entries, err := o.ds.WriteBatch(wctx, sub, mode)
+			if err != nil {
+				wsp.SetAttr("err", err.Error())
+			}
+			wsp.End()
+			done <- writeResult{entries: entries, err: err}
+		}
+		if start+flushChunk < len(batch) {
+			//lint:ignore detclosure the overlapped chunk write is joined through done before flushBatch returns; only the join order, fixed by chunk index, is observable
+			go write()
+		} else {
+			write() // the last chunk — an eviction's only one — has nothing to overlap with
+		}
+		prevPages, prevDone = subPages, done
 	}
-	return o.finishFlush(pg, entry)
+	collect()
+	return errs
 }
 
-// finishFlush is the flushing -> clean transition, the write path's only
-// touch of the shared cache: under Pool.mu the page stops being dirty and
-// moves from its private key to the key of the entry the flush produced, so
-// the next reader of that entry — in any handle — hits it.
-func (o *Object) finishFlush(pg *page, entry core.Entry) error {
+// flushPage rewrites a page this transaction already flushed to a
+// conventional dbspace: in place when the new image fits its block run
+// (§3.1), else to a fresh run. It returns where the image is and whether that
+// is a fresh run.
+func (o *Object) flushPage(ctx context.Context, pg *page) (core.Entry, bool, error) {
+	stored := o.codec.Compress(pg.data)
+	o.mu.Lock()
+	prev := o.flushed[pg.logical]
+	o.mu.Unlock()
+	entry, inPlace, err := o.ds.(*core.BlockDbspace).Rewrite(ctx, prev, stored)
+	return entry, !inPlace, err
+}
+
+// install is the one way out of the flushing state. A flush that succeeded
+// put the page at entry: the blockmap records it and, when the location is
+// fresh — not the block run the page already had — the transaction's bitmaps
+// record the allocation and the location it supersedes. A failed flush leaves
+// the page dirty.
+func (o *Object) install(ctx context.Context, pg *page, entry core.Entry, fresh bool, err error) error {
+	if err == nil {
+		var old core.Entry
+		if old, err = o.bm.Set(ctx, pg.logical, entry); err == nil && fresh {
+			o.sink.NoteAllocated(entry)
+			if !old.IsZero() {
+				o.sink.NoteFreed(old)
+			}
+		}
+	}
+	o.finishFlush(pg, entry, err == nil)
+	return err
+}
+
+// finishFlush ends pg's flush under Pool.mu and wakes whoever waited for it.
+// A flush that failed makes the page dirty-private again. One that landed is
+// the flushing -> clean transition, the write path's only touch of the shared
+// cache: the page stops being dirty and moves from its private key to the key
+// of the entry the flush produced, so the next reader of that entry — in any
+// handle — hits it.
+func (o *Object) finishFlush(pg *page, entry core.Entry, landed bool) {
 	p := o.pool
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	pg.loading = false
+	p.cond.Broadcast()
+	if !landed {
+		return
+	}
 	pg.dirty = false
 	pg.owner = nil
 	p.stats.Flushes++
@@ -621,186 +732,6 @@ func (o *Object) finishFlush(pg *page, entry core.Entry) error {
 			p.pages[key] = pg
 		}
 	}
-	p.mu.Unlock()
-	return nil
-}
-
-// FlushForCommit writes out every dirty page of the object in write-through
-// mode — as one dbspace WriteBatch, whose pipeline masks per-request storage
-// latency exactly as the paper's load engine does — and then flushes the
-// blockmap's copy-on-write cascade, returning the new identity for the
-// catalog. This is the commit-phase half of §4. Pages flush in logical
-// order; pages eligible for the §3.1 in-place rewrite keep their fixed
-// locations and fan out across the flush workers instead of batching.
-//
-// A cancelled context stops the flush promptly (pages not yet submitted
-// report ctx.Err()), and every distinct page failure is preserved in the
-// joined error — crash-sim triage sees all of them, not just a race winner.
-func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
-	if o.sink == nil {
-		return core.Identity{}, ErrReadOnly
-	}
-	ctx, fsp := trace.Start(ctx, "buffer.flush")
-	defer fsp.End()
-	o.mu.Lock()
-	dirty := make([]*page, 0, len(o.dirty))
-	for _, pg := range o.dirty {
-		dirty = append(dirty, pg)
-	}
-	o.mu.Unlock()
-	fsp.AddInt("dirty", int64(len(dirty)))
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].logical < dirty[j].logical })
-
-	_, isBlock := o.ds.(*core.BlockDbspace)
-	var errs []error
-	var batch, rewrites []*page
-	for _, pg := range dirty {
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, err)
-			break
-		}
-		o.pool.mu.Lock()
-		stillDirty := pg.dirty
-		o.pool.mu.Unlock()
-		if !stillDirty {
-			continue // e.g. flushed by a concurrent eviction
-		}
-		if isBlock {
-			o.mu.Lock()
-			_, rewritable := o.flushed[pg.logical]
-			o.mu.Unlock()
-			if rewritable {
-				rewrites = append(rewrites, pg)
-				continue
-			}
-		}
-		batch = append(batch, pg)
-	}
-	if fsp != nil {
-		fsp.AddInt("rewrites", int64(len(rewrites)))
-		fsp.AddInt("batched", int64(len(batch)))
-	}
-	if len(rewrites) > 0 && ctx.Err() == nil {
-		// In-place rewrites target fixed block runs, so they cannot ride
-		// the allocating WriteBatch; overlap their device latency in the
-		// worker pool instead (a size-1 pool keeps logical order).
-		rwErrs := pageio.NewPool(o.pool.cfg.PrefetchWorkers).Do(ctx, len(rewrites), func(i int) error {
-			return o.flushPage(ctx, rewrites[i], core.WriteThrough)
-		})
-		for _, err := range rwErrs {
-			if err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	if len(batch) > 0 && ctx.Err() == nil {
-		errs = append(errs, o.flushBatch(ctx, batch)...)
-	}
-	if joined := errors.Join(errs...); joined != nil {
-		return core.Identity{}, joined
-	}
-	return o.bm.Flush(ctx, o.sink)
-}
-
-// flushChunk bounds how many pages flushBatch compresses before handing
-// them to the dbspace, so that compressing one chunk overlaps the previous
-// chunk's storage writes. Large enough that coalescing and batch fan-out
-// see real batches, small enough that the CPU and I/O halves of a big
-// commit pipeline instead of running as two serial phases.
-const flushChunk = 64
-
-// flushBatch writes a group of dirty pages through chunked dbspace
-// WriteBatches and installs the surviving entries. Compression (the CPU
-// half of a flush) is fanned out across the flush workers and double-
-// buffered against the writes: while chunk k is in flight at the device,
-// chunk k+1 is compressing. Chunks are issued strictly in order — at most
-// one write is outstanding — so a size-1 worker pool still observes the
-// deterministic page order crash simulations rely on. It returns every
-// item failure.
-func (o *Object) flushBatch(ctx context.Context, batch []*page) []error {
-	type writeResult struct {
-		entries []core.Entry
-		err     error
-	}
-	var errs []error
-	var prevPages []*page // pages of the in-flight chunk, submit order
-	var prevDone chan writeResult
-
-	// collect waits for the in-flight write and installs its entries.
-	collect := func() {
-		if prevDone == nil {
-			return
-		}
-		res := <-prevDone
-		prevDone = nil
-		for j, itemErr := range pageio.ItemErrors(res.err, len(prevPages)) {
-			pg := prevPages[j]
-			if itemErr != nil {
-				errs = append(errs, itemErr)
-				continue
-			}
-			old, setErr := o.bm.Set(ctx, pg.logical, res.entries[j])
-			if setErr != nil {
-				errs = append(errs, setErr)
-				continue
-			}
-			o.sink.NoteAllocated(res.entries[j])
-			if !old.IsZero() {
-				o.sink.NoteFreed(old)
-			}
-			_ = o.finishFlush(pg, res.entries[j])
-		}
-	}
-
-	comp := pageio.NewPool(o.pool.cfg.PrefetchWorkers)
-	for start := 0; start < len(batch); start += flushChunk {
-		chunkIdx := int64(start / flushChunk)
-		chunk := batch[start:min(start+flushChunk, len(batch))]
-		pages := make([][]byte, len(chunk))
-		_, csp := trace.Start(ctx, "flush.compress",
-			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(chunk))))
-		compErrs := comp.Do(ctx, len(chunk), func(i int) error {
-			pages[i] = o.codec.Compress(chunk[i].data)
-			return nil
-		})
-		csp.End()
-		var sub [][]byte
-		var subPages []*page
-		for i, err := range compErrs {
-			if err != nil {
-				errs = append(errs, err) // cancelled before compression
-				continue
-			}
-			sub = append(sub, pages[i])
-			subPages = append(subPages, chunk[i])
-		}
-		collect()
-		if len(sub) == 0 {
-			continue
-		}
-		wctx, wsp := trace.Start(ctx, "flush.write",
-			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(sub))))
-		if wsp != nil {
-			var n int64
-			for _, b := range sub {
-				n += int64(len(b))
-			}
-			wsp.AddInt("bytes", n)
-		}
-		done := make(chan writeResult, 1)
-		//lint:ignore detclosure the overlapped chunk write is joined through done before flushBatch returns; only the join order, fixed by chunk index, is observable
-		go func() {
-			entries, err := o.ds.WriteBatch(wctx, sub, core.WriteThrough)
-			if err != nil {
-				wsp.SetAttr("err", err.Error())
-			}
-			wsp.End()
-			done <- writeResult{entries: entries, err: err}
-		}()
-		prevPages, prevDone = subPages, done
-	}
-	collect()
-	return errs
 }
 
 // DirtyCount reports the object's dirty pages awaiting flush.
@@ -833,7 +764,7 @@ func (o *Object) Discard() {
 // dropLocked removes the page cached under key unless someone is loading or
 // flushing it. Called with p.mu held.
 func (p *Pool) dropLocked(key pageKey) {
-	if pg, ok := p.pages[key]; ok && !pg.loading && pg.pins == 0 {
+	if pg, ok := p.pages[key]; ok && !pg.loading {
 		p.removeLocked(pg)
 	}
 }

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,9 @@ func cloneRef(ref map[uint64][]byte) map[uint64][]byte {
 // over one blockmap lineage — a writer that commits or rolls back versions
 // and two readers pinned to whichever version was current when they opened —
 // against a reference map per handle. Every read must return the reference
-// bytes, and at each quiescent point the pool's accounting must add up.
+// bytes, at each quiescent point the pool's accounting must add up, and —
+// every image the writer produces being distinct — no image may have reached
+// the dbspace twice: a dirty version is flushed at most once.
 // Prefetches run on their own goroutines, so under -race the evictions,
 // eviction-time flushes and re-keyings they cause overlap the foreground ops.
 func TestPoolModel(t *testing.T) {
@@ -89,9 +92,19 @@ func TestPoolModel(t *testing.T) {
 				}
 			}
 
+			// image draws a page and stamps it with a version number, so
+			// that no two writes carry the same bytes.
+			var version uint64
+			image := func() []byte {
+				d := pageData(uint64(rng.Int63()), 40+rng.Intn(120))
+				version++
+				binary.LittleEndian.PutUint64(d, version)
+				return d
+			}
+
 			w = modelHandle{obj: r.writer(t, core.Identity{}), ref: map[uint64][]byte{}}
 			for _, l := range modelPages[:6] {
-				w.ref[l] = pageData(uint64(rng.Int63()), 40+rng.Intn(120))
+				w.ref[l] = image()
 				if err := w.obj.Write(ctxb(), l, w.ref[l]); err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +131,7 @@ func TestPoolModel(t *testing.T) {
 					h.obj.Prefetch(ctxb(), pick(h, 1+rng.Intn(5)))
 				case op < 15: // write
 					l := modelPages[rng.Intn(len(modelPages))]
-					w.ref[l] = pageData(uint64(rng.Int63()), 40+rng.Intn(120))
+					w.ref[l] = image()
 					if err := w.obj.Write(ctxb(), l, w.ref[l]); err != nil {
 						t.Fatal(err)
 					}
@@ -141,6 +154,7 @@ func TestPoolModel(t *testing.T) {
 				default: // quiescent point
 					r.pool.Wait()
 					checkAccounting(t, r.pool)
+					r.cds.checkWrittenOnce(t)
 					if size := r.pool.Size(); size > tc.capacity {
 						t.Fatalf("step %d: %d bytes cached at rest, capacity %d", step, size, tc.capacity)
 					}
@@ -148,6 +162,7 @@ func TestPoolModel(t *testing.T) {
 			}
 			r.pool.Wait()
 			checkAccounting(t, r.pool)
+			r.cds.checkWrittenOnce(t)
 			for _, h := range []modelHandle{w, readers[0], readers[1]} {
 				for l := range h.ref {
 					got, err := h.obj.Read(ctxb(), l)

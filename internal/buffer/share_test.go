@@ -14,29 +14,69 @@ import (
 	"cloudiq/internal/rfrb"
 )
 
-// countingDs counts the data pages handles fetch from a dbspace. Blockmaps
-// are opened on the dbspace underneath, so their node reads (which are store
-// GETs too) do not count.
+// countingDs counts the data pages handles fetch from a dbspace and how often
+// each stored image is written to it. Blockmaps are opened on the dbspace
+// underneath, so their node reads (which are store GETs too) and node writes
+// do not count.
 // gate, when set, holds every read until it is closed.
 type countingDs struct {
 	core.Dbspace
 	reads atomic.Int64
 	gate  chan struct{}
-	// entered receives one value per read that reached the gate.
+	// entered receives one value per read that reached the gate, and one for
+	// the write that took hold.
 	entered chan struct{}
+
+	wmu    sync.Mutex
+	writes map[string]int // stored image -> times written
+	// hold, when set, blocks the next WriteBatch — that one only — until it
+	// is closed.
+	hold chan struct{}
 }
 
-func (c *countingDs) ReadPage(ctx context.Context, e core.Entry) ([]byte, error) {
-	c.reads.Add(1)
+func (c *countingDs) WriteBatch(ctx context.Context, pages [][]byte, mode core.WriteMode) ([]core.Entry, error) {
+	c.wmu.Lock()
+	if c.writes == nil {
+		c.writes = make(map[string]int)
+	}
+	for _, page := range pages {
+		c.writes[string(page)]++
+	}
+	hold := c.hold
+	c.hold = nil
+	c.wmu.Unlock()
+	if hold != nil {
+		c.entered <- struct{}{}
+		<-hold
+	}
+	return c.Dbspace.WriteBatch(ctx, pages, mode)
+}
+
+// checkWrittenOnce asserts that no image reached the dbspace twice: with
+// every page version distinct, a dirty version is flushed at most once.
+func (c *countingDs) checkWrittenOnce(t *testing.T) {
+	t.Helper()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for image, n := range c.writes {
+		if n != 1 {
+			t.Fatalf("a %d-byte page image was written %d times", len(image), n)
+		}
+	}
+}
+
+// countingSink counts flush events.
+type countingSink struct{ allocated, freed atomic.Int64 }
+
+func (s *countingSink) NoteAllocated(core.Entry) { s.allocated.Add(1) }
+func (s *countingSink) NoteFreed(core.Entry)     { s.freed.Add(1) }
+
+func (c *countingDs) ReadBatch(ctx context.Context, es []core.Entry) ([][]byte, error) {
+	c.reads.Add(int64(len(es)))
 	if c.gate != nil {
 		c.entered <- struct{}{}
 		<-c.gate
 	}
-	return c.Dbspace.ReadPage(ctx, e)
-}
-
-func (c *countingDs) ReadBatch(ctx context.Context, es []core.Entry) ([][]byte, error) {
-	c.reads.Add(int64(len(es)))
 	return c.Dbspace.ReadBatch(ctx, es)
 }
 
@@ -256,6 +296,63 @@ func TestReaderKeepsItsVersionAcrossRewrite(t *testing.T) {
 	}
 	if r.cds.reads.Load() != reads {
 		t.Fatal("the committed page was fetched back instead of hit")
+	}
+	checkAccounting(t, r.pool)
+}
+
+// A commit and an eviction never both write the same dirty page. The commit's
+// pages are in the flushing state while its write is in flight, so an
+// eviction another handle triggers meanwhile passes over them; without the
+// mark it wrote the LRU's oldest — the commit's first page — a second time,
+// and the commit then recorded that first copy as superseded.
+func TestEvictionDuringCommitNoDoubleFlush(t *testing.T) {
+	const pages, size = 8, 100
+	r := newShareRig(t, pages*size)
+	bm, err := core.NewBlockmap(r.ds, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countingSink{}
+	a := r.pool.OpenObject(r.cds, bm, sink, nil)
+	for l := uint64(0); l < pages; l++ {
+		if err := a.Write(ctxb(), l, pageData(l, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Hold the commit inside the write of its one chunk: compressed and
+	// submitted, nothing installed yet.
+	hold := make(chan struct{})
+	r.cds.hold, r.cds.entered = hold, make(chan struct{}, 1)
+	committed := make(chan error, 1)
+	go func() {
+		_, err := a.FlushForCommit(ctxb())
+		committed <- err
+	}()
+	<-r.cds.entered
+
+	// A second handle takes the pool over capacity, so the evictor walks the
+	// LRU from the commit's pages.
+	b := r.writer(t, core.Identity{})
+	if err := b.Write(ctxb(), 0, pageData(pages, size)); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+
+	for l := uint64(0); l < pages; l++ {
+		if n := r.cds.writes[string(pageData(l, size))]; n != 1 {
+			t.Errorf("page %d was written %d times", l, n)
+		}
+	}
+	// No page had a stored version before, so nothing was superseded.
+	if n := sink.freed.Load(); n != 0 {
+		t.Errorf("NoteFreed called %d times", n)
+	}
+	if s := r.pool.Stats(); s.Flushes != pages+1 {
+		t.Errorf("%d flushes, want %d: the commit's pages and the one the eviction wrote", s.Flushes, pages+1)
 	}
 	checkAccounting(t, r.pool)
 }

@@ -292,19 +292,6 @@ func TestZoneMapFloatAndString(t *testing.T) {
 	}
 }
 
-func TestZoneMapMarshalRoundTrip(t *testing.T) {
-	for _, v := range []*Vector{intVec(3, 7), floatVec(1, 2), strVec("aa", "zz")} {
-		z := BuildZoneMap(v)
-		got, n, err := UnmarshalZoneMap(MarshalZoneMap(z))
-		if err != nil || n != len(MarshalZoneMap(z)) || got != z {
-			t.Fatalf("round trip %v: %+v vs %+v (%v)", v.Typ, got, z, err)
-		}
-	}
-	if _, _, err := UnmarshalZoneMap([]byte{1, 2}); err == nil {
-		t.Fatal("short zone map accepted")
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	if Int64.String() != "int64" || Float64.String() != "float64" || String.String() != "string" {
 		t.Fatal("type names wrong")

@@ -1,10 +1,6 @@
 package column
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "math"
 
 // ZoneMap records the min/max of one column within one segment, enabling
 // early pruning of pages a predicate cannot match [19]. String bounds are
@@ -111,53 +107,4 @@ func (z ZoneMap) MayContainF64(lo, hi float64) bool {
 // MayContainStr reports whether any value in [lo, hi] could be present.
 func (z ZoneMap) MayContainStr(lo, hi string) bool {
 	return z.Typ == String && z.MinStr <= z.MaxStr && hi >= z.MinStr && lo <= z.MaxStr
-}
-
-// zone map wire size: type + 2×i64 + 2×f64 + 2×(len u16 + ≤17 bytes)
-func (z ZoneMap) marshalInto(buf []byte) []byte {
-	buf = append(buf, byte(z.Typ))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(z.MinI64))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(z.MaxI64))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(z.MinF64))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(z.MaxF64))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(z.MinStr)))
-	buf = append(buf, z.MinStr...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(z.MaxStr)))
-	buf = append(buf, z.MaxStr...)
-	return buf
-}
-
-// MarshalZoneMap serializes z.
-func MarshalZoneMap(z ZoneMap) []byte { return z.marshalInto(nil) }
-
-// UnmarshalZoneMap decodes a zone map, returning the bytes consumed.
-func UnmarshalZoneMap(data []byte) (ZoneMap, int, error) {
-	var z ZoneMap
-	if len(data) < 37 {
-		return z, 0, fmt.Errorf("column: zone map truncated (%d bytes)", len(data))
-	}
-	z.Typ = Type(data[0])
-	z.MinI64 = int64(binary.LittleEndian.Uint64(data[1:]))
-	z.MaxI64 = int64(binary.LittleEndian.Uint64(data[9:]))
-	z.MinF64 = math.Float64frombits(binary.LittleEndian.Uint64(data[17:]))
-	z.MaxF64 = math.Float64frombits(binary.LittleEndian.Uint64(data[25:]))
-	off := 33
-	for i := 0; i < 2; i++ {
-		if off+2 > len(data) {
-			return z, 0, fmt.Errorf("column: zone map string bound truncated")
-		}
-		l := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+l > len(data) {
-			return z, 0, fmt.Errorf("column: zone map string bound overflows")
-		}
-		s := string(data[off : off+l])
-		off += l
-		if i == 0 {
-			z.MinStr = s
-		} else {
-			z.MaxStr = s
-		}
-	}
-	return z, off, nil
 }

@@ -63,29 +63,6 @@ type Identity struct {
 	Levels uint32
 }
 
-// MarshalIdentity serializes an Identity.
-func MarshalIdentity(id Identity) []byte {
-	buf := make([]byte, EntrySize+16)
-	id.Root.encode(buf)
-	binary.LittleEndian.PutUint64(buf[EntrySize:], id.Pages)
-	binary.LittleEndian.PutUint32(buf[EntrySize+8:], id.Fanout)
-	binary.LittleEndian.PutUint32(buf[EntrySize+12:], id.Levels)
-	return buf
-}
-
-// UnmarshalIdentity decodes MarshalIdentity output.
-func UnmarshalIdentity(buf []byte) (Identity, error) {
-	if len(buf) < EntrySize+16 {
-		return Identity{}, fmt.Errorf("core: identity buffer too short (%d bytes)", len(buf))
-	}
-	return Identity{
-		Root:   decodeEntry(buf),
-		Pages:  binary.LittleEndian.Uint64(buf[EntrySize:]),
-		Fanout: binary.LittleEndian.Uint32(buf[EntrySize+8:]),
-		Levels: binary.LittleEndian.Uint32(buf[EntrySize+12:]),
-	}, nil
-}
-
 // OpenBlockmap reopens a blockmap from its identity. Child pages load
 // lazily on first access.
 func OpenBlockmap(ds Dbspace, id Identity) (*Blockmap, error) {
@@ -143,7 +120,7 @@ func (b *Blockmap) ensureLoaded(ctx context.Context, n *bmNode) error {
 	if n.entries != nil {
 		return nil
 	}
-	data, err := b.ds.ReadPage(ctx, n.stored)
+	data, err := one(b.ds.ReadBatch(ctx, []Entry{n.stored}))
 	if err != nil {
 		return fmt.Errorf("core: load blockmap page %v: %w", n.stored, err)
 	}

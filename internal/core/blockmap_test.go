@@ -222,22 +222,6 @@ func TestBlockmapForEach(t *testing.T) {
 	}
 }
 
-func TestBlockmapIdentityRoundTrip(t *testing.T) {
-	id := Identity{
-		Root:   Entry{Loc: rfrb.CloudKeyBase + 42, Size: 100},
-		Pages:  77,
-		Fanout: 256,
-		Levels: 3,
-	}
-	got, err := UnmarshalIdentity(MarshalIdentity(id))
-	if err != nil || got != id {
-		t.Fatalf("round trip = %+v, %v", got, err)
-	}
-	if _, err := UnmarshalIdentity([]byte{1}); err == nil {
-		t.Fatal("short identity accepted")
-	}
-}
-
 func TestBlockmapRejectsBadFanout(t *testing.T) {
 	ds, _ := newCloudForBM(t)
 	if _, err := NewBlockmap(ds, 1); err == nil {

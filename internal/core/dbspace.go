@@ -39,27 +39,23 @@ const (
 // Dbspace is the storage unit databases are built from: a collection of
 // pages on either an object store (cloud dbspace) or a block device
 // (conventional dbspace). All implementations route their I/O through an
-// internal pageio pipeline, so retries, fault injection, metering and
-// batching are uniform across backends.
+// internal pageio pipeline, so retries, metering and batching are uniform
+// across backends.
 type Dbspace interface {
 	// Name returns the dbspace name.
 	Name() string
 	// IsCloud reports whether pages live on an object store.
 	IsCloud() bool
-	// WritePage stores data at a freshly allocated location — an object key
-	// never used before, or a newly allocated block run — and returns its
-	// entry. Cloud dbspaces never overwrite an existing key.
-	WritePage(ctx context.Context, data []byte, mode WriteMode) (Entry, error)
-	// WriteBatch stores each page at a freshly allocated location. The
-	// returned entries are positional; a failed item leaves a zero Entry and
-	// the error expands per item via pageio.ItemErrors. Successful items are
-	// as durable as a WritePage in the same mode.
+	// WriteBatch stores each page at a freshly allocated location — an object
+	// key never used before, or a newly allocated block run; cloud dbspaces
+	// never overwrite an existing key. The returned entries are positional; a
+	// failed item leaves a zero Entry and the error expands per item via
+	// pageio.ItemErrors. A successful item is as durable as mode says.
 	WriteBatch(ctx context.Context, pages [][]byte, mode WriteMode) ([]Entry, error)
-	// ReadPage fetches the stored bytes for e, retrying object-not-found
-	// errors caused by eventual consistency up to the configured budget.
-	ReadPage(ctx context.Context, e Entry) ([]byte, error)
-	// ReadBatch fetches one page per entry. Results are positional (nil for
-	// failed items) and the error expands per item via pageio.ItemErrors.
+	// ReadBatch fetches the stored bytes of one page per entry, retrying
+	// object-not-found errors caused by eventual consistency up to the
+	// configured budget. Results are positional (nil for failed items) and the
+	// error expands per item via pageio.ItemErrors.
 	ReadBatch(ctx context.Context, entries []Entry) ([][]byte, error)
 	// FlushForCommit blocks until every WriteBack page in the given extents
 	// is durable on permanent storage, prioritizing their uploads. It is a
@@ -69,6 +65,17 @@ type Dbspace interface {
 	// deleted (idempotently — unconsumed keys in the range are simply
 	// polled, per Table 1), block runs are released to the freelist.
 	Reclaim(ctx context.Context, r rfrb.Range) error
+}
+
+// one unwraps a batch call made with a single item — a page is read or
+// written alone by the same path as a batch of them — into that item's result
+// and its own error, so the dbspace's message and errors.Is both survive.
+func one[T any](out []T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, pageio.ItemErrors(err, 1)[0]
+	}
+	return out[0], nil
 }
 
 // PageCache is the slice of the Object Cache Manager a cloud dbspace uses.
@@ -207,32 +214,14 @@ func (d *CloudDbspace) IsCloud() bool { return true }
 // to compare reachable pages against the store's contents.
 func (d *CloudDbspace) ObjectKey(key uint64) string { return d.cfg.Namer.Name(key) }
 
-// WritePage implements Dbspace: it obtains a fresh key from the Object Key
-// Generator instead of consulting a freelist, then uploads under that key.
-// A failed upload is retried under the same key — the key was never visible,
-// so reusing it preserves the never-write-twice invariant. With an OCM
-// configured, WriteBack routes through the cache's write-back path and
-// WriteThrough through its write-through path.
-func (d *CloudDbspace) WritePage(ctx context.Context, data []byte, mode WriteMode) (Entry, error) {
-	key, err := d.cfg.Keys.NextKey(ctx)
-	if err != nil {
-		return Entry{}, fmt.Errorf("dbspace %s: %w", d.cfg.Name, err)
-	}
-	req := pageio.WriteReq{
-		Ref:   pageio.Ref{Key: d.cfg.Namer.Name(key)},
-		Data:  data,
-		Async: mode == WriteBack,
-	}
-	if err := d.pipe.WritePage(ctx, req); err != nil {
-		return Entry{}, fmt.Errorf("dbspace %s: write key %#x: %w", d.cfg.Name, key, err)
-	}
-	return Entry{Loc: key, Size: uint32(len(data))}, nil
-}
-
-// WriteBatch implements Dbspace: one key per page, one pipeline batch.
-// Failed items leave zero entries; their keys are never reused, which is
-// safe because the RB bitmap reclaims whole allocated key ranges on
-// rollback.
+// WriteBatch implements Dbspace: each page obtains a fresh key from the
+// Object Key Generator instead of consulting a freelist, and the batch uploads
+// under those keys. A failed upload is retried under the same key — the key
+// was never visible, so reusing it preserves the never-write-twice invariant.
+// With an OCM configured, WriteBack routes through the cache's write-back path
+// and WriteThrough through its write-through path. Failed items leave zero
+// entries; their keys are never reused, which is safe because the RB bitmap
+// reclaims whole allocated key ranges on rollback.
 func (d *CloudDbspace) WriteBatch(ctx context.Context, pages [][]byte, mode WriteMode) ([]Entry, error) {
 	entries := make([]Entry, len(pages))
 	reqs := make([]pageio.WriteReq, len(pages))
@@ -283,21 +272,6 @@ func (d *CloudDbspace) FlushForCommit(ctx context.Context, extents []rfrb.Range)
 	return nil
 }
 
-// ReadPage implements Dbspace. An object-not-found error is assumed to be an
-// eventual-consistency artifact — the never-write-twice policy guarantees a
-// stored page has exactly one version — so the pipeline's retry stage polls
-// it up to the configured budget before failing.
-func (d *CloudDbspace) ReadPage(ctx context.Context, e Entry) ([]byte, error) {
-	if !e.IsCloud() {
-		return nil, fmt.Errorf("dbspace %s: entry %v is not a cloud entry", d.cfg.Name, e)
-	}
-	data, err := d.pipe.ReadPage(ctx, pageio.Ref{Key: d.cfg.Namer.Name(e.Loc)})
-	if err != nil {
-		return nil, fmt.Errorf("dbspace %s: read key %#x: %w", d.cfg.Name, e.Loc, err)
-	}
-	return data, d.checkSize(e, data)
-}
-
 func (d *CloudDbspace) checkSize(e Entry, data []byte) error {
 	if len(data) != int(e.Size) {
 		return fmt.Errorf("dbspace %s: key %#x: stored %d bytes, entry says %d",
@@ -306,7 +280,11 @@ func (d *CloudDbspace) checkSize(e Entry, data []byte) error {
 	return nil
 }
 
-// ReadBatch implements Dbspace: one pipeline batch, retried per item.
+// ReadBatch implements Dbspace: one pipeline batch, retried per item. An
+// object-not-found error is assumed to be an eventual-consistency artifact —
+// the never-write-twice policy guarantees a stored page has exactly one
+// version — so the pipeline's retry stage polls it up to the configured budget
+// before failing.
 func (d *CloudDbspace) ReadBatch(ctx context.Context, entries []Entry) ([][]byte, error) {
 	out := make([][]byte, len(entries))
 	errs := make([]error, len(entries))
@@ -348,7 +326,7 @@ type SelectCol struct {
 // returning only the qualifying bytes. It bypasses the OCM entirely (the
 // page cache stores whole pages, not select results) but keeps the page
 // path's retry-until-found discipline: a not-yet-visible column object is an
-// eventual-consistency artifact, exactly as on ReadPage. Stores without a
+// eventual-consistency artifact, exactly as on ReadBatch. Stores without a
 // compute endpoint answer pageio.ErrSelectUnsupported.
 func (d *CloudDbspace) Select(ctx context.Context, cols []SelectCol, flate bool, plan objstore.SelectPlan) (*objstore.SelectResult, error) {
 	req := objstore.SelectRequest{
@@ -493,23 +471,6 @@ func (d *BlockDbspace) allocate(data []byte) (start uint64, n int, err error) {
 	return start, n, nil
 }
 
-// WritePage implements Dbspace, allocating a fresh block run.
-func (d *BlockDbspace) WritePage(ctx context.Context, data []byte, _ WriteMode) (Entry, error) {
-	start, n, err := d.allocate(data)
-	if err != nil {
-		return Entry{}, err
-	}
-	req := pageio.WriteReq{
-		Ref:  pageio.Ref{Off: int64(start) * int64(d.cfg.BlockSize)},
-		Data: data,
-	}
-	if err := d.pipe.WritePage(ctx, req); err != nil {
-		_ = d.free.Free(start, uint64(n))
-		return Entry{}, fmt.Errorf("dbspace %s: write blocks %d+%d: %w", d.cfg.Name, start, n, err)
-	}
-	return Entry{Loc: start, Size: uint32(len(data)), Blocks: uint16(n)}, nil
-}
-
 // WriteBatch implements Dbspace: runs are allocated up front, then the whole
 // batch goes through the pipeline so the coalescer can group-commit adjacent
 // runs. Failed items release their runs and leave zero entries.
@@ -556,7 +517,7 @@ func (d *BlockDbspace) WriteBatch(ctx context.Context, pages [][]byte, _ WriteMo
 // the caller must treat the old entry as superseded).
 func (d *BlockDbspace) Rewrite(ctx context.Context, e Entry, data []byte) (Entry, bool, error) {
 	if e.IsCloud() || len(data) > int(e.Blocks)*d.cfg.BlockSize {
-		fresh, err := d.WritePage(ctx, data, WriteThrough)
+		fresh, err := one(d.WriteBatch(ctx, [][]byte{data}, WriteThrough))
 		return fresh, false, err
 	}
 	req := pageio.WriteReq{
@@ -568,19 +529,6 @@ func (d *BlockDbspace) Rewrite(ctx context.Context, e Entry, data []byte) (Entry
 	}
 	e.Size = uint32(len(data))
 	return e, true, nil
-}
-
-// ReadPage implements Dbspace.
-func (d *BlockDbspace) ReadPage(ctx context.Context, e Entry) ([]byte, error) {
-	if e.IsCloud() {
-		return nil, fmt.Errorf("dbspace %s: entry %v is a cloud entry", d.cfg.Name, e)
-	}
-	ref := pageio.Ref{Off: int64(e.Loc) * int64(d.cfg.BlockSize), Len: int(e.Size)}
-	data, err := d.pipe.ReadPage(ctx, ref)
-	if err != nil {
-		return nil, fmt.Errorf("dbspace %s: read blocks %d+%d: %w", d.cfg.Name, e.Loc, e.Blocks, err)
-	}
-	return data, nil
 }
 
 // ReadBatch implements Dbspace: adjacent entries in the batch coalesce into

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -36,19 +37,29 @@ func newBlockSpace(t *testing.T) *BlockDbspace {
 	return ds
 }
 
+// writeOne and readOne are the batch calls at one item, unwrapped the way
+// ensureLoaded and Rewrite's fallback unwrap theirs.
+func writeOne(ds Dbspace, data []byte) (Entry, error) {
+	return one(ds.WriteBatch(ctxb(), [][]byte{data}, WriteThrough))
+}
+
+func readOne(ds Dbspace, e Entry) ([]byte, error) {
+	return one(ds.ReadBatch(ctxb(), []Entry{e}))
+}
+
 func TestCloudWriteReadRoundTrip(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{})
 	ds := newCloudSpace(t, store)
-	e, err := ds.WritePage(ctxb(), []byte("page contents"), WriteThrough)
+	e, err := writeOne(ds, []byte("page contents"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !e.IsCloud() {
 		t.Fatalf("entry %v not classified as cloud", e)
 	}
-	got, err := ds.ReadPage(ctxb(), e)
+	got, err := readOne(ds, e)
 	if err != nil || string(got) != "page contents" {
-		t.Fatalf("ReadPage = %q, %v", got, err)
+		t.Fatalf("read = %q, %v", got, err)
 	}
 }
 
@@ -57,7 +68,7 @@ func TestCloudNeverWritesAKeyTwice(t *testing.T) {
 	ds := newCloudSpace(t, store)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 500; i++ {
-		e, err := ds.WritePage(ctxb(), []byte{byte(i)}, WriteThrough)
+		e, err := writeOne(ds, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,13 +87,13 @@ func TestCloudReadRetriesEventualConsistency(t *testing.T) {
 	// must retry until found.
 	store := objstore.NewMem(objstore.Config{Consistency: objstore.Consistency{NewKeyMissReads: 3}})
 	ds := newCloudSpace(t, store)
-	e, err := ds.WritePage(ctxb(), []byte("eventually"), WriteThrough)
+	e, err := writeOne(ds, []byte("eventually"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.ReadPage(ctxb(), e)
+	got, err := readOne(ds, e)
 	if err != nil || string(got) != "eventually" {
-		t.Fatalf("ReadPage = %q, %v", got, err)
+		t.Fatalf("read = %q, %v", got, err)
 	}
 	if misses := store.Metrics().GetMisses(); misses != 3 {
 		t.Fatalf("misses = %d, want 3", misses)
@@ -96,12 +107,18 @@ func TestCloudReadRetryBudgetExhausted(t *testing.T) {
 		return gen.Allocate(ctx, "node", n)
 	})
 	ds := NewCloud(CloudConfig{Name: "cloud", Store: store, Keys: client, ReadRetries: 4})
-	e, err := ds.WritePage(ctxb(), []byte("x"), WriteThrough)
+	e, err := writeOne(ds, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.ReadPage(ctxb(), e); !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
+	// A one-element read reports the item's own error: the sentinel is still
+	// reachable and the dbspace still names the key it could not find.
+	_, err = readOne(ds, e)
+	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrNotFound", err)
+	}
+	if want := fmt.Sprintf("dbspace cloud: read key %#x: ", e.Loc); !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %q, want it to start %q", err, want)
 	}
 }
 
@@ -111,12 +128,12 @@ func TestCloudWriteRetriesThenFails(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{Faults: plan})
 	ds := newCloudSpace(t, store)
 	// First write: two failures then success (WriteRetries default 3).
-	if _, err := ds.WritePage(ctxb(), []byte("x"), WriteThrough); err != nil {
+	if _, err := writeOne(ds, []byte("x")); err != nil {
 		t.Fatalf("write with transient failures: %v", err)
 	}
 	// Now make every put fail: budget exhausts.
 	plan.Always(faultinject.ObjPut)
-	if _, err := ds.WritePage(ctxb(), []byte("y"), WriteThrough); !errors.Is(err, ErrRetriesExhausted) {
+	if _, err := writeOne(ds, []byte("y")); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
 }
@@ -124,19 +141,19 @@ func TestCloudWriteRetriesThenFails(t *testing.T) {
 func TestCloudReadSizeMismatchDetected(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{})
 	ds := newCloudSpace(t, store)
-	e, err := ds.WritePage(ctxb(), []byte("abc"), WriteThrough)
+	e, err := writeOne(ds, []byte("abc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Size = 99
-	if _, err := ds.ReadPage(ctxb(), e); err == nil || !strings.Contains(err.Error(), "entry says") {
+	if _, err := readOne(ds, e); err == nil || !strings.Contains(err.Error(), "entry says") {
 		t.Fatalf("size mismatch not detected: %v", err)
 	}
 }
 
 func TestCloudReadRejectsBlockEntry(t *testing.T) {
 	ds := newCloudSpace(t, objstore.NewMem(objstore.Config{}))
-	if _, err := ds.ReadPage(ctxb(), Entry{Loc: 5, Blocks: 1}); err == nil {
+	if _, err := readOne(ds, Entry{Loc: 5, Blocks: 1}); err == nil {
 		t.Fatal("block entry accepted by cloud dbspace")
 	}
 }
@@ -146,7 +163,7 @@ func TestCloudReclaimDeletesAndPollsIdempotently(t *testing.T) {
 	ds := newCloudSpace(t, store)
 	var entries []Entry
 	for i := 0; i < 10; i++ {
-		e, err := ds.WritePage(ctxb(), []byte{byte(i)}, WriteThrough)
+		e, err := writeOne(ds, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,16 +210,16 @@ func TestKeyNamerHashedSpreadsPrefixes(t *testing.T) {
 
 func TestBlockWriteReadRoundTrip(t *testing.T) {
 	ds := newBlockSpace(t)
-	e, err := ds.WritePage(ctxb(), []byte("conventional page"), WriteThrough)
+	e, err := writeOne(ds, []byte("conventional page"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.IsCloud() || e.Blocks != 1 {
 		t.Fatalf("entry = %v", e)
 	}
-	got, err := ds.ReadPage(ctxb(), e)
+	got, err := readOne(ds, e)
 	if err != nil || string(got) != "conventional page" {
-		t.Fatalf("ReadPage = %q, %v", got, err)
+		t.Fatalf("read = %q, %v", got, err)
 	}
 }
 
@@ -212,14 +229,14 @@ func TestBlockMultiBlockPages(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	e, err := ds.WritePage(ctxb(), data, WriteThrough)
+	e, err := writeOne(ds, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Blocks != 4 {
 		t.Fatalf("Blocks = %d, want 4", e.Blocks)
 	}
-	got, err := ds.ReadPage(ctxb(), e)
+	got, err := readOne(ds, e)
 	if err != nil || len(got) != len(data) || got[len(got)-1] != data[len(data)-1] {
 		t.Fatalf("round trip failed: %d bytes, %v", len(got), err)
 	}
@@ -227,14 +244,14 @@ func TestBlockMultiBlockPages(t *testing.T) {
 
 func TestBlockPageTooLarge(t *testing.T) {
 	ds := newBlockSpace(t)
-	if _, err := ds.WritePage(ctxb(), make([]byte, 512*17), WriteThrough); err == nil {
+	if _, err := writeOne(ds, make([]byte, 512*17)); err == nil {
 		t.Fatal("17-block page accepted (max is 16)")
 	}
 }
 
 func TestBlockRewriteInPlace(t *testing.T) {
 	ds := newBlockSpace(t)
-	e, err := ds.WritePage(ctxb(), make([]byte, 1000), WriteThrough) // 2 blocks
+	e, err := writeOne(ds, make([]byte, 1000)) // 2 blocks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +266,7 @@ func TestBlockRewriteInPlace(t *testing.T) {
 	if got := ds.Freelist().InUse(); got != inUse {
 		t.Fatalf("in-place rewrite changed allocation: %d != %d", got, inUse)
 	}
-	got, err := ds.ReadPage(ctxb(), e2)
+	got, err := readOne(ds, e2)
 	if err != nil || string(got) != "small" {
 		t.Fatalf("read after rewrite = %q, %v", got, err)
 	}
@@ -265,7 +282,7 @@ func TestBlockRewriteInPlace(t *testing.T) {
 
 func TestBlockReclaimReleasesBlocks(t *testing.T) {
 	ds := newBlockSpace(t)
-	e, _ := ds.WritePage(ctxb(), make([]byte, 1024), WriteThrough)
+	e, _ := writeOne(ds, make([]byte, 1024))
 	if err := ds.Reclaim(ctxb(), e.Span()); err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +301,10 @@ func TestBlockSpaceExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.WritePage(ctxb(), make([]byte, 512*4), WriteThrough); err != nil {
+	if _, err := writeOne(ds, make([]byte, 512*4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.WritePage(ctxb(), []byte("x"), WriteThrough); err == nil {
+	if _, err := writeOne(ds, []byte("x")); err == nil {
 		t.Fatal("write on full dbspace succeeded")
 	}
 }
@@ -320,14 +337,13 @@ func TestEntryStringAndSpan(t *testing.T) {
 	}
 }
 
+// TestEntryMarshalRoundTrip pins the 16-byte entry a blockmap page stores.
 func TestEntryMarshalRoundTrip(t *testing.T) {
-	e := Entry{Loc: rfrb.CloudKeyBase + 99, Size: 12345, Blocks: 0, Flags: 7}
-	got, err := UnmarshalEntry(MarshalEntry(e))
-	if err != nil || got != e {
-		t.Fatalf("round trip = %v, %v", got, err)
-	}
-	if _, err := UnmarshalEntry([]byte{1, 2}); err == nil {
-		t.Fatal("short buffer accepted")
+	e := Entry{Loc: rfrb.CloudKeyBase + 99, Size: 12345, Blocks: 3, Flags: 7}
+	buf := make([]byte, EntrySize)
+	e.encode(buf)
+	if got := decodeEntry(buf); got != e {
+		t.Fatalf("round trip = %v, want %v", got, e)
 	}
 }
 

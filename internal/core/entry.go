@@ -73,21 +73,6 @@ func decodeEntry(buf []byte) Entry {
 	}
 }
 
-// MarshalEntry serializes an Entry for catalogs and identity objects.
-func MarshalEntry(e Entry) []byte {
-	buf := make([]byte, EntrySize)
-	e.encode(buf)
-	return buf
-}
-
-// UnmarshalEntry decodes MarshalEntry output.
-func UnmarshalEntry(buf []byte) (Entry, error) {
-	if len(buf) < EntrySize {
-		return Entry{}, fmt.Errorf("core: entry buffer too short (%d bytes)", len(buf))
-	}
-	return decodeEntry(buf), nil
-}
-
 // FlushSink receives the allocation and deallocation events produced when
 // pages are flushed or superseded. The transaction manager implements it
 // with the transaction's RB (allocations) and RF (deallocations) bitmaps.

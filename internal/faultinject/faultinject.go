@@ -101,13 +101,6 @@ const (
 	SchedAdmit Site = "sched.admit"
 	SchedStall Site = "sched.stall"
 
-	// Unified page-I/O pipeline (internal/pageio): the Faults middleware
-	// checks these once per request, above whatever terminal serves it.
-	// Detail is the object key or the decimal device offset.
-	PipeRead   Site = "pipe.read"
-	PipeWrite  Site = "pipe.write"
-	PipeDelete Site = "pipe.delete"
-
 	// Delta-store compaction (internal/delta): checked once when a
 	// compaction cycle picks up a table (detail is the table name) and
 	// again immediately before the drained rows are swapped into the

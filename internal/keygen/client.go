@@ -15,9 +15,8 @@ type AllocFunc func(ctx context.Context, n uint64) (rfrb.Range, error)
 
 // Client is the per-node key cache. When the cached range is exhausted it
 // requests a new one, adapting the request size to the node's consumption
-// rate: a refill that arrives while the previous range was drained quickly
-// doubles the next request (up to MaxRangeSize); sustained idleness shrinks
-// it back toward DefaultRangeSize. Client is safe for concurrent use.
+// rate: needing another refill at all doubles the next request (up to
+// MaxRangeSize). Client is safe for concurrent use.
 type Client struct {
 	alloc AllocFunc
 
@@ -75,17 +74,6 @@ func (c *Client) refillLocked(ctx context.Context) error {
 	c.cur = r
 	c.refills++
 	return nil
-}
-
-// Shrink halves the next request size (not below DefaultRangeSize). Engines
-// call it at quiet points — e.g. when a transaction commits with most of the
-// cached range unused.
-func (c *Client) Shrink() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rangeSize/2 >= DefaultRangeSize {
-		c.rangeSize /= 2
-	}
 }
 
 // Stats reports refill RPCs issued and keys handed out, for the key-range

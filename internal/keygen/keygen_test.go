@@ -221,7 +221,7 @@ func TestClientCachesRanges(t *testing.T) {
 	}
 }
 
-func TestClientAdaptiveGrowthAndShrink(t *testing.T) {
+func TestClientAdaptiveGrowth(t *testing.T) {
 	g := NewGenerator(nil)
 	var sizes []uint64
 	c := NewClient(func(ctx context.Context, n uint64) (rfrb.Range, error) {
@@ -245,13 +245,6 @@ func TestClientAdaptiveGrowthAndShrink(t *testing.T) {
 		if sizes[i] != sizes[i-1]*2 && sizes[i] != MaxRangeSize {
 			t.Fatalf("sizes %v not doubling", sizes)
 		}
-	}
-	before := sizes[len(sizes)-1]
-	c.Shrink()
-	drain(6)
-	last := sizes[len(sizes)-1]
-	if last != before { // shrink halved, next refill doubles back
-		t.Fatalf("after Shrink, refill = %d, want %d", last, before)
 	}
 }
 

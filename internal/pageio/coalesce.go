@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"cloudiq/internal/objstore"
 	"cloudiq/internal/trace"
 )
 
@@ -42,13 +41,6 @@ func (c *coalesce) WritePage(ctx context.Context, req WriteReq) error {
 
 func (c *coalesce) Delete(ctx context.Context, ref Ref) error {
 	return c.next.Delete(ctx, ref)
-}
-
-// Select passes through untouched: a pushdown select is not a page read, so
-// there is nothing to merge — but swallowing the capability here would turn
-// every pushdown through a coalescing pipeline into a spurious fallback.
-func (c *coalesce) Select(ctx context.Context, req objstore.SelectRequest) (*objstore.SelectResult, error) {
-	return Select(c.next, ctx, req)
 }
 
 // span is one merged run: original batch indices in device order, covering

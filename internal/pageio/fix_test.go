@@ -9,6 +9,7 @@ import (
 
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/faultinject"
+	"cloudiq/internal/objstore"
 )
 
 // errHandler fails every operation with a fixed error, counting calls.
@@ -67,10 +68,10 @@ func TestRetryWriteStopsOnContextError(t *testing.T) {
 }
 
 // TestRetryReadStopsOnContextError: same discipline on the read path, even
-// under a retry-everything read policy.
+// for a miss the read policy would otherwise poll again.
 func TestRetryReadStopsOnContextError(t *testing.T) {
-	inner := &errHandler{err: fmt.Errorf("get: %w", context.DeadlineExceeded)}
-	h := Chain(inner, Retry(Policy{ReadAttempts: 5, RetryRead: retryAll}))
+	inner := &errHandler{err: fmt.Errorf("get: %w: %w", objstore.ErrNotFound, context.DeadlineExceeded)}
+	h := Chain(inner, Retry(Policy{ReadAttempts: 5}))
 	_, err := h.ReadPage(context.Background(), Ref{Key: "k"})
 	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrExhausted) {
 		t.Fatalf("err = %v, want deadline without exhaustion", err)
@@ -85,22 +86,20 @@ func TestRetryReadStopsOnContextError(t *testing.T) {
 // write budget (deletes are idempotent under never-write-twice), and a
 // persistently failing one must wrap ErrExhausted like a write would.
 func TestRetryDeleteUsesWritePolicy(t *testing.T) {
-	plan := faultinject.New(11).FailNext(faultinject.PipeDelete, 2)
-	h := Chain(NewStore(memStore(), nil),
+	plan := faultinject.New(11).FailNext(faultinject.ObjDelete, 2)
+	h := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan}), nil),
 		Retry(Policy{WriteAttempts: 3}),
-		Faults(plan),
 	)
 	if err := h.Delete(context.Background(), Ref{Key: "k"}); err != nil {
 		t.Fatalf("delete should retry through 2 injected failures: %v", err)
 	}
-	if got := plan.Calls(faultinject.PipeDelete); got != 3 {
-		t.Errorf("pipe.delete calls = %d, want 3 (2 failures + success)", got)
+	if got := plan.Calls(faultinject.ObjDelete); got != 3 {
+		t.Errorf("obj.delete calls = %d, want 3 (2 failures + success)", got)
 	}
 
-	plan2 := faultinject.New(11).Always(faultinject.PipeDelete)
-	h2 := Chain(NewStore(memStore(), nil),
+	plan2 := faultinject.New(11).Always(faultinject.ObjDelete)
+	h2 := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan2}), nil),
 		Retry(Policy{WriteAttempts: 3}),
-		Faults(plan2),
 	)
 	err := h2.Delete(context.Background(), Ref{Key: "k"})
 	if !errors.Is(err, ErrExhausted) || !errors.Is(err, faultinject.ErrInjected) {
@@ -128,7 +127,8 @@ func TestRetryDeleteUsesWritePolicy(t *testing.T) {
 func TestCoalesceFailedSpanFallsBack(t *testing.T) {
 	ctx := context.Background()
 	const page = 64
-	dev := blockdev.NewMem(blockdev.Config{Capacity: 1 << 16})
+	plan := faultinject.New(3)
+	dev := blockdev.NewMem(blockdev.Config{Capacity: 1 << 16, Faults: plan})
 	seed := Chain(NewDevice(dev, nil))
 	for i := 0; i < 4; i++ {
 		if err := seed.WritePage(ctx, WriteReq{Ref: Ref{Off: int64(i * page)}, Data: fill(page, byte(i+1))}); err != nil {
@@ -142,8 +142,8 @@ func TestCoalesceFailedSpanFallsBack(t *testing.T) {
 
 	// Transient: only the merged span read fails; the per-page fallback
 	// succeeds and the caller sees clean data.
-	plan := faultinject.New(3).FailNext(faultinject.PipeRead, 1)
-	h := Chain(NewDevice(dev, nil), Coalesce(0), Faults(plan))
+	plan.FailNext(faultinject.DevRead, 1)
+	h := Chain(NewDevice(dev, nil), Coalesce(0))
 	out, err := h.ReadBatch(ctx, refs)
 	if err != nil {
 		t.Fatalf("transient span failure should fall back cleanly: %v", err)
@@ -156,9 +156,8 @@ func TestCoalesceFailedSpanFallsBack(t *testing.T) {
 
 	// Persistent: the page at offset 0 fails both as the merged span
 	// (detail "0") and as its own fallback read — but only that ref errors.
-	plan2 := faultinject.New(3).Always(faultinject.PipeRead.With("0"))
-	h2 := Chain(NewDevice(dev, nil), Coalesce(0), Faults(plan2))
-	out2, err2 := h2.ReadBatch(ctx, refs)
+	plan.Always(faultinject.DevRead.With("0"))
+	out2, err2 := h.ReadBatch(ctx, refs)
 	if err2 == nil {
 		t.Fatal("persistent page failure must surface")
 	}

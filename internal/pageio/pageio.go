@@ -31,7 +31,7 @@ type Ref struct {
 // IsBlock reports whether the ref addresses a block device.
 func (r Ref) IsBlock() bool { return r.Key == "" }
 
-// Detail renders the ref for fault-site and error messages.
+// Detail renders the ref for error messages and spans.
 func (r Ref) Detail() string {
 	if r.IsBlock() {
 		return strconv.FormatInt(r.Off, 10)

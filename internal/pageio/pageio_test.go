@@ -24,9 +24,11 @@ func put(t *testing.T, s objstore.Store, key string, data []byte) {
 	}
 }
 
-// retryAll retries every error, isolating middleware-order properties from
-// the default not-found-only read policy.
-func retryAll(err error) bool { return true }
+// lateStore is a store whose fresh keys miss their first two reads — the
+// eventual-consistency window retry-until-found exists for.
+func lateStore() objstore.Store {
+	return objstore.NewMem(objstore.Config{Consistency: objstore.Consistency{NewKeyMissReads: 2}})
+}
 
 // TestChainOrder pins the composition contract: the first middleware listed
 // is the outermost stage.
@@ -71,64 +73,20 @@ func (h *tagged) Delete(ctx context.Context, ref Ref) error {
 	return h.next.Delete(ctx, ref)
 }
 
-// TestRetryOutsideFaultsSeesInjectedErrors is the middleware-order property
-// the pipeline depends on: with Retry stacked OUTSIDE Faults, injected
-// failures are retried and eventually succeed; with the order flipped, the
-// fault short-circuits above the retry loop and the caller sees it.
-func TestRetryOutsideFaultsSeesInjectedErrors(t *testing.T) {
-	ctx := context.Background()
-	store := memStore()
-	put(t, store, "page", []byte("payload"))
-
-	plan := faultinject.New(1).FailNext(faultinject.PipeRead, 2)
-	h := Chain(NewStore(store, nil),
-		Retry(Policy{ReadAttempts: 5, RetryRead: retryAll}),
-		Faults(plan),
-	)
-	data, err := h.ReadPage(ctx, Ref{Key: "page"})
-	if err != nil {
-		t.Fatalf("retry-outside-faults read: %v", err)
-	}
-	if string(data) != "payload" {
-		t.Fatalf("read data = %q", data)
-	}
-	if got := plan.Injected(); got != 2 {
-		t.Errorf("injected faults = %d, want 2 (both retried through)", got)
-	}
-	if got := plan.Calls(faultinject.PipeRead); got != 3 {
-		t.Errorf("pipe.read calls = %d, want 3 (2 failures + success)", got)
-	}
-
-	// Flipped order: Faults outermost decides once; Retry below it never
-	// sees the injected error.
-	plan2 := faultinject.New(1).FailNext(faultinject.PipeRead, 1)
-	flipped := Chain(NewStore(store, nil),
-		Faults(plan2),
-		Retry(Policy{ReadAttempts: 5, RetryRead: retryAll}),
-	)
-	if _, err := flipped.ReadPage(ctx, Ref{Key: "page"}); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("faults-outside-retry read err = %v, want injected", err)
-	}
-	if got := plan2.Calls(faultinject.PipeRead); got != 1 {
-		t.Errorf("flipped pipe.read calls = %d, want 1 (no retry reaches the site)", got)
-	}
-}
-
-// TestMeterCountsRetriedAttempts checks the second order property: a Meter
-// INSIDE Retry records every attempt individually, while a Meter outside
+// TestMeterCountsRetriedAttempts checks the order property the pipelines are
+// built on: a read that misses twice is retried through to success, a Meter
+// INSIDE Retry records every attempt individually, and a Meter outside
 // records one caller-visible call.
 func TestMeterCountsRetriedAttempts(t *testing.T) {
 	ctx := context.Background()
-	store := memStore()
+	store := lateStore()
 	put(t, store, "page", []byte("payload"))
 
 	reg := NewRegistry()
-	plan := faultinject.New(7).FailNext(faultinject.PipeRead, 2)
 	h := Chain(NewStore(store, nil),
 		Meter(reg, "outer"),
-		Retry(Policy{ReadAttempts: 5, RetryRead: retryAll}),
+		Retry(Policy{ReadAttempts: 5}),
 		Meter(reg, "inner"),
-		Faults(plan),
 	)
 	if _, err := h.ReadPage(ctx, Ref{Key: "page"}); err != nil {
 		t.Fatalf("read: %v", err)
@@ -149,10 +107,9 @@ func TestMeterCountsRetriedAttempts(t *testing.T) {
 // TestRetryExhausted checks the ErrExhausted wrap and that the last
 // underlying error stays visible.
 func TestRetryExhausted(t *testing.T) {
-	plan := faultinject.New(3).Always(faultinject.PipeWrite)
-	h := Chain(NewStore(memStore(), nil),
+	plan := faultinject.New(3).Always(faultinject.ObjPut)
+	h := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan}), nil),
 		Retry(Policy{WriteAttempts: 3}),
-		Faults(plan),
 	)
 	err := h.WritePage(context.Background(), WriteReq{Ref: Ref{Key: "k"}, Data: []byte("x")})
 	if !errors.Is(err, ErrExhausted) {
@@ -168,7 +125,8 @@ func TestRetryExhausted(t *testing.T) {
 
 // TestRetryDefaultReadPolicy: only not-found reads retry by default.
 func TestRetryDefaultReadPolicy(t *testing.T) {
-	store := memStore()
+	plan := faultinject.New(5)
+	store := objstore.NewMem(objstore.Config{Faults: plan})
 	put(t, store, "page", []byte("x"))
 	h := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 4}))
 
@@ -179,13 +137,13 @@ func TestRetryDefaultReadPolicy(t *testing.T) {
 	}
 
 	// Injected (non-not-found) read error: surfaced immediately.
-	plan := faultinject.New(5).Always(faultinject.PipeRead)
-	h2 := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 4}), Faults(plan))
-	if _, err := h2.ReadPage(context.Background(), Ref{Key: "page"}); !errors.Is(err, faultinject.ErrInjected) {
+	before := plan.Calls(faultinject.ObjGet)
+	plan.Always(faultinject.ObjGet)
+	if _, err := h.ReadPage(context.Background(), Ref{Key: "page"}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
-	if got := plan.Calls(faultinject.PipeRead); got != 1 {
-		t.Errorf("pipe.read calls = %d, want 1 (no retry on non-retryable error)", got)
+	if got := plan.Calls(faultinject.ObjGet) - before; got != 1 {
+		t.Errorf("obj.get calls = %d, want 1 (no retry on non-retryable error)", got)
 	}
 }
 

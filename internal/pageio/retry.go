@@ -35,20 +35,14 @@ type Policy struct {
 	// which keeps unit tests instant.
 	Scale *iomodel.Scale
 
-	// RetryRead decides which read errors are retryable. Nil defaults to
-	// objstore.ErrNotFound only: any other read failure is surfaced
-	// immediately.
-	RetryRead func(error) bool
-
 	// Pool bounds the fan-out of batch operations, which retry each item
 	// independently. Nil runs batch items sequentially.
 	Pool *WorkPool
 }
 
-func (p Policy) retryRead(err error) bool {
-	if p.RetryRead != nil {
-		return p.RetryRead(err)
-	}
+// retryRead is the read policy: a key that is not there yet is the only read
+// failure eventual consistency explains; anything else surfaces at once.
+func retryRead(err error) bool {
 	return errors.Is(err, objstore.ErrNotFound)
 }
 
@@ -128,7 +122,7 @@ func (r *retry) ReadPage(ctx context.Context, ref Ref) ([]byte, error) {
 			noteRetries(ctx, attempts, slept)
 			return data, nil
 		}
-		if ctxAborted(err) || !r.p.retryRead(err) {
+		if ctxAborted(err) || !retryRead(err) {
 			return nil, err
 		}
 	}

@@ -16,11 +16,11 @@ var ErrSelectUnsupported = errors.New("pageio: select not supported by this pipe
 
 // Selectable is the optional pushdown capability of a Handler. Stages that
 // can forward a select implement it: the store adapter (when its store is an
-// objstore.Selector) and the pass-through middlewares Trace, Meter, Retry,
-// Coalesce and Faults (a select is not a page read, so the latter two have
-// nothing to merge or govern and just forward). Cache terminals do not — a
-// select must bypass page-granularity caching entirely, so select pipelines
-// are built without them (see core.NewCloud).
+// objstore.Selector) and the middlewares of a cloud pipeline — Trace, Meter
+// and Retry. Coalesce does not (it merges block extents, and a block pipeline
+// is never a select pipeline), nor do cache terminals — a select must bypass
+// page-granularity caching entirely, so select pipelines are built without
+// them (see core.NewCloud).
 type Selectable interface {
 	Select(ctx context.Context, req objstore.SelectRequest) (*objstore.SelectResult, error)
 }
@@ -67,7 +67,7 @@ func (r *retry) Select(ctx context.Context, req objstore.SelectRequest) (*objsto
 			noteRetries(ctx, attempts, slept)
 			return res, nil
 		}
-		if ctxAborted(err) || errors.Is(err, ErrSelectUnsupported) || !r.p.retryRead(err) {
+		if ctxAborted(err) || errors.Is(err, ErrSelectUnsupported) || !retryRead(err) {
 			return nil, err
 		}
 	}

@@ -22,33 +22,6 @@ func seedColumn(t *testing.T, s objstore.Store, key string, vals ...int64) {
 	put(t, s, key, column.EncodeSegment(v))
 }
 
-// TestSelectThroughCoalesceAndFaults pins the capability-loss regression on
-// the pushdown path: Coalesce and Faults are pass-through stages for a
-// select, so a pipeline containing them must still reach the terminal
-// store's compute endpoint instead of reporting ErrSelectUnsupported (which
-// callers treat as a permanent fallback to plain reads).
-func TestSelectThroughCoalesceAndFaults(t *testing.T) {
-	ctx := context.Background()
-	store := objstore.NewMem(objstore.Config{})
-	seedColumn(t, store, "col/a", 1, 2, 3)
-
-	h := Chain(NewStore(store, nil),
-		Coalesce(0),
-		Faults(faultinject.New(1)),
-		Retry(Policy{ReadAttempts: 3}),
-	)
-	res, err := Select(h, ctx, objstore.SelectRequest{
-		Cols: []objstore.SelectCol{{Name: "a", Key: "col/a"}},
-		Plan: objstore.SelectPlan{Project: []string{"a"}},
-	})
-	if err != nil {
-		t.Fatalf("select through Coalesce+Faults+Retry: %v", err)
-	}
-	if res.Rows != 3 {
-		t.Fatalf("rows = %d, want 3", res.Rows)
-	}
-}
-
 // TestSelectFaultNotRetried: an injected obj.select failure is a signal to
 // fall back to plain reads, not an eventual-consistency miss — the retry
 // stage must surface it after exactly one attempt instead of burning the
@@ -59,7 +32,7 @@ func TestSelectFaultNotRetried(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{Faults: plan})
 	seedColumn(t, store, "col/a", 1, 2, 3)
 
-	h := Chain(NewStore(store, nil), Coalesce(0), Retry(Policy{ReadAttempts: 5}))
+	h := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 5}))
 	_, err := Select(h, ctx, objstore.SelectRequest{
 		Cols: []objstore.SelectCol{{Name: "a", Key: "col/a"}},
 		Plan: objstore.SelectPlan{Project: []string{"a"}},
@@ -73,7 +46,7 @@ func TestSelectFaultNotRetried(t *testing.T) {
 }
 
 // TestBatchFaultEquivalenceWithSelect is the satellite property test: random
-// batches through the full Coalesce + Retry stack, with a random subset of
+// batches through the Retry stack, with a random subset of
 // keys failing persistently and an injected obj.select fault landing
 // mid-scan, must stay outcome-equivalent to issuing every read individually
 // — per-item errors via BatchError, healthy neighbours unharmed, and the
@@ -98,7 +71,7 @@ func TestBatchFaultEquivalenceWithSelect(t *testing.T) {
 			}
 		}
 
-		h := Chain(NewStore(store, nil), Coalesce(0), Retry(Policy{ReadAttempts: 2}))
+		h := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 2}))
 
 		// The pushdown attempt fails mid-scan (obj.select is Always-armed);
 		// the scan falls back to the batched read below, exactly the fallback

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cloudiq/internal/blockdev"
-	"cloudiq/internal/faultinject"
 	"cloudiq/internal/trace"
 )
 
@@ -21,14 +20,12 @@ func attrMap(s trace.SpanData) map[string]string {
 // carrying the layer name, and the Retry stage annotates that same span with
 // its attempt count when it had to retry.
 func TestTraceMiddlewareSpans(t *testing.T) {
-	store := memStore()
+	store := lateStore()
 	put(t, store, "page", []byte("payload"))
 
-	plan := faultinject.New(9).FailNext(faultinject.PipeRead, 2)
 	h := Chain(NewStore(store, nil),
 		Trace("dbspace:t"),
-		Retry(Policy{ReadAttempts: 5, RetryRead: retryAll}),
-		Faults(plan),
+		Retry(Policy{ReadAttempts: 5}),
 	)
 
 	tr := trace.New(trace.Config{})

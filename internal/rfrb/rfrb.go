@@ -157,9 +157,6 @@ func (b *Bitmap) Clone() *Bitmap {
 	return c
 }
 
-// Clear empties the set.
-func (b *Bitmap) Clear() { b.ranges = nil }
-
 // Marshal serializes the bitmap: a count followed by (start, end) pairs.
 func (b *Bitmap) Marshal() []byte {
 	buf := make([]byte, 8+16*len(b.ranges))

@@ -121,10 +121,6 @@ func TestUnionAndClone(t *testing.T) {
 	if got := c.Count(); got != 4 {
 		t.Fatalf("clone mutated by union: count = %d, want 4", got)
 	}
-	a.Clear()
-	if !a.Empty() {
-		t.Fatal("Clear left elements")
-	}
 }
 
 func TestMarshalRoundTrip(t *testing.T) {

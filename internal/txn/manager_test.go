@@ -64,12 +64,12 @@ func (e *env) writePages(t *Txn, ds core.Dbspace, n int) []core.Entry {
 	sink := t.Sink(ds.Name())
 	var entries []core.Entry
 	for i := 0; i < n; i++ {
-		entry, err := ds.WritePage(ctxb(), []byte{byte(i)}, core.WriteThrough)
+		written, err := ds.WriteBatch(ctxb(), [][]byte{{byte(i)}}, core.WriteThrough)
 		if err != nil {
 			e.t.Fatal(err)
 		}
-		sink.NoteAllocated(entry)
-		entries = append(entries, entry)
+		sink.NoteAllocated(written[0])
+		entries = append(entries, written[0])
 	}
 	return entries
 }
@@ -172,7 +172,7 @@ func TestMVCCDefersReclamationUntilReadersFinish(t *testing.T) {
 	if e.store.Len() != 1 {
 		t.Fatalf("store has %d objects after GC, want 1", e.store.Len())
 	}
-	if _, err := e.cloud.ReadPage(ctxb(), v1[0]); err == nil {
+	if _, err := e.cloud.ReadBatch(ctxb(), v1[:1]); err == nil {
 		t.Fatal("superseded version still readable after GC")
 	}
 }
@@ -376,12 +376,12 @@ func TestConcurrentTransactions(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				tx := e.mgr.Begin()
 				sink := tx.Sink("user")
-				entry, err := e.cloud.WritePage(ctxb(), []byte{byte(w)}, core.WriteThrough)
+				written, err := e.cloud.WriteBatch(ctxb(), [][]byte{{byte(w)}}, core.WriteThrough)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				sink.NoteAllocated(entry)
+				sink.NoteAllocated(written[0])
 				if i%3 == 0 {
 					err = e.mgr.Rollback(ctxb(), tx)
 				} else {

@@ -69,11 +69,11 @@ func TestTable1Scenario(t *testing.T) {
 		t.Helper()
 		sink := tx.Sink("user")
 		for i := 0; i < n; i++ {
-			e, err := cloud.WritePage(ctxb(), []byte{byte(i)}, core.WriteThrough)
+			written, err := cloud.WriteBatch(ctxb(), [][]byte{{byte(i)}}, core.WriteThrough)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink.NoteAllocated(e)
+			sink.NoteAllocated(written[0])
 		}
 	}
 	activeSet := func(g *keygen.Generator) []rfrb.Range { return g.ActiveSet("W1") }

@@ -247,25 +247,6 @@ func (l *Log) Replay(ctx context.Context, fn func(Record) error) error {
 	return nil
 }
 
-// ReplayAll invokes fn for every record from the beginning of the log,
-// ignoring the checkpoint pointer. Used by tests and offline tooling.
-func (l *Log) ReplayAll(ctx context.Context, fn func(Record) error) error {
-	l.mu.Lock()
-	end := l.end
-	l.mu.Unlock()
-	for off := int64(headerSize); off < end; {
-		rec, next, err := l.readRecord(ctx, off)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		off = next
-	}
-	return nil
-}
-
 // Size returns the current end offset of the log in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()

@@ -96,18 +96,6 @@ func TestReopenPreservesLog(t *testing.T) {
 	}
 }
 
-func TestReplayAllIgnoresCheckpoint(t *testing.T) {
-	l, _ := Open(ctxb(), newDev())
-	_, _ = l.Append(ctxb(), RecAlloc, []byte("a"))
-	_, _ = l.Checkpoint(ctxb(), nil)
-	_, _ = l.Append(ctxb(), RecCommit, []byte("b"))
-	var n int
-	_ = l.ReplayAll(ctxb(), func(r Record) error { n++; return nil })
-	if n != 3 {
-		t.Fatalf("ReplayAll visited %d records, want 3", n)
-	}
-}
-
 func TestReplayStopsOnCallbackError(t *testing.T) {
 	l, _ := Open(ctxb(), newDev())
 	_, _ = l.Append(ctxb(), RecAlloc, nil)
