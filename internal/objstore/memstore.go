@@ -40,9 +40,6 @@ type Config struct {
 	ReadLatency  iomodel.Latency
 	WriteLatency iomodel.Latency
 
-	// Bandwidth, if non-nil, is the store's aggregate transfer capacity.
-	Bandwidth *iomodel.Resource
-
 	// Network, if non-nil, models the compute instance's NIC; it is shared
 	// with whatever else the experiment attaches to it (e.g. load input
 	// files) and is consumed on both uploads and downloads.
@@ -168,7 +165,6 @@ func (s *MemStore) Put(ctx context.Context, key string, data []byte) error {
 	s.throttlePrefix(key)
 	s.scale.Sleep(s.cfg.WriteLatency.Duration(len(data), s.rnd))
 	s.cfg.Network.Acquire(len(data))
-	s.cfg.Bandwidth.Acquire(len(data))
 	s.metrics.bytesIn.Add(int64(len(data)))
 
 	cp := make([]byte, len(data))
@@ -226,7 +222,6 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 
 	s.scale.Sleep(s.cfg.ReadLatency.Duration(len(version), s.rnd))
 	s.cfg.Network.Acquire(len(version))
-	s.cfg.Bandwidth.Acquire(len(version))
 	s.metrics.bytesOut.Add(int64(len(version)))
 
 	cp := make([]byte, len(version))

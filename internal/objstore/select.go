@@ -238,7 +238,6 @@ func (s *MemStore) Select(ctx context.Context, req SelectRequest) (*SelectResult
 	// only the result crosses the shared network.
 	s.scale.Sleep(s.cfg.ReadLatency.Duration(int(res.ScannedBytes), s.rnd))
 	s.cfg.Network.Acquire(int(res.ReturnedBytes))
-	s.cfg.Bandwidth.Acquire(int(res.ReturnedBytes))
 	s.metrics.bytesOut.Add(res.ReturnedBytes)
 	s.metrics.selScanned.Add(res.ScannedBytes)
 	s.metrics.selReturned.Add(res.ReturnedBytes)

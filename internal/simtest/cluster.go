@@ -43,9 +43,10 @@ type ClusterConfig struct {
 	// the given logical clock and SnapshotRetention.
 	SnapshotNow       func() int64
 	SnapshotRetention int64
-	// RestartAttempts bounds restart-announcement retries. Default 5.
-	RestartAttempts int
 }
+
+// restartAttempts bounds restart-announcement retries.
+const restartAttempts = 5
 
 // Cluster owns the durable substrate of a simulated multiplex — the shared
 // object store, one log device per node — and the node handles currently
@@ -97,9 +98,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.Space == "" {
 		cfg.Space = "user"
-	}
-	if cfg.RestartAttempts <= 0 {
-		cfg.RestartAttempts = 5
 	}
 	return &Cluster{
 		cfg:        cfg,
@@ -317,12 +315,12 @@ func (c *Cluster) CrashWriter(name string) { delete(c.writers, name) }
 // AnnounceRestart delivers a restarted writer's announcement to the
 // coordinator, which garbage collects the writer's orphaned key allocations.
 // The announcement RPC fails transiently under the RPCRestart fault and is
-// retried up to RestartAttempts times; if it never lands (or the coordinator
+// retried up to restartAttempts times; if it never lands (or the coordinator
 // is down), the writer stays gc-pending — orphaned keys legitimately survive
 // until a later announcement, and GCPending tells the leak oracle to stand
 // down. Returns whether the announcement landed.
 func (c *Cluster) AnnounceRestart(ctx context.Context, name string) (bool, error) {
-	for attempt := 0; attempt < c.cfg.RestartAttempts; attempt++ {
+	for attempt := 0; attempt < restartAttempts; attempt++ {
 		if c.cfg.Plan.Check(faultinject.RPCRestart, name) != nil {
 			continue
 		}

@@ -35,8 +35,6 @@ type ReclaimFunc func(ctx context.Context, space string, r rfrb.Range) error
 type Config struct {
 	// Store holds the manager's metadata and snapshot images.
 	Store objstore.Store
-	// MetaPrefix namespaces the manager's keys. Empty selects "snapmgr/".
-	MetaPrefix string
 	// Retention is how long retired pages (and snapshots) are kept, in the
 	// units of Now.
 	Retention int64
@@ -74,6 +72,9 @@ type state struct {
 // pages).
 const metaReadAttempts = 10
 
+// metaPrefix namespaces the manager's keys in its store.
+const metaPrefix = "snapmgr/"
+
 // Manager is the snapshot manager. It is safe for concurrent use. All store
 // I/O except listing flows through pipe, whose retry stage owns the §3
 // retry-until-found discipline.
@@ -89,9 +90,6 @@ type Manager struct {
 func New(cfg Config) (*Manager, error) {
 	if cfg.Store == nil || cfg.Reclaim == nil || cfg.Now == nil {
 		return nil, fmt.Errorf("snapshot: store, reclaim and clock are required")
-	}
-	if cfg.MetaPrefix == "" {
-		cfg.MetaPrefix = "snapmgr/"
 	}
 	pipe := pageio.Chain(
 		pageio.NewStore(cfg.Store, nil),
@@ -251,7 +249,7 @@ type image struct {
 }
 
 func (m *Manager) snapKey(id uint64) string {
-	return fmt.Sprintf("%ssnap-%016d", m.cfg.MetaPrefix, id)
+	return fmt.Sprintf("%ssnap-%016d", metaPrefix, id)
 }
 
 // Snapshot stores a near-instantaneous snapshot: the catalog image, the
@@ -315,7 +313,7 @@ func PostRestoreRange(snapshotMaxKey, currentMaxKey uint64) rfrb.Range {
 // --- metadata persistence (stored on the object store, like user data) ---
 
 func (m *Manager) metaKey(seq uint64) string {
-	return fmt.Sprintf("%smeta-%016d", m.cfg.MetaPrefix, seq)
+	return fmt.Sprintf("%smeta-%016d", metaPrefix, seq)
 }
 
 // persist writes the manager state under a fresh (never rewritten) key and
@@ -359,7 +357,7 @@ func (m *Manager) persist(ctx context.Context) error {
 func (m *Manager) Load(ctx context.Context) error {
 	var maxSeq uint64
 	for i := 0; i < metaReadAttempts; i++ {
-		keys, err := m.cfg.Store.List(ctx, m.cfg.MetaPrefix+"meta-")
+		keys, err := m.cfg.Store.List(ctx, metaPrefix+"meta-")
 		if err != nil {
 			return fmt.Errorf("snapshot: list meta: %w", err)
 		}
@@ -367,7 +365,7 @@ func (m *Manager) Load(ctx context.Context) error {
 			continue
 		}
 		latest := keys[len(keys)-1] // keys sort ascending; fixed-width seq
-		n, err := strconv.ParseUint(strings.TrimPrefix(latest, m.cfg.MetaPrefix+"meta-"), 10, 64)
+		n, err := strconv.ParseUint(strings.TrimPrefix(latest, metaPrefix+"meta-"), 10, 64)
 		if err != nil {
 			return fmt.Errorf("snapshot: malformed meta key %s: %w", latest, err)
 		}

@@ -46,9 +46,6 @@ type Config struct {
 	// Notify is invoked after each commit with the consumed cloud keys. If
 	// nil and Keys is set, the manager notifies Keys directly.
 	Notify CommitNotify
-	// Retire disposes of expired page versions. Nil selects physical
-	// reclamation on the registered dbspaces.
-	Retire RetireFunc
 }
 
 type committedTxn struct {
@@ -93,11 +90,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		active: make(map[uint64]*Txn),
 		refs:   make(map[uint64]int),
 	}
-	if cfg.Retire != nil {
-		m.retire = cfg.Retire
-	} else {
-		m.retire = m.reclaimOnSpace
-	}
+	m.retire = m.reclaimOnSpace
 	if cfg.Notify == nil && cfg.Keys != nil {
 		m.cfg.Notify = cfg.Keys.OnCommit
 	}

@@ -32,13 +32,12 @@ func LoadAll(ctx context.Context, tx *cloudiq.Tx, space string, input cloudiq.Ob
 // Conn is a query context: the eight tables opened read-only at one
 // transaction's snapshot.
 type Conn struct {
-	tx     *cloudiq.Tx
 	tables map[string]*cloudiq.Table
 }
 
 // OpenConn opens every TPC-H table at tx's snapshot.
 func OpenConn(ctx context.Context, tx *cloudiq.Tx, space string) (*Conn, error) {
-	c := &Conn{tx: tx, tables: make(map[string]*cloudiq.Table)}
+	c := &Conn{tables: make(map[string]*cloudiq.Table)}
 	for _, name := range TableNames() {
 		tbl, err := tx.Table(ctx, space, name)
 		if err != nil {
@@ -51,17 +50,3 @@ func OpenConn(ctx context.Context, tx *cloudiq.Tx, space string) (*Conn, error) 
 
 // Table returns one of the opened tables.
 func (c *Conn) Table(name string) *cloudiq.Table { return c.tables[name] }
-
-// scan is a shorthand used throughout the query plans.
-func (c *Conn) scan(name string, cols []string, opts cloudiq.ScanOptions) (cloudiq.Source, error) {
-	return cloudiq.Scan(c.tables[name], cols, opts)
-}
-
-// collect scans and materializes in one step.
-func (c *Conn) collect(ctx context.Context, name string, cols []string, opts cloudiq.ScanOptions) (*cloudiq.Batch, error) {
-	src, err := c.scan(name, cols, opts)
-	if err != nil {
-		return nil, err
-	}
-	return cloudiq.Collect(ctx, src)
-}

@@ -92,21 +92,7 @@ func GeoMean(results []QueryResult) time.Duration {
 		if d <= 0 {
 			d = time.Nanosecond
 		}
-		logSum += logf(float64(d))
+		logSum += math.Log(float64(d))
 	}
-	return time.Duration(expf(logSum / float64(len(results))))
-}
-
-func logf(x float64) float64 { return math.Log(x) }
-
-func expf(x float64) float64 { return math.Exp(x) }
-
-// ExpectedColumns maps each query to its output column count, used by tests
-// and the harness to validate plan shapes.
-func ExpectedColumns() map[int]int {
-	return map[int]int{
-		1: 10, 2: 8, 3: 4, 4: 2, 5: 2, 6: 1, 7: 4, 8: 2, 9: 3, 10: 8,
-		11: 2, 12: 3, 13: 2, 14: 1, 15: 5, 16: 4, 17: 1, 18: 6, 19: 1,
-		20: 2, 21: 2, 22: 3,
-	}
+	return time.Duration(math.Exp(logSum / float64(len(results))))
 }

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -261,7 +262,12 @@ func TestQ13CountsOrderlessCustomers(t *testing.T) {
 
 func TestAll22QueriesRun(t *testing.T) {
 	e := setup(t)
-	expected := ExpectedColumns()
+	// Each query's output column count.
+	expected := map[int]int{
+		1: 10, 2: 8, 3: 4, 4: 2, 5: 2, 6: 1, 7: 4, 8: 2, 9: 3, 10: 8,
+		11: 2, 12: 3, 13: 2, 14: 1, 15: 5, 16: 4, 17: 1, 18: 6, 19: 1,
+		20: 2, 21: 2, 22: 3,
+	}
 	mustHaveRows := map[int]bool{
 		1: true, 3: true, 4: true, 5: true, 6: true, 7: true, 8: true,
 		9: true, 10: true, 12: true, 13: true, 14: true, 15: true, 16: true,
@@ -285,6 +291,75 @@ func TestAll22QueriesRun(t *testing.T) {
 	}
 	if _, err := e.conn.Query(ctxb(), 23); err == nil {
 		t.Fatal("Q23 accepted")
+	}
+}
+
+// queryTables names the tables each query reads; queryTables[q-1] is Qq's.
+var queryTables = [22][]string{
+	{"lineitem"},
+	{"region", "nation", "supplier", "partsupp", "part"},
+	{"customer", "orders", "lineitem"},
+	{"lineitem", "orders"},
+	{"region", "nation", "customer", "orders", "lineitem", "supplier"},
+	{"lineitem"},
+	{"nation", "supplier", "customer", "orders", "lineitem"},
+	{"region", "nation", "customer", "orders", "lineitem", "part", "supplier"},
+	{"part", "lineitem", "partsupp", "supplier", "nation", "orders"},
+	{"orders", "lineitem", "customer", "nation"},
+	{"nation", "supplier", "partsupp"},
+	{"lineitem", "orders"},
+	{"orders", "customer"},
+	{"lineitem", "part"},
+	{"lineitem", "supplier"},
+	{"part", "partsupp", "supplier"},
+	{"part", "lineitem"},
+	{"lineitem", "orders", "customer"},
+	{"lineitem", "part"},
+	{"part", "lineitem", "partsupp", "nation", "supplier"},
+	{"lineitem", "orders", "nation", "supplier"},
+	{"customer", "orders"},
+}
+
+// TestQueryFailsOnMissingColumns swaps one table of a Conn for a handle
+// whose schema has none of the columns the plans name. A query that reads
+// the table must return the scan's error and no batch, whichever step of
+// its plan that scan feeds, and must not panic on the way; a query that
+// does not read it must still succeed.
+func TestQueryFailsOnMissingColumns(t *testing.T) {
+	e := setup(t)
+	run := func(c *Conn, q int) (out *cloudiq.Batch, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				out, err = nil, fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return c.Query(ctxb(), q)
+	}
+	for q := 1; q <= 22; q++ {
+		reads := map[string]bool{}
+		for _, name := range queryTables[q-1] {
+			reads[name] = true
+		}
+		for _, name := range TableNames() {
+			wrong := "region"
+			if name == "region" {
+				wrong = "nation"
+			}
+			c := &Conn{tables: map[string]*cloudiq.Table{}}
+			for n, tbl := range e.conn.tables {
+				c.tables[n] = tbl
+			}
+			c.tables[name] = e.conn.tables[wrong]
+			out, err := run(c, q)
+			switch {
+			case !reads[name] && err != nil:
+				t.Errorf("Q%d does not read %s, yet failed: %v", q, name, err)
+			case reads[name] && (err == nil || !strings.Contains(err.Error(), "no column")):
+				t.Errorf("Q%d with %s as %s: error %v, want the scan's no-column error", q, wrong, name, err)
+			case reads[name] && out != nil:
+				t.Errorf("Q%d with %s as %s: returned a batch beside its error", q, wrong, name)
+			}
+		}
 	}
 }
 
@@ -349,7 +424,7 @@ func TestZoneMapsPruneDateScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := dt(1994, 1, 1), dt(1995, 1, 1)
-	src, err := e.conn.scan("lineitem",
+	src, err := cloudiq.Scan(e.conn.Table("lineitem"),
 		[]string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"},
 		cloudiq.ScanOptions{})
 	if err != nil {
