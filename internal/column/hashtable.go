@@ -6,9 +6,9 @@ import (
 )
 
 // HashTable indexes rows of key columns for the hash operators: join build
-// sides, group-by keys and count-distinct sets all go through it. Hashes are
-// computed a column at a time; slots are an open-addressing, linear-probing,
-// power-of-two array; and two keys are equal when every column compares equal
+// sides and group-by keys both go through it. Hashes are computed a column
+// at a time; slots are an open-addressing, linear-probing, power-of-two
+// array; and two keys are equal when every column compares equal
 // under its own type — no byte encoding of a key is ever built, so a key of
 // any shape takes the same path and values of different columns cannot run
 // into each other. Floats hash and compare by bit pattern: -0.0 and +0.0 are

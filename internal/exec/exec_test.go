@@ -108,6 +108,17 @@ func TestFilterProjectSortLimit(t *testing.T) {
 	if Limit(l, 10).Rows() != 2 {
 		t.Fatal("limit beyond size changed batch")
 	}
+	for _, n := range []int{0, -1} {
+		e := Limit(s, n)
+		if e.Rows() != 0 || !reflect.DeepEqual(e.Schema, s.Schema) || len(e.Vecs) != len(s.Vecs) {
+			t.Fatalf("limit %d = %d rows, schema %v", n, e.Rows(), e.Schema)
+		}
+		for i, v := range e.Vecs {
+			if v.Typ != s.Vecs[i].Typ {
+				t.Fatalf("limit %d: column %d is %v, want %v", n, i, v.Typ, s.Vecs[i].Typ)
+			}
+		}
+	}
 }
 
 func TestHashJoinInner(t *testing.T) {
@@ -277,8 +288,9 @@ func TestHashKeysWithNUL(t *testing.T) {
 }
 
 // TestHashKeyTypeMismatch: keys that differ in number or type between the two
-// sides of a join, or between batches of a grouped source, are an error, not
-// a panic inside the typed compare.
+// sides of a join, or between batches of a grouped source, and an aggregate
+// input that changes type between batches, are an error, not a panic inside
+// the typed compare.
 func TestHashKeyTypeMismatch(t *testing.T) {
 	ints := batchOf(t, []table.ColumnDef{intCol("k")}, func(b *table.Batch) { b.Vecs[0].AppendInt(1) })
 	flts := batchOf(t, []table.ColumnDef{fltCol("k")}, func(b *table.Batch) { b.Vecs[0].AppendFloat(1) })
@@ -294,6 +306,11 @@ func TestHashKeyTypeMismatch(t *testing.T) {
 	}
 	if _, err := HashAgg(ctxb(), SliceSource(ints, flts), []string{"k"}, []Agg{{Func: Count, As: "n"}}); err == nil {
 		t.Error("group column changing type between batches accepted")
+	}
+	for _, f := range []AggFunc{CountDistinct, Min} {
+		if _, err := HashAgg(ctxb(), SliceSource(ints, flts), nil, []Agg{{Func: f, Expr: Col("k"), As: "n"}}); err == nil {
+			t.Errorf("aggregate %d over an input changing type between batches accepted", f)
+		}
 	}
 }
 

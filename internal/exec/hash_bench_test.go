@@ -92,6 +92,10 @@ func BenchmarkHashAgg(b *testing.B) {
 	}{
 		{"Q1", []string{"flag", "status"}, q1Aggs, 6},
 		{"Q21", []string{"okey"}, q21Aggs, benchBuildRows},
+		// count(distinct) at its worst: many rows and 200 values per group,
+		// in one group and in six.
+		{"LowCard", nil, q21Aggs, 1},
+		{"Flag", []string{"flag", "status"}, q21Aggs, 6},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -138,7 +142,7 @@ func TestHashOperatorAllocs(t *testing.T) {
 		{"join", 60, func() (*table.Batch, error) {
 			return HashJoin(ctxb(), SliceSource(build), []string{"o_key"}, SliceSource(probe), []string{"l_key"}, Inner)
 		}},
-		{"agg", 250, func() (*table.Batch, error) {
+		{"agg", 120, func() (*table.Batch, error) {
 			return HashAgg(ctxb(), SliceSource(in), []string{"okey"}, append([]Agg{q21Aggs[0]}, q1Aggs...))
 		}},
 	} {

@@ -597,13 +597,15 @@ type Agg struct {
 // aggSet is the running state of a list of aggregates over dense group ids:
 // one expr.Aggregator each, shared by HashAgg and ScanAgg.
 type aggSet struct {
-	aggs  []Agg
-	folds []expr.Aggregator
-	zeros []int32 // group 0 for every row, for callers without group keys
+	aggs   []Agg
+	folds  []expr.Aggregator
+	inputs []column.Type // each aggregate's input type, fixed by the first batch
+	folded bool
+	zeros  []int32 // group 0 for every row, for callers without group keys
 }
 
 func newAggSet(aggs []Agg) *aggSet {
-	s := &aggSet{aggs: aggs, folds: make([]expr.Aggregator, len(aggs))}
+	s := &aggSet{aggs: aggs, folds: make([]expr.Aggregator, len(aggs)), inputs: make([]column.Type, len(aggs))}
 	for i, a := range aggs {
 		s.folds[i].Func = a.Func
 	}
@@ -624,8 +626,15 @@ func (s *aggSet) fold(b *table.Batch, gids []int32, groups int) error {
 		if err != nil {
 			return fmt.Errorf("exec: aggregate %s: %w", a.As, err)
 		}
+		if input != nil {
+			if s.folded && input.Typ != s.inputs[i] {
+				return fmt.Errorf("exec: aggregate %s: input changes type between batches (%v, then %v)", a.As, s.inputs[i], input.Typ)
+			}
+			s.inputs[i] = input.Typ
+		}
 		s.folds[i].Fold(input, gids, groups)
 	}
+	s.folded = true
 	return nil
 }
 
@@ -640,6 +649,7 @@ func (s *aggSet) merge(i int, part *expr.AggState) {
 func (s *aggSet) emit(out *table.Batch, groups int) {
 	for i, a := range s.aggs {
 		s.folds[i].Grow(groups)
+		s.folds[i].Finish()
 		states := s.folds[i].States[:groups]
 		t := aggOutputType(a, states)
 		v := column.NewVector(t)
@@ -829,14 +839,15 @@ func Sort(b *table.Batch, keys []SortKey) (*table.Batch, error) {
 	return gatherBatch(b, rows), nil
 }
 
-// Limit returns the first n rows of b.
+// Limit returns the first n rows of b; for n ≤ 0, a typed empty batch with
+// b's schema.
 func Limit(b *table.Batch, n int) *table.Batch {
 	if b.Rows() <= n {
 		return b
 	}
 	out := &table.Batch{Schema: b.Schema, Vecs: make([]*column.Vector, len(b.Vecs))}
 	for i, v := range b.Vecs {
-		out.Vecs[i] = v.Slice(0, n)
+		out.Vecs[i] = v.Slice(0, max(n, 0))
 	}
 	return out
 }

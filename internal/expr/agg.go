@@ -1,6 +1,12 @@
 package expr
 
-import "cloudiq/internal/column"
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"cloudiq/internal/column"
+)
 
 // AggFunc enumerates aggregate functions.
 type AggFunc uint8
@@ -65,29 +71,29 @@ type AggState struct {
 	distinct int64
 }
 
-// Distinct returns the number of distinct inputs CountDistinct has seen.
+// Distinct returns the number of distinct inputs CountDistinct had seen at
+// the last Aggregator.Finish.
 func (st *AggState) Distinct() int { return int(st.distinct) }
 
 // Aggregator folds one aggregate over batches of rows, each row assigned to a
 // group by a dense id. States[g] is group g's state; a caller with a single
 // global group assigns every row to group 0. It is the one place rows become
 // aggregate state: HashAgg, ScanAgg's reader-side fold and the store-side
-// select all call Fold.
+// select all call Fold. Every state is current after each Fold except
+// CountDistinct's: Fold only buffers its rows, and Finish counts them.
 type Aggregator struct {
 	Func   AggFunc
 	States []AggState
 
-	// CountDistinct keeps one set of (group, value) pairs for the whole
-	// aggregate, not a set per group; the rest is its per-batch scratch.
-	pairs  column.HashTable
-	groups column.Vector
-	ids    []int32
+	// CountDistinct's buffer: each folded row's group and value.
+	gids []int32
+	vals column.Vector
 }
 
 // Grow extends States to cover group ids below groups.
 func (a *Aggregator) Grow(groups int) {
 	if n := groups - len(a.States); n > 0 {
-		a.States = append(a.States, make([]AggState, n)...)
+		a.States = slices.Grow(a.States, n)[:groups]
 	}
 }
 
@@ -108,7 +114,11 @@ func (a *Aggregator) Fold(input *column.Vector, gids []int32, groups int) {
 	gids = gids[:input.Len()]
 	switch a.Func {
 	case CountDistinct:
-		a.foldDistinct(input, gids)
+		if len(a.gids) == 0 {
+			a.vals.Typ = typ
+		}
+		a.gids = append(a.gids, gids...)
+		a.vals.AppendVector(input)
 	case Count:
 		for _, g := range gids {
 			s := &st[g]
@@ -159,21 +169,71 @@ func (a *Aggregator) Fold(input *column.Vector, gids []int32, groups int) {
 	}
 }
 
-// foldDistinct inserts each row's (group, value) pair into the aggregate's
-// set and counts, per group, the pairs that were new. Numbers are told apart
-// by bit pattern, strings by content.
-func (a *Aggregator) foldDistinct(input *column.Vector, gids []int32) {
-	a.groups.I64 = a.groups.I64[:0]
-	for _, g := range gids {
-		a.groups.I64 = append(a.groups.I64, int64(g))
+// Finish brings every state up to date with the rows folded so far; a caller
+// reads States after it. Only CountDistinct has work to do: it counting-sorts
+// the buffered rows into one bucket per group, sorts each bucket and counts
+// its runs of equal values — numbers by bit pattern (−0.0 ≠ +0.0, NaN =
+// NaN), strings by content. The buffer is kept, so Finish may be called any
+// number of times, with more Folds in between.
+func (a *Aggregator) Finish() {
+	if a.Func != CountDistinct {
+		return
 	}
-	next := int32(a.pairs.Len())
-	a.ids = a.pairs.Insert([]*column.Vector{&a.groups, input}, len(gids), a.ids)
-	for r, id := range a.ids {
-		if id == next { // ids are dense in first-seen order: this pair is new
-			next++
-			a.States[gids[r]].distinct++
+	// ends[g] is first group g's row count, then where its bucket starts,
+	// and after the scatter where it ends.
+	ends := make([]int, len(a.States))
+	for _, g := range a.gids {
+		ends[g]++
+	}
+	at := 0
+	for g, n := range ends {
+		ends[g], at = at, at+n
+	}
+	n := len(a.gids)
+	switch a.vals.Typ {
+	case column.Int64:
+		bits := make([]uint64, n)
+		for r, x := range a.vals.I64 {
+			g := a.gids[r]
+			bits[ends[g]] = uint64(x)
+			ends[g]++
 		}
+		countRuns(a.States, ends, bits)
+	case column.Float64:
+		bits := make([]uint64, n)
+		for r, x := range a.vals.F64 {
+			g := a.gids[r]
+			bits[ends[g]] = math.Float64bits(x)
+			ends[g]++
+		}
+		countRuns(a.States, ends, bits)
+	default:
+		strs := make([]string, n)
+		for r, x := range a.vals.Str {
+			g := a.gids[r]
+			strs[ends[g]] = x
+			ends[g]++
+		}
+		countRuns(a.States, ends, strs)
+	}
+}
+
+// countRuns sorts each group's bucket of vals — group g's ends at ends[g] and
+// starts where g-1's ends — and sets the group's distinct count to the number
+// of runs of equal values in it.
+func countRuns[T cmp.Ordered](st []AggState, ends []int, vals []T) {
+	lo := 0
+	for g, hi := range ends {
+		bucket := vals[lo:hi]
+		slices.Sort(bucket)
+		var runs int64
+		for i := range bucket {
+			if i == 0 || bucket[i] != bucket[i-1] {
+				runs++
+			}
+		}
+		st[g].distinct = runs
+		lo = hi
 	}
 }
 

@@ -243,6 +243,7 @@ func TestAggFold(t *testing.T) {
 		}
 		a := Aggregator{Func: f}
 		a.Fold(input, make([]int32, env.N), 1)
+		a.Finish()
 		return &a.States[0]
 	}
 	if st := fold(Count, nil); st.Count != 4 {
@@ -269,8 +270,8 @@ func TestAggFold(t *testing.T) {
 }
 
 // TestAggFoldGroups: rows of different groups keep apart, a group's rows are
-// folded in row order across batches, and count(distinct) counts a value once
-// per group however many batches repeat it.
+// folded in row order across batches, and count(distinct) — as of the last
+// Finish — counts a value once per group however many batches repeat it.
 func TestAggFoldGroups(t *testing.T) {
 	f64 := func(xs ...float64) *column.Vector { return &column.Vector{Typ: column.Float64, F64: xs} }
 	sum := Aggregator{Func: Sum}
@@ -287,13 +288,42 @@ func TestAggFoldGroups(t *testing.T) {
 		t.Errorf("group 1 = %+v", sum.States[1])
 	}
 
+	distinct := func(name string, a *Aggregator, want ...int) {
+		t.Helper()
+		for pass := 1; pass <= 2; pass++ { // a second Finish changes nothing
+			a.Finish()
+			for g, w := range want {
+				if got := a.States[g].Distinct(); got != w {
+					t.Errorf("%s, finish %d: group %d distinct = %d, want %d", name, pass, g, got, w)
+				}
+			}
+		}
+	}
+
+	// Floats by bit pattern; rows folded after a Finish are counted by the
+	// next; group 4 is covered by Grow but no row reaches it.
 	dist := Aggregator{Func: CountDistinct}
 	negZero := math.Copysign(0, -1)
 	dist.Fold(f64(0, negZero, math.NaN(), 7), []int32{0, 0, 1, 2}, 3)
+	distinct("floats, first batch", &dist, 2, 1, 1)
 	dist.Fold(f64(0, math.NaN(), 7, 7), []int32{0, 1, 1, 3}, 4)
-	for g, want := range []int{2, 2, 1, 1} {
-		if got := dist.States[g].Distinct(); got != want {
-			t.Errorf("group %d distinct = %d, want %d", g, got, want)
-		}
-	}
+	dist.Grow(5)
+	distinct("floats", &dist, 2, 2, 1, 1, 0)
+
+	// Group 0's values arrive in the first and third batches, among other
+	// groups' rows, and 5 and 9 are in both.
+	i64 := func(xs ...int64) *column.Vector { return &column.Vector{Typ: column.Int64, I64: xs} }
+	ints := Aggregator{Func: CountDistinct}
+	ints.Fold(i64(5, 1, 9, 5), []int32{0, 1, 0, 2}, 3)
+	ints.Fold(i64(1, 3, 3), []int32{1, 2, 1}, 3)
+	ints.Fold(i64(9, 4, 5, 1), []int32{0, 1, 0, 0}, 3)
+	distinct("ints", &ints, 3, 3, 2)
+
+	// Strings by content: a NUL is an ordinary byte, and a prefix is a
+	// different string.
+	str := func(xs ...string) *column.Vector { return &column.Vector{Typ: column.String, Str: xs} }
+	strs := Aggregator{Func: CountDistinct}
+	strs.Fold(str("a", "a\x00b", "ab", "a\x00c", "", "a\x00", "a"), []int32{0, 0, 0, 0, 0, 0, 1}, 2)
+	strs.Fold(str("a\x00b", "", "a", "ab"), []int32{0, 1, 0, 1}, 2)
+	distinct("strings", &strs, 6, 3)
 }
