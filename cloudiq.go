@@ -65,7 +65,11 @@ type Config struct {
 	Notify txn.CommitNotify
 	// CacheBytes is the buffer manager budget. Zero selects 64 MiB.
 	CacheBytes int64
-	// PrefetchWorkers bounds concurrent prefetch I/O. Zero selects 8.
+	// PrefetchWorkers sizes the engine's I/O worker pools: the batch-I/O
+	// fan-out shared by every dbspace, the OCM's upload and fill workers and the
+	// buffer pool's flush workers. One keeps each of them in index order.
+	// Zero selects 8. It does not bound read-ahead, which is the scan's
+	// window (exec.ScanOptions.Prefetch).
 	PrefetchWorkers int
 	// Compress enables page-level compression.
 	Compress bool
@@ -821,10 +825,10 @@ func (db *Database) Status(ctx context.Context) (multiplex.NodeStatus, error) {
 // PoolStats reports buffer-manager cache behaviour.
 func (db *Database) PoolStats() buffer.Stats { return db.pool.Stats() }
 
-// WaitIO quiesces outstanding prefetch I/O and asynchronous OCM cache
-// fills (used by benchmarks).
+// WaitIO quiesces the OCM's asynchronous cache fills and uploads (used by
+// benchmarks). A scan's read-ahead is not waited for: it belongs to the scan
+// and ends with its segments.
 func (db *Database) WaitIO() {
-	db.pool.Wait()
 	db.mu.Lock()
 	caches := append([]*ocm.Cache(nil), db.caches...)
 	db.mu.Unlock()

@@ -1,10 +1,10 @@
 // Package buffer implements SAP IQ's buffer manager: a RAM cache of
-// decompressed logical pages with LRU eviction, per-transaction dirty-page
-// tracking, and prefetching. New pages are born in the cache (§3.1); dirty
-// pages are flushed to permanent storage on eviction (write-back through the
-// OCM during the churn phase) and before commit (write-through), with every
-// flush allocating a fresh physical location and recording the superseded
-// one in the transaction's RF bitmap.
+// decompressed logical pages with LRU eviction and per-transaction dirty-page
+// tracking. New pages are born in the cache (§3.1); dirty pages are flushed to
+// permanent storage on eviction (write-back through the OCM during the churn
+// phase) and before commit (write-through), with every flush allocating a
+// fresh physical location and recording the superseded one in the
+// transaction's RF bitmap.
 package buffer
 
 import (
@@ -28,7 +28,9 @@ var ErrReadOnly = errors.New("buffer: object opened read-only")
 type Config struct {
 	// Capacity is the cache budget in bytes of decompressed page data.
 	Capacity int64
-	// PrefetchWorkers bounds concurrent prefetch I/O. Zero selects 8.
+	// PrefetchWorkers sizes the worker pool a flush compresses and rewrites
+	// pages on; one worker keeps a flush in logical page order. Zero selects
+	// 8. (Read-ahead is the scan's: exec.ScanOptions.Prefetch.)
 	PrefetchWorkers int
 }
 
@@ -77,8 +79,6 @@ type Pool struct {
 	nextObj uint64                  // last id handed to a handle or a dbspace
 	spaces  map[core.Dbspace]uint64 // cloud dbspace -> id in shared keys
 	stats   Stats
-
-	prefetchSem chan struct{}
 }
 
 // NewPool returns a Pool with the given configuration.
@@ -90,11 +90,10 @@ func NewPool(cfg Config) *Pool {
 		cfg.PrefetchWorkers = 8
 	}
 	p := &Pool{
-		cfg:         cfg,
-		pages:       make(map[pageKey]*page),
-		spaces:      make(map[core.Dbspace]uint64),
-		lruList:     list.New(),
-		prefetchSem: make(chan struct{}, cfg.PrefetchWorkers),
+		cfg:     cfg,
+		pages:   make(map[pageKey]*page),
+		spaces:  make(map[core.Dbspace]uint64),
+		lruList: list.New(),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -766,39 +765,5 @@ func (o *Object) Discard() {
 func (p *Pool) dropLocked(key pageKey) {
 	if pg, ok := p.pages[key]; ok && !pg.loading {
 		p.removeLocked(pg)
-	}
-}
-
-// Prefetch schedules an asynchronous batched load of the given logical
-// pages and returns immediately. The pages travel as one ReadBatch, whose
-// pipeline fans out across the dbspace's worker pool — parallel I/O masking
-// object-store latency (§6); the prefetch semaphore bounds how many batches
-// are in flight.
-func (o *Object) Prefetch(ctx context.Context, logicals []uint64) {
-	if len(logicals) == 0 {
-		return
-	}
-	select {
-	case o.pool.prefetchSem <- struct{}{}:
-	case <-ctx.Done():
-		return
-	}
-	pctx, psp := trace.Start(ctx, "buffer.prefetch", trace.Int("pages", int64(len(logicals))))
-	//lint:ignore detclosure prefetch is a cache-warmup hint bounded by prefetchSem; it only populates the page cache, whose content is order-insensitive
-	go func() {
-		defer func() { <-o.pool.prefetchSem }()
-		_, _ = o.ReadBatch(pctx, logicals)
-		psp.End()
-	}()
-}
-
-// Wait blocks until all prefetch slots are idle; used by tests and the
-// experiment harness to quiesce I/O.
-func (p *Pool) Wait() {
-	for i := 0; i < cap(p.prefetchSem); i++ {
-		p.prefetchSem <- struct{}{}
-	}
-	for i := 0; i < cap(p.prefetchSem); i++ {
-		<-p.prefetchSem
 	}
 }

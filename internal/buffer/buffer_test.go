@@ -237,39 +237,6 @@ func TestDiscardDropsDirtyPages(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsCache(t *testing.T) {
-	r := newRig(t, 1<<20, objstore.Consistency{})
-	obj := r.open(t, 8)
-	for i := uint64(0); i < 16; i++ {
-		_ = obj.Write(ctxb(), i, pageData(i, 64))
-	}
-	id, err := obj.FlushForCommit(ctxb())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, _ := core.OpenBlockmap(r.ds, id)
-	cold := NewPool(Config{Capacity: 1 << 20, PrefetchWorkers: 4})
-	reader := cold.OpenObject(r.ds, bm, nil, nil)
-	logicals := make([]uint64, 16)
-	for i := range logicals {
-		logicals[i] = uint64(i)
-	}
-	reader.Prefetch(ctxb(), logicals)
-	cold.Wait()
-	gets := r.store.Metrics().Gets()
-	for i := uint64(0); i < 16; i++ {
-		if _, err := reader.Read(ctxb(), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.store.Metrics().Gets() != gets {
-		t.Fatal("reads after prefetch still hit the store")
-	}
-	if cold.Stats().Hits < 16 {
-		t.Fatalf("stats = %+v", cold.Stats())
-	}
-}
-
 func TestFlateCodecRoundTripAndCompresses(t *testing.T) {
 	codec := FlateCodec{}
 	src := bytes.Repeat([]byte("abcdabcd"), 1000)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cloudiq/internal/core"
@@ -34,8 +35,9 @@ func cloneRef(ref map[uint64][]byte) map[uint64][]byte {
 // bytes, at each quiescent point the pool's accounting must add up, and —
 // every image the writer produces being distinct — no image may have reached
 // the dbspace twice: a dirty version is flushed at most once.
-// Prefetches run on their own goroutines, so under -race the evictions,
-// eviction-time flushes and re-keyings they cause overlap the foreground ops.
+// Asynchronous reads run on goroutines of their own, joined at every
+// quiescent point, so under -race the evictions, eviction-time flushes and
+// re-keyings they cause overlap the foreground ops.
 func TestPoolModel(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -52,6 +54,7 @@ func TestPoolModel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			r := newShareRig(t, tc.capacity)
+			var async sync.WaitGroup
 
 			var committed modelHandle // obj unused: the version readers open
 			var id core.Identity
@@ -127,8 +130,13 @@ func TestPoolModel(t *testing.T) {
 					ls := pick(h, 1+rng.Intn(5))
 					got, err := h.obj.ReadBatch(ctxb(), ls)
 					check(h, step, ls, got, err)
-				case op < 10: // prefetch
-					h.obj.Prefetch(ctxb(), pick(h, 1+rng.Intn(5)))
+				case op < 10: // asynchronous read-batch, result discarded
+					ls := pick(h, 1+rng.Intn(5))
+					async.Add(1)
+					go func() {
+						defer async.Done()
+						_, _ = h.obj.ReadBatch(ctxb(), ls)
+					}()
 				case op < 15: // write
 					l := modelPages[rng.Intn(len(modelPages))]
 					w.ref[l] = image()
@@ -152,7 +160,7 @@ func TestPoolModel(t *testing.T) {
 						}
 					}
 				default: // quiescent point
-					r.pool.Wait()
+					async.Wait()
 					checkAccounting(t, r.pool)
 					r.cds.checkWrittenOnce(t)
 					if size := r.pool.Size(); size > tc.capacity {
@@ -160,7 +168,7 @@ func TestPoolModel(t *testing.T) {
 					}
 				}
 			}
-			r.pool.Wait()
+			async.Wait()
 			checkAccounting(t, r.pool)
 			r.cds.checkWrittenOnce(t)
 			for _, h := range []modelHandle{w, readers[0], readers[1]} {

@@ -62,8 +62,9 @@ type tableDelta struct {
 }
 
 // Store is one node's delta registry: table name → committed delta runs.
-// It is safe for concurrent use; Views materialize their rows eagerly so a
-// scan never races a compaction stamp.
+// It is safe for concurrent use; a View decides visibility under the lock
+// and keeps the visible runs, whose rows never change, so a scan never
+// races a compaction stamp.
 type Store struct {
 	mu     sync.Mutex
 	tables map[string]*tableDelta
@@ -117,15 +118,17 @@ func (s *Store) Apply(name string, rows *table.Batch, seq uint64) uint64 {
 // View is an immutable snapshot of a table's visible delta rows; it plugs
 // into table.Table as its DeltaView so scans can merge the rows.
 type View struct {
-	rows *table.Batch
+	runs []*table.Batch
 }
 
-// DeltaBatch returns the visible rows in the table's full schema.
-func (v *View) DeltaBatch() *table.Batch { return v.rows }
+// DeltaRuns returns the visible runs' rows in the table's full schema,
+// oldest first.
+func (v *View) DeltaRuns() []*table.Batch { return v.runs }
 
-// View materializes the delta rows of name visible to a snapshot at snap,
-// or nil when there are none (so callers can attach nil and keep the
-// fast all-columnar path, including pushdown).
+// View returns the runs of name visible to a snapshot at snap, or nil when
+// there are none (so callers can attach nil and keep the fast all-columnar
+// path, including pushdown). It copies no row: a scan projects and joins
+// only the columns it reads.
 func (s *Store) View(name string, snap uint64) *View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,20 +136,16 @@ func (s *Store) View(name string, snap uint64) *View {
 	if !ok {
 		return nil
 	}
-	var out *table.Batch
+	var runs []*table.Batch
 	for _, r := range td.runs {
-		if !r.visibleAt(snap) {
-			continue
+		if r.visibleAt(snap) {
+			runs = append(runs, r.Rows)
 		}
-		if out == nil {
-			out = table.NewBatch(r.Rows.Schema)
-		}
-		appendBatch(out, r.Rows)
 	}
-	if out == nil {
+	if runs == nil {
 		return nil
 	}
-	return &View{rows: out}
+	return &View{runs: runs}
 }
 
 // LiveRows counts the delta rows of name visible to a snapshot at snap.

@@ -31,7 +31,11 @@ func keys(v *View) []int64 {
 	if v == nil {
 		return nil
 	}
-	return v.DeltaBatch().Col("k").I64
+	var ks []int64
+	for _, r := range v.DeltaRuns() {
+		ks = append(ks, r.Col("k").I64...)
+	}
+	return ks
 }
 
 func TestVisibilityBySequence(t *testing.T) {

@@ -101,6 +101,23 @@ func TestFilterProjectSortLimit(t *testing.T) {
 	if s.Col("tag").Str[0] != "blue" || s.Col("id").I64[0] != 5 {
 		t.Fatalf("sort head = %v %v", s.Col("tag").Str, s.Col("id").I64)
 	}
+	// A NaN key (0/0 under DivE) sorts before every number ascending, after
+	// every number descending; equal keys keep their input order.
+	nan := batchOf(t, []table.ColumnDef{intCol("id"), fltCol("x")}, func(b *table.Batch) {
+		for i, x := range []float64{3, math.NaN(), 1, 2, math.NaN()} {
+			b.Vecs[0].AppendInt(int64(i))
+			b.Vecs[1].AppendFloat(x)
+		}
+	})
+	for _, tc := range []struct {
+		desc bool
+		ids  []int64
+	}{{false, []int64{1, 4, 2, 3, 0}}, {true, []int64{0, 3, 2, 1, 4}}} {
+		ns, err := Sort(nan, []SortKey{{Col: "x", Desc: tc.desc}})
+		if err != nil || !reflect.DeepEqual(ns.Col("id").I64, tc.ids) {
+			t.Fatalf("sort with NaN keys, desc %v: ids %v, want %v (%v)", tc.desc, ns.Col("id").I64, tc.ids, err)
+		}
+	}
 	l := Limit(s, 2)
 	if l.Rows() != 2 {
 		t.Fatalf("limit = %d", l.Rows())

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -23,9 +24,12 @@ type ScanOptions struct {
 	// Filter, if non-nil, is applied to every segment batch; segments whose
 	// zone maps show that no row can pass it are skipped before any I/O.
 	Filter Expr
-	// Prefetch is the segment read-ahead window. Zero selects 4; a
+	// Prefetch is the segment read-ahead window: up to this many segments
+	// from the consumer's position on are each read and decoded on a
+	// goroutine of their own while the consumer works. Zero selects 8; a
 	// negative value disables read-ahead entirely, making the scan fully
-	// synchronous (deterministic simulation harnesses rely on this).
+	// synchronous on the caller's goroutine (deterministic simulation
+	// harnesses rely on this).
 	Prefetch int
 	// Pushdown lets the scan evaluate Filter inside the object store's
 	// compute endpoint, per segment, returning only qualifying rows. Off by
@@ -43,21 +47,33 @@ type scanSource struct {
 	opts     ScanOptions
 	segs     []int // surviving segments after zone pruning
 	pos      int
-	fetched  int
 
-	push      []bool // per-segment pushdown decision, parallel to segs
-	emitted   bool   // whether any batch has been returned yet
-	deltaDone bool   // whether the delta merge batch was emitted
+	ahead     []*segRead // parallel to segs: the read-ahead task of a segment, nil before it starts and once returned
+	started   int        // positions in segs below this one were considered for read-ahead
+	push      []bool     // per-segment pushdown decision, parallel to segs
+	emitted   bool       // whether any batch has been returned yet
+	deltaDone bool       // whether the delta merge batch was emitted
+}
+
+// segRead is the slot of one read-ahead task. The task writes b and err once,
+// closes done and exits: it never waits for the consumer, so an abandoned
+// scan leaves behind only tasks that are finishing their one segment.
+type segRead struct {
+	done chan struct{}
+	b    *table.Batch
+	err  error
 }
 
 // Scan streams the named columns of t, pruning segments by zone maps and
-// prefetching ahead of the consumer — the paper's parallel-I/O recipe for
-// masking object-store latency.
+// reading and decoding segments ahead of the consumer — the paper's
+// parallel-I/O recipe for masking object-store latency, which also puts the
+// decode on the other cores. Batches come out in segment order whatever the
+// window.
 func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
 	s := &scanSource{tbl: t, colNames: cols, opts: opts}
 	s.schema.Cols = make([]table.ColumnDef, 0, len(cols)) // shared by every batch: no spare capacity
 	if s.opts.Prefetch == 0 {
-		s.opts.Prefetch = 4
+		s.opts.Prefetch = 8
 	}
 	if s.opts.Prefetch < 0 {
 		s.opts.Prefetch = 0 // synchronous: no read-ahead window
@@ -116,55 +132,73 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 	if err := YieldPoint(ctx); err != nil {
 		return nil, err
 	}
-	// Keep the read-ahead window full. Segments headed for pushdown are
-	// skipped: prefetching would pull whole column pages into the cache
-	// that the select path never reads.
-	if s.fetched < s.pos+s.opts.Prefetch && s.fetched < len(s.segs) {
-		pctx, psp := trace.Start(ctx, "scan.prefetch",
-			trace.String("table", s.tbl.Name()), trace.Int("from", int64(s.fetched)))
-		n := 0
-		for s.fetched < s.pos+s.opts.Prefetch && s.fetched < len(s.segs) {
-			if s.push == nil || !s.push[s.fetched] {
-				s.tbl.PrefetchSegments(pctx, []int{s.segs[s.fetched]}, s.cols)
-				n++
-			}
-			s.fetched++
+	// Keep the read-ahead window full: every segment below pos+window that
+	// is not headed for pushdown gets a task of its own. A pushdown segment
+	// is read inline below, where a failed push falls back to the plain read.
+	for s.started = max(s.started, s.pos); s.started < min(s.pos+s.opts.Prefetch, len(s.segs)); s.started++ {
+		if s.push != nil && s.push[s.started] {
+			continue
 		}
-		psp.AddInt("segments", int64(n))
-		psp.End()
+		if s.ahead == nil {
+			s.ahead = make([]*segRead, len(s.segs))
+		}
+		t := &segRead{done: make(chan struct{})}
+		s.ahead[s.started] = t
+		//lint:ignore detclosure a task only writes its own slot, which the consumer reads after done closes and returns in segment order; deterministic callers (simtest, the oracle scans) pass Prefetch -1 and start none
+		go func(i int) {
+			t.b, t.err = s.segment(ctx, i)
+			close(t.done)
+		}(s.started)
 	}
-	rctx, rsp := trace.Start(ctx, "scan.segment",
-		trace.String("table", s.tbl.Name()), trace.Int("seg", int64(s.segs[s.pos])))
 	var b *table.Batch
 	var err error
-	pushed := false
-	if s.push != nil && s.push[s.pos] {
-		b, err = s.pushSegment(rctx, s.segs[s.pos])
-		if err == nil {
-			pushed = true
-			rsp.AddInt("pushdown", 1)
-		} else {
-			// Every pushdown failure — store without the capability,
-			// unsupported plan, injected fault, dirty page — degrades to
-			// the plain read path below.
-			rsp.SetAttr("fallback", err.Error())
-		}
+	if s.ahead != nil && s.ahead[s.pos] != nil {
+		t := s.ahead[s.pos]
+		<-t.done
+		b, err = t.b, t.err
+	} else {
+		b, err = s.segment(ctx, s.pos)
 	}
-	if !pushed {
-		// Empty filtered batches are still returned: their schema lets
-		// downstream operators (joins, aggregations) type their output
-		// even when every row was filtered out.
-		b, err = s.readSegment(rctx, s.segs[s.pos])
-		if err != nil {
-			rsp.SetAttr("err", err.Error())
-			rsp.End()
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	rsp.AddInt("rows", int64(b.Rows()))
-	rsp.End()
+	if s.ahead != nil {
+		s.ahead[s.pos] = nil // the batch is the consumer's now
+	}
 	s.pos++
 	s.emitted = true
+	return b, nil
+}
+
+// segment reads and decodes the segment at position i of segs under its one
+// scan.segment span, on whichever goroutine calls it: through the store's
+// compute endpoint when planned, else — or when that fails — the plain read.
+func (s *scanSource) segment(ctx context.Context, i int) (*table.Batch, error) {
+	seg := s.segs[i]
+	ctx, sp := trace.Start(ctx, "scan.segment",
+		trace.String("table", s.tbl.Name()), trace.Int("seg", int64(seg)))
+	defer sp.End()
+	if s.push != nil && s.push[i] {
+		b, err := s.pushSegment(ctx, seg)
+		if err == nil {
+			sp.AddInt("pushdown", 1)
+			sp.AddInt("rows", int64(b.Rows()))
+			return b, nil
+		}
+		// Every pushdown failure — store without the capability,
+		// unsupported plan, injected fault, dirty page — degrades to the
+		// plain read path below.
+		sp.SetAttr("fallback", err.Error())
+	}
+	// Empty filtered batches are still returned: their schema lets
+	// downstream operators (joins, aggregations) type their output even
+	// when every row was filtered out.
+	b, err := s.readSegment(ctx, seg)
+	if err != nil {
+		sp.SetAttr("err", err.Error())
+		return nil, err
+	}
+	sp.AddInt("rows", int64(b.Rows()))
 	return b, nil
 }
 
@@ -246,21 +280,35 @@ func (s *scanSource) readSegment(ctx context.Context, seg int) (*table.Batch, er
 	return b, nil
 }
 
-// deltaBatch projects the scan's columns out of the table's attached delta
-// view and applies the row filter, returning nil when there is no view (or
-// it is empty).
+// deltaBatch joins the scan's columns of the runs in the table's attached
+// delta view into one batch and applies the row filter, returning nil when
+// there is no view (or it is empty). A single run's vectors are used as they
+// are; the columns the scan does not read are never copied.
 func (s *scanSource) deltaBatch() (*table.Batch, error) {
 	dv := s.tbl.Delta()
 	if dv == nil {
 		return nil, nil
 	}
-	full := dv.DeltaBatch()
-	if full == nil || full.Rows() == 0 {
+	runs := dv.DeltaRuns()
+	rows := 0
+	for _, r := range runs {
+		rows += r.Rows()
+	}
+	if rows == 0 {
 		return nil, nil
 	}
 	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
 	for i, c := range s.cols {
-		b.Vecs[i] = full.Vecs[c]
+		if len(runs) == 1 {
+			b.Vecs[i] = runs[0].Vecs[c]
+			continue
+		}
+		v := column.NewVector(s.schema.Cols[i].Typ)
+		v.Grow(rows)
+		for _, r := range runs {
+			v.AppendVector(r.Vecs[c])
+		}
+		b.Vecs[i] = v
 	}
 	if s.opts.Filter != nil {
 		return FilterBatch(b, s.opts.Filter)
@@ -782,7 +830,8 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort returns b ordered by the keys (stable).
+// Sort returns b ordered by the keys (stable). A NaN float key sorts before
+// every number, and after every number when descending.
 func Sort(b *table.Batch, keys []SortKey) (*table.Batch, error) {
 	type keyVec struct {
 		v    *column.Vector
@@ -806,26 +855,12 @@ func Sort(b *table.Batch, keys []SortKey) (*table.Batch, error) {
 			var c int
 			switch kv.v.Typ {
 			case column.Int64:
-				a, b := kv.v.I64[rx], kv.v.I64[ry]
-				if a < b {
-					c = -1
-				} else if a > b {
-					c = 1
-				}
+				c = cmp.Compare(kv.v.I64[rx], kv.v.I64[ry])
 			case column.Float64:
-				a, b := kv.v.F64[rx], kv.v.F64[ry]
-				if a < b {
-					c = -1
-				} else if a > b {
-					c = 1
-				}
+				// A strict weak order: NaN sorts before every number.
+				c = cmp.Compare(kv.v.F64[rx], kv.v.F64[ry])
 			default:
-				a, b := kv.v.Str[rx], kv.v.Str[ry]
-				if a < b {
-					c = -1
-				} else if a > b {
-					c = 1
-				}
+				c = cmp.Compare(kv.v.Str[rx], kv.v.Str[ry])
 			}
 			if kv.desc {
 				c = -c

@@ -16,10 +16,24 @@ import (
 	"cloudiq/internal/table"
 )
 
-// staticDelta is a fixed-batch table.DeltaView for tests.
-type staticDelta struct{ b *table.Batch }
+// staticDelta is a fixed table.DeltaView for tests.
+type staticDelta []*table.Batch
 
-func (d staticDelta) DeltaBatch() *table.Batch { return d.b }
+func (d staticDelta) DeltaRuns() []*table.Batch { return d }
+
+// runsOf cuts b into runs at the given row positions.
+func runsOf(b *table.Batch, cuts ...int) staticDelta {
+	var runs staticDelta
+	lo := 0
+	for _, hi := range append(cuts, b.Rows()) {
+		r := &table.Batch{Schema: b.Schema}
+		for _, v := range b.Vecs {
+			r.Vecs = append(r.Vecs, v.Slice(lo, hi))
+		}
+		runs, lo = append(runs, r), hi
+	}
+	return runs
+}
 
 func TestPushdownDeltaDirtyRefusal(t *testing.T) {
 	const mainRows, deltaRows, segRows = 400, 37, 64
@@ -37,10 +51,9 @@ func TestPushdownDeltaDirtyRefusal(t *testing.T) {
 	}
 
 	// Under test: the same main rows as segments, the extra rows attached
-	// as a delta view.
+	// as a delta view — one run, then three (one of a single row).
 	store := objstore.NewMem(objstore.Config{})
 	tbl, _ := pushdownTable(t, store, mainRows, segRows, seed)
-	tbl.AttachDelta(staticDelta{b: extra})
 
 	preds := []Expr{
 		nil,
@@ -48,13 +61,16 @@ func TestPushdownDeltaDirtyRefusal(t *testing.T) {
 		And(Ge(Col("a"), ConstI(-5)), Lt(Col("b"), ConstI(30))),
 	}
 	m := store.Metrics()
-	for i, pred := range preds {
-		want := collectScan(t, refTbl, ScanOptions{Filter: pred})
-		for _, mode := range []PushdownMode{PushdownForce, PushdownAuto} {
-			got := collectScan(t, tbl, ScanOptions{Filter: pred, Pushdown: mode})
-			if !sameBatch(want, got) {
-				t.Fatalf("pred %d mode %d: delta-merged scan diverged (%d vs %d rows)",
-					i, mode, got.Rows(), want.Rows())
+	for _, view := range []staticDelta{runsOf(extra), runsOf(extra, 10, 11)} {
+		tbl.AttachDelta(view)
+		for i, pred := range preds {
+			want := collectScan(t, refTbl, ScanOptions{Filter: pred})
+			for _, mode := range []PushdownMode{PushdownForce, PushdownAuto} {
+				got := collectScan(t, tbl, ScanOptions{Filter: pred, Pushdown: mode})
+				if !sameBatch(want, got) {
+					t.Fatalf("%d runs, pred %d mode %d: delta-merged scan diverged (%d vs %d rows)",
+						len(view), i, mode, got.Rows(), want.Rows())
+				}
 			}
 		}
 	}

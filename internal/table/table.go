@@ -60,8 +60,10 @@ type Options struct {
 // work store-side while a view is attached — the store only holds the
 // columnar main, so a pushed result would silently miss the delta rows.
 type DeltaView interface {
-	// DeltaBatch returns the visible delta rows in the table's full schema.
-	DeltaBatch() *Batch
+	// DeltaRuns returns the visible delta rows in the table's full schema,
+	// as the runs they were committed in, oldest first. The batches are
+	// shared and must not be modified.
+	DeltaRuns() []*Batch
 }
 
 // Table is a columnar table stored as pages of one buffer.Object. Writable
@@ -121,8 +123,8 @@ func Open(ctx context.Context, name string, obj *buffer.Object, writable bool) (
 	if err != nil {
 		return nil, fmt.Errorf("table %s: read meta: %w", name, err)
 	}
-	var m meta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
+	m, err := decodeMeta(raw, writable)
+	if err != nil {
 		return nil, fmt.Errorf("table %s: decode meta: %w", name, err)
 	}
 	t := &Table{
@@ -133,6 +135,50 @@ func Open(ctx context.Context, name string, obj *buffer.Object, writable bool) (
 		builders: make(map[int]*Batch),
 	}
 	return t, nil
+}
+
+// metaMemo remembers the meta decoded from the last few meta-page images, so
+// that opening a read-only table whose meta page is still cached costs a
+// lookup instead of a gob decode (about half a millisecond for a table of a
+// few hundred segments, paid by every snapshot that opens it). The pool never
+// changes an image in place — a write installs a new slice — so one image
+// always decodes to the same meta, and read-only tables, which never change
+// their meta, share it. Being keyed by the identity of an image, the memo
+// can be shared by every pool in the process without one changing what
+// another reads; it only keeps up to four images and metas alive.
+var metaMemo struct {
+	mu     sync.Mutex
+	images [4][]byte // nil when unused
+	metas  [4]meta
+	next   int // slot the next image replaces
+}
+
+// decodeMeta decodes a meta-page image. A writable table gets a meta of its
+// own, which Append extends; a read-only one may get a shared one.
+func decodeMeta(raw []byte, writable bool) (meta, error) {
+	var m meta
+	if writable || len(raw) == 0 {
+		err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m)
+		return m, err
+	}
+	mm := &metaMemo
+	mm.mu.Lock()
+	for i, img := range mm.images {
+		if len(img) == len(raw) && &img[0] == &raw[0] {
+			m = mm.metas[i]
+			mm.mu.Unlock()
+			return m, nil
+		}
+	}
+	mm.mu.Unlock()
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
+		return m, err
+	}
+	mm.mu.Lock()
+	mm.images[mm.next], mm.metas[mm.next] = raw, m
+	mm.next = (mm.next + 1) % len(mm.images)
+	mm.mu.Unlock()
+	return m, nil
 }
 
 // Name returns the table name.
@@ -372,17 +418,4 @@ func (t *Table) SelectSegment(ctx context.Context, seg int, cols []int, plan obj
 		return nil, fmt.Errorf("table %s: segment %d: %w", t.name, seg, err)
 	}
 	return res, nil
-}
-
-// PrefetchSegments schedules asynchronous loads of the given segments'
-// column pages — the parallel-I/O path that masks object-store latency.
-func (t *Table) PrefetchSegments(ctx context.Context, segs []int, cols []int) {
-	nCols := uint64(len(t.meta.Schema.Cols))
-	var pages []uint64
-	for _, s := range segs {
-		for _, c := range cols {
-			pages = append(pages, dataBase+uint64(s)*nCols+uint64(c))
-		}
-	}
-	t.obj.Prefetch(ctx, pages)
 }

@@ -272,6 +272,56 @@ func TestReopenAppendCommitReadsEveryRow(t *testing.T) {
 	}
 }
 
+// TestReadOnlyOpensShareDecodedMeta: read-only tables opened from one cached
+// meta image share its decoded meta; a writable open decodes its own, and
+// what it appends reaches neither the shared meta nor the tables holding it.
+func TestReadOnlyOpensShareDecodedMeta(t *testing.T) {
+	r := newRig(t)
+	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 10})
+	_ = tbl.Append(ctxb(), makeBatch(t, 30, 0))
+	id, err := tbl.Commit(ctxb())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(id core.Identity, writable bool) *Table {
+		t.Helper()
+		bm, err := core.OpenBlockmap(r.ds, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink core.FlushSink
+		if writable {
+			sink = core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf})
+		}
+		got, err := Open(ctxb(), "t", r.pool.OpenObject(r.ds, bm, sink, buffer.FlateCodec{}), writable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	ro1, ro2 := open(id, false), open(id, false)
+	if &ro1.meta.Segs[0] != &ro2.meta.Segs[0] {
+		t.Fatal("two read-only opens of one meta image decoded it twice")
+	}
+	w := open(id, true)
+	if &w.meta.Segs[0] == &ro1.meta.Segs[0] {
+		t.Fatal("a writable open shares the read-only tables' meta")
+	}
+	if err := w.Append(ctxb(), makeBatch(t, 20, 100)); err != nil {
+		t.Fatal(err)
+	}
+	id2, err := w.Commit(ctxb())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ro1.Segments() != 3 || ro2.Segments() != 3 || open(id, false).Segments() != 3 {
+		t.Fatalf("the first version reads %d, %d segments after a later append, want 3", ro1.Segments(), ro2.Segments())
+	}
+	if got := open(id2, false); got.Segments() != 5 || got.Rows() != 50 {
+		t.Fatalf("the second version reads %d segments, %d rows, want 5 and 50", got.Segments(), got.Rows())
+	}
+}
+
 func TestAppendSchemaMismatch(t *testing.T) {
 	r := newRig(t)
 	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{})
@@ -360,28 +410,6 @@ func TestReadOnlyTableRejectsWrites(t *testing.T) {
 	}
 	if _, err := ro.Commit(ctxb()); err == nil {
 		t.Fatal("commit of read-only table succeeded")
-	}
-}
-
-func TestPrefetchSegments(t *testing.T) {
-	r := newRig(t)
-	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 50})
-	_ = tbl.Append(ctxb(), makeBatch(t, 200, 0))
-	id, _ := tbl.Commit(ctxb())
-	bm, _ := core.OpenBlockmap(r.ds, id)
-	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20})
-	obj := cold.OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
-	tbl2, _ := Open(ctxb(), "t", obj, false)
-	tbl2.PrefetchSegments(ctxb(), []int{0, 1, 2, 3}, []int{0, 1})
-	cold.Wait()
-	gets := r.store.Metrics().Gets()
-	for s := 0; s < 4; s++ {
-		if _, err := tbl2.ReadSegment(ctxb(), s, []int{0, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.store.Metrics().Gets() != gets {
-		t.Fatal("reads after prefetch still hit the store")
 	}
 }
 

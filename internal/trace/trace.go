@@ -21,9 +21,9 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -40,7 +40,7 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr {
-	return Attr{Key: key, Value: fmt.Sprintf("%d", value)}
+	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
 }
 
 // Config parameterises a Tracer.
@@ -289,7 +289,7 @@ func (s *Span) AddInt(key string, value int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", value))
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // Clock reports the owning tracer's current time; zero on a nil span. Layers
