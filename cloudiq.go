@@ -240,10 +240,9 @@ type CloudOptions struct {
 	// CacheDevice, when non-nil, enables the Object Cache Manager on this
 	// dbspace, backed by the given locally attached device.
 	CacheDevice blockdev.Device
-	// ReadRetries / WriteRetries bound eventual-consistency retries; zero
-	// values select defaults.
-	ReadRetries  int
-	WriteRetries int
+	// ReadRetries bounds eventual-consistency read retries; zero selects
+	// the default.
+	ReadRetries int
 	// SequentialKeys disables hashed key prefixes (ablation only).
 	SequentialKeys bool
 }
@@ -258,15 +257,14 @@ func (db *Database) AttachCloudDbspace(name string, store objstore.Store, opts C
 		return fmt.Errorf("cloudiq: dbspace %q already attached", name)
 	}
 	ccfg := core.CloudConfig{
-		Name:         name,
-		Store:        store,
-		Keys:         keygen.NewClient(db.allocFunc()),
-		Namer:        core.KeyNamer{Sequential: opts.SequentialKeys},
-		ReadRetries:  opts.ReadRetries,
-		WriteRetries: opts.WriteRetries,
-		Scale:        db.cfg.Scale,
-		Pool:         db.iopool,
-		Stats:        db.cfg.IOStats,
+		Name:        name,
+		Store:       store,
+		Keys:        keygen.NewClient(db.allocFunc()),
+		Namer:       core.KeyNamer{Sequential: opts.SequentialKeys},
+		ReadRetries: opts.ReadRetries,
+		Scale:       db.cfg.Scale,
+		Pool:        db.iopool,
+		Stats:       db.cfg.IOStats,
 	}
 	if opts.CacheDevice != nil {
 		cache, err := ocm.New(ocm.Config{

@@ -108,7 +108,7 @@ func TestCommitRollsBackWhenStoreRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.AttachCloudDbspace("user", store, CloudOptions{WriteRetries: 2}); err != nil {
+	if err := db.AttachCloudDbspace("user", store, CloudOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// A healthy baseline commit.

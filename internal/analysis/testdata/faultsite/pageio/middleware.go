@@ -34,15 +34,16 @@ func (b *NakedBuffer) Delete(ctx context.Context, off int64) error { // want "fa
 	return nil
 }
 
-// spanner mirrors the real pipeline middleware idiom: the type is unexported
-// and escapes only as an interface, so its exported methods carry no
-// faultsite obligation of their own — the terminal they wrap does.
-type spanner struct {
+// meter mirrors the real pipeline middleware idiom (pageio's meter, retry
+// and coalesce stages): the type is unexported and escapes only as an
+// interface, so its exported methods carry no faultsite obligation of their
+// own — the terminal they wrap does.
+type meter struct {
 	next upstream.Handler
 }
 
-func (s *spanner) WritePage(ctx context.Context, req upstream.WriteReq) error {
-	return s.next.WritePage(ctx, req)
+func (m *meter) WritePage(ctx context.Context, req upstream.WriteReq) error {
+	return m.next.WritePage(ctx, req)
 }
 
 // HookedShim consults the plan before mutating; compliant.

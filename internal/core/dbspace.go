@@ -113,11 +113,11 @@ type CloudConfig struct {
 	Cache PageCache
 
 	// ReadRetries bounds retry-until-found for eventually consistent reads;
-	// WriteRetries bounds retries of failed uploads before the transaction
-	// is rolled back. Zero values select defaults. With a Cache configured
-	// the cache owns upload retries, so the pipeline writes once.
-	ReadRetries  int
-	WriteRetries int
+	// zero selects the default. Failed uploads are retried
+	// defaultWriteRetries times before the transaction is rolled back; with
+	// a Cache configured the cache owns upload retries, so the pipeline
+	// writes once.
+	ReadRetries int
 	// Scale drives the backoff sleeps. Nil disables sleeping.
 	Scale *iomodel.Scale
 
@@ -140,8 +140,8 @@ type CloudDbspace struct {
 	pipe pageio.Handler
 	// selPipe is the pushdown pipeline: it terminates directly at the store
 	// adapter, bypassing the OCM — select results are derived data and must
-	// never enter the page cache — while keeping the same tracing, metering
-	// and read-retry stages as the page pipeline.
+	// never enter the page cache — while keeping the same meters and
+	// read-retry stage as the page pipeline.
 	selPipe pageio.Handler
 }
 
@@ -152,32 +152,23 @@ var _ Dbspace = (*CloudDbspace)(nil)
 //
 //	Meter("dbspace:<name>") -> Retry -> Meter("ocm:|store:<name>") -> terminal
 //
-// where the terminal is the OCM (when configured) or the store adapter.
+// where the terminal is the OCM (when configured) or the store adapter. The
+// outer Meter's span times the caller-visible operation, backoff included,
+// and Retry annotates that span with its attempt counts.
 func NewCloud(cfg CloudConfig) *CloudDbspace {
 	if cfg.ReadRetries <= 0 {
 		cfg.ReadRetries = defaultReadRetries
 	}
-	if cfg.WriteRetries <= 0 {
-		cfg.WriteRetries = defaultWriteRetries
-	}
-	var terminal pageio.Handler
-	var innerTrace, innerMeter pageio.Middleware
-	writeAttempts := cfg.WriteRetries
+	terminal := pageio.NewStore(cfg.Store)
+	inner := "store:" + cfg.Name
+	writeAttempts := defaultWriteRetries
 	if cfg.Cache != nil {
 		terminal = pageio.NewCache(cfg.Cache)
-		innerTrace = pageio.Trace("ocm:" + cfg.Name)
-		innerMeter = pageio.Meter(cfg.Stats, "ocm:"+cfg.Name)
+		inner = "ocm:" + cfg.Name
 		// The OCM's write paths carry their own upload retry budget.
 		writeAttempts = 1
-	} else {
-		terminal = pageio.NewStore(cfg.Store, nil)
-		innerTrace = pageio.Trace("store:" + cfg.Name)
-		innerMeter = pageio.Meter(cfg.Stats, "store:"+cfg.Name)
 	}
-	// Trace sits outermost so its span times the caller-visible operation
-	// (including backoff); Retry annotates that span with attempt counts.
 	pipe := pageio.Chain(terminal,
-		pageio.Trace("dbspace:"+cfg.Name),
 		pageio.Meter(cfg.Stats, "dbspace:"+cfg.Name),
 		pageio.Retry(pageio.Policy{
 			ReadAttempts:  cfg.ReadRetries,
@@ -185,11 +176,9 @@ func NewCloud(cfg CloudConfig) *CloudDbspace {
 			Scale:         cfg.Scale,
 			Pool:          cfg.Pool,
 		}),
-		innerTrace,
-		innerMeter,
+		pageio.Meter(cfg.Stats, inner),
 	)
-	selPipe := pageio.Chain(pageio.NewStore(cfg.Store, nil),
-		pageio.Trace("dbspace:"+cfg.Name),
+	selPipe := pageio.Chain(pageio.NewStore(cfg.Store),
 		pageio.Meter(cfg.Stats, "dbspace:"+cfg.Name),
 		pageio.Retry(pageio.Policy{
 			ReadAttempts:  cfg.ReadRetries,
@@ -197,7 +186,6 @@ func NewCloud(cfg CloudConfig) *CloudDbspace {
 			Scale:         cfg.Scale,
 			Pool:          cfg.Pool,
 		}),
-		pageio.Trace("store:"+cfg.Name),
 		pageio.Meter(cfg.Stats, "store:"+cfg.Name),
 	)
 	return &CloudDbspace{cfg: cfg, pipe: pipe, selPipe: selPipe}
@@ -428,14 +416,12 @@ func NewBlock(cfg BlockConfig) (*BlockDbspace, error) {
 	if rfrb.IsCloudKey(cfg.Blocks) {
 		return nil, fmt.Errorf("dbspace %s: %d blocks collides with the reserved cloud-key range", cfg.Name, cfg.Blocks)
 	}
-	// Trace outermost times the batch as the caller sees it; Coalesce
-	// annotates the same span with its merge decision, and the inner Trace
-	// stage records each post-merge device request individually.
+	// The outer Meter times the batch as the caller sees it; Coalesce
+	// annotates its span with the merge decision, and the inner Meter
+	// observes each post-merge device request.
 	pipe := pageio.Chain(pageio.NewDevice(cfg.Device, cfg.Pool),
-		pageio.Trace("dbspace:"+cfg.Name),
 		pageio.Meter(cfg.Stats, "dbspace:"+cfg.Name),
 		pageio.Coalesce(0),
-		pageio.Trace("dev:"+cfg.Name),
 		pageio.Meter(cfg.Stats, "dev:"+cfg.Name),
 	)
 	return &BlockDbspace{cfg: cfg, free: freelist.New(cfg.Blocks), pipe: pipe}, nil

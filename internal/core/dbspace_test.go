@@ -127,7 +127,7 @@ func TestCloudWriteRetriesThenFails(t *testing.T) {
 	plan.FailNext(faultinject.ObjPut, 2)
 	store := objstore.NewMem(objstore.Config{Faults: plan})
 	ds := newCloudSpace(t, store)
-	// First write: two failures then success (WriteRetries default 3).
+	// First write: two failures then success (defaultWriteRetries is 3).
 	if _, err := writeOne(ds, []byte("x")); err != nil {
 		t.Fatalf("write with transient failures: %v", err)
 	}

@@ -153,11 +153,11 @@ func New(cfg Config) (*Cache, error) {
 	if blocks == 0 {
 		return nil, fmt.Errorf("ocm: device smaller than one block")
 	}
-	up := pageio.Chain(pageio.NewStore(cfg.Store, nil), pageio.Trace("ocmstore"), pageio.Meter(cfg.Stats, "ocmstore"))
+	up := pageio.Chain(pageio.NewStore(cfg.Store), pageio.Meter(cfg.Stats, "ocmstore"))
 	c := &Cache{
 		cfg:     cfg,
 		free:    freelist.New(blocks),
-		dev:     pageio.Chain(pageio.NewDevice(cfg.Device, nil), pageio.Trace("ocmdev"), pageio.Meter(cfg.Stats, "ocmdev")),
+		dev:     pageio.Chain(pageio.NewDevice(cfg.Device, nil), pageio.Meter(cfg.Stats, "ocmdev")),
 		up:      up,
 		upload:  pageio.Chain(up, pageio.Retry(pageio.Policy{WriteAttempts: uploadAttempts})),
 		index:   make(map[string]*entry),

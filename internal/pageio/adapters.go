@@ -8,15 +8,15 @@ import (
 )
 
 // NewStore adapts an object store to the Handler interface. Batch operations
-// fan out through pool (nil pool = sequential). The adapter adds no retry or
-// metering of its own; stack Retry and Meter around it.
-func NewStore(s objstore.Store, pool *WorkPool) Handler {
-	return &storeHandler{store: s, pool: pool}
+// run item by item: the fan-out for cloud batches lives in the Retry stage
+// above (Policy.Pool). The adapter adds no retry or metering of its own;
+// stack Retry and Meter around it.
+func NewStore(s objstore.Store) Handler {
+	return &storeHandler{store: s}
 }
 
 type storeHandler struct {
 	store objstore.Store
-	pool  *WorkPool
 }
 
 func (h *storeHandler) ReadPage(ctx context.Context, ref Ref) ([]byte, error) {
@@ -32,23 +32,11 @@ func (h *storeHandler) Delete(ctx context.Context, ref Ref) error {
 }
 
 func (h *storeHandler) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) {
-	out := make([][]byte, len(refs))
-	errs := h.pool.Do(ctx, len(refs), func(i int) error {
-		data, err := h.store.Get(ctx, refs[i].Key)
-		if err != nil {
-			return err
-		}
-		out[i] = data
-		return nil
-	})
-	return out, batchErr(errs)
+	return readEach(ctx, nil, h, refs)
 }
 
 func (h *storeHandler) WriteBatch(ctx context.Context, reqs []WriteReq) error {
-	errs := h.pool.Do(ctx, len(reqs), func(i int) error {
-		return h.store.Put(ctx, reqs[i].Ref.Key, reqs[i].Data)
-	})
-	return batchErr(errs)
+	return writeEach(ctx, nil, h, reqs)
 }
 
 // NewDevice adapts a block device to the Handler interface. Refs carry byte
@@ -83,21 +71,9 @@ func (h *deviceHandler) Delete(ctx context.Context, ref Ref) error {
 }
 
 func (h *deviceHandler) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) {
-	out := make([][]byte, len(refs))
-	errs := h.pool.Do(ctx, len(refs), func(i int) error {
-		data, err := h.ReadPage(ctx, refs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = data
-		return nil
-	})
-	return out, batchErr(errs)
+	return readEach(ctx, h.pool, h, refs)
 }
 
 func (h *deviceHandler) WriteBatch(ctx context.Context, reqs []WriteReq) error {
-	errs := h.pool.Do(ctx, len(reqs), func(i int) error {
-		return h.WritePage(ctx, reqs[i])
-	})
-	return batchErr(errs)
+	return writeEach(ctx, h.pool, h, reqs)
 }

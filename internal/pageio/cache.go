@@ -42,30 +42,9 @@ func (h *cacheHandler) Delete(ctx context.Context, ref Ref) error {
 }
 
 func (h *cacheHandler) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) {
-	out := make([][]byte, len(refs))
-	errs := make([]error, len(refs))
-	for i, ref := range refs {
-		if err := ctx.Err(); err != nil {
-			for ; i < len(refs); i++ {
-				errs[i] = err
-			}
-			break
-		}
-		out[i], errs[i] = h.ReadPage(ctx, ref)
-	}
-	return out, batchErr(errs)
+	return readEach(ctx, nil, h, refs)
 }
 
 func (h *cacheHandler) WriteBatch(ctx context.Context, reqs []WriteReq) error {
-	errs := make([]error, len(reqs))
-	for i, req := range reqs {
-		if err := ctx.Err(); err != nil {
-			for ; i < len(reqs); i++ {
-				errs[i] = err
-			}
-			break
-		}
-		errs[i] = h.WritePage(ctx, req)
-	}
-	return batchErr(errs)
+	return writeEach(ctx, nil, h, reqs)
 }

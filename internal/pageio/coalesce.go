@@ -15,8 +15,9 @@ const DefaultCoalesceBytes = 1 << 20
 // inside a batch: a ReadBatch whose refs tile a contiguous byte range
 // becomes one scatter-gather ReadPage, and a WriteBatch of adjacent pages
 // becomes one group write. Merged requests never exceed maxBytes. Refs that
-// are not block refs, not adjacent, or part of an overlapping batch pass
-// through untouched. Single operations are forwarded as-is.
+// are not adjacent pass through as they are; a batch holding any key ref, or
+// overlapping extents, passes through whole. Single operations are
+// forwarded as-is.
 func Coalesce(maxBytes int) Middleware {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCoalesceBytes
@@ -51,29 +52,41 @@ type span struct {
 	idx   []int
 }
 
-// plan sorts the block-ref indices by offset and merges adjacent extents.
-// It returns nil if merging is unsafe (overlapping extents) or useless
-// (nothing adjacent).
-func (c *coalesce) plan(off func(int) int64, length func(int) int, block []int) []span {
-	sort.Slice(block, func(a, b int) bool { return off(block[a]) < off(block[b]) })
+// plan sorts the n batch indices by offset and merges adjacent extents;
+// extent(i) is item i's ref and length. It returns nil if merging does not
+// apply (a key ref in the batch), is unsafe (overlapping extents) or is
+// useless (nothing adjacent).
+func (c *coalesce) plan(n int, extent func(int) (Ref, int)) []span {
+	idx := make([]int, n)
+	for i := range idx {
+		if ref, _ := extent(i); !ref.IsBlock() {
+			return nil
+		}
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ra, _ := extent(idx[a])
+		rb, _ := extent(idx[b])
+		return ra.Off < rb.Off
+	})
 	var spans []span
 	merged := false
-	for _, i := range block {
-		n := len(spans)
-		if n > 0 {
-			s := &spans[n-1]
+	for _, i := range idx {
+		ref, length := extent(i)
+		if k := len(spans); k > 0 {
+			s := &spans[k-1]
 			end := s.start + int64(s.size)
-			if off(i) < end {
+			if ref.Off < end {
 				return nil // overlap: do not reorder, let the batch through
 			}
-			if off(i) == end && s.size+length(i) <= c.max {
-				s.size += length(i)
+			if ref.Off == end && s.size+length <= c.max {
+				s.size += length
 				s.idx = append(s.idx, i)
 				merged = true
 				continue
 			}
 		}
-		spans = append(spans, span{start: off(i), size: length(i), idx: []int{i}})
+		spans = append(spans, span{start: ref.Off, size: length, idx: []int{i}})
 	}
 	if !merged {
 		return nil
@@ -82,26 +95,15 @@ func (c *coalesce) plan(off func(int) int64, length func(int) int, block []int) 
 }
 
 func (c *coalesce) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) {
-	var block []int
-	for i, ref := range refs {
-		if ref.IsBlock() {
-			block = append(block, i)
-		}
-	}
-	spans := c.plan(
-		func(i int) int64 { return refs[i].Off },
-		func(i int) int { return refs[i].Len },
-		block,
-	)
+	spans := c.plan(len(refs), func(i int) (Ref, int) { return refs[i], refs[i].Len })
 	if spans == nil {
 		return c.next.ReadBatch(ctx, refs)
 	}
 	out := make([][]byte, len(refs))
 	errs := make([]error, len(refs))
 
-	// Merged and singleton block runs go down as one sub-batch of
-	// scatter-gather refs, so the terminal's pool overlaps their latency;
-	// the non-block refs ride through as a second sub-batch.
+	// Merged and singleton runs go down as one batch of scatter-gather
+	// refs, so the terminal's pool overlaps their latency.
 	mrefs := make([]Ref, len(spans))
 	for j, s := range spans {
 		mrefs[j] = Ref{Off: s.start, Len: s.size}
@@ -145,35 +147,11 @@ func (c *coalesce) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) 
 		}
 	}
 	noteMerge(ctx, len(refs), len(spans), len(fallback))
-	if rest := otherIndices(len(refs), block); len(rest) > 0 {
-		sub := make([]Ref, len(rest))
-		for j, i := range rest {
-			sub[j] = refs[i]
-		}
-		res, err := c.next.ReadBatch(ctx, sub)
-		subErrs := ItemErrors(err, len(rest))
-		for j, i := range rest {
-			if res != nil {
-				out[i] = res[j]
-			}
-			errs[i] = subErrs[j]
-		}
-	}
 	return out, batchErr(errs)
 }
 
 func (c *coalesce) WriteBatch(ctx context.Context, reqs []WriteReq) error {
-	var block []int
-	for i, req := range reqs {
-		if req.Ref.IsBlock() {
-			block = append(block, i)
-		}
-	}
-	spans := c.plan(
-		func(i int) int64 { return reqs[i].Ref.Off },
-		func(i int) int { return len(reqs[i].Data) },
-		block,
-	)
+	spans := c.plan(len(reqs), func(i int) (Ref, int) { return reqs[i].Ref, len(reqs[i].Data) })
 	if spans == nil {
 		return c.next.WriteBatch(ctx, reqs)
 	}
@@ -197,16 +175,6 @@ func (c *coalesce) WriteBatch(ctx context.Context, reqs []WriteReq) error {
 		}
 	}
 	noteMerge(ctx, len(reqs), len(spans), 0)
-	if rest := otherIndices(len(reqs), block); len(rest) > 0 {
-		sub := make([]WriteReq, len(rest))
-		for j, i := range rest {
-			sub[j] = reqs[i]
-		}
-		subErrs := ItemErrors(c.next.WriteBatch(ctx, sub), len(rest))
-		for j, i := range rest {
-			errs[i] = subErrs[j]
-		}
-	}
 	return batchErr(errs)
 }
 
@@ -223,23 +191,4 @@ func noteMerge(ctx context.Context, refs, spans, fallback int) {
 	if fallback > 0 {
 		sp.AddInt("coalesce.fallback", int64(fallback))
 	}
-}
-
-// otherIndices returns [0,n) minus the sorted-set semantics of block (which
-// may be in any order).
-func otherIndices(n int, block []int) []int {
-	if len(block) == n {
-		return nil
-	}
-	in := make(map[int]bool, len(block))
-	for _, i := range block {
-		in[i] = true
-	}
-	var rest []int
-	for i := 0; i < n; i++ {
-		if !in[i] {
-			rest = append(rest, i)
-		}
-	}
-	return rest
 }

@@ -87,7 +87,7 @@ func TestRetryReadStopsOnContextError(t *testing.T) {
 // persistently failing one must wrap ErrExhausted like a write would.
 func TestRetryDeleteUsesWritePolicy(t *testing.T) {
 	plan := faultinject.New(11).FailNext(faultinject.ObjDelete, 2)
-	h := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan}), nil),
+	h := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan})),
 		Retry(Policy{WriteAttempts: 3}),
 	)
 	if err := h.Delete(context.Background(), Ref{Key: "k"}); err != nil {
@@ -98,7 +98,7 @@ func TestRetryDeleteUsesWritePolicy(t *testing.T) {
 	}
 
 	plan2 := faultinject.New(11).Always(faultinject.ObjDelete)
-	h2 := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan2}), nil),
+	h2 := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan2})),
 		Retry(Policy{WriteAttempts: 3}),
 	)
 	err := h2.Delete(context.Background(), Ref{Key: "k"})

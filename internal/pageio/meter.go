@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cloudiq/internal/trace"
 )
 
 // StatsRegistry collects per-layer I/O statistics. Each Meter stage in a
@@ -92,21 +94,29 @@ func (r *StatsRegistry) WriteJSON(w io.Writer) error {
 // histBuckets covers latencies up to 2^39 ns (~9 minutes) per call.
 const histBuckets = 40
 
-// LayerStats aggregates one pipeline stage's reads, writes and deletes.
-// Batch calls count once in calls and per-page in items.
+// opClass indexes a layer's operation classes.
+type opClass int
+
+const (
+	opRead opClass = iota
+	opWrite
+	opDelete
+	opSelect
+	numOpClasses
+)
+
+// LayerStats aggregates one pipeline stage's reads, writes, deletes and
+// selects. Batch calls count once in calls and per-page in items.
 type LayerStats struct {
-	read   opStats
-	write  opStats
-	delete opStats
-	sel    opStats
+	ops [numOpClasses]opStats
 }
 
 func (ls *LayerStats) snapshot() LayerSnapshot {
 	return LayerSnapshot{
-		Read:   ls.read.snapshot(),
-		Write:  ls.write.snapshot(),
-		Delete: ls.delete.snapshot(),
-		Select: ls.sel.snapshot(),
+		Read:   ls.ops[opRead].snapshot(),
+		Write:  ls.ops[opWrite].snapshot(),
+		Delete: ls.ops[opDelete].snapshot(),
+		Select: ls.ops[opSelect].snapshot(),
 	}
 }
 
@@ -168,81 +178,130 @@ type OpSnapshot struct {
 	LatNSPow2 []uint64 `json:"lat_ns_pow2"`
 }
 
-// Meter returns a middleware recording every operation that crosses it into
-// reg's layer named name. Each retry attempt below an outer stage is its own
-// inner-stage call, so stacking Meter above and below Retry exposes the
-// retry amplification. A nil registry yields an identity stage.
-func Meter(reg *StatsRegistry, name string) Middleware {
+// Meter returns the middleware observing one pipeline layer, its only
+// observer. Each operation crossing it opens a child span of the context's
+// span, if any, labelled with the layer name ("dbspace:user", "ocm:user",
+// "dev:user", ...) and, when reg is non-nil, is recorded into reg's layer of
+// that name, so a layer's span and counters describe the same call. Above
+// Retry it times the caller-visible operation, backoff included, and Retry
+// and Coalesce annotate its span; below Retry each attempt is its own call,
+// so metering both sides exposes the retry amplification.
+func Meter(reg *StatsRegistry, layer string) Middleware {
 	return func(next Handler) Handler {
-		if reg == nil {
-			return next
+		m := &meter{next: next, layer: layer}
+		if reg != nil {
+			m.stats, m.now = reg.Layer(layer), reg.now
 		}
-		return &meter{next: next, stats: reg.Layer(name), now: reg.now}
+		return m
 	}
 }
 
 type meter struct {
 	next  Handler
-	stats *LayerStats
+	layer string
+	stats *LayerStats // nil: the layer opens spans only
 	now   func() time.Time
 }
 
-func errCount(err error) int {
-	if err != nil {
-		return 1
+// begin opens op's span when the context carries one and samples the
+// latency clock when the layer keeps stats.
+func (m *meter) begin(ctx context.Context, op string) (context.Context, *trace.Span, time.Time) {
+	var sp *trace.Span
+	if parent := trace.From(ctx); parent != nil {
+		sp = parent.Child(op, trace.String("layer", m.layer))
+		ctx = trace.With(ctx, sp)
 	}
-	return 0
+	var start time.Time
+	if m.stats != nil {
+		start = m.now()
+	}
+	return ctx, sp, start
+}
+
+// end records one call of class op when the layer keeps stats, then closes
+// sp, recording err if any.
+func (m *meter) end(sp *trace.Span, err error, op opClass, start time.Time, items, errs, nbytes int) {
+	if m.stats != nil {
+		m.stats.ops[op].record(m.now().Sub(start), items, errs, nbytes)
+	}
+	if sp != nil && err != nil {
+		sp.SetAttr("err", err.Error())
+	}
+	sp.End()
+}
+
+// failedItems counts the items of an n-item operation that err reports
+// failed.
+func failedItems(err error, n int) int {
+	if err == nil {
+		return 0
+	}
+	nerr := 0
+	for _, e := range ItemErrors(err, n) {
+		if e != nil {
+			nerr++
+		}
+	}
+	return nerr
 }
 
 func (m *meter) ReadPage(ctx context.Context, ref Ref) ([]byte, error) {
-	start := m.now()
+	ctx, sp, start := m.begin(ctx, "pageio.read")
+	if sp != nil {
+		sp.SetAttr("ref", ref.Detail())
+	}
 	data, err := m.next.ReadPage(ctx, ref)
-	m.stats.read.record(m.now().Sub(start), 1, errCount(err), len(data))
+	sp.AddInt("bytes", int64(len(data)))
+	m.end(sp, err, opRead, start, 1, failedItems(err, 1), len(data))
 	return data, err
 }
 
 func (m *meter) WritePage(ctx context.Context, req WriteReq) error {
-	start := m.now()
+	ctx, sp, start := m.begin(ctx, "pageio.write")
+	if sp != nil {
+		sp.SetAttr("ref", req.Ref.Detail())
+		sp.AddInt("bytes", int64(len(req.Data)))
+		if req.Async {
+			sp.SetAttr("async", "true")
+		}
+	}
 	err := m.next.WritePage(ctx, req)
-	m.stats.write.record(m.now().Sub(start), 1, errCount(err), len(req.Data))
+	m.end(sp, err, opWrite, start, 1, failedItems(err, 1), len(req.Data))
 	return err
 }
 
 func (m *meter) Delete(ctx context.Context, ref Ref) error {
-	start := m.now()
+	ctx, sp, start := m.begin(ctx, "pageio.delete")
+	if sp != nil {
+		sp.SetAttr("ref", ref.Detail())
+	}
 	err := m.next.Delete(ctx, ref)
-	m.stats.delete.record(m.now().Sub(start), 1, errCount(err), 0)
+	m.end(sp, err, opDelete, start, 1, failedItems(err, 1), 0)
 	return err
 }
 
 func (m *meter) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) {
-	start := m.now()
+	ctx, sp, start := m.begin(ctx, "pageio.readbatch")
+	sp.AddInt("items", int64(len(refs)))
 	out, err := m.next.ReadBatch(ctx, refs)
-	nerr, nbytes := 0, 0
-	for _, e := range ItemErrors(err, len(refs)) {
-		if e != nil {
-			nerr++
-		}
-	}
+	nbytes := 0
 	for _, data := range out {
 		nbytes += len(data)
 	}
-	m.stats.read.record(m.now().Sub(start), len(refs), nerr, nbytes)
+	sp.AddInt("bytes", int64(nbytes))
+	m.end(sp, err, opRead, start, len(refs), failedItems(err, len(refs)), nbytes)
 	return out, err
 }
 
 func (m *meter) WriteBatch(ctx context.Context, reqs []WriteReq) error {
-	start := m.now()
-	err := m.next.WriteBatch(ctx, reqs)
-	nerr, nbytes := 0, 0
-	for _, e := range ItemErrors(err, len(reqs)) {
-		if e != nil {
-			nerr++
-		}
-	}
+	ctx, sp, start := m.begin(ctx, "pageio.writebatch")
+	nbytes := 0
 	for _, req := range reqs {
 		nbytes += len(req.Data)
 	}
-	m.stats.write.record(m.now().Sub(start), len(reqs), nerr, nbytes)
+	sp.AddInt("items", int64(len(reqs)))
+	sp.AddInt("bytes", int64(nbytes))
+	err := m.next.WriteBatch(ctx, reqs)
+	m.end(sp, err, opWrite, start, len(reqs), failedItems(err, len(reqs)), nbytes)
 	return err
 }

@@ -3,12 +3,13 @@
 // the buffer pool, the blockmap, the OCM, the table loader and the WAL flows
 // through a Handler pipeline assembled from the stages in this package:
 //
-//	Meter("dbspace:x") -> Retry -> [cache] -> Meter("store:x") -> store
+//	Meter("dbspace:x") -> Retry -> Meter("ocm:x") -> cache   (or Meter("store:x") -> store)
 //	Meter("dbspace:y") -> Coalesce -> Meter("dev:y") -> device
 //
-// so there is exactly one place to batch, one place to retry, and one place
-// to measure. Middleware composes http-style: a Middleware wraps a Handler
-// and returns a Handler, and Chain applies them first-listed-outermost.
+// so there is exactly one place to batch, one place to retry, and one
+// observer per layer — its Meter, which both traces and counts. Middleware
+// composes http-style: a Middleware wraps a Handler and returns a Handler,
+// and Chain applies them first-listed-outermost.
 package pageio
 
 import (

@@ -39,7 +39,7 @@ func TestChainOrder(t *testing.T) {
 			return &tagged{next: next, name: name, order: &order}
 		}
 	}
-	h := Chain(NewStore(memStore(), nil), tag("outer"), tag("inner"))
+	h := Chain(NewStore(memStore()), tag("outer"), tag("inner"))
 	_ = h.WritePage(context.Background(), WriteReq{Ref: Ref{Key: "k"}, Data: []byte("x")})
 	if len(order) != 2 || order[0] != "outer" || order[1] != "inner" {
 		t.Fatalf("stage order = %v, want [outer inner]", order)
@@ -83,7 +83,7 @@ func TestMeterCountsRetriedAttempts(t *testing.T) {
 	put(t, store, "page", []byte("payload"))
 
 	reg := NewRegistry()
-	h := Chain(NewStore(store, nil),
+	h := Chain(NewStore(store),
 		Meter(reg, "outer"),
 		Retry(Policy{ReadAttempts: 5}),
 		Meter(reg, "inner"),
@@ -108,7 +108,7 @@ func TestMeterCountsRetriedAttempts(t *testing.T) {
 // underlying error stays visible.
 func TestRetryExhausted(t *testing.T) {
 	plan := faultinject.New(3).Always(faultinject.ObjPut)
-	h := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan}), nil),
+	h := Chain(NewStore(objstore.NewMem(objstore.Config{Faults: plan})),
 		Retry(Policy{WriteAttempts: 3}),
 	)
 	err := h.WritePage(context.Background(), WriteReq{Ref: Ref{Key: "k"}, Data: []byte("x")})
@@ -128,7 +128,7 @@ func TestRetryDefaultReadPolicy(t *testing.T) {
 	plan := faultinject.New(5)
 	store := objstore.NewMem(objstore.Config{Faults: plan})
 	put(t, store, "page", []byte("x"))
-	h := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 4}))
+	h := Chain(NewStore(store), Retry(Policy{ReadAttempts: 4}))
 
 	// Missing key: retried to exhaustion.
 	_, err := h.ReadPage(context.Background(), Ref{Key: "absent"})
@@ -213,12 +213,13 @@ func TestBatchErrorSemantics(t *testing.T) {
 	}
 }
 
-// TestStoreBatch round-trips a batch through the store adapter with a
-// parallel pool and checks positional alignment including failures.
+// TestStoreBatch round-trips a batch through the store adapter below a
+// Retry stage fanning out on a parallel pool, and checks positional
+// alignment including failures.
 func TestStoreBatch(t *testing.T) {
 	ctx := context.Background()
 	store := memStore()
-	h := NewStore(store, NewPool(4))
+	h := Chain(NewStore(store), Retry(Policy{Pool: NewPool(4)}))
 
 	reqs := make([]WriteReq, 8)
 	for i := range reqs {
@@ -289,6 +290,29 @@ func TestCoalesceMergesAdjacentExtents(t *testing.T) {
 	}
 	if got := dev.Stats().Reads(); got != 2 {
 		t.Errorf("gapped device reads = %d, want 2", got)
+	}
+
+	// A batch holding a key ref passes through whole, unmerged, with every
+	// result and error still in its own position.
+	dev.Stats().Reset()
+	mixed := []Ref{
+		{Off: 0, Len: page},
+		{Key: "k", Off: page, Len: page},
+		{Off: 2 * page, Len: page},
+		{Off: 1 << 20, Len: page}, // past the device's end
+	}
+	out, err = h.ReadBatch(ctx, mixed)
+	if got := dev.Stats().Reads(); got != 4 {
+		t.Errorf("mixed device reads = %d, want 4 (one per ref, none merged)", got)
+	}
+	errs := ItemErrors(err, len(mixed))
+	for i := 0; i < 3; i++ {
+		if errs[i] != nil || len(out[i]) != page || out[i][0] != byte(i+1) {
+			t.Errorf("mixed item %d: err %v, first byte %v", i, errs[i], out[i])
+		}
+	}
+	if !errors.Is(errs[3], blockdev.ErrOutOfRange) || out[3] != nil {
+		t.Errorf("mixed item 3: err %v, data %v; want out of range and no data", errs[3], out[3])
 	}
 }
 

@@ -84,3 +84,27 @@ func (p *WorkPool) Do(ctx context.Context, n int, fn func(i int) error) []error 
 	}
 	return errs
 }
+
+// readEach is the ReadBatch of every stage whose batch is its single-page
+// operation run per item: it calls h.ReadPage for each ref on pool (nil =
+// sequential, in order) and returns one slice per ref, nil for failed
+// items, with Do's cancellation.
+func readEach(ctx context.Context, pool *WorkPool, h Handler, refs []Ref) ([][]byte, error) {
+	out := make([][]byte, len(refs))
+	errs := pool.Do(ctx, len(refs), func(i int) error {
+		data, err := h.ReadPage(ctx, refs[i])
+		if err != nil {
+			return err
+		}
+		out[i] = data
+		return nil
+	})
+	return out, batchErr(errs)
+}
+
+// writeEach is readEach's WriteBatch counterpart, calling h.WritePage.
+func writeEach(ctx context.Context, pool *WorkPool, h Handler, reqs []WriteReq) error {
+	return batchErr(pool.Do(ctx, len(reqs), func(i int) error {
+		return h.WritePage(ctx, reqs[i])
+	}))
+}

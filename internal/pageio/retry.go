@@ -46,6 +46,11 @@ func retryRead(err error) bool {
 	return errors.Is(err, objstore.ErrNotFound)
 }
 
+// retryWrite is the write policy shared by WritePage and Delete: both are
+// idempotent under the never-write-twice discipline, so re-issuing either
+// against a throttled or flaky store is safe whatever the error.
+func retryWrite(error) bool { return true }
+
 func (p Policy) sleep(d time.Duration) {
 	if p.Scale != nil {
 		p.Scale.Sleep(d)
@@ -84,7 +89,7 @@ func (r *retry) backoff(d time.Duration) time.Duration {
 // ctxAborted reports whether err is the operation's own cancellation or
 // deadline. Retrying such an error burns the remaining attempt budget
 // sleeping and then masks the ctx error behind ErrExhausted, so the retry
-// loops surface it immediately. The returned error is checked — not just
+// loop surfaces it immediately. The returned error is checked — not just
 // ctx.Err() between attempts — because a handler may observe the deadline
 // while this middleware's own ctx check races ahead of it.
 func ctxAborted(err error) bool {
@@ -102,104 +107,73 @@ func noteRetries(ctx context.Context, attempts int, backoff time.Duration) {
 	sp.AddInt("retry.backoff_ns", int64(backoff))
 }
 
-func (r *retry) ReadPage(ctx context.Context, ref Ref) ([]byte, error) {
+// attempt is the one retry loop: it runs op up to attempts times, backing
+// off between tries, and stops at once on success, on the operation's own
+// cancellation, or on an error retryable rejects. An operation that used up
+// its budget fails with ErrExhausted naming what it was, unless the budget
+// was a single attempt, which returns the raw error.
+func (r *retry) attempt(ctx context.Context, attempts int, retryable func(error) bool, what func() string, op func() error) error {
 	delay := r.p.Delay
 	var err error
 	var slept time.Duration
-	attempts := 0
-	for attempt := 0; attempt < r.p.ReadAttempts; attempt++ {
-		if attempt > 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			slept += delay
-			delay = r.backoff(delay)
-		}
-		attempts++
-		var data []byte
-		data, err = r.next.ReadPage(ctx, ref)
-		if err == nil {
-			noteRetries(ctx, attempts, slept)
-			return data, nil
-		}
-		if ctxAborted(err) || !retryRead(err) {
-			return nil, err
-		}
-	}
-	noteRetries(ctx, attempts, slept)
-	if r.p.ReadAttempts == 1 {
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w: read %s after %d attempts: %w",
-		ErrExhausted, ref.Detail(), r.p.ReadAttempts, err)
-}
-
-// retryWrite runs op under the write-retry policy shared by WritePage and
-// Delete: both are idempotent under the never-write-twice discipline, so
-// re-issuing either against a throttled or flaky store is safe.
-func (r *retry) retryWrite(ctx context.Context, verb string, detail func() string, op func() error) error {
-	delay := r.p.Delay
-	var err error
-	var slept time.Duration
-	attempts := 0
-	for attempt := 0; attempt < r.p.WriteAttempts; attempt++ {
-		if attempt > 0 {
+	for i := 0; i < attempts; i++ {
+		if i > 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 			slept += delay
 			delay = r.backoff(delay)
 		}
-		attempts++
 		if err = op(); err == nil {
-			noteRetries(ctx, attempts, slept)
+			noteRetries(ctx, i+1, slept)
 			return nil
 		}
-		if ctxAborted(err) {
+		if ctxAborted(err) || !retryable(err) {
 			return err
 		}
 	}
 	noteRetries(ctx, attempts, slept)
-	if r.p.WriteAttempts == 1 {
+	if attempts == 1 {
 		return err
 	}
-	return fmt.Errorf("%w: %s %s after %d attempts: %w",
-		ErrExhausted, verb, detail(), r.p.WriteAttempts, err)
+	return fmt.Errorf("%w: %s after %d attempts: %w", ErrExhausted, what(), attempts, err)
+}
+
+func (r *retry) ReadPage(ctx context.Context, ref Ref) ([]byte, error) {
+	var data []byte
+	err := r.attempt(ctx, r.p.ReadAttempts, retryRead,
+		func() string { return "read " + ref.Detail() },
+		func() (err error) {
+			data, err = r.next.ReadPage(ctx, ref)
+			return err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 func (r *retry) WritePage(ctx context.Context, req WriteReq) error {
-	return r.retryWrite(ctx, "write", req.Ref.Detail, func() error {
-		return r.next.WritePage(ctx, req)
-	})
+	return r.attempt(ctx, r.p.WriteAttempts, retryWrite,
+		func() string { return "write " + req.Ref.Detail() },
+		func() error { return r.next.WritePage(ctx, req) })
 }
 
 // Delete shares the write budget: a GC or drop delete against a store in a
 // throttling brown-out must recover the same way writes do, and deleting an
 // already-deleted key is a no-op at every terminal.
 func (r *retry) Delete(ctx context.Context, ref Ref) error {
-	return r.retryWrite(ctx, "delete", ref.Detail, func() error {
-		return r.next.Delete(ctx, ref)
-	})
+	return r.attempt(ctx, r.p.WriteAttempts, retryWrite,
+		func() string { return "delete " + ref.Detail() },
+		func() error { return r.next.Delete(ctx, ref) })
 }
 
 // ReadBatch retries each item independently through ReadPage so one slow key
 // (an eventual-consistency straggler) cannot fail its neighbours.
 func (r *retry) ReadBatch(ctx context.Context, refs []Ref) ([][]byte, error) {
-	out := make([][]byte, len(refs))
-	errs := r.p.Pool.Do(ctx, len(refs), func(i int) error {
-		data, err := r.ReadPage(ctx, refs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = data
-		return nil
-	})
-	return out, batchErr(errs)
+	return readEach(ctx, r.p.Pool, r, refs)
 }
 
 func (r *retry) WriteBatch(ctx context.Context, reqs []WriteReq) error {
-	errs := r.p.Pool.Do(ctx, len(reqs), func(i int) error {
-		return r.WritePage(ctx, reqs[i])
-	})
-	return batchErr(errs)
+	return writeEach(ctx, r.p.Pool, r, reqs)
 }

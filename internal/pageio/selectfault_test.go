@@ -32,7 +32,7 @@ func TestSelectFaultNotRetried(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{Faults: plan})
 	seedColumn(t, store, "col/a", 1, 2, 3)
 
-	h := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 5}))
+	h := Chain(NewStore(store), Retry(Policy{ReadAttempts: 5}))
 	_, err := Select(h, ctx, objstore.SelectRequest{
 		Cols: []objstore.SelectCol{{Name: "a", Key: "col/a"}},
 		Plan: objstore.SelectPlan{Project: []string{"a"}},
@@ -71,7 +71,7 @@ func TestBatchFaultEquivalenceWithSelect(t *testing.T) {
 			}
 		}
 
-		h := Chain(NewStore(store, nil), Retry(Policy{ReadAttempts: 2}))
+		h := Chain(NewStore(store), Retry(Policy{ReadAttempts: 2}))
 
 		// The pushdown attempt fails mid-scan (obj.select is Always-armed);
 		// the scan falls back to the batched read below, exactly the fallback

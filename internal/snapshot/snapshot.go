@@ -92,7 +92,7 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("snapshot: store, reclaim and clock are required")
 	}
 	pipe := pageio.Chain(
-		pageio.NewStore(cfg.Store, nil),
+		pageio.NewStore(cfg.Store),
 		pageio.Retry(pageio.Policy{ReadAttempts: metaReadAttempts}),
 	)
 	return &Manager{cfg: cfg, pipe: pipe}, nil

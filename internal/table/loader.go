@@ -51,7 +51,7 @@ func Load(ctx context.Context, t *Table, store objstore.Store, prefix string, pa
 		parallel = 4
 	}
 	pipe := pageio.Chain(
-		pageio.NewStore(store, nil),
+		pageio.NewStore(store),
 		pageio.Retry(pageio.Policy{
 			ReadAttempts: loadReadAttempts,
 			Pool:         pageio.NewPool(parallel),
