@@ -3,17 +3,17 @@
 // non-zero on any finding. It is built purely on the standard library's
 // go/parser, go/ast and go/types.
 //
-// Two layers of rules run. The per-unit analyzers (noclock, lockcheck,
-// iqerrcheck, keyhygiene, faultsite, pageioonly) inspect one package at a
-// time, in parallel across -workers. The module analyzers (lockorder,
-// ctxflow, detclosure, leakcheck) build a whole-module call graph — static
-// call edges plus interface-dispatch edges — and reason across packages:
-// global lock-ordering cycles, severed context chains, the deterministic
-// closure of the simulation tester, and goroutine termination.
+// One list of analyzers runs, in this reporting order: noclock, lockcheck,
+// iqerrcheck, keyhygiene, faultsite and pageioonly check each package's own
+// files; lockorder, ctxflow, detclosure and leakcheck walk a whole-module
+// call graph — static call edges plus interface-dispatch edges — and reason
+// across packages: global lock-ordering cycles, severed context chains, the
+// deterministic closure of the simulation tester, and goroutine termination.
+// Which package owes which rule is one policy table in internal/analysis.
 //
 // Usage:
 //
-//	cloudiq-lint [-json] [-workers n] [-ignores] [pattern ...]
+//	cloudiq-lint [-json] [-ignores] [pattern ...]
 //
 // Patterns are module-relative directories, optionally ending in /... to
 // recurse ("./...", the default, analyzes the whole module). Intentional
@@ -28,11 +28,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"cloudiq/internal/analysis"
 )
@@ -40,15 +38,10 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON diagnostics")
 	ignores := flag.Bool("ignores", false, "audit //lint:ignore directives; exit 1 on stale suppressions")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel workers for the per-package phase")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cloudiq-lint [-json] [-workers n] [-ignores] [pattern ...]\n\nper-package analyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: cloudiq-lint [-json] [-ignores] [pattern ...]\n\nanalyzers:\n")
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(os.Stderr, "\nwhole-module analyzers:\n")
-		for _, m := range analysis.ModuleAnalyzers() {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", m.Name, m.Doc)
 		}
 		flag.PrintDefaults()
 	}
@@ -76,11 +69,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	result := analysis.RunAll(context.Background(), units, analysis.Options{
-		Analyzers: analysis.Analyzers(),
-		Module:    analysis.ModuleAnalyzers(),
-		Workers:   *workers,
-	})
+	result := analysis.RunAll(units, analysis.Analyzers())
 	cwd, _ := os.Getwd()
 
 	if *ignores {

@@ -16,43 +16,41 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"iter"
+	"slices"
 	"strings"
 )
 
-// Analyzer is one named rule. Run inspects a single package unit and reports
-// findings through the Pass.
+// Analyzer is one named rule. Run sees the whole run through its Pass: a
+// per-package rule loops over the units' files, an interprocedural rule walks
+// the call graph.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
 }
 
-// Pass carries one package unit through an analyzer.
+// Pass carries one run through an analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Path     string // import path of the unit
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	Units    []*Unit // every loaded unit, test variants included, in load order
+	Graph    *Graph  // call graph over the base (non-test) units
 
-	// analyze marks the files this unit is responsible for reporting on.
-	// Test variants re-type-check the base files alongside the _test files;
-	// restricting reports avoids duplicating the base pass's findings.
-	analyze map[*ast.File]bool
-
-	diags *[]Diagnostic
+	analyzed map[string]bool // filename -> this run reports on it
+	diags    *[]Diagnostic
 }
 
-// Reportf records a diagnostic at pos.
+// Reportf records a diagnostic at pos, provided pos lies in a file this run
+// analyzes.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if !p.analyzed(position.Filename) {
+	if !p.analyzed[position.Filename] {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
@@ -62,21 +60,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-func (p *Pass) analyzed(filename string) bool {
-	if p.analyze == nil {
-		return true
-	}
-	for f := range p.analyze {
-		if p.Fset.Position(f.Package).Filename == filename {
-			return p.analyze[f]
-		}
-	}
-	return false
-}
-
 // InTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+}
+
+// files yields each unit with each file it analyzes. A test variant
+// re-type-checks the base files alongside its _test files but owns only the
+// latter, so every file is visited once.
+func (p *Pass) files() iter.Seq2[*Unit, *ast.File] {
+	return func(yield func(*Unit, *ast.File) bool) {
+		for _, u := range p.Units {
+			for _, f := range u.Files {
+				if u.Analyze[f] && !yield(u, f) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Diagnostic is one finding.
@@ -91,7 +92,8 @@ func (d Diagnostic) String() string {
 		d.Position.Filename, d.Position.Line, d.Position.Column, d.Rule, d.Message)
 }
 
-// Analyzers returns the full rule set, in reporting order.
+// Analyzers returns the full rule set, in reporting order: the per-package
+// rules, then the interprocedural rules over the call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoClock(),
@@ -100,12 +102,31 @@ func Analyzers() []*Analyzer {
 		KeyHygiene(),
 		FaultSite(),
 		PageioOnly(),
+		LockOrder(),
+		CtxFlow(),
+		DetClosure(),
+		LeakCheck(),
 	}
 }
 
 // --- suppression directives ---
 
 const ignorePrefix = "//lint:ignore"
+
+// parseDirective splits a //lint:ignore comment into its rule and reason; ok
+// is false when the comment is not a directive, and rule is "" when it is a
+// malformed one.
+func parseDirective(text string) (rule, reason string, ok bool) {
+	rest, ok := strings.CutPrefix(text, ignorePrefix)
+	if !ok {
+		return "", "", false
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 2 {
+		return "", "", true
+	}
+	return fields[0], strings.Join(fields[1:], " "), true
+}
 
 type directive struct {
 	rule   string
@@ -129,13 +150,12 @@ func newSuppressions() *suppressions {
 func (s *suppressions) scanFile(fset *token.FileSet, f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, ignorePrefix) {
+			rule, reason, ok := parseDirective(c.Text)
+			if !ok {
 				continue
 			}
 			pos := fset.Position(c.Pos())
-			rest := strings.TrimPrefix(c.Text, ignorePrefix)
-			fields := strings.Fields(rest)
-			if len(fields) < 2 {
+			if rule == "" {
 				s.malformed = append(s.malformed, Diagnostic{
 					Position: pos,
 					Rule:     "lintdirective",
@@ -143,12 +163,7 @@ func (s *suppressions) scanFile(fset *token.FileSet, f *ast.File) {
 				})
 				continue
 			}
-			d := &directive{
-				rule:   fields[0],
-				reason: strings.Join(fields[1:], " "),
-				pos:    pos,
-			}
-			s.add(d)
+			s.add(&directive{rule: rule, reason: reason, pos: pos})
 		}
 	}
 }
@@ -164,14 +179,6 @@ func (s *suppressions) add(d *directive) {
 	// it (comment-above form).
 	lines[d.pos.Line] = append(lines[d.pos.Line], d)
 	lines[d.pos.Line+1] = append(lines[d.pos.Line+1], d)
-}
-
-// merge folds another unit's scan into s (used by the parallel driver).
-func (s *suppressions) merge(o *suppressions) {
-	for _, d := range o.all {
-		s.add(d)
-	}
-	s.malformed = append(s.malformed, o.malformed...)
 }
 
 func (s *suppressions) suppressed(d Diagnostic) bool {
@@ -210,15 +217,11 @@ func (s *suppressions) audit(raw []Diagnostic) []Ignore {
 			Stale:    !live,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		if a.Position.Line != b.Position.Line {
-			return a.Position.Line < b.Position.Line
-		}
-		return a.Rule < b.Rule
+	slices.SortStableFunc(out, func(a, b Ignore) int {
+		return cmp.Or(
+			cmp.Compare(a.Position.Filename, b.Position.Filename),
+			cmp.Compare(a.Position.Line, b.Position.Line),
+			cmp.Compare(a.Rule, b.Rule))
 	})
 	return out
 }
@@ -254,4 +257,93 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // isErrorType reports whether t is the built-in error interface.
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
+}
+
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
+}
+
+func isBasic(t types.Type, kind types.BasicKind) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Kind() == kind
+}
+
+func isByteSlice(t types.Type) bool {
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
+}
+
+// storeMethod resolves call to a method with the object-store shape — a
+// receiver, (context.Context, string, ...) parameters and a final error
+// result — or returns nil. pageioonly and keyhygiene narrow it by name and
+// arity.
+func storeMethod(info *types.Info, call *ast.CallExpr) (*types.Func, *types.Signature) {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return nil, nil
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil, nil
+	}
+	params, res := sig.Params(), sig.Results()
+	if params.Len() < 2 || !isContextType(params.At(0).Type()) || !isBasic(params.At(1).Type(), types.String) ||
+		res.Len() == 0 || !isErrorType(res.At(res.Len()-1).Type()) {
+		return nil, nil
+	}
+	return fn, sig
+}
+
+// forbiddenTimeFuncs are the wall-clock reads. time.Sleep is deliberately
+// allowed: iomodel's Scale is the injected clock and implements its scaled
+// sleeping with it.
+var forbiddenTimeFuncs = map[string]bool{
+	"Now":   true,
+	"Since": true,
+	"Until": true,
+}
+
+// globalRandFuncs are the math/rand (and math/rand/v2) package-level
+// functions that draw from the shared global source. Constructors for
+// locally seeded generators (New, NewSource, NewPCG, NewChaCha8) stay legal:
+// a seeded *rand.Rand is exactly the injected PRNG the rule demands.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int32": true, "Int32N": true, "Int63": true, "Int63n": true,
+	"Int64": true, "Int64N": true, "IntN": true,
+	"Uint": true, "Uint32": true, "Uint32N": true,
+	"Uint64": true, "Uint64N": true, "UintN": true,
+	"Float32": true, "Float64": true,
+	"ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Seed": true, "Read": true, "N": true,
+}
+
+// nondetCall names the wall-clock read ("time.Now", clock true) or global-PRNG
+// draw ("rand.Intn", clock false) that call makes, or returns "" for any other
+// call. Methods never match: (*rand.Rand).Intn draws from a seeded source.
+func nondetCall(info *types.Info, call *ast.CallExpr) (what string, clock bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return "", false
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if forbiddenTimeFuncs[fn.Name()] {
+			return "time." + fn.Name(), true
+		}
+	case "math/rand", "math/rand/v2":
+		if globalRandFuncs[fn.Name()] {
+			return "rand." + fn.Name(), false
+		}
+	}
+	return "", false
 }

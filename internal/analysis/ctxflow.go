@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CtxFlow enforces context threading across the call graph. Two rules:
@@ -24,24 +23,25 @@ import (
 // new context domain — that audit belongs to detclosure/leakcheck), and
 // fabrication sites already suppressed with //lint:ignore ctxflow do not
 // propagate to their callers.
-func CtxFlow() *ModuleAnalyzer {
-	a := &ModuleAnalyzer{
+func CtxFlow() *Analyzer {
+	return &Analyzer{
 		Name: "ctxflow",
 		Doc:  "received contexts must thread to blocking callees; no context.Background outside main/tests",
+		Run:  runCtxFlow,
 	}
-	a.Run = func(pass *ModulePass) {
-		cf := &ctxFlow{pass: pass, fabricates: make(map[*types.Func]ast.Expr)}
-		cf.collectFabrications()
-		cf.closeFabrications()
-		for _, n := range pass.Graph.NodesSorted() {
-			cf.checkFunc(n)
-		}
+}
+
+func runCtxFlow(pass *Pass) {
+	cf := &ctxFlow{pass: pass, fabricates: make(map[*types.Func]ast.Expr)}
+	cf.collectFabrications()
+	cf.closeFabrications()
+	for _, n := range pass.Graph.NodesSorted() {
+		cf.checkFunc(n)
 	}
-	return a
 }
 
 type ctxFlow struct {
-	pass *ModulePass
+	pass *Pass
 	// fabricates maps a function to a context.Background/TODO call it can
 	// reach without crossing a goroutine boundary (itself included), nil
 	// expr meaning "reaches one transitively".
@@ -88,15 +88,8 @@ func (cf *ctxFlow) suppressedFabrication(n *Node, call *ast.CallExpr) bool {
 	}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, ignorePrefix) {
-				continue
-			}
-			cpos := cf.pass.Fset.Position(c.Pos())
-			if cpos.Line != pos.Line && cpos.Line+1 != pos.Line {
-				continue
-			}
-			fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
-			if len(fields) >= 2 && fields[0] == "ctxflow" {
+			line := cf.pass.Fset.Position(c.Pos()).Line
+			if rule, _, _ := parseDirective(c.Text); rule == "ctxflow" && (line == pos.Line || line+1 == pos.Line) {
 				return true
 			}
 		}

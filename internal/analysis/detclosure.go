@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -27,64 +28,49 @@ import (
 //
 // Each diagnostic carries the root→function call path so the reader can see
 // why an apparently unrelated package is inside the deterministic closure.
-func DetClosure() *ModuleAnalyzer {
-	a := &ModuleAnalyzer{
+func DetClosure() *Analyzer {
+	return &Analyzer{
 		Name: "detclosure",
 		Doc:  "everything reachable from the simtest step loop and sched.Core must be deterministic",
+		Run:  runDetClosure,
 	}
-	a.Run = func(pass *ModulePass) {
-		roots := detRoots(pass.Graph)
-		if len(roots) == 0 {
-			return
-		}
-		reached := pass.Graph.Reachable(roots, func(e *Edge) bool {
-			return e.Kind != EdgeRef
-		})
-		dc := &detClosure{pass: pass, reached: reached}
-		for _, n := range pass.Graph.NodesSorted() {
-			if _, ok := reached[n.Func]; !ok {
-				continue
-			}
-			dc.checkFunc(n)
-		}
-	}
-	return a
 }
 
-// detRoots selects the deterministic entry points: the simtest runner's step
-// loop, every method of the sched scheduler core, every method of the
-// cluster controller, and every method of the delta compactor — reconcile
-// rounds and compaction drains run under the simulated clock, so a
+func runDetClosure(pass *Pass) {
+	roots := detRoots(pass.Graph)
+	if len(roots) == 0 {
+		return
+	}
+	reached := pass.Graph.Reachable(roots, func(e *Edge) bool {
+		return e.Kind != EdgeRef
+	})
+	dc := &detClosure{pass: pass, reached: reached}
+	for _, n := range pass.Graph.NodesSorted() {
+		if _, ok := reached[n.Func]; !ok {
+			continue
+		}
+		dc.checkFunc(n)
+	}
+}
+
+// detRoots selects the deterministic entry points: every method of the
+// receiver types the policy table lists as roots (the simtest step loop, the
+// sched scheduler core, the cluster controller, the delta compactor).
+// Reconcile rounds and compaction drains run under the simulated clock, so a
 // wall-clock read or unseeded draw anywhere in their reach would
 // desynchronize replayed failovers and crash-mid-drain schedules.
 func detRoots(g *Graph) []*types.Func {
 	var roots []*types.Func
 	for _, n := range g.NodesSorted() {
-		pkg := pkgBase(n.Func.Pkg().Path())
-		switch pkg {
-		case "simtest":
-			if recvTypeName(n.Func) == "runner" {
-				roots = append(roots, n.Func)
-			}
-		case "sched":
-			if recvTypeName(n.Func) == "Core" {
-				roots = append(roots, n.Func)
-			}
-		case "cluster":
-			if recvTypeName(n.Func) == "Controller" {
-				roots = append(roots, n.Func)
-			}
-		case "delta":
-			if recvTypeName(n.Func) == "Compactor" {
-				roots = append(roots, n.Func)
-			}
+		if slices.Contains(policyOf(n.Func.Pkg().Path()).roots, recvTypeName(n.Func)) {
+			roots = append(roots, n.Func)
 		}
 	}
 	return roots
 }
 
 type detClosure struct {
-	pass    *ModulePass
+	pass    *Pass
 	reached map[*types.Func]*Edge
 }
 
@@ -96,7 +82,7 @@ func (dc *detClosure) checkFunc(n *Node) {
 	if dc.pass.InTestFile(n.Decl.Pos()) {
 		return
 	}
-	inNoclockPkg := deterministicPkgs[pkgBase(n.Func.Pkg().Path())]
+	inNoclockPkg := policyOf(n.Func.Pkg().Path()).deterministic
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 		switch st := x.(type) {
 		case *ast.GoStmt:
@@ -104,7 +90,7 @@ func (dc *detClosure) checkFunc(n *Node) {
 				"goroutine spawned inside the deterministic closure (%s): its interleaving races the simulated schedule",
 				dc.path(n.Func))
 		case *ast.CallExpr:
-			if !inNoclockPkg { // noclock already reports these per-unit
+			if !inNoclockPkg { // noclock already reports these
 				dc.checkClockCall(n, st)
 			}
 		case *ast.RangeStmt:
@@ -114,25 +100,16 @@ func (dc *detClosure) checkFunc(n *Node) {
 	})
 }
 
-// checkClockCall applies the noclock tables to one call site.
+// checkClockCall applies noclock's matcher to one call site.
 func (dc *detClosure) checkClockCall(n *Node, call *ast.CallExpr) {
-	fn := calleeFunc(n.Unit.Info, call)
-	if fn == nil || fn.Pkg() == nil || !isPackageLevel(fn) {
-		return
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if forbiddenTimeFuncs[fn.Name()] {
-			dc.pass.Reportf(call.Pos(),
-				"time.%s reachable from the deterministic step loop (%s): use the injected clock",
-				fn.Name(), dc.path(n.Func))
-		}
-	case "math/rand", "math/rand/v2":
-		if globalRandFuncs[fn.Name()] {
-			dc.pass.Reportf(call.Pos(),
-				"global rand.%s reachable from the deterministic step loop (%s): draw from a seeded source",
-				fn.Name(), dc.path(n.Func))
-		}
+	switch what, clock := nondetCall(n.Unit.Info, call); {
+	case what == "":
+	case clock:
+		dc.pass.Reportf(call.Pos(),
+			"%s reachable from the deterministic step loop (%s): use the injected clock", what, dc.path(n.Func))
+	default:
+		dc.pass.Reportf(call.Pos(),
+			"global %s reachable from the deterministic step loop (%s): draw from a seeded source", what, dc.path(n.Func))
 	}
 }
 

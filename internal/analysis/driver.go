@@ -1,27 +1,10 @@
 package analysis
 
 import (
-	"context"
+	"cmp"
 	"go/token"
-	"sort"
-
-	"cloudiq/internal/pageio"
+	"slices"
 )
-
-// Options selects what RunAll executes.
-type Options struct {
-	// Analyzers are the per-unit rules (nil runs none).
-	Analyzers []*Analyzer
-	// Module are the whole-module interprocedural rules (nil runs none).
-	// They run after the per-unit phase, over the base (non-test) units and
-	// the call graph built from them.
-	Module []*ModuleAnalyzer
-	// Workers bounds the per-unit phase's parallelism; <= 1 runs the units
-	// sequentially. Output is deterministic regardless of the worker count:
-	// each unit collects into its own slot and the slots merge in unit
-	// order before the final position sort.
-	Workers int
-}
 
 // Ignore is one //lint:ignore directive found in the analyzed files. Stale
 // directives — whose rule no longer fires on the line they cover — are the
@@ -40,147 +23,55 @@ type Result struct {
 	Ignores     []Ignore
 }
 
-// RunAll applies the per-unit analyzers (in parallel across units when
-// opts.Workers > 1, reusing the pageio.WorkPool claiming idiom) and then the
-// module analyzers, applies //lint:ignore suppressions, and audits every
-// directive for staleness. Malformed or reason-less directives are reported
-// under the "lintdirective" pseudo-rule.
-func RunAll(ctx context.Context, units []*Unit, opts Options) Result {
-	type unitOut struct {
-		diags []Diagnostic
-		sup   *suppressions
+// RunAll builds the call graph over the base units once, runs every analyzer
+// over the units in order, applies //lint:ignore suppressions, and audits
+// every directive for staleness. Malformed or reason-less directives are
+// reported under the "lintdirective" pseudo-rule.
+func RunAll(units []*Unit, analyzers []*Analyzer) Result {
+	if len(units) == 0 {
+		return Result{}
 	}
-	outs := make([]unitOut, len(units))
-	work := func(i int) error {
-		u := units[i]
-		sup := newSuppressions()
+	fset := units[0].Fset
+	sup := newSuppressions()
+	analyzed := make(map[string]bool)
+	var base []*Unit
+	for _, u := range units {
 		for _, f := range u.Files {
 			if u.Analyze[f] {
-				sup.scanFile(u.Fset, f)
+				sup.scanFile(fset, f)
+				analyzed[fset.Position(f.Package).Filename] = true
 			}
 		}
-		var diags []Diagnostic
-		for _, a := range opts.Analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     u.Fset,
-				Path:     u.Path,
-				Files:    u.Files,
-				Pkg:      u.Pkg,
-				Info:     u.Info,
-				analyze:  u.Analyze,
-				diags:    &diags,
-			}
-			a.Run(pass)
-		}
-		outs[i] = unitOut{diags: diags, sup: sup}
-		return nil
-	}
-	if opts.Workers > 1 && len(units) > 1 {
-		pageio.NewPool(opts.Workers).Do(ctx, len(units), work)
-	} else {
-		for i := range units {
-			_ = work(i)
+		if !u.Test {
+			base = append(base, u)
 		}
 	}
+	graph := BuildGraph(base)
 
 	var diags []Diagnostic
-	sup := newSuppressions()
-	for i := range outs {
-		diags = append(diags, outs[i].diags...)
-		sup.merge(outs[i].sup)
-	}
-
-	if len(opts.Module) > 0 {
-		var base []*Unit
-		for _, u := range units {
-			if !u.Test {
-				base = append(base, u)
-			}
-		}
-		if len(base) > 0 {
-			graph := BuildGraph(base)
-			fset := base[0].Fset
-			analyzed := make(map[string]bool)
-			for _, u := range base {
-				for f, ok := range u.Analyze {
-					if ok {
-						analyzed[fset.Position(f.Package).Filename] = true
-					}
-				}
-			}
-			for _, m := range opts.Module {
-				mp := &ModulePass{
-					Analyzer: m,
-					Fset:     fset,
-					Units:    base,
-					Graph:    graph,
-					analyzed: analyzed,
-					diags:    &diags,
-				}
-				m.Run(mp)
-			}
-		}
+	for _, a := range analyzers {
+		a.Run(&Pass{Analyzer: a, Fset: fset, Units: units, Graph: graph, analyzed: analyzed, diags: &diags})
 	}
 
 	ignores := sup.audit(diags)
 	diags = append(diags, sup.malformed...)
+	// Exact duplicates arise when an interprocedural rule reaches the same
+	// violation from several roots.
+	seen := make(map[Diagnostic]bool, len(diags))
 	kept := diags[:0]
 	for _, d := range diags {
-		if !sup.suppressed(d) {
+		if !seen[d] && !sup.suppressed(d) {
+			seen[d] = true
 			kept = append(kept, d)
 		}
 	}
-	kept = dedupe(kept)
-	sortDiagnostics(kept)
-	return Result{Diagnostics: kept, Ignores: ignores}
-}
-
-// Run applies the per-unit analyzers sequentially — the compatibility shape
-// used by the golden-corpus harness and single-rule tooling.
-func Run(units []*Unit, analyzers []*Analyzer) []Diagnostic {
-	//lint:ignore ctxflow synchronous single-worker wrapper: no parallel phase, nothing to cancel
-	ctx := context.Background()
-	return RunAll(ctx, units, Options{Analyzers: analyzers}).Diagnostics
-}
-
-// RunModule applies a single module analyzer — the golden-corpus harness
-// shape for the interprocedural rules.
-func RunModule(units []*Unit, m *ModuleAnalyzer) []Diagnostic {
-	//lint:ignore ctxflow synchronous single-worker wrapper: no parallel phase, nothing to cancel
-	ctx := context.Background()
-	return RunAll(ctx, units, Options{Module: []*ModuleAnalyzer{m}}).Diagnostics
-}
-
-// dedupe removes exact duplicates (module analyzers can reach the same
-// violation from several roots). The input need not be sorted.
-func dedupe(diags []Diagnostic) []Diagnostic {
-	seen := make(map[Diagnostic]bool, len(diags))
-	out := diags[:0]
-	for _, d := range diags {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func sortDiagnostics(diags []Diagnostic) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		if a.Position.Line != b.Position.Line {
-			return a.Position.Line < b.Position.Line
-		}
-		if a.Position.Column != b.Position.Column {
-			return a.Position.Column < b.Position.Column
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
+	slices.SortStableFunc(kept, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Position.Filename, b.Position.Filename),
+			cmp.Compare(a.Position.Line, b.Position.Line),
+			cmp.Compare(a.Position.Column, b.Position.Column),
+			cmp.Compare(a.Rule, b.Rule),
+			cmp.Compare(a.Message, b.Message))
 	})
+	return Result{Diagnostics: kept, Ignores: ignores}
 }

@@ -2,12 +2,10 @@ package analysis
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"go/parser"
 	"go/token"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -160,48 +158,12 @@ func loadCorpus(t *testing.T, rel string) []*Unit {
 	return units
 }
 
-// TestRunAllParallelDeterminism pins the driver's ordering contract: the
-// diagnostics and the suppression audit are identical whether the per-unit
-// phase runs sequentially or on any number of workers.
-func TestRunAllParallelDeterminism(t *testing.T) {
-	units := loadCorpus(t, ".")
-	if len(units) < 4 {
-		t.Fatalf("want several corpus units to exercise the pool, got %d", len(units))
-	}
-	run := func(workers int) Result {
-		return RunAll(context.Background(), units, Options{
-			Analyzers: Analyzers(),
-			Module:    ModuleAnalyzers(),
-			Workers:   workers,
-		})
-	}
-	sequential := run(1)
-	if len(sequential.Diagnostics) == 0 {
-		t.Fatal("corpus run produced no diagnostics")
-	}
-	if len(sequential.Ignores) == 0 {
-		t.Fatal("corpus run found no suppression directives")
-	}
-	for _, w := range []int{2, 4, 8, 16} {
-		got := run(w)
-		if !reflect.DeepEqual(got.Diagnostics, sequential.Diagnostics) {
-			t.Errorf("workers=%d: diagnostics differ from the sequential run", w)
-		}
-		if !reflect.DeepEqual(got.Ignores, sequential.Ignores) {
-			t.Errorf("workers=%d: suppression audit differs from the sequential run", w)
-		}
-	}
-}
-
 // TestIgnoresAudit checks the three directive fates on the ignores corpus:
 // a live suppression, a stale one (rule no longer fires on the covered
 // lines), and a malformed directive reported as a lintdirective diagnostic.
 func TestIgnoresAudit(t *testing.T) {
 	units := loadCorpus(t, "ignores")
-	res := RunAll(context.Background(), units, Options{
-		Analyzers: Analyzers(),
-		Module:    ModuleAnalyzers(),
-	})
+	res := RunAll(units, Analyzers())
 
 	var live, stale int
 	for _, ig := range res.Ignores {

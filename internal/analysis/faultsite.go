@@ -3,64 +3,48 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// obligation is one row of the faultsite rule: in the packages named by pkgs,
-// every exported context-first method on an exported type whose name starts
-// with one of prefixes must reach a fault hook. The context-first requirement
-// separates real operations from similarly-named counter accessors
-// (Metrics.Puts, Stats.Writes, Log.CheckpointLSN).
+// obligation is one method family of the faultsite rule: in the packages
+// whose policy row lists it, every exported context-first method on an
+// exported type whose name starts with one of prefixes must reach a fault
+// hook. The context-first requirement separates real operations from
+// similarly-named counter accessors (Metrics.Puts, Stats.Writes,
+// Log.CheckpointLSN). A package may list several; a method is checked under
+// the first that names it.
 type obligation struct {
 	kind     string
-	pkgs     []string
 	prefixes []string
 }
 
-func (o obligation) covers(pkg string) bool { return contains(o.pkgs, pkg) }
-
-func (o obligation) names(method string) bool {
-	for _, p := range o.prefixes {
-		if strings.HasPrefix(method, p) {
-			return true
-		}
-	}
-	return false
+func (o *obligation) names(method string) bool {
+	return slices.ContainsFunc(o.prefixes, func(p string) bool { return strings.HasPrefix(method, p) })
 }
 
-// writeRule is the storage-boundary obligation. Read paths (Get, ReadAt,
-// List, Exists, Replay) are injected too in practice, but the invariant the
-// paper needs is that no WRITE can bypass fault coverage — a write that never
-// sees a fault in simulation is a write whose failure handling is never
-// exercised. A call into a different package it covers also discharges an
-// obligation (isBoundaryDelegate).
-var writeRule = obligation{"mutating",
-	[]string{"objstore", "blockdev", "wal", "ocm", "pageio"},
-	[]string{"Put", "Write", "Append", "Delete", "Checkpoint", "Remove", "Truncate"}}
+var (
+	// mutating is the storage-boundary obligation. Read paths (Get, ReadAt,
+	// List, Exists, Replay) are injected too in practice, but the invariant
+	// the paper needs is that no WRITE can bypass fault coverage — a write
+	// that never sees a fault in simulation is a write whose failure
+	// handling is never exercised. A call into a different package it
+	// covers also discharges an obligation (isBoundaryDelegate).
+	mutating = &obligation{"mutating", []string{"Put", "Write", "Append", "Delete", "Checkpoint", "Remove", "Truncate"}}
+	// serving is admission (Scheduler.Run).
+	serving = &obligation{"serving", []string{"Run"}}
+	// reconcile is the control loop (Controller.ReconcileOnce, Converge).
+	reconcile = &obligation{"reconcile", []string{"Reconcile", "Converge"}}
+	// selecting is compute pushdown (MemStore.Select), the read-path
+	// exception to the write rule: a pushdown that cannot fail is a
+	// fallback-to-plain-reads path never taken, which is where a scan would
+	// silently diverge.
+	selecting = &obligation{"select", []string{"Select"}}
+	// compact is the ingest lane's drain (Compactor.CompactTable, CompactAll).
+	compact = &obligation{"compact", []string{"Compact"}}
+)
 
-// obligations is the whole rule: one row per boundary. A package may appear
-// in several rows; a method is checked under the first row that names it.
-var obligations = []obligation{
-	writeRule,
-	// Admission (Scheduler.Run): a query that can be admitted without
-	// passing a fault site is one whose rejection handling the crash
-	// simulator never exercises.
-	{"serving", []string{"sched"}, []string{"Run"}},
-	// Control loop (Controller.ReconcileOnce, Converge): a reconcile round
-	// the planner cannot crash is a failover path whose mid-takeover
-	// behaviour is never exercised.
-	{"reconcile", []string{"cluster"}, []string{"Reconcile", "Converge"}},
-	// Compute pushdown (MemStore.Select), the read-path exception to the
-	// write rule: a pushdown that cannot fail is a fallback-to-plain-reads
-	// path never taken, which is where a scan would silently diverge.
-	{"select", []string{"objstore"}, []string{"Select"}},
-	// Ingest lane (Compactor.CompactTable, CompactAll): a drain the planner
-	// cannot doom is a crash-mid-swap recovery never exercised, which is
-	// where trickle rows would be lost or duplicated.
-	{"compact", []string{"delta"}, []string{"Compact"}},
-}
-
-// FaultSite checks that every method an obligation row names — exported
+// FaultSite checks that every method an obligation names — exported
 // mutating methods on the objstore/blockdev/wal/ocm/pageio boundary, and the
 // serving, reconcile, select and compact entry points — routes through a
 // faultinject hook: its same-package transitive call closure must reach
@@ -68,67 +52,63 @@ var obligations = []obligation{
 // boundary (for example, ocm's write paths delegate to objstore.Store.Put and
 // blockdev.Device.WriteAt, which are themselves hooked).
 func FaultSite() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "faultsite",
 		Doc:  "exported mutating boundary operations must route through a faultinject site",
+		Run:  runFaultSite,
 	}
-	a.Run = func(pass *Pass) {
-		base := pkgBase(pass.Pkg.Path())
-		var rows []obligation
-		for _, o := range obligations {
-			if o.covers(base) {
-				rows = append(rows, o)
-			}
-		}
+}
+
+func runFaultSite(pass *Pass) {
+	// Map every function declared in an obliged unit to its body so the
+	// closure walk can follow same-package calls.
+	bodies := make(map[*types.Func]*ast.BlockStmt)
+	type target struct {
+		decl *ast.FuncDecl
+		unit *Unit
+		kind string
+	}
+	var targets []target
+	for u, f := range pass.files() {
+		rows := policyOf(u.Pkg.Path()).faults
 		if len(rows) == 0 {
-			return
+			continue
 		}
-		// Map every function/method declared in this unit to its body so
-		// the closure walk can follow same-package calls.
-		bodies := make(map[*types.Func]*ast.BlockStmt)
-		var targets []*ast.FuncDecl
-		kinds := make(map[*ast.FuncDecl]string)
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				bodies[fn] = fd.Body
-				if pass.InTestFile(fd.Pos()) {
-					continue
-				}
-				for _, o := range rows {
-					if isExportedPrefixedMethod(fd, fn, o) {
-						targets = append(targets, fd)
-						kinds[fd] = o.kind
-						break
-					}
-				}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-		}
-		for _, fd := range targets {
-			fn := pass.Info.Defs[fd.Name].(*types.Func)
-			seen := make(map[*types.Func]bool)
-			if !reachesFaultHook(pass, fn, bodies, seen) {
-				recv := recvTypeName(fn)
-				pass.Reportf(fd.Name.Pos(),
-					"exported %s operation %s.%s has no faultinject site on any path: add a Plan.Check call or route the write through a covered boundary",
-					kinds[fd], recv, fn.Name())
+			fn, ok := u.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			bodies[fn] = fd.Body
+			if pass.InTestFile(fd.Pos()) {
+				continue
+			}
+			for _, o := range rows {
+				if isExportedPrefixedMethod(fd, fn, o) {
+					targets = append(targets, target{fd, u, o.kind})
+					break
+				}
 			}
 		}
 	}
-	return a
+	for _, t := range targets {
+		fn := t.unit.Info.Defs[t.decl.Name].(*types.Func)
+		if !reachesFaultHook(t.unit, fn, bodies, make(map[*types.Func]bool)) {
+			pass.Reportf(t.decl.Name.Pos(),
+				"exported %s operation %s.%s has no faultinject site on any path: add a Plan.Check call or route the write through a covered boundary",
+				t.kind, recvTypeName(fn), fn.Name())
+		}
+	}
 }
 
 // isExportedPrefixedMethod selects the methods o obliges: exported,
 // context-first methods on exported receiver types whose name carries one of
 // o's prefixes.
-func isExportedPrefixedMethod(fd *ast.FuncDecl, fn *types.Func, o obligation) bool {
+func isExportedPrefixedMethod(fd *ast.FuncDecl, fn *types.Func, o *obligation) bool {
 	if fd.Recv == nil || !fn.Exported() {
 		return false
 	}
@@ -159,10 +139,10 @@ func recvTypeName(fn *types.Func) string {
 	return named.Obj().Name()
 }
 
-// reachesFaultHook walks fn's call closure within the package, following
+// reachesFaultHook walks fn's call closure within u's package, following
 // calls to same-package functions, and succeeds on a faultinject Plan hook
 // or a delegated mutating call into another covered boundary package.
-func reachesFaultHook(pass *Pass, fn *types.Func, bodies map[*types.Func]*ast.BlockStmt, seen map[*types.Func]bool) bool {
+func reachesFaultHook(u *Unit, fn *types.Func, bodies map[*types.Func]*ast.BlockStmt, seen map[*types.Func]bool) bool {
 	if seen[fn] {
 		return false
 	}
@@ -180,17 +160,17 @@ func reachesFaultHook(pass *Pass, fn *types.Func, bodies map[*types.Func]*ast.Bl
 		if !ok {
 			return true
 		}
-		callee := calleeFunc(pass.Info, call)
+		callee := calleeFunc(u.Info, call)
 		if callee == nil || callee.Pkg() == nil {
 			return true
 		}
 		switch {
 		case isFaultHook(callee):
 			found = true
-		case isBoundaryDelegate(pass, callee):
+		case isBoundaryDelegate(u, callee):
 			found = true
-		case callee.Pkg() == pass.Pkg:
-			if reachesFaultHook(pass, callee, bodies, seen) {
+		case callee.Pkg() == u.Pkg:
+			if reachesFaultHook(u, callee, bodies, seen) {
 				found = true
 			}
 		}
@@ -210,10 +190,9 @@ func isFaultHook(fn *types.Func) bool {
 // isBoundaryDelegate matches mutating calls into a DIFFERENT covered
 // boundary package (interface or concrete): the callee's own faultsite
 // obligations guarantee the hook.
-func isBoundaryDelegate(pass *Pass, fn *types.Func) bool {
-	path := fn.Pkg().Path()
-	if fn.Pkg() == pass.Pkg || !writeRule.covers(pkgBase(path)) {
+func isBoundaryDelegate(u *Unit, fn *types.Func) bool {
+	if fn.Pkg() == u.Pkg || !slices.Contains(policyOf(fn.Pkg().Path()).faults, mutating) {
 		return false
 	}
-	return writeRule.names(fn.Name())
+	return mutating.names(fn.Name())
 }

@@ -14,37 +14,66 @@ import (
 // "rule: message" on the same line.
 var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 
-// TestGoldenCorpus runs each per-unit analyzer over its testdata/<rule>
-// corpus and checks the produced diagnostics against the `// want`
-// annotations, both ways: every want must be matched by a diagnostic on its
-// line, and every diagnostic must be covered by a want.
+// TestGoldenCorpus runs each analyzer over its testdata/<rule> corpus and
+// checks the produced diagnostics against the `// want` annotations, both
+// ways: every want must be matched by a diagnostic on its line, and every
+// diagnostic must be covered by a want. The interprocedural rules' corpora
+// typically span several packages, since cross-package reasoning is their
+// point.
 func TestGoldenCorpus(t *testing.T) {
 	for _, a := range Analyzers() {
-		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			runGolden(t, a.Name, func(units []*Unit) []Diagnostic {
-				return Run(units, []*Analyzer{a})
-			})
+			runGolden(t, a)
 		})
 	}
 }
 
-// TestGoldenCorpusModule does the same for the whole-module interprocedural
-// analyzers, whose corpora typically span several packages (the point of the
-// rules being cross-package reasoning).
+// TestGoldenCorpusModule loads the whole testdata tree as one module and runs
+// every analyzer in a single RunAll, as cloudiq-lint does. The analyzers share
+// one Pass setup and one call graph there, so the run must report exactly the
+// union of the analyzers' runs one at a time over the same units, and every
+// want annotation in the tree must still be met.
 func TestGoldenCorpusModule(t *testing.T) {
-	for _, m := range ModuleAnalyzers() {
-		m := m
-		t.Run(m.Name, func(t *testing.T) {
-			runGolden(t, m.Name, func(units []*Unit) []Diagnostic {
-				return RunModule(units, m)
-			})
-		})
+	units := loadCorpus(t, ".")
+	all := RunAll(units, Analyzers()).Diagnostics
+
+	union := make(map[Diagnostic]bool)
+	for _, a := range Analyzers() {
+		for _, d := range RunAll(units, []*Analyzer{a}).Diagnostics {
+			union[d] = true
+		}
+	}
+	got := make(map[Diagnostic]bool, len(all))
+	for _, d := range all {
+		got[d] = true
+		if !union[d] {
+			t.Errorf("combined run reports what no single-rule run does: %s", d)
+		}
+	}
+	for d := range union {
+		if !got[d] {
+			t.Errorf("combined run misses a single-rule run's diagnostic: %s", d)
+		}
+	}
+
+	wants := collectWants(t, units)
+	if len(wants) == 0 {
+		t.Fatal("testdata tree has no want annotations")
+	}
+	for _, d := range all {
+		key := fmt.Sprintf("%s:%d", d.Position.Filename, d.Position.Line)
+		consumeWant(wants, key, d.Rule+": "+d.Message)
+	}
+	for key, subs := range wants {
+		for _, sub := range subs {
+			t.Errorf("%s: expected diagnostic containing %q, got none", key, sub)
+		}
 	}
 }
 
-func runGolden(t *testing.T, name string, run func([]*Unit) []Diagnostic) {
+func runGolden(t *testing.T, a *Analyzer) {
 	t.Helper()
+	name := a.Name
 	dir, err := filepath.Abs(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +104,7 @@ func runGolden(t *testing.T, name string, run func([]*Unit) []Diagnostic) {
 		t.Fatalf("corpus %s has no want annotations", dir)
 	}
 
-	diags := run(units)
+	diags := RunAll(units, []*Analyzer{a}).Diagnostics
 	if len(diags) == 0 {
 		t.Fatalf("analyzer %s produced no diagnostics on its corpus", name)
 	}

@@ -6,57 +6,49 @@ import (
 	"go/types"
 )
 
-// ioLayerPkgs are the packages whose methods' errors carry the engine's
-// durability story: dropping one silently can turn an injected fault or a
-// failed upload into lost data. Errors from these calls must be handled or
-// explicitly discarded with `_ =` (which is visible in review), never
-// dropped by using the call as a bare statement, a bare defer, or a go
-// statement.
-var ioLayerPkgs = map[string]bool{
-	"objstore": true,
-	"blockdev": true,
-	"wal":      true,
-	"ocm":      true,
-}
-
-// IQErrCheck flags discarded error results from objstore, blockdev, wal and
-// ocm calls: bare call statements, bare `defer f.Close()`, go statements,
-// and — the pattern that defeats the visible-discard convention — blank
-// assignments inside deferred closures, where `defer func() { _ = f.Close()
-// }()` dresses a silent drop up as handling.
+// IQErrCheck flags discarded error results from calls into the packages the
+// policy table marks as the I/O layer (objstore, blockdev, wal, ocm), whose
+// methods' errors carry the engine's durability story: dropping one silently
+// can turn an injected fault or a failed upload into lost data. Such errors
+// must be handled or explicitly discarded with `_ =` (which is visible in
+// review). Flagged are bare call statements, bare `defer f.Close()`, go
+// statements, and — the pattern that defeats the visible-discard convention —
+// blank assignments inside deferred closures, where `defer func() { _ =
+// f.Close() }()` dresses a silent drop up as handling.
 func IQErrCheck() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "iqerrcheck",
 		Doc:  "errors from objstore/blockdev/wal/ocm calls must not be silently discarded",
+		Run:  runIQErrCheck,
 	}
-	a.Run = func(pass *Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch st := n.(type) {
-				case *ast.ExprStmt:
-					if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
-						checkDroppedErr(pass, call, "")
-					}
-				case *ast.DeferStmt:
-					checkDroppedErr(pass, st.Call, "defer ")
-					if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
-						checkDeferredDiscards(pass, lit)
-					}
-				case *ast.GoStmt:
-					checkDroppedErr(pass, st.Call, "go ")
+}
+
+func runIQErrCheck(pass *Pass) {
+	for u, f := range pass.files() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
+					checkDroppedErr(pass, u.Info, call, "")
 				}
-				return true
-			})
-		}
+			case *ast.DeferStmt:
+				checkDroppedErr(pass, u.Info, st.Call, "defer ")
+				if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
+					checkDeferredDiscards(pass, u.Info, lit)
+				}
+			case *ast.GoStmt:
+				checkDroppedErr(pass, u.Info, st.Call, "go ")
+			}
+			return true
+		})
 	}
-	return a
 }
 
 // droppedErrFunc resolves call to an in-scope method whose final result is
 // an error, or nil when the call is outside the rule.
-func droppedErrFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	fn := calleeFunc(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || !ioLayerPkgs[pkgBase(fn.Pkg().Path())] {
+func droppedErrFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || !policyOf(fn.Pkg().Path()).ioLayer {
 		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -72,8 +64,8 @@ func droppedErrFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-func checkDroppedErr(pass *Pass, call *ast.CallExpr, form string) {
-	fn := droppedErrFunc(pass, call)
+func checkDroppedErr(pass *Pass, info *types.Info, call *ast.CallExpr, form string) {
+	fn := droppedErrFunc(info, call)
 	if fn == nil {
 		return
 	}
@@ -88,7 +80,7 @@ func checkDroppedErr(pass *Pass, call *ast.CallExpr, form string) {
 // observe a Close/Sync failure, and the closure form signals that handling
 // was intended — so the error must be checked (or the discard suppressed
 // with a reason).
-func checkDeferredDiscards(pass *Pass, lit *ast.FuncLit) {
+func checkDeferredDiscards(pass *Pass, info *types.Info, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // not part of the deferred execution
@@ -106,7 +98,7 @@ func checkDeferredDiscards(pass *Pass, lit *ast.FuncLit) {
 		if !ok {
 			return true
 		}
-		if fn := droppedErrFunc(pass, call); fn != nil {
+		if fn := droppedErrFunc(info, call); fn != nil {
 			pass.Reportf(as.Pos(),
 				"deferred closure blank-discards the %s.%s error: this is the last chance to observe it — check it (or suppress with a reason)",
 				pkgBase(fn.Pkg().Path()), fn.Name())

@@ -6,67 +6,56 @@ import (
 	"go/types"
 )
 
-// keyAllowlistedPkgs may construct object keys locally. Everyone else must
-// pass through a key that was minted elsewhere — ultimately by the Object
-// Key Generator (internal/keygen) rendered through core.KeyNamer — which is
-// the static face of the paper's never-write-twice invariant: a key that is
-// never fabricated at a Put site can never collide with one already written.
-//
-//   - internal/keygen is the minting authority itself.
-//   - tpch stages raw .tbl input corpora under human-named keys; those
-//     objects are load input, not engine pages, and are written once by the
-//     generator.
-var keyAllowlistedPkgs = map[string]bool{
-	"cloudiq/internal/keygen": true,
-	"cloudiq/tpch":            true,
-}
-
 // KeyHygiene flags locally-constructed string keys passed to an object-store
-// Put. A key is locally constructed when the argument expression (following
-// local single assignments) contains a string literal, string concatenation,
-// or an fmt.Sprintf-style formatting call. Keys arriving as parameters,
-// struct fields, or the results of dedicated naming functions (such as
+// Put. Outside the packages the policy table lets mint keys, a key must be
+// minted elsewhere — ultimately by the Object Key Generator (internal/keygen)
+// rendered through core.KeyNamer — which is the static face of the paper's
+// never-write-twice invariant: a key that is never fabricated at a Put site
+// can never collide with one already written.
+//
+// A key is locally constructed when the argument expression (following local
+// single assignments) contains a string literal, string concatenation, or an
+// fmt.Sprintf-style formatting call. Keys arriving as parameters, struct
+// fields, or the results of dedicated naming functions (such as
 // core.KeyNamer.Name, which renders keygen-minted integers) pass.
 //
 // Test files are exempt: fixtures legitimately fabricate keys against the
 // simulated store.
 func KeyHygiene() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "keyhygiene",
 		Doc:  "object-store Put keys must be minted via keygen, not constructed at the call site",
+		Run:  runKeyHygiene,
 	}
-	a.Run = func(pass *Pass) {
-		if keyAllowlistedPkgs[pass.Pkg.Path()] {
-			return
-		}
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				fn, ok := n.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					return true
-				}
-				if pass.InTestFile(fn.Pos()) {
-					return false
-				}
-				checkPutKeys(pass, fn.Body)
-				return true
-			})
-		}
-	}
-	return a
 }
 
-func checkPutKeys(pass *Pass, body *ast.BlockStmt) {
+func runKeyHygiene(pass *Pass) {
+	for u, f := range pass.files() {
+		if policyOf(u.Pkg.Path()).mintsKeys {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			fn, ok := n.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				return true
+			}
+			if pass.InTestFile(fn.Pos()) {
+				return false
+			}
+			checkPutKeys(pass, u.Info, fn.Body)
+			return true
+		})
+	}
+}
+
+func checkPutKeys(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if !isStorePut(pass.Info, call) {
+		if !ok || !isStorePut(info, call) {
 			return true
 		}
 		keyArg := call.Args[1]
-		if origin := locallyConstructed(pass.Info, body, keyArg, 4); origin != nil {
+		if origin := locallyConstructed(info, body, keyArg, 4); origin != nil {
 			pass.Reportf(keyArg.Pos(),
 				"key passed to %s is constructed locally (%s at line %d); object keys must come from the key generator (never-write-twice)",
 				types.ExprString(call.Fun), describeOrigin(origin),
@@ -80,37 +69,15 @@ func checkPutKeys(pass *Pass, body *ast.BlockStmt) {
 // object-store signature (context.Context, string, []byte) error — the shape
 // shared by objstore.Store, the OCM write paths, and every wrapper store.
 func isStorePut(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil {
+	fn, sig := storeMethod(info, call)
+	if fn == nil || sig.Params().Len() != 3 || len(call.Args) != 3 {
 		return false
 	}
 	switch fn.Name() {
 	case "Put", "PutBack", "PutThrough":
-	default:
-		return false
+		return true
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || sig.Params().Len() != 3 || len(call.Args) != 3 {
-		return false
-	}
-	params := sig.Params()
-	if !isContextType(params.At(0).Type()) {
-		return false
-	}
-	if b, ok := params.At(1).Type().(*types.Basic); !ok || b.Kind() != types.String {
-		return false
-	}
-	res := sig.Results()
-	return res.Len() >= 1 && isErrorType(res.At(res.Len()-1).Type())
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
+	return false
 }
 
 // locallyConstructed returns the sub-expression proving the key was built at

@@ -19,30 +19,31 @@ import (
 // <-done: return ... } }`), which this recognizes. A loop whose exit is real
 // but invisible to the analysis should be rewritten until the exit is
 // syntactically evident — the next reader needs the same proof the tool does.
-func LeakCheck() *ModuleAnalyzer {
-	a := &ModuleAnalyzer{
+func LeakCheck() *Analyzer {
+	return &Analyzer{
 		Name: "leakcheck",
 		Doc:  "every go statement needs a visible termination path in the spawned closure",
+		Run:  runLeakCheck,
 	}
-	a.Run = func(pass *ModulePass) {
-		lc := &leakCheck{pass: pass}
-		for _, n := range pass.Graph.NodesSorted() {
-			if pass.InTestFile(n.Decl.Pos()) {
-				continue
-			}
-			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-				if st, ok := x.(*ast.GoStmt); ok {
-					lc.checkSpawn(n, st)
-				}
-				return true
-			})
+}
+
+func runLeakCheck(pass *Pass) {
+	lc := &leakCheck{pass: pass}
+	for _, n := range pass.Graph.NodesSorted() {
+		if pass.InTestFile(n.Decl.Pos()) {
+			continue
 		}
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			if st, ok := x.(*ast.GoStmt); ok {
+				lc.checkSpawn(n, st)
+			}
+			return true
+		})
 	}
-	return a
 }
 
 type leakCheck struct {
-	pass *ModulePass
+	pass *Pass
 }
 
 func (lc *leakCheck) checkSpawn(n *Node, st *ast.GoStmt) {

@@ -27,8 +27,8 @@ type Unit struct {
 	Pkg     *types.Package
 	Info    *types.Info
 
-	// Test marks the test variants. The module phase builds its call graph
-	// from the base units only: test variants re-type-check the base files
+	// Test marks the test variants. RunAll builds its call graph from the
+	// base units only: test variants re-type-check the base files
 	// and would duplicate every function under fresh type identities.
 	Test bool
 }

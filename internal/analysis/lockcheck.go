@@ -18,26 +18,27 @@ import (
 // convention: called with the lock held, possibly dropping and retaking it)
 // are recognised and skipped for that mutex.
 func LockCheck() *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Name: "lockcheck",
 		Doc:  "every Lock must be deferred-unlocked or unlocked on all return paths",
+		Run:  runLockCheck,
 	}
-	a.Run = func(pass *Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						checkFuncLocks(pass, fn.Body)
-					}
-				case *ast.FuncLit:
-					checkFuncLocks(pass, fn.Body)
+}
+
+func runLockCheck(pass *Pass) {
+	for u, f := range pass.files() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkFuncLocks(pass, u.Info, fn.Body)
 				}
-				return true
-			})
-		}
+			case *ast.FuncLit:
+				checkFuncLocks(pass, u.Info, fn.Body)
+			}
+			return true
+		})
 	}
-	return a
 }
 
 // lockKind separates the write pair (Lock/Unlock) from the read pair
@@ -108,6 +109,7 @@ func union(a, b stateSet) stateSet {
 // lockSim simulates one function body for one mutex key.
 type lockSim struct {
 	pass          *Pass
+	info          *types.Info
 	key           string
 	kind          lockKind
 	callerManaged bool
@@ -125,7 +127,7 @@ type lockSim struct {
 // separate scopes with their own balance (they are walked separately by the
 // analyzer's Inspect), so the simulation does not descend into them except
 // to recognise the `defer func() { mu.Unlock() }()` idiom.
-func checkFuncLocks(pass *Pass, body *ast.BlockStmt) {
+func checkFuncLocks(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	keys := make(map[string]lockKind)
 	order := []string{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -133,7 +135,7 @@ func checkFuncLocks(pass *Pass, body *ast.BlockStmt) {
 			return false // literals are separate scopes with their own walk
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := classifyMutexCall(pass.Info, call); ok && op.isLock {
+			if op, ok := classifyMutexCall(info, call); ok && op.isLock {
 				id := op.key + lockKindSuffix(op.kind)
 				if _, seen := keys[id]; !seen {
 					keys[id] = op.kind
@@ -148,6 +150,7 @@ func checkFuncLocks(pass *Pass, body *ast.BlockStmt) {
 		key := strings.TrimSuffix(id, lockKindSuffix(kind))
 		sim := &lockSim{
 			pass:       pass,
+			info:       info,
 			key:        key,
 			kind:       kind,
 			flagged:    make(map[token.Pos]bool),
@@ -212,10 +215,10 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
-			if op, ok := classifyMutexCall(s.pass.Info, call); ok && s.matches(op) {
+			if op, ok := classifyMutexCall(s.info, call); ok && s.matches(op) {
 				return s.apply(op, call.Pos(), in)
 			}
-			if isPanicCall(s.pass.Info, call) {
+			if isPanicCall(s.info, call) {
 				return make(stateSet) // diverges; defers run during unwind
 			}
 		}
@@ -331,7 +334,7 @@ func (s *lockSim) apply(op mutexOp, pos token.Pos, in stateSet) stateSet {
 // isDeferredUnlock recognises `defer mu.Unlock()` and the wrapped form
 // `defer func() { ...; mu.Unlock(); ... }()`.
 func (s *lockSim) isDeferredUnlock(call *ast.CallExpr) bool {
-	if op, ok := classifyMutexCall(s.pass.Info, call); ok {
+	if op, ok := classifyMutexCall(s.info, call); ok {
 		return s.matches(op) && !op.isLock
 	}
 	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
@@ -341,7 +344,7 @@ func (s *lockSim) isDeferredUnlock(call *ast.CallExpr) bool {
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if c, ok := n.(*ast.CallExpr); ok {
-			if op, ok := classifyMutexCall(s.pass.Info, c); ok && s.matches(op) && !op.isLock {
+			if op, ok := classifyMutexCall(s.info, c); ok && s.matches(op) && !op.isLock {
 				found = true
 			}
 		}

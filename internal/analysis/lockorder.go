@@ -5,17 +5,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// LockOrder lifts lockcheck's per-function acquisition facts into a global
-// lock-ordering graph: an edge A→B means some execution acquires mutex B
-// while holding mutex A, either directly in one function or by calling (to
-// any interprocedural depth, across packages) a function that may acquire B.
-// A cycle in that graph is a potential deadlock — two goroutines entering the
-// cycle from different points can block each other forever — and is reported
-// once per cycle at the edge that closes it.
+// LockOrder builds a global lock-ordering graph: it recomputes, for every
+// function, the mutexes its Lock calls acquire (the calls lockcheck balances
+// per function), closes those sets over the call graph, and adds an edge A→B
+// wherever some execution acquires mutex B while holding mutex A, either
+// directly in one function or by calling (to any interprocedural depth,
+// across packages) a function that may acquire B. A cycle in that graph is a
+// potential deadlock — two goroutines entering the cycle from different
+// points can block each other forever — and is reported once per cycle at
+// the edge that closes it.
 //
 // Mutexes are identified by their declaration site (pkg.Type.field for
 // struct fields, pkg.var for package-level mutexes), so the same field
@@ -24,24 +27,25 @@ import (
 // identity, which lockcheck's caller-managed convention legitimizes) are
 // excluded. Goroutine spawns are not followed: a `go` statement starts a new
 // lock context.
-func LockOrder() *ModuleAnalyzer {
-	a := &ModuleAnalyzer{
+func LockOrder() *Analyzer {
+	return &Analyzer{
 		Name: "lockorder",
 		Doc:  "the global lock-ordering graph across packages must be acyclic (deadlock freedom)",
+		Run:  runLockOrder,
 	}
-	a.Run = func(pass *ModulePass) {
-		lo := &lockOrder{
-			pass:  pass,
-			acq:   make(map[*types.Func]map[string]bool),
-			edges: make(map[string]map[string]*lockEdge),
-		}
-		lo.collectAcquisitions()
-		for _, n := range pass.Graph.NodesSorted() {
-			lo.walkFunc(n)
-		}
-		lo.reportCycles()
+}
+
+func runLockOrder(pass *Pass) {
+	lo := &lockOrder{
+		pass:  pass,
+		acq:   make(map[*types.Func]map[string]bool),
+		edges: make(map[string]map[string]*lockEdge),
 	}
-	return a
+	lo.collectAcquisitions()
+	for _, n := range pass.Graph.NodesSorted() {
+		lo.walkFunc(n)
+	}
+	lo.reportCycles()
 }
 
 type lockEdge struct {
@@ -51,7 +55,7 @@ type lockEdge struct {
 }
 
 type lockOrder struct {
-	pass *ModulePass
+	pass *Pass
 	// acq maps each function to the set of lock identities it may acquire,
 	// transitively through call and dispatch edges.
 	acq   map[*types.Func]map[string]bool
@@ -175,11 +179,11 @@ func (lo *lockOrder) callSite(n *Node, call *ast.CallExpr, held *[]string) {
 			for _, h := range *held {
 				lo.addEdge(h, id, call.Pos(), "")
 			}
-			if !contains(*held, id) {
+			if !slices.Contains(*held, id) {
 				*held = append(*held, id)
 			}
 		} else {
-			*held = remove(*held, id)
+			*held = slices.DeleteFunc(*held, func(h string) bool { return h == id })
 		}
 		return
 	}
@@ -325,23 +329,4 @@ func shortLock(id string) string {
 		return id[i+1:]
 	}
 	return id
-}
-
-func contains(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func remove(s []string, v string) []string {
-	out := s[:0]
-	for _, x := range s {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
 }

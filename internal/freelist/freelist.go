@@ -29,9 +29,19 @@ type List struct {
 // New returns a freelist covering the given number of blocks, all free.
 func New(blocks uint64) *List {
 	return &List{
-		words:  make([]uint64, (blocks+63)/64),
+		words:  make([]uint64, wordsFor(blocks)),
 		blocks: blocks,
 	}
+}
+
+// wordsFor is the bitmap length for blocks: (blocks+63)/64, computed without
+// wrapping when blocks is within 63 of 2^64.
+func wordsFor(blocks uint64) uint64 {
+	n := blocks / 64
+	if blocks%64 != 0 {
+		n++
+	}
+	return n
 }
 
 // Blocks returns the total number of blocks tracked.
@@ -209,7 +219,7 @@ func Unmarshal(data []byte) (*List, error) {
 	}
 	blocks := binary.LittleEndian.Uint64(data[0:])
 	inUse := binary.LittleEndian.Uint64(data[8:])
-	nwords := (blocks + 63) / 64
+	nwords := wordsFor(blocks) // at most 2^58, so 16+8*nwords cannot wrap
 	if uint64(len(data)) < 16+8*nwords {
 		return nil, fmt.Errorf("freelist: buffer truncated: %d bytes for %d blocks", len(data), blocks)
 	}
