@@ -18,33 +18,55 @@ import (
 	"sync"
 )
 
-// level is the one compression level pages are stored at. Stored bytes are
-// part of the on-store format's fingerprints; changing it changes them.
-const level = flate.DefaultCompression
+// A page is compressed only as hard as it pays (DESIGN.md "Page codec"). A
+// page shorter than storeBelow is written as DEFLATE stored blocks: these
+// pages (n-bit ints, dictionary codes, RLE runs) shrink by about 1 % at any
+// level, while a deflating Reset alone clears 640 KB of hash tables. Every
+// other page is deflated at level, which on this engine's pages is within
+// 2 points of level 6's ratio at about half its CPU. Either way the result
+// is an ordinary DEFLATE stream: no page flag tells a reader which.
+const (
+	storeBelow = 1 << 10
+	level      = 4
+)
 
 type deflater struct {
 	w   *flate.Writer
 	buf bytes.Buffer
 }
 
-var deflaters = sync.Pool{New: func() any {
-	d := new(deflater)
-	// NewWriter fails only for a level outside [-2, 9].
-	d.w, _ = flate.NewWriter(&d.buf, level)
-	return d
-}}
+func deflaterPool(compression int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		d := new(deflater)
+		// NewWriter fails only for a level outside [-2, 9].
+		d.w, _ = flate.NewWriter(&d.buf, compression)
+		return d
+	}}
+}
+
+// storers hold a 64 KB window and nothing else; deflaters the full match
+// state. Keeping them apart means a goroutine that only stores never builds
+// the larger one.
+var (
+	storers   = deflaterPool(flate.NoCompression)
+	deflaters = deflaterPool(level)
+)
 
 // Compress returns the DEFLATE stream of src. The result is freshly allocated
 // and owned by the caller.
 func Compress(src []byte) []byte {
-	d := deflaters.Get().(*deflater)
+	pool := deflaters
+	if len(src) < storeBelow {
+		pool = storers
+	}
+	d := pool.Get().(*deflater)
 	d.buf.Reset()
 	d.w.Reset(&d.buf)
 	// Writes into a bytes.Buffer cannot fail.
 	_, _ = d.w.Write(src)
 	_ = d.w.Close()
 	out := owned(&d.buf)
-	deflaters.Put(d)
+	pool.Put(d)
 	return out
 }
 

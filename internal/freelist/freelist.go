@@ -88,23 +88,39 @@ func (l *List) Allocate(n uint64) (uint64, error) {
 	return 0, fmt.Errorf("allocate %d blocks: %w", n, ErrNoSpace)
 }
 
-// scan looks for a free run of n blocks starting at or after from.
+// scan looks for the first free run of n blocks starting at or after from. It
+// hops a word at a time: to the next free block, then to the next used one,
+// and the gap between them either holds n blocks or is skipped whole.
 func (l *List) scan(from, n uint64) (uint64, bool) {
-	var run, start uint64
-	for i := from; i < l.blocks; i++ {
-		if l.get(i) {
-			run = 0
-			continue
+	for i := from; i < l.blocks; {
+		start := l.next(i, l.blocks, true)
+		if n > l.blocks-start { // also no free block at all: start == l.blocks
+			break
 		}
-		if run == 0 {
-			start = i
-		}
-		run++
-		if run == n {
+		end := l.next(start, start+n, false)
+		if end == start+n {
 			return start, true
 		}
+		i = end
 	}
 	return 0, false
+}
+
+// next returns the first block in [i, limit) that is free (free true) or in
+// use (free false), or limit if there is none.
+func (l *List) next(i, limit uint64, free bool) uint64 {
+	for i < limit {
+		w := l.words[i/64]
+		if free {
+			w = ^w
+		}
+		// Drop the bits below i; a zero means no match in the rest of the word.
+		if w >>= i % 64; w != 0 {
+			return min(i+uint64(bits.TrailingZeros64(w)), limit)
+		}
+		i += 64 - i%64
+	}
+	return limit
 }
 
 func (l *List) markUsed(start, n uint64) {

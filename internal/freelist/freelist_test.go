@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"cloudiq/internal/mt"
 )
 
 func TestAllocateAndFree(t *testing.T) {
@@ -342,6 +344,71 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	}
 	if restored.InUse() != restored.Blocks() {
 		t.Fatalf("restored not full after filling gaps: %d/%d", restored.InUse(), restored.Blocks())
+	}
+}
+
+// scanReference is the bit-at-a-time first-fit scan the word-at-a-time scan
+// replaced; TestScanMatchesReference holds the two to the same answers.
+func scanReference(l *List, from, n uint64) (uint64, bool) {
+	var run, start uint64
+	for i := from; i < l.blocks; i++ {
+		if l.get(i) {
+			run = 0
+			continue
+		}
+		if run == 0 {
+			start = i
+		}
+		run++
+		if run == n {
+			return start, true
+		}
+	}
+	return 0, false
+}
+
+// TestScanMatchesReference compares scan with scanReference on random bitmaps
+// of one to three words plus a partial tail word, at every density, for every
+// run length from 1 to 130 and every starting block.
+func TestScanMatchesReference(t *testing.T) {
+	r := mt.New(31)
+	for iter := 0; iter < 100; iter++ {
+		blocks := 64*(1+r.Uint64()%3) + r.Uint64()%64
+		l := New(blocks)
+		// Set each bit with probability used/8, so some bitmaps are all
+		// free, some all used, and most have runs of every length.
+		used := r.Uint64() % 9
+		for i := uint64(0); i < blocks; i++ {
+			if r.Uint64()%8 < used {
+				l.set(i)
+			}
+		}
+		for n := uint64(1); n <= 130; n++ {
+			for from := uint64(0); from <= blocks; from++ {
+				got, gotOK := l.scan(from, n)
+				want, wantOK := scanReference(l, from, n)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("iter %d: %d blocks %x, scan(from %d, n %d) = %d, %v; reference %d, %v",
+						iter, blocks, l.words, from, n, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAllocateFull is the allocation the OCM makes on every fill once its
+// SSD is full: both the scan from the hint and the scan from 0 fail.
+func BenchmarkAllocateFull(b *testing.B) {
+	l := New(2048)
+	if _, err := l.Allocate(2048); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := l.Allocate(1); !errors.Is(err, ErrNoSpace) {
+			b.Fatalf("Allocate on a full list: %v", err)
+		}
 	}
 }
 

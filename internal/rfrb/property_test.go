@@ -73,6 +73,35 @@ func TestBitmapMarshalRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestUnionProperty checks the merge against its definition on random pairs:
+// b.Union(o) must leave b with exactly the ranges that adding o's ranges to b
+// one by one leaves, and must not touch o.
+func TestUnionProperty(t *testing.T) {
+	r := mt.New(*propSeed + 1)
+	for iter := 0; iter < 300; iter++ {
+		b, o := genBitmap(r), genBitmap(r)
+		want := b.Clone()
+		for _, rg := range o.Ranges() {
+			want.AddRange(rg)
+		}
+		oBefore := o.String()
+		got := b.Clone()
+		got.Union(o)
+		if got.String() != want.String() {
+			t.Fatalf("seed %d iter %d: %s ∪ %s = %s, want %s (rerun with -prop-seed=%d)",
+				*propSeed, iter, b, o, got, want, *propSeed)
+		}
+		if o.String() != oBefore {
+			t.Fatalf("seed %d iter %d: Union changed its argument %s to %s", *propSeed, iter, oBefore, o)
+		}
+		self := b.Clone()
+		self.Union(self)
+		if self.String() != b.String() {
+			t.Fatalf("seed %d iter %d: %s ∪ itself = %s", *propSeed, iter, b, self)
+		}
+	}
+}
+
 // TestBitmapUnmarshalRejectsCorrupt flips one byte at every offset of a
 // marshaled image; Unmarshal must either reject it or return a structurally
 // valid bitmap (sorted, disjoint, non-empty ranges) — never panic or

@@ -12,6 +12,7 @@ package rfrb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -53,8 +54,7 @@ func (b *Bitmap) Add(start, end uint64) {
 		}
 		j++
 	}
-	merged := append(b.ranges[:i:i], Range{start, end})
-	b.ranges = append(merged, b.ranges[j:]...)
+	b.ranges = slices.Replace(b.ranges, i, j, Range{start, end})
 }
 
 // AddKey inserts a single value.
@@ -143,11 +143,28 @@ func (b *Bitmap) BlockRanges() []Range {
 	return out
 }
 
-// Union adds every range of other into b.
+// Union adds every range of other into b, in one merge of the two sorted
+// range lists.
 func (b *Bitmap) Union(other *Bitmap) {
-	for _, r := range other.ranges {
-		b.Add(r.Start, r.End)
+	if len(other.ranges) == 0 {
+		return
 	}
+	x, y := b.ranges, other.ranges
+	out := make([]Range, 0, len(x)+len(y))
+	for len(x) > 0 || len(y) > 0 {
+		var r Range
+		if len(y) == 0 || (len(x) > 0 && x[0].Start <= y[0].Start) {
+			r, x = x[0], x[1:]
+		} else {
+			r, y = y[0], y[1:]
+		}
+		if last := len(out) - 1; last >= 0 && r.Start <= out[last].End {
+			out[last].End = max(out[last].End, r.End)
+		} else {
+			out = append(out, r)
+		}
+	}
+	b.ranges = out
 }
 
 // Clone returns a deep copy.
