@@ -93,12 +93,26 @@ type KeyNamer struct {
 	Sequential bool
 }
 
-// Name renders the store key for key.
+// Name renders the store key for key: "seq/" or the hash's top 16 bits as
+// four hex digits and a slash, then the key as 16 hex digits. Every segment
+// read names each page it reads, so this is formatted by hand, not by fmt.
 func (n KeyNamer) Name(key uint64) string {
+	var buf [21]byte
+	b := buf[:0]
 	if n.Sequential {
-		return fmt.Sprintf("seq/%016x", key)
+		b = append(b, "seq/"...)
+	} else {
+		b = append(appendHex(b, mt.Hash64(key)>>48, 4), '/')
 	}
-	return fmt.Sprintf("%04x/%016x", mt.Hash64(key)>>48, key)
+	return string(appendHex(b, key, 16))
+}
+
+// appendHex appends the low digits hex digits of v, zero-padded.
+func appendHex(b []byte, v uint64, digits int) []byte {
+	for i := digits - 1; i >= 0; i-- {
+		b = append(b, "0123456789abcdef"[v>>(4*i)&0xf])
+	}
+	return b
 }
 
 // CloudConfig parameterizes a cloud dbspace.

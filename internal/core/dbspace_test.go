@@ -208,6 +208,36 @@ func TestKeyNamerHashedSpreadsPrefixes(t *testing.T) {
 	}
 }
 
+// TestKeyNamerGolden pins both name forms for fixed keys. Object names are
+// stored keys (blockmaps, RF/RB bitmaps, the OCM), so they must not move;
+// the values were recorded from the fmt.Sprintf form Name replaced.
+func TestKeyNamerGolden(t *testing.T) {
+	for _, c := range []struct {
+		key                uint64
+		hashed, sequential string
+	}{
+		{0x0, "28e8/0000000000000000", "seq/0000000000000000"},
+		{0x1, "2245/0000000000000001", "seq/0000000000000001"},
+		{0x2, "e752/0000000000000002", "seq/0000000000000002"},
+		{0x65, "0fa1/0000000000000065", "seq/0000000000000065"},
+		{0xdeadbeef, "c203/00000000deadbeef", "seq/00000000deadbeef"},
+		{0x100000000, "2a00/0000000100000000", "seq/0000000100000000"},
+		{0x7fffffffffffffff, "8c39/7fffffffffffffff", "seq/7fffffffffffffff"},
+		{0x8000000000000000, "c05f/8000000000000000", "seq/8000000000000000"},
+		{0x8000000000000001, "86d3/8000000000000001", "seq/8000000000000001"},
+		{0x8000000000001000, "b116/8000000000001000", "seq/8000000000001000"},
+		{0xffffffffffffffff, "06a2/ffffffffffffffff", "seq/ffffffffffffffff"},
+		{0x123456789abcdef, "b6c3/0123456789abcdef", "seq/0123456789abcdef"},
+	} {
+		if got := (KeyNamer{}).Name(c.key); got != c.hashed {
+			t.Errorf("Name(%#x) = %q, want %q", c.key, got, c.hashed)
+		}
+		if got := (KeyNamer{Sequential: true}).Name(c.key); got != c.sequential {
+			t.Errorf("sequential Name(%#x) = %q, want %q", c.key, got, c.sequential)
+		}
+	}
+}
+
 func TestBlockWriteReadRoundTrip(t *testing.T) {
 	ds := newBlockSpace(t)
 	e, err := writeOne(ds, []byte("conventional page"))

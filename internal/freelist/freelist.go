@@ -68,13 +68,18 @@ func (l *List) clear(i uint64) {
 
 // Allocate finds and marks a contiguous run of n free blocks, returning the
 // first block number. It scans from a rotating hint for O(1) amortized
-// behaviour on append-heavy workloads.
+// behaviour on append-heavy workloads. When no run fits it returns
+// ErrNoSpace itself, unwrapped: a full OCM device fails one Allocate per
+// cache fill, under the cache's lock, and that failure must cost nothing.
 func (l *List) Allocate(n uint64) (uint64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("freelist: zero-length allocation")
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if n > l.blocks-l.inUse { // fewer free blocks than n: no scan can succeed
+		return 0, ErrNoSpace
+	}
 	if start, ok := l.scan(l.hint, n); ok {
 		l.markUsed(start, n)
 		l.hint = start + n
@@ -85,7 +90,7 @@ func (l *List) Allocate(n uint64) (uint64, error) {
 		l.hint = start + n
 		return start, nil
 	}
-	return 0, fmt.Errorf("allocate %d blocks: %w", n, ErrNoSpace)
+	return 0, ErrNoSpace
 }
 
 // scan looks for the first free run of n blocks starting at or after from. It
@@ -247,6 +252,11 @@ func Unmarshal(data []byte) (*List, error) {
 	}
 	if counted != inUse {
 		return nil, fmt.Errorf("freelist: corrupt image: header says %d in use, bitmap has %d", inUse, counted)
+	}
+	// A bit past the last block would count as in use and never be free, and
+	// Allocate's free count (blocks - inUse) would understate the free space.
+	if r := blocks % 64; r != 0 && l.words[nwords-1]>>r != 0 {
+		return nil, fmt.Errorf("freelist: corrupt image: a block past %d marked in use", blocks)
 	}
 	return l, nil
 }

@@ -181,6 +181,12 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if _, err := Unmarshal(img2[:17]); err == nil {
 		t.Fatal("truncated bitmap accepted")
 	}
+	// Block 10 of a 10-block list is past the end: no Marshal writes it.
+	img3 := New(10).Marshal()
+	img3[8], img3[16+1] = 1, 0x04
+	if _, err := Unmarshal(img3); err == nil {
+		t.Fatal("bitmap with a block past the end in use accepted")
+	}
 }
 
 func TestCloneIsIndependent(t *testing.T) {
@@ -397,7 +403,7 @@ func TestScanMatchesReference(t *testing.T) {
 }
 
 // BenchmarkAllocateFull is the allocation the OCM makes on every fill once its
-// SSD is full: both the scan from the hint and the scan from 0 fail.
+// SSD is full: the free count refuses it before any scan.
 func BenchmarkAllocateFull(b *testing.B) {
 	l := New(2048)
 	if _, err := l.Allocate(2048); err != nil {
@@ -408,6 +414,37 @@ func BenchmarkAllocateFull(b *testing.B) {
 	for range b.N {
 		if _, err := l.Allocate(1); !errors.Is(err, ErrNoSpace) {
 			b.Fatalf("Allocate on a full list: %v", err)
+		}
+	}
+}
+
+// TestAllocateFailureAllocs: a failed Allocate, with no free block or with
+// free blocks but no run long enough, allocates nothing and is ErrNoSpace.
+func TestAllocateFailureAllocs(t *testing.T) {
+	full := New(2048)
+	if _, err := full.Allocate(2048); err != nil {
+		t.Fatal(err)
+	}
+	holes := New(2048)
+	if _, err := holes.Allocate(2048); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2048; i += 64 {
+		if err := holes.Free(i, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		l    *List
+		n    uint64
+	}{{"full", full, 1}, {"fragmented", holes, 9}} {
+		var err error
+		if got := testing.AllocsPerRun(100, func() { _, err = c.l.Allocate(c.n) }); got != 0 {
+			t.Errorf("%s: failed Allocate(%d) made %.0f allocations, want 0", c.name, c.n, got)
+		}
+		if !errors.Is(err, ErrNoSpace) {
+			t.Errorf("%s: Allocate(%d) err = %v, want ErrNoSpace", c.name, c.n, err)
 		}
 	}
 }

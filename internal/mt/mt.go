@@ -107,16 +107,15 @@ func (s *Source) generate() {
 // consecutive keys across the prefix space.
 func Hash64(v uint64) uint64 {
 	// Seeding runs the full state expansion; for a hash we only need the
-	// first tempered word, so run a reduced expansion over mm+1 words,
-	// mirroring the recurrence used by Seed but stopping early. The result
-	// remains deterministic and well distributed.
-	var st [mm + 2]uint64
-	st[0] = v
-	for i := uint64(1); i < mm+2; i++ {
-		st[i] = 6364136223846793005*(st[i-1]^(st[i-1]>>62)) + i
+	// first tempered word, which reads state words 0, 1 and mm. Run Seed's
+	// recurrence as far as word mm, keeping just those three.
+	s1 := 6364136223846793005*(v^(v>>62)) + 1
+	s := s1
+	for i := uint64(2); i <= mm; i++ {
+		s = 6364136223846793005*(s^(s>>62)) + i
 	}
-	x := (st[0] & upper) | (st[1] & lower)
-	y := st[mm] ^ (x >> 1)
+	x := (v & upper) | (s1 & lower)
+	y := s ^ (x >> 1)
 	if x&1 == 1 {
 		y ^= matrixA
 	}
