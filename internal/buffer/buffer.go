@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,9 +29,11 @@ var ErrReadOnly = errors.New("buffer: object opened read-only")
 type Config struct {
 	// Capacity is the cache budget in bytes of decompressed page data.
 	Capacity int64
-	// PrefetchWorkers sizes the worker pool a flush compresses and rewrites
-	// pages on; one worker keeps a flush in logical page order. Zero selects
-	// 8. (Read-ahead is the scan's: exec.ScanOptions.Prefetch.)
+	// PrefetchWorkers sizes the worker pool a flush rewrites pages on, and
+	// compresses on the pages the compression queue has not (a flush does
+	// not compress a page it finds compressed); one worker keeps a flush in
+	// logical page order. Zero selects 8. (Read-ahead is the scan's:
+	// exec.ScanOptions.Prefetch.)
 	PrefetchWorkers int
 }
 
@@ -62,6 +65,10 @@ type page struct {
 	owner   *Object // the handle that must flush it; set while dirty
 	logical uint64  // the page's number in the handle that created the slot
 	data    []byte
+	// image is data compressed by the compression queue, for the flush to
+	// write; nil until a worker installs it, and again once a flush ends or
+	// a Write replaces data.
+	image   []byte
 	dirty   bool
 	loading bool // being loaded or flushed: accessors wait on Pool.cond
 	lru     *list.Element
@@ -79,6 +86,20 @@ type Pool struct {
 	nextObj uint64                  // last id handed to a handle or a dbspace
 	spaces  map[core.Dbspace]uint64 // cloud dbspace -> id in shared keys
 	stats   Stats
+
+	// The compression queue (DESIGN.md "When a page is compressed"): pages
+	// written and waiting for a compression worker, oldest first, and the
+	// workers running, at most GOMAXPROCS.
+	queue       []compressJob
+	compressors int
+}
+
+// compressJob is one Write's page image awaiting compression: pg held data
+// when it was queued, on behalf of the handle o.
+type compressJob struct {
+	o    *Object
+	pg   *page
+	data []byte
 }
 
 // NewPool returns a Pool with the given configuration.
@@ -129,6 +150,10 @@ type Object struct {
 	// whose blockmap never changes, so a hit resolves its key without a lock.
 	// Nil for writable handles.
 	memo *keyMemo
+
+	// compressing counts this handle's jobs in the pool's compression
+	// queue or being compressed. Guarded by Pool.mu.
+	compressing int
 
 	// mu guards dirty and flushed, nothing else; where Pool.mu is also held
 	// it is taken first.
@@ -375,8 +400,9 @@ func (o *Object) fetch(ctx context.Context, logicals []uint64, misses []miss) ([
 }
 
 // Write installs data as the new contents of the page, marking it dirty in
-// the cache. The page is born in RAM; permanent storage sees it on eviction
-// or commit.
+// the cache, and queues it for compression. The page is born in RAM;
+// permanent storage sees it on eviction or commit. Write never waits for a
+// compression.
 func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	if o.sink == nil {
 		return ErrReadOnly
@@ -408,9 +434,11 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	}
 	pg := p.pages[key]
 	pg.data = cp
+	pg.image = nil
 	pg.dirty = true
 	pg.owner = o
 	p.size += int64(len(cp))
+	p.enqueueLocked(compressJob{o: o, pg: pg, data: cp})
 
 	o.mu.Lock()
 	if o.dirty == nil {
@@ -422,6 +450,69 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	p.evictLocked(ctx)
 	p.mu.Unlock()
 	return nil
+}
+
+// enqueueLocked hands j to a new compression worker if fewer than
+// GOMAXPROCS run, and queues it otherwise. Called with p.mu held.
+func (p *Pool) enqueueLocked(j compressJob) {
+	j.o.compressing++
+	if p.compressors >= runtime.GOMAXPROCS(0) {
+		p.queue = append(p.queue, j)
+		return
+	}
+	p.compressors++
+	//lint:ignore detclosure compression is a pure function of a page's bytes, and flush installs and writes pages in the same logical order with the same I/O whether or not a worker got there first: only CPU timing depends on the interleaving
+	go p.compressQueued(j)
+}
+
+// compressQueued is a compression worker: it compresses j, then queued
+// pages, oldest first, until the queue is empty, and exits. A job whose page
+// has since been rewritten, flushed or dropped is skipped, and an image is
+// installed only if none of that happened while it was compressing, so a
+// stale image never reaches a flush. A worker exits in the critical section
+// that finishes its last job, so once a handle has no job left, no worker
+// that worked for it is still counted.
+func (p *Pool) compressQueued(j compressJob) {
+	p.mu.Lock()
+	for {
+		if j.current() {
+			p.mu.Unlock()
+			image := j.o.codec.Compress(j.data)
+			p.mu.Lock()
+			if j.current() {
+				j.pg.image = image
+			}
+		}
+		if j.o.compressing--; j.o.compressing == 0 {
+			p.cond.Broadcast()
+		}
+		if len(p.queue) == 0 {
+			p.queue = p.queue[:0]
+			p.compressors--
+			p.mu.Unlock()
+			return
+		}
+		j = p.queue[0]
+		p.queue[0] = compressJob{}
+		p.queue = p.queue[1:]
+	}
+}
+
+// current reports whether j's page is still dirty, not flushing, and holds
+// the data j was queued with. Called with Pool.mu held.
+func (j compressJob) current() bool {
+	pg := j.pg
+	return pg.dirty && !pg.loading && len(pg.data) == len(j.data) &&
+		(len(j.data) == 0 || &pg.data[0] == &j.data[0])
+}
+
+// waitCompressionsLocked returns once none of the handle's pages is queued
+// for compression or being compressed. Called with Pool.mu held; waiting
+// drops it.
+func (o *Object) waitCompressionsLocked() {
+	for o.compressing > 0 {
+		o.pool.cond.Wait()
+	}
 }
 
 // touch moves pg to the LRU front. Called with p.mu held.
@@ -481,9 +572,10 @@ func (p *Pool) removeLocked(pg *page) {
 	p.size -= int64(len(pg.data))
 }
 
-// takeDirty moves every dirty page of the handle into the flushing state and
-// returns them in logical order. A page an eviction is flushing is waited for
-// and then looked at again: the eviction either wrote it or left it dirty.
+// takeDirty waits out the handle's queued compressions, then moves every
+// dirty page of the handle into the flushing state and returns them in
+// logical order. A page an eviction is flushing is waited for and then
+// looked at again: the eviction either wrote it or left it dirty.
 func (o *Object) takeDirty() []*page {
 	o.mu.Lock()
 	dirty := make([]*page, 0, len(o.dirty))
@@ -496,6 +588,7 @@ func (o *Object) takeDirty() []*page {
 	p := o.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	o.waitCompressionsLocked()
 	taken := dirty[:0]
 	for _, pg := range dirty {
 		for pg.loading {
@@ -511,10 +604,12 @@ func (o *Object) takeDirty() []*page {
 
 // FlushForCommit writes out every dirty page of the object in write-through
 // mode and then flushes the blockmap's copy-on-write cascade, returning the
-// new identity for the catalog. This is the commit-phase half of §4. Its
-// pages are in the flushing state from before the first one is compressed
-// until each one's write has landed, so an eviction never writes one of them
-// and the commit never writes one an eviction wrote.
+// new identity for the catalog. This is the commit-phase half of §4. It
+// first waits for the handle's queued compressions (takeDirty), so the flush
+// writes the images they made. Its pages are in the flushing state from
+// before the first is written until each one's write has landed, so an
+// eviction never writes one of them and the commit never writes one an
+// eviction wrote.
 //
 // A cancelled context stops the flush promptly (pages not yet submitted
 // report ctx.Err()), and every distinct page failure is preserved in the
@@ -533,9 +628,9 @@ func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
 	return o.bm.Flush(ctx, o.sink)
 }
 
-// flushChunk bounds how many pages flushBatch compresses before handing
-// them to the dbspace, so that compressing one chunk overlaps the previous
-// chunk's storage writes. Large enough that coalescing and batch fan-out
+// flushChunk bounds how many pages flushBatch prepares before handing them
+// to the dbspace, so that preparing one chunk (compressing the pages the
+// compression queue has not) overlaps the previous chunk's storage writes. Large enough that coalescing and batch fan-out
 // see real batches, small enough that the CPU and I/O halves of a big
 // commit pipeline instead of running as two serial phases.
 const flushChunk = 64
@@ -551,8 +646,9 @@ const flushChunk = 64
 // cannot ride the allocating WriteBatch and overlap their device latency in
 // the worker pool instead (a size-1 pool keeps logical order). The rest go
 // through chunked dbspace WriteBatches, whose pipeline masks per-request
-// storage latency exactly as the paper's load engine does. Compression (the
-// CPU half of a flush) is fanned out across the flush workers and double-
+// storage latency exactly as the paper's load engine does. Each page goes out
+// as the image the compression queue installed; one it has not (storedImage)
+// is compressed here, fanned out across the flush workers and double-
 // buffered against the writes: while chunk k is in flight at the device, chunk
 // k+1 is compressing; the last chunk, with nothing left to overlap, is written
 // on the caller's goroutine. Chunks are issued strictly in order — at most one
@@ -617,7 +713,7 @@ func (o *Object) flushBatch(ctx context.Context, pages []*page, mode core.WriteM
 		_, csp := trace.Start(ctx, "flush.compress",
 			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(chunk))))
 		compErrs := workers.Do(ctx, len(chunk), func(i int) error {
-			stored[i] = o.codec.Compress(chunk[i].data)
+			stored[i] = o.storedImage(chunk[i])
 			return nil
 		})
 		csp.End()
@@ -670,12 +766,23 @@ func (o *Object) flushBatch(ctx context.Context, pages []*page, mode core.WriteM
 // (§3.1), else to a fresh run. It returns where the image is and whether that
 // is a fresh run.
 func (o *Object) flushPage(ctx context.Context, pg *page) (core.Entry, bool, error) {
-	stored := o.codec.Compress(pg.data)
+	stored := o.storedImage(pg)
 	o.mu.Lock()
 	prev := o.flushed[pg.logical]
 	o.mu.Unlock()
 	entry, inPlace, err := o.ds.(*core.BlockDbspace).Rewrite(ctx, prev, stored)
 	return entry, !inPlace, err
+}
+
+// storedImage returns the stored form of a flushing page: the image the
+// compression queue installed, or, for a page the flush overtook (an
+// eviction, a rewrite while queued), one compressed now. A flushing page's
+// image and data change only under Pool.mu, after the flush ends.
+func (o *Object) storedImage(pg *page) []byte {
+	if pg.image != nil {
+		return pg.image
+	}
+	return o.codec.Compress(pg.data)
 }
 
 // install is the one way out of the flushing state. A flush that succeeded
@@ -708,6 +815,7 @@ func (o *Object) finishFlush(pg *page, entry core.Entry, landed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pg.loading = false
+	pg.image = nil
 	p.cond.Broadcast()
 	if !landed {
 		return
@@ -744,10 +852,12 @@ func (o *Object) DirtyCount() int {
 // it flushed — the rollback path: permanent storage is reclaimed via the RB
 // bitmap, RAM via this call. It walks the handle's own maps, not the pool;
 // clean images of committed pages it merely read belong to every reader and
-// stay.
+// stay. It first waits out the handle's queued compressions, so no worker
+// touches its pages once it returns.
 func (o *Object) Discard() {
 	p := o.pool
 	p.mu.Lock()
+	o.waitCompressionsLocked()
 	o.mu.Lock()
 	for logical := range o.dirty {
 		p.dropLocked(o.entryKey(logical, core.Entry{}))

@@ -37,14 +37,15 @@ func randomBytes(seed uint64, n int) []byte {
 type corpusPage struct {
 	name string
 	data []byte
-	// sha256 of FlateCodec{}.Compress(data) under go1.24's compress/flate.
-	// Stored bytes are the object sizes every PUT, GET and stored dollar is
-	// priced by (stored_bytes_per_input_byte), so they move only by a
-	// decision to move them, re-pinned here in the same change. Last moved
-	// when pages under 1 KiB began to be stored and the rest deflated at
-	// level 4: one_byte and comment_column changed; empty, int_column
-	// (already a stored block at level 6), zeros_64k and random_64k kept the
-	// bytes flate.DefaultCompression wrote.
+	// sha256 of FlateCodec{}.Compress(data). Stored bytes are the object
+	// sizes every PUT, GET and stored dollar is priced by
+	// (stored_bytes_per_input_byte), so they move only by a decision to move
+	// them, re-pinned here in the same change. Last moved when
+	// internal/deflate's own encoder replaced compress/flate's writer:
+	// comment_column, zeros_64k and random_64k changed (each is now one
+	// final block of whichever type is smallest); empty, one_byte and
+	// int_column, under 1 KiB, kept the stored framing compress/flate's
+	// NoCompression level writes.
 	sha string
 }
 
@@ -75,9 +76,9 @@ func goldenCorpus() []corpusPage {
 		{"empty", []byte{}, "f067985d352d2da6dfaef4844a66d06c5371ecbd9530a4d195ac599fef8b3427"},
 		{"one_byte", []byte{0x2a}, "e2c53d8ee8c816adb62f72ebb6796606d62a94e03c55ea0acd4b7a3b44a15efd"},
 		{"int_column", column.EncodeSegment(ints), "f37288a3ccbaff71c8d4bed582c51038560f75fcea7ae190af93e1e25a1eea1d"},
-		{"comment_column", column.EncodeSegment(comments), "aab5fd908fc720ea0b6be15799c48ae2e82b9da5fc2245c269d087f27278f582"},
-		{"zeros_64k", make([]byte, 64<<10), "04255b1c36d648439014b3c729a014a4bf54a37246f0d64018a0c6f78a3e0055"},
-		{"random_64k", randomBytes(11, 64<<10), "c69b3858246a5e9ea20812037b41e350b92ca3dbe7dd90799934aff811d72446"},
+		{"comment_column", column.EncodeSegment(comments), "efdbbcdeec706450ac6433522224efcda8933caec8f1439b5c9386f7e34ae089"},
+		{"zeros_64k", make([]byte, 64<<10), "9831d56352b2b4e0a2b507aaec8853cbdaa082c60388f281ac2f16aa0411ea56"},
+		{"random_64k", randomBytes(11, 64<<10), "a2327c0435a1afed78f6f5da30b7e082924b85e1100ee5d46e1f3549195b3d27"},
 	}
 }
 
@@ -113,10 +114,11 @@ func storedLen(n int) int {
 }
 
 // TestFlateCodecSizes round-trips the sizes either side of the store/deflate
-// cut and every corpus page, and checks each image is plain DEFLATE: the
-// standard library's reader inflates it, stored blocks included. A page under
-// 1 KiB must come out stored, and a compressible page of 1 KiB or more
-// deflated (the corpus pages' images are pinned by TestFlateCodecGolden).
+// cut, every corpus page and every page the benchmarks compress, and checks
+// each image is plain DEFLATE: the standard library's reader inflates it,
+// stored blocks included. A page under 1 KiB must come out stored, and a
+// compressible page of 1 KiB or more deflated (the corpus pages' images are
+// pinned by TestFlateCodecGolden).
 func TestFlateCodecSizes(t *testing.T) {
 	type page struct {
 		name     string
@@ -124,8 +126,12 @@ func TestFlateCodecSizes(t *testing.T) {
 		deflates bool
 	}
 	var pages []page
-	for _, size := range []int{0, 1, 1023, 1024, 1025, 64 << 10} {
+	for _, size := range []int{0, 1, 512, 1023, 1024, 1025, 4 << 10, 16 << 10, 64 << 10} {
 		pages = append(pages, page{fmt.Sprintf("%dB", size), benchPage(size), size >= 1<<10})
+	}
+	pages = append(pages, page{"float_column", floatPage(), true})
+	for i, pg := range writeFlushPages() {
+		pages = append(pages, page{fmt.Sprintf("write_flush_%d", i), pg, false})
 	}
 	for _, pg := range goldenCorpus() {
 		pages = append(pages, page{pg.name, pg.data, false})
@@ -275,9 +281,9 @@ func TestFlateCodecConcurrent(t *testing.T) {
 // (ROADMAP 1b), on each of Compress's two paths: Compress used to build a
 // flate.Writer per page (19 allocations, 0.8 MiB) and Decompress a
 // flate.Reader plus io.ReadAll's doublings (43 KB); with compress/flate's
-// reader pooled, Decompress still made 20 allocations at 16 KiB. With the
-// pools warm Compress is the one slice it returns and Decompress exactly
-// that, at every size.
+// reader pooled, Decompress still made 20 allocations at 16 KiB, and with
+// its writer pooled Compress made 2. With the pools warm each is exactly
+// the one slice it returns, at every size.
 func TestFlateCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -293,8 +299,8 @@ func TestFlateCodecAllocs(t *testing.T) {
 		{"deflated", benchPage(16 << 10)},
 	} {
 		stored := codec.Compress(pg.data)
-		if got := testing.AllocsPerRun(100, func() { codec.Compress(pg.data) }); got > 2 {
-			t.Errorf("Compress of a %d-byte %s page: %.0f allocations, limit 2 — is a compressor built per page again?", len(pg.data), pg.path, got)
+		if got := testing.AllocsPerRun(100, func() { codec.Compress(pg.data) }); got != 1 {
+			t.Errorf("Compress of a %d-byte %s page: %.0f allocations, want 1 (the image) — is a compressor built per page again?", len(pg.data), pg.path, got)
 		}
 		var err error
 		if got := testing.AllocsPerRun(100, func() { _, err = codec.Decompress(stored) }); got != 1 || err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -51,26 +52,34 @@ func (e Encoding) String() string {
 // The layout is [type u8][encoding u8][count u32][payload].
 func EncodeSegment(v *Vector) []byte {
 	n := v.Len()
-	hdr := make([]byte, 6)
-	hdr[0] = byte(v.Typ)
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(n))
+	var enc Encoding
+	var out []byte
 	switch v.Typ {
 	case Int64:
-		enc, payload := encodeInts(v.I64)
-		hdr[1] = byte(enc)
-		return append(hdr, payload...)
+		enc, out = encodeInts(v.I64)
 	case Float64:
-		hdr[1] = byte(EncPlainFloat)
-		payload := make([]byte, 8*n)
-		for i, f := range v.F64 {
-			binary.LittleEndian.PutUint64(payload[8*i:], math.Float64bits(f))
+		enc, out = EncPlainFloat, newPage(8*n)
+		for _, f := range v.F64 {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
 		}
-		return append(hdr, payload...)
 	default:
-		enc, payload := encodeStrings(v.Str)
-		hdr[1] = byte(enc)
-		return append(hdr, payload...)
+		enc, out = encodeStrings(v.Str)
 	}
+	out[0] = byte(v.Typ)
+	out[1] = byte(enc)
+	binary.LittleEndian.PutUint32(out[2:], uint32(n))
+	return out
+}
+
+// segmentHeader is the length of a page's [type][encoding][count] header.
+// Every encoder returns its payload behind that many bytes it leaves for
+// EncodeSegment to fill, in one buffer sized up front (newPage).
+const segmentHeader = 6
+
+// newPage returns the header room of a page whose payload is n bytes, with
+// the capacity for that payload.
+func newPage(n int) []byte {
+	return make([]byte, segmentHeader, segmentHeader+n)
 }
 
 // MaxSegmentRows bounds the rows of one segment. Most encodings bound their
@@ -215,7 +224,7 @@ func (s segment) decode(rows []int32, all bool) (*Vector, error) {
 
 func encodeInts(vals []int64) (Encoding, []byte) {
 	if len(vals) == 0 {
-		return EncPlainInt, nil
+		return EncPlainInt, newPage(0)
 	}
 	minV, maxV := vals[0], vals[0]
 	runs := 1
@@ -232,32 +241,33 @@ func encodeInts(vals []int64) (Encoding, []byte) {
 	}
 	// RLE wins when runs are long (16 bytes per run vs ~width/8 per value).
 	if runs*16 < len(vals) {
-		return EncRLEInt, encodeRLE(vals)
+		return EncRLEInt, encodeRLE(newPage(16*runs), vals)
 	}
 	span := uint64(maxV) - uint64(minV)
 	width := bits.Len64(span)
 	// The packer accumulates into a 64-bit word with up to 7 residual bits,
 	// so widths above 56 would overflow; such spans gain little anyway.
 	if width > 56 {
-		return EncPlainInt, plainInts(vals)
+		return EncPlainInt, plainInts(newPage(8*len(vals)), vals)
 	}
-	return EncBitPackedInt, packInts(vals, minV, width)
+	return EncBitPackedInt, packInts(newPage(packedLen(len(vals), width)), vals, minV, width)
 }
 
-func plainInts(vals []int64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, x := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
+func plainInts(dst []byte, vals []int64) []byte {
+	for _, x := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 	}
-	return out
+	return dst
 }
+
+// packedLen is the length of packInts' block of n values of width bits.
+func packedLen(n, width int) int { return 9 + (n*width+7)/8 }
 
 // packInts stores [min i64][width u8][bitstream]. A width of 0 means every
 // value equals min.
-func packInts(vals []int64, minV int64, width int) []byte {
-	out := make([]byte, 9, 9+(len(vals)*width+7)/8)
-	binary.LittleEndian.PutUint64(out, uint64(minV))
-	out[8] = byte(width)
+func packInts(dst []byte, vals []int64, minV int64, width int) []byte {
+	out := binary.LittleEndian.AppendUint64(dst, uint64(minV))
+	out = append(out, byte(width))
 	if width == 0 {
 		return out
 	}
@@ -338,8 +348,7 @@ func (b nbit) unpack(n int, rows []int32, all bool) []int64 {
 	return vals
 }
 
-func encodeRLE(vals []int64) []byte {
-	var out []byte
+func encodeRLE(out []byte, vals []int64) []byte {
 	i := 0
 	for i < len(vals) {
 		j := i
@@ -387,13 +396,22 @@ func decodeRLE(payload []byte, n int, rows []int32, all bool) ([]int64, error) {
 
 // --- strings ---
 
-func encodePlainStrings(vals []string) []byte {
-	var out []byte
+func encodePlainStrings(dst []byte, vals []string) []byte {
+	out := slices.Grow(dst, plainStringsLen(vals))
 	for _, s := range vals {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
 		out = append(out, s...)
 	}
 	return out
+}
+
+// plainStringsLen is the length of encodePlainStrings' payload for vals.
+func plainStringsLen(vals []string) int {
+	n := 4 * len(vals)
+	for _, s := range vals {
+		n += len(s)
+	}
+	return n
 }
 
 // decodePlainStrings walks n length-prefixed values, all of which must fit
@@ -426,15 +444,16 @@ func decodePlainStrings(payload []byte, n int, rows []int32, all bool) ([]string
 // encodeStrings dictionary-encodes when the dictionary pays for itself.
 func encodeStrings(vals []string) (Encoding, []byte) {
 	if len(vals) == 0 {
-		return EncPlainString, nil
-	}
-	dict := make(map[string]int)
-	for _, s := range vals {
-		dict[s] = 0
+		return EncPlainString, newPage(0)
 	}
 	// A dictionary helps when cardinality is well below the value count.
-	if len(dict)*2 >= len(vals) {
-		return EncPlainString, encodePlainStrings(vals)
+	// The distinct count only grows, so once it reaches half the values the
+	// page is plain whatever the rest hold: stop counting there.
+	dict := make(map[string]int)
+	for _, s := range vals {
+		if dict[s] = 0; len(dict)*2 >= len(vals) {
+			return EncPlainString, encodePlainStrings(newPage(0), vals)
+		}
 	}
 	words := make([]string, 0, len(dict))
 	for s := range dict {
@@ -449,11 +468,10 @@ func encodeStrings(vals []string) (Encoding, []byte) {
 	for i, s := range vals {
 		codes[i] = int64(dict[s])
 	}
-	var out []byte
+	out := newPage(4 + plainStringsLen(words) + packedLen(len(codes), width))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(words)))
-	out = append(out, encodePlainStrings(words)...)
-	out = append(out, packInts(codes, 0, width)...)
-	return EncDictString, out
+	out = encodePlainStrings(out, words)
+	return EncDictString, packInts(out, codes, 0, width)
 }
 
 // decodeDictStrings reads [words u32][words, length-prefixed][n-bit codes].

@@ -1,74 +1,39 @@
 // Package deflate is the engine's one DEFLATE implementation: the page codec
-// behind buffer.FlateCodec (flush, fill) and the inflate step of the object
-// store's select endpoint. It is the only package that imports compress/flate,
-// whose writer compresses every page; pages are inflated by this package's
-// own decoder (inflate.go), which works on the in-memory stream.
+// behind buffer.FlateCodec (the compression queue, flush, fill) and the
+// inflate step of the object store's select endpoint. Both halves are its
+// own and work on a page already in memory: the encoder (encode.go) writes
+// each page as one block, the decoder (inflate.go) reads any stream
+// compress/flate reads. compress/flate is imported only for its error type
+// and, in tests, as the reference both halves are held to.
 //
-// A flate.Writer is ≈0.8 MiB of hash tables and window, while a page is
-// about 1 KB, so building one per page costs far more than the compression
-// itself. Writers are therefore kept in sync.Pools and re-armed with Reset,
-// which produces the same bytes as a fresh instance; the inflater's tables
-// and output scratch are pooled the same way. The collector empties the
-// pools, so the number of live compressors follows the number of goroutines
-// compressing at once (about one per P), not the number of pages or flush
-// workers.
+// Each half's scratch — the encoder's hash chains, tokens and codes, the
+// inflater's tables, and each one's output — is kept in a sync.Pool and
+// re-armed per page, so a page costs one allocation, the slice returned, and
+// the output depends only on the input. The collector empties the pools, so
+// the number of live encoders follows the number of goroutines compressing
+// at once (at most one per P), not the number of pages.
 package deflate
 
-import (
-	"bytes"
-	"compress/flate"
-	"sync"
-)
+import "sync"
 
 // A page is compressed only as hard as it pays (DESIGN.md "Page codec"). A
-// page shorter than storeBelow is written as DEFLATE stored blocks: these
-// pages (n-bit ints, dictionary codes, RLE runs) shrink by about 1 % at any
-// level, while a deflating Reset alone clears 640 KB of hash tables. Every
-// other page is deflated at level, which on this engine's pages is within
-// 2 points of level 6's ratio at about half its CPU. Either way the result
-// is an ordinary DEFLATE stream: no page flag tells a reader which.
-const (
-	storeBelow = 1 << 10
-	level      = 4
-)
+// page shorter than storeBelow is written as DEFLATE stored blocks, in the
+// framing compress/flate's NoCompression level writes: these pages (n-bit
+// ints, dictionary codes, RLE runs) shrink by about 1 % deflated, for the
+// cost of a parse. Every other page is one final block, stored, fixed or
+// dynamic, whichever is smallest. Either way the result is an ordinary
+// DEFLATE stream: no page flag tells a reader which.
+const storeBelow = 1 << 10
 
-type deflater struct {
-	w   *flate.Writer
-	buf bytes.Buffer
-}
-
-func deflaterPool(compression int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		d := new(deflater)
-		// NewWriter fails only for a level outside [-2, 9].
-		d.w, _ = flate.NewWriter(&d.buf, compression)
-		return d
-	}}
-}
-
-// storers hold a 64 KB window and nothing else; deflaters the full match
-// state. Keeping them apart means a goroutine that only stores never builds
-// the larger one.
-var (
-	storers   = deflaterPool(flate.NoCompression)
-	deflaters = deflaterPool(level)
-)
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // Compress returns the DEFLATE stream of src. The result is freshly allocated
-// and owned by the caller.
+// and owned by the caller, and depends only on src.
 func Compress(src []byte) []byte {
-	pool := deflaters
-	if len(src) < storeBelow {
-		pool = storers
-	}
-	d := pool.Get().(*deflater)
-	d.buf.Reset()
-	d.w.Reset(&d.buf)
-	// Writes into a bytes.Buffer cannot fail.
-	_, _ = d.w.Write(src)
-	_ = d.w.Close()
-	out := owned(d.buf.Bytes())
-	pool.Put(d)
+	e := encoders.Get().(*encoder)
+	e.compress(src)
+	out := owned(e.out)
+	encoders.Put(e)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cloudiq/internal/column"
@@ -224,4 +225,85 @@ func TestCompactorFailedDrainKeepsRows(t *testing.T) {
 	if got := s.LiveRows("t", 99); got != 4 {
 		t.Fatalf("%d rows live after failed drain, want 4", got)
 	}
+}
+
+// insertRecords are the real and hostile records TestDecodeInsertRejects and
+// FuzzDecodeInsert start from.
+func insertRecords() (good []InsertRecord, bad map[string]InsertRecord) {
+	short := kvBatch(0, 3)
+	short.Vecs[1].Str = short.Vecs[1].Str[:2]
+	extra := kvBatch(0, 2)
+	extra.Vecs = append(extra.Vecs, column.NewVector(column.Int64))
+	retyped := kvBatch(0, 2)
+	retyped.Vecs[1].Typ = column.Int64
+	mixed := kvBatch(0, 2)
+	mixed.Vecs[0].F64 = []float64{1, 2}
+	unknown := kvBatch(0, 2)
+	unknown.Schema.Cols[1].Typ, unknown.Vecs[1].Typ = 9, 9
+	return []InsertRecord{
+			{TxnID: 42, Table: "t", Rows: kvBatch(7, 3)},
+			{TxnID: 1, Table: "t", Rows: kvBatch(0, 0)},
+		}, map[string]InsertRecord{
+			"nil rows":               {TxnID: 1, Table: "t"},
+			"unequal lengths":        {TxnID: 1, Table: "t", Rows: short},
+			"more vectors":           {TxnID: 1, Table: "t", Rows: extra},
+			"vector of other type":   {TxnID: 1, Table: "t", Rows: retyped},
+			"other type's slice":     {TxnID: 1, Table: "t", Rows: mixed},
+			"unknown column type":    {TxnID: 1, Table: "t", Rows: unknown},
+			"fewer vectors":          {TxnID: 1, Table: "t", Rows: &table.Batch{Schema: kvSchema(), Vecs: kvBatch(0, 1).Vecs[:1]}},
+			"vectors with no schema": {TxnID: 1, Table: "t", Rows: &table.Batch{Vecs: kvBatch(0, 1).Vecs}},
+		}
+}
+
+// TestDecodeInsertRejects feeds DecodeInsert records whose rows Apply could
+// not land: each must be an error, not a panic at replay.
+func TestDecodeInsertRejects(t *testing.T) {
+	good, bad := insertRecords()
+	for _, rec := range good {
+		payload, err := EncodeInsert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeInsert(payload); err != nil {
+			t.Errorf("%d rows: %v", rec.Rows.Rows(), err)
+		}
+	}
+	for name, rec := range bad {
+		payload, err := EncodeInsert(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeInsert(payload); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeInsert: DecodeInsert, and on success Apply into a fresh Store,
+// never panics, and an accepted record re-encodes to an equal record.
+func FuzzDecodeInsert(f *testing.F) {
+	good, bad := insertRecords()
+	for _, rec := range good {
+		payload, _ := EncodeInsert(rec)
+		f.Add(payload)
+	}
+	for _, rec := range bad {
+		payload, _ := EncodeInsert(rec)
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := DecodeInsert(payload)
+		if err != nil {
+			return
+		}
+		NewStore().Apply(rec.Table, rec.Rows, 1)
+		again, err := EncodeInsert(rec)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		back, err := DecodeInsert(again)
+		if err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("re-encoded record differs (err %v):\n%+v\n%+v", err, back, rec)
+		}
+	})
 }

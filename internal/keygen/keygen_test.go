@@ -1,6 +1,7 @@
 package keygen
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -313,4 +314,23 @@ func TestPropertyUniquenessAcrossRandomAllocationSizes(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseAllocPayload: an alloc payload parses to an error, never a
+// panic, and one it accepts is exactly what AllocPayload writes for the
+// node and range it parsed to.
+func FuzzParseAllocPayload(f *testing.F) {
+	f.Add(AllocPayload("node-1", rfrb.Range{Start: 10, End: 20}))
+	f.Add(AllocPayload("", rfrb.Range{Start: 1 << 63, End: 1<<63 + 4096}))
+	f.Add([]byte(nil))
+	f.Add([]byte{5, 0, 'a'})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		node, r, err := ParseAllocPayload(p)
+		if err != nil {
+			return
+		}
+		if again := AllocPayload(node, r); !bytes.Equal(again, p) {
+			t.Fatalf("accepted %x as (%q, %v), which writes %x", p, node, r, again)
+		}
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"cloudiq/internal/column"
 	"cloudiq/internal/objstore"
@@ -170,5 +169,25 @@ func parseDate(s string) (int64, error) {
 	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
 		return 0, fmt.Errorf("bad date %q", s)
 	}
-	return column.DateToDays(y, time.Month(m), d), nil
+	return daysFromCivil(y, m, d), nil
+}
+
+// daysFromCivil is column.DateToDays in integer arithmetic (the proleptic
+// Gregorian days-from-civil count), without building a time.Time per value.
+// A day past its month's end carries into the next month as time.Date
+// normalises it (1995-02-30 is 1995-03-02): the count is linear in d. Unlike
+// DateToDays, whose time.Duration saturates about 292 years from 1970, it is
+// exact for every year.
+func daysFromCivil(y, m, d int) int64 {
+	if m <= 2 {
+		y-- // the year starts in March, so February's leap day ends it
+	}
+	era := y / 400
+	if y < 0 && y%400 != 0 {
+		era--
+	}
+	yoe := y - era*400                             // [0, 399]
+	doy := (153*((m+9)%12)+2)/5 + d - 1            // day of the March-based year
+	doe := yoe*365 + yoe/4 - yoe/100 + doy         // day of the 400-year era
+	return int64(era)*146097 + int64(doe) - 719468 // 1970-01-01 is day 0
 }
