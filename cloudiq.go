@@ -66,10 +66,11 @@ type Config struct {
 	// CacheBytes is the buffer manager budget. Zero selects 64 MiB.
 	CacheBytes int64
 	// PrefetchWorkers sizes the engine's I/O worker pools: the batch-I/O
-	// fan-out shared by every dbspace, the OCM's upload and fill workers and the
-	// buffer pool's flush workers. One keeps each of them in index order.
-	// Zero selects 8. It does not bound read-ahead, which is the scan's
-	// window (exec.ScanOptions.Prefetch).
+	// fan-out shared by every dbspace and the OCM's upload and fill workers.
+	// One keeps each of them in index order. Zero selects 8. It does not bound
+	// read-ahead, which is the scan's window (exec.ScanOptions.Prefetch), nor
+	// page compression, which the buffer pool runs on at most GOMAXPROCS
+	// workers.
 	PrefetchWorkers int
 	// Compress enables page-level compression.
 	Compress bool
@@ -160,7 +161,7 @@ func Open(ctx context.Context, cfg Config) (*Database, error) {
 		cfg:    cfg,
 		log:    log,
 		cat:    catalog.New(),
-		pool:   buffer.NewPool(buffer.Config{Capacity: cfg.CacheBytes, PrefetchWorkers: cfg.PrefetchWorkers}),
+		pool:   buffer.NewPool(buffer.Config{Capacity: cfg.CacheBytes}),
 		iopool: pageio.NewPool(workers),
 		delta:  delta.NewStore(),
 		spaces: make(map[string]core.Dbspace),

@@ -605,7 +605,7 @@ func AblationRetryPolicy(ctx context.Context, o Options, pages int) ([]AblationR
 		ds := core.NewCloud(core.CloudConfig{Name: "ablation", Store: store, Keys: client, ReadRetries: retries, Stats: o.IOStats})
 		failures := 0
 		for i := 0; i < pages; i++ {
-			written, err := ds.WriteBatch(ctx, [][]byte{{byte(i)}}, core.WriteThrough)
+			written, err := ds.WriteBatch(ctx, [][]byte{{byte(i)}}, nil, core.WriteThrough)
 			if err != nil {
 				return nil, err
 			}

@@ -94,7 +94,7 @@ func RunTable1(ctx context.Context, o Options) (Table1Events, error) {
 	write := func(t *txn.Txn, n int) error {
 		sink := t.Sink("user")
 		for i := 0; i < n; i++ {
-			written, err := cloud.WriteBatch(ctx, [][]byte{{byte(i)}}, core.WriteThrough)
+			written, err := cloud.WriteBatch(ctx, [][]byte{{byte(i)}}, nil, core.WriteThrough)
 			if err != nil {
 				return err
 			}

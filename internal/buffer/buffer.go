@@ -29,12 +29,6 @@ var ErrReadOnly = errors.New("buffer: object opened read-only")
 type Config struct {
 	// Capacity is the cache budget in bytes of decompressed page data.
 	Capacity int64
-	// PrefetchWorkers sizes the worker pool a flush rewrites pages on, and
-	// compresses on the pages the compression queue has not (a flush does
-	// not compress a page it finds compressed); one worker keeps a flush in
-	// logical page order. Zero selects 8. (Read-ahead is the scan's:
-	// exec.ScanOptions.Prefetch.)
-	PrefetchWorkers int
 }
 
 // Stats counts cache behaviour.
@@ -107,9 +101,6 @@ func NewPool(cfg Config) *Pool {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 64 << 20
 	}
-	if cfg.PrefetchWorkers <= 0 {
-		cfg.PrefetchWorkers = 8
-	}
 	p := &Pool{
 		cfg:     cfg,
 		pages:   make(map[pageKey]*page),
@@ -159,11 +150,10 @@ type Object struct {
 	// it is taken first.
 	mu    sync.Mutex
 	dirty map[uint64]*page // logical -> dirty page (subset of pool cache)
-	// flushed records pages this handle (i.e. this transaction) already
-	// wrote out, enabling the §3.1 in-place optimization on conventional
-	// dbspaces: a page re-flushed within the same transaction/savepoint may
-	// overwrite its own blocks. Cloud dbspaces never take this path — every
-	// flush there is versioned under a fresh key.
+	// flushed records where this handle (i.e. this transaction) already
+	// wrote each page out. A flush hands it to the dbspace as the page's
+	// previous entry, which a conventional dbspace may overwrite in place
+	// (§3.1); a cloud dbspace versions every flush under a fresh key.
 	flushed map[uint64]core.Entry
 }
 
@@ -628,150 +618,50 @@ func (o *Object) FlushForCommit(ctx context.Context) (core.Identity, error) {
 	return o.bm.Flush(ctx, o.sink)
 }
 
-// flushChunk bounds how many pages flushBatch prepares before handing them
-// to the dbspace, so that preparing one chunk (compressing the pages the
-// compression queue has not) overlaps the previous chunk's storage writes. Large enough that coalescing and batch fan-out
-// see real batches, small enough that the CPU and I/O halves of a big
-// commit pipeline instead of running as two serial phases.
-const flushChunk = 64
-
 // flushBatch is the only way a dirty page reaches the dbspace: an eviction
 // calls it with one page and write-back mode, a commit with the handle's
 // dirty pages and write-through. The pages are in the flushing state, in
-// logical order, and each leaves it through install. It returns every item
-// failure.
-//
-// On a conventional dbspace, pages this transaction already flushed go first,
-// each to its own block run (§3.1): those runs are fixed, so the rewrites
-// cannot ride the allocating WriteBatch and overlap their device latency in
-// the worker pool instead (a size-1 pool keeps logical order). The rest go
-// through chunked dbspace WriteBatches, whose pipeline masks per-request
-// storage latency exactly as the paper's load engine does. Each page goes out
-// as the image the compression queue installed; one it has not (storedImage)
-// is compressed here, fanned out across the flush workers and double-
-// buffered against the writes: while chunk k is in flight at the device, chunk
-// k+1 is compressing; the last chunk, with nothing left to overlap, is written
-// on the caller's goroutine. Chunks are issued strictly in order — at most one
-// write is outstanding — so a size-1 worker pool still observes the
-// deterministic page order crash simulations rely on.
+// logical order, and each leaves it through install. They go out in one
+// dbspace WriteBatch, whose pipeline masks per-request storage latency exactly
+// as the paper's load engine does, each as the image the compression queue
+// installed or, for one it has not, compressed here (storedImage), and each
+// with the entry this handle last flushed it to, which the dbspace may
+// overwrite in place. It returns every item failure.
 func (o *Object) flushBatch(ctx context.Context, pages []*page, mode core.WriteMode) []error {
+	stored := make([][]byte, len(pages))
+	_, csp := trace.Start(ctx, "flush.compress", trace.Int("pages", int64(len(pages))))
+	for i, pg := range pages {
+		stored[i] = o.storedImage(pg)
+	}
+	csp.End()
+	prev := make([]core.Entry, len(pages))
+	o.mu.Lock()
+	for i, pg := range pages {
+		prev[i] = o.flushed[pg.logical]
+	}
+	o.mu.Unlock()
+
+	wctx, wsp := trace.Start(ctx, "flush.write", trace.Int("pages", int64(len(pages))))
+	if wsp != nil {
+		var n int64
+		for _, b := range stored {
+			n += int64(len(b))
+		}
+		wsp.AddInt("bytes", n)
+	}
+	entries, err := o.ds.WriteBatch(wctx, stored, prev, mode)
+	if err != nil {
+		wsp.SetAttr("err", err.Error())
+	}
+	wsp.End()
+
 	var errs []error
-	settle := func(pg *page, entry core.Entry, fresh bool, err error) {
-		if err = o.install(ctx, pg, entry, fresh, err); err != nil {
+	for i, itemErr := range pageio.ItemErrors(err, len(pages)) {
+		if err := o.install(ctx, pages[i], entries[i], itemErr); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	workers := pageio.NewPool(o.pool.cfg.PrefetchWorkers)
-
-	batch := pages
-	if _, isBlock := o.ds.(*core.BlockDbspace); isBlock {
-		var rewrites []*page
-		batch = nil
-		o.mu.Lock()
-		for _, pg := range pages {
-			if _, rewritable := o.flushed[pg.logical]; rewritable {
-				rewrites = append(rewrites, pg)
-			} else {
-				batch = append(batch, pg)
-			}
-		}
-		o.mu.Unlock()
-		entries := make([]core.Entry, len(rewrites))
-		fresh := make([]bool, len(rewrites))
-		rwErrs := workers.Do(ctx, len(rewrites), func(i int) (err error) {
-			entries[i], fresh[i], err = o.flushPage(ctx, rewrites[i])
-			return err
-		})
-		for i, pg := range rewrites {
-			settle(pg, entries[i], fresh[i], rwErrs[i])
-		}
-	}
-
-	type writeResult struct {
-		entries []core.Entry
-		err     error
-	}
-	var prevPages []*page // pages of the in-flight chunk, submit order
-	var prevDone chan writeResult
-
-	// collect waits for the in-flight write and installs its entries.
-	collect := func() {
-		if prevDone == nil {
-			return
-		}
-		res := <-prevDone
-		prevDone = nil
-		for j, itemErr := range pageio.ItemErrors(res.err, len(prevPages)) {
-			settle(prevPages[j], res.entries[j], true, itemErr)
-		}
-	}
-
-	for start := 0; start < len(batch); start += flushChunk {
-		chunkIdx := int64(start / flushChunk)
-		chunk := batch[start:min(start+flushChunk, len(batch))]
-		stored := make([][]byte, len(chunk))
-		_, csp := trace.Start(ctx, "flush.compress",
-			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(chunk))))
-		compErrs := workers.Do(ctx, len(chunk), func(i int) error {
-			stored[i] = o.storedImage(chunk[i])
-			return nil
-		})
-		csp.End()
-		var sub [][]byte
-		var subPages []*page
-		for i, err := range compErrs {
-			if err != nil {
-				settle(chunk[i], core.Entry{}, false, err) // cancelled before compression
-				continue
-			}
-			sub = append(sub, stored[i])
-			subPages = append(subPages, chunk[i])
-		}
-		collect()
-		if len(sub) == 0 {
-			continue
-		}
-		wctx, wsp := trace.Start(ctx, "flush.write",
-			trace.Int("chunk", chunkIdx), trace.Int("pages", int64(len(sub))))
-		if wsp != nil {
-			var n int64
-			for _, b := range sub {
-				n += int64(len(b))
-			}
-			wsp.AddInt("bytes", n)
-		}
-		done := make(chan writeResult, 1)
-		write := func() {
-			entries, err := o.ds.WriteBatch(wctx, sub, mode)
-			if err != nil {
-				wsp.SetAttr("err", err.Error())
-			}
-			wsp.End()
-			done <- writeResult{entries: entries, err: err}
-		}
-		if start+flushChunk < len(batch) {
-			//lint:ignore detclosure the overlapped chunk write is joined through done before flushBatch returns; only the join order, fixed by chunk index, is observable
-			go write()
-		} else {
-			write() // the last chunk — an eviction's only one — has nothing to overlap with
-		}
-		prevPages, prevDone = subPages, done
-	}
-	collect()
 	return errs
-}
-
-// flushPage rewrites a page this transaction already flushed to a
-// conventional dbspace: in place when the new image fits its block run
-// (§3.1), else to a fresh run. It returns where the image is and whether that
-// is a fresh run.
-func (o *Object) flushPage(ctx context.Context, pg *page) (core.Entry, bool, error) {
-	stored := o.storedImage(pg)
-	o.mu.Lock()
-	prev := o.flushed[pg.logical]
-	o.mu.Unlock()
-	entry, inPlace, err := o.ds.(*core.BlockDbspace).Rewrite(ctx, prev, stored)
-	return entry, !inPlace, err
 }
 
 // storedImage returns the stored form of a flushing page: the image the
@@ -787,13 +677,13 @@ func (o *Object) storedImage(pg *page) []byte {
 
 // install is the one way out of the flushing state. A flush that succeeded
 // put the page at entry: the blockmap records it and, when the location is
-// fresh — not the block run the page already had — the transaction's bitmaps
-// record the allocation and the location it supersedes. A failed flush leaves
-// the page dirty.
-func (o *Object) install(ctx context.Context, pg *page, entry core.Entry, fresh bool, err error) error {
+// fresh — the page had no previous entry, or one elsewhere, not the block run
+// it was rewritten in — the transaction's bitmaps record the allocation and
+// the location it supersedes. A failed flush leaves the page dirty.
+func (o *Object) install(ctx context.Context, pg *page, entry core.Entry, err error) error {
 	if err == nil {
 		var old core.Entry
-		if old, err = o.bm.Set(ctx, pg.logical, entry); err == nil && fresh {
+		if old, err = o.bm.Set(ctx, pg.logical, entry); err == nil && (old.IsZero() || old.Loc != entry.Loc) {
 			o.sink.NoteAllocated(entry)
 			if !old.IsZero() {
 				o.sink.NoteFreed(old)

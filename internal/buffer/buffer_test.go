@@ -434,6 +434,10 @@ func TestInPlaceRewriteOnConventionalDbspace(t *testing.T) {
 	if second.Size != 180 {
 		t.Fatalf("rewritten size = %d, want 180", second.Size)
 	}
+	// The run is still the page's: the rewrite supersedes nothing.
+	if rf.Contains(first.Loc) {
+		t.Fatalf("the in-place rewrite recorded its own run %v as freed", first)
+	}
 	got, err := obj.Read(ctxb(), 0)
 	if err != nil || !bytes.Equal(got, pageData(42, 180)) {
 		t.Fatalf("contents after in-place rewrite: %v", err)

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"cloudiq/internal/blockdev"
 	"cloudiq/internal/core"
 	"cloudiq/internal/objstore"
+	"cloudiq/internal/rfrb"
 )
 
 // gateCodec is FlateCodec whose next holds Compress calls stop until release
@@ -312,33 +314,64 @@ func writeFlushPages() [][]byte {
 }
 
 // BenchmarkWriteFlush writes 256 pages of mixed shapes through one handle and
-// commits them to a MemStore-backed cloud dbspace: the write path from
-// Write through compression to the dbspace's WriteBatch.
+// commits them: the write path from Write through compression to the
+// dbspace's WriteBatch. cloud commits once to a MemStore-backed cloud
+// dbspace. block_twice writes and flushes every page twice in one transaction
+// on a memory block device, so the second flush overwrites each page's run in
+// place (§3.1).
 func BenchmarkWriteFlush(b *testing.B) {
 	pages := writeFlushPages()
 	var n int64
 	for _, pg := range pages {
 		n += int64(len(pg))
 	}
-	b.SetBytes(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		r := newRig(nil, 64<<20, objstore.Consistency{})
-		bm, err := core.NewBlockmap(r.ds, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		o := r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), FlateCodec{})
-		b.StartTimer()
-		for l, pg := range pages {
-			if err := o.Write(ctxb(), uint64(l), pg); err != nil {
+	cases := []struct {
+		name    string
+		flushes int
+		ds      func() core.Dbspace
+	}{
+		{"cloud", 1, func() core.Dbspace { return newRig(nil, 0, objstore.Consistency{}).ds }},
+		{"block_twice", 2, func() core.Dbspace {
+			dev := blockdev.NewMem(blockdev.Config{Capacity: 16 << 20})
+			ds, err := core.NewBlock(core.BlockConfig{Name: "main", Device: dev, BlockSize: 4096})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		if _, err := o.FlushForCommit(ctxb()); err != nil {
-			b.Fatal(err)
-		}
+			return ds
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(n * int64(c.flushes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ds := c.ds()
+				bm, err := core.NewBlockmap(ds, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink := core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}})
+				o := NewPool(Config{Capacity: 64 << 20}).OpenObject(ds, bm, sink, FlateCodec{})
+				b.StartTimer()
+				var first core.Entry
+				for f := 0; f < c.flushes; f++ {
+					for l, pg := range pages {
+						if err := o.Write(ctxb(), uint64(l), pg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := o.FlushForCommit(ctxb()); err != nil {
+						b.Fatal(err)
+					}
+					if f == 0 {
+						first, _ = bm.Get(ctxb(), 0)
+					}
+				}
+				if e, _ := bm.Get(ctxb(), 0); c.flushes > 1 && e.Loc != first.Loc {
+					b.Fatalf("the second flush moved page 0 from %v to %v", first, e)
+				}
+			}
+		})
 	}
 }

@@ -27,18 +27,20 @@ type countingDs struct {
 	// the write that took hold.
 	entered chan struct{}
 
-	wmu    sync.Mutex
-	writes map[string]int // stored image -> times written
+	wmu     sync.Mutex
+	writes  map[string]int // stored image -> times written
+	batches int            // WriteBatch calls
 	// hold, when set, blocks the next WriteBatch — that one only — until it
 	// is closed.
 	hold chan struct{}
 }
 
-func (c *countingDs) WriteBatch(ctx context.Context, pages [][]byte, mode core.WriteMode) ([]core.Entry, error) {
+func (c *countingDs) WriteBatch(ctx context.Context, pages [][]byte, prev []core.Entry, mode core.WriteMode) ([]core.Entry, error) {
 	c.wmu.Lock()
 	if c.writes == nil {
 		c.writes = make(map[string]int)
 	}
+	c.batches++
 	for _, page := range pages {
 		c.writes[string(page)]++
 	}
@@ -49,7 +51,7 @@ func (c *countingDs) WriteBatch(ctx context.Context, pages [][]byte, mode core.W
 		c.entered <- struct{}{}
 		<-hold
 	}
-	return c.Dbspace.WriteBatch(ctx, pages, mode)
+	return c.Dbspace.WriteBatch(ctx, pages, prev, mode)
 }
 
 // checkWrittenOnce asserts that no image reached the dbspace twice: with
@@ -320,7 +322,7 @@ func TestEvictionDuringCommitNoDoubleFlush(t *testing.T) {
 		}
 	}
 
-	// Hold the commit inside the write of its one chunk: compressed and
+	// Hold the commit inside its one dbspace write: compressed and
 	// submitted, nothing installed yet.
 	hold := make(chan struct{})
 	r.cds.hold, r.cds.entered = hold, make(chan struct{}, 1)
@@ -354,6 +356,23 @@ func TestEvictionDuringCommitNoDoubleFlush(t *testing.T) {
 	if s := r.pool.Stats(); s.Flushes != pages+1 {
 		t.Errorf("%d flushes, want %d: the commit's pages and the one the eviction wrote", s.Flushes, pages+1)
 	}
+	checkAccounting(t, r.pool)
+}
+
+// A commit reaches the dbspace in one WriteBatch however many pages it has,
+// and writes each of them once.
+func TestCommitIsOneWriteBatch(t *testing.T) {
+	const pages = 200
+	r := newShareRig(t, 1<<20)
+	id := commitPages(t, r.writer(t, core.Identity{}), pages, 0)
+	if r.cds.batches != 1 {
+		t.Fatalf("a %d-page commit made %d dbspace WriteBatch calls, want 1", pages, r.cds.batches)
+	}
+	if len(r.cds.writes) != pages {
+		t.Fatalf("%d distinct images written, want %d", len(r.cds.writes), pages)
+	}
+	r.cds.checkWrittenOnce(t)
+	scanPages(t, r.reader(t, id), pages, 0)
 	checkAccounting(t, r.pool)
 }
 

@@ -41,13 +41,30 @@ func newNode(level, fanout int) *bmNode {
 	return n
 }
 
-// MinFanout is the smallest supported tree fanout.
-const MinFanout = 2
+// MinFanout and MaxFanout bound a tree's fanout: a node holds fanout entries,
+// so an identity read back from storage must not be able to ask for 2^32 of
+// them.
+const (
+	MinFanout = 2
+	MaxFanout = 4096
+)
+
+// MaxLevels is the deepest root level a blockmap takes. At fanout MinFanout a
+// tree of MaxLevels+1 levels already addresses 2^64 pages, the whole logical
+// space, so a deeper root addresses nothing more.
+const MaxLevels = 63
+
+func checkFanout(fanout int64) error {
+	if fanout < MinFanout || fanout > MaxFanout {
+		return fmt.Errorf("core: blockmap fanout %d outside [%d, %d]", fanout, MinFanout, MaxFanout)
+	}
+	return nil
+}
 
 // NewBlockmap returns an empty blockmap whose pages will live in ds.
 func NewBlockmap(ds Dbspace, fanout int) (*Blockmap, error) {
-	if fanout < MinFanout {
-		return nil, fmt.Errorf("core: blockmap fanout %d below minimum %d", fanout, MinFanout)
+	if err := checkFanout(int64(fanout)); err != nil {
+		return nil, err
 	}
 	return &Blockmap{ds: ds, fanout: fanout, root: newNode(0, fanout)}, nil
 }
@@ -66,17 +83,17 @@ type Identity struct {
 // OpenBlockmap reopens a blockmap from its identity. Child pages load
 // lazily on first access.
 func OpenBlockmap(ds Dbspace, id Identity) (*Blockmap, error) {
-	if id.Fanout < MinFanout {
-		return nil, fmt.Errorf("core: identity fanout %d below minimum", id.Fanout)
+	if err := checkFanout(int64(id.Fanout)); err != nil {
+		return nil, err
 	}
-	bm := &Blockmap{ds: ds, fanout: int(id.Fanout), pages: id.Pages}
-	root := newNode(int(id.Levels), int(id.Fanout))
-	root.stored = id.Root
-	if !id.Root.IsZero() {
-		root.entries = nil // force load on first access
+	if id.Levels > MaxLevels {
+		return nil, fmt.Errorf("core: identity has %d levels, max %d", id.Levels, MaxLevels)
 	}
-	bm.root = root
-	return bm, nil
+	root := &bmNode{level: int(id.Levels), stored: id.Root} // loads on first access
+	if id.Root.IsZero() {
+		root = newNode(int(id.Levels), int(id.Fanout))
+	}
+	return &Blockmap{ds: ds, fanout: int(id.Fanout), pages: id.Pages, root: root}, nil
 }
 
 // Identity returns the identity as of the last Flush. Calling it with
@@ -172,7 +189,11 @@ func (b *Blockmap) Set(ctx context.Context, logical uint64, e Entry) (Entry, err
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for logical >= b.capacity(b.root.level) {
-		// Grow by adding a level above the current root.
+		// Grow by adding a level above the current root. Only the last
+		// logical page number is out of reach of MaxLevels.
+		if b.root.level >= MaxLevels {
+			return Entry{}, fmt.Errorf("core: blockmap page %d beyond the tree's capacity", logical)
+		}
 		oldRoot := b.root
 		nr := newNode(oldRoot.level+1, b.fanout)
 		nr.children[0] = oldRoot
@@ -201,20 +222,7 @@ func (b *Blockmap) set(ctx context.Context, n *bmNode, logical uint64, e Entry) 
 		return old, nil
 	}
 	stride := b.capacity(n.level - 1)
-	idx := logical / stride
-	child := n.children[idx]
-	if child == nil {
-		child = newNode(n.level-1, b.fanout)
-		if !n.entries[idx].IsZero() {
-			child.stored = n.entries[idx]
-			child.entries = nil // load lazily
-			if child.level > 0 {
-				child.children = make([]*bmNode, b.fanout)
-			}
-		}
-		n.children[idx] = child
-	}
-	old, err := b.set(ctx, child, logical%stride, e)
+	old, err := b.set(ctx, b.child(n, int(logical/stride), true), logical%stride, e)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -240,21 +248,27 @@ func (b *Blockmap) get(ctx context.Context, n *bmNode, logical uint64) (Entry, e
 		return n.entries[logical], nil
 	}
 	stride := b.capacity(n.level - 1)
-	idx := logical / stride
-	child := n.children[idx]
+	child := b.child(n, int(logical/stride), false)
 	if child == nil {
-		if n.entries[idx].IsZero() {
-			return Entry{}, nil
-		}
-		child = newNode(n.level-1, b.fanout)
-		child.stored = n.entries[idx]
-		child.entries = nil
-		if child.level > 0 {
-			child.children = make([]*bmNode, b.fanout)
-		}
-		n.children[idx] = child
+		return Entry{}, nil
 	}
 	return b.get(ctx, child, logical%stride)
+}
+
+// child returns n's idx-th child, making its node on first use: one that
+// loads from the slot's entry on first access, or, for a free slot, an empty
+// node when create is set and nil otherwise.
+func (b *Blockmap) child(n *bmNode, idx int, create bool) *bmNode {
+	if c := n.children[idx]; c != nil {
+		return c
+	}
+	switch e := n.entries[idx]; {
+	case !e.IsZero():
+		n.children[idx] = &bmNode{level: n.level - 1, stored: e}
+	case create:
+		n.children[idx] = newNode(n.level-1, b.fanout)
+	}
+	return n.children[idx]
 }
 
 // Delete unmaps logical and returns the replaced entry.
@@ -316,7 +330,7 @@ func (b *Blockmap) Flush(ctx context.Context, sink FlushSink) (Identity, error) 
 			// pass and installed their fresh entries.
 			pages[i] = encodeNode(dn.node.level, dn.node.entries)
 		}
-		entries, err := b.ds.WriteBatch(ctx, pages, WriteThrough)
+		entries, err := b.ds.WriteBatch(ctx, pages, nil, WriteThrough)
 		// Successful items are installed even when siblings failed: their
 		// allocations must reach the sink so a rollback can reclaim them.
 		for i, itemErr := range pageio.ItemErrors(err, len(batch)) {
@@ -375,18 +389,9 @@ func (b *Blockmap) forEachPhysical(ctx context.Context, n *bmNode, fn func(Entry
 		return nil
 	}
 	for i := range n.entries {
-		child := n.children[i]
+		child := b.child(n, i, false)
 		if child == nil {
-			if n.entries[i].IsZero() {
-				continue
-			}
-			child = newNode(n.level-1, b.fanout)
-			child.stored = n.entries[i]
-			child.entries = nil
-			if child.level > 0 {
-				child.children = make([]*bmNode, b.fanout)
-			}
-			n.children[i] = child
+			continue
 		}
 		if err := b.forEachPhysical(ctx, child, fn); err != nil {
 			return err
@@ -420,18 +425,9 @@ func (b *Blockmap) forEach(ctx context.Context, n *bmNode, base uint64, fn func(
 	}
 	stride := b.capacity(n.level - 1)
 	for i := range n.entries {
-		child := n.children[i]
+		child := b.child(n, i, false)
 		if child == nil {
-			if n.entries[i].IsZero() {
-				continue
-			}
-			child = newNode(n.level-1, b.fanout)
-			child.stored = n.entries[i]
-			child.entries = nil
-			if child.level > 0 {
-				child.children = make([]*bmNode, b.fanout)
-			}
-			n.children[i] = child
+			continue
 		}
 		if err := b.forEach(ctx, child, base+uint64(i)*stride, fn); err != nil {
 			return err

@@ -230,6 +230,30 @@ func TestBlockmapRejectsBadFanout(t *testing.T) {
 	if _, err := OpenBlockmap(ds, Identity{Fanout: 0}); err == nil {
 		t.Fatal("identity with fanout 0 accepted")
 	}
+	if _, err := NewBlockmap(ds, MaxFanout+1); err == nil {
+		t.Fatalf("fanout %d accepted", MaxFanout+1)
+	}
+	// A corrupt identity must be an error, not a 64 GiB root node.
+	for _, id := range []Identity{
+		{Fanout: 1<<32 - 1, Levels: 3},
+		{Fanout: MaxFanout + 1},
+		{Fanout: 4, Levels: MaxLevels + 1},
+	} {
+		if _, err := OpenBlockmap(ds, id); err == nil {
+			t.Fatalf("identity %+v accepted", id)
+		}
+	}
+	bm, err := OpenBlockmap(ds, Identity{Fanout: MaxFanout, Levels: MaxLevels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last page number lies past even a MaxLevels tree of fanout 2.
+	bm2, _ := NewBlockmap(ds, MinFanout)
+	for _, b := range []*Blockmap{bm, bm2} {
+		if _, err := b.Set(ctxb(), ^uint64(0), Entry{Loc: 1, Blocks: 1}); err == nil {
+			t.Fatal("Set of the last logical page number succeeded")
+		}
+	}
 }
 
 func TestBlockmapOnBlockDbspace(t *testing.T) {

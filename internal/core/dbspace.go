@@ -47,11 +47,15 @@ type Dbspace interface {
 	// IsCloud reports whether pages live on an object store.
 	IsCloud() bool
 	// WriteBatch stores each page at a freshly allocated location — an object
-	// key never used before, or a newly allocated block run; cloud dbspaces
-	// never overwrite an existing key. The returned entries are positional; a
-	// failed item leaves a zero Entry and the error expands per item via
-	// pageio.ItemErrors. A successful item is as durable as mode says.
-	WriteBatch(ctx context.Context, pages [][]byte, mode WriteMode) ([]Entry, error)
+	// key never used before, or a newly allocated block run — unless prev
+	// names one the page may reuse. prev is nil or holds, per page, the entry
+	// an earlier flush of the same transaction gave it (zero if none): a
+	// conventional dbspace overwrites that run in place when the page still
+	// fits it (§3.1); a cloud dbspace ignores it and never overwrites an
+	// existing key. The returned entries are
+	// positional; a failed item leaves a zero Entry and the error expands per
+	// item via pageio.ItemErrors. A successful item is as durable as mode says.
+	WriteBatch(ctx context.Context, pages [][]byte, prev []Entry, mode WriteMode) ([]Entry, error)
 	// ReadBatch fetches the stored bytes of one page per entry, retrying
 	// object-not-found errors caused by eventual consistency up to the
 	// configured budget. Results are positional (nil for failed items) and the
@@ -223,8 +227,9 @@ func (d *CloudDbspace) ObjectKey(key uint64) string { return d.cfg.Namer.Name(ke
 // With an OCM configured, WriteBack routes through the cache's write-back path
 // and WriteThrough through its write-through path. Failed items leave zero
 // entries; their keys are never reused, which is safe because the RB bitmap
-// reclaims whole allocated key ranges on rollback.
-func (d *CloudDbspace) WriteBatch(ctx context.Context, pages [][]byte, mode WriteMode) ([]Entry, error) {
+// reclaims whole allocated key ranges on rollback. prev is ignored: a cloud
+// page is never rewritten in place.
+func (d *CloudDbspace) WriteBatch(ctx context.Context, pages [][]byte, _ []Entry, mode WriteMode) ([]Entry, error) {
 	entries := make([]Entry, len(pages))
 	reqs := make([]pageio.WriteReq, len(pages))
 	for i, data := range pages {
@@ -471,37 +476,43 @@ func (d *BlockDbspace) allocate(data []byte) (start uint64, n int, err error) {
 	return start, n, nil
 }
 
-// WriteBatch implements Dbspace: runs are allocated up front, then the whole
-// batch goes through the pipeline so the coalescer can group-commit adjacent
-// runs. Failed items release their runs and leave zero entries.
-func (d *BlockDbspace) WriteBatch(ctx context.Context, pages [][]byte, _ WriteMode) ([]Entry, error) {
+// WriteBatch implements Dbspace. A page whose previous entry is a run it
+// still fits is overwritten there, in place (§3.1); every other page gets a
+// run allocated up front. Then the whole batch goes through the pipeline, so
+// the coalescer can group-commit adjacent runs. A failed item leaves a zero
+// entry and releases a run allocated for it; a reused run stays allocated,
+// because the page still owns it.
+func (d *BlockDbspace) WriteBatch(ctx context.Context, pages [][]byte, prev []Entry, _ WriteMode) ([]Entry, error) {
 	entries := make([]Entry, len(pages))
-	reqs := make([]pageio.WriteReq, len(pages))
 	errs := make([]error, len(pages))
+	var reqs []pageio.WriteReq
 	var submit []int
 	for i, data := range pages {
-		start, n, err := d.allocate(data)
-		if err != nil {
-			errs[i] = err
-			continue
+		if prev != nil && d.fits(prev[i], data) {
+			entries[i] = prev[i]
+			entries[i].Size = uint32(len(data))
+		} else {
+			start, n, err := d.allocate(data)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			entries[i] = Entry{Loc: start, Size: uint32(len(data)), Blocks: uint16(n)}
 		}
-		entries[i] = Entry{Loc: start, Size: uint32(len(data)), Blocks: uint16(n)}
-		reqs[i] = pageio.WriteReq{
-			Ref:  pageio.Ref{Off: int64(start) * int64(d.cfg.BlockSize)},
+		reqs = append(reqs, pageio.WriteReq{
+			Ref:  pageio.Ref{Off: int64(entries[i].Loc) * int64(d.cfg.BlockSize)},
 			Data: data,
-		}
+		})
 		submit = append(submit, i)
 	}
 	if len(submit) > 0 {
-		sub := make([]pageio.WriteReq, len(submit))
-		for j, i := range submit {
-			sub[j] = reqs[i]
-		}
-		itemErrs := pageio.ItemErrors(d.pipe.WriteBatch(ctx, sub), len(submit))
+		itemErrs := pageio.ItemErrors(d.pipe.WriteBatch(ctx, reqs), len(submit))
 		for j, i := range submit {
 			if itemErrs[j] != nil {
 				e := entries[i]
-				_ = d.free.Free(e.Loc, uint64(e.Blocks))
+				if prev == nil || !d.fits(prev[i], pages[i]) {
+					_ = d.free.Free(e.Loc, uint64(e.Blocks))
+				}
 				entries[i] = Entry{}
 				errs[i] = fmt.Errorf("dbspace %s: write blocks %d+%d: %w", d.cfg.Name, e.Loc, e.Blocks, itemErrs[j])
 			}
@@ -510,25 +521,9 @@ func (d *BlockDbspace) WriteBatch(ctx context.Context, pages [][]byte, _ WriteMo
 	return entries, batchError(errs)
 }
 
-// Rewrite updates a page in place when the new image fits in the existing
-// block run — the in-place optimization available to conventional dbspaces
-// for pages modified within the same transaction/savepoint (§3.1). It
-// returns the updated entry, or falls back to a fresh write (in which case
-// the caller must treat the old entry as superseded).
-func (d *BlockDbspace) Rewrite(ctx context.Context, e Entry, data []byte) (Entry, bool, error) {
-	if e.IsCloud() || len(data) > int(e.Blocks)*d.cfg.BlockSize {
-		fresh, err := one(d.WriteBatch(ctx, [][]byte{data}, WriteThrough))
-		return fresh, false, err
-	}
-	req := pageio.WriteReq{
-		Ref:  pageio.Ref{Off: int64(e.Loc) * int64(d.cfg.BlockSize)},
-		Data: data,
-	}
-	if err := d.pipe.WritePage(ctx, req); err != nil {
-		return Entry{}, false, fmt.Errorf("dbspace %s: rewrite blocks %d: %w", d.cfg.Name, e.Loc, err)
-	}
-	e.Size = uint32(len(data))
-	return e, true, nil
+// fits reports whether data can overwrite the run e in place.
+func (d *BlockDbspace) fits(e Entry, data []byte) bool {
+	return !e.IsZero() && !e.IsCloud() && len(data) <= int(e.Blocks)*d.cfg.BlockSize
 }
 
 // ReadBatch implements Dbspace: adjacent entries in the batch coalesce into

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"cloudiq/internal/faultinject"
 	"cloudiq/internal/keygen"
 	"cloudiq/internal/objstore"
+	"cloudiq/internal/pageio"
 	"cloudiq/internal/rfrb"
 )
 
@@ -38,9 +40,9 @@ func newBlockSpace(t *testing.T) *BlockDbspace {
 }
 
 // writeOne and readOne are the batch calls at one item, unwrapped the way
-// ensureLoaded and Rewrite's fallback unwrap theirs.
+// ensureLoaded unwraps its read.
 func writeOne(ds Dbspace, data []byte) (Entry, error) {
-	return one(ds.WriteBatch(ctxb(), [][]byte{data}, WriteThrough))
+	return one(ds.WriteBatch(ctxb(), [][]byte{data}, nil, WriteThrough))
 }
 
 func readOne(ds Dbspace, e Entry) ([]byte, error) {
@@ -279,6 +281,10 @@ func TestBlockPageTooLarge(t *testing.T) {
 	}
 }
 
+// TestBlockRewriteInPlace covers WriteBatch's previous entries (§3.1): a
+// conventional dbspace overwrites a page's run when the page still fits it,
+// allocates a fresh run when it does not or has none, keeps a reused run
+// allocated when its write fails, and a cloud dbspace ignores them.
 func TestBlockRewriteInPlace(t *testing.T) {
 	ds := newBlockSpace(t)
 	e, err := writeOne(ds, make([]byte, 1000)) // 2 blocks
@@ -286,12 +292,12 @@ func TestBlockRewriteInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	inUse := ds.Freelist().InUse()
-	e2, inPlace, err := ds.Rewrite(ctxb(), e, []byte("small"))
-	if err != nil || !inPlace {
-		t.Fatalf("Rewrite = %v, %v, %v", e2, inPlace, err)
+	e2, err := one(ds.WriteBatch(ctxb(), [][]byte{[]byte("small")}, []Entry{e}, WriteThrough))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e2.Loc != e.Loc || e2.Size != 5 {
-		t.Fatalf("in-place entry = %v", e2)
+	if e2.Loc != e.Loc || e2.Blocks != e.Blocks || e2.Size != 5 {
+		t.Fatalf("in-place entry = %v, previous %v", e2, e)
 	}
 	if got := ds.Freelist().InUse(); got != inUse {
 		t.Fatalf("in-place rewrite changed allocation: %d != %d", got, inUse)
@@ -300,13 +306,79 @@ func TestBlockRewriteInPlace(t *testing.T) {
 	if err != nil || string(got) != "small" {
 		t.Fatalf("read after rewrite = %q, %v", got, err)
 	}
-	// A larger image no longer fits: fresh allocation.
-	e3, inPlace, err := ds.Rewrite(ctxb(), e2, make([]byte, 512*3))
-	if err != nil || inPlace {
-		t.Fatalf("grow rewrite = %v, %v, %v", e3, inPlace, err)
+
+	// A mixed batch: in place, grown past its run, and no previous entry.
+	a, err := writeOne(ds, make([]byte, 600)) // 2 blocks
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e3.Loc == e2.Loc {
-		t.Fatal("grow rewrite reused the old location")
+	inUse = ds.Freelist().InUse()
+	pages := [][]byte{
+		bytes.Repeat([]byte{1}, 1024),  // fills a's two blocks
+		bytes.Repeat([]byte{2}, 512*3), // outgrows e2's two blocks
+		bytes.Repeat([]byte{3}, 100),   // new
+		{},                             // new and empty: not block 0
+	}
+	out, err := ds.WriteBatch(ctxb(), pages, []Entry{a, e2, {}, {}}, WriteThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != (Entry{Loc: a.Loc, Size: 1024, Blocks: 2}) {
+		t.Fatalf("in-place item = %v, previous %v", out[0], a)
+	}
+	if out[1].Loc == e2.Loc || out[1].Blocks != 3 || out[2].Blocks != 1 || out[3].Loc == e.Loc || out[3].Blocks != 1 {
+		t.Fatalf("fresh items = %v", out[1:])
+	}
+	if got := ds.Freelist().InUse(); got != inUse+3+1+1 {
+		t.Fatalf("InUse = %d after the mixed batch, want %d: only the three fresh runs allocate", got, inUse+5)
+	}
+	for i, want := range pages {
+		if got, err := readOne(ds, out[i]); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("item %d read back %d bytes, %v", i, len(got), err)
+		}
+	}
+
+	// A failed in-place write returns a zero entry and leaves its run
+	// allocated: the page still owns it. A failed fresh write releases its.
+	plan := faultinject.New(1)
+	dev := blockdev.NewMem(blockdev.Config{Capacity: 1 << 20, Faults: plan})
+	fds, err := NewBlock(BlockConfig{Name: "faulty", Device: dev, BlockSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := writeOne(fds, make([]byte, 700))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inUse = fds.Freelist().InUse()
+	plan.Always(faultinject.DevWrite)
+	out, err = fds.WriteBatch(ctxb(), [][]byte{{4}, {5}}, []Entry{f, {}}, WriteThrough)
+	if errs := pageio.ItemErrors(err, 2); errs[0] == nil || errs[1] == nil {
+		t.Fatalf("write under a device fault = %v", err)
+	}
+	if out[0] != (Entry{}) || out[1] != (Entry{}) {
+		t.Fatalf("failed items returned %v", out)
+	}
+	if got := fds.Freelist().InUse(); got != inUse {
+		t.Fatalf("InUse = %d after the failed batch, want %d", got, inUse)
+	}
+	plan.Clear(faultinject.DevWrite)
+	if got, err := readOne(fds, f); err != nil || len(got) != 700 {
+		t.Fatalf("the page's run after the failed rewrite: %d bytes, %v", len(got), err)
+	}
+
+	// A cloud dbspace given a previous entry still writes a fresh key.
+	cds := newCloudSpace(t, objstore.NewMem(objstore.Config{}))
+	c, err := writeOne(cds, []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := one(cds.WriteBatch(ctxb(), [][]byte{[]byte("v2")}, []Entry{c}, WriteThrough))
+	if err != nil || c2.Loc == c.Loc || !c2.IsCloud() {
+		t.Fatalf("cloud rewrite of %v = %v, %v", c, c2, err)
+	}
+	if got, err := readOne(cds, c); err != nil || string(got) != "v1" {
+		t.Fatalf("the previous key reads %q, %v", got, err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"cloudiq/internal/column"
 	"cloudiq/internal/objstore"
@@ -49,11 +48,12 @@ func Load(ctx context.Context, t *Table, store objstore.Store, prefix string, pa
 	if parallel <= 0 {
 		parallel = 4
 	}
+	pool := pageio.NewPool(parallel)
 	pipe := pageio.Chain(
 		pageio.NewStore(store),
 		pageio.Retry(pageio.Policy{
 			ReadAttempts: loadReadAttempts,
-			Pool:         pageio.NewPool(parallel),
+			Pool:         pool,
 		}),
 	)
 	for start := 0; start < len(files); start += parallel {
@@ -69,19 +69,12 @@ func Load(ctx context.Context, t *Table, store objstore.Store, prefix string, pa
 		fetchErrs := pageio.ItemErrors(batchErr, len(window))
 
 		batches := make([]*Batch, len(window))
-		parseErrs := make([]error, len(window))
-		var wg sync.WaitGroup
-		for i := range window {
-			if fetchErrs[i] != nil {
-				continue
+		parseErrs := pool.Do(ctx, len(window), func(i int) (err error) {
+			if fetchErrs[i] == nil {
+				batches[i], err = ParseRows(t.Schema(), string(blobs[i]))
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				batches[i], parseErrs[i] = ParseRows(t.Schema(), string(blobs[i]))
-			}(i)
-		}
-		wg.Wait()
+			return err
+		})
 
 		for i, f := range window {
 			if fetchErrs[i] != nil {

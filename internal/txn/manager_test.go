@@ -64,7 +64,7 @@ func (e *env) writePages(t *Txn, ds core.Dbspace, n int) []core.Entry {
 	sink := t.Sink(ds.Name())
 	var entries []core.Entry
 	for i := 0; i < n; i++ {
-		written, err := ds.WriteBatch(ctxb(), [][]byte{{byte(i)}}, core.WriteThrough)
+		written, err := ds.WriteBatch(ctxb(), [][]byte{{byte(i)}}, nil, core.WriteThrough)
 		if err != nil {
 			e.t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestConcurrentTransactions(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				tx := e.mgr.Begin()
 				sink := tx.Sink("user")
-				written, err := e.cloud.WriteBatch(ctxb(), [][]byte{{byte(w)}}, core.WriteThrough)
+				written, err := e.cloud.WriteBatch(ctxb(), [][]byte{{byte(w)}}, nil, core.WriteThrough)
 				if err != nil {
 					t.Error(err)
 					return

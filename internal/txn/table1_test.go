@@ -69,7 +69,7 @@ func TestTable1Scenario(t *testing.T) {
 		t.Helper()
 		sink := tx.Sink("user")
 		for i := 0; i < n; i++ {
-			written, err := cloud.WriteBatch(ctxb(), [][]byte{{byte(i)}}, core.WriteThrough)
+			written, err := cloud.WriteBatch(ctxb(), [][]byte{{byte(i)}}, nil, core.WriteThrough)
 			if err != nil {
 				t.Fatal(err)
 			}

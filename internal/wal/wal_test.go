@@ -194,3 +194,22 @@ func TestRecordTypeString(t *testing.T) {
 		}
 	}
 }
+
+// TestLogAppendAllocs gates the allocations of one Append of a 64-byte
+// record. The ceiling is the count measured when the gate was added.
+func TestLogAppendAllocs(t *testing.T) {
+	const limit = 2
+	l, err := Open(ctxb(), newDev())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err = l.Append(ctxb(), RecCommit, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > limit {
+		t.Fatalf("%.0f allocations per Append, limit %d", got, limit)
+	}
+}
