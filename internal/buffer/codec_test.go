@@ -7,11 +7,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	"cloudiq/internal/column"
+	"cloudiq/internal/deflate"
 )
 
 // xorshift is the corpus's own generator, so the golden pages do not depend on
@@ -115,8 +117,9 @@ func storedLen(n int) int {
 
 // TestFlateCodecSizes round-trips the sizes either side of the store/deflate
 // cut, every corpus page and every page the benchmarks compress, and checks
-// each image is plain DEFLATE: the standard library's reader inflates it,
-// stored blocks included. A page under 1 KiB must come out stored, and a
+// each image is plain DEFLATE of the page's stored form: the standard
+// library's reader inflates it, stored blocks included, to column.Compact of
+// the page. A stored form under 1 KiB must come out stored, and a
 // compressible page of 1 KiB or more deflated (the corpus pages' images are
 // pinned by TestFlateCodecGolden).
 func TestFlateCodecSizes(t *testing.T) {
@@ -129,7 +132,7 @@ func TestFlateCodecSizes(t *testing.T) {
 	for _, size := range []int{0, 1, 512, 1023, 1024, 1025, 4 << 10, 16 << 10, 64 << 10} {
 		pages = append(pages, page{fmt.Sprintf("%dB", size), benchPage(size), size >= 1<<10})
 	}
-	pages = append(pages, page{"float_column", floatPage(), true})
+	pages = append(pages, page{"float_column", floatPage(), true}, page{"noise_float_column", noiseFloatPage(), false})
 	for i, pg := range writeFlushPages() {
 		pages = append(pages, page{fmt.Sprintf("write_flush_%d", i), pg, false})
 	}
@@ -138,8 +141,8 @@ func TestFlateCodecSizes(t *testing.T) {
 	}
 	codec := FlateCodec{}
 	for _, pg := range pages {
-		stored := codec.Compress(pg.data)
-		if n := len(pg.data); n < 1<<10 && len(stored) != storedLen(n) {
+		stored, img := codec.Compress(pg.data), column.Compact(pg.data)
+		if n := len(img); n < 1<<10 && len(stored) != storedLen(n) {
 			t.Errorf("%s: %d -> %d bytes, want %d (stored blocks)", pg.name, n, len(stored), storedLen(n))
 		}
 		if pg.deflates && len(stored) >= len(pg.data) {
@@ -150,7 +153,7 @@ func TestFlateCodecSizes(t *testing.T) {
 			t.Errorf("%s: round trip differs (err %v)", pg.name, err)
 		}
 		plain, err := io.ReadAll(flate.NewReader(bytes.NewReader(stored)))
-		if err != nil || !bytes.Equal(plain, pg.data) {
+		if err != nil || !bytes.Equal(plain, img) {
 			t.Errorf("%s: compress/flate reader: %d bytes back, err %v", pg.name, len(plain), err)
 		}
 	}
@@ -283,24 +286,30 @@ func TestFlateCodecConcurrent(t *testing.T) {
 // flate.Reader plus io.ReadAll's doublings (43 KB); with compress/flate's
 // reader pooled, Decompress still made 20 allocations at 16 KiB, and with
 // its writer pooled Compress made 2. With the pools warm each is exactly
-// the one slice it returns, at every size.
+// the one slice it returns, at every size. A decimal float page is expanded
+// on its way out of the inflater, into the page Decompress returns, so it
+// too costs 1; its Compress costs 3, the integers and the compact page
+// column.Compact builds before the image.
 func TestFlateCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	codec := FlateCodec{}
 	for _, pg := range []struct {
-		path string
-		data []byte
+		path     string
+		data     []byte
+		compress float64
 	}{
-		{"stored", benchPage(512)},
-		{"deflated", benchPage(1 << 10)},
-		{"deflated", benchPage(4 << 10)},
-		{"deflated", benchPage(16 << 10)},
+		{"stored", benchPage(512), 1},
+		{"deflated", benchPage(1 << 10), 1},
+		{"deflated", benchPage(4 << 10), 1},
+		{"deflated", benchPage(16 << 10), 1},
+		{"decimal float", floatPage(), 3},
+		{"plain float", noiseFloatPage(), 1},
 	} {
 		stored := codec.Compress(pg.data)
-		if got := testing.AllocsPerRun(100, func() { codec.Compress(pg.data) }); got != 1 {
-			t.Errorf("Compress of a %d-byte %s page: %.0f allocations, want 1 (the image) — is a compressor built per page again?", len(pg.data), pg.path, got)
+		if got := testing.AllocsPerRun(100, func() { codec.Compress(pg.data) }); got != pg.compress {
+			t.Errorf("Compress of a %d-byte %s page: %.0f allocations, want %.0f — is a compressor built per page again?", len(pg.data), pg.path, got, pg.compress)
 		}
 		var err error
 		if got := testing.AllocsPerRun(100, func() { _, err = codec.Decompress(stored) }); got != 1 || err != nil {
@@ -333,12 +342,15 @@ func benchPage(size int) []byte {
 }
 
 // BenchmarkFlateCodecCompress covers both of Compress's paths: 512B and the
-// encoded n-bit int page are stored, the rest deflated.
+// encoded n-bit int page are stored, the rest deflated; float_column is
+// compacted to n-bit cents first, noise_float stays plain.
 func BenchmarkFlateCodecCompress(b *testing.B) {
 	cases := []struct {
 		name string
 		page []byte
 	}{
+		{"float_column", floatPage()},
+		{"noise_float", noiseFloatPage()},
 		{"512B", benchPage(512)},
 		{"nbit_int", goldenCorpus()[2].data},
 		{"1KB", benchPage(1 << 10)},
@@ -368,15 +380,28 @@ func floatPage() []byte {
 	return column.EncodeSegment(v)
 }
 
+// noiseFloatPage is a 512-row float page of random bit patterns: no scale
+// makes them exact, so it is stored plain-float, DEFLATE's worst case.
+func noiseFloatPage() []byte {
+	v := column.NewVector(column.Float64)
+	x := xorshift(17)
+	for i := 0; i < 512; i++ {
+		v.AppendFloat(math.Float64frombits(x.next()))
+	}
+	return column.EncodeSegment(v)
+}
+
 // BenchmarkFlateCodecDecompress covers the shapes a cold scan inflates: the
-// 512-row float page (deflated), a 512 B page (stored), the l_comment page,
-// and the compressible string page cut to 1, 4 and 16 KiB.
+// 512-row float page (stored as n-bit cents and expanded), the same shape of
+// random bits (plain float, deflated), a 512 B page (stored), the l_comment
+// page, and the compressible string page cut to 1, 4 and 16 KiB.
 func BenchmarkFlateCodecDecompress(b *testing.B) {
 	cases := []struct {
 		name string
 		page []byte
 	}{
 		{"float_column", floatPage()},
+		{"noise_float", noiseFloatPage()},
 		{"512B", benchPage(512)},
 		{"comment_column", goldenCorpus()[3].data},
 		{"1KB", benchPage(1 << 10)},
@@ -413,6 +438,9 @@ func FuzzFlateDecompress(f *testing.F) {
 		f.Add(stored[:len(stored)/2])
 	}
 	f.Add(FlateCodec{}.Compress(benchPage(512))) // a compressible page, stored
+	f.Add(FlateCodec{}.Compress(floatPage()))    // a decimal float page, compact
+	compact := column.Compact(floatPage())
+	f.Add(deflate.Compress(compact[:len(compact)/2])) // its compact form cut short
 	f.Fuzz(func(t *testing.T, stored []byte) {
 		if len(stored) > maxStored {
 			t.Skip()

@@ -36,6 +36,30 @@ func sixEncodings(t testing.TB) []*Vector {
 	return vecs
 }
 
+// centsVector is a float column every value of which is an exact cent, of
+// both signs: Compact stores it as EncDecimalFloat.
+func centsVector() *Vector {
+	v := NewVector(Float64)
+	for i := 0; i < 77; i++ {
+		v.AppendFloat(float64(int64(i*i*7919%1000003)-500000) / 100)
+	}
+	return v
+}
+
+// segmentPages is one page per encoding, in Encoding order: the six
+// EncodeSegment writes and the decimal form Compact writes.
+func segmentPages(t testing.TB) [][]byte {
+	var pages [][]byte
+	for _, v := range sixEncodings(t) {
+		pages = append(pages, EncodeSegment(v))
+	}
+	compact := Compact(EncodeSegment(centsVector()))
+	if got := Encoding(compact[1]); got != EncDecimalFloat {
+		t.Fatalf("cents compact to %v, want %v", got, EncDecimalFloat)
+	}
+	return append(pages, compact)
+}
+
 // page builds a segment image by hand.
 func page(typ Type, enc Encoding, count uint32, payload ...byte) []byte {
 	hdr := []byte{byte(typ), byte(enc), 0, 0, 0, 0}
@@ -73,6 +97,12 @@ func TestDecodeRefusesHostileCounts(t *testing.T) {
 		"int page of strings":      page(Int64, EncPlainString, 0),
 		"string page of ints":      page(String, EncPlainInt, 0),
 		"float page, n-bit":        page(Float64, EncBitPackedInt, 1, nbit(0)...),
+		"constant decimal":         page(Float64, EncDecimalFloat, huge, append([]byte{2}, nbit(0)...)...),
+		"decimal past its stream":  page(Float64, EncDecimalFloat, huge, append([]byte{2}, nbit(1, 0xFF)...)...),
+		"decimal width 57":         page(Float64, EncDecimalFloat, 1, append([]byte{2}, nbit(57, make([]byte, 8)...)...)...),
+		"decimal scale 5":          page(Float64, EncDecimalFloat, 1, append([]byte{5}, nbit(0)...)...),
+		"decimal without a scale":  page(Float64, EncDecimalFloat, 1),
+		"int page, decimal":        page(Int64, EncDecimalFloat, 1, append([]byte{2}, nbit(0)...)...),
 	}
 	for name, data := range cases {
 		if v, err := DecodeSegment(data); err == nil {
@@ -80,6 +110,11 @@ func TestDecodeRefusesHostileCounts(t *testing.T) {
 		}
 		if v, err := DecodeSegmentRows(data, []int32{0}); err == nil {
 			t.Errorf("%s: decoded %d values at rows", name, v.Len())
+		}
+		if Encoding(data[1]) == EncDecimalFloat && Type(data[0]) == Float64 {
+			if p, err := Expand(data); err == nil {
+				t.Errorf("%s: expanded to %d bytes", name, len(p))
+			}
 		}
 	}
 	// The ceiling itself is legal: a constant column of MaxSegmentRows rows.
@@ -93,13 +128,12 @@ func TestDecodeRefusesHostileCounts(t *testing.T) {
 // decoding at rows equals decoding everything and gathering; rows at or past
 // the count, or out of order, are refused.
 func TestDecodeSegmentRows(t *testing.T) {
-	for _, v := range sixEncodings(t) {
-		data := EncodeSegment(v)
-		enc, n := Encoding(data[1]), v.Len()
+	for _, data := range segmentPages(t) {
 		full, err := DecodeSegment(data)
 		if err != nil {
 			t.Fatal(err)
 		}
+		enc, n := Encoding(data[1]), full.Len()
 		every, thirds, tail := seq(n), []int32{}, []int32{int32(n - 2), int32(n - 1)}
 		for r := 1; r < n; r += 3 {
 			thirds = append(thirds, int32(r))
@@ -109,7 +143,7 @@ func TestDecodeSegmentRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v rows %v: %v", enc, rows, err)
 			}
-			if want := full.Gather(rows); !sameVector(got, want) || got.Typ != v.Typ {
+			if want := full.Gather(rows); !sameVector(got, want) || got.Typ != full.Typ {
 				t.Fatalf("%v rows %v: decoded %+v, want %+v", enc, rows, got, want)
 			}
 		}
@@ -121,7 +155,7 @@ func TestDecodeSegmentRows(t *testing.T) {
 				t.Errorf("%v: %s rows %v decoded to %d values", enc, name, rows, got.Len())
 			}
 		}
-		if typ, rows, err := SegmentInfo(data); err != nil || typ != v.Typ || rows != n {
+		if typ, rows, err := SegmentInfo(data); err != nil || typ != full.Typ || rows != n {
 			t.Errorf("%v: SegmentInfo = %v, %d, %v", enc, typ, rows, err)
 		}
 	}
@@ -147,8 +181,8 @@ func heapAllocated() uint64 {
 // re-encoding decodes to the same values — without panicking and, either way,
 // without allocating more than the input can account for.
 func FuzzDecodeSegment(f *testing.F) {
-	for _, v := range sixEncodings(f) {
-		f.Add(EncodeSegment(v))
+	for _, data := range segmentPages(f) {
+		f.Add(data)
 	}
 	f.Add(page(Int64, EncBitPackedInt, math.MaxUint32, append(u64(7), 0)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -172,8 +206,8 @@ func FuzzDecodeSegment(f *testing.F) {
 // fail. The one licensed difference is DecodeSegmentRows' own: a dictionary
 // page whose bad code sits at a row not asked for.
 func FuzzDecodeSegmentRows(f *testing.F) {
-	for i, v := range sixEncodings(f) {
-		f.Add(EncodeSegment(v), uint64(0x9E3779B97F4A7C15)>>i, uint8(i))
+	for i, data := range segmentPages(f) {
+		f.Add(data, uint64(0x9E3779B97F4A7C15)>>i, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, mask uint64, stride uint8) {
 		full, fullErr := DecodeSegment(data)

@@ -27,6 +27,10 @@ const (
 	EncPlainString
 	// EncDictString stores a sorted dictionary plus n-bit packed codes.
 	EncDictString
+	// EncDecimalFloat stores floats that are exact decimals as the n-bit
+	// integers k = v·10^scale: [scale u8][n-bit block]. It is a stored form
+	// only: Compact writes it, EncodeSegment never does (see decimal.go).
+	EncDecimalFloat
 )
 
 func (e Encoding) String() string {
@@ -43,6 +47,8 @@ func (e Encoding) String() string {
 		return "plain-string"
 	case EncDictString:
 		return "dict-string"
+	case EncDecimalFloat:
+		return "decimal-float"
 	default:
 		return fmt.Sprintf("encoding(%d)", uint8(e))
 	}
@@ -100,7 +106,7 @@ type segment struct {
 // parseSegment reads [type u8][encoding u8][count u32] and refuses, before
 // anything is allocated from it, an encoding that does not store the type and
 // a count the payload cannot hold. The n-bit blocks, whose width sits in the
-// payload, are checked by parseNbit.
+// payload, are checked by parseNbit (and a decimal's scale by parseDecimal).
 func parseSegment(data []byte) (segment, error) {
 	if len(data) < 6 {
 		return segment{}, fmt.Errorf("column: segment too short (%d bytes)", len(data))
@@ -117,6 +123,8 @@ func parseSegment(data []byte) (segment, error) {
 		}
 	case EncPlainFloat:
 		typ, perValue = Float64, 8
+	case EncDecimalFloat:
+		typ = Float64
 	case EncPlainString:
 		typ, perValue = String, 4
 	case EncDictString:
@@ -206,6 +214,11 @@ func (s segment) decode(rows []int32, all bool) (*Vector, error) {
 		var b nbit
 		if b, err = parseNbit(s.payload, s.n); err == nil {
 			v.I64 = b.unpack(s.n, rows, all)
+		}
+	case EncDecimalFloat:
+		var d decimal
+		if d, err = parseDecimal(s.payload, s.n); err == nil {
+			v.F64 = d.floats(s.n, rows, all)
 		}
 	case EncRLEInt:
 		v.I64, err = decodeRLE(s.payload, s.n, rows, all)
@@ -314,24 +327,33 @@ func parseNbit(payload []byte, n int) (nbit, error) {
 	return b, nil
 }
 
-// unpack returns all n values, or those at rows. Value r starts at bit
-// r×width, and with width ≤ 56 the eight bytes from that bit's byte hold all
-// of it; the stream's last bytes are read through a zero-padded copy.
+// unpack returns all n values, or those at rows.
 func (b nbit) unpack(n int, rows []int32, all bool) []int64 {
-	if !all {
+	if all {
+		rows = nil
+	} else {
 		n = len(rows)
 	}
 	vals := make([]int64, n)
+	b.unpackTo(vals, 0, rows)
+	return vals
+}
+
+// unpackTo is the one n-bit kernel: it fills dst with the values at rows, or,
+// when rows is nil, with those from row first on. Value r starts at bit
+// r×width, and with width ≤ 56 the eight bytes from that bit's byte hold all
+// of it; the stream's last bytes are read through a zero-padded copy.
+func (b nbit) unpackTo(dst []int64, first int, rows []int32) {
 	if b.width == 0 {
-		for i := range vals {
-			vals[i] = b.min
+		for i := range dst {
+			dst[i] = b.min
 		}
-		return vals
+		return
 	}
 	mask := uint64(1)<<b.width - 1
-	for i := range vals {
-		r := i
-		if !all {
+	for i := range dst {
+		r := first + i
+		if rows != nil {
 			r = int(rows[i])
 		}
 		bit := r * b.width
@@ -343,9 +365,8 @@ func (b nbit) unpack(n int, rows []int32, all bool) []int64 {
 			copy(tail[:], b.stream[off:])
 			word = binary.LittleEndian.Uint64(tail[:])
 		}
-		vals[i] = int64(uint64(b.min) + word>>(bit&7)&mask)
+		dst[i] = int64(uint64(b.min) + word>>(bit&7)&mask)
 	}
-	return vals
 }
 
 func encodeRLE(out []byte, vals []int64) []byte {

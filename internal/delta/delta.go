@@ -25,6 +25,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -345,7 +346,9 @@ func (s *Store) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Restore replaces the registry's contents with a Marshal image.
+// Restore replaces the registry's contents with a Marshal image. It refuses
+// an image Marshal could not have written (checkImage), so a corrupt
+// checkpoint fails recovery instead of panicking a later scan or drain.
 func (s *Store) Restore(img []byte) error {
 	var tables []imageTable
 	if len(img) > 0 {
@@ -353,11 +356,40 @@ func (s *Store) Restore(img []byte) error {
 			return fmt.Errorf("delta: restore: %w", err)
 		}
 	}
+	for _, it := range tables {
+		if err := checkImage(it); err != nil {
+			return fmt.Errorf("delta: restore table %q: %w", it.Name, err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables = make(map[string]*tableDelta)
 	for _, it := range tables {
 		s.tables[it.Name] = &tableDelta{nextID: it.NextID, runs: it.Runs}
+	}
+	return nil
+}
+
+// checkImage refuses a table image whose runs are not what Marshal writes:
+// live runs of rows checkRows accepts, all of the first run's column types,
+// in ascending non-overlapping row-id order below NextID.
+func checkImage(it imageTable) error {
+	next := uint64(0)
+	for i, r := range it.Runs {
+		if r == nil || r.CompactedAt != 0 {
+			return fmt.Errorf("run %d is not a live run", i)
+		}
+		if err := checkRows(r.Rows); err != nil {
+			return fmt.Errorf("run %d: %w", i, err)
+		}
+		sameType := func(a, b table.ColumnDef) bool { return a.Typ == b.Typ }
+		if !slices.EqualFunc(r.Rows.Schema.Cols, it.Runs[0].Rows.Schema.Cols, sameType) {
+			return fmt.Errorf("run %d: columns differ from run 0's", i)
+		}
+		if r.BaseID < next || r.BaseID > it.NextID || uint64(r.Rows.Rows()) > it.NextID-r.BaseID {
+			return fmt.Errorf("run %d: rows [%d, +%d) out of order or past next id %d", i, r.BaseID, r.Rows.Rows(), it.NextID)
+		}
+		next = r.end()
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -304,6 +305,55 @@ func FuzzDecodeInsert(f *testing.F) {
 		back, err := DecodeInsert(again)
 		if err != nil || !reflect.DeepEqual(back, rec) {
 			t.Fatalf("re-encoded record differs (err %v):\n%+v\n%+v", err, back, rec)
+		}
+	})
+}
+
+// FuzzRestore: Restore on any bytes is an error or a registry whose every
+// table can be viewed and every visible run read through — never a panic, nor
+// an allocation the image merely asks for. It starts from a real image.
+func FuzzRestore(f *testing.F) {
+	s := NewStore()
+	s.Apply("a", kvBatch(0, 3), 2)
+	s.Apply("b", kvBatch(0, 5), 3)
+	s.Apply("b", kvBatch(5, 2), 4)
+	img, err := s.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	f.Add(img[:len(img)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, img []byte) {
+		s := NewStore()
+		if err := s.Restore(img); err != nil {
+			return
+		}
+		for _, name := range s.Tables() {
+			v := s.View(name, math.MaxUint64)
+			if v == nil {
+				continue
+			}
+			live := 0
+			for _, run := range v.DeltaRuns() {
+				for i, c := range run.Schema.Cols {
+					vec := run.Col(c.Name)
+					if vec == nil || vec.Len() != run.Rows() {
+						t.Fatalf("table %q column %d %q: vector %v of a %d-row run", name, i, c.Name, vec, run.Rows())
+					}
+					column.NewVector(vec.Typ).AppendVector(vec)
+				}
+				live += run.Rows()
+			}
+			if got := s.LiveRows(name, math.MaxUint64); got != live {
+				t.Fatalf("table %q: LiveRows %d, runs hold %d", name, got, live)
+			}
+			if got := s.Freeze(name); got != live {
+				t.Fatalf("table %q: Freeze counts %d rows, runs hold %d", name, got, live)
+			}
+			if b, _ := s.Frozen(name); b == nil || b.Rows() != live {
+				t.Fatalf("table %q: Frozen drains %v, runs hold %d rows", name, b, live)
+			}
 		}
 	})
 }

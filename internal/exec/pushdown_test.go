@@ -10,11 +10,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"cloudiq/internal/buffer"
 	"cloudiq/internal/column"
 	"cloudiq/internal/core"
+	"cloudiq/internal/deflate"
 	"cloudiq/internal/faultinject"
 	"cloudiq/internal/keygen"
 	"cloudiq/internal/mt"
@@ -364,5 +366,121 @@ func TestEstimateSelectivity(t *testing.T) {
 	empty := []column.ZoneMap{column.BuildZoneMap(&column.Vector{Typ: column.Int64})}
 	if sel := estimateSelectivity(Eq(Col("a"), ConstI(1)), table.Schema{Cols: []table.ColumnDef{intCol("a")}}, empty); sel != 0 {
 		t.Errorf("empty segment selectivity = %v", sel)
+	}
+}
+
+// TestPushdownCompactFloats: under FlateCodec the exact-cent float pages are
+// stored as n-bit integers (column.Compact), and the store-side select
+// decodes that form itself. A Q6-shaped forced scan is answered by Select on
+// every segment it keeps and returns exactly the plain scan's rows, and its
+// aggregates match HashAgg over the plain scan. One segment's l_discount
+// holds a value no scale makes exact: that page is stored plain-float and
+// pushes down the same.
+func TestPushdownCompactFloats(t *testing.T) {
+	const rows, segRows = 2000, 256
+	cols := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}
+	b := table.NewBatch(table.Schema{Cols: []table.ColumnDef{
+		intCol("l_shipdate"), fltCol("l_discount"), fltCol("l_quantity"), fltCol("l_extendedprice")}})
+	rng := mt.New(0x6006)
+	first := column.DateToDays(1992, 1, 2)
+	lo, hi := column.DateToDays(1994, 1, 1), column.DateToDays(1995, 1, 1)
+	for i := 0; i < rows; i++ {
+		b.Vecs[0].AppendInt(first + int64(rng.Uint64()%2526))
+		b.Vecs[1].AppendFloat(float64(rng.Uint64()%11) / 100)
+		b.Vecs[2].AppendFloat(float64(rng.Uint64()%50 + 1))
+		b.Vecs[3].AppendFloat(float64(rng.Uint64()%9_000_000+90_000) / 100)
+	}
+	odd := segRows + 7 // a row of segment 1 the filter keeps
+	b.Vecs[0].I64[odd], b.Vecs[1].F64[odd], b.Vecs[2].F64[odd] = lo, 0.06+1e-9, 1
+	store := objstore.NewMem(objstore.Config{})
+	ds := cloudDbspace(store)
+	bm, err := core.NewBlockmap(ds, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := buffer.NewPool(buffer.Config{Capacity: 4096})
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}), buffer.FlateCodec{})
+	tbl, err := table.Create("lineitem", obj, b.Schema, table.Options{SegRows: segRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(ctxb(), b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The stored forms: three float pages a segment, all compact but one.
+	encs := map[column.Encoding]int{}
+	for _, key := range store.AllKeys() {
+		img, err := store.Get(ctxb(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page, err := deflate.Decompress(img); err == nil && len(page) > 1 && column.Type(page[0]) == column.Float64 {
+			encs[column.Encoding(page[1])]++
+		}
+	}
+	segs := tbl.Segments()
+	if encs[column.EncDecimalFloat] != 3*segs-1 || encs[column.EncPlainFloat] != 1 {
+		t.Fatalf("stored float pages by encoding: %v, want %d decimal-float and 1 plain-float", encs, 3*segs-1)
+	}
+
+	filter := And(
+		And(Ge(Col("l_shipdate"), ConstI(lo)), Lt(Col("l_shipdate"), ConstI(hi))),
+		And(And(Ge(Col("l_discount"), ConstF(0.05)), Le(Col("l_discount"), ConstF(0.07))), Lt(Col("l_quantity"), ConstF(24))))
+	scan := func(opts ScanOptions) *table.Batch {
+		t.Helper()
+		opts.Filter, opts.Prefetch = filter, -1
+		src, err := Scan(tbl, cols, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Collect(ctxb(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	m := store.Metrics()
+	plain := scan(ScanOptions{})
+	selects, gets := m.Selects(), m.Gets()
+	forced := scan(ScanOptions{Pushdown: PushdownForce})
+	if s, g := m.Selects()-selects, m.Gets()-gets; s != int64(segs) || g != 0 {
+		t.Fatalf("forced scan made %d selects over %d segments and %d GETs: a segment fell back", s, segs, g)
+	}
+	if plain.Rows() == 0 || !sameBatch(plain, forced) {
+		t.Fatalf("forced pushdown returned %d rows, plain scan %d, or other bits", forced.Rows(), plain.Rows())
+	}
+	if !slices.Contains(plain.Col("l_discount").F64, 0.06+1e-9) {
+		t.Fatal("the plain-float page's odd value did not pass the filter")
+	}
+
+	revenue := Mul(Col("l_extendedprice"), Col("l_discount"))
+	aggs := []Agg{{Func: Count, As: "n"}, {Func: Min, Expr: revenue, As: "min"}, {Func: Max, Expr: revenue, As: "max"},
+		{Func: Sum, Expr: revenue, As: "revenue"}}
+	src, err := Scan(tbl, cols, ScanOptions{Filter: filter, Prefetch: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := HashAgg(ctxb(), src, nil, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selects, gets = m.Selects(), m.Gets()
+	got, err := ScanAgg(ctxb(), tbl, cols, ScanOptions{Filter: filter, Prefetch: -1, Pushdown: PushdownForce}, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, g := m.Selects()-selects, m.Gets()-gets; s != int64(segs) || g != 0 {
+		t.Fatalf("aggregate pushdown made %d selects over %d segments and %d GETs", s, segs, g)
+	}
+	if got.Vecs[0].I64[0] != want.Vecs[0].I64[0] || got.Vecs[1].F64[0] != want.Vecs[1].F64[0] || got.Vecs[2].F64[0] != want.Vecs[2].F64[0] {
+		t.Fatalf("pushed count/min/max %v %v %v, plain %v %v %v", got.Vecs[0].I64, got.Vecs[1].F64, got.Vecs[2].F64,
+			want.Vecs[0].I64, want.Vecs[1].F64, want.Vecs[2].F64)
+	}
+	if g, w := got.Vecs[3].F64[0], want.Vecs[3].F64[0]; math.Abs(g-w) > 1e-9*math.Abs(w) {
+		t.Fatalf("pushed revenue %v, plain %v", g, w)
 	}
 }

@@ -271,7 +271,6 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 	if ent, ok := c.index[key]; ok && (ent.state == stateCached || ent.state == stateUploading) {
 		ent.pins++
 		c.touch(ent)
-		c.stats.Hits++
 		off, size := ent.off, ent.size
 		c.mu.Unlock()
 
@@ -281,12 +280,13 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 		ent.pins--
 		c.cond.Broadcast()
 		if err == nil {
+			c.stats.Hits++
 			c.mu.Unlock()
 			sp.SetAttr("hit", "true")
 			return buf, nil
 		}
 		// A failing local device is a performance problem, not a
-		// correctness problem: fall through to the store.
+		// correctness problem: fall through to the store, a miss.
 	}
 	c.stats.Misses++
 	c.mu.Unlock()

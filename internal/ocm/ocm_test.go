@@ -67,6 +67,40 @@ func TestReadThroughMissThenHit(t *testing.T) {
 	}
 }
 
+// TestFailedDeviceReadIsOnlyAMiss: a cached page whose device read fails is
+// served from the store and counted once, as a miss — every Get is a hit or
+// a miss, never both.
+func TestFailedDeviceReadIsOnlyAMiss(t *testing.T) {
+	store := objstore.NewMem(objstore.Config{})
+	_ = store.Put(ctxb(), "k1", []byte("contents"))
+	plan := faultinject.New(1)
+	dev := blockdev.NewMem(blockdev.Config{Capacity: 1 << 16, Faults: plan})
+	c, err := New(Config{Device: dev, Store: store, BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	gets := 0
+	get := func() {
+		t.Helper()
+		gets++
+		if got, err := c.Get(ctxb(), "k1"); err != nil || string(got) != "contents" {
+			t.Fatalf("Get %d = %q, %v", gets, got, err)
+		}
+	}
+	get() // miss, filled asynchronously
+	c.Quiesce()
+	plan.Always(faultinject.DevRead)
+	get() // cached, but the device read fails: the store serves it
+	get()
+	plan.Clear(faultinject.DevRead)
+	get() // a hit
+	s := c.Stats()
+	if s.Hits+s.Misses != int64(gets) || s.Hits != 1 {
+		t.Fatalf("%d Gets counted as %d hits + %d misses, want 1 hit", gets, s.Hits, s.Misses)
+	}
+}
+
 func TestGetMissingKeyPropagates(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{})
 	c := newCache(t, 1<<16, store)

@@ -201,6 +201,7 @@ func (c *Cluster) OpenCoord(ctx context.Context) error {
 		Node:            "coord",
 		LogDevice:       c.coordDev,
 		PrefetchWorkers: 1, // deterministic flush order for the fault streams
+		Compress:        true,
 		Faults:          c.cfg.Plan,
 		Scale:           c.cfg.Scale,
 		IOStats:         c.cfg.IOStats,
@@ -262,6 +263,7 @@ func (c *Cluster) OpenWriter(ctx context.Context, name string) error {
 		Node:            node,
 		LogDevice:       c.writerDevs[name],
 		PrefetchWorkers: 1, // deterministic flush order for the fault streams
+		Compress:        true,
 		Faults:          c.cfg.Plan,
 		Scale:           c.cfg.Scale,
 		IOStats:         c.cfg.IOStats,
@@ -418,6 +420,7 @@ func (c *Cluster) OpenReader(ctx context.Context, withCache bool) (*cloudiq.Data
 		Node:            fmt.Sprintf("r%d", c.readerSeq),
 		LogDevice:       readerLog,
 		PrefetchWorkers: 1,
+		Compress:        true,
 		Scale:           c.cfg.Scale,
 		IOStats:         c.cfg.IOStats,
 		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {

@@ -723,7 +723,7 @@ func (r *runner) checkPinStep(ctx context.Context, i int, st Step) error {
 		if err != nil {
 			return fmt.Errorf("%w: pinned table %s on %s vanished: %v", ErrVisibility, name, st.Node, err)
 		}
-		got, err := scanRows(ctx, tbl)
+		got, err := scanRows(ctx, tbl, exec.ScanOptions{})
 		if err != nil {
 			return fmt.Errorf("%w: pinned table %s on %s unreadable: %v", ErrVisibility, name, st.Node, err)
 		}
@@ -843,15 +843,9 @@ func (r *runner) scanDB(ctx context.Context, db *cloudiq.Database, nm *nodeModel
 	return nil
 }
 
-// scanRows reads a table's key column through the exec pipeline with
-// read-ahead disabled (a prefetching scan would reorder fault-stream draws
-// and break bit-reproducibility) and returns the values sorted.
-func scanRows(ctx context.Context, tbl *cloudiq.Table) ([]int64, error) {
-	return scanRowsOpts(ctx, tbl, exec.ScanOptions{Prefetch: -1})
-}
-
-func scanRowsOpts(ctx context.Context, tbl *cloudiq.Table, opts exec.ScanOptions) ([]int64, error) {
-	opts.Prefetch = -1
+// scanRows reads a table's key column through the exec pipeline, read-ahead
+// and all, and returns the values sorted.
+func scanRows(ctx context.Context, tbl *cloudiq.Table, opts exec.ScanOptions) ([]int64, error) {
 	src, err := exec.Scan(tbl, []string{"k"}, opts)
 	if err != nil {
 		return nil, err
@@ -876,14 +870,14 @@ func scanRowsOpts(ctx context.Context, tbl *cloudiq.Table, opts exec.ScanOptions
 // these scans fall back to plain reads mid-query; the result must still be
 // identical.
 func (r *runner) scanRowsChecked(ctx context.Context, tbl *cloudiq.Table) ([]int64, error) {
-	rows, err := scanRows(ctx, tbl)
+	rows, err := scanRows(ctx, tbl, exec.ScanOptions{})
 	if err != nil || r.pushRng == nil {
 		return rows, err
 	}
 	switch r.pushRng.Uint64() % 3 {
 	case 0: // plain read only
 	case 1: // unfiltered pushdown vs the plain read
-		pushed, perr := scanRowsOpts(ctx, tbl, exec.ScanOptions{Pushdown: exec.PushdownForce})
+		pushed, perr := scanRows(ctx, tbl, exec.ScanOptions{Pushdown: exec.PushdownForce})
 		if perr != nil {
 			return nil, fmt.Errorf("pushdown scan: %v", perr)
 		}
@@ -896,11 +890,11 @@ func (r *runner) scanRowsChecked(ctx context.Context, tbl *cloudiq.Table) ([]int
 		}
 		cut := rows[r.pushRng.Uint64()%uint64(len(rows))]
 		pred := func() exec.Expr { return exec.Ge(exec.Col("k"), exec.ConstI(cut)) }
-		plain, perr := scanRowsOpts(ctx, tbl, exec.ScanOptions{Filter: pred()})
+		plain, perr := scanRows(ctx, tbl, exec.ScanOptions{Filter: pred()})
 		if perr != nil {
 			return nil, fmt.Errorf("filtered scan: %v", perr)
 		}
-		pushed, perr := scanRowsOpts(ctx, tbl, exec.ScanOptions{Filter: pred(), Pushdown: exec.PushdownForce})
+		pushed, perr := scanRows(ctx, tbl, exec.ScanOptions{Filter: pred(), Pushdown: exec.PushdownForce})
 		if perr != nil {
 			return nil, fmt.Errorf("filtered pushdown scan: %v", perr)
 		}

@@ -1,8 +1,11 @@
 package table
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -381,6 +384,89 @@ func TestReadSegmentPagesChecksHeaders(t *testing.T) {
 	}
 	if b, err := tbl.ReadSegment(ctxb(), 0, []int{0, 1, 2, 3}); err != nil || b.Rows() != 10 {
 		t.Fatalf("segment 0: %v", err)
+	}
+}
+
+// TestEveryPageRoundTripsThroughFlateCodec: every page a table writes — the
+// gob meta page and a segment page of every encoding, floats that are exact
+// decimals and floats no scale makes exact among them — reads back cold
+// through FlateCodec byte for byte as it was written. The exact-decimal float
+// pages are the only ones whose stored form differs (column.Compact), and
+// Expand(Compact(p)) is p for every page.
+func TestEveryPageRoundTripsThroughFlateCodec(t *testing.T) {
+	schema := Schema{Cols: []ColumnDef{
+		{Name: "wide", Typ: column.Int64}, {Name: "nbit", Typ: column.Int64}, {Name: "runs", Typ: column.Int64},
+		{Name: "cents", Typ: column.Float64}, {Name: "qty", Typ: column.Float64}, {Name: "noise", Typ: column.Float64},
+		{Name: "text", Typ: column.String}, {Name: "dict", Typ: column.String},
+	}}
+	const rows, segRows = 250, 100
+	b := NewBatch(schema)
+	for i := 0; i < rows; i++ {
+		b.Vecs[0].AppendInt(int64(i) * 0x1e3779b97f4a7c15)
+		b.Vecs[1].AppendInt(9000 + int64(i*i%1021))
+		b.Vecs[2].AppendInt(int64(i / 60))
+		b.Vecs[3].AppendFloat(float64(i*7919%1000003-500000) / 100)
+		b.Vecs[4].AppendFloat(float64(i%50 + 1))
+		b.Vecs[5].AppendFloat(math.Float64frombits(uint64(i) * 0x9e3779b97f4a7c15))
+		b.Vecs[6].AppendStr(fmt.Sprintf("comment %d", i*i))
+		b.Vecs[7].AppendStr([]string{"MAIL", "SHIP", "AIR"}[i%3])
+	}
+	b.Vecs[5].F64[3], b.Vecs[5].F64[4] = math.NaN(), math.Copysign(0, -1)
+	r := newRig(t)
+	warm := r.object(t, 16)
+	tbl, err := Create("t", warm, schema, Options{SegRows: segRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(ctxb(), b); err != nil {
+		t.Fatal(err)
+	}
+	id, err := tbl.Commit(ctxb())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := core.OpenBlockmap(r.ds, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
+
+	written := [][]byte{nil} // page 0, the meta page, as the writing handle caches it
+	if written[0], err = warm.Read(ctxb(), 0); err != nil {
+		t.Fatal(err)
+	}
+	for seg := 0; seg < tbl.Segments(); seg++ {
+		lo, hi := seg*segRows, min(rows, (seg+1)*segRows)
+		for _, v := range b.Vecs {
+			written = append(written, column.EncodeSegment(v.Slice(lo, hi)))
+		}
+	}
+	plain, stored := map[column.Encoding]int{}, map[column.Encoding]int{}
+	for logical, want := range written {
+		page, err := cold.Read(ctxb(), uint64(logical))
+		if err != nil || !bytes.Equal(page, want) {
+			t.Fatalf("page %d reads back cold as %d bytes, written %d (err %v)", logical, len(page), len(want), err)
+		}
+		compact := column.Compact(page)
+		if back, err := column.Expand(compact); err != nil || !bytes.Equal(back, page) {
+			t.Fatalf("page %d: Expand(Compact(p)) differs (err %v)", logical, err)
+		}
+		if logical == 0 {
+			if !bytes.Equal(compact, page) {
+				t.Fatal("the meta page changed form")
+			}
+			continue
+		}
+		plain[column.Encoding(page[1])]++
+		stored[column.Encoding(compact[1])]++
+	}
+	segs := tbl.Segments()
+	wantPlain := map[column.Encoding]int{column.EncPlainInt: segs, column.EncBitPackedInt: segs, column.EncRLEInt: segs,
+		column.EncPlainFloat: 3 * segs, column.EncPlainString: segs, column.EncDictString: segs}
+	wantStored := maps.Clone(wantPlain)
+	wantStored[column.EncPlainFloat], wantStored[column.EncDecimalFloat] = segs, 2*segs
+	if !maps.Equal(plain, wantPlain) || !maps.Equal(stored, wantStored) {
+		t.Fatalf("segment pages by encoding: written %v, stored %v; want %v and %v", plain, stored, wantPlain, wantStored)
 	}
 }
 
