@@ -254,6 +254,26 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// spawnedCall recognises a goroutine spawn at n: a `go` statement, or a call
+// of a function the policy table lists as a spawner (pageio.Go), which runs
+// its one argument on another goroutine. It returns the call that runs on
+// the new goroutine: for a spawner, its argument called with no arguments.
+// Either way the spawn is n itself, from n.Pos() to n.End().
+func spawnedCall(info *types.Info, n ast.Node) (*ast.CallExpr, bool) {
+	switch st := n.(type) {
+	case *ast.GoStmt:
+		return st.Call, true
+	case *ast.CallExpr:
+		if fn := calleeFunc(info, st); len(st.Args) == 1 && fn != nil && fn.Pkg() != nil &&
+			fn.Signature().Recv() == nil &&
+			slices.Contains(policyOf(fn.Pkg().Path()).spawns, fn.Name()) {
+			f := st.Args[0]
+			return &ast.CallExpr{Fun: f, Lparen: f.End(), Rparen: f.End()}, true
+		}
+	}
+	return nil, false
+}
+
 // isErrorType reports whether t is the built-in error interface.
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())

@@ -25,8 +25,9 @@ const (
 	EdgeRef
 	// EdgeGo is a call (direct or dispatched) whose callee is started as a
 	// goroutine, either `go f()` or any call made inside a `go func(){...}()`
-	// literal. Crossing an EdgeGo enters a new goroutine: analyses that care
-	// about the caller's context or its lock set must not follow it.
+	// literal, and likewise for pageio.Go(f) (spawnedCall). Crossing an
+	// EdgeGo enters a new goroutine: analyses that care about the caller's
+	// context or its lock set must not follow it.
 	EdgeGo
 )
 
@@ -160,7 +161,8 @@ func (g *Graph) nodesSorted() []*Node {
 func (g *Graph) NodesSorted() []*Node { return g.nodesSorted() }
 
 // graphWalker records edges for one node's body. inGo is true while walking
-// statements that execute on a spawned goroutine (`go func(){...}` bodies).
+// statements that execute on a spawned goroutine (`go func(){...}` and
+// pageio.Go(func(){...}) bodies).
 type graphWalker struct {
 	g        *Graph
 	node     *Node
@@ -183,20 +185,22 @@ func (w *graphWalker) walk(body ast.Node, inGo bool) {
 		})
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.GoStmt:
+		if call, ok := spawnedCall(w.node.Unit.Info, n); ok {
 			// The spawned call itself plus everything inside a spawned
-			// literal runs on another goroutine.
-			w.call(st.Call, true)
+			// literal runs on another goroutine; a spawner such as
+			// pageio.Go gets no call edge of its own.
+			w.call(call, true)
 			// Arguments are evaluated on the spawning goroutine; only the
 			// spawned body runs on the new one.
-			for _, arg := range st.Call.Args {
+			for _, arg := range call.Args {
 				w.walk(arg, inGo)
 			}
-			if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
+			if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 				w.walk(lit.Body, true)
 			}
 			return false
+		}
+		switch st := n.(type) {
 		case *ast.CallExpr:
 			w.call(st, inGo)
 			return true

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// loadBaseGraph loads the pattern and builds the call graph over its base
+// loadBaseGraph loads the patterns and builds the call graph over their base
 // (non-test) units.
-func loadBaseGraph(t *testing.T, pattern string) *Graph {
+func loadBaseGraph(t *testing.T, patterns ...string) *Graph {
 	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := loader.Load([]string{pattern})
+	units, err := loader.Load(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func loadBaseGraph(t *testing.T, pattern string) *Graph {
 		}
 	}
 	if len(base) == 0 {
-		t.Fatalf("pattern %s loaded no base units", pattern)
+		t.Fatalf("patterns %v loaded no base units", patterns)
 	}
 	return BuildGraph(base)
 }
@@ -98,10 +98,22 @@ func TestCallGraphRecursionCycle(t *testing.T) {
 }
 
 func TestCallGraphGoEdge(t *testing.T) {
-	g := loadBaseGraph(t, graphdemoPattern(t))
+	pageio, err := filepath.Abs(filepath.Join("..", "pageio"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With pageio in the graph, a call edge into pageio.Go would show.
+	g := loadBaseGraph(t, graphdemoPattern(t), pageio)
 	spawn := findNode(t, g, "graphdemo.Spawn")
 	if !hasEdge(spawn, EdgeGo, "graphdemo.(*Bell).Ring") {
 		t.Errorf("Spawn lacks go edge to (*Bell).Ring; edges: %v", edgeStrings(spawn))
+	}
+	// pageio.Go(f) is the same spawn: a go edge into the literal's body and
+	// no edge of any kind into pageio.Go.
+	findNode(t, g, "pageio.Go")
+	worker := findNode(t, g, "graphdemo.SpawnWorker")
+	if !hasEdge(worker, EdgeGo, "graphdemo.(*Bell).Ring") || len(worker.Out) != 1 {
+		t.Errorf("SpawnWorker wants one go edge, to (*Bell).Ring; edges: %v", edgeStrings(worker))
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 //
 //   - wall-clock reads and global-PRNG draws (the noclock tables), in
 //     packages noclock does not already police;
-//   - `go` statements: a goroutine spawned under the step loop races the
-//     deterministic schedule, so every such spawn must carry an audited
-//     //lint:ignore detclosure explaining why its interleaving cannot leak
-//     into simulation state;
+//   - `go` statements and pageio.Go calls: a goroutine spawned under the
+//     step loop races the deterministic schedule, so every such spawn must
+//     carry an audited //lint:ignore detclosure explaining why its
+//     interleaving cannot leak into simulation state;
 //   - map iteration whose body appends, sends or prints — Go randomizes map
 //     order, so the output order leaks the runtime's coin flips unless the
 //     collected result is sorted afterwards (the collect-then-sort idiom is
@@ -84,11 +84,12 @@ func (dc *detClosure) checkFunc(n *Node) {
 	}
 	inNoclockPkg := policyOf(n.Func.Pkg().Path()).deterministic
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-		switch st := x.(type) {
-		case *ast.GoStmt:
-			dc.pass.Reportf(st.Pos(),
+		if _, ok := spawnedCall(n.Unit.Info, x); ok {
+			dc.pass.Reportf(x.Pos(),
 				"goroutine spawned inside the deterministic closure (%s): its interleaving races the simulated schedule",
 				dc.path(n.Func))
+		}
+		switch st := x.(type) {
 		case *ast.CallExpr:
 			if !inNoclockPkg { // noclock already reports these
 				dc.checkClockCall(n, st)

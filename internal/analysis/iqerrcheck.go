@@ -26,6 +26,9 @@ func IQErrCheck() *Analyzer {
 func runIQErrCheck(pass *Pass) {
 	for u, f := range pass.files() {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := spawnedCall(u.Info, n); ok {
+				checkDroppedErr(pass, u.Info, call, "go ")
+			}
 			switch st := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
@@ -36,8 +39,6 @@ func runIQErrCheck(pass *Pass) {
 				if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
 					checkDeferredDiscards(pass, u.Info, lit)
 				}
-			case *ast.GoStmt:
-				checkDroppedErr(pass, u.Info, st.Call, "go ")
 			}
 			return true
 		})

@@ -8,7 +8,7 @@ import (
 )
 
 // LeakCheck demands a visible termination path for every goroutine: a `go`
-// statement whose spawned body — directly, or through any function it can
+// statement (or pageio.Go call) whose spawned body — directly, or through any function it can
 // reach by call or dispatch — runs an infinite `for` loop with no way out
 // (return, break out of the loop, goto, panic, os.Exit, runtime.Goexit) can
 // never be joined or shut down, and pins its stack, its captures and (for
@@ -34,8 +34,8 @@ func runLeakCheck(pass *Pass) {
 			continue
 		}
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			if st, ok := x.(*ast.GoStmt); ok {
-				lc.checkSpawn(n, st)
+			if call, ok := spawnedCall(n.Unit.Info, x); ok {
+				lc.checkSpawn(n, x, call)
 			}
 			return true
 		})
@@ -46,9 +46,11 @@ type leakCheck struct {
 	pass *Pass
 }
 
-func (lc *leakCheck) checkSpawn(n *Node, st *ast.GoStmt) {
+// checkSpawn checks one spawn site st (a `go` statement or a pageio.Go
+// call) whose new goroutine runs call.
+func (lc *leakCheck) checkSpawn(n *Node, st ast.Node, call *ast.CallExpr) {
 	// The spawned literal's own statements.
-	if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		if loop := exitlessLoop(lit.Body, n.Unit.Info); loop != nil {
 			lc.pass.Reportf(st.Pos(),
 				"goroutine leak: spawned closure loops forever at %s with no return, break, or panic",

@@ -215,6 +215,9 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
+			if _, ok := spawnedCall(s.info, call); ok {
+				return in // pageio.Go(f): as under go, f is a separate scope
+			}
 			if op, ok := classifyMutexCall(s.info, call); ok && s.matches(op) {
 				return s.apply(op, call.Pos(), in)
 			}

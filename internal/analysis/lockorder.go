@@ -152,11 +152,12 @@ func (lo *lockOrder) walkFunc(n *Node) {
 
 func (lo *lockOrder) walkStmts(n *Node, body ast.Node, held *[]string) {
 	ast.Inspect(body, func(x ast.Node) bool {
+		if _, ok := spawnedCall(n.Unit.Info, x); ok {
+			return false // new goroutine: caller's held set does not transfer
+		}
 		switch st := x.(type) {
 		case *ast.FuncLit:
 			return false // separate lock context (callbacks, deferred closures)
-		case *ast.GoStmt:
-			return false // new goroutine: caller's held set does not transfer
 		case *ast.DeferStmt:
 			return false // runs at return; does not release mid-body
 		case *ast.CallExpr:

@@ -11,6 +11,7 @@ type policy struct {
 	mintsKeys     bool          // keyhygiene exemption: may construct object keys
 	faults        []*obligation // faultsite: method families that must reach a fault hook
 	roots         []string      // detclosure: receiver types whose methods are deterministic roots
+	spawns        []string      // package functions that run their func argument on another goroutine, as `go` does
 }
 
 // policies is the one place that names packages, keyed by import-path base
@@ -39,8 +40,10 @@ var policies = map[string]policy{
 	// fault-covered and their errors handled.
 	"wal": {ioLayer: true, faults: []*obligation{mutating}},
 	"ocm": {ioLayer: true, faults: []*obligation{mutating}},
-	// pageio owns the terminal handlers that call stores and devices.
-	"pageio": {directIO: true, faults: []*obligation{mutating}},
+	// pageio owns the terminal handlers that call stores and devices, and
+	// Go, which starts its argument on a reused worker goroutine: every
+	// rule that looks at `go` statements sees pageio.Go(f) as one.
+	"pageio": {directIO: true, faults: []*obligation{mutating}, spawns: []string{"Go"}},
 	// The Object Key Generator is the minting authority behind
 	// never-write-twice.
 	"keygen": {mintsKeys: true},

@@ -3,6 +3,8 @@
 // taken as references, mutual recursion, and goroutine spawns.
 package graphdemo
 
+import "cloudiq/internal/pageio"
+
 // Ringer is the dispatch interface.
 type Ringer interface {
 	Ring() int
@@ -52,4 +54,12 @@ func Spawn(b *Bell) {
 	go func() {
 		_ = b.Ring()
 	}()
+}
+
+// SpawnWorker calls Ring on a pageio worker goroutine: a go edge as under
+// go, and no call edge into pageio.Go.
+func SpawnWorker(b *Bell) {
+	pageio.Go(func() {
+		_ = b.Ring()
+	})
 }

@@ -7,6 +7,8 @@ package simtest
 import (
 	"sort"
 	"time"
+
+	"cloudiq/internal/pageio"
 )
 
 type runner struct {
@@ -21,6 +23,8 @@ func (r *runner) run() {
 func (r *runner) step() {
 	_ = time.Now() // want "detclosure: time.Now reachable from the deterministic step loop"
 	go watch()     // want "detclosure: goroutine spawned inside the deterministic closure"
+	// A task handed to a reused worker is a spawn too.
+	pageio.Go(func() { watch() }) // want "detclosure: goroutine spawned inside the deterministic closure"
 
 	var keys []string
 	for k := range r.seen { // want "detclosure: map iteration appends to keys"

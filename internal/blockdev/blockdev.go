@@ -149,8 +149,12 @@ func (d *MemDevice) ReadAt(ctx context.Context, p []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("read at %d: %w", off, ErrOutOfRange)
 	}
-	if err := d.cfg.Faults.Check(faultinject.DevRead, strconv.FormatInt(off, 10)); err != nil {
-		return fmt.Errorf("read at %d: %w", off, err)
+	// The plan's detail is formatted only when there is a plan: a nil one
+	// injects nothing, and every OCM SSD read passes here.
+	if d.cfg.Faults != nil {
+		if err := d.cfg.Faults.Check(faultinject.DevRead, strconv.FormatInt(off, 10)); err != nil {
+			return fmt.Errorf("read at %d: %w", off, err)
+		}
 	}
 	d.stats.reads.Add(1)
 	d.stats.bytesRead.Add(int64(len(p)))
@@ -175,15 +179,17 @@ func (d *MemDevice) WriteAt(ctx context.Context, p []byte, off int64) error {
 	if off < 0 {
 		return fmt.Errorf("write at %d: %w", off, ErrOutOfRange)
 	}
-	detail := strconv.FormatInt(off, 10)
-	if err := d.cfg.Faults.Check(faultinject.DevWrite, detail); err != nil {
-		return fmt.Errorf("write at %d: %w", off, err)
-	}
 	// A torn write persists a prefix of the payload and then fails, the
 	// way a crash mid-write leaves a partial page on disk.
 	torn := -1
-	if n := d.cfg.Faults.LagAt(faultinject.DevTornWrite, detail); n > 0 && n < len(p) {
-		torn = n
+	if d.cfg.Faults != nil { // as in ReadAt
+		detail := strconv.FormatInt(off, 10)
+		if err := d.cfg.Faults.Check(faultinject.DevWrite, detail); err != nil {
+			return fmt.Errorf("write at %d: %w", off, err)
+		}
+		if n := d.cfg.Faults.LagAt(faultinject.DevTornWrite, detail); n > 0 && n < len(p) {
+			torn = n
+		}
 	}
 	d.stats.writes.Add(1)
 	d.stats.bytesWritten.Add(int64(len(p)))

@@ -30,6 +30,26 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemDeviceIOAllocs: with no fault plan, a read and a write allocate
+// nothing — in particular no fault detail is formatted for a plan that is
+// not there. Every OCM SSD I/O runs this path.
+func TestMemDeviceIOAllocs(t *testing.T) {
+	d := NewMem(Config{Capacity: 1 << 20})
+	page := make([]byte, 4096)
+	const off = 40960 // past strconv's cached small numbers
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.WriteAt(ctxb(), page, off); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ReadAt(ctxb(), page, off); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadAt + WriteAt with no fault plan: %v allocations, want 0", allocs)
+	}
+}
+
 func TestOutOfRange(t *testing.T) {
 	d := NewMem(Config{Capacity: 10})
 	if err := d.WriteAt(ctxb(), make([]byte, 20), 0); !errors.Is(err, ErrOutOfRange) {

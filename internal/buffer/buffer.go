@@ -442,8 +442,9 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	return nil
 }
 
-// enqueueLocked hands j to a new compression worker if fewer than
-// GOMAXPROCS run, and queues it otherwise. Called with p.mu held.
+// enqueueLocked hands j to a new compression worker (on a pageio.Go
+// goroutine) if fewer than GOMAXPROCS run, and queues it otherwise. Called
+// with p.mu held.
 func (p *Pool) enqueueLocked(j compressJob) {
 	j.o.compressing++
 	if p.compressors >= runtime.GOMAXPROCS(0) {
@@ -452,16 +453,16 @@ func (p *Pool) enqueueLocked(j compressJob) {
 	}
 	p.compressors++
 	//lint:ignore detclosure compression is a pure function of a page's bytes, and flush installs and writes pages in the same logical order with the same I/O whether or not a worker got there first: only CPU timing depends on the interleaving
-	go p.compressQueued(j)
+	pageio.Go(func() { p.compressQueued(j) })
 }
 
 // compressQueued is a compression worker: it compresses j, then queued
-// pages, oldest first, until the queue is empty, and exits. A job whose page
-// has since been rewritten, flushed or dropped is skipped, and an image is
-// installed only if none of that happened while it was compressing, so a
-// stale image never reaches a flush. A worker exits in the critical section
-// that finishes its last job, so once a handle has no job left, no worker
-// that worked for it is still counted.
+// pages, oldest first, until the queue is empty, and returns. A job whose
+// page has since been rewritten, flushed or dropped is skipped, and an image
+// is installed only if none of that happened while it was compressing, so a
+// stale image never reaches a flush. A worker stops counting in the critical
+// section that finishes its last job, so once a handle has no job left, no
+// worker that worked for it is still counted.
 func (p *Pool) compressQueued(j compressJob) {
 	p.mu.Lock()
 	for {

@@ -10,6 +10,7 @@ import (
 
 	"cloudiq/internal/column"
 	"cloudiq/internal/expr"
+	"cloudiq/internal/pageio"
 	"cloudiq/internal/table"
 	"cloudiq/internal/trace"
 )
@@ -26,10 +27,11 @@ type ScanOptions struct {
 	Filter Expr
 	// Prefetch is the segment read-ahead window: up to this many segments
 	// from the consumer's position on are each read and decoded on a
-	// goroutine of their own while the consumer works. Zero selects 8; a
-	// negative value disables read-ahead entirely, making the scan fully
-	// synchronous on the caller's goroutine (deterministic simulation
-	// harnesses rely on this).
+	// worker goroutine of their own (pageio.Go) while the consumer works.
+	// Zero selects 8; a negative value disables read-ahead entirely, making
+	// the scan fully synchronous on the caller's goroutine (the failover
+	// benchmark's key scan uses this). Batches come back in segment order
+	// whatever the window, so the result does not depend on it.
 	Prefetch int
 	// Pushdown lets the scan evaluate Filter inside the object store's
 	// compute endpoint, per segment, returning only qualifying rows. Off by
@@ -144,11 +146,12 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 		}
 		t := &segRead{done: make(chan struct{})}
 		s.ahead[s.started] = t
-		//lint:ignore detclosure a task only writes its own slot, which the consumer reads after done closes and returns in segment order; deterministic callers (simtest, the oracle scans) pass Prefetch -1 and start none
-		go func(i int) {
+		i := s.started
+		//lint:ignore detclosure each task writes only its own slot, which the consumer reads after done closes, and batches leave in segment order, so the interleaving reaches no result (only internal/bench/failover.go passes Prefetch -1)
+		pageio.Go(func() {
 			t.b, t.err = s.segment(ctx, i)
 			close(t.done)
-		}(s.started)
+		})
 	}
 	var b *table.Batch
 	var err error

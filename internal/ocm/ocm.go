@@ -302,11 +302,11 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 	c.wg.Add(1)
 	c.fillWG.Add(1)
 	//lint:ignore detclosure the async fill is an idempotent single-key cache insert joined via fillWG/wg; cache content is order-insensitive
-	go func() {
+	pageio.Go(func() {
 		defer c.wg.Done()
 		defer c.fillWG.Done()
 		c.fill(context.WithoutCancel(ctx), key, cp)
-	}()
+	})
 	return data, nil
 }
 
@@ -424,11 +424,11 @@ func (c *Cache) PutThrough(ctx context.Context, key string, data []byte) error {
 	c.wg.Add(1)
 	c.fillWG.Add(1)
 	//lint:ignore detclosure the async fill is an idempotent single-key cache insert joined via fillWG/wg; cache content is order-insensitive
-	go func() {
+	pageio.Go(func() {
 		defer c.wg.Done()
 		defer c.fillWG.Done()
 		c.fill(context.WithoutCancel(ctx), key, cp)
-	}()
+	})
 	return nil
 }
 

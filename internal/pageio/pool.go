@@ -4,12 +4,14 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // WorkPool bounds the fan-out of batch operations. It holds no long-lived
-// goroutines: each Do call spawns at most Size workers that claim task
-// indices from a shared counter, so a size-1 pool executes tasks strictly in
-// index order (the property deterministic crash simulations rely on).
+// goroutines: each Do call starts at most Size workers (through Go) that
+// claim task indices from a shared counter, so a size-1 pool executes tasks
+// strictly in index order (the property deterministic crash simulations rely
+// on).
 //
 // A nil *WorkPool is valid and behaves as a pool of size 1.
 type WorkPool struct {
@@ -63,13 +65,13 @@ func (p *WorkPool) Do(ctx context.Context, n int, fn func(i int) error) []error 
 		run()
 	} else {
 		var wg sync.WaitGroup
+		wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			wg.Add(1)
 			//lint:ignore detclosure workers join via wg.Wait before Do returns, and each claimed index writes its own errs slot, so the result is independent of interleaving
-			go func() {
+			Go(func() {
 				defer wg.Done()
 				run()
-			}()
+			})
 		}
 		wg.Wait()
 	}
@@ -83,6 +85,102 @@ func (p *WorkPool) Do(ctx context.Context, n int, fn func(i int) error) []error 
 		}
 	}
 	return errs
+}
+
+// sweepPeriod is how often the sweeper retires parked workers: one parked
+// for a whole period exits, so an idle process is back to its base goroutine
+// count within two periods.
+const sweepPeriod = 100 * time.Millisecond
+
+// workers is the process's set of parked goroutines. idle is a stack in
+// park order, so Go reuses the warmest stack first and the sweeper retires
+// from the bottom.
+var workers struct {
+	mu       sync.Mutex
+	idle     []*worker
+	gen      uint64 // sweep generation, advanced once per period
+	sweeping bool   // the sweeper runs
+	started  int64  // workers ever started, for tests
+}
+
+// worker is one worker goroutine's mailbox: task hands it its next function
+// (one at a time, so the one-slot buffer never blocks a sender), and closing
+// it retires the worker.
+type worker struct {
+	task chan func()
+	gen  uint64 // the generation it parked in
+}
+
+// Go runs fn on a parked worker goroutine if one is idle, and on a new one
+// otherwise. It never blocks and bounds nothing: each caller keeps its own
+// concurrency bound. After fn returns the worker parks again, so the next
+// task runs on the stack this one grew instead of growing a fresh one.
+func Go(fn func()) {
+	workers.mu.Lock()
+	if n := len(workers.idle); n > 0 {
+		w := workers.idle[n-1]
+		workers.idle[n-1] = nil
+		workers.idle = workers.idle[:n-1]
+		workers.mu.Unlock()
+		w.task <- fn
+		return
+	}
+	workers.started++
+	workers.mu.Unlock()
+	go work(fn)
+}
+
+// work is a worker goroutine: it runs fn, parks, and runs what Go hands it
+// next until the sweeper retires it.
+func work(fn func()) {
+	w := &worker{task: make(chan func(), 1)}
+	for ok := true; ok; fn, ok = <-w.task {
+		fn()
+		// fn's slot stays on the parked stack: clear it, or the last task's
+		// captures (pages, batches) stay reachable until the next task.
+		fn = nil
+		park(w)
+	}
+}
+
+// park pushes w on the idle stack and starts the sweeper if none runs.
+func park(w *worker) {
+	workers.mu.Lock()
+	w.gen = workers.gen
+	workers.idle = append(workers.idle, w)
+	if !workers.sweeping {
+		workers.sweeping = true
+		go sweep()
+	}
+	workers.mu.Unlock()
+}
+
+// sweep advances the generation once per period and retires every worker
+// that stayed parked for a whole period, until none is parked. One sleeping
+// sweeper, rather than an idle timer armed on every park, keeps clock reads
+// off the task path.
+func sweep() {
+	for {
+		time.Sleep(sweepPeriod)
+		workers.mu.Lock()
+		workers.gen++
+		// Parked before the previous tick: idle for a whole period. The
+		// stack is in park order, so they are a prefix.
+		old := 0
+		for old < len(workers.idle) && workers.idle[old].gen+2 <= workers.gen {
+			close(workers.idle[old].task)
+			old++
+		}
+		n := copy(workers.idle, workers.idle[old:])
+		clear(workers.idle[n:])
+		workers.idle = workers.idle[:n]
+		if n == 0 {
+			workers.sweeping = false
+			workers.mu.Unlock()
+			return
+		}
+		workers.mu.Unlock()
+	}
 }
 
 // readEach is the ReadBatch of every stage whose batch is its single-page

@@ -20,7 +20,7 @@ type rig struct {
 	failNext  bool
 }
 
-func newRig(t *testing.T, retention int64) *rig {
+func newRig(t testing.TB, retention int64) *rig {
 	t.Helper()
 	r := &rig{store: objstore.NewMem(objstore.Config{})}
 	var err error
@@ -245,4 +245,45 @@ func TestLoadSeesLatestMetaThroughStaleListings(t *testing.T) {
 	if got := second.Pending(); got != 3 {
 		t.Fatalf("recovered %d pending retirements, want 3 (Load read a stale listing)", got)
 	}
+}
+
+// FuzzSnapshotMeta: whatever bytes sit in the store as the newest metadata
+// image and as a snapshot image, Load and Restore return an error or a
+// decoded value, never a panic or an out-of-memory. Seeds are the images a
+// real snapshot and persist write.
+func FuzzSnapshotMeta(f *testing.F) {
+	seed := newRig(f, 100)
+	if err := seed.mgr.Retire(ctxb(), "user", cloudRange(0, 10)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := seed.mgr.Snapshot(ctxb(), []byte("catalog"), []byte("system"), 42); err != nil {
+		f.Fatal(err)
+	}
+	keys, err := seed.store.List(ctxb(), metaPrefix)
+	if err != nil || len(keys) != 2 {
+		f.Fatalf("seed images %v: %v", keys, err)
+	}
+	for _, k := range keys {
+		data, err := seed.store.Get(ctxb(), k)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := newRig(t, 100)
+		// An older, valid image under the fuzzed one: Load must pick the
+		// newest and judge it alone.
+		if err := r.mgr.persist(ctxb()); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{r.mgr.metaKey(7), r.mgr.snapKey(1)} {
+			if err := r.store.Put(ctxb(), k, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = r.mgr.Load(ctxb())
+		_, _, _, _ = r.mgr.Restore(ctxb(), 1)
+	})
 }
