@@ -11,7 +11,7 @@ import "testing"
 // makes sync.Pool drop part of what is put back, so the gate is built
 // without it.
 func TestTxInsertCommitAllocs(t *testing.T) {
-	const limit = 83
+	const limit = 69
 	db, _ := newDB(t)
 	tx := db.Begin()
 	if _, err := tx.CreateTable(ctxb(), "user", "t", demoSchema(), TableOptions{SegRows: 64}); err != nil {

@@ -112,6 +112,69 @@ func TestDeltaTrickleInsertMVCCVisibility(t *testing.T) {
 	_ = early.Rollback(ctxb())
 }
 
+// badBatches are batches of demoSchema's shape that cannot be rows of it: a
+// ragged one (v five rows short), a mistyped one (an int vector for v) and
+// one with a nil vector.
+func badBatches() map[string]*Batch {
+	ragged, mistyped, nilVec := fillBatch(10, 500), fillBatch(10, 500), fillBatch(10, 500)
+	ragged.Vecs[1].Str = ragged.Vecs[1].Str[:5]
+	mistyped.Vecs[1] = mistyped.Vecs[0]
+	nilVec.Vecs[0] = nil
+	return map[string]*Batch{"ragged": ragged, "mistyped": mistyped, "nil vector": nilVec}
+}
+
+// TestBadBatchShapesAreErrors: Table.Append and Tx.Insert refuse a batch that
+// does not fit the schema with an error, not a panic, and keep what the
+// transaction had staged before it.
+func TestBadBatchShapesAreErrors(t *testing.T) {
+	db, _ := newDB(t)
+	tx := db.Begin()
+	tbl, err := tx.CreateTable(ctxb(), "user", "t", demoSchema(), TableOptions{SegRows: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(ctxb(), fillBatch(40, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range badBatches() {
+		if err := tbl.Append(ctxb(), b); err == nil {
+			t.Errorf("Append of a %s batch: no error", name)
+		}
+	}
+	if err := tx.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	w := db.Begin()
+	if err := w.Insert(ctxb(), "t", fillBatch(7, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range badBatches() {
+		if err := w.Insert(ctxb(), "t", b); err == nil {
+			t.Errorf("Insert of a %s batch: no error", name)
+		}
+	}
+	// A batch that fits its own schema but not the earlier insert's.
+	other := NewBatch(Schema{Cols: []ColumnDef{{Name: "k", Typ: Int64}, {Name: "v", Typ: Int64}}})
+	other.Vecs[0].AppendInt(1)
+	other.Vecs[1].AppendInt(2)
+	if err := w.Insert(ctxb(), "t", other); err == nil {
+		t.Error("Insert unlike the earlier insert: no error")
+	}
+	if err := w.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, 0, 47)
+	for k := int64(0); k < 40; k++ {
+		want = append(want, k)
+	}
+	for k := int64(1000); k < 1007; k++ {
+		want = append(want, k)
+	}
+	if got := scanKV(t, db, "t"); !sameKeys(got, want) {
+		t.Fatalf("after the refused batches the table holds %v, want %v", got, want)
+	}
+}
+
 // TestDeltaDifferentialInterleavings drives randomized interleavings of
 // segment appends, trickle inserts, freezes, compactions, and GC against a
 // naive key-set reference. After every step a fresh scan must agree exactly.

@@ -118,6 +118,19 @@ func (v *Vector) AppendVector(src *Vector) {
 	}
 }
 
+// AppendRange appends src's values [lo, hi) (src must share v's type): a
+// column's share of a run of rows, copied without a Slice header.
+func (v *Vector) AppendRange(src *Vector, lo, hi int) {
+	switch v.Typ {
+	case Int64:
+		v.I64 = append(v.I64, src.I64[lo:hi]...)
+	case Float64:
+		v.F64 = append(v.F64, src.F64[lo:hi]...)
+	default:
+		v.Str = append(v.Str, src.Str[lo:hi]...)
+	}
+}
+
 // AppendGather appends src's values (src must share v's type) at the given
 // row indexes, in order. A negative index appends the zero value: the build
 // columns of an outer join's unmatched row.

@@ -105,7 +105,7 @@ func TestStringDictChosenForLowCardinality(t *testing.T) {
 	if Encoding(data[1]) != EncDictString {
 		t.Fatalf("encoding = %v, want dict", Encoding(data[1]))
 	}
-	plain := len(encodePlainStrings(nil, vals))
+	plain := len(encodePlainStrings(vals))
 	if len(data) >= plain/4 {
 		t.Fatalf("dict encoding %d bytes vs plain %d: not compressing", len(data), plain)
 	}

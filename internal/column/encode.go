@@ -6,7 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 )
 
 // Encoding identifies how a segment's values are laid out on the page.
@@ -417,13 +417,20 @@ func decodeRLE(payload []byte, n int, rows []int32, all bool) ([]int64, error) {
 
 // --- strings ---
 
-func encodePlainStrings(dst []byte, vals []string) []byte {
-	out := slices.Grow(dst, plainStringsLen(vals))
+// encodePlainStrings returns the plain-string page of vals.
+func encodePlainStrings(vals []string) []byte {
+	out := newPage(plainStringsLen(vals))
 	for _, s := range vals {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
+		out = appendString(out, s)
 	}
 	return out
+}
+
+// appendString appends s length-prefixed, as a plain-string payload and a
+// dictionary's words store it.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
 }
 
 // plainStringsLen is the length of encodePlainStrings' payload for vals.
@@ -462,36 +469,71 @@ func decodePlainStrings(payload []byte, n int, rows []int32, all bool) ([]string
 	return vals, off, nil
 }
 
-// encodeStrings dictionary-encodes when the dictionary pays for itself.
+// encodeStrings dictionary-encodes when the dictionary pays for itself: the
+// distinct words sorted, then each value's word's rank in n-bit codes.
+//
+// Each value finds its word's first-seen id with one probe of an
+// open-addressing table of first rows (the fixed hash HashTable uses, so the
+// table's layout is a function of the page alone), or none when it repeats
+// the value before it. The words' first rows are sorted once, by word, and
+// the ids become ranks.
 func encodeStrings(vals []string) (Encoding, []byte) {
-	if len(vals) == 0 {
+	n := len(vals)
+	if n == 0 {
 		return EncPlainString, newPage(0)
 	}
 	// A dictionary helps when cardinality is well below the value count.
 	// The distinct count only grows, so once it reaches half the values the
-	// page is plain whatever the rest hold: stop counting there.
-	dict := make(map[string]int)
-	for _, s := range vals {
-		if dict[s] = 0; len(dict)*2 >= len(vals) {
-			return EncPlainString, encodePlainStrings(newPage(0), vals)
+	// page is plain whatever the rest hold: stop counting there. The table
+	// then never holds more than (n+1)/2 words, at most half full.
+	codes := make([]int64, n) // first-seen ids, then ranks
+	slots := make([]uint64, slotsFor((n+1)/2))
+	mask := uint32(len(slots) - 1)
+	words := 0
+	for i, s := range vals {
+		if i > 0 && s == vals[i-1] {
+			codes[i] = codes[i-1]
+			continue
+		}
+		tag := uint32(hashString(hashSeed, s) >> 32)
+		for j := tag & mask; ; j = (j + 1) & mask {
+			slot := slots[j]
+			if slot == 0 {
+				if words++; words*2 >= n {
+					return EncPlainString, encodePlainStrings(vals)
+				}
+				slots[j] = uint64(tag)<<32 | uint64(i+1)
+				codes[i] = int64(words - 1)
+				break
+			}
+			if row := uint32(slot) - 1; uint32(slot>>32) == tag && vals[row] == s {
+				codes[i] = codes[row]
+				break
+			}
 		}
 	}
-	words := make([]string, 0, len(dict))
-	for s := range dict {
-		words = append(words, s)
+	order := make([]int32, 0, words) // each word's first row, by id
+	for i, id := range codes {
+		if int(id) == len(order) {
+			order = append(order, int32(i))
+		}
 	}
-	sort.Strings(words)
-	for i, s := range words {
-		dict[s] = i
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(vals[a], vals[b]) })
+	rank := slots[:words] // the table is done with: id → rank
+	wordBytes := 0
+	for r, row := range order {
+		rank[codes[row]] = uint64(r)
+		wordBytes += 4 + len(vals[row])
 	}
-	width := bits.Len64(uint64(len(words) - 1))
-	codes := make([]int64, len(vals))
-	for i, s := range vals {
-		codes[i] = int64(dict[s])
+	for i, id := range codes {
+		codes[i] = int64(rank[id])
 	}
-	out := newPage(4 + plainStringsLen(words) + packedLen(len(codes), width))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(words)))
-	out = encodePlainStrings(out, words)
+	width := bits.Len64(uint64(words - 1))
+	out := newPage(4 + wordBytes + packedLen(n, width))
+	out = binary.LittleEndian.AppendUint32(out, uint32(words))
+	for _, row := range order {
+		out = appendString(out, vals[row])
+	}
 	return EncDictString, packInts(out, codes, 0, width)
 }
 

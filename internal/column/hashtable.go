@@ -223,8 +223,16 @@ func hashString(h uint64, s string) uint64 {
 		h = mix(h, x)
 		s = s[8:]
 	}
-	for i := 0; i < len(s); i++ {
-		last |= uint64(s[i]) << (8 * i)
+	// Two loads that may overlap put each remaining byte at 8×its index.
+	switch n := len(s); {
+	case n >= 4:
+		lo := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
+		hi := uint64(s[n-4]) | uint64(s[n-3])<<8 | uint64(s[n-2])<<16 | uint64(s[n-1])<<24
+		last |= lo | hi<<(8*(n-4))
+	case n >= 2:
+		last |= uint64(s[0]) | uint64(s[1])<<8 | uint64(s[n-2])<<(8*(n-2)) | uint64(s[n-1])<<(8*(n-1))
+	case n == 1:
+		last |= uint64(s[0])
 	}
 	return mix(h, last)
 }

@@ -56,6 +56,16 @@ func TestBulkHelpersEqualAppendLoop(t *testing.T) {
 			t.Fatalf("iter %d (seed %d): AppendVector of %d %s values differs", i, *propSeed, n, src.Typ)
 		}
 
+		lo := int(r.Uint64() % uint64(n+1))
+		hi := lo + int(r.Uint64()%uint64(n-lo+1))
+		for j := lo; j < hi; j++ {
+			want.Append(src, j)
+		}
+		got.AppendRange(src, lo, hi)
+		if !sameVector(got, want) {
+			t.Fatalf("iter %d (seed %d): AppendRange [%d, %d) of %s differs", i, *propSeed, lo, hi, src.Typ)
+		}
+
 		zero := &Vector{Typ: src.Typ, I64: []int64{0}, F64: []float64{0}, Str: []string{""}}
 		for _, row := range rows32 {
 			if row < 0 {
@@ -229,6 +239,31 @@ func TestHashSpread(t *testing.T) {
 		if longest > 128 {
 			t.Errorf("%d-column %v keys: a run of %d occupied slots at load %.2f",
 				len(keys), keys[0].Typ, longest, float64(n)/float64(len(tbl.slots)))
+		}
+	}
+}
+
+// TestHashStringTail holds hashString's overlapping loads of a string's last
+// 0–7 bytes to the byte-at-a-time fold they replace, at every length and
+// offset of a string with high and zero bytes in it.
+func TestHashStringTail(t *testing.T) {
+	ref := func(h uint64, s string) uint64 {
+		last := uint64(len(s)) << 56
+		for ; len(s) >= 8; s = s[8:] {
+			h = mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+				uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+		}
+		for i := 0; i < len(s); i++ {
+			last |= uint64(s[i]) << (8 * i)
+		}
+		return mix(h, last)
+	}
+	b := "\xff\x01\x80abcdefghijklmnopqrstuvwxyz\x00\xfe0123456789"
+	for i := 0; i <= len(b); i++ {
+		for j := i; j <= len(b); j++ {
+			if got, want := hashString(hashSeed, b[i:j]), ref(hashSeed, b[i:j]); got != want {
+				t.Fatalf("hashString(%q) = %#x, want %#x", b[i:j], got, want)
+			}
 		}
 	}
 }

@@ -140,11 +140,12 @@ func (c *huffCode) cost(freq []uint32) int {
 	return n
 }
 
-// symFreq is one symbol of a code being built: its frequency, then, inside
-// minimumRedundancy, a parent index or a depth.
-type symFreq struct {
-	key uint32
-	sym uint16
+// huffScratch is build's working space, kept by the pooled encoder: the
+// used symbols as freq<<16 | sym, and their frequencies in that order, which
+// minimumRedundancy turns into code lengths.
+type huffScratch struct {
+	keys []uint64
+	lens []uint32
 }
 
 // build makes c the length-limited Huffman code of freq: Moffat and
@@ -152,33 +153,34 @@ type symFreq struct {
 // limit, the Kraft sum repaired by lengthening the shortest codes that
 // still leave room. Fewer than two used symbols get a second (symbol 0 or 1)
 // so that every code written is complete: the length-1 single code is legal,
-// but not every decoder takes it.
-func (c *huffCode) build(freq []uint32, limit int, syms []symFreq) []symFreq {
+// but not every decoder takes it. The symbols are ordered by frequency, then
+// by symbol: one integer sort of their keys.
+func (c *huffCode) build(freq []uint32, limit int, s *huffScratch) {
 	c.code = slices.Grow(c.code[:0], len(freq))[:len(freq)]
 	c.len = slices.Grow(c.len[:0], len(freq))[:len(freq)]
 	clear(c.len)
-	syms = syms[:0]
+	keys := s.keys[:0]
 	for sym, f := range freq {
 		if f != 0 {
-			syms = append(syms, symFreq{f, uint16(sym)})
+			keys = append(keys, uint64(f)<<16|uint64(sym))
 		}
 	}
-	for sym := 0; len(syms) < 2; sym++ {
+	for sym := 0; len(keys) < 2; sym++ {
 		if freq[sym] == 0 {
-			syms = append(syms, symFreq{1, uint16(sym)})
+			keys = append(keys, 1<<16|uint64(sym))
 		}
 	}
-	slices.SortFunc(syms, func(a, b symFreq) int {
-		if a.key != b.key {
-			return int(a.key) - int(b.key)
-		}
-		return int(a.sym) - int(b.sym)
-	})
-	minimumRedundancy(syms)
+	slices.Sort(keys)
+	lens := s.lens[:0]
+	for _, k := range keys {
+		lens = append(lens, uint32(k>>16))
+	}
+	s.keys, s.lens = keys, lens
+	minimumRedundancy(lens)
 
 	var count [32]int
-	for _, s := range syms {
-		count[min(int(s.key), limit)]++
+	for _, l := range lens {
+		count[min(int(l), limit)]++
 	}
 	// Clamping to limit over-subscribes the code; each step below frees one
 	// limit-length slot by splitting a shorter leaf into two longer ones.
@@ -197,59 +199,58 @@ func (c *huffCode) build(freq []uint32, limit int, syms []symFreq) []symFreq {
 		}
 		total--
 	}
-	// The most frequent symbols (the end of syms) take the shortest codes.
-	j := len(syms)
+	// The most frequent symbols (the end of keys) take the shortest codes.
+	j := len(keys)
 	for l := 1; l <= limit; l++ {
 		for range count[l] {
 			j--
-			c.len[syms[j].sym] = uint8(l)
+			c.len[uint16(keys[j])] = uint8(l)
 		}
 	}
 	c.assign()
-	return syms
 }
 
 // minimumRedundancy replaces the frequencies of a (sorted ascending, at
 // least two) with optimal code lengths, in place and in O(n) (A. Moffat and
 // J. Katajainen, "In-place calculation of minimum-redundancy codes", 1995).
-func minimumRedundancy(a []symFreq) {
+func minimumRedundancy(a []uint32) {
 	n := len(a)
 	// Phase 1: build the tree, leaving each internal node's parent index.
-	a[0].key += a[1].key
+	a[0] += a[1]
 	root, leaf := 0, 2
 	for next := 1; next < n-1; next++ {
-		if leaf >= n || a[root].key < a[leaf].key {
-			a[next].key = a[root].key
-			a[root].key = uint32(next)
+		if leaf >= n || a[root] < a[leaf] {
+			a[next] = a[root]
+			a[root] = uint32(next)
 			root++
 		} else {
-			a[next].key = a[leaf].key
+			a[next] = a[leaf]
 			leaf++
 		}
-		if leaf >= n || (root < next && a[root].key < a[leaf].key) {
-			a[next].key += a[root].key
-			a[root].key = uint32(next)
+		if leaf >= n || (root < next && a[root] < a[leaf]) {
+			a[next] += a[root]
+			a[root] = uint32(next)
 			root++
 		} else {
-			a[next].key += a[leaf].key
+			a[next] += a[leaf]
 			leaf++
 		}
 	}
 	// Phase 2: internal node depths.
-	a[n-2].key = 0
+	a[n-2] = 0
 	for next := n - 3; next >= 0; next-- {
-		a[next].key = a[a[next].key].key + 1
+		a[next] = a[a[next]] + 1
 	}
 	// Phase 3: leaf depths, deepest first.
 	avail, used, depth := 1, 0, uint32(0)
 	root, next := n-2, n-1
 	for avail > 0 {
-		for root >= 0 && a[root].key == depth {
+		for root >= 0 && a[root] == depth {
 			used++
 			root--
 		}
 		for avail > used {
-			a[next].key = depth
+			a[next] = depth
 			next--
 			avail--
 		}
@@ -271,7 +272,7 @@ type encoder struct {
 	lit      huffCode
 	dist     huffCode
 	cl       huffCode
-	syms     []symFreq
+	huff     huffScratch
 
 	// The code-length stream of a dynamic header, symbol | extra<<8, and
 	// the header's HLIT + 257, HDIST + 1 and HCLEN + 4.
@@ -428,8 +429,8 @@ func matchLen(a, b []byte) int {
 // code-length stream, and returns the block's size in bits, the block-type
 // bits and extra bits excluded.
 func (e *encoder) buildDynamic() int {
-	e.syms = e.lit.build(e.litFreq[:], maxCodeBits, e.syms)
-	e.syms = e.dist.build(e.distFreq[:], maxCodeBits, e.syms)
+	e.lit.build(e.litFreq[:], maxCodeBits, &e.huff)
+	e.dist.build(e.distFreq[:], maxCodeBits, &e.huff)
 	nlit, ndist := litLenSyms, distSyms
 	for nlit > 257 && e.lit.len[nlit-1] == 0 {
 		nlit--
@@ -479,7 +480,7 @@ func (e *encoder) buildDynamic() int {
 			emit(uint16(l), 0)
 		}
 	}
-	e.syms = e.cl.build(e.clFreq[:], maxCLBits, e.syms)
+	e.cl.build(e.clFreq[:], maxCLBits, &e.huff)
 	nclen := numCLSyms
 	for nclen > 4 && e.cl.len[codeOrder[nclen-1]] == 0 {
 		nclen--

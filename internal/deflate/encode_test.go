@@ -85,7 +85,7 @@ func TestBuildLimitsCodeLengths(t *testing.T) {
 			a, b = b, a+b
 		}
 		var code huffCode
-		code.build(freq, c.limit, nil)
+		code.build(freq, c.limit, &huffScratch{})
 		kraft := 0
 		for i, l := range code.len {
 			if l == 0 || int(l) > c.limit {
@@ -102,7 +102,7 @@ func TestBuildLimitsCodeLengths(t *testing.T) {
 	}
 	// One used symbol gets a partner, so the code is still complete.
 	var code huffCode
-	code.build([]uint32{0, 0, 5}, 15, nil)
+	code.build([]uint32{0, 0, 5}, 15, &huffScratch{})
 	if code.len[0] != 1 || code.len[2] != 1 {
 		t.Fatalf("single symbol: lengths %v, want a partner at symbol 0", code.len)
 	}

@@ -139,7 +139,7 @@ func ParseRows(schema Schema, data string) (*Batch, error) {
 				}
 				b.Vecs[c].AppendInt(v)
 			case def.Typ == column.Float64:
-				v, err := strconv.ParseFloat(f, 64)
+				v, err := parseFloat(f)
 				if err != nil {
 					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
 				}
@@ -152,17 +152,82 @@ func ParseRows(schema Schema, data string) (*Batch, error) {
 	return b, nil
 }
 
+// pow10 holds the powers of ten a plain decimal's scale can take.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseFloat is strconv.ParseFloat with a fast path for a plain decimal: an
+// optional '-', then at most 15 digits with at most one '.'. Such a value is
+// m / 10^k with m < 10^15 and k ≤ 15, both exact in a float64, so one IEEE
+// division rounds it correctly — the exact case ParseFloat itself takes
+// first — and "-0.00" is −0, as ParseFloat makes it. Anything else, an error
+// included, is ParseFloat's.
+func parseFloat(s string) (float64, error) {
+	i := 0
+	if len(s) > 0 && s[0] == '-' {
+		i = 1
+	}
+	var m uint64
+	nd, scale := 0, -1 // digits read; digits after the '.', -1 before one
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9' && nd < 15:
+			m = m*10 + uint64(c-'0')
+			nd++
+			if scale >= 0 {
+				scale++
+			}
+		case c == '.' && scale < 0:
+			scale = 0
+		default:
+			return strconv.ParseFloat(s, 64)
+		}
+	}
+	if nd == 0 {
+		return strconv.ParseFloat(s, 64)
+	}
+	f := float64(m) / pow10[max(scale, 0)]
+	if s[0] == '-' {
+		f = -f
+	}
+	return f, nil
+}
+
+// parseDate reads yyyy-mm-dd. Digits are read directly; a part that is not
+// all digits goes through strconv.Atoi, which also takes a sign
+// ("1995-+1-02" is January).
 func parseDate(s string) (int64, error) {
 	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
 		return 0, fmt.Errorf("bad date %q", s)
 	}
-	y, err1 := strconv.Atoi(s[:4])
-	m, err2 := strconv.Atoi(s[5:7])
-	d, err3 := strconv.Atoi(s[8:])
-	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
+	y, ok1 := digits(s[:4])
+	m, ok2 := digits(s[5:7])
+	d, ok3 := digits(s[8:])
+	if !ok1 || !ok2 || !ok3 {
+		var err1, err2, err3 error
+		y, err1 = strconv.Atoi(s[:4])
+		m, err2 = strconv.Atoi(s[5:7])
+		d, err3 = strconv.Atoi(s[8:])
+		if err1 != nil || err2 != nil || err3 != nil {
+			return 0, fmt.Errorf("bad date %q", s)
+		}
+	}
+	if m < 1 || m > 12 || d < 1 || d > 31 {
 		return 0, fmt.Errorf("bad date %q", s)
 	}
 	return daysFromCivil(y, m, d), nil
+}
+
+// digits reads s when it is all decimal digits.
+func digits(s string) (int, bool) {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }
 
 // daysFromCivil is column.DateToDays in integer arithmetic (the proleptic

@@ -62,6 +62,25 @@ func NewBatch(s Schema) *Batch {
 	return b
 }
 
+// Check reports whether b can be appended as rows of s: one non-nil vector
+// per column, each of its column's type, all of one length.
+func (s Schema) Check(b *Batch) error {
+	if len(b.Vecs) != len(s.Cols) {
+		return fmt.Errorf("batch has %d columns, schema %d", len(b.Vecs), len(s.Cols))
+	}
+	for c, v := range b.Vecs {
+		switch def := s.Cols[c]; {
+		case v == nil:
+			return fmt.Errorf("column %s: no vector", def.Name)
+		case v.Typ != def.Typ:
+			return fmt.Errorf("column %s: %v vector, schema %v", def.Name, v.Typ, def.Typ)
+		case v.Len() != b.Vecs[0].Len():
+			return fmt.Errorf("column %s: %d rows, column %s %d", def.Name, v.Len(), s.Cols[0].Name, b.Vecs[0].Len())
+		}
+	}
+	return nil
+}
+
 // Rows returns the number of rows in the batch.
 func (b *Batch) Rows() int {
 	if len(b.Vecs) == 0 {

@@ -245,30 +245,38 @@ func (m *meta) partitionOf(v int64) int {
 }
 
 // Append adds the batch's rows, sealing segments as they fill. The batch
-// must match the schema.
+// must match the schema. Rows are copied a column at a time, in runs that go
+// to one partition and fit the open segment, so a segment seals at the same
+// row whatever the shape of the batches that filled it.
 func (t *Table) Append(ctx context.Context, b *Batch) error {
 	if !t.writable {
 		return fmt.Errorf("table %s: not writable", t.name)
 	}
-	if len(b.Vecs) != len(t.meta.Schema.Cols) {
-		return fmt.Errorf("table %s: batch has %d columns, schema %d", t.name, len(b.Vecs), len(t.meta.Schema.Cols))
+	if err := t.meta.Schema.Check(b); err != nil {
+		return fmt.Errorf("table %s: %w", t.name, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rows := b.Rows()
-	for r := 0; r < rows; r++ {
-		part := 0
-		if t.meta.PartCol >= 0 {
-			part = t.meta.partitionOf(b.Vecs[t.meta.PartCol].I64[r])
-		}
+	for lo := 0; lo < rows; {
+		part := t.partitionAt(b, lo)
 		builder, ok := t.builders[part]
 		if !ok {
 			builder = NewBatch(t.meta.Schema)
+			for _, v := range builder.Vecs {
+				v.Grow(t.meta.SegRows)
+			}
 			t.builders[part] = builder
 		}
-		for c := range builder.Vecs {
-			builder.Vecs[c].Append(b.Vecs[c], r)
+		end := min(rows, lo+t.meta.SegRows-builder.Rows())
+		hi := lo + 1
+		for hi < end && t.partitionAt(b, hi) == part {
+			hi++
 		}
+		for c, v := range builder.Vecs {
+			v.AppendRange(b.Vecs[c], lo, hi)
+		}
+		lo = hi
 		if builder.Rows() >= t.meta.SegRows {
 			if err := t.sealLocked(ctx, part, builder); err != nil {
 				return err
@@ -277,6 +285,14 @@ func (t *Table) Append(ctx context.Context, b *Batch) error {
 		}
 	}
 	return nil
+}
+
+// partitionAt routes row r of b.
+func (t *Table) partitionAt(b *Batch, r int) int {
+	if t.meta.PartCol < 0 {
+		return 0
+	}
+	return t.meta.partitionOf(b.Vecs[t.meta.PartCol].I64[r])
 }
 
 // sealLocked encodes and writes one full (or final partial) segment.

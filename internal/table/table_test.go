@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ type rig struct {
 	rf    *rfrb.Bitmap
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	store := objstore.NewMem(objstore.Config{Consistency: objstore.Consistency{NewKeyMissReads: 1}})
 	gen := keygen.NewGenerator(nil)
@@ -44,7 +45,7 @@ func newRig(t *testing.T) *rig {
 	}
 }
 
-func (r *rig) object(t *testing.T, fanout int) *buffer.Object {
+func (r *rig) object(t testing.TB, fanout int) *buffer.Object {
 	t.Helper()
 	bm, err := core.NewBlockmap(r.ds, fanout)
 	if err != nil {
@@ -188,6 +189,67 @@ func TestRangePartitioning(t *testing.T) {
 	}
 }
 
+// TestAppendRunsMatchRowAtATime appends rows whose partitions interleave, in
+// batches of uneven sizes, and the same rows one per Append: both tables
+// must seal the same segments — rows, partition and zone maps — with the
+// same pages, so a run copied a column at a time neither crosses a
+// partition nor moves a segment boundary.
+func TestAppendRunsMatchRowAtATime(t *testing.T) {
+	r := newRig(t)
+	opts := Options{SegRows: 16, PartitionCol: "id", PartitionBounds: []int64{99, 199}}
+	rows := makeBatch(t, 300, 0)
+	for i := range rows.Vecs[0].I64 {
+		rows.Vecs[0].I64[i] = int64(i * 37 % 300)
+	}
+	runs, _ := Create("t", r.object(t, 16), testSchema(), opts)
+	one, _ := Create("t", r.object(t, 16), testSchema(), opts)
+	for lo, n := 0, 1; lo < rows.Rows(); lo, n = lo+n, n*3%47+1 {
+		hi := min(lo+n, rows.Rows())
+		if err := runs.Append(ctxb(), slice(rows, lo, hi)); err != nil {
+			t.Fatal(err)
+		}
+		for row := lo; row < hi; row++ {
+			if err := one.Append(ctxb(), slice(rows, row, row+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tbl := range []*Table{runs, one} {
+		if _, err := tbl.Commit(ctxb()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs.Segments() != one.Segments() {
+		t.Fatalf("%d segments, row at a time %d", runs.Segments(), one.Segments())
+	}
+	cols := []int{0, 1, 2, 3}
+	for s := 0; s < runs.Segments(); s++ {
+		if !reflect.DeepEqual(runs.Seg(s), one.Seg(s)) {
+			t.Fatalf("segment %d: %+v, row at a time %+v", s, runs.Seg(s), one.Seg(s))
+		}
+		got, _, err := runs.ReadSegmentPages(ctxb(), s, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := one.ReadSegmentPages(ctxb(), s, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("segment %d: pages differ from the row-at-a-time table's", s)
+		}
+	}
+}
+
+// slice returns rows [lo, hi) of b as a batch of their own.
+func slice(b *Batch, lo, hi int) *Batch {
+	out := &Batch{Schema: b.Schema}
+	for _, v := range b.Vecs {
+		out.Vecs = append(out.Vecs, v.Slice(lo, hi))
+	}
+	return out
+}
+
 func TestPartitionValidation(t *testing.T) {
 	r := newRig(t)
 	if _, err := Create("t", r.object(t, 16), testSchema(), Options{PartitionCol: "nope"}); err == nil {
@@ -325,12 +387,32 @@ func TestReadOnlyOpensShareDecodedMeta(t *testing.T) {
 	}
 }
 
+// TestAppendSchemaMismatch: a batch that cannot be rows of the schema — too
+// few columns, ragged, mistyped, a nil vector — is an error, not a panic, and
+// leaves the open segment as it was.
 func TestAppendSchemaMismatch(t *testing.T) {
 	r := newRig(t)
-	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{})
-	bad := NewBatch(Schema{Cols: []ColumnDef{{Name: "x", Typ: column.Int64}}})
-	if err := tbl.Append(ctxb(), bad); err == nil {
-		t.Fatal("mismatched batch accepted")
+	tbl, _ := Create("t", r.object(t, 16), testSchema(), Options{SegRows: 100})
+	if err := tbl.Append(ctxb(), makeBatch(t, 30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	narrow := NewBatch(Schema{Cols: []ColumnDef{{Name: "x", Typ: column.Int64}}})
+	ragged, mistyped, nilVec := makeBatch(t, 10, 100), makeBatch(t, 10, 100), makeBatch(t, 10, 100)
+	ragged.Vecs[1].F64 = ragged.Vecs[1].F64[:5]
+	mistyped.Vecs[2] = mistyped.Vecs[0]
+	nilVec.Vecs[0] = nil
+	for name, bad := range map[string]*Batch{"narrow": narrow, "ragged": ragged, "mistyped": mistyped, "nil vector": nilVec} {
+		if err := tbl.Append(ctxb(), bad); err == nil {
+			t.Errorf("%s batch accepted", name)
+		}
+	}
+	if got := tbl.builders[0].Rows(); got != 30 || tbl.Rows() != 30 {
+		t.Fatalf("open segment holds %d rows after refused batches, want 30", got)
+	}
+	for c, v := range tbl.builders[0].Vecs {
+		if v.Len() != 30 {
+			t.Fatalf("open segment column %d holds %d values, want 30", c, v.Len())
+		}
 	}
 }
 

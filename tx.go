@@ -201,7 +201,13 @@ func (tx *Tx) Insert(ctx context.Context, name string, b *table.Batch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if b == nil || b.Rows() == 0 {
+	if b == nil {
+		return nil
+	}
+	if err := b.Schema.Check(b); err != nil {
+		return fmt.Errorf("cloudiq: insert into %q: %w", name, err)
+	}
+	if b.Rows() == 0 {
 		return nil
 	}
 	tx.mu.Lock()
@@ -225,14 +231,11 @@ func (tx *Tx) Insert(ctx context.Context, name string, b *table.Batch) error {
 	if !ok {
 		dst = table.NewBatch(b.Schema)
 		tx.inserts[name] = dst
+	} else if err := dst.Schema.Check(b); err != nil {
+		return fmt.Errorf("cloudiq: insert into %q: earlier insert differs: %w", name, err)
 	}
-	if len(dst.Vecs) != len(b.Vecs) {
-		return fmt.Errorf("cloudiq: insert into %q: batch has %d columns, earlier insert had %d", name, len(b.Vecs), len(dst.Vecs))
-	}
-	for r := 0; r < b.Rows(); r++ {
-		for c := range dst.Vecs {
-			dst.Vecs[c].Append(b.Vecs[c], r)
-		}
+	for c, v := range dst.Vecs {
+		v.AppendRange(b.Vecs[c], 0, b.Rows())
 	}
 	return nil
 }
