@@ -12,7 +12,7 @@ import (
 func TestSharedPageCacheAcrossTransactions(t *testing.T) {
 	store := NewMemObjectStore(ObjectStoreConfig{})
 	dev := NewMemBlockDevice(BlockDeviceConfig{Capacity: 16 << 20})
-	db, err := Open(ctxb(), Config{Compress: true})
+	db, err := Open(ctxb(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

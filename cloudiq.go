@@ -72,10 +72,14 @@ type Config struct {
 	// page compression, which the buffer pool runs on at most GOMAXPROCS
 	// workers.
 	PrefetchWorkers int
-	// Compress enables page-level compression.
+	// Compress is ignored: every page is stored DEFLATE-compressed.
+	//
+	// Deprecated: kept only so existing callers compile; it will be removed.
 	Compress bool
-	// Scale is the simulated-time scale shared with the storage devices.
-	// Nil disables latency simulation inside the engine (retry backoff).
+	// Scale is ignored: the engine models no delay of its own (retries do
+	// not back off); latency lives in the stores and devices.
+	//
+	// Deprecated: kept only so existing callers compile; it will be removed.
 	Scale *iomodel.Scale
 	// Faults, if non-nil, arms this node's transaction log with the
 	// plan's WAL injection sites (WALAppend, WALTornTail). Storage-side
@@ -263,7 +267,6 @@ func (db *Database) AttachCloudDbspace(name string, store objstore.Store, opts C
 		Keys:        keygen.NewClient(db.allocFunc()),
 		Namer:       core.KeyNamer{Sequential: opts.SequentialKeys},
 		ReadRetries: opts.ReadRetries,
-		Scale:       db.cfg.Scale,
 		Pool:        db.iopool,
 		Stats:       db.cfg.IOStats,
 	}

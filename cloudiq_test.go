@@ -32,7 +32,7 @@ func newDB(t *testing.T) (*Database, *MemObjectStore) {
 	store := NewMemObjectStore(ObjectStoreConfig{
 		Consistency: ObjectStoreConsistency{NewKeyMissReads: 1},
 	})
-	db, err := Open(ctxb(), Config{Compress: true})
+	db, err := Open(ctxb(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

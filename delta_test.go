@@ -113,14 +113,15 @@ func TestDeltaTrickleInsertMVCCVisibility(t *testing.T) {
 }
 
 // badBatches are batches of demoSchema's shape that cannot be rows of it: a
-// ragged one (v five rows short), a mistyped one (an int vector for v) and
-// one with a nil vector.
+// ragged one (v five rows short), a mistyped one (an int vector for v), one
+// with a nil vector and one whose int vector also holds a float.
 func badBatches() map[string]*Batch {
-	ragged, mistyped, nilVec := fillBatch(10, 500), fillBatch(10, 500), fillBatch(10, 500)
+	ragged, mistyped, nilVec, twoTyped := fillBatch(10, 500), fillBatch(10, 500), fillBatch(10, 500), fillBatch(10, 500)
 	ragged.Vecs[1].Str = ragged.Vecs[1].Str[:5]
 	mistyped.Vecs[1] = mistyped.Vecs[0]
 	nilVec.Vecs[0] = nil
-	return map[string]*Batch{"ragged": ragged, "mistyped": mistyped, "nil vector": nilVec}
+	twoTyped.Vecs[0].F64 = []float64{1.5}
+	return map[string]*Batch{"ragged": ragged, "mistyped": mistyped, "nil vector": nilVec, "two-typed": twoTyped}
 }
 
 // TestBadBatchShapesAreErrors: Table.Append and Tx.Insert refuse a batch that

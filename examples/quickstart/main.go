@@ -26,7 +26,7 @@ func main() {
 		Consistency: cloudiq.ObjectStoreConsistency{NewKeyMissReads: 1},
 	})
 
-	db, err := cloudiq.Open(ctx, cloudiq.Config{Compress: true})
+	db, err := cloudiq.Open(ctx, cloudiq.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 		Consistency: cloudiq.ObjectStoreConsistency{NewKeyMissReads: 1},
 	})
 	ssd := cloudiq.NewMemBlockDevice(cloudiq.BlockDeviceConfig{Capacity: 256 << 20})
-	db, err := cloudiq.Open(ctx, cloudiq.Config{Compress: true, CacheBytes: 64 << 20})
+	db, err := cloudiq.Open(ctx, cloudiq.Config{CacheBytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestEndToEndUnderHarshEventualConsistency(t *testing.T) {
 		Consistency: ObjectStoreConsistency{NewKeyMissReads: 3, StaleReads: 5},
 	})
 	logDev := NewMemBlockDevice(BlockDeviceConfig{Growable: true})
-	db, err := Open(ctxb(), Config{LogDevice: logDev, Compress: true})
+	db, err := Open(ctxb(), Config{LogDevice: logDev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEndToEndUnderHarshEventualConsistency(t *testing.T) {
 	_ = db.Close()
 
 	// Crash and recover with a cold engine over the surviving store+log.
-	db2, err := Open(ctxb(), Config{LogDevice: logDev, Compress: true})
+	db2, err := Open(ctxb(), Config{LogDevice: logDev})
 	if err != nil {
 		t.Fatal(err)
 	}

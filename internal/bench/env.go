@@ -153,8 +153,6 @@ func Setup(ctx context.Context, opts Options) (*Env, error) {
 		LogDevice:       e.LogDev,
 		CacheBytes:      cache,
 		PrefetchWorkers: opts.Instance.CPUs,
-		Compress:        true,
-		Scale:           e.Scale,
 		IOStats:         opts.IOStats,
 		Trace:           opts.Trace,
 	})
@@ -274,8 +272,6 @@ func (e *Env) OpenReader(ctx context.Context, name string) (*cloudiq.Database, *
 		LogDevice:       logCopy,
 		CacheBytes:      cache,
 		PrefetchWorkers: M5ad4xl.CPUs,
-		Compress:        true,
-		Scale:           e.Scale,
 		IOStats:         e.Opts.IOStats,
 		Node:            name,
 		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {

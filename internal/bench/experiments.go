@@ -511,7 +511,7 @@ func AblationPrefixHashing(ctx context.Context, o Options, n int) ([]AblationRes
 			PrefixRate:   200, // harsh throttle to expose the effect quickly
 			Scale:        scale,
 		})
-		db, err := cloudiq.Open(ctx, cloudiq.Config{Scale: scale, IOStats: o.IOStats})
+		db, err := cloudiq.Open(ctx, cloudiq.Config{IOStats: o.IOStats})
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,7 @@ func RunFailover(ctx context.Context, base Options, cycles int) (*FailoverReport
 		Scale:        scale,
 		Faults:       plan,
 	})
-	cl, err := simtest.NewCluster(simtest.ClusterConfig{Plan: plan, Store: store, Scale: scale, IOStats: base.IOStats})
+	cl, err := simtest.NewCluster(simtest.ClusterConfig{Plan: plan, Store: store, IOStats: base.IOStats})
 	if err != nil {
 		return nil, err
 	}

@@ -135,7 +135,7 @@ type Object struct {
 	ds    core.Dbspace
 	bm    *core.Blockmap
 	sink  core.FlushSink
-	codec Codec
+	codec pageCodec
 
 	// memo caches the cloud key of each logical page for a read-only handle,
 	// whose blockmap never changes, so a hit resolves its key without a lock.
@@ -169,12 +169,9 @@ const (
 )
 
 // OpenObject registers an object with the pool. sink may be nil, making the
-// handle read-only. codec may be nil for uncompressed pages.
-func (p *Pool) OpenObject(ds core.Dbspace, bm *core.Blockmap, sink core.FlushSink, codec Codec) *Object {
-	if codec == nil {
-		codec = NopCodec{}
-	}
-	o := &Object{pool: p, ds: ds, bm: bm, sink: sink, codec: codec}
+// handle read-only. Every page the handle stores is compressed by FlateCodec.
+func (p *Pool) OpenObject(ds core.Dbspace, bm *core.Blockmap, sink core.FlushSink) *Object {
+	o := &Object{pool: p, ds: ds, bm: bm, sink: sink, codec: FlateCodec{}}
 	p.mu.Lock()
 	p.nextObj++
 	o.id = p.nextObj

@@ -49,7 +49,7 @@ func (r *rig) open(t *testing.T, fanout int) *Object {
 	if t != nil && err != nil {
 		t.Fatal(err)
 	}
-	return r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), nil)
+	return r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}))
 }
 
 func pageData(i uint64, n int) []byte {
@@ -102,7 +102,7 @@ func TestFlushForCommitPersistsAndReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := NewPool(Config{Capacity: 1 << 20})
-	reader := cold.OpenObject(r.ds, bm, nil, nil)
+	reader := cold.OpenObject(r.ds, bm, nil)
 	for i := uint64(0); i < 20; i++ {
 		got, err := reader.Read(ctxb(), i)
 		if err != nil || !bytes.Equal(got, pageData(i, 64)) {
@@ -114,7 +114,7 @@ func TestFlushForCommitPersistsAndReopens(t *testing.T) {
 func TestReadOnlyObjectRejectsWrites(t *testing.T) {
 	r := newRig(t, 1<<20, objstore.Consistency{})
 	bm, _ := core.NewBlockmap(r.ds, 4)
-	reader := r.pool.OpenObject(r.ds, bm, nil, nil)
+	reader := r.pool.OpenObject(r.ds, bm, nil)
 	if err := reader.Write(ctxb(), 0, []byte("x")); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v", err)
 	}
@@ -256,7 +256,7 @@ func TestFlateCodecRoundTripAndCompresses(t *testing.T) {
 func TestCompressedPagesStoredSmaller(t *testing.T) {
 	r := newRig(t, 1<<20, objstore.Consistency{})
 	bm, _ := core.NewBlockmap(r.ds, 4)
-	obj := r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), FlateCodec{})
+	obj := r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}))
 	src := bytes.Repeat([]byte("columnar!"), 500)
 	_ = obj.Write(ctxb(), 0, src)
 	id, err := obj.FlushForCommit(ctxb())
@@ -272,7 +272,7 @@ func TestCompressedPagesStoredSmaller(t *testing.T) {
 	}
 	// Read back through a fresh object with the same codec.
 	bm2, _ := core.OpenBlockmap(r.ds, id)
-	reader := NewPool(Config{Capacity: 1 << 20}).OpenObject(r.ds, bm2, nil, FlateCodec{})
+	reader := NewPool(Config{Capacity: 1 << 20}).OpenObject(r.ds, bm2, nil)
 	got, err := reader.Read(ctxb(), 0)
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("decompressed read failed: %v", err)
@@ -290,7 +290,7 @@ func TestConcurrentReadersOneObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	bm, _ := core.OpenBlockmap(r.ds, id)
-	reader := r.pool.OpenObject(r.ds, bm, nil, nil)
+	reader := r.pool.OpenObject(r.ds, bm, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -324,7 +324,7 @@ func TestConcurrentWritersDistinctObjects(t *testing.T) {
 				return
 			}
 			sink := core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}})
-			obj := r.pool.OpenObject(r.ds, bm, sink, nil)
+			obj := r.pool.OpenObject(r.ds, bm, sink)
 			for i := uint64(0); i < 40; i++ {
 				if err := obj.Write(ctxb(), i, pageData(i+uint64(w)<<32, 100)); err != nil {
 					t.Error(err)
@@ -406,7 +406,7 @@ func TestInPlaceRewriteOnConventionalDbspace(t *testing.T) {
 	pool := NewPool(Config{Capacity: 1 << 20})
 	bm, _ := core.NewBlockmap(bds, 4)
 	var rb, rf rfrb.Bitmap
-	obj := pool.OpenObject(bds, bm, core.LockedSink(core.BitmapSink{RB: &rb, RF: &rf}), nil)
+	obj := pool.OpenObject(bds, bm, core.LockedSink(core.BitmapSink{RB: &rb, RF: &rf}))
 
 	_ = obj.Write(ctxb(), 0, pageData(0, 200))
 	if _, err := obj.FlushForCommit(ctxb()); err != nil {
@@ -431,8 +431,8 @@ func TestInPlaceRewriteOnConventionalDbspace(t *testing.T) {
 	if second.Loc != first.Loc {
 		t.Fatalf("same-txn re-flush moved the page: %v -> %v", first, second)
 	}
-	if second.Size != 180 {
-		t.Fatalf("rewritten size = %d, want 180", second.Size)
+	if want := len(FlateCodec{}.Compress(pageData(42, 180))); second.Size != uint32(want) {
+		t.Fatalf("rewritten size = %d, want %d", second.Size, want)
 	}
 	// The run is still the page's: the rewrite supersedes nothing.
 	if rf.Contains(first.Loc) {
@@ -512,7 +512,7 @@ func TestFlushForCommitHonorsCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb, rf := &rfrb.Bitmap{}, &rfrb.Bitmap{}
-	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: rb, RF: rf}), nil)
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: rb, RF: rf}))
 	for i := uint64(0); i < pages; i++ {
 		if err := obj.Write(ctxb(), i, pageData(i, 64)); err != nil {
 			t.Fatal(err)
@@ -576,7 +576,7 @@ func TestFlushForCommitJoinsDistinctErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb, rf := &rfrb.Bitmap{}, &rfrb.Bitmap{}
-	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: rb, RF: rf}), nil)
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: rb, RF: rf}))
 	for i := uint64(0); i < 4; i++ {
 		if err := obj.Write(ctxb(), i, pageData(i, 64)); err != nil {
 			t.Fatal(err)

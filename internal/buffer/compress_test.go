@@ -57,13 +57,13 @@ func (g *gateCodec) compressed(data []byte) bool {
 	return false
 }
 
-func (r *rig) openCodec(t *testing.T, codec Codec) *Object {
+// openCodec opens a writable handle whose pages go through codec instead of
+// FlateCodec.
+func (r *rig) openCodec(t *testing.T, codec pageCodec) *Object {
 	t.Helper()
-	bm, err := core.NewBlockmap(r.ds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), codec)
+	o := r.open(t, 8)
+	o.codec = codec
+	return o
 }
 
 // pageImage returns the compressed image installed on the handle's dirty
@@ -99,7 +99,7 @@ func checkStored(t *testing.T, r *rig, o *Object, want map[uint64][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := NewPool(Config{Capacity: 1 << 20}).OpenObject(r.ds, bm, nil, FlateCodec{})
+	cold := NewPool(Config{Capacity: 1 << 20}).OpenObject(r.ds, bm, nil)
 	for l, data := range want {
 		if got, err := cold.Read(ctxb(), l); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("page %d: stored %d bytes (err %v), want the %d last written", l, len(got), err, len(data))
@@ -352,7 +352,7 @@ func BenchmarkWriteFlush(b *testing.B) {
 					b.Fatal(err)
 				}
 				sink := core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}})
-				o := NewPool(Config{Capacity: 64 << 20}).OpenObject(ds, bm, sink, FlateCodec{})
+				o := NewPool(Config{Capacity: 64 << 20}).OpenObject(ds, bm, sink)
 				b.StartTimer()
 				var first core.Entry
 				for f := 0; f < c.flushes; f++ {

@@ -29,7 +29,7 @@ func warmReader(tb testing.TB, n int) (*Object, []uint64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	reader := r.pool.OpenObject(r.ds, bm, nil, nil)
+	reader := r.pool.OpenObject(r.ds, bm, nil)
 	if _, err := reader.ReadBatch(ctxb(), logicals); err != nil {
 		tb.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // ErrNoPushdown reports that this object cannot serve the request via the
-// store's compute endpoint: the dbspace has no select capability, the pages
-// use an opaque codec, or a requested page is dirty in the buffer cache (the
-// store image would be stale). Callers fall back to plain reads.
+// store's compute endpoint: the dbspace has no select capability, or a
+// requested page is dirty in the buffer cache (the store image would be
+// stale). Callers fall back to plain reads.
 var ErrNoPushdown = errors.New("buffer: pushdown unavailable")
 
 // NamedPage pairs a pushdown-plan column name with the logical page that
@@ -26,7 +26,7 @@ type NamedPage struct {
 // selectDbspace is the pushdown capability of a dbspace (CloudDbspace
 // implements it; conventional dbspaces do not).
 type selectDbspace interface {
-	Select(ctx context.Context, cols []core.SelectCol, flate bool, plan objstore.SelectPlan) (*objstore.SelectResult, error)
+	Select(ctx context.Context, cols []core.SelectCol, plan objstore.SelectPlan) (*objstore.SelectResult, error)
 }
 
 // Select evaluates plan store-side against the stored images of the given
@@ -44,16 +44,6 @@ func (o *Object) Select(ctx context.Context, pages []NamedPage, plan objstore.Se
 	if !ok {
 		return nil, fmt.Errorf("%w: dbspace %s has no compute endpoint", ErrNoPushdown, o.ds.Name())
 	}
-	var flate bool
-	switch o.codec.(type) {
-	case NopCodec:
-		flate = false
-	case FlateCodec:
-		flate = true
-	default:
-		return nil, fmt.Errorf("%w: codec %T is opaque to the store", ErrNoPushdown, o.codec)
-	}
-
 	o.mu.Lock()
 	for _, pg := range pages {
 		if _, dirty := o.dirty[pg.Logical]; dirty {
@@ -76,7 +66,7 @@ func (o *Object) Select(ctx context.Context, pages []NamedPage, plan objstore.Se
 	}
 
 	sctx, sp := trace.Start(ctx, "buffer.select", trace.Int("pages", int64(len(pages))))
-	res, err := sd.Select(sctx, cols, flate, plan)
+	res, err := sd.Select(sctx, cols, plan)
 	if sp != nil && res != nil {
 		sp.AddInt("scanned", res.ScannedBytes)
 		sp.AddInt("bytes", res.ReturnedBytes)

@@ -106,7 +106,7 @@ func (r *shareRig) writer(t *testing.T, id core.Identity) *Object {
 		t.Fatal(err)
 	}
 	sink := core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}})
-	return r.pool.OpenObject(r.cds, bm, sink, nil)
+	return r.pool.OpenObject(r.cds, bm, sink)
 }
 
 func (r *shareRig) reader(t *testing.T, id core.Identity) *Object {
@@ -115,7 +115,7 @@ func (r *shareRig) reader(t *testing.T, id core.Identity) *Object {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.pool.OpenObject(r.cds, bm, nil, nil)
+	return r.pool.OpenObject(r.cds, bm, nil)
 }
 
 // commitPages writes pages [0,n) with the given seed through w and commits.
@@ -315,7 +315,7 @@ func TestEvictionDuringCommitNoDoubleFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &countingSink{}
-	a := r.pool.OpenObject(r.cds, bm, sink, nil)
+	a := r.pool.OpenObject(r.cds, bm, sink)
 	for l := uint64(0); l < pages; l++ {
 		if err := a.Write(ctxb(), l, pageData(l, size)); err != nil {
 			t.Fatal(err)
@@ -345,7 +345,7 @@ func TestEvictionDuringCommitNoDoubleFlush(t *testing.T) {
 	}
 
 	for l := uint64(0); l < pages; l++ {
-		if n := r.cds.writes[string(pageData(l, size))]; n != 1 {
+		if n := r.cds.writes[string(FlateCodec{}.Compress(pageData(l, size)))]; n != 1 {
 			t.Errorf("page %d was written %d times", l, n)
 		}
 	}
@@ -482,12 +482,12 @@ func TestBlockDbspaceHandlesShareNothing(t *testing.T) {
 	pool := NewPool(Config{Capacity: 1 << 20})
 	bm, _ := core.NewBlockmap(bds, 8)
 	var rb, rf rfrb.Bitmap
-	w := pool.OpenObject(bds, bm, core.LockedSink(core.BitmapSink{RB: &rb, RF: &rf}), nil)
+	w := pool.OpenObject(bds, bm, core.LockedSink(core.BitmapSink{RB: &rb, RF: &rf}))
 	id := commitPages(t, w, 10, 0)
 
 	for i := 1; i <= 2; i++ {
 		rbm, _ := core.OpenBlockmap(bds, id)
-		scanPages(t, pool.OpenObject(bds, rbm, nil, nil), 10, 0)
+		scanPages(t, pool.OpenObject(bds, rbm, nil), 10, 0)
 		if s := pool.Stats(); s.Misses != int64(10*i) {
 			t.Fatalf("reader %d: %d misses so far, want %d", i, s.Misses, 10*i)
 		}

@@ -124,3 +124,43 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+// FuzzCatalogUnmarshal: whatever bytes recovery finds as the checkpointed
+// catalog, Unmarshal returns an error or a catalog that answers Names,
+// Lookup and Marshal, never a panic or an out-of-memory. Seeds are the
+// images a real catalog marshals to.
+func FuzzCatalogUnmarshal(f *testing.F) {
+	c := New()
+	for i, name := range []string{"lineitem", "orders", "nation"} {
+		if err := c.Publish(name, ident(uint64(i)), uint64(i+1)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := c.Drop("orders", 7); err != nil {
+		f.Fatal(err)
+	}
+	for _, cat := range []*Catalog{New(), c} {
+		img, err := cat.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		for _, snap := range []uint64{0, 1, 5, ^uint64(0)} {
+			for _, name := range c.Names(snap) {
+				if _, ok := c.Lookup(name, snap); !ok {
+					t.Fatalf("Names(%d) lists %q, Lookup misses it", snap, name)
+				}
+			}
+		}
+		if _, err := c.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/freelist"
-	"cloudiq/internal/iomodel"
 	"cloudiq/internal/keygen"
 	"cloudiq/internal/mt"
 	"cloudiq/internal/objstore"
@@ -136,8 +135,6 @@ type CloudConfig struct {
 	// a Cache configured the cache owns upload retries, so the pipeline
 	// writes once.
 	ReadRetries int
-	// Scale drives the backoff sleeps. Nil disables sleeping.
-	Scale *iomodel.Scale
 
 	// Pool bounds batch fan-out. Nil runs batches sequentially.
 	Pool *pageio.WorkPool
@@ -171,8 +168,8 @@ var _ Dbspace = (*CloudDbspace)(nil)
 //	Meter("dbspace:<name>") -> Retry -> Meter("ocm:|store:<name>") -> terminal
 //
 // where the terminal is the OCM (when configured) or the store adapter. The
-// outer Meter's span times the caller-visible operation, backoff included,
-// and Retry annotates that span with its attempt counts.
+// outer Meter's span times the caller-visible operation, every attempt
+// included, and Retry annotates that span with its attempt counts.
 func NewCloud(cfg CloudConfig) *CloudDbspace {
 	if cfg.ReadRetries <= 0 {
 		cfg.ReadRetries = defaultReadRetries
@@ -191,7 +188,6 @@ func NewCloud(cfg CloudConfig) *CloudDbspace {
 		pageio.Retry(pageio.Policy{
 			ReadAttempts:  cfg.ReadRetries,
 			WriteAttempts: writeAttempts,
-			Scale:         cfg.Scale,
 			Pool:          cfg.Pool,
 		}),
 		pageio.Meter(cfg.Stats, inner),
@@ -201,7 +197,6 @@ func NewCloud(cfg CloudConfig) *CloudDbspace {
 		pageio.Retry(pageio.Policy{
 			ReadAttempts:  cfg.ReadRetries,
 			WriteAttempts: 1,
-			Scale:         cfg.Scale,
 			Pool:          cfg.Pool,
 		}),
 		pageio.Meter(cfg.Stats, "store:"+cfg.Name),
@@ -335,11 +330,10 @@ type SelectCol struct {
 // path's retry-until-found discipline: a not-yet-visible column object is an
 // eventual-consistency artifact, exactly as on ReadBatch. Stores without a
 // compute endpoint answer pageio.ErrSelectUnsupported.
-func (d *CloudDbspace) Select(ctx context.Context, cols []SelectCol, flate bool, plan objstore.SelectPlan) (*objstore.SelectResult, error) {
+func (d *CloudDbspace) Select(ctx context.Context, cols []SelectCol, plan objstore.SelectPlan) (*objstore.SelectResult, error) {
 	req := objstore.SelectRequest{
-		Cols:  make([]objstore.SelectCol, len(cols)),
-		Flate: flate,
-		Plan:  plan,
+		Cols: make([]objstore.SelectCol, len(cols)),
+		Plan: plan,
 	}
 	for i, c := range cols {
 		if !c.E.IsCloud() {

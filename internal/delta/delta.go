@@ -23,13 +23,11 @@ package delta
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 
-	"cloudiq/internal/column"
 	"cloudiq/internal/table"
 )
 
@@ -371,15 +369,19 @@ func (s *Store) Restore(img []byte) error {
 }
 
 // checkImage refuses a table image whose runs are not what Marshal writes:
-// live runs of rows checkRows accepts, all of the first run's column types,
-// in ascending non-overlapping row-id order below NextID.
+// live runs whose rows fit their own schema (table.Schema.Check), all of the
+// first run's column types, in ascending non-overlapping row-id order below
+// NextID.
 func checkImage(it imageTable) error {
 	next := uint64(0)
 	for i, r := range it.Runs {
 		if r == nil || r.CompactedAt != 0 {
 			return fmt.Errorf("run %d is not a live run", i)
 		}
-		if err := checkRows(r.Rows); err != nil {
+		if r.Rows == nil {
+			return fmt.Errorf("run %d: no rows", i)
+		}
+		if err := r.Rows.Schema.Check(r.Rows); err != nil {
 			return fmt.Errorf("run %d: %w", i, err)
 		}
 		sameType := func(a, b table.ColumnDef) bool { return a.Typ == b.Typ }
@@ -413,51 +415,18 @@ func EncodeInsert(rec InsertRecord) ([]byte, error) {
 }
 
 // DecodeInsert parses a wal.RecDeltaInsert payload. It refuses a record
-// whose rows Store.Apply could not land as they stand (checkRows), so a
-// corrupt record fails recovery instead of panicking it.
+// whose rows Store.Apply could not land as they stand (table.Schema.Check),
+// so a corrupt record fails recovery instead of panicking it.
 func DecodeInsert(payload []byte) (InsertRecord, error) {
 	var rec InsertRecord
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 		return InsertRecord{}, fmt.Errorf("delta: decode insert record: %w", err)
 	}
-	if err := checkRows(rec.Rows); err != nil {
+	if rec.Rows == nil {
+		return InsertRecord{}, fmt.Errorf("delta: decode insert record for %q: no rows", rec.Table)
+	}
+	if err := rec.Rows.Schema.Check(rec.Rows); err != nil {
 		return InsertRecord{}, fmt.Errorf("delta: decode insert record for %q: %w", rec.Table, err)
 	}
 	return rec, nil
-}
-
-// checkRows refuses a batch that is not one vector per schema column, each
-// of its column's type with only that type's slice populated, all of one
-// length.
-func checkRows(b *table.Batch) error {
-	if b == nil {
-		return errors.New("no rows")
-	}
-	if len(b.Vecs) != len(b.Schema.Cols) {
-		return fmt.Errorf("%d vectors for %d columns", len(b.Vecs), len(b.Schema.Cols))
-	}
-	for i, v := range b.Vecs {
-		col := b.Schema.Cols[i]
-		if v == nil || v.Typ != col.Typ {
-			return fmt.Errorf("column %q: vector is not of its type %v", col.Name, col.Typ)
-		}
-		var other int
-		switch v.Typ {
-		case column.Int64:
-			other = len(v.F64) + len(v.Str)
-		case column.Float64:
-			other = len(v.I64) + len(v.Str)
-		case column.String:
-			other = len(v.I64) + len(v.F64)
-		default:
-			return fmt.Errorf("column %q: unknown type %v", col.Name, v.Typ)
-		}
-		if other != 0 {
-			return fmt.Errorf("column %q: %v vector holds values of another type", col.Name, v.Typ)
-		}
-		if n := b.Vecs[0].Len(); v.Len() != n {
-			return fmt.Errorf("column %q: %d values, column %q %d", col.Name, v.Len(), b.Schema.Cols[0].Name, n)
-		}
-	}
-	return nil
 }

@@ -356,7 +356,7 @@ func TestScanWithZonePruningAndFilter(t *testing.T) {
 	ds := core.NewCloud(core.CloudConfig{Name: "user", Store: store, Keys: client})
 	pool := buffer.NewPool(buffer.Config{Capacity: 8 << 20})
 	bm, _ := core.NewBlockmap(ds, 16)
-	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}), nil)
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}))
 	tbl, err := table.Create("t", obj, table.Schema{Cols: []table.ColumnDef{intCol("id"), strCol("tag")}}, table.Options{SegRows: 100})
 	if err != nil {
 		t.Fatal(err)

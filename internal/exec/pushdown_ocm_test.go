@@ -43,7 +43,7 @@ func pushdownOCMTable(t *testing.T, store *objstore.MemStore, rows, segRows int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}), nil)
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}))
 	tbl, err := table.Create("t", obj, table.Schema{Cols: []table.ColumnDef{
 		intCol("a"), intCol("b"), fltCol("f"), fltCol("g"), strCol("s"), strCol("t"),
 	}}, table.Options{SegRows: segRows})

@@ -42,7 +42,7 @@ func pushdownTable(t *testing.T, store *objstore.MemStore, rows, segRows int, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}), nil)
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}))
 	tbl, err := table.Create("t", obj, table.Schema{Cols: []table.ColumnDef{
 		intCol("a"), intCol("b"), fltCol("f"), fltCol("g"), strCol("s"), strCol("t"),
 	}}, table.Options{SegRows: segRows})
@@ -399,7 +399,7 @@ func TestPushdownCompactFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := buffer.NewPool(buffer.Config{Capacity: 4096})
-	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}), buffer.FlateCodec{})
+	obj := pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}))
 	tbl, err := table.Create("lineitem", obj, b.Schema, table.Options{SegRows: segRows})
 	if err != nil {
 		t.Fatal(err)

@@ -225,7 +225,7 @@ func TestReadAheadReadsEachPageOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := buffer.NewPool(buffer.Config{Capacity: 64 << 20})
-		cold, err := table.Open(ctxb(), "t", pool.OpenObject(ds, bm, nil, nil), false)
+		cold, err := table.Open(ctxb(), "t", pool.OpenObject(ds, bm, nil), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func newTableObjectOn(t testing.TB, ds core.Dbspace, poolBytes int64) *buffer.Ob
 		t.Fatal(err)
 	}
 	pool := buffer.NewPool(buffer.Config{Capacity: poolBytes})
-	return pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}), nil)
+	return pool.OpenObject(ds, bm, core.LockedSink(core.BitmapSink{RB: &rfrb.Bitmap{}, RF: &rfrb.Bitmap{}}))
 }
 
 // scanBatch draws rows of the scan-test schema, NaNs and both zeros among

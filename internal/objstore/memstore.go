@@ -40,11 +40,6 @@ type Config struct {
 	ReadLatency  iomodel.Latency
 	WriteLatency iomodel.Latency
 
-	// Network, if non-nil, models the compute instance's NIC; it is shared
-	// with whatever else the experiment attaches to it (e.g. load input
-	// files) and is consumed on both uploads and downloads.
-	Network *iomodel.Resource
-
 	// PrefixRate, if positive, is the maximum sustained requests per second
 	// a single key prefix can absorb before requests queue (S3 throttles per
 	// prefix). The prefix is the part of the key before the first '/'.
@@ -164,7 +159,6 @@ func (s *MemStore) Put(ctx context.Context, key string, data []byte) error {
 	}
 	s.throttlePrefix(key)
 	s.scale.Sleep(s.cfg.WriteLatency.Duration(len(data), s.rnd))
-	s.cfg.Network.Acquire(len(data))
 	s.metrics.bytesIn.Add(int64(len(data)))
 
 	cp := make([]byte, len(data))
@@ -221,7 +215,6 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	s.mu.Unlock()
 
 	s.scale.Sleep(s.cfg.ReadLatency.Duration(len(version), s.rnd))
-	s.cfg.Network.Acquire(len(version))
 	s.metrics.bytesOut.Add(int64(len(version)))
 
 	cp := make([]byte, len(version))

@@ -43,12 +43,10 @@ type SelectCol struct {
 // SelectRequest is one pushdown call: the column objects of a single table
 // segment plus the plan to evaluate over them.
 type SelectRequest struct {
-	// Cols are the column objects forming the segment. All must decode to
-	// the same row count.
+	// Cols are the column objects forming the segment: DEFLATE-compressed
+	// page images (buffer.FlateCodec), which the store inflates before
+	// decoding. All must decode to the same row count.
 	Cols []SelectCol
-	// Flate indicates the stored objects are DEFLATE-compressed page images
-	// (buffer.FlateCodec); the store inflates before decoding.
-	Flate bool
 	// Plan is the computation to evaluate.
 	Plan SelectPlan
 }
@@ -87,7 +85,7 @@ type SelectResult struct {
 	// compute charge is billed on.
 	ScannedBytes int64
 	// ReturnedBytes is the bytes that crossed the network back to the
-	// caller — what the transfer charge and NIC usage are billed on.
+	// caller — what the transfer charge is billed on.
 	ReturnedBytes int64
 }
 
@@ -97,20 +95,17 @@ func unsupported(format string, args ...any) error {
 }
 
 // evalSelect runs the plan against the decoded column vectors. raw holds the
-// stored (possibly compressed) images parallel to req.Cols; the vectors are
-// decoded from them.
+// stored (compressed) images parallel to req.Cols; the vectors are inflated
+// and decoded from them.
 func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 	res := &SelectResult{}
 	cols := make(map[string]*column.Vector, len(req.Cols))
 	n := -1
 	for i, c := range req.Cols {
 		res.ScannedBytes += int64(len(raw[i]))
-		img := raw[i]
-		if req.Flate {
-			var err error
-			if img, err = deflate.Decompress(img); err != nil {
-				return nil, unsupported("inflate %q: %v", c.Key, err)
-			}
+		img, err := deflate.Decompress(raw[i])
+		if err != nil {
+			return nil, unsupported("inflate %q: %v", c.Key, err)
 		}
 		v, err := column.DecodeSegment(img)
 		if err != nil {
@@ -161,7 +156,9 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 		return res, nil
 	}
 
-	// Row mode: re-encode the qualifying rows of the projected columns.
+	// Row mode: re-encode the qualifying rows of the projected columns in
+	// the form a page is stored in (column.Compact), so a result column
+	// never costs more bytes a value than the page it came from.
 	res.Rows = len(rows)
 	res.Cols = make([][]byte, len(req.Plan.Project))
 	for i, name := range req.Plan.Project {
@@ -169,7 +166,7 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 		if !ok {
 			return nil, unsupported("projected column %q not in request", name)
 		}
-		enc := column.EncodeSegment(v.Gather(rows))
+		enc := column.Compact(column.EncodeSegment(v.Gather(rows)))
 		res.Cols[i] = enc
 		res.ReturnedBytes += int64(len(enc))
 	}
@@ -182,9 +179,8 @@ var _ Selector = (*MemStore)(nil)
 // request model follows Get per column object — fault injection at the
 // dedicated obj.select site, per-prefix throttling, and the same visibility
 // rules (a not-yet-visible column answers ErrNotFound so callers retry or
-// fall back). Latency is charged on the bytes scanned; the network and
-// bandwidth resources are charged only on the bytes returned — that
-// asymmetry is the entire point of pushdown.
+// fall back). Latency is charged on the bytes scanned; BytesOut counts only
+// the bytes returned — that asymmetry is the entire point of pushdown.
 func (s *MemStore) Select(ctx context.Context, req SelectRequest) (*SelectResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -235,9 +231,8 @@ func (s *MemStore) Select(ctx context.Context, req SelectRequest) (*SelectResult
 	}
 
 	// Service time is driven by the bytes the store itself had to scan;
-	// only the result crosses the shared network.
+	// only the result crosses the network.
 	s.scale.Sleep(s.cfg.ReadLatency.Duration(int(res.ScannedBytes), s.rnd))
-	s.cfg.Network.Acquire(int(res.ReturnedBytes))
 	s.metrics.bytesOut.Add(res.ReturnedBytes)
 	s.metrics.selScanned.Add(res.ScannedBytes)
 	s.metrics.selReturned.Add(res.ReturnedBytes)

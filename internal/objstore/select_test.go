@@ -7,17 +7,19 @@ import (
 	"testing"
 
 	"cloudiq/internal/column"
+	"cloudiq/internal/deflate"
 	"cloudiq/internal/expr"
 )
 
-// selectStore holds one two-column segment: a = 1..6, s alternating x/y.
+// selectStore holds one two-column segment, stored deflated as the buffer
+// pool stores every page: a = 1..6, s alternating x/y.
 func selectStore(t *testing.T) (*MemStore, []SelectCol) {
 	t.Helper()
 	s := NewMem(Config{})
 	a := &column.Vector{Typ: column.Int64, I64: []int64{1, 2, 3, 4, 5, 6}}
 	str := &column.Vector{Typ: column.String, Str: []string{"x", "y", "x", "y", "x", "y"}}
 	for key, v := range map[string]*column.Vector{"seg/a": a, "seg/s": str} {
-		if err := s.Put(context.Background(), key, column.EncodeSegment(v)); err != nil {
+		if err := s.Put(context.Background(), key, deflate.Compress(column.EncodeSegment(v))); err != nil {
 			t.Fatal(err)
 		}
 	}

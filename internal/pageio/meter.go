@@ -183,9 +183,9 @@ type OpSnapshot struct {
 // span, if any, labelled with the layer name ("dbspace:user", "ocm:user",
 // "dev:user", ...) and, when reg is non-nil, is recorded into reg's layer of
 // that name, so a layer's span and counters describe the same call. Above
-// Retry it times the caller-visible operation, backoff included, and Retry
-// and Coalesce annotate its span; below Retry each attempt is its own call,
-// so metering both sides exposes the retry amplification.
+// Retry it times the caller-visible operation, every attempt included, and
+// Retry and Coalesce annotate its span; below Retry each attempt is its own
+// call, so metering both sides exposes the retry amplification.
 func Meter(reg *StatsRegistry, layer string) Middleware {
 	return func(next Handler) Handler {
 		m := &meter{next: next, layer: layer}

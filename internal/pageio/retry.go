@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"cloudiq/internal/iomodel"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/trace"
 )
@@ -17,23 +15,15 @@ var ErrExhausted = errors.New("pageio: retries exhausted")
 
 // Policy configures the Retry middleware, the paper's retry-until-found
 // discipline (§3): under eventual consistency a freshly written key may not
-// be visible yet, so reads that miss are retried with capped exponential
-// backoff; writes are retried on any error because the key is never reused
-// (never-write-twice makes write retries idempotent).
+// be visible yet, so reads that miss are retried at once, up to a bounded
+// number of attempts; writes are retried on any error because the key is
+// never reused (never-write-twice makes write retries idempotent). There is
+// no backoff: latency is modelled by the stores and devices, not here.
 type Policy struct {
 	// ReadAttempts and WriteAttempts bound the total tries per operation
 	// (minimum 1 each).
 	ReadAttempts  int
 	WriteAttempts int
-
-	// Delay is the first backoff; it doubles per retry up to Cap. A zero Cap
-	// leaves the backoff uncapped.
-	Delay time.Duration
-	Cap   time.Duration
-
-	// Scale charges simulated time for each backoff. Nil skips sleeping,
-	// which keeps unit tests instant.
-	Scale *iomodel.Scale
 
 	// Pool bounds the fan-out of batch operations, which retry each item
 	// independently. Nil runs batch items sequentially.
@@ -50,12 +40,6 @@ func retryRead(err error) bool {
 // idempotent under the never-write-twice discipline, so re-issuing either
 // against a throttled or flaky store is safe whatever the error.
 func retryWrite(error) bool { return true }
-
-func (p Policy) sleep(d time.Duration) {
-	if p.Scale != nil {
-		p.Scale.Sleep(d)
-	}
-}
 
 // Retry returns the retry middleware for p.
 func Retry(p Policy) Middleware {
@@ -75,21 +59,10 @@ type retry struct {
 	p    Policy
 }
 
-// backoff sleeps the current delay and returns the next one, doubled and
-// capped.
-func (r *retry) backoff(d time.Duration) time.Duration {
-	r.p.sleep(d)
-	d *= 2
-	if r.p.Cap > 0 && d > r.p.Cap {
-		d = r.p.Cap
-	}
-	return d
-}
-
 // ctxAborted reports whether err is the operation's own cancellation or
-// deadline. Retrying such an error burns the remaining attempt budget
-// sleeping and then masks the ctx error behind ErrExhausted, so the retry
-// loop surfaces it immediately. The returned error is checked — not just
+// deadline. Retrying such an error burns the remaining attempt budget and
+// then masks the ctx error behind ErrExhausted, so the retry loop surfaces
+// it immediately. The returned error is checked — not just
 // ctx.Err() between attempts — because a handler may observe the deadline
 // while this middleware's own ctx check races ahead of it.
 func ctxAborted(err error) bool {
@@ -98,41 +71,34 @@ func ctxAborted(err error) bool {
 
 // noteRetries annotates the context's span once an operation needed more
 // than one attempt.
-func noteRetries(ctx context.Context, attempts int, backoff time.Duration) {
-	if attempts <= 1 {
-		return
+func noteRetries(ctx context.Context, attempts int) {
+	if attempts > 1 {
+		trace.From(ctx).AddInt("retry.attempts", int64(attempts))
 	}
-	sp := trace.From(ctx)
-	sp.AddInt("retry.attempts", int64(attempts))
-	sp.AddInt("retry.backoff_ns", int64(backoff))
 }
 
-// attempt is the one retry loop: it runs op up to attempts times, backing
-// off between tries, and stops at once on success, on the operation's own
-// cancellation, or on an error retryable rejects. An operation that used up
-// its budget fails with ErrExhausted naming what it was, unless the budget
-// was a single attempt, which returns the raw error.
+// attempt is the one retry loop: it runs op up to attempts times and stops
+// at once on success, on the operation's own cancellation, or on an error
+// retryable rejects. An operation that used up its budget fails with
+// ErrExhausted naming what it was, unless the budget was a single attempt,
+// which returns the raw error.
 func (r *retry) attempt(ctx context.Context, attempts int, retryable func(error) bool, what func() string, op func() error) error {
-	delay := r.p.Delay
 	var err error
-	var slept time.Duration
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			slept += delay
-			delay = r.backoff(delay)
 		}
 		if err = op(); err == nil {
-			noteRetries(ctx, i+1, slept)
+			noteRetries(ctx, i+1)
 			return nil
 		}
 		if ctxAborted(err) || !retryable(err) {
 			return err
 		}
 	}
-	noteRetries(ctx, attempts, slept)
+	noteRetries(ctx, attempts)
 	if attempts == 1 {
 		return err
 	}

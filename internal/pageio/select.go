@@ -43,8 +43,7 @@ func (h *storeHandler) Select(ctx context.Context, req objstore.SelectRequest) (
 }
 
 // Select on the retry middleware applies the read policy: not-yet-visible
-// column objects (eventual consistency) are retried with the same capped
-// backoff as plain reads, while plan rejections, ErrSelectUnsupported and
+// column objects (eventual consistency) are retried like plain reads, while plan rejections, ErrSelectUnsupported and
 // injected select faults surface immediately so the caller can fall back.
 func (r *retry) Select(ctx context.Context, req objstore.SelectRequest) (*objstore.SelectResult, error) {
 	var res *objstore.SelectResult

@@ -9,7 +9,6 @@ import (
 	"cloudiq"
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/faultinject"
-	"cloudiq/internal/iomodel"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/pageio"
 	"cloudiq/internal/rfrb"
@@ -30,8 +29,6 @@ type ClusterConfig struct {
 	Store *objstore.MemStore
 	// Space is the cloud dbspace name every node attaches. Default "user".
 	Space string
-	// Scale, when non-nil, charges engine retry backoff to simulated time.
-	Scale *iomodel.Scale
 	// IOStats optionally collects per-layer pageio counters.
 	IOStats *pageio.StatsRegistry
 	// BrokenRetry ablates retry-until-found reads to a single attempt on
@@ -201,9 +198,7 @@ func (c *Cluster) OpenCoord(ctx context.Context) error {
 		Node:            "coord",
 		LogDevice:       c.coordDev,
 		PrefetchWorkers: 1, // deterministic flush order for the fault streams
-		Compress:        true,
 		Faults:          c.cfg.Plan,
-		Scale:           c.cfg.Scale,
 		IOStats:         c.cfg.IOStats,
 	})
 	if err != nil {
@@ -263,9 +258,7 @@ func (c *Cluster) OpenWriter(ctx context.Context, name string) error {
 		Node:            node,
 		LogDevice:       c.writerDevs[name],
 		PrefetchWorkers: 1, // deterministic flush order for the fault streams
-		Compress:        true,
 		Faults:          c.cfg.Plan,
-		Scale:           c.cfg.Scale,
 		IOStats:         c.cfg.IOStats,
 		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {
 			if err := c.cfg.Plan.Check(faultinject.RPCAlloc, node); err != nil {
@@ -420,8 +413,6 @@ func (c *Cluster) OpenReader(ctx context.Context, withCache bool) (*cloudiq.Data
 		Node:            fmt.Sprintf("r%d", c.readerSeq),
 		LogDevice:       readerLog,
 		PrefetchWorkers: 1,
-		Compress:        true,
-		Scale:           c.cfg.Scale,
 		IOStats:         c.cfg.IOStats,
 		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) {
 			return rfrb.Range{}, errors.New("simtest: readers do not allocate")

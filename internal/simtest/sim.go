@@ -264,7 +264,6 @@ func runWithStats(ctx context.Context, opts Options, ioStats *pageio.StatsRegist
 	ccfg := ClusterConfig{
 		Plan:        plan,
 		Store:       store,
-		Scale:       scale,
 		IOStats:     ioStats,
 		BrokenRetry: opts.BrokenRetry,
 		Ambient:     ambient,

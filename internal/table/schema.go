@@ -63,7 +63,10 @@ func NewBatch(s Schema) *Batch {
 }
 
 // Check reports whether b can be appended as rows of s: one non-nil vector
-// per column, each of its column's type, all of one length.
+// per column, each of its column's type and holding no other type's values,
+// all of one length. It is the one check of a batch's shape, for batches a
+// caller hands in and for those decoded from the log or a checkpoint; b
+// itself must not be nil.
 func (s Schema) Check(b *Batch) error {
 	if len(b.Vecs) != len(s.Cols) {
 		return fmt.Errorf("batch has %d columns, schema %d", len(b.Vecs), len(s.Cols))
@@ -74,6 +77,10 @@ func (s Schema) Check(b *Batch) error {
 			return fmt.Errorf("column %s: no vector", def.Name)
 		case v.Typ != def.Typ:
 			return fmt.Errorf("column %s: %v vector, schema %v", def.Name, v.Typ, def.Typ)
+		case v.Typ > column.String:
+			return fmt.Errorf("column %s: unknown type %v", def.Name, v.Typ)
+		case len(v.I64)+len(v.F64)+len(v.Str) != v.Len():
+			return fmt.Errorf("column %s: %v vector holds values of another type", def.Name, v.Typ)
 		case v.Len() != b.Vecs[0].Len():
 			return fmt.Errorf("column %s: %d rows, column %s %d", def.Name, v.Len(), s.Cols[0].Name, b.Vecs[0].Len())
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -158,8 +159,10 @@ var metaMemo struct {
 func decodeMeta(raw []byte, writable bool) (meta, error) {
 	var m meta
 	if writable || len(raw) == 0 {
-		err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m)
-		return m, err
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
+			return m, err
+		}
+		return m, m.check()
 	}
 	mm := &metaMemo
 	mm.mu.Lock()
@@ -174,11 +177,56 @@ func decodeMeta(raw []byte, writable bool) (meta, error) {
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
 		return m, err
 	}
+	if err := m.check(); err != nil {
+		return m, err
+	}
 	mm.mu.Lock()
 	mm.images[mm.next], mm.metas[mm.next] = raw, m
 	mm.next = (mm.next + 1) % len(mm.images)
 	mm.mu.Unlock()
 	return m, nil
+}
+
+// check refuses a meta that Create and Commit could not have written, so a
+// corrupt meta page fails Open instead of panicking a later Append or scan:
+// a segment size Create refuses, a column of no known type, a partition
+// column that is not an int64 column, unsorted bounds, or a segment whose
+// rows, partition or zone maps do not fit the rest.
+func (m *meta) check() error {
+	if m.SegRows <= 0 || m.SegRows > column.MaxSegmentRows {
+		return fmt.Errorf("segment size %d outside [1, %d]", m.SegRows, column.MaxSegmentRows)
+	}
+	cols := m.Schema.Cols
+	for _, c := range cols {
+		if c.Typ > column.String {
+			return fmt.Errorf("column %s: unknown type %v", c.Name, c.Typ)
+		}
+	}
+	if m.PartCol != -1 && (m.PartCol < 0 || m.PartCol >= len(cols) || cols[m.PartCol].Typ != column.Int64) {
+		return fmt.Errorf("partition column %d is not an int64 column of %d", m.PartCol, len(cols))
+	}
+	if !slices.IsSorted(m.PartBounds) {
+		return fmt.Errorf("partition bounds not ascending")
+	}
+	var rows int64
+	for i, sm := range m.Segs {
+		if sm.Rows <= 0 || sm.Rows > m.SegRows || sm.Partition < 0 || sm.Partition > len(m.PartBounds) {
+			return fmt.Errorf("segment %d: %d rows in partition %d", i, sm.Rows, sm.Partition)
+		}
+		if len(sm.Zones) != len(cols) {
+			return fmt.Errorf("segment %d: %d zone maps for %d columns", i, len(sm.Zones), len(cols))
+		}
+		for c, z := range sm.Zones {
+			if z.Typ != cols[c].Typ {
+				return fmt.Errorf("segment %d: column %s has a %v zone map", i, cols[c].Name, z.Typ)
+			}
+		}
+		rows += int64(sm.Rows)
+	}
+	if rows != m.TotalRows {
+		return fmt.Errorf("%d rows in segments, %d in total", rows, m.TotalRows)
+	}
+	return nil
 }
 
 // Name returns the table name.

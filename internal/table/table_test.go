@@ -51,7 +51,7 @@ func (r *rig) object(t testing.TB, fanout int) *buffer.Object {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), buffer.FlateCodec{})
+	return r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}))
 }
 
 func testSchema() Schema {
@@ -63,7 +63,7 @@ func testSchema() Schema {
 	}}
 }
 
-func makeBatch(t *testing.T, n int, idBase int64) *Batch {
+func makeBatch(t testing.TB, n int, idBase int64) *Batch {
 	t.Helper()
 	b := NewBatch(testSchema())
 	regions := []string{"ASIA", "EUROPE", "AMERICA"}
@@ -105,7 +105,7 @@ func TestCreateAppendCommitRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20})
-	obj := cold.OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
+	obj := cold.OpenObject(r.ds, bm, nil)
 	tbl2, err := Open(ctxb(), "t", obj, false)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestReopenAppendCommitReadsEveryRow(t *testing.T) {
 	wantDensePages(t, tbl, id)
 	// Reopen writable and append more rows, enough for a second tree level.
 	bm, _ := core.OpenBlockmap(r.ds, id)
-	obj := r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}), buffer.FlateCodec{})
+	obj := r.pool.OpenObject(r.ds, bm, core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf}))
 	tbl2, err := Open(ctxb(), "t", obj, true)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestReopenAppendCommitReadsEveryRow(t *testing.T) {
 
 	// A cold reader of the second version sees every row of both appends.
 	bm, _ = core.OpenBlockmap(r.ds, id2)
-	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
+	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil)
 	tbl3, err := Open(ctxb(), "t", cold, false)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestReadOnlyOpensShareDecodedMeta(t *testing.T) {
 		if writable {
 			sink = core.LockedSink(core.BitmapSink{RB: r.rb, RF: r.rf})
 		}
-		got, err := Open(ctxb(), "t", r.pool.OpenObject(r.ds, bm, sink, buffer.FlateCodec{}), writable)
+		got, err := Open(ctxb(), "t", r.pool.OpenObject(r.ds, bm, sink), writable)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +511,7 @@ func TestEveryPageRoundTripsThroughFlateCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
+	cold := buffer.NewPool(buffer.Config{Capacity: 8 << 20}).OpenObject(r.ds, bm, nil)
 
 	written := [][]byte{nil} // page 0, the meta page, as the writing handle caches it
 	if written[0], err = warm.Read(ctxb(), 0); err != nil {
@@ -568,7 +568,7 @@ func TestReadOnlyTableRejectsWrites(t *testing.T) {
 	_ = tbl.Append(ctxb(), makeBatch(t, 10, 0))
 	id, _ := tbl.Commit(ctxb())
 	bm, _ := core.OpenBlockmap(r.ds, id)
-	obj := r.pool.OpenObject(r.ds, bm, nil, buffer.FlateCodec{})
+	obj := r.pool.OpenObject(r.ds, bm, nil)
 	ro, err := Open(ctxb(), "t", obj, false)
 	if err != nil {
 		t.Fatal(err)

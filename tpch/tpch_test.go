@@ -37,7 +37,7 @@ func setup(t *testing.T) *env {
 	store := cloudiq.NewMemObjectStore(cloudiq.ObjectStoreConfig{
 		Consistency: cloudiq.ObjectStoreConsistency{NewKeyMissReads: 1},
 	})
-	db, err := cloudiq.Open(ctxb(), cloudiq.Config{Compress: true, CacheBytes: 256 << 20})
+	db, err := cloudiq.Open(ctxb(), cloudiq.Config{CacheBytes: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

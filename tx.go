@@ -64,13 +64,6 @@ func (db *Database) Begin() *Tx {
 // Snapshot returns the commit sequence this transaction reads as of.
 func (tx *Tx) Snapshot() uint64 { return tx.inner.Snapshot() }
 
-func (tx *Tx) codec() buffer.Codec {
-	if tx.db.cfg.Compress {
-		return buffer.FlateCodec{}
-	}
-	return nil
-}
-
 // lockAppend takes the table's compaction gate shared for the rest of the
 // transaction, waiting out an in-flight compaction swap so the catalog
 // lookup that follows sees the post-swap identity. Callers hold tx.mu.
@@ -123,7 +116,7 @@ func (tx *Tx) CreateTable(ctx context.Context, space, name string, schema table.
 	if err != nil {
 		return nil, err
 	}
-	obj := tx.db.pool.OpenObject(ds, bm, tx.inner.Sink(space), tx.codec())
+	obj := tx.db.pool.OpenObject(ds, bm, tx.inner.Sink(space))
 	tbl, err := table.Create(name, obj, schema, opts)
 	if err != nil {
 		return nil, err
@@ -154,7 +147,7 @@ func (tx *Tx) OpenTableForAppend(ctx context.Context, space, name string) (*tabl
 	if err != nil {
 		return nil, err
 	}
-	obj := tx.db.pool.OpenObject(ds, bm, tx.inner.Sink(space), tx.codec())
+	obj := tx.db.pool.OpenObject(ds, bm, tx.inner.Sink(space))
 	tbl, err := table.Open(ctx, name, obj, true)
 	if err != nil {
 		return nil, err
@@ -180,7 +173,7 @@ func (tx *Tx) Table(ctx context.Context, space, name string) (*table.Table, erro
 	if err != nil {
 		return nil, err
 	}
-	obj := tx.db.pool.OpenObject(ds, bm, nil, tx.codec())
+	obj := tx.db.pool.OpenObject(ds, bm, nil)
 	tbl, err := table.Open(ctx, name, obj, false)
 	if err != nil {
 		return nil, err
