@@ -43,10 +43,11 @@ type SchedReport struct {
 	// saturation).
 	Dispatches map[string]int64   `json:"dispatches_per_tenant"`
 	ChargedMs  map[string]float64 `json:"charged_sim_ms_per_tenant"`
-	// DirectQ6Sim / SchedQ6Sim compare a warm Q6 run directly on a reader
-	// conn against the same run routed through a one-tenant, one-reader
-	// scheduler — the scheduler's concurrency-1 overhead, in charged
-	// simulated I/O seconds (every other time here is elapsed ÷ timescale).
+	// DirectQ6Sim / SchedQ6Sim compare a Q6 run directly on a fresh reader
+	// conn against the same run on another fresh reader, routed through a
+	// one-tenant, one-reader scheduler — the scheduler's concurrency-1
+	// overhead, in charged simulated I/O seconds (every other time here is
+	// elapsed ÷ timescale).
 	DirectQ6Sim float64 `json:"direct_q6_sim_seconds"`
 	SchedQ6Sim  float64 `json:"sched_q6_sim_seconds"`
 }
@@ -222,31 +223,47 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 		})
 	}
 
-	// Concurrency-1 overhead probe: a warm Q6 on one reader, direct vs
-	// through a fresh one-tenant scheduler. These two fields are charged
-	// simulated I/O time, not the clock above: with one query in flight
-	// nothing else advances Scale.Charged, and unlike elapsed time it leaves
-	// out the host's CPU time, which would drown a difference this small.
-	probe := conns["r1"]
-	if _, err := probe.Query(ctx, 6); err != nil { // warm the reader's cache
+	// Concurrency-1 overhead probe: one Q6 run directly on a reader conn,
+	// and one routed through a fresh one-tenant scheduler, each on a reader
+	// node opened for it, so both read the same pages through the same
+	// path from the store. These two fields are charged simulated I/O time,
+	// not the clock above: with one query in flight nothing else advances
+	// Scale.Charged, and unlike elapsed time it leaves out the host's CPU
+	// time, which would drown a difference this small. A reader the fleet
+	// warmed will not do: its buffer pool can hold all of Q6, and a Q6 that
+	// charges no I/O compares nothing.
+	probe := func(name string) (*tpch.Conn, error) {
+		db, conn, err := coord.OpenReader(ctx, name)
+		if err != nil {
+			return nil, err
+		}
+		dbs = append(dbs, db)
+		return conn, nil
+	}
+	direct, err := probe("p1")
+	if err != nil {
 		return nil, err
 	}
 	c0 := coord.Scale.Charged()
-	if _, err := probe.Query(ctx, 6); err != nil {
+	if _, err := direct.Query(ctx, 6); err != nil {
 		return nil, err
 	}
 	rep.DirectQ6Sim = (coord.Scale.Charged() - c0).Seconds()
 
+	routed, err := probe("p2")
+	if err != nil {
+		return nil, err
+	}
 	s1 := sched.New(sched.Config{Clock: coord.Scale.Charged, Scale: coord.Scale})
 	if err := s1.AddTenant(sched.TenantConfig{Name: "probe"}); err != nil {
 		return nil, err
 	}
-	if err := s1.AddReader("r1", 1); err != nil {
+	if err := s1.AddReader("p2", 1); err != nil {
 		return nil, err
 	}
 	c0 = coord.Scale.Charged()
 	if err := s1.Run(ctx, "probe", sched.LaneNormal, func(ctx context.Context, reader string) error {
-		_, qerr := conns[reader].Query(ctx, 6)
+		_, qerr := routed.Query(ctx, 6)
 		return qerr
 	}); err != nil {
 		return nil, err
@@ -294,7 +311,7 @@ func (rep *SchedReport) Table() string {
 		out += fmt.Sprintf("  %-6s w%d: %4d dispatches, %8.1f sim ms charged\n",
 			cfg.Name, cfg.Weight, rep.Dispatches[cfg.Name], rep.ChargedMs[cfg.Name])
 	}
-	out += fmt.Sprintf("concurrency-1 overhead: warm Q6 direct %.4f vs scheduled %.4f charged sim I/O s\n",
+	out += fmt.Sprintf("concurrency-1 overhead: cold-reader Q6 direct %.4f vs scheduled %.4f charged sim I/O s\n",
 		rep.DirectQ6Sim, rep.SchedQ6Sim)
 	return out
 }

@@ -57,8 +57,8 @@ func TestSchedFleetMixed(t *testing.T) {
 		return
 	}
 	// At concurrency 1 the scheduler adds no simulated I/O of its own: the
-	// scheduled warm Q6 must be within noise of the direct one.
+	// scheduled Q6 on a fresh reader must be within noise of the direct one.
 	if rep.SchedQ6Sim > rep.DirectQ6Sim*1.5 {
-		t.Errorf("scheduler overhead: warm Q6 %.4fs scheduled vs %.4fs direct", rep.SchedQ6Sim, rep.DirectQ6Sim)
+		t.Errorf("scheduler overhead: Q6 %.4fs scheduled vs %.4fs direct", rep.SchedQ6Sim, rep.DirectQ6Sim)
 	}
 }

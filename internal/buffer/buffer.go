@@ -1,10 +1,11 @@
 // Package buffer implements SAP IQ's buffer manager: a RAM cache of
-// decompressed logical pages with LRU eviction and per-transaction dirty-page
-// tracking. New pages are born in the cache (§3.1); dirty pages are flushed to
-// permanent storage on eviction (write-back through the OCM during the churn
-// phase) and before commit (write-through), with every flush allocating a
-// fresh physical location and recording the superseded one in the
-// transaction's RF bitmap.
+// decompressed logical pages with LRU eviction, a frequency filter on what a
+// read may cache (admit.go), and per-transaction dirty-page tracking. New
+// pages are born in the cache (§3.1); dirty pages are flushed to permanent
+// storage on eviction (write-back through the OCM during the churn phase)
+// and before commit (write-through), with every flush allocating a fresh
+// physical location and recording the superseded one in the transaction's
+// RF bitmap.
 package buffer
 
 import (
@@ -37,6 +38,9 @@ type Stats struct {
 	Misses    int64
 	Evictions int64
 	Flushes   int64 // dirty pages written out (eviction or commit)
+	// Refused counts pages a read fetched and handed back without caching
+	// them: the pool was full and the admission filter kept the victim.
+	Refused int64
 }
 
 // pageKey names a cached page in one of two shapes, both built by
@@ -65,7 +69,11 @@ type page struct {
 	image   []byte
 	dirty   bool
 	loading bool // being loaded or flushed: accessors wait on Pool.cond
+	// refused marks a loaded page the admission filter did not cache: it is
+	// in no index, and data serves only the reads that waited for the load.
+	refused bool
 	lru     *list.Element
+	touched uint64 // sketch.ticks at the last lookup or write that found it
 }
 
 // Pool is the buffer manager. It is safe for concurrent use.
@@ -80,6 +88,7 @@ type Pool struct {
 	nextObj uint64                  // last id handed to a handle or a dbspace
 	spaces  map[core.Dbspace]uint64 // cloud dbspace -> id in shared keys
 	stats   Stats
+	sketch  sketch // every ReadBatch lookup, for admitLocked
 
 	// The compression queue (DESIGN.md "When a page is compressed"): pages
 	// written and waiting for a compression worker, oldest first, and the
@@ -272,10 +281,19 @@ type miss struct {
 	pg *page
 }
 
+// pending is a position of a ReadBatch still to serve, and the placeholder
+// it last found loading, if any: should that load end refused, the page is
+// the position's all the same.
+type pending struct {
+	i    int
+	wait *page
+}
+
 // ReadBatch returns the decompressed contents of the given logical pages; it
 // is the pool's only read path. Cache misses are fetched through one dbspace
 // ReadBatch, so adjacent block extents coalesce into scatter-gather reads and
-// cloud reads overlap in the pipeline's worker pool. Results are positional;
+// cloud reads overlap in the pipeline's worker pool, and each is cached
+// unless the admission filter refuses it a full pool's slot. Results are positional;
 // the returned slices are the cached images and must not be modified (use
 // Write to modify a page). The error joins every failed page.
 func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, error) {
@@ -288,33 +306,40 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 	// Keys resolve before the lock; a segment's worth of both fits on the
 	// stack, so a call that only hits allocates nothing but out.
 	var keyBuf [16]pageKey
-	var todoBuf [16]int
+	var todoBuf [16]pending
 	keys, todo := keyBuf[:0], todoBuf[:0]
 	for i := range logicals {
-		todo = append(todo, i)
+		todo = append(todo, pending{i: i})
 	}
 	for len(todo) > 0 {
 		keys = keys[:0]
-		for _, i := range todo {
-			keys = append(keys, o.key(ctx, logicals[i]))
+		for _, t := range todo {
+			keys = append(keys, o.key(ctx, logicals[t.i]))
 		}
 		var misses []miss
 		again := todo[:0]
 		p.mu.Lock()
-		for k, i := range todo {
+		for k, t := range todo {
 			pg, ok := p.pages[keys[k]]
 			switch {
 			case ok && !pg.loading:
+				p.sketch.add(keys[k])
 				p.touch(pg)
 				p.stats.Hits++
-				out[i] = pg.data
+				out[t.i] = pg.data
 			case ok:
-				again = append(again, i)
+				again = append(again, pending{t.i, pg})
+			case t.wait != nil && t.wait.refused && t.wait.key == keys[k]:
+				// The load this position waited for ended without a slot.
+				p.sketch.add(keys[k])
+				p.stats.Hits++
+				out[t.i] = t.wait.data
 			default:
-				npg := &page{key: keys[k], logical: logicals[i], loading: true}
+				p.sketch.add(keys[k])
+				npg := &page{key: keys[k], logical: logicals[t.i], loading: true}
 				p.pages[npg.key] = npg
 				p.stats.Misses++
-				misses = append(misses, miss{i: i, pg: npg})
+				misses = append(misses, miss{i: t.i, pg: npg})
 			}
 		}
 		if len(misses) == 0 && len(again) > 0 {
@@ -335,15 +360,22 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 			switch err := itemErrs[j]; {
 			case err == errRekeyed:
 				delete(p.pages, m.pg.key)
-				todo = append(todo, m.i)
+				todo = append(todo, pending{i: m.i})
 			case err != nil:
 				delete(p.pages, m.pg.key)
 				errs = append(errs, err)
 			default:
 				m.pg.data = data[j]
-				m.pg.lru = p.lruList.PushFront(m.pg)
-				p.size += int64(len(data[j]))
 				out[m.i] = data[j]
+				if !p.admitLocked(m.pg) {
+					delete(p.pages, m.pg.key)
+					m.pg.refused = true
+					p.stats.Refused++
+					continue
+				}
+				m.pg.lru = p.lruList.PushFront(m.pg)
+				m.pg.touched = p.sketch.ticks
+				p.size += int64(len(data[j]))
 			}
 		}
 		p.cond.Broadcast()
@@ -406,7 +438,7 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	for {
 		pg, ok := p.pages[key]
 		if !ok {
-			pg = &page{key: key, logical: logical}
+			pg = &page{key: key, logical: logical, touched: p.sketch.ticks}
 			p.pages[key] = pg
 			pg.lru = p.lruList.PushFront(pg)
 			break
@@ -503,11 +535,24 @@ func (o *Object) waitCompressionsLocked() {
 	}
 }
 
-// touch moves pg to the LRU front. Called with p.mu held.
+// touch moves pg to the LRU front and stamps it with the sketch's clock.
+// Called with p.mu held.
 func (p *Pool) touch(pg *page) {
+	pg.touched = p.sketch.ticks
 	if pg.lru != nil {
 		p.lruList.MoveToFront(pg.lru)
 	}
+}
+
+// victimLocked returns the page eviction would take next: the first from the
+// LRU back that no one is loading or flushing, or nil. Called with p.mu held.
+func (p *Pool) victimLocked() *page {
+	for el := p.lruList.Back(); el != nil; el = el.Prev() {
+		if pg := el.Value.(*page); !pg.loading {
+			return pg
+		}
+	}
+	return nil
 }
 
 // evictLocked brings the cache back under budget. A dirty victim enters the
@@ -515,13 +560,7 @@ func (p *Pool) touch(pg *page) {
 // of §4). Called with p.mu held; may drop and retake it.
 func (p *Pool) evictLocked(ctx context.Context) {
 	for p.size > p.cfg.Capacity {
-		var victim *page
-		for el := p.lruList.Back(); el != nil; el = el.Prev() {
-			if pg := el.Value.(*page); !pg.loading {
-				victim = pg
-				break
-			}
-		}
+		victim := p.victimLocked()
 		if victim == nil {
 			return // everything is being flushed; stay over budget
 		}

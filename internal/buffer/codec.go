@@ -3,14 +3,14 @@ package buffer
 import (
 	"fmt"
 
-	"cloudiq/internal/column"
 	"cloudiq/internal/deflate"
 )
 
 // pageCodec turns a page image into its stored form and back. Pages are
-// cached decompressed (§2); the stored size recorded in the blockmap is the
-// compressed size. FlateCodec is the only stored form; the interface exists
-// so a test can hold compressions to force an interleaving.
+// cached decompressed (§2), in the form the table wrote them; the stored
+// size recorded in the blockmap is the compressed size. FlateCodec is the
+// only stored form; the interface exists so a test can hold compressions to
+// force an interleaving.
 type pageCodec interface {
 	// Compress returns the stored form of src.
 	Compress(src []byte) []byte
@@ -19,20 +19,18 @@ type pageCodec interface {
 }
 
 // FlateCodec applies DEFLATE page-level compression, the reproduction's
-// stand-in for SAP IQ's page compression, to every page the pool stores.
-// What it deflates is the page's stored form, column.Compact: a plain-float
-// page of exact decimals is stored as n-bit integers, and Decompress expands
-// it back into the page it was, so the cache holds exactly what was written.
+// stand-in for SAP IQ's page compression, to every page the pool stores, and
+// nothing else: the page it is given is the page it stores and gives back.
 // It has no state of its own: every FlateCodec shares internal/deflate's
 // pooled scratch, and both methods return slices the caller owns.
 type FlateCodec struct{}
 
 // Compress returns the stored form of src.
-func (FlateCodec) Compress(src []byte) []byte { return deflate.Compress(column.Compact(src)) }
+func (FlateCodec) Compress(src []byte) []byte { return deflate.Compress(src) }
 
 // Decompress reverses Compress.
 func (FlateCodec) Decompress(src []byte) ([]byte, error) {
-	out, err := deflate.DecompressWith(src, column.Expand)
+	out, err := deflate.Decompress(src)
 	if err != nil {
 		return nil, fmt.Errorf("buffer: decompress page: %w", err)
 	}

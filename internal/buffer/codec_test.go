@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"cloudiq/internal/column"
-	"cloudiq/internal/deflate"
 )
 
 // xorshift is the corpus's own generator, so the golden pages do not depend on
@@ -117,11 +117,10 @@ func storedLen(n int) int {
 
 // TestFlateCodecSizes round-trips the sizes either side of the store/deflate
 // cut, every corpus page and every page the benchmarks compress, and checks
-// each image is plain DEFLATE of the page's stored form: the standard
-// library's reader inflates it, stored blocks included, to column.Compact of
-// the page. A stored form under 1 KiB must come out stored, and a
-// compressible page of 1 KiB or more deflated (the corpus pages' images are
-// pinned by TestFlateCodecGolden).
+// each image is plain DEFLATE of the page: the standard library's reader
+// inflates it, stored blocks included, to the page itself. A page under
+// 1 KiB must come out stored, and a compressible page of 1 KiB or more
+// deflated (the corpus pages' images are pinned by TestFlateCodecGolden).
 func TestFlateCodecSizes(t *testing.T) {
 	type page struct {
 		name     string
@@ -132,7 +131,8 @@ func TestFlateCodecSizes(t *testing.T) {
 	for _, size := range []int{0, 1, 512, 1023, 1024, 1025, 4 << 10, 16 << 10, 64 << 10} {
 		pages = append(pages, page{fmt.Sprintf("%dB", size), benchPage(size), size >= 1<<10})
 	}
-	pages = append(pages, page{"float_column", floatPage(), true}, page{"noise_float_column", noiseFloatPage(), false})
+	pages = append(pages, page{"float_column", floatPage(), true}, page{"compact_float_column", column.Compact(floatPage()), false},
+		page{"noise_float_column", noiseFloatPage(), false})
 	for i, pg := range writeFlushPages() {
 		pages = append(pages, page{fmt.Sprintf("write_flush_%d", i), pg, false})
 	}
@@ -141,8 +141,8 @@ func TestFlateCodecSizes(t *testing.T) {
 	}
 	codec := FlateCodec{}
 	for _, pg := range pages {
-		stored, img := codec.Compress(pg.data), column.Compact(pg.data)
-		if n := len(img); n < 1<<10 && len(stored) != storedLen(n) {
+		stored := codec.Compress(pg.data)
+		if n := len(pg.data); n < 1<<10 && len(stored) != storedLen(n) {
 			t.Errorf("%s: %d -> %d bytes, want %d (stored blocks)", pg.name, n, len(stored), storedLen(n))
 		}
 		if pg.deflates && len(stored) >= len(pg.data) {
@@ -153,8 +153,43 @@ func TestFlateCodecSizes(t *testing.T) {
 			t.Errorf("%s: round trip differs (err %v)", pg.name, err)
 		}
 		plain, err := io.ReadAll(flate.NewReader(bytes.NewReader(stored)))
-		if err != nil || !bytes.Equal(plain, img) {
+		if err != nil || !bytes.Equal(plain, pg.data) {
 			t.Errorf("%s: compress/flate reader: %d bytes back, err %v", pg.name, len(plain), err)
+		}
+	}
+}
+
+// roundTripPages are pages FlateCodec must give back byte for byte whatever
+// their first bytes claim: two that begin [Float64][EncDecimalFloat] but are
+// no decimal page (a codec that read them as one failed on the first and
+// returned other bytes for the second), a plain-float page, its compact form
+// and a table's gob meta page.
+func roundTripPages(tb testing.TB) []corpusPage {
+	var meta bytes.Buffer
+	if err := gob.NewEncoder(&meta).Encode(struct {
+		Name  string
+		Rows  int64
+		Zones []float64
+	}{"lineitem", 120000, []float64{0.04, 104949.5}}); err != nil {
+		tb.Fatal(err)
+	}
+	return []corpusPage{
+		{name: "decimal header, no scale", data: []byte{1, 6, 0, 0, 0, 0, 9, 9}},
+		{name: "decimal header, other bytes", data: append([]byte{1, 6, 2, 0, 0, 0, 3, 0}, bytes.Repeat([]byte{0xa5}, 40)...)},
+		{name: "plain float page", data: floatPage()},
+		{name: "compact float page", data: column.Compact(floatPage())},
+		{name: "gob meta page", data: meta.Bytes()},
+	}
+}
+
+// TestFlateCodecRoundTrip: Decompress(Compress(p)) is p for every page, the
+// codec reading nothing into what the page holds.
+func TestFlateCodecRoundTrip(t *testing.T) {
+	codec := FlateCodec{}
+	for _, pg := range roundTripPages(t) {
+		back, err := codec.Decompress(codec.Compress(pg.data))
+		if err != nil || !bytes.Equal(back, pg.data) {
+			t.Errorf("%s: %d bytes come back as %d (err %v)", pg.name, len(pg.data), len(back), err)
 		}
 	}
 }
@@ -286,30 +321,27 @@ func TestFlateCodecConcurrent(t *testing.T) {
 // flate.Reader plus io.ReadAll's doublings (43 KB); with compress/flate's
 // reader pooled, Decompress still made 20 allocations at 16 KiB, and with
 // its writer pooled Compress made 2. With the pools warm each is exactly
-// the one slice it returns, at every size. A decimal float page is expanded
-// on its way out of the inflater, into the page Decompress returns, so it
-// too costs 1; its Compress costs 3, the integers and the compact page
-// column.Compact builds before the image.
+// the one slice it returns, at every size and for every page shape, a
+// compact float page included: the codec does nothing to a page but DEFLATE.
 func TestFlateCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	codec := FlateCodec{}
 	for _, pg := range []struct {
-		path     string
-		data     []byte
-		compress float64
+		path string
+		data []byte
 	}{
-		{"stored", benchPage(512), 1},
-		{"deflated", benchPage(1 << 10), 1},
-		{"deflated", benchPage(4 << 10), 1},
-		{"deflated", benchPage(16 << 10), 1},
-		{"decimal float", floatPage(), 3},
-		{"plain float", noiseFloatPage(), 1},
+		{"stored", benchPage(512)},
+		{"deflated", benchPage(1 << 10)},
+		{"deflated", benchPage(4 << 10)},
+		{"deflated", benchPage(16 << 10)},
+		{"compact float", column.Compact(floatPage())},
+		{"plain float", noiseFloatPage()},
 	} {
 		stored := codec.Compress(pg.data)
-		if got := testing.AllocsPerRun(100, func() { codec.Compress(pg.data) }); got != pg.compress {
-			t.Errorf("Compress of a %d-byte %s page: %.0f allocations, want %.0f — is a compressor built per page again?", len(pg.data), pg.path, got, pg.compress)
+		if got := testing.AllocsPerRun(100, func() { codec.Compress(pg.data) }); got != 1 {
+			t.Errorf("Compress of a %d-byte %s page: %.0f allocations, want 1 — is a compressor built per page again?", len(pg.data), pg.path, got)
 		}
 		var err error
 		if got := testing.AllocsPerRun(100, func() { _, err = codec.Decompress(stored) }); got != 1 || err != nil {
@@ -342,14 +374,14 @@ func benchPage(size int) []byte {
 }
 
 // BenchmarkFlateCodecCompress covers both of Compress's paths: 512B and the
-// encoded n-bit int page are stored, the rest deflated; float_column is
-// compacted to n-bit cents first, noise_float stays plain.
+// encoded n-bit int page are stored, the rest deflated; float_column is the
+// price page in the compact form a table writes, noise_float a plain one.
 func BenchmarkFlateCodecCompress(b *testing.B) {
 	cases := []struct {
 		name string
 		page []byte
 	}{
-		{"float_column", floatPage()},
+		{"float_column", column.Compact(floatPage())},
 		{"noise_float", noiseFloatPage()},
 		{"512B", benchPage(512)},
 		{"nbit_int", goldenCorpus()[2].data},
@@ -392,7 +424,7 @@ func noiseFloatPage() []byte {
 }
 
 // BenchmarkFlateCodecDecompress covers the shapes a cold scan inflates: the
-// 512-row float page (stored as n-bit cents and expanded), the same shape of
+// 512-row float page (in its compact form, n-bit cents), the same shape of
 // random bits (plain float, deflated), a 512 B page (stored), the l_comment
 // page, and the compressible string page cut to 1, 4 and 16 KiB.
 func BenchmarkFlateCodecDecompress(b *testing.B) {
@@ -400,7 +432,7 @@ func BenchmarkFlateCodecDecompress(b *testing.B) {
 		name string
 		page []byte
 	}{
-		{"float_column", floatPage()},
+		{"float_column", column.Compact(floatPage())},
 		{"noise_float", noiseFloatPage()},
 		{"512B", benchPage(512)},
 		{"comment_column", goldenCorpus()[3].data},
@@ -438,9 +470,9 @@ func FuzzFlateDecompress(f *testing.F) {
 		f.Add(stored[:len(stored)/2])
 	}
 	f.Add(FlateCodec{}.Compress(benchPage(512))) // a compressible page, stored
-	f.Add(FlateCodec{}.Compress(floatPage()))    // a decimal float page, compact
 	compact := column.Compact(floatPage())
-	f.Add(deflate.Compress(compact[:len(compact)/2])) // its compact form cut short
+	f.Add(FlateCodec{}.Compress(compact))                  // a compact float page
+	f.Add(FlateCodec{}.Compress(compact[:len(compact)/2])) // cut short
 	f.Fuzz(func(t *testing.T, stored []byte) {
 		if len(stored) > maxStored {
 			t.Skip()
@@ -453,6 +485,21 @@ func FuzzFlateDecompress(f *testing.F) {
 		back, err := codec.Decompress(codec.Compress(page))
 		if err != nil || !bytes.Equal(back, page) {
 			t.Fatalf("accepted %d stored bytes as a %d-byte page that does not round-trip (err %v)", len(stored), len(page), err)
+		}
+	})
+}
+
+// FuzzFlateCodecRoundTrip: any bytes, as a page, come back from
+// Decompress(Compress(b)) as themselves.
+func FuzzFlateCodecRoundTrip(f *testing.F) {
+	for _, pg := range roundTripPages(f) {
+		f.Add(pg.data)
+	}
+	f.Fuzz(func(t *testing.T, page []byte) {
+		codec := FlateCodec{}
+		back, err := codec.Decompress(codec.Compress(page))
+		if err != nil || !bytes.Equal(back, page) {
+			t.Fatalf("%d bytes come back as %d (err %v)", len(page), len(back), err)
 		}
 	})
 }

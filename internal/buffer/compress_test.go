@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cloudiq/internal/blockdev"
+	"cloudiq/internal/column"
 	"cloudiq/internal/core"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/rfrb"
@@ -303,9 +304,9 @@ func TestFlushForCommitUsesQueuedImages(t *testing.T) {
 
 // writeFlushPages is BenchmarkWriteFlush's 256 pages, in the shapes a load
 // writes: encoded n-bit ints and 512 B pages (stored), l_comment-like
-// strings and plain floats (deflated).
+// strings and exact-decimal floats in their compact form (deflated).
 func writeFlushPages() [][]byte {
-	shapes := [][]byte{goldenCorpus()[2].data, goldenCorpus()[3].data, floatPage(), benchPage(512)}
+	shapes := [][]byte{goldenCorpus()[2].data, goldenCorpus()[3].data, column.Compact(floatPage()), benchPage(512)}
 	pages := make([][]byte, 256)
 	for i := range pages {
 		pages[i] = shapes[i%len(shapes)]

@@ -36,8 +36,8 @@ func cloneRef(ref map[uint64][]byte) map[uint64][]byte {
 // every image the writer produces being distinct — no image may have reached
 // the dbspace twice: a dirty version is flushed at most once.
 // Asynchronous reads run on goroutines of their own, joined at every
-// quiescent point, so under -race the evictions, eviction-time flushes and
-// re-keyings they cause overlap the foreground ops.
+// quiescent point, so under -race the evictions, eviction-time flushes,
+// re-keyings and admission refusals they cause overlap the foreground ops.
 func TestPoolModel(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -171,6 +171,11 @@ func TestPoolModel(t *testing.T) {
 			async.Wait()
 			checkAccounting(t, r.pool)
 			r.cds.checkWrittenOnce(t)
+			// Below roomy's, every capacity is small enough that the
+			// admission filter refuses reads a slot, under the same oracles.
+			if s := r.pool.Stats(); tc.capacity < 1<<20 && s.Refused == 0 {
+				t.Fatalf("stats %+v: no read was refused a slot", s)
+			}
 			for _, h := range []modelHandle{w, readers[0], readers[1]} {
 				for l := range h.ref {
 					got, err := h.obj.Read(ctxb(), l)

@@ -11,15 +11,9 @@ import (
 // exact decimals held as float64, which DEFLATE can only Huffman-code byte by
 // byte. Compact turns such a plain-float page into the n-bit integers
 // k = v·10^scale (ALP's observation: a double that is a short decimal is an
-// integer times a power of ten), and Expand turns it back into the very same
-// page. The page codec stores the compact form and caches the plain one, so
-// nothing above the codec sees the difference; DecodeSegment also reads the
-// compact form, for the store-side select, which decodes stored images.
-//
-// The header invariant that makes the pair safe on any page: EncodeSegment
-// never writes [Float64][EncDecimalFloat], so a page that begins with it is
-// one Compact wrote, and Expand(Compact(p)) == p byte for byte for every page
-// that does not begin with it — the table's gob meta page included.
+// integer times a power of ten). The table writes the compact form, so it is
+// what the page codec stores and the buffer pool caches, and DecodeSegment
+// reads it as the values the plain page holds, bit for bit.
 
 // maxDecimalScale is the largest scale Compact tries: cents need 2, TPC-H
 // needs no more, and each scale tried costs a pass over a page that fails.
@@ -100,39 +94,6 @@ func scaleTo(ks []int64, payload []byte, s int) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// Expand reverses Compact into a page of its own: the plain-float page an
-// EncDecimalFloat image stands for, or a copy of any other bytes. It runs
-// the decoder's kernel and writes the float bits straight into the page it
-// returns, its one allocation; a decimal image that does not parse is an
-// error.
-func Expand(stored []byte) ([]byte, error) {
-	if len(stored) < 2 || Type(stored[0]) != Float64 || Encoding(stored[1]) != EncDecimalFloat {
-		out := make([]byte, len(stored))
-		copy(out, stored)
-		return out, nil
-	}
-	s, err := parseSegment(stored)
-	if err != nil {
-		return nil, err
-	}
-	d, err := parseDecimal(s.payload, s.n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, segmentHeader+8*s.n)
-	copy(out, stored[:segmentHeader])
-	out[1] = byte(EncPlainFloat)
-	var fs [decimalChunk]float64
-	for i := 0; i < s.n; i += len(fs) {
-		f := fs[:min(len(fs), s.n-i)]
-		d.floatsTo(f, i, nil)
-		for j, x := range f {
-			binary.LittleEndian.PutUint64(out[segmentHeader+8*(i+j):], math.Float64bits(x))
-		}
-	}
-	return out, nil
-}
-
 // decimal is a parsed EncDecimalFloat payload: value r is the block's
 // integer r divided by 10^scale.
 type decimal struct {
@@ -149,35 +110,51 @@ func parseDecimal(payload []byte, n int) (decimal, error) {
 	return decimal{pow10[payload[0]], b}, err
 }
 
-// decimalChunk is how many values the decimal kernels convert at a time,
-// through a buffer on the stack.
-const decimalChunk = 256
-
-// floats returns all n values, or those at rows.
+// floats returns all n values, or those at rows: nbit's kernel with each
+// integer converted as it is unpacked. At scale 0 the integers are the
+// values, and there is no division to make.
 func (d decimal) floats(n int, rows []int32, all bool) []float64 {
-	if all {
-		rows = nil
-	} else {
+	if !all {
 		n = len(rows)
 	}
 	vals := make([]float64, n)
-	d.floatsTo(vals, 0, rows)
+	b, div := d.b, d.div
+	switch {
+	case b.width == 0:
+		for i := range vals {
+			vals[i] = float64(b.min) / div
+		}
+	case !all:
+		for i, r := range rows {
+			vals[i] = float64(b.at(int(r))) / div
+		}
+	default:
+		b.floatsTo(vals, div)
+	}
 	return vals
 }
 
-// floatsTo fills dst as nbit.unpackTo fills it with integers, a chunk of
-// integers at a time.
-func (d decimal) floatsTo(dst []float64, first int, rows []int32) {
-	var ks [decimalChunk]int64
-	for i := 0; i < len(dst); i += len(ks) {
-		k := ks[:min(len(ks), len(dst)-i)]
-		if rows != nil {
-			d.b.unpackTo(k, 0, rows[i:i+len(k)])
-		} else {
-			d.b.unpackTo(k, first+i, nil)
+// floatsTo fills dst with the block's first len(dst) values, each divided by
+// div — unless div is 1, which leaves an integer as it is. It walks the
+// stream with a running bit offset while a value's eight bytes lie in it;
+// only the last few values take nbit.at's padded path.
+func (b nbit) floatsTo(dst []float64, div float64) {
+	s, base, mask, w := b.stream, uint64(b.min), uint64(1)<<b.width-1, uint(b.width)
+	i, bit := 0, uint(0)
+	if div == 1 {
+		for ; i < len(dst) && bit>>3+8 <= uint(len(s)); i++ {
+			word := binary.LittleEndian.Uint64(s[bit>>3 : bit>>3+8])
+			dst[i] = float64(int64(base + word>>(bit&7)&mask))
+			bit += w
 		}
-		for j, x := range k {
-			dst[i+j] = float64(x) / d.div
+	} else {
+		for ; i < len(dst) && bit>>3+8 <= uint(len(s)); i++ {
+			word := binary.LittleEndian.Uint64(s[bit>>3 : bit>>3+8])
+			dst[i] = float64(int64(base+word>>(bit&7)&mask)) / div
+			bit += w
 		}
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = float64(b.at(i)) / div
 	}
 }

@@ -61,27 +61,33 @@ func TestCompactScales(t *testing.T) {
 	}
 }
 
-// checkCompact holds Compact and Expand to their contract on one page:
-// Expand(Compact(p)) is p byte for byte, and DecodeSegment reads the compact
-// form as the same values, bit for bit.
+// checkCompact holds Compact to its contract on one page: DecodeSegment reads
+// the compact form as the values the page holds, bit for bit, at every row
+// and at a selection of rows.
 func checkCompact(t *testing.T, name string, page []byte) {
 	t.Helper()
 	compact := Compact(page)
-	back, err := Expand(compact)
-	if err != nil || !bytes.Equal(back, page) {
-		t.Fatalf("%s: Expand(Compact(p)) differs from p (err %v)", name, err)
-	}
 	want, wantErr := DecodeSegment(page)
 	got, err := DecodeSegment(compact)
 	if (err == nil) != (wantErr == nil) || (err == nil && !sameVector(got, want)) {
 		t.Fatalf("%s: compact form decodes to %+v (%v), page to %+v (%v)", name, got, err, want, wantErr)
 	}
+	if err != nil {
+		return
+	}
+	var rows []int32
+	for r := 0; r < want.Len(); r += 3 {
+		rows = append(rows, int32(r))
+	}
+	if got, err := DecodeSegmentRows(compact, rows); err != nil || !sameVector(got, want.Gather(rows)) {
+		t.Fatalf("%s: compact form decodes at rows %v to %+v (%v)", name, rows, got, err)
+	}
 }
 
 // TestCompactEveryCent: every cent value from −10,000.00 to 10,000.00 — the
 // whole range of TPC-H's prices, discounts and taxes but l_extendedprice's
-// top — is exact at scale 2 and comes back with its own bits, one page of
-// 512 at a time.
+// top — is exact at scale 2 and decodes to its own bits, one page of 512 at a
+// time.
 func TestCompactEveryCent(t *testing.T) {
 	vals := make([]float64, 512)
 	for lo := -1000000; lo <= 1000000; lo += len(vals) {
@@ -93,15 +99,14 @@ func TestCompactEveryCent(t *testing.T) {
 		if Encoding(compact[1]) != EncDecimalFloat || compact[segmentHeader] != 2 {
 			t.Fatalf("cents from %d: compacted to %v", lo, Encoding(compact[1]))
 		}
-		if back, err := Expand(compact); err != nil || !bytes.Equal(back, page) {
-			t.Fatalf("cents from %d: Expand(Compact(p)) differs (err %v)", lo, err)
+		if got, err := DecodeSegment(compact); err != nil || !sameVector(got, floatVec(vals...)) {
+			t.Fatalf("cents from %d: the compact form decodes to other values (err %v)", lo, err)
 		}
 	}
 }
 
 // TestCompactLeavesOtherPages: Compact changes no page but an exact
-// plain-float segment, and Expand returns a copy of anything that is not a
-// decimal page.
+// plain-float segment, and returns any other page as it is.
 func TestCompactLeavesOtherPages(t *testing.T) {
 	pages := [][]byte{nil, {}, {byte(Float64)}, []byte("\x0e\xff\x81\x03\x01\x01\x04meta")}
 	for _, v := range sixEncodings(t) {
@@ -110,32 +115,29 @@ func TestCompactLeavesOtherPages(t *testing.T) {
 	cents := EncodeSegment(centsVector())
 	pages = append(pages, cents[:len(cents)-1], append(bytes.Clone(cents), 0)) // short, long
 	for i, page := range pages {
-		if got := Compact(page); !bytes.Equal(got, page) {
+		if got := Compact(page); !bytes.Equal(got, page) || (len(page) > 0 && &got[0] != &page[0]) {
 			t.Errorf("page %d: compacted to %v", i, Encoding(got[1]))
-		}
-		back, err := Expand(page)
-		if err != nil || !bytes.Equal(back, page) || back == nil {
-			t.Errorf("page %d: Expand differs (err %v)", i, err)
-		}
-		if len(page) > 0 && &back[0] == &page[0] {
-			t.Errorf("page %d: Expand returned its input", i)
 		}
 	}
 }
 
-// TestExpandAllocs: Expand makes the page it returns and nothing else.
-func TestExpandAllocs(t *testing.T) {
-	compact := Compact(EncodeSegment(centsVector()))
-	if got := testing.AllocsPerRun(100, func() { _, _ = Expand(compact) }); got != 1 {
-		t.Errorf("Expand: %.0f allocations, want 1", got)
+// TestDecodeDecimalAllocs: decoding a compact page makes the vector and its
+// values, as decoding the plain page does, and nothing else: the integers are
+// converted as they are unpacked.
+func TestDecodeDecimalAllocs(t *testing.T) {
+	page := EncodeSegment(centsVector())
+	compact := Compact(page)
+	plain := testing.AllocsPerRun(100, func() { _, _ = DecodeSegment(page) })
+	if got := testing.AllocsPerRun(100, func() { _, _ = DecodeSegment(compact) }); got != plain {
+		t.Errorf("DecodeSegment of a decimal page: %.0f allocations, %.0f for the plain page", got, plain)
 	}
 }
 
 // FuzzCompactFloat builds a float page from fuzzed values — decimals at a
 // fuzzed scale, of either sign, and raw bit patterns (−0.0, NaN, huge) — and
-// holds Compact and Expand to their contract on it. The raw bytes go to
-// Expand as well: an error or a page, never a panic, and a decimal page it
-// expands reads as the values DecodeSegment reads from it.
+// holds Compact to its contract on it. The raw bytes go to DecodeSegment as
+// well: a decimal page it accepts must read the same once its values are
+// encoded and compacted again.
 func FuzzCompactFloat(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint64(nil, 1999), uint8(0x22))
 	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN())), uint8(0x80))
@@ -157,23 +159,56 @@ func FuzzCompactFloat(f *testing.F) {
 		}
 		checkCompact(t, "fuzzed values", EncodeSegment(v))
 
-		page, err := Expand(data)
-		if err != nil {
-			return
-		}
 		if len(data) < 2 || Type(data[0]) != Float64 || Encoding(data[1]) != EncDecimalFloat {
-			if !bytes.Equal(page, data) {
-				t.Fatal("Expand changed a page that is not a decimal one")
-			}
 			return
 		}
 		want, err := DecodeSegment(data)
 		if err != nil {
-			t.Fatalf("expanded a decimal page DecodeSegment refuses: %v", err)
+			return
 		}
-		got, err := DecodeSegment(page)
+		got, err := DecodeSegment(Compact(EncodeSegment(want)))
 		if err != nil || !sameVector(got, want) {
-			t.Fatalf("expanded page decodes differently (err %v)", err)
+			t.Fatalf("a decimal page's values, compacted again, decode differently (err %v)", err)
 		}
 	})
+}
+
+// decimalColumns are 512-row columns shaped like TPC-H's three exact-decimal
+// lineitem columns: l_extendedprice (cents up to about 100,000.00),
+// l_discount (0.00–0.10) and l_quantity (whole numbers 1–50).
+func decimalColumns() []segmentShape {
+	x := lcg(3)
+	price, discount, quantity := NewVector(Float64), NewVector(Float64), NewVector(Float64)
+	for i := 0; i < 512; i++ {
+		qty := 1 + x.next()%50
+		price.AppendFloat(float64(qty*(90000+x.next()%110000)) / 100)
+		discount.AppendFloat(float64(x.next()%11) / 100)
+		quantity.AppendFloat(float64(qty))
+	}
+	return []segmentShape{{"price", EncDecimalFloat, price}, {"discount", EncDecimalFloat, discount}, {"quantity", EncDecimalFloat, quantity}}
+}
+
+var decodeSink *Vector
+
+// BenchmarkDecodeSegment reads each decimal column from its plain page and
+// from the compact page the table stores and the pool caches.
+func BenchmarkDecodeSegment(b *testing.B) {
+	for _, c := range decimalColumns() {
+		plain := EncodeSegment(c.v)
+		compact := Compact(plain)
+		if Encoding(compact[1]) != c.enc {
+			b.Fatalf("%s: compacted to %v", c.name, Encoding(compact[1]))
+		}
+		for _, form := range []struct {
+			name string
+			page []byte
+		}{{"plain", plain}, {"compact", compact}} {
+			b.Run(c.name+"/"+form.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					decodeSink, _ = DecodeSegment(form.page)
+				}
+			})
+		}
+	}
 }

@@ -111,11 +111,6 @@ func TestDecodeRefusesHostileCounts(t *testing.T) {
 		if v, err := DecodeSegmentRows(data, []int32{0}); err == nil {
 			t.Errorf("%s: decoded %d values at rows", name, v.Len())
 		}
-		if Encoding(data[1]) == EncDecimalFloat && Type(data[0]) == Float64 {
-			if p, err := Expand(data); err == nil {
-				t.Errorf("%s: expanded to %d bytes", name, len(p))
-			}
-		}
 	}
 	// The ceiling itself is legal: a constant column of MaxSegmentRows rows.
 	ok := page(Int64, EncBitPackedInt, MaxSegmentRows, nbit(0)...)

@@ -329,44 +329,47 @@ func parseNbit(payload []byte, n int) (nbit, error) {
 
 // unpack returns all n values, or those at rows.
 func (b nbit) unpack(n int, rows []int32, all bool) []int64 {
-	if all {
-		rows = nil
-	} else {
-		n = len(rows)
+	if !all {
+		vals := make([]int64, len(rows))
+		for i, r := range rows {
+			vals[i] = b.at(int(r))
+		}
+		return vals
 	}
 	vals := make([]int64, n)
-	b.unpackTo(vals, 0, rows)
+	if b.width == 0 {
+		for i := range vals {
+			vals[i] = b.min
+		}
+		return vals
+	}
+	for i := range vals {
+		vals[i] = b.at(i)
+	}
 	return vals
 }
 
-// unpackTo is the one n-bit kernel: it fills dst with the values at rows, or,
-// when rows is nil, with those from row first on. Value r starts at bit
-// r×width, and with width ≤ 56 the eight bytes from that bit's byte hold all
-// of it; the stream's last bytes are read through a zero-padded copy.
-func (b nbit) unpackTo(dst []int64, first int, rows []int32) {
-	if b.width == 0 {
-		for i := range dst {
-			dst[i] = b.min
-		}
-		return
+// at returns value r, which starts at bit r×width: with width ≤ 56 the eight
+// bytes from that bit's byte hold all of it. The stream's last bytes are read
+// through a zero-padded copy.
+func (b nbit) at(r int) int64 {
+	bit := r * b.width
+	off := bit >> 3
+	var word uint64
+	if off+8 <= len(b.stream) {
+		word = binary.LittleEndian.Uint64(b.stream[off:])
+	} else {
+		word = b.tail(off)
 	}
-	mask := uint64(1)<<b.width - 1
-	for i := range dst {
-		r := first + i
-		if rows != nil {
-			r = int(rows[i])
-		}
-		bit := r * b.width
-		var word uint64
-		if off := bit >> 3; off+8 <= len(b.stream) {
-			word = binary.LittleEndian.Uint64(b.stream[off:])
-		} else {
-			var tail [8]byte
-			copy(tail[:], b.stream[off:])
-			word = binary.LittleEndian.Uint64(tail[:])
-		}
-		dst[i] = int64(uint64(b.min) + word>>(bit&7)&mask)
-	}
+	return int64(uint64(b.min) + word>>(bit&7)&(1<<b.width-1))
+}
+
+// tail is the little-endian word of the stream from byte off on, zero past
+// its end.
+func (b nbit) tail(off int) uint64 {
+	var tail [8]byte
+	copy(tail[:], b.stream[off:])
+	return binary.LittleEndian.Uint64(tail[:])
 }
 
 func encodeRLE(out []byte, vals []int64) []byte {

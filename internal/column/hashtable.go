@@ -176,9 +176,11 @@ const (
 	hashMul  = 0xe7037ed1a0b428db
 )
 
-// mix folds the 64-bit value x into the running hash h: a 64×64→128-bit
-// multiply with the halves xor-ed together.
-func mix(h, x uint64) uint64 {
+// Mix folds the 64-bit value x into the running hash h: a 64×64→128-bit
+// multiply with the halves xor-ed together. It is the engine's one
+// fixed-constant hash: the hash table's rows and the buffer pool's admission
+// sketch both use it.
+func Mix(h, x uint64) uint64 {
 	hi, lo := bits.Mul64(h^x, hashMul)
 	return hi ^ lo
 }
@@ -197,11 +199,11 @@ func hashRows(dst []uint64, keys []*Vector, n int) []uint64 {
 		switch k.Typ {
 		case Int64:
 			for r, x := range k.I64[:n] {
-				dst[r] = mix(dst[r], uint64(x))
+				dst[r] = Mix(dst[r], uint64(x))
 			}
 		case Float64:
 			for r, x := range k.F64[:n] {
-				dst[r] = mix(dst[r], math.Float64bits(x))
+				dst[r] = Mix(dst[r], math.Float64bits(x))
 			}
 		default:
 			for r, s := range k.Str[:n] {
@@ -220,7 +222,7 @@ func hashString(h uint64, s string) uint64 {
 	for len(s) >= 8 {
 		x := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-		h = mix(h, x)
+		h = Mix(h, x)
 		s = s[8:]
 	}
 	// Two loads that may overlap put each remaining byte at 8×its index.
@@ -234,5 +236,5 @@ func hashString(h uint64, s string) uint64 {
 	case n == 1:
 		last |= uint64(s[0])
 	}
-	return mix(h, last)
+	return Mix(h, last)
 }

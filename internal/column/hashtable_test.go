@@ -250,13 +250,13 @@ func TestHashStringTail(t *testing.T) {
 	ref := func(h uint64, s string) uint64 {
 		last := uint64(len(s)) << 56
 		for ; len(s) >= 8; s = s[8:] {
-			h = mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			h = Mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
 				uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
 		}
 		for i := 0; i < len(s); i++ {
 			last |= uint64(s[i]) << (8 * i)
 		}
-		return mix(h, last)
+		return Mix(h, last)
 	}
 	b := "\xff\x01\x80abcdefghijklmnopqrstuvwxyz\x00\xfe0123456789"
 	for i := 0; i <= len(b); i++ {

@@ -46,19 +46,11 @@ var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 // the pooled inflater is re-armed on its next use, so one bad page cannot
 // affect the next.
 func Decompress(src []byte) ([]byte, error) {
-	return DecompressWith(src, func(b []byte) ([]byte, error) { return owned(b), nil })
-}
-
-// DecompressWith is Decompress with the last step the caller's: finish gets
-// the inflated bytes in the pooled scratch and returns what the caller
-// keeps, which must not alias them — so a page decoded on the way out of
-// the inflater is still one allocation.
-func DecompressWith(src []byte, finish func([]byte) ([]byte, error)) ([]byte, error) {
 	f := inflaters.Get().(*inflater)
-	err := f.inflate(src)
 	var out []byte
+	err := f.inflate(src)
 	if err == nil {
-		out, err = finish(f.out)
+		out = owned(f.out)
 	}
 	f.in = nil // the pool must not keep the caller's stored image alive
 	inflaters.Put(f)

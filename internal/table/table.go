@@ -343,7 +343,10 @@ func (t *Table) partitionAt(b *Batch, r int) int {
 	return t.meta.partitionOf(b.Vecs[t.meta.PartCol].I64[r])
 }
 
-// sealLocked encodes and writes one full (or final partial) segment.
+// sealLocked encodes and writes one full (or final partial) segment, each
+// column page in its stored form: column.Compact turns a plain-float page of
+// exact decimals into scaled n-bit integers, and the pool caches what it is
+// given.
 func (t *Table) sealLocked(ctx context.Context, part int, b *Batch) error {
 	seg := len(t.meta.Segs)
 	sm := SegMeta{Rows: b.Rows(), Partition: part, Zones: make([]column.ZoneMap, len(b.Vecs))}
@@ -351,7 +354,7 @@ func (t *Table) sealLocked(ctx context.Context, part int, b *Batch) error {
 	for c, v := range b.Vecs {
 		sm.Zones[c] = column.BuildZoneMap(v)
 		page := dataBase + uint64(seg)*nCols + uint64(c)
-		if err := t.obj.Write(ctx, page, column.EncodeSegment(v)); err != nil {
+		if err := t.obj.Write(ctx, page, column.Compact(column.EncodeSegment(v))); err != nil {
 			return fmt.Errorf("table %s: seal segment %d column %d: %w", t.name, seg, c, err)
 		}
 	}
