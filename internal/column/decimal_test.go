@@ -190,25 +190,50 @@ func decimalColumns() []segmentShape {
 
 var decodeSink *Vector
 
+// nbitColumns are int pages the packer writes n-bit: a date-like column of
+// width 12 and a key-like one of width 17.
+func nbitColumns() []segmentShape {
+	x := lcg(5)
+	date, key := NewVector(Int64), NewVector(Int64)
+	for i := 0; i < 512; i++ {
+		date.AppendInt(8035 + int64(x.next()%(1<<12)))
+		key.AppendInt(1 + int64(x.next()%(1<<17)))
+	}
+	date.I64[0], date.I64[1] = 8035, 8035+1<<12-1
+	key.I64[0], key.I64[1] = 1, 1<<17
+	return []segmentShape{{"date", EncBitPackedInt, date}, {"key", EncBitPackedInt, key}}
+}
+
 // BenchmarkDecodeSegment reads each decimal column from its plain page and
-// from the compact page the table stores and the pool caches.
+// from the compact page the table stores and the pool caches, and the n-bit
+// int pages of nbitColumns.
 func BenchmarkDecodeSegment(b *testing.B) {
+	type form struct {
+		name string
+		page []byte
+	}
+	var forms []form
 	for _, c := range decimalColumns() {
 		plain := EncodeSegment(c.v)
 		compact := Compact(plain)
 		if Encoding(compact[1]) != c.enc {
 			b.Fatalf("%s: compacted to %v", c.name, Encoding(compact[1]))
 		}
-		for _, form := range []struct {
-			name string
-			page []byte
-		}{{"plain", plain}, {"compact", compact}} {
-			b.Run(c.name+"/"+form.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					decodeSink, _ = DecodeSegment(form.page)
-				}
-			})
+		forms = append(forms, form{c.name + "/plain", plain}, form{c.name + "/compact", compact})
+	}
+	for i, c := range nbitColumns() {
+		page := EncodeSegment(c.v)
+		if Encoding(page[1]) != c.enc || int(page[segmentHeader+8]) != []int{12, 17}[i] {
+			b.Fatalf("%s: encoded as %v of width %d", c.name, Encoding(page[1]), page[segmentHeader+8])
 		}
+		forms = append(forms, form{c.name + "/nbit", page})
+	}
+	for _, f := range forms {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decodeSink, _ = DecodeSegment(f.page)
+			}
+		})
 	}
 }

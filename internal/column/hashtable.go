@@ -18,6 +18,16 @@ import (
 // the rows it was given; and nothing a caller can observe (the ids Insert and
 // Find return, the order of Keys) depends on hash values at all.
 //
+// A single Int64 key column whose values lie in a narrow range takes the
+// direct form instead: the key k is entry k−lo of an []int32 holding the
+// stored row + 1 (0 is empty), so it is never hashed, tagged or compared. A
+// range is narrow while it has at most directPerSlot·slotsFor(n) entries for
+// the n keys the table is sized for, so the array takes at most twice the
+// bytes of the slot array it replaces. IndexRows chooses its form once;
+// Insert stays direct while every batch fits the bound and moves the table
+// to slots for good at the first batch that does not. Either way a key gets
+// the same id, so no output depends on the form.
+//
 // The zero HashTable is an empty table that owns its key columns: Insert
 // appends each new key to them and hands out dense ids in first-seen order.
 // IndexRows instead indexes columns the caller already holds, in place. Row
@@ -26,9 +36,15 @@ type HashTable struct {
 	keys    []*Vector // stored key columns; a slot's row indexes them
 	inPlace bool      // keys are the caller's (IndexRows) and complete
 	slots   []uint64  // high 32 bits of the hash <<32 | stored row+1; 0 is empty
-	n       int       // occupied slots, i.e. distinct keys
+	direct  []int32   // direct form: entry k−lo is key k's stored row+1; 0 is empty
+	lo      int64     // the key at direct[0]; lo+len(direct)-1 never passes MaxInt64
+	n       int       // distinct keys
 	hashes  []uint64  // scratch: the current batch's hashes
 }
+
+// directPerSlot bounds the direct form: its array has at most this many
+// int32 entries per uint64 slot the hashed form would allocate.
+const directPerSlot = 4
 
 // IndexRows builds a table over the first n rows of keys without copying
 // them: a key's stored row is the first row that holds it. ids[r] is set to
@@ -37,6 +53,9 @@ type HashTable struct {
 // in use.
 func IndexRows(keys []*Vector, n int, ids []int32) (*HashTable, []int32) {
 	t := &HashTable{keys: keys, inPlace: true}
+	if n > 0 && isDirectKey(keys) && t.fitDirect(keys[0].I64[:n]) {
+		return t, t.indexDirect(keys[0].I64[:n], ids)
+	}
 	t.rehash(slotsFor(n))
 	return t, t.probe(keys, n, ids, true)
 }
@@ -60,6 +79,12 @@ func (t *HashTable) Insert(keys []*Vector, n int, ids []int32) []int32 {
 			t.keys[c] = NewVector(k.Typ)
 		}
 	}
+	if n == 0 {
+		return ids[:0] // an empty batch decides no form
+	}
+	if t.slots == nil && isDirectKey(keys) && t.fitDirect(keys[0].I64[:n]) {
+		return t.indexDirect(keys[0].I64[:n], ids)
+	}
 	return t.probe(keys, n, ids, true)
 }
 
@@ -68,15 +93,122 @@ func (t *HashTable) Insert(keys []*Vector, n int, ids []int32) []int32 {
 // table does not hold it. The columns must match the stored ones in number
 // and type.
 func (t *HashTable) Find(keys []*Vector, n int, ids []int32) []int32 {
-	return t.probe(keys, n, ids, false)
+	if t.direct == nil {
+		return t.probe(keys, n, ids, false)
+	}
+	ids = sized(ids, n)
+	size := uint64(len(t.direct))
+	for r, k := range keys[0].I64[:n] {
+		ids[r] = -1
+		if i := uint64(k) - uint64(t.lo); i < size {
+			ids[r] = t.direct[i] - 1
+		}
+	}
+	return ids
+}
+
+// isDirectKey reports whether keys have the shape the direct form takes: one
+// Int64 column.
+func isDirectKey(keys []*Vector) bool { return len(keys) == 1 && keys[0].Typ == Int64 }
+
+// directLimit is the largest span hi−lo (entries − 1) the direct form allows
+// for a table sized for n keys.
+func directLimit(n int) uint64 { return uint64(directPerSlot*slotsFor(n)) - 1 }
+
+func minMax(ks []int64) (lo, hi int64) {
+	lo, hi = ks[0], ks[0]
+	for _, k := range ks[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
+}
+
+// fitDirect makes the direct array cover the batch ks and reports whether it
+// could. A first batch within the bound gets an array of exactly its range.
+// A batch outside the array regrows it, at least doubling, with the new room
+// on the side the batch fell; a batch that would take the range past the
+// bound for the keys held plus the batch's rows moves the table to slots,
+// where it stays.
+func (t *HashTable) fitDirect(ks []int64) bool {
+	lo, hi := minMax(ks)
+	size := uint64(len(t.direct))
+	down := size > 0 && lo < t.lo
+	if size > 0 {
+		if uint64(lo)-uint64(t.lo) < size && uint64(hi)-uint64(t.lo) < size {
+			return true
+		}
+		lo, hi = min(lo, t.lo), max(hi, t.lo+int64(size-1))
+	}
+	limit := directLimit(t.n + len(ks))
+	if uint64(hi)-uint64(lo) > limit {
+		if size > 0 {
+			t.toSlots()
+		}
+		return false
+	}
+	grown := max(uint64(hi)-uint64(lo)+1, min(2*size, limit+1))
+	room := int64(grown - 1)
+	// The new room goes above, or below when the batch fell below, and the
+	// array stays within int64 either way.
+	newLo := lo
+	switch {
+	case down && hi < math.MinInt64+room:
+		newLo = math.MinInt64
+	case down:
+		newLo = hi - room
+	case lo > math.MaxInt64-room:
+		newLo = math.MaxInt64 - room
+	}
+	d := make([]int32, grown)
+	if size > 0 {
+		copy(d[uint64(t.lo)-uint64(newLo):], t.direct)
+	}
+	t.lo, t.direct = newLo, d
+	return true
+}
+
+// indexDirect looks up each key of ks in the direct array, which covers
+// them, adding each one it has not seen.
+func (t *HashTable) indexDirect(ks []int64, ids []int32) []int32 {
+	ids = sized(ids, len(ks))
+	d, lo := t.direct, uint64(t.lo)
+	for r, k := range ks {
+		e := &d[uint64(k)-lo]
+		if *e == 0 {
+			row := int32(r)
+			if !t.inPlace {
+				row = int32(t.n)
+				t.keys[0].I64 = append(t.keys[0].I64, k)
+			}
+			t.n++
+			*e = row + 1
+		}
+		ids[r] = *e - 1
+	}
+	return ids
+}
+
+// toSlots moves a direct table's keys into a slot array, hashing each stored
+// key as hashRows hashes a one-column Int64 key.
+func (t *HashTable) toSlots() {
+	t.direct = nil
+	t.slots = make([]uint64, slotsFor(t.n))
+	for id, k := range t.keys[0].I64 {
+		t.place(Mix(hashSeed, uint64(k))>>32<<32 | uint64(id+1))
+	}
+}
+
+// sized returns ids with length n, reusing it when it is large enough.
+func sized(ids []int32, n int) []int32 {
+	if cap(ids) < n {
+		return make([]int32, n)
+	}
+	return ids[:n]
 }
 
 func (t *HashTable) probe(keys []*Vector, n int, ids []int32, insert bool) []int32 {
 	t.hashes = hashRows(t.hashes, keys, n)
-	if cap(ids) < n {
-		ids = make([]int32, n)
-	}
-	ids = ids[:n]
+	ids = sized(ids, n)
 	if len(t.slots) == 0 {
 		t.rehash(slotsFor(0))
 	}
@@ -132,17 +264,22 @@ func slotsFor(n int) int {
 func (t *HashTable) rehash(size int) {
 	old := t.slots
 	t.slots = make([]uint64, size)
-	mask := uint32(size - 1)
 	for _, s := range old {
-		if s == 0 {
-			continue
+		if s != 0 {
+			t.place(s)
 		}
-		i := uint32(s>>32) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
 	}
+}
+
+// place puts slot s at the first free position from the one its hash bits
+// name.
+func (t *HashTable) place(s uint64) {
+	mask := uint32(len(t.slots) - 1)
+	i := uint32(s>>32) & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = s
 }
 
 // equalRows reports whether row ar of columns a and row br of columns b hold

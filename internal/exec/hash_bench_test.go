@@ -14,19 +14,27 @@ const (
 	benchBatchRows = 512
 )
 
-// joinSides builds an orders-like build side (unique int key + 1 payload
-// column) and a lineitem-like probe side (foreign key + 3 payload columns)
-// whose every row finds its one match.
-func joinSides(build, probe int) (*table.Batch, *table.Batch) {
+// Key spacings: denseKeys keeps a one-column int key inside the hash table's
+// direct form, as TPC-H's keys are; sparseKeys spreads it past that form's
+// bound, so the slot array is measured too.
+const (
+	denseKeys  = 4
+	sparseKeys = 1 << 12
+)
+
+// joinSides builds an orders-like build side (unique int key, spaced by
+// stride, + 1 payload column) and a lineitem-like probe side (foreign key + 3
+// payload columns) whose every row finds its one match.
+func joinSides(build, probe int, stride int64) (*table.Batch, *table.Batch) {
 	b := batchOf(nil, []table.ColumnDef{intCol("o_key"), strCol("o_status")}, func(b *table.Batch) {
 		for i := 0; i < build; i++ {
-			b.Vecs[0].AppendInt(int64(i)*4 + 1)
+			b.Vecs[0].AppendInt(int64(i)*stride + 1)
 			b.Vecs[1].AppendStr("OFP"[i%3 : i%3+1])
 		}
 	})
 	p := batchOf(nil, []table.ColumnDef{intCol("l_key"), intCol("l_supp"), fltCol("l_price"), strCol("l_flag")}, func(b *table.Batch) {
 		for i := 0; i < probe; i++ {
-			b.Vecs[0].AppendInt(int64(i*7%build)*4 + 1)
+			b.Vecs[0].AppendInt(int64(i*7%build)*stride + 1)
 			b.Vecs[1].AppendInt(int64(i % 200))
 			b.Vecs[2].AppendFloat(float64(i%1000) / 8)
 			b.Vecs[3].AppendStr("ANR"[i%3 : i%3+1])
@@ -37,9 +45,10 @@ func joinSides(build, probe int) (*table.Batch, *table.Batch) {
 
 // aggInput is a lineitem-like batch: two one-letter string columns (Q1's
 // keys), an int column with the given number of distinct values in clusters
-// of four rows (Q21's order key), a low-cardinality int and two floats.
+// of four rows (Q21's order key), a low-cardinality int, two floats, and the
+// order key again spaced by sparseKeys.
 func aggInput(rows, groups int) *table.Batch {
-	return batchOf(nil, []table.ColumnDef{strCol("flag"), strCol("status"), intCol("okey"), intCol("supp"), fltCol("qty"), fltCol("price")}, func(b *table.Batch) {
+	return batchOf(nil, []table.ColumnDef{strCol("flag"), strCol("status"), intCol("okey"), intCol("supp"), fltCol("qty"), fltCol("price"), intCol("skey")}, func(b *table.Batch) {
 		for i := 0; i < rows; i++ {
 			b.Vecs[0].AppendStr("ANR"[i%3 : i%3+1])
 			b.Vecs[1].AppendStr("OF"[i%2 : i%2+1])
@@ -47,6 +56,7 @@ func aggInput(rows, groups int) *table.Batch {
 			b.Vecs[3].AppendInt(int64(i * 31 % 200))
 			b.Vecs[4].AppendFloat(float64(i%50) + 1)
 			b.Vecs[5].AppendFloat(float64(i%1000) / 8)
+			b.Vecs[6].AppendInt(int64(i/4%groups) * sparseKeys)
 		}
 	})
 }
@@ -70,16 +80,22 @@ func scanBatches(b *table.Batch) []*table.Batch {
 }
 
 func BenchmarkHashJoin(b *testing.B) {
-	build, probe := joinSides(benchBuildRows, benchProbeRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := HashJoin(ctxb(), SliceSource(build), []string{"o_key"}, SliceSource(probe), []string{"l_key"}, Inner)
-		if err != nil || out.Rows() != benchProbeRows {
-			b.Fatalf("join = %v rows, %v", out.Rows(), err)
-		}
+	for _, c := range []struct {
+		name   string
+		stride int64
+	}{{"Dense", denseKeys}, {"Sparse", sparseKeys}} {
+		build, probe := joinSides(benchBuildRows, benchProbeRows, c.stride)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := HashJoin(ctxb(), SliceSource(build), []string{"o_key"}, SliceSource(probe), []string{"l_key"}, Inner)
+				if err != nil || out.Rows() != benchProbeRows {
+					b.Fatalf("join = %v rows, %v", out.Rows(), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchProbeRows, "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchProbeRows, "ns/row")
 }
 
 func BenchmarkHashAgg(b *testing.B) {
@@ -92,6 +108,7 @@ func BenchmarkHashAgg(b *testing.B) {
 	}{
 		{"Q1", []string{"flag", "status"}, q1Aggs, 6},
 		{"Q21", []string{"okey"}, q21Aggs, benchBuildRows},
+		{"Q21Sparse", []string{"skey"}, q21Aggs, benchBuildRows},
 		// count(distinct) at its worst: many rows and 200 values per group,
 		// in one group and in six.
 		{"LowCard", nil, q21Aggs, 1},
@@ -111,7 +128,7 @@ func BenchmarkHashAgg(b *testing.B) {
 }
 
 func BenchmarkCollect(b *testing.B) {
-	_, probe := joinSides(benchBuildRows, benchProbeRows)
+	_, probe := joinSides(benchBuildRows, benchProbeRows, denseKeys)
 	parts := scanBatches(probe)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -132,19 +149,28 @@ func BenchmarkCollect(b *testing.B) {
 // aggregate per group, a map per count-distinct group.)
 func TestHashOperatorAllocs(t *testing.T) {
 	const rows, groups = 64 << 10, 16 << 10
-	build, probe := joinSides(groups, rows)
+	build, probe := joinSides(groups, rows, denseKeys)
+	sbuild, sprobe := joinSides(groups, rows, sparseKeys)
 	in := aggInput(rows, groups)
+	join := func(build, probe *table.Batch) func() (*table.Batch, error) {
+		return func() (*table.Batch, error) {
+			return HashJoin(ctxb(), SliceSource(build), []string{"o_key"}, SliceSource(probe), []string{"l_key"}, Inner)
+		}
+	}
+	agg := func(key string) func() (*table.Batch, error) {
+		return func() (*table.Batch, error) {
+			return HashAgg(ctxb(), SliceSource(in), []string{key}, append([]Agg{q21Aggs[0]}, q1Aggs...))
+		}
+	}
 	for _, c := range []struct {
 		name  string
 		limit float64
 		run   func() (*table.Batch, error)
 	}{
-		{"join", 60, func() (*table.Batch, error) {
-			return HashJoin(ctxb(), SliceSource(build), []string{"o_key"}, SliceSource(probe), []string{"l_key"}, Inner)
-		}},
-		{"agg", 120, func() (*table.Batch, error) {
-			return HashAgg(ctxb(), SliceSource(in), []string{"okey"}, append([]Agg{q21Aggs[0]}, q1Aggs...))
-		}},
+		{"join", 45, join(build, probe)},
+		{"agg", 85, agg("okey")},
+		{"join_sparse", 50, join(sbuild, sprobe)},
+		{"agg_sparse", 100, agg("skey")},
 	} {
 		var err error
 		got := testing.AllocsPerRun(5, func() { _, err = c.run() })
