@@ -112,9 +112,6 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analysis: no module directive in %s", gomod)
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modpath }
-
 // Load resolves the patterns ("./...", "./internal/wal", "dir/...") against
 // the module root and returns the units to analyze, including test variants.
 // "..." walks skip testdata, vendor and hidden directories unless the

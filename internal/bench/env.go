@@ -23,10 +23,6 @@ type Options struct {
 	// TimeScale maps simulated seconds to real seconds (0.05 = a simulated
 	// second costs 50 ms of wall time). Zero selects 0.05.
 	TimeScale float64 `json:"timescale"`
-	// BandwidthScale scales transfer-rate constants so that the dataset-to-
-	// bandwidth and per-page transfer-to-latency ratios stay in the paper's
-	// regime despite the small scale factor. Zero selects 0.01.
-	BandwidthScale float64 `json:"bandwidth_scale"`
 	// Instance selects the compute profile. Zero value selects m5ad.24xlarge.
 	Instance Instance `json:"-"`
 	// Volume selects the user dbspace substrate: "s3", "ebs" or "efs".
@@ -57,6 +53,12 @@ type Options struct {
 	Trace *trace.Tracer `json:"-"`
 }
 
+// bandwidthScale scales transfer rates (instance NICs, the OCM's SSD and,
+// through deviceScale, the EBS/EFS aggregates) so that the dataset-to-
+// bandwidth and per-page transfer-to-latency ratios stay in the paper's
+// regime despite the small scale factor.
+const bandwidthScale = 0.01
+
 // Short is the reduced scale `iqbench -short` and the smoke tests run at.
 var Short = Options{SF: 0.002, TimeScale: 0.01}
 
@@ -66,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimeScale == 0 {
 		o.TimeScale = 0.05
-	}
-	if o.BandwidthScale == 0 {
-		o.BandwidthScale = 0.01
 	}
 	if o.Instance.Name == "" {
 		o.Instance = M5ad24xl
@@ -126,7 +125,7 @@ func Setup(ctx context.Context, opts Options) (*Env, error) {
 	// Span timestamps read the simulated clock, so trace durations line up
 	// with the experiment's simulated seconds, not wall time.
 	opts.Trace.SetClock(e.Scale.Charged)
-	e.Net = netResource(e.Scale, opts.Instance, opts.BandwidthScale)
+	e.Net = netResource(e.Scale, opts.Instance, bandwidthScale)
 
 	// Input files live on S3 and are read over the instance NIC, so loads
 	// share bandwidth between input reads and dbspace writes (§6, fn. 3).
@@ -170,18 +169,18 @@ func Setup(ctx context.Context, opts Options) (*Env, error) {
 			if ssdBytes < 4<<20 {
 				ssdBytes = 4 << 20
 			}
-			copts.CacheDevice = newSSD(e.Scale, opts.BandwidthScale, ssdBytes, opts.Seed+2)
+			copts.CacheDevice = newSSD(e.Scale, bandwidthScale, ssdBytes, opts.Seed+2)
 		}
 		if err := db.AttachCloudDbspace("user", &nodeStore{inner: e.Store, nic: e.Net}, copts); err != nil {
 			return nil, err
 		}
 	case "ebs":
-		dev := newEBS(e.Scale, opts.BandwidthScale, est*6, opts.Seed)
+		dev := newEBS(e.Scale, bandwidthScale, est*6, opts.Seed)
 		if err := db.AttachBlockDbspace("user", dev, 8192); err != nil {
 			return nil, err
 		}
 	case "efs":
-		dev := newEFS(e.Scale, e.Net, opts.BandwidthScale, est*6, opts.Seed)
+		dev := newEFS(e.Scale, e.Net, bandwidthScale, est*6, opts.Seed)
 		if err := db.AttachBlockDbspace("user", dev, 8192); err != nil {
 			return nil, err
 		}
@@ -260,7 +259,7 @@ func (e *Env) OpenReader(ctx context.Context, name string) (*cloudiq.Database, *
 	// Reader NICs are scaled down further so the experiments run in the
 	// network-bound regime the paper's scale-out depends on (aggregate S3
 	// throughput growing with node count).
-	nic := netResource(e.Scale, M5ad4xl, e.Opts.BandwidthScale/5)
+	nic := netResource(e.Scale, M5ad4xl, bandwidthScale/5)
 	// Reader caches follow the paper's RAM-to-data ratio at SF 1000
 	// (m5ad.4xlarge holds only a small slice of the dataset), which keeps
 	// the streams object-store-bound.

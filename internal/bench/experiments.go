@@ -359,7 +359,7 @@ func RunLoadBandwidth(ctx context.Context, base Options) (BandwidthSamples, erro
 			_, bytes := e.Net.Stats()
 			simNow := e.SimSeconds(time.Since(start))
 			simTick := e.SimSeconds(tick)
-			gbps := float64(bytes-prev) * 8 / simTick / 1e9 / e.Opts.BandwidthScale
+			gbps := float64(bytes-prev) * 8 / simTick / 1e9 / bandwidthScale
 			prev = bytes
 			samples = append(samples, BandwidthSample{SimSecond: simNow, Gbps: gbps})
 		}

@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,28 +53,21 @@ func NewGenerator(log *wal.Log) *Generator {
 	}
 }
 
-// AllocPayload encodes a RecAlloc record.
+// AllocPayload encodes a RecAlloc record: the node name, then the range's
+// start and end.
 func AllocPayload(node string, r rfrb.Range) []byte {
-	buf := make([]byte, 2+len(node)+16)
-	binary.LittleEndian.PutUint16(buf, uint16(len(node)))
-	copy(buf[2:], node)
-	binary.LittleEndian.PutUint64(buf[2+len(node):], r.Start)
-	binary.LittleEndian.PutUint64(buf[10+len(node):], r.End)
-	return buf
+	b := wal.AppendString16(make([]byte, 0, 18+len(node)), node)
+	b = binary.LittleEndian.AppendUint64(b, r.Start)
+	return binary.LittleEndian.AppendUint64(b, r.End)
 }
 
 // ParseAllocPayload decodes a RecAlloc record.
 func ParseAllocPayload(p []byte) (node string, r rfrb.Range, err error) {
-	if len(p) < 2 {
-		return "", rfrb.Range{}, fmt.Errorf("keygen: short alloc payload")
+	d := wal.NewReader(p)
+	node, r = d.String16(), rfrb.Range{Start: d.U64(), End: d.U64()}
+	if err := d.End(); err != nil {
+		return "", rfrb.Range{}, fmt.Errorf("keygen: alloc payload: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint16(p))
-	if len(p) != 2+n+16 {
-		return "", rfrb.Range{}, fmt.Errorf("keygen: alloc payload length %d for node length %d", len(p), n)
-	}
-	node = string(p[2 : 2+n])
-	r.Start = binary.LittleEndian.Uint64(p[2+n:])
-	r.End = binary.LittleEndian.Uint64(p[10+n:])
 	return node, r, nil
 }
 
@@ -182,70 +177,57 @@ func (g *Generator) MaxAllocated() uint64 {
 
 // --- checkpoint / recovery ---
 
-// CheckpointPayload serializes the generator state (max key + active sets)
-// for inclusion in a checkpoint record.
-func (g *Generator) CheckpointPayload() []byte {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	buf := binary.LittleEndian.AppendUint64(nil, g.next)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.active)))
-	// Serialize in sorted node order: checkpoint bytes must be a pure
-	// function of the generator state, not of map iteration order, or two
-	// identically seeded runs produce different checkpoint images.
-	nodes := make([]string, 0, len(g.active))
-	for node := range g.active {
-		nodes = append(nodes, node)
-	}
-	sort.Strings(nodes)
-	for _, node := range nodes {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(node)))
-		buf = append(buf, node...)
-		img := g.active[node].Marshal()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(img)))
-		buf = append(buf, img...)
-	}
-	return buf
+// Checkpoint is the generator state a checkpoint record carries: the next
+// key to hand out and the active set of every node that has one.
+type Checkpoint struct {
+	Next   uint64
+	Active map[string]*rfrb.Bitmap
 }
 
-// RestoreCheckpoint resets the generator state from CheckpointPayload output.
-func (g *Generator) RestoreCheckpoint(payload []byte) error {
-	if len(payload) < 12 {
-		return fmt.Errorf("keygen: short checkpoint payload")
-	}
-	next := binary.LittleEndian.Uint64(payload)
-	n := binary.LittleEndian.Uint32(payload[8:])
-	off := 12
-	active := make(map[string]*rfrb.Bitmap, n)
-	for i := uint32(0); i < n; i++ {
-		if off+2 > len(payload) {
-			return fmt.Errorf("keygen: truncated checkpoint payload")
-		}
-		nl := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if off+nl+4 > len(payload) {
-			return fmt.Errorf("keygen: truncated checkpoint payload")
-		}
-		node := string(payload[off : off+nl])
-		off += nl
-		il := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if off+il > len(payload) {
-			return fmt.Errorf("keygen: truncated checkpoint payload")
-		}
-		b, err := rfrb.Unmarshal(payload[off : off+il])
-		if err != nil {
-			return fmt.Errorf("keygen: checkpoint active set for %s: %w", node, err)
-		}
-		off += il
-		if !b.Empty() {
-			active[node] = b
-		}
-	}
+// Checkpoint returns a copy of the generator state.
+func (g *Generator) Checkpoint() *Checkpoint {
 	g.mu.Lock()
-	g.next = next
-	g.active = active
-	g.mu.Unlock()
-	return nil
+	defer g.mu.Unlock()
+	c := &Checkpoint{Next: g.next, Active: make(map[string]*rfrb.Bitmap, len(g.active))}
+	for node, b := range g.active {
+		c.Active[node] = b.Clone()
+	}
+	return c
+}
+
+// Marshal encodes c: the next key, the node count, then each node's name
+// and active-set image in name order, so the bytes are a pure function of
+// the state and not of map iteration order.
+func (c *Checkpoint) Marshal() []byte {
+	b := binary.LittleEndian.AppendUint64(nil, c.Next)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.Active)))
+	for _, node := range slices.Sorted(maps.Keys(c.Active)) {
+		b = wal.AppendBytes32(wal.AppendString16(b, node), c.Active[node].Marshal())
+	}
+	return b
+}
+
+// ParseCheckpoint decodes Marshal output, dropping empty active sets.
+func ParseCheckpoint(p []byte) (*Checkpoint, error) {
+	d := wal.NewReader(p)
+	c := &Checkpoint{Next: d.U64(), Active: map[string]*rfrb.Bitmap{}}
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		node, set := d.String16(), wal.Decode32(&d, rfrb.Unmarshal)
+		if set != nil && !set.Empty() {
+			c.Active[node] = set
+		}
+	}
+	if err := d.End(); err != nil {
+		return nil, fmt.Errorf("keygen: checkpoint payload: %w", err)
+	}
+	return c, nil
+}
+
+// Restore replaces the generator state with c, which it takes over.
+func (g *Generator) Restore(c *Checkpoint) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.next, g.active = c.Next, c.Active
 }
 
 // ApplyAlloc replays a RecAlloc record during crash recovery: the active set

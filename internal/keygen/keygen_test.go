@@ -154,29 +154,46 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	g := NewGenerator(nil)
 	_, _ = g.Allocate(ctxb(), "w1", 100)
 	r2, _ := g.Allocate(ctxb(), "w2", 50)
-	payload := g.CheckpointPayload()
-
-	g2 := NewGenerator(nil)
-	if err := g2.RestoreCheckpoint(payload); err != nil {
+	c := g.Checkpoint()
+	c.Active["w1"] = &rfrb.Bitmap{} // an emptied set is not carried over
+	c, err := ParseCheckpoint(c.Marshal())
+	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := NewGenerator(nil)
+	g2.Restore(c)
 	if g2.MaxAllocated() != g.MaxAllocated() {
 		t.Fatalf("restored max = %d, want %d", g2.MaxAllocated(), g.MaxAllocated())
 	}
 	if got := g2.ActiveSet("w2"); len(got) != 1 || got[0] != r2 {
 		t.Fatalf("restored ActiveSet(w2) = %v", got)
 	}
+	if got := g2.Nodes(); len(got) != 1 {
+		t.Fatalf("restored nodes = %v, want [w2]", got)
+	}
+	// The restored generator keeps allocating past the restored maximum.
+	if r, err := g2.Allocate(ctxb(), "w3", 1); err != nil || r.Start != g.MaxAllocated() {
+		t.Fatalf("post-restore allocation %v: %v", r, err)
+	}
 }
 
 func TestRestoreCheckpointRejectsCorrupt(t *testing.T) {
-	g := NewGenerator(nil)
-	if err := g.RestoreCheckpoint([]byte{1, 2}); err == nil {
+	if _, err := ParseCheckpoint([]byte{1, 2}); err == nil {
 		t.Fatal("short payload accepted")
 	}
+	g := NewGenerator(nil)
 	_, _ = g.Allocate(ctxb(), "w1", 10)
-	p := g.CheckpointPayload()
-	if err := NewGenerator(nil).RestoreCheckpoint(p[:len(p)-3]); err == nil {
-		t.Fatal("truncated payload accepted")
+	p := g.Checkpoint().Marshal()
+	for _, bad := range [][]byte{p[:len(p)-3], append(p, 0)} {
+		if _, err := ParseCheckpoint(bad); err == nil {
+			t.Fatalf("corrupt payload %x accepted", bad)
+		}
+	}
+	// A node count past what the payload can hold fails before any loop.
+	huge := append([]byte(nil), p[:12]...)
+	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0xff
+	if _, err := ParseCheckpoint(huge); err == nil {
+		t.Fatal("payload claiming 2^32-1 nodes accepted")
 	}
 }
 

@@ -18,40 +18,16 @@ import (
 // "store:user" below it — the difference between the two read counts IS the
 // retry amplification).
 //
-// Latencies feed histograms only; no control flow depends on them. By
-// default they are sampled from the wall clock; deterministic harnesses
-// inject their simulated clock with SetClock so a metered pipeline's
-// observable state is a pure function of the seeds.
+// Latencies are sampled from the wall clock and feed histograms only; no
+// control flow depends on them.
 type StatsRegistry struct {
 	mu     sync.Mutex
 	layers map[string]*LayerStats
-	clock  func() time.Time
 }
 
 // NewRegistry returns an empty registry sampling the wall clock.
 func NewRegistry() *StatsRegistry {
 	return &StatsRegistry{layers: make(map[string]*LayerStats)}
-}
-
-// SetClock injects the latency clock (simulated time in deterministic runs).
-// Call it before building pipelines: meters capture the sampler at
-// construction.
-func (r *StatsRegistry) SetClock(fn func() time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = fn
-}
-
-// now samples the registry's clock, falling back to the wall clock when none
-// was injected.
-func (r *StatsRegistry) now() time.Time {
-	r.mu.Lock()
-	fn := r.clock
-	r.mu.Unlock()
-	if fn != nil {
-		return fn()
-	}
-	return time.Now()
 }
 
 // Layer returns the named layer's stats, creating them on first use.
@@ -190,7 +166,7 @@ func Meter(reg *StatsRegistry, layer string) Middleware {
 	return func(next Handler) Handler {
 		m := &meter{next: next, layer: layer}
 		if reg != nil {
-			m.stats, m.now = reg.Layer(layer), reg.now
+			m.stats, m.now = reg.Layer(layer), time.Now
 		}
 		return m
 	}

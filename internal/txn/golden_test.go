@@ -17,7 +17,7 @@ import (
 // nodes' active sets, a cloud and a 64-block conventional dbspace, one
 // transaction parked on the retirement chain behind a reader, and an extra
 // image. It returns the generator, the manager and their log.
-func goldenState(t *testing.T) (*keygen.Generator, *Manager, *wal.Log) {
+func goldenState(t testing.TB) (*keygen.Generator, *Manager, *wal.Log) {
 	t.Helper()
 	log, err := wal.Open(ctxb(), blockdev.NewMem(blockdev.Config{Growable: true}))
 	if err != nil {
@@ -106,7 +106,7 @@ func TestRecordPayloadsGolden(t *testing.T) {
 			"00000000000400757365721800000001000000000000000a000000000000001400000000000000180000000100000000" +
 			"00000005000000000000800900000000000080"},
 		{"alloc", keygen.AllocPayload("w1", rfrb.Range{Start: rfrb.CloudKeyBase, End: rfrb.CloudKeyBase + 100}), "0200773100000000000000806400000000000080"},
-		{"keygen", gen.CheckpointPayload(), "6401000000000080020000000500636f6f72641800000001000000000000006700000000000080640100000000008002" +
+		{"keygen", gen.Checkpoint().Marshal(), "6401000000000080020000000500636f6f72641800000001000000000000006700000000000080640100000000008002" +
 			"00773118000000010000000000000000000000000000806400000000000080"},
 	} {
 		if got := hex.EncodeToString(tc.got); got != tc.want {

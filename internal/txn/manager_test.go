@@ -20,7 +20,7 @@ func ctxb() context.Context { return context.Background() }
 // env is a single-node (coordinator) test rig: a key generator, one cloud
 // dbspace and one conventional dbspace, all registered with a Manager.
 type env struct {
-	t      *testing.T
+	t      testing.TB
 	store  *objstore.MemStore
 	gen    *keygen.Generator
 	mgr    *Manager

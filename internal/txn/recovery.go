@@ -14,200 +14,160 @@ import (
 	"cloudiq/internal/wal"
 )
 
+// checkpointImage is the decoded form of a RecCheckpoint payload, which
+// holds, in order: the commit sequence and the last transaction id; a flag
+// byte, then the key generator's image if the flag is 1; the consumed
+// bitmap; the chain count, then each entry's commit sequence and commit
+// record; the freelist count, then each block dbspace's name and freelist
+// image; the extra image, absent from payloads older than it.
+type checkpointImage struct {
+	commitSeq, nextTxnID uint64
+	keys                 *keygen.Checkpoint // nil: the node has no generator
+	consumed             *rfrb.Bitmap
+	chain                []*committedTxn
+	freelists            []spaceFreelist
+	extra                []byte
+}
+
+type spaceFreelist struct {
+	space string
+	list  *freelist.List
+}
+
+// marshal encodes img, naming node in each chain entry's commit record.
+func (img checkpointImage) marshal(node string) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, img.commitSeq)
+	b = binary.LittleEndian.AppendUint64(b, img.nextTxnID)
+	if img.keys != nil {
+		b = wal.AppendBytes32(append(b, 1), img.keys.Marshal())
+	} else {
+		b = append(b, 0)
+	}
+	b = wal.AppendBytes32(b, img.consumed.Marshal())
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(img.chain)))
+	for _, e := range img.chain {
+		b = binary.LittleEndian.AppendUint64(b, e.seq)
+		b = wal.AppendBytes32(b, MarshalCommit(CommitRecord{Node: node, TxnID: e.txnID, Spaces: e.spaces}))
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(img.freelists)))
+	for _, f := range img.freelists {
+		b = wal.AppendBytes32(wal.AppendString16(b, f.space), f.list.Marshal())
+	}
+	return wal.AppendBytes32(b, img.extra)
+}
+
+// parseCheckpoint decodes a RecCheckpoint payload whole, nested images
+// included, and changes nothing.
+func parseCheckpoint(p []byte) (checkpointImage, error) {
+	d := wal.NewReader(p)
+	img := checkpointImage{commitSeq: d.U64(), nextTxnID: d.U64()}
+	if d.U8() == 1 {
+		img.keys = wal.Decode32(&d, keygen.ParseCheckpoint)
+	}
+	img.consumed = wal.Decode32(&d, rfrb.Unmarshal)
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		seq, rec := d.U64(), wal.Decode32(&d, UnmarshalCommit)
+		img.chain = append(img.chain, &committedTxn{seq: seq, txnID: rec.TxnID, spaces: rec.Spaces})
+	}
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		img.freelists = append(img.freelists, spaceFreelist{d.String16(), wal.Decode32(&d, freelist.Unmarshal)})
+	}
+	if d.Len() > 0 {
+		img.extra = d.Bytes32()
+	}
+	if err := d.End(); err != nil {
+		return checkpointImage{}, fmt.Errorf("txn: checkpoint payload: %w", err)
+	}
+	return img, nil
+}
+
 // Checkpoint durably snapshots the node's metadata: commit/txn sequences,
-// the Object Key Generator state (max key + active sets), and the freelist
-// image of every conventional dbspace. Crash recovery replays the log from
-// this record (§3.2, §3.3).
+// the Object Key Generator state (max key + active sets), the consumed
+// keys, the committed chain, the freelist image of every conventional
+// dbspace and the engine's extra image. Crash recovery replays the log from
+// this record (§3.2, §3.3). The chain holds transactions whose expired page
+// versions are not retired yet (typically held back by a long-lived
+// reader's snapshot): replay only covers commits after this checkpoint, so
+// without it a crash would forget the pending retirements and leak their
+// pages.
 func (m *Manager) Checkpoint(ctx context.Context) error {
 	m.mu.Lock()
-	payload := binary.LittleEndian.AppendUint64(nil, m.commitSeq)
-	payload = binary.LittleEndian.AppendUint64(payload, m.nextTxnID)
+	img := checkpointImage{commitSeq: m.commitSeq, nextTxnID: m.nextTxnID, consumed: m.consumed.Clone()}
 	if m.cfg.Keys != nil {
-		payload = append(payload, 1)
-		kp := m.cfg.Keys.CheckpointPayload()
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(kp)))
-		payload = append(payload, kp...)
-	} else {
-		payload = append(payload, 0)
+		img.keys = m.cfg.Keys.Checkpoint()
 	}
-	consumed := m.consumed.Marshal()
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(consumed)))
-	payload = append(payload, consumed...)
-	// The committed chain: transactions whose expired page versions are not
-	// retired yet (typically held back by a long-lived reader's snapshot).
-	// Replay only covers commits after this checkpoint, so without this
-	// section a crash would silently forget the pending retirements and leak
-	// their pages forever.
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(m.chain)))
+	// The image is encoded after the lock is released, once the extra image
+	// is taken, so it holds copies of what later commits, collections and
+	// PruneRetirements change.
 	for _, e := range m.chain {
-		entry := MarshalCommit(CommitRecord{Node: m.cfg.Node, TxnID: e.txnID, Spaces: e.spaces})
-		payload = binary.LittleEndian.AppendUint64(payload, e.seq)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(entry)))
-		payload = append(payload, entry...)
+		c := &committedTxn{seq: e.seq, txnID: e.txnID}
+		for _, sp := range e.spaces {
+			c.spaces = append(c.spaces, SpaceBitmaps{Space: sp.Space, RF: sp.RF.Clone(), RB: sp.RB.Clone()})
+		}
+		img.chain = append(img.chain, c)
 	}
-	type spaceImage struct {
-		name  string
-		image []byte
-	}
-	var images []spaceImage
 	for name, ds := range m.spaces {
 		if bds, ok := ds.(*core.BlockDbspace); ok {
-			images = append(images, spaceImage{name, bds.Freelist().Marshal()})
+			img.freelists = append(img.freelists, spaceFreelist{name, bds.Freelist().Clone()})
 		}
 	}
 	m.mu.Unlock()
 	// Checkpoint bytes must not depend on map iteration order: identically
 	// seeded runs have to produce identical checkpoint records.
-	sort.Slice(images, func(i, j int) bool { return images[i].name < images[j].name })
-
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(images)))
-	for _, im := range images {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(im.name)))
-		payload = append(payload, im.name...)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(im.image)))
-		payload = append(payload, im.image...)
-	}
-	var extra []byte
+	sort.Slice(img.freelists, func(i, j int) bool { return img.freelists[i].space < img.freelists[j].space })
 	if m.cfg.ExtraCheckpoint != nil {
 		var err error
-		if extra, err = m.cfg.ExtraCheckpoint(); err != nil {
+		if img.extra, err = m.cfg.ExtraCheckpoint(); err != nil {
 			return fmt.Errorf("txn: checkpoint extra: %w", err)
 		}
 	}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(extra)))
-	payload = append(payload, extra...)
-	if _, err := m.cfg.Log.Checkpoint(ctx, payload); err != nil {
+	if _, err := m.cfg.Log.Checkpoint(ctx, img.marshal(m.cfg.Node)); err != nil {
 		return fmt.Errorf("txn: checkpoint: %w", err)
 	}
 	return nil
 }
 
-func (m *Manager) restoreCheckpoint(payload []byte) error {
-	if len(payload) < 17 {
-		return fmt.Errorf("txn: short checkpoint payload")
+// restoreCheckpoint installs a parsed checkpoint image. Every freelist's
+// dbspace resolves before anything changes, so an image that names a
+// dbspace the node lacks leaves the manager as it was.
+func (m *Manager) restoreCheckpoint(img checkpointImage) error {
+	spaces := make([]*core.BlockDbspace, len(img.freelists))
+	for i, f := range img.freelists {
+		ds, _ := m.Space(f.space)
+		var ok bool
+		if spaces[i], ok = ds.(*core.BlockDbspace); !ok {
+			return fmt.Errorf("txn: checkpoint freelist for %q, which is not a registered block dbspace", f.space)
+		}
+	}
+	// A secondary node replaying the coordinator's log (shared system
+	// dbspace) has no generator of its own; the section is skipped.
+	if img.keys != nil && m.cfg.Keys != nil {
+		m.cfg.Keys.Restore(img.keys)
 	}
 	m.mu.Lock()
-	m.commitSeq = binary.LittleEndian.Uint64(payload)
-	m.nextTxnID = binary.LittleEndian.Uint64(payload[8:])
+	m.chain = img.chain
 	m.mu.Unlock()
-	off := 16
-	if payload[off] == 1 {
-		off++
-		if off+4 > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		kl := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if off+kl > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		// A secondary node replaying the coordinator's log (shared system
-		// dbspace) has no generator of its own; the section is skipped.
-		if m.cfg.Keys != nil {
-			if err := m.cfg.Keys.RestoreCheckpoint(payload[off : off+kl]); err != nil {
-				return err
-			}
-		}
-		off += kl
-	} else {
-		off++
+	// Re-notify everything a secondary node ever reported: the checkpoint
+	// truncated the commit records whose replay would have healed a
+	// notification lost before the crash. Idempotent on the coordinator.
+	if m.cfg.Keys == nil && m.cfg.Notify != nil {
+		m.renotify(m.cfg.Node, img.consumed)
 	}
-	if off+4 > len(payload) {
-		return fmt.Errorf("txn: truncated checkpoint payload")
+	for i, bds := range spaces {
+		bds.RestoreFreelist(img.freelists[i].list)
 	}
-	cl := int(binary.LittleEndian.Uint32(payload[off:]))
-	off += 4
-	if off+cl > len(payload) {
-		return fmt.Errorf("txn: truncated checkpoint payload")
-	}
-	if cl > 0 {
-		consumed, err := rfrb.Unmarshal(payload[off : off+cl])
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint consumed bitmap: %w", err)
-		}
-		off += cl
-		// Re-notify everything this node ever reported: the checkpoint
-		// truncated the commit records whose replay would have healed a
-		// notification lost before the crash. Idempotent on the coordinator.
-		if m.cfg.Keys == nil && m.cfg.Notify != nil {
-			m.mu.Lock()
-			m.consumed.Union(consumed)
-			m.mu.Unlock()
-			m.cfg.Notify(m.cfg.Node, consumed)
-		}
-	}
-	if off+4 > len(payload) {
-		return fmt.Errorf("txn: truncated checkpoint payload")
-	}
-	cn := int(binary.LittleEndian.Uint32(payload[off:]))
-	off += 4
-	var chain []*committedTxn
-	for i := 0; i < cn; i++ {
-		if off+12 > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		seq := binary.LittleEndian.Uint64(payload[off:])
-		el := int(binary.LittleEndian.Uint32(payload[off+8:]))
-		off += 12
-		if off+el > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		rec, err := UnmarshalCommit(payload[off : off+el])
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint chain entry: %w", err)
-		}
-		off += el
-		chain = append(chain, &committedTxn{seq: seq, txnID: rec.TxnID, spaces: rec.Spaces})
-	}
+	return m.restoreShared(img)
+}
+
+// restoreShared installs the part of a checkpoint image a reader node
+// applies too: the counters and the extra (catalog and delta) image.
+func (m *Manager) restoreShared(img checkpointImage) error {
 	m.mu.Lock()
-	m.chain = chain
+	m.commitSeq, m.nextTxnID = img.commitSeq, img.nextTxnID
 	m.mu.Unlock()
-	if off+4 > len(payload) {
-		return fmt.Errorf("txn: truncated checkpoint payload")
-	}
-	n := int(binary.LittleEndian.Uint32(payload[off:]))
-	off += 4
-	for i := 0; i < n; i++ {
-		if off+2 > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		nl := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if off+nl+4 > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		name := string(payload[off : off+nl])
-		off += nl
-		fl := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if off+fl > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		list, err := freelist.Unmarshal(payload[off : off+fl])
-		if err != nil {
-			return fmt.Errorf("txn: checkpoint freelist for %s: %w", name, err)
-		}
-		off += fl
-		ds, ok := m.Space(name)
-		if !ok {
-			return fmt.Errorf("txn: checkpoint references unregistered dbspace %q", name)
-		}
-		bds, ok := ds.(*core.BlockDbspace)
-		if !ok {
-			return fmt.Errorf("txn: checkpoint freelist for non-block dbspace %q", name)
-		}
-		bds.RestoreFreelist(list)
-	}
-	if off+4 <= len(payload) {
-		el := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if off+el > len(payload) {
-			return fmt.Errorf("txn: truncated checkpoint payload")
-		}
-		if el > 0 && m.cfg.RestoreExtra != nil {
-			if err := m.cfg.RestoreExtra(payload[off : off+el]); err != nil {
-				return fmt.Errorf("txn: restore extra: %w", err)
-			}
+	if len(img.extra) > 0 && m.cfg.RestoreExtra != nil {
+		if err := m.cfg.RestoreExtra(img.extra); err != nil {
+			return fmt.Errorf("txn: restore extra: %w", err)
 		}
 	}
 	return nil
@@ -229,7 +189,11 @@ func (m *Manager) Recover(ctx context.Context, extra func(wal.Record) error) err
 		replayed++
 		switch rec.Type {
 		case wal.RecCheckpoint:
-			if err := m.restoreCheckpoint(rec.Payload); err != nil {
+			img, err := parseCheckpoint(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if err := m.restoreCheckpoint(img); err != nil {
 				return err
 			}
 		case wal.RecAlloc:
@@ -281,10 +245,7 @@ func (m *Manager) applyCommittedRecord(rec CommitRecord) error {
 	if m.cfg.Keys != nil {
 		m.cfg.Keys.OnCommit(rec.Node, consumed)
 	} else if m.cfg.Notify != nil && consumed.Count() > 0 {
-		m.mu.Lock()
-		m.consumed.Union(consumed)
-		m.mu.Unlock()
-		m.cfg.Notify(rec.Node, consumed)
+		m.renotify(rec.Node, consumed)
 	}
 	// Re-apply block allocations to the freelists (the checkpoint image
 	// predates these commits) and queue RF extents for collection. A space
@@ -316,6 +277,15 @@ func (m *Manager) applyCommittedRecord(rec CommitRecord) error {
 	return nil
 }
 
+// renotify remembers consumed keys as reported by this secondary node and
+// reports them to the coordinator again.
+func (m *Manager) renotify(node string, consumed *rfrb.Bitmap) {
+	m.mu.Lock()
+	m.consumed.Union(consumed)
+	m.mu.Unlock()
+	m.cfg.Notify(node, consumed)
+}
+
 // NoteReplayedTxn raises the transaction-id counter past an id observed in
 // the log during replay. Commit records do this implicitly, but a
 // transaction that died before its commit record landed leaves its id only
@@ -330,14 +300,21 @@ func (m *Manager) NoteReplayedTxn(id uint64) {
 }
 
 // RecoverForRead replays the log to rebuild metadata — commit sequences,
-// catalog extras — without performing any garbage collection or freelist
-// mutation. Reader nodes recovering from a shared system dbspace they do
-// not own use this (§2: reader nodes cannot modify the database).
+// catalog extras — without performing any garbage collection. Of a
+// checkpoint it applies only the counters and the extra image: it restores
+// no key generator, chain or freelist and looks up no dbspace, so a reader
+// needs only the cloud dbspaces it reads. Reader nodes recovering from a
+// shared system dbspace they do not own use this (§2: reader nodes cannot
+// modify the database).
 func (m *Manager) RecoverForRead(ctx context.Context, extra func(wal.Record) error) error {
 	err := m.cfg.Log.Replay(ctx, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecCheckpoint:
-			if err := m.restoreCheckpoint(rec.Payload); err != nil {
+			img, err := parseCheckpoint(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if err := m.restoreShared(img); err != nil {
 				return err
 			}
 		case wal.RecCommit:

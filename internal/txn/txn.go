@@ -15,6 +15,7 @@ import (
 
 	"cloudiq/internal/core"
 	"cloudiq/internal/rfrb"
+	"cloudiq/internal/wal"
 )
 
 // Status describes a transaction's lifecycle state.
@@ -164,85 +165,34 @@ type SpaceBitmaps struct {
 	RB    *rfrb.Bitmap
 }
 
-// MarshalCommit encodes a commit record payload.
+// MarshalCommit encodes a commit record payload: the transaction id, the
+// node name, the meta image, the dbspace count, then each dbspace's name
+// and RF and RB images.
 func MarshalCommit(rec CommitRecord) []byte {
 	buf := binary.LittleEndian.AppendUint64(nil, rec.TxnID)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Node)))
-	buf = append(buf, rec.Node...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Meta)))
-	buf = append(buf, rec.Meta...)
+	buf = wal.AppendBytes32(wal.AppendString16(buf, rec.Node), rec.Meta)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Spaces)))
 	for _, sp := range rec.Spaces {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sp.Space)))
-		buf = append(buf, sp.Space...)
-		rf := sp.RF.Marshal()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rf)))
-		buf = append(buf, rf...)
-		rb := sp.RB.Marshal()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rb)))
-		buf = append(buf, rb...)
+		buf = wal.AppendBytes32(wal.AppendString16(buf, sp.Space), sp.RF.Marshal())
+		buf = wal.AppendBytes32(buf, sp.RB.Marshal())
 	}
 	return buf
 }
 
 // UnmarshalCommit decodes MarshalCommit output.
 func UnmarshalCommit(p []byte) (CommitRecord, error) {
-	var rec CommitRecord
-	if len(p) < 14 {
-		return rec, fmt.Errorf("txn: short commit payload (%d bytes)", len(p))
+	d := wal.NewReader(p)
+	rec := CommitRecord{TxnID: d.U64(), Node: d.String16()}
+	if meta := d.Bytes32(); len(meta) > 0 {
+		rec.Meta = append([]byte(nil), meta...)
 	}
-	rec.TxnID = binary.LittleEndian.Uint64(p)
-	off := 8
-	nl := int(binary.LittleEndian.Uint16(p[off:]))
-	off += 2
-	if off+nl+4 > len(p) {
-		return rec, fmt.Errorf("txn: truncated commit payload")
-	}
-	rec.Node = string(p[off : off+nl])
-	off += nl
-	ml := int(binary.LittleEndian.Uint32(p[off:]))
-	off += 4
-	if off+ml+4 > len(p) {
-		return rec, fmt.Errorf("txn: truncated commit payload")
-	}
-	if ml > 0 {
-		rec.Meta = append([]byte(nil), p[off:off+ml]...)
-	}
-	off += ml
-	n := int(binary.LittleEndian.Uint32(p[off:]))
-	off += 4
-	for i := 0; i < n; i++ {
-		if off+2 > len(p) {
-			return rec, fmt.Errorf("txn: truncated commit payload")
-		}
-		sl := int(binary.LittleEndian.Uint16(p[off:]))
-		off += 2
-		if off+sl+4 > len(p) {
-			return rec, fmt.Errorf("txn: truncated commit payload")
-		}
-		sp := SpaceBitmaps{Space: string(p[off : off+sl])}
-		off += sl
-		for j := 0; j < 2; j++ {
-			bl := int(binary.LittleEndian.Uint32(p[off:]))
-			off += 4
-			if off+bl > len(p) {
-				return rec, fmt.Errorf("txn: truncated commit payload")
-			}
-			bm, err := rfrb.Unmarshal(p[off : off+bl])
-			if err != nil {
-				return rec, fmt.Errorf("txn: commit bitmap: %w", err)
-			}
-			off += bl
-			if j == 0 {
-				sp.RF = bm
-			} else {
-				sp.RB = bm
-			}
-			if j == 0 && off+4 > len(p) {
-				return rec, fmt.Errorf("txn: truncated commit payload")
-			}
-		}
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		// Fields are read in the order they are listed: name, RF, RB.
+		sp := SpaceBitmaps{Space: d.String16(), RF: wal.Decode32(&d, rfrb.Unmarshal), RB: wal.Decode32(&d, rfrb.Unmarshal)}
 		rec.Spaces = append(rec.Spaces, sp)
+	}
+	if err := d.End(); err != nil {
+		return CommitRecord{}, fmt.Errorf("txn: commit payload: %w", err)
 	}
 	return rec, nil
 }

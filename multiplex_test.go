@@ -74,6 +74,79 @@ func TestReaderNodeOverSharedSystemDbspace(t *testing.T) {
 	_ = rtx.Rollback(ctxb())
 }
 
+// TestReaderRecoversPastBlockDbspaceCheckpoint: a coordinator checkpoint
+// carries the freelist of every block dbspace it owns, but a reader node
+// applies only the counters and the catalog image of a checkpoint. A reader
+// that attaches the shared cloud dbspace alone must recover past such a
+// checkpoint without looking the block dbspace up.
+func TestReaderRecoversPastBlockDbspaceCheckpoint(t *testing.T) {
+	store := NewMemObjectStore(ObjectStoreConfig{})
+	logDev := NewMemBlockDevice(BlockDeviceConfig{Growable: true})
+	coord, err := Open(ctxb(), Config{LogDevice: logDev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if err := coord.AttachCloudDbspace("user", store, CloudOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.AttachBlockDbspace("main", NewMemBlockDevice(BlockDeviceConfig{Capacity: 1 << 20}), 512); err != nil {
+		t.Fatal(err)
+	}
+	tx := coord.Begin()
+	tbl, err := tx.CreateTable(ctxb(), "user", "shared", demoSchema(), TableOptions{SegRows: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(ctxb(), fillBatch(100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Checkpoint(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+
+	img := make([]byte, logDev.Size())
+	if err := logDev.ReadAt(ctxb(), img, 0); err != nil {
+		t.Fatal(err)
+	}
+	readerLog := NewMemBlockDevice(BlockDeviceConfig{Growable: true})
+	if err := readerLog.WriteAt(ctxb(), img, 0); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := Open(ctxb(), Config{
+		Node:      "r1",
+		LogDevice: readerLog,
+		AllocKeys: func(ctx context.Context, n uint64) (rfrb.Range, error) { panic("readers do not allocate") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	if err := reader.AttachCloudDbspace("user", store, CloudOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.RecoverAsReader(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	rtx := reader.Begin()
+	defer rtx.Rollback(ctxb())
+	rt, err := rtx.Table(ctxb(), "user", "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Scan(rt, []string{"k"}, ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Collect(ctxb(), src)
+	if err != nil || out.Rows() != 100 {
+		t.Fatalf("reader scan = %v rows, %v", out, err)
+	}
+}
+
 // TestCoordinatorRPCThroughPublicAPI drives the multiplex server/client
 // re-exports end to end.
 func TestCoordinatorRPCThroughPublicAPI(t *testing.T) {
