@@ -24,7 +24,7 @@ import (
 // `go test -bench .` completes in minutes; cmd/iqbench uses larger defaults
 // for the printed tables.
 func BenchmarkPaper(b *testing.B) {
-	opts := bench.Options{SF: 0.004, TimeScale: 0.02, FilesPerTable: 4}
+	opts := bench.Options{SF: 0.004, FilesPerTable: 4}
 	for _, e := range bench.Experiments {
 		b.Run(e.Name, func(b *testing.B) {
 			var entry bench.ExperimentReport

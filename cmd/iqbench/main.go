@@ -39,21 +39,20 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(bench.Names(), ", ")+", or all")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
-	timeScale := flag.Float64("timescale", 0.2, "real seconds per simulated second (larger = higher fidelity, slower)")
 	seed := flag.Int64("seed", 1, "jitter seed")
-	short := flag.Bool("short", false, "shrink scale factor and timescale for a fast smoke run (overrides -sf/-timescale)")
+	short := flag.Bool("short", false, "shrink the scale factor for a fast smoke run (overrides -sf)")
 	out := flag.String("out", "", "write the run's JSON report (every selected experiment's result and per-layer I/O counters) to this file")
 	traceOut := flag.String("trace", "", "write structured span JSON to this file after the run and print the slowest operation tree")
 	flag.Parse()
 
-	base := bench.Options{SF: *sf, TimeScale: *timeScale, Seed: *seed}
+	base := bench.Options{SF: *sf, Seed: *seed}
 	if *short {
-		base.SF, base.TimeScale = bench.Short.SF, bench.Short.TimeScale
+		base.SF = bench.Short.SF
 	}
 	if *traceOut != "" {
-		// Timestamps are simulated nanoseconds (the bench env re-bases the
-		// clock onto its iomodel scale), so the slow threshold is simulated
-		// time too.
+		// Timestamps are charged simulated nanoseconds (the bench env
+		// re-bases the clock onto its iomodel scale), so the slow threshold
+		// is simulated time too.
 		base.Trace = trace.New(trace.Config{
 			Capacity:      1 << 16,
 			SlowThreshold: 50 * time.Millisecond,
@@ -123,8 +122,7 @@ func run(ctx context.Context, exp string, base bench.Options, out string) error 
 		}
 		fmt.Printf("\nreport written to %s\n", out)
 	}
-	fmt.Printf("\ncompleted in %.1fs wall time (sf=%g, timescale=%g)\n",
-		time.Since(started).Seconds(), base.SF, base.TimeScale)
+	fmt.Printf("\ncompleted in %.1fs wall time (sf=%g)\n", time.Since(started).Seconds(), base.SF)
 	return nil
 }
 

@@ -10,7 +10,7 @@ func ctxb() context.Context { return context.Background() }
 
 // fast returns options small enough for unit tests.
 func fast() Options {
-	return Options{SF: 0.005, TimeScale: 0.2, FilesPerTable: 4, SegRows: 1024}
+	return Options{SF: 0.005, FilesPerTable: 4, SegRows: 1024}
 }
 
 func TestSetupAndPowerOnEveryVolume(t *testing.T) {
@@ -32,12 +32,7 @@ func TestSetupAndPowerOnEveryVolume(t *testing.T) {
 		}
 	}
 	// The paper's headline shape: S3 loads faster than EBS, which loads
-	// faster than EFS; S3's query geomean beats EFS. Timing shapes are
-	// meaningless under the race detector's CPU inflation.
-	if raceEnabled {
-		t.Log("race detector active: skipping timing-shape assertions")
-		return
-	}
+	// faster than EFS; S3's query geomean beats EFS.
 	if byVol["s3"].LoadSim >= byVol["ebs"].LoadSim {
 		t.Errorf("load: S3 %.2fs not faster than EBS %.2fs", byVol["s3"].LoadSim, byVol["ebs"].LoadSim)
 	}
@@ -86,10 +81,6 @@ func TestOCMExperimentShape(t *testing.T) {
 	// The OCM must help overall (geomean improvement, as in §6's ~25%).
 	with := geoMean(r.WithOCM[:])
 	without := geoMean(r.WithoutOCM[:])
-	if raceEnabled {
-		t.Log("race detector active: skipping timing-shape assertions")
-		return
-	}
 	if with >= without {
 		t.Errorf("OCM did not improve geomean: %.3f vs %.3f", with, without)
 	}
@@ -112,10 +103,6 @@ func TestScaleUpShape(t *testing.T) {
 	}
 	// More CPUs must not slow the suite down; 16 -> 96 CPUs must speed the
 	// total up substantially (the paper sees near-linear, then flattening).
-	if raceEnabled {
-		t.Log("race detector active: skipping timing-shape assertions")
-		return
-	}
 	if points[2].TotalSim >= points[0].TotalSim {
 		t.Errorf("scale-up: 96 CPUs (%.2fs) not faster than 16 (%.2fs)", points[2].TotalSim, points[0].TotalSim)
 	}
@@ -134,7 +121,7 @@ func TestLoadBandwidthSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(samples) == 0 {
-		t.Fatal("no bandwidth samples; increase TimeScale")
+		t.Fatal("no bandwidth samples")
 	}
 	var peak float64
 	for _, s := range samples {
@@ -159,7 +146,6 @@ func TestScaleOutShape(t *testing.T) {
 		t.Skip("simulated-latency experiment")
 	}
 	opts := fast()
-	opts.TimeScale = 0.1
 	points, err := RunScaleOut(ctxb(), opts, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +154,6 @@ func TestScaleOutShape(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	// Four nodes must beat one node clearly on the 8-stream workload.
-	if raceEnabled {
-		t.Log("race detector active: skipping timing-shape assertions")
-		return
-	}
 	if points[1].TotalSim >= points[0].TotalSim {
 		t.Errorf("scale-out: 4 nodes (%.2fs) not faster than 1 (%.2fs)", points[1].TotalSim, points[0].TotalSim)
 	}
@@ -184,23 +166,19 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated-latency experiment")
 	}
-	prefix, err := AblationPrefixHashing(ctxb(), Options{TimeScale: 0.005}, 40)
+	prefix, err := AblationPrefixHashing(ctxb(), Options{}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prefix[0].Variant != "hashed" || prefix[1].Variant != "sequential" {
 		t.Fatalf("variants: %+v", prefix)
 	}
-	if raceEnabled {
-		t.Log("race detector active: skipping timing-shape assertions")
-		return
-	}
 	if prefix[0].SimSec >= prefix[1].SimSec {
 		t.Errorf("hashed prefixes (%.3fs) not faster than sequential (%.3fs) under throttling",
 			prefix[0].SimSec, prefix[1].SimSec)
 	}
 
-	ranged, err := AblationKeyRangeSize(ctxb(), Options{TimeScale: 0.005}, 3000)
+	ranged, err := AblationKeyRangeSize(ctxb(), Options{}, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}

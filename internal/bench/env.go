@@ -20,9 +20,6 @@ import (
 type Options struct {
 	// SF is the TPC-H scale factor. Zero selects 0.01.
 	SF float64 `json:"sf"`
-	// TimeScale maps simulated seconds to real seconds (0.05 = a simulated
-	// second costs 50 ms of wall time). Zero selects 0.05.
-	TimeScale float64 `json:"timescale"`
 	// Instance selects the compute profile. Zero value selects m5ad.24xlarge.
 	Instance Instance `json:"-"`
 	// Volume selects the user dbspace substrate: "s3", "ebs" or "efs".
@@ -48,8 +45,8 @@ type Options struct {
 	// publishes its snapshot as the entry's "layers".
 	IOStats *pageio.StatsRegistry `json:"-"`
 	// Trace, when non-nil, collects structured spans from the whole engine
-	// stack, timestamped on the environment's simulated clock (iqbench
-	// -trace plumbs it here).
+	// stack, timestamped on the environment's charged simulated time
+	// (iqbench -trace plumbs it here).
 	Trace *trace.Tracer `json:"-"`
 }
 
@@ -60,14 +57,11 @@ type Options struct {
 const bandwidthScale = 0.01
 
 // Short is the reduced scale `iqbench -short` and the smoke tests run at.
-var Short = Options{SF: 0.002, TimeScale: 0.01}
+var Short = Options{SF: 0.002}
 
 func (o Options) withDefaults() Options {
 	if o.SF == 0 {
 		o.SF = 0.01
-	}
-	if o.TimeScale == 0 {
-		o.TimeScale = 0.05
 	}
 	if o.Instance.Name == "" {
 		o.Instance = M5ad24xl
@@ -93,7 +87,11 @@ func estDataBytes(sf float64) int64 {
 	return b
 }
 
-// Env is a ready-to-query experiment environment.
+// Env is a ready-to-query experiment environment. Its simulated seconds are
+// read off the modelled-I/O clock of the activity on the context its
+// callers pass (iomodel): Setup starts one, and the caller keeps using the
+// context Setup returns, so every phase on the environment — load, queries,
+// reader nodes — is on one timeline with its devices' queues.
 type Env struct {
 	Opts  Options
 	Scale *iomodel.Scale
@@ -107,36 +105,40 @@ type Env struct {
 	Gen    tpch.GenStats
 	// LoadSim is the simulated load time in seconds (0 until Load runs).
 	LoadSim float64
+	// netMeter buckets the NIC's traffic by simulated time (Figure 8).
+	netMeter *netMeter
+	// open opens the node over LogDev with the user dbspace attached.
+	open func(ctx context.Context) (*cloudiq.Database, error)
 
 	conn *tpch.Conn
 }
 
-// SimSeconds converts a wall-clock duration to simulated seconds.
-func (e *Env) SimSeconds(d time.Duration) float64 {
-	return d.Seconds() / e.Opts.TimeScale
+// since is the simulated seconds ctx's activity spent after start.
+func since(ctx context.Context, start time.Duration) float64 {
+	return (iomodel.Now(ctx) - start).Seconds()
 }
 
 // Setup builds the environment: generates the dataset into an S3-like input
 // bucket, opens a database over the selected volume, and (unless SkipLoad)
-// loads and opens a query connection.
-func Setup(ctx context.Context, opts Options) (*Env, error) {
+// loads and opens a query connection. The returned context carries the
+// experiment's activity; pass it to every later call on the environment.
+func Setup(ctx context.Context, opts Options) (*Env, context.Context, error) {
 	opts = opts.withDefaults()
-	e := &Env{Opts: opts, Scale: iomodel.NewScale(opts.TimeScale)}
-	// Span timestamps read the simulated clock, so trace durations line up
-	// with the experiment's simulated seconds, not wall time.
+	ctx = iomodel.Start(ctx)
+	e := &Env{Opts: opts, Scale: iomodel.NewScale(0), netMeter: &netMeter{rate: opts.Instance.NetBytesPerSec * bandwidthScale}}
+	// Span timestamps read the charged simulated time, so trace durations
+	// are simulated seconds, not wall time.
 	opts.Trace.SetClock(e.Scale.Charged)
 	e.Net = netResource(e.Scale, opts.Instance, bandwidthScale)
 
 	// Input files live on S3 and are read over the instance NIC, so loads
 	// share bandwidth between input reads and dbspace writes (§6, fn. 3).
+	// Generating them takes simulated time too; Load times itself.
 	e.Input = newS3(e.Scale, opts.Seed+1)
-	// Generate without charging simulated time for dataset preparation.
-	e.Scale.Set(0)
 	gen, err := tpch.Generate(ctx, e.Input, "tpch/", opts.SF, opts.FilesPerTable)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e.Scale.Set(opts.TimeScale)
 	e.Gen = gen
 
 	est := estDataBytes(opts.SF)
@@ -147,22 +149,20 @@ func Setup(ctx context.Context, opts Options) (*Env, error) {
 	if opts.CacheBytes > 0 {
 		cache = opts.CacheBytes
 	}
-	e.LogDev = cloudiq.NewMemBlockDevice(cloudiq.BlockDeviceConfig{Growable: true})
-	db, err := cloudiq.Open(ctx, cloudiq.Config{
-		LogDevice:       e.LogDev,
-		CacheBytes:      cache,
-		PrefetchWorkers: opts.Instance.CPUs,
-		IOStats:         opts.IOStats,
-		Trace:           opts.Trace,
+	// The system dbspace (the transaction log) is on EBS, as in the paper,
+	// so a commit costs a log write in simulated time.
+	e.LogDev = cloudiq.NewMemBlockDevice(cloudiq.BlockDeviceConfig{
+		Growable:     true,
+		ReadLatency:  iomodel.Latency{Base: ebsLatency, Jitter: 0.2},
+		WriteLatency: iomodel.Latency{Base: ebsLatency, Jitter: 0.2},
+		Scale:        e.Scale,
+		Seed:         opts.Seed + 3,
 	})
-	if err != nil {
-		return nil, err
-	}
-	e.DB = db
-
+	var attach func(db *cloudiq.Database) error
 	switch opts.Volume {
 	case "s3":
 		e.Store = newS3(e.Scale, opts.Seed)
+		store := &nodeStore{inner: e.Store, nic: e.Net, meter: e.netMeter}
 		copts := cloudiq.CloudOptions{}
 		if opts.OCM {
 			ssdBytes := int64(float64(est) * opts.Instance.SSDFrac)
@@ -171,29 +171,43 @@ func Setup(ctx context.Context, opts Options) (*Env, error) {
 			}
 			copts.CacheDevice = newSSD(e.Scale, bandwidthScale, ssdBytes, opts.Seed+2)
 		}
-		if err := db.AttachCloudDbspace("user", &nodeStore{inner: e.Store, nic: e.Net}, copts); err != nil {
-			return nil, err
-		}
+		attach = func(db *cloudiq.Database) error { return db.AttachCloudDbspace("user", store, copts) }
 	case "ebs":
 		dev := newEBS(e.Scale, bandwidthScale, est*6, opts.Seed)
-		if err := db.AttachBlockDbspace("user", dev, 8192); err != nil {
-			return nil, err
-		}
+		attach = func(db *cloudiq.Database) error { return db.AttachBlockDbspace("user", dev, 8192) }
 	case "efs":
 		dev := newEFS(e.Scale, e.Net, bandwidthScale, est*6, opts.Seed)
-		if err := db.AttachBlockDbspace("user", dev, 8192); err != nil {
+		attach = func(db *cloudiq.Database) error { return db.AttachBlockDbspace("user", dev, 8192) }
+	default:
+		return nil, nil, fmt.Errorf("bench: unknown volume %q", opts.Volume)
+	}
+	e.open = func(ctx context.Context) (*cloudiq.Database, error) {
+		db, err := cloudiq.Open(ctx, cloudiq.Config{
+			LogDevice:       e.LogDev,
+			CacheBytes:      cache,
+			PrefetchWorkers: opts.Instance.CPUs,
+			IOStats:         opts.IOStats,
+			Trace:           opts.Trace,
+		})
+		if err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("bench: unknown volume %q", opts.Volume)
+		if err := attach(db); err != nil {
+			_ = db.Close()
+			return nil, err
+		}
+		return db, nil
+	}
+	if e.DB, err = e.open(ctx); err != nil {
+		return nil, nil, err
 	}
 
 	if !opts.SkipLoad {
 		if err := e.Load(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return e, nil
+	return e, ctx, nil
 }
 
 // Load runs the TPC-H load (timed in simulated seconds) and opens the query
@@ -201,9 +215,9 @@ func Setup(ctx context.Context, opts Options) (*Env, error) {
 func (e *Env) Load(ctx context.Context) error {
 	ctx, sp := trace.Root(ctx, e.Opts.Trace, "bench.load")
 	defer sp.End()
-	start := time.Now()
+	start := iomodel.Now(ctx)
 	tx := e.DB.Begin()
-	input := &nodeStore{inner: e.Input, nic: e.Net}
+	input := &nodeStore{inner: e.Input, nic: e.Net, meter: e.netMeter}
 	if _, err := tpch.LoadAll(ctx, tx, "user", input, "tpch/", e.Opts.SF, e.Opts.Instance.CPUs, e.Opts.SegRows); err != nil {
 		return err
 	}
@@ -211,7 +225,7 @@ func (e *Env) Load(ctx context.Context) error {
 		return err
 	}
 	e.DB.WaitIO()
-	e.LoadSim = e.SimSeconds(time.Since(start))
+	e.LoadSim = since(ctx, start)
 
 	reader := e.DB.Begin()
 	conn, err := tpch.OpenConn(ctx, reader, "user")
@@ -226,24 +240,49 @@ func (e *Env) Load(ctx context.Context) error {
 func (e *Env) Conn() *tpch.Conn { return e.conn }
 
 // Power runs Q1–Q22 sequentially and returns per-query simulated seconds.
-func (e *Env) Power(ctx context.Context) ([22]float64, error) {
+// With cold set, each query runs on a freshly restarted node (Restart), so
+// it reads all of its data, as it would from a dataset far larger than
+// memory; otherwise the queries share the node's caches, warm from the load.
+func (e *Env) Power(ctx context.Context, cold bool) ([22]float64, error) {
 	var out [22]float64
 	ctx, sp := trace.Root(ctx, e.Opts.Trace, "bench.power")
 	defer sp.End()
-	results, err := tpch.PowerRun(ctx, e.conn)
-	if err != nil {
-		return out, err
-	}
-	for _, r := range results {
-		out[r.Query-1] = e.SimSeconds(r.Elapsed)
+	for q := 1; q <= 22; q++ {
+		if cold {
+			if err := e.Restart(ctx); err != nil {
+				return out, err
+			}
+		}
+		r, err := tpch.RunQuery(ctx, e.conn, q)
+		if err != nil {
+			return out, err
+		}
+		out[q-1] = r.IO.Seconds()
 	}
 	return out, nil
 }
 
+// Restart closes the node and opens it again over the same system dbspace
+// and volume, recovering from the log: its buffer pool and OCM start
+// empty, as a query run over data far larger than memory finds them.
+func (e *Env) Restart(ctx context.Context) error {
+	if err := e.DB.Close(); err != nil {
+		return err
+	}
+	db, err := e.open(ctx)
+	if err != nil {
+		return err
+	}
+	e.DB = db
+	if err := db.Recover(ctx); err != nil {
+		return err
+	}
+	e.conn, err = tpch.OpenConn(ctx, db.Begin(), "user")
+	return err
+}
+
 // Close releases the environment.
 func (e *Env) Close() error {
-	// Disable simulated sleeping so teardown (OCM drain) is instant.
-	e.Scale.Set(0)
 	return e.DB.Close()
 }
 

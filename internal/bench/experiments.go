@@ -54,7 +54,7 @@ func RunVolumeComparison(ctx context.Context, base Options) (VolumeRuns, error) 
 		// The paper's default configuration runs with the OCM on the
 		// instance NVMe; it applies to cloud dbspaces only.
 		opts.OCM = volume == "s3"
-		e, err := Setup(ctx, opts)
+		e, ctx, err := Setup(ctx, opts)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s setup: %w", volume, err)
 		}
@@ -67,7 +67,9 @@ func RunVolumeComparison(ctx context.Context, base Options) (VolumeRuns, error) 
 			run.StoredBytes = e.Store.StoredBytes()
 		}
 		run.LoadPuts, run.LoadGets = storePuts, e.Input.Metrics().Gets()+storeGets
-		q, err := e.Power(ctx)
+		// The paper's queries read a dataset far larger than memory; at
+		// this scale the load leaves it cached, so each query runs cold.
+		q, err := e.Power(ctx, true)
 		if err != nil {
 			_ = e.Close()
 			return nil, fmt.Errorf("bench: %s power run: %w", volume, err)
@@ -192,11 +194,11 @@ func RunOCM(ctx context.Context, base Options, instances ...Instance) (OCMRuns, 
 			opts.Volume = "s3"
 			opts.Instance = inst
 			opts.OCM = withOCM
-			e, err := Setup(ctx, opts)
+			e, ctx, err := Setup(ctx, opts)
 			if err != nil {
 				return nil, err
 			}
-			q, err := e.Power(ctx)
+			q, err := e.Power(ctx, false)
 			if err != nil {
 				_ = e.Close()
 				return nil, err
@@ -278,11 +280,11 @@ func RunScaleUp(ctx context.Context, base Options) (ScaleUpPoints, error) {
 		opts.Volume = "s3"
 		opts.Instance = inst
 		opts.OCM = true
-		e, err := Setup(ctx, opts)
+		e, ctx, err := Setup(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
-		q, err := e.Power(ctx)
+		q, err := e.Power(ctx, false)
 		if err != nil {
 			_ = e.Close()
 			return nil, err
@@ -328,49 +330,25 @@ type BandwidthSample struct {
 // BandwidthSamples is the NIC utilization series of Figure 8.
 type BandwidthSamples []BandwidthSample
 
-// RunLoadBandwidth executes the load on the largest instance while sampling
-// the NIC, reproducing Figure 8's saturation plateau.
+// RunLoadBandwidth executes the load on the largest instance and reads the
+// NIC's traffic per tick of simulated time, reproducing Figure 8's
+// saturation plateau.
 func RunLoadBandwidth(ctx context.Context, base Options) (BandwidthSamples, error) {
 	opts := base
 	opts.Volume = "s3"
 	opts.Instance = M5ad24xl
 	opts.OCM = true // the paper's configuration; uploads stream continuously
 	opts.SkipLoad = true
-	e, err := Setup(ctx, opts)
+	e, ctx, err := Setup(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
-
-	var samples BandwidthSamples
-	done := make(chan struct{})
-	sampled := make(chan struct{})
-	const tick = 100 * time.Millisecond
-	go func() {
-		defer close(sampled)
-		start := time.Now()
-		_, prev := e.Net.Stats()
-		for {
-			select {
-			case <-done:
-				return
-			case <-time.After(tick):
-			}
-			_, bytes := e.Net.Stats()
-			simNow := e.SimSeconds(time.Since(start))
-			simTick := e.SimSeconds(tick)
-			gbps := float64(bytes-prev) * 8 / simTick / 1e9 / bandwidthScale
-			prev = bytes
-			samples = append(samples, BandwidthSample{SimSecond: simNow, Gbps: gbps})
-		}
-	}()
-	loadErr := e.Load(ctx)
-	close(done)
-	<-sampled
-	if loadErr != nil {
-		return nil, loadErr
+	start := iomodel.Now(ctx)
+	if err := e.Load(ctx); err != nil {
+		return nil, err
 	}
-	return samples, nil
+	return e.netMeter.samples(start, iomodel.Now(ctx)), nil
 }
 
 // Table renders Figure 8's series.
@@ -402,7 +380,7 @@ func RunScaleOut(ctx context.Context, base Options, nodeCounts []int) (ScaleOutP
 	opts.Volume = "s3"
 	opts.Instance = M5ad4xl
 	// The coordinator loads once; reader environments are rebuilt per point.
-	coord, err := Setup(ctx, opts)
+	coord, ctx, err := Setup(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -418,16 +396,14 @@ func RunScaleOut(ctx context.Context, base Options, nodeCounts []int) (ScaleOutP
 				return nil, err
 			}
 		}
-		start := time.Now()
+		start := iomodel.Now(ctx)
 		if _, err := tpch.RunStreams(ctx, conns, tpch.Streams(8, 42)); err != nil {
 			return nil, err
 		}
-		out = append(out, ScaleOutPoint{Nodes: n, TotalSim: coord.SimSeconds(time.Since(start))})
-		coord.Scale.Set(0)
+		out = append(out, ScaleOutPoint{Nodes: n, TotalSim: since(ctx, start)})
 		for _, db := range dbs {
 			_ = db.Close()
 		}
-		coord.Scale.Set(coord.Opts.TimeScale)
 	}
 	return out, nil
 }
@@ -460,7 +436,8 @@ type Ablation struct {
 type Ablations []Ablation
 
 // ablations is the suite: each comparison with the size iqbench runs it at.
-// Every entry reads TimeScale, IOStats and Trace from its Options.
+// Every entry reads IOStats and Trace from its Options, and runs each
+// variant on an activity of its own (iomodel).
 var ablations = []struct {
 	title string
 	n     int
@@ -501,10 +478,10 @@ func (as Ablations) Table() string {
 // AblationPrefixHashing writes and reads back n pages with hashed vs
 // sequential key prefixes under S3's per-prefix request throttling.
 func AblationPrefixHashing(ctx context.Context, o Options, n int) ([]AblationResult, error) {
-	timeScale := o.withDefaults().TimeScale
 	var out []AblationResult
 	for _, sequential := range []bool{false, true} {
-		scale := iomodel.NewScale(timeScale)
+		ctx := iomodel.Start(ctx)
+		scale := iomodel.NewScale(0)
 		store := objstore.NewMem(objstore.Config{
 			ReadLatency:  iomodel.Latency{Base: s3ReadLatency},
 			WriteLatency: iomodel.Latency{Base: s3WriteLatency},
@@ -518,7 +495,7 @@ func AblationPrefixHashing(ctx context.Context, o Options, n int) ([]AblationRes
 		if err := db.AttachCloudDbspace("user", store, cloudiq.CloudOptions{SequentialKeys: sequential}); err != nil {
 			return nil, err
 		}
-		start := time.Now()
+		start := iomodel.Now(ctx)
 		tx := db.Begin()
 		tbl, err := tx.CreateTable(ctx, "user", "t", cloudiq.Schema{
 			Cols: []cloudiq.ColumnDef{{Name: "x", Typ: cloudiq.Int64}},
@@ -542,7 +519,7 @@ func AblationPrefixHashing(ctx context.Context, o Options, n int) ([]AblationRes
 		}
 		out = append(out, AblationResult{
 			Variant: name,
-			SimSec:  time.Since(start).Seconds() / timeScale,
+			SimSec:  since(ctx, start),
 			Note:    fmt.Sprintf("%d pages", n),
 		})
 		_ = db.Close()
@@ -554,22 +531,22 @@ func AblationPrefixHashing(ctx context.Context, o Options, n int) ([]AblationRes
 // RPC allocation, charging a simulated RPC round trip.
 func AblationKeyRangeSize(ctx context.Context, o Options, keys int) ([]AblationResult, error) {
 	const rpcLatency = 2 * time.Millisecond
-	timeScale := o.withDefaults().TimeScale
 	var out []AblationResult
 	for _, ranged := range []bool{true, false} {
-		scale := iomodel.NewScale(timeScale)
+		ctx := iomodel.Start(ctx)
+		scale := iomodel.NewScale(0)
 		gen := keygen.NewGenerator(nil)
 		rpcs := 0
 		alloc := func(ctx context.Context, n uint64) (rfrb.Range, error) {
 			rpcs++
-			scale.Sleep(rpcLatency)
+			scale.Sleep(ctx, rpcLatency)
 			if !ranged {
 				n = 1
 			}
 			return gen.Allocate(ctx, "w1", n)
 		}
 		client := keygen.NewClient(alloc)
-		start := time.Now()
+		start := iomodel.Now(ctx)
 		for i := 0; i < keys; i++ {
 			if _, err := client.NextKey(ctx); err != nil {
 				return nil, err
@@ -581,7 +558,7 @@ func AblationKeyRangeSize(ctx context.Context, o Options, keys int) ([]AblationR
 		}
 		out = append(out, AblationResult{
 			Variant: name,
-			SimSec:  time.Since(start).Seconds() / timeScale,
+			SimSec:  since(ctx, start),
 			Note:    fmt.Sprintf("%d keys, %d RPCs", keys, rpcs),
 		})
 	}
@@ -637,10 +614,11 @@ func ablationPageKey(i int) string {
 // queue_ns attribute exposes the brown-out: as the burst outruns the upload
 // workers, queue-wait grows while per-upload device and store time stay flat.
 func AblationOCMWriteMode(ctx context.Context, o Options, pages int) ([]AblationResult, error) {
-	timeScale, tr := o.withDefaults().TimeScale, o.Trace
+	tr := o.Trace
 	var out []AblationResult
 	for _, mode := range []string{"write-back", "write-through"} {
-		scale := iomodel.NewScale(timeScale)
+		ctx := iomodel.Start(ctx)
+		scale := iomodel.NewScale(0)
 		tr.SetClock(scale.Charged)
 		store := objstore.NewMem(objstore.Config{
 			WriteLatency: iomodel.Latency{Base: s3WriteLatency},
@@ -654,7 +632,7 @@ func AblationOCMWriteMode(ctx context.Context, o Options, pages int) ([]Ablation
 			return nil, err
 		}
 		data := make([]byte, 4096)
-		start := time.Now()
+		start := iomodel.Now(ctx)
 		for i := 0; i < pages; i++ {
 			key := ablationPageKey(i)
 			if mode == "write-back" {
@@ -666,7 +644,7 @@ func AblationOCMWriteMode(ctx context.Context, o Options, pages int) ([]Ablation
 				return nil, err
 			}
 		}
-		churn := time.Since(start).Seconds() / timeScale
+		churn := since(ctx, start)
 		// Commit phase: everything must still reach the store.
 		var keys []string
 		for i := 0; i < pages; i++ {
@@ -675,8 +653,7 @@ func AblationOCMWriteMode(ctx context.Context, o Options, pages int) ([]Ablation
 		if err := cache.FlushForCommit(ctx, keys); err != nil {
 			return nil, err
 		}
-		total := time.Since(start).Seconds() / timeScale
-		scale.Set(0)
+		total := since(ctx, start)
 		_ = cache.Close()
 		out = append(out, AblationResult{
 			Variant: mode,

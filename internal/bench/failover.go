@@ -36,8 +36,8 @@ type FailoverCycle struct {
 // coordinator kills against the reconcile-loop controller, measuring the
 // unavailability window from kill to the first transaction committed under
 // the promoted standby, and auditing that no committed row and no allocated
-// key is lost across any takeover. The run is one goroutine on a scale that
-// never sleeps, so its simulated times are Scale.Charged and elapsed at once.
+// key is lost across any takeover. The run is one goroutine on a scale
+// outside any activity, so its simulated times are Scale.Charged.
 type FailoverReport struct {
 	Cycles          int     `json:"cycles"`
 	Writers         int     `json:"writers"`

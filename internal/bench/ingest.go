@@ -6,20 +6,22 @@ import (
 	"time"
 
 	"cloudiq"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/mt"
 	"cloudiq/tpch"
 )
 
 // The ingest experiment measures the real-time ingest lane: rows trickled
-// into lineitem through the WAL-fed delta store, the cost a live delta adds
-// to a warm Q6-shaped scan (the MVCC merge of delta rows with encoded
-// segments), and how fast the background compactor drains the backlog into
-// column pages. Crash safety of the lane is not measured here: delta_test.go
+// into lineitem through the WAL-fed delta store, and how fast the
+// background compactor drains the backlog into column pages. What a live
+// delta adds to a scan (the MVCC merge of delta rows with encoded segments)
+// is CPU work, which the modelled-I/O clock does not count; the frozen
+// benchmark's delta.scan_slowdown measures it in wall time. Crash safety of the lane is not measured here: delta_test.go
 // and `iqsim -delta` doom drains and commit records at all three compaction
 // fault sites and audit the recovered rows.
 
 // IngestPoint is one trickle-rate cell: rows inserted in commit batches of
-// Batch, scanned with the delta live, then drained.
+// Batch, then drained.
 type IngestPoint struct {
 	// Batch is the rows per trickle commit.
 	Batch int `json:"batch_rows"`
@@ -29,15 +31,7 @@ type IngestPoint struct {
 	IngestSim float64 `json:"ingest_sim_s"`
 	// Rate is rows per simulated second.
 	Rate float64 `json:"rows_per_sim_s"`
-	// ScanBaseSim is the warm Q6-shaped scan with the delta empty,
-	// measured immediately before the trickle.
-	ScanBaseSim float64 `json:"scan_base_sim_s"`
-	// ScanDeltaSim is the same warm scan with the trickled rows still in
-	// the delta store, merged under MVCC.
-	ScanDeltaSim float64 `json:"scan_delta_sim_s"`
-	// Slowdown is ScanDeltaSim / ScanBaseSim.
-	Slowdown float64 `json:"slowdown_ratio"`
-	// DeltaRows is the live delta backlog at scan time.
+	// DeltaRows is the live delta backlog before the drain.
 	DeltaRows int `json:"delta_rows"`
 	// DrainSim is the simulated seconds one compactor cycle took to drain
 	// the backlog into encoded segments; DrainedRows is what it moved.
@@ -78,13 +72,6 @@ func lineitemBatch(rng *mt.Source, n int) *cloudiq.Batch {
 	return b
 }
 
-// ingestQ6Scan runs the Q6-shaped aggregate with pushdown off (the delta
-// view disables pushdown anyway; keeping both arms on plain reads makes the
-// with-delta / drained comparison apples-to-apples).
-func ingestQ6Scan(ctx context.Context, conn *tpch.Conn) error {
-	return q6Agg(ctx, conn, cloudiq.PushdownOff)
-}
-
 // countRows counts a table's rows at a fresh snapshot (delta rows included).
 func countRows(ctx context.Context, db *cloudiq.Database, space, name string) (int64, error) {
 	tx := db.Begin()
@@ -107,7 +94,7 @@ func countRows(ctx context.Context, db *cloudiq.Database, space, name string) (i
 func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 	opts := base
 	opts.Volume = "s3"
-	e, err := Setup(ctx, opts)
+	e, ctx, err := Setup(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -123,18 +110,7 @@ func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 		{Batch: 64, Rows: 1024},
 		{Batch: 256, Rows: 4096},
 	} {
-		// Per-point baseline: warm drained scan right before the trickle,
-		// so table growth from earlier points cannot pollute the ratio.
-		if err := ingestQ6Scan(ctx, e.Conn()); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := ingestQ6Scan(ctx, e.Conn()); err != nil {
-			return nil, err
-		}
-		p.ScanBaseSim = e.SimSeconds(time.Since(start))
-
-		start = time.Now()
+		start := iomodel.Now(ctx)
 		for done := 0; done < p.Rows; done += p.Batch {
 			tx := e.DB.Begin()
 			if err := tx.Insert(ctx, "lineitem", lineitemBatch(rng, p.Batch)); err != nil {
@@ -144,27 +120,15 @@ func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 				return nil, err
 			}
 		}
-		p.IngestSim = e.SimSeconds(time.Since(start))
+		p.IngestSim = since(ctx, start)
 		if p.IngestSim > 0 {
 			p.Rate = float64(p.Rows) / p.IngestSim
 		}
 		total += int64(p.Rows)
 		p.DeltaRows = e.DB.DeltaLiveRows("lineitem")
 
-		if err := ingestQ6Scan(ctx, e.Conn()); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		if err := ingestQ6Scan(ctx, e.Conn()); err != nil {
-			return nil, err
-		}
-		p.ScanDeltaSim = e.SimSeconds(time.Since(start))
-		if p.ScanBaseSim > 0 {
-			p.Slowdown = p.ScanDeltaSim / p.ScanBaseSim
-		}
-
 		e.DB.FreezeDelta()
-		start = time.Now()
+		start = iomodel.Now(ctx)
 		n, err := e.DB.CompactDelta(ctx, "user")
 		if err != nil {
 			return nil, err
@@ -178,7 +142,7 @@ func RunIngest(ctx context.Context, base Options) (*IngestReport, error) {
 			}
 			n += k
 		}
-		p.DrainSim = e.SimSeconds(time.Since(start))
+		p.DrainSim = since(ctx, start)
 		p.DrainedRows = n
 
 		got, err := countRows(ctx, e.DB, "user", "lineitem")
@@ -201,14 +165,11 @@ func (rep *IngestReport) Table() string {
 			fmt.Sprint(p.Batch), fmt.Sprint(p.Rows),
 			fmt.Sprintf("%.4f", p.IngestSim),
 			fmt.Sprintf("%.0f", p.Rate),
-			fmt.Sprintf("%.4f", p.ScanBaseSim),
-			fmt.Sprintf("%.4f", p.ScanDeltaSim),
-			fmt.Sprintf("%.2fx", p.Slowdown),
 			fmt.Sprint(p.DeltaRows),
 			fmt.Sprintf("%.4f", p.DrainSim),
 			fmt.Sprint(p.DrainedRows),
 		})
 	}
 	return FormatTable([]string{"batch", "rows", "ingest (s)", "rows/sim-s",
-		"scan base (s)", "scan +delta (s)", "slowdown", "delta rows", "drain (s)", "drained"}, rows)
+		"delta rows", "drain (s)", "drained"}, rows)
 }

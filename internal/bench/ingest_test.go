@@ -4,8 +4,7 @@ import "testing"
 
 // TestIngestLaneProperties runs a scaled-down ingest experiment (the full
 // run is iqbench's job) and checks the acceptance properties: every trickled
-// row survives the drain (RunIngest errors on a count mismatch), the
-// with-delta scan is measured against a warm drained baseline, and each
+// row survives the drain (RunIngest errors on a count mismatch) and each
 // point's backlog drains completely.
 func TestIngestLaneProperties(t *testing.T) {
 	if testing.Short() {

@@ -7,6 +7,7 @@ import (
 
 	"cloudiq"
 	"cloudiq/internal/cloudcost"
+	"cloudiq/internal/iomodel"
 	"cloudiq/tpch"
 )
 
@@ -157,7 +158,7 @@ func RunPushdown(ctx context.Context, base Options) (*PushdownReport, error) {
 		// Small enough that lineitem cannot stay resident between queries:
 		// every plain segment read pays the store round trip.
 		opts.CacheBytes = 256 << 10
-		e, err := Setup(ctx, opts)
+		e, ctx, err := Setup(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +166,7 @@ func RunPushdown(ctx context.Context, base Options) (*PushdownReport, error) {
 		for _, q := range pushdownQueries() {
 			preBytes, preGets := m.BytesOut(), m.Gets()
 			preSel, preScan, preRet := m.Selects(), m.SelectScannedBytes(), m.SelectReturnedBytes()
-			start := time.Now()
+			start := iomodel.Now(ctx)
 			if err := q.run(ctx, e.Conn(), mode.mode); err != nil {
 				e.Close()
 				return nil, fmt.Errorf("bench: pushdown %s (%s): %w", q.name, mode.name, err)
@@ -173,7 +174,7 @@ func RunPushdown(ctx context.Context, base Options) (*PushdownReport, error) {
 			run := PushdownQueryRun{
 				Query:          q.name,
 				Mode:           mode.name,
-				Sim:            e.SimSeconds(time.Since(start)),
+				Sim:            since(ctx, start),
 				StoreBytes:     m.BytesOut() - preBytes,
 				Gets:           m.Gets() - preGets,
 				Selects:        m.Selects() - preSel,

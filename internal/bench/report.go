@@ -11,8 +11,8 @@ import (
 )
 
 // Result is what an experiment measured: a JSON-tagged value (snake_case
-// keys; time and money carry their clock and unit — _sim_s/_sim_ms are
-// elapsed ÷ timescale, _charged_s is Scale.Charged, _usd is dollars) that can
+// keys; time and money carry their clock and unit — _sim_s/_sim_ms are read
+// off the modelled-I/O clock, _charged_s is Scale.Charged, _usd is dollars) that can
 // also print itself as the paper's table.
 type Result interface {
 	Table() string
@@ -60,7 +60,7 @@ var Experiments = []Experiment{
 		Run: func(ctx context.Context, o Options) (Result, error) { return RunFailover(ctx, o, 5) }},
 	{Name: "pushdown", Title: "Pushdown: store-side filter + partial aggregation vs plain reads",
 		Run: func(ctx context.Context, o Options) (Result, error) { return RunPushdown(ctx, o) }},
-	{Name: "ingest", Title: "Ingest: trickle inserts through the delta store, MVCC-merged scans, compaction drain",
+	{Name: "ingest", Title: "Ingest: trickle inserts through the delta store, compaction drain",
 		Run: func(ctx context.Context, o Options) (Result, error) { return RunIngest(ctx, o) }},
 }
 

@@ -12,7 +12,7 @@ import (
 var (
 	snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 	// unitSuffix is what a non-integer quantity's key must say about itself:
-	// a clock (elapsed ÷ timescale as sim_s/sim_ms/sim_seconds, Scale.Charged
+	// a clock (the modelled-I/O clock as sim_s/sim_ms/sim_seconds, Scale.Charged
 	// as charged_s), dollars, a rate or a ratio — optionally "per" something.
 	unitSuffix = regexp.MustCompile(`(^|_)(sim_s|sim_ms|sim_seconds|charged_s|usd|gbps|ratio)(_per_[a-z]+)?$`)
 )

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cloudiq"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/sched"
 	"cloudiq/internal/trace"
 	"cloudiq/tpch"
@@ -46,8 +47,8 @@ type SchedReport struct {
 	// DirectQ6Sim / SchedQ6Sim compare a Q6 run directly on a fresh reader
 	// conn against the same run on another fresh reader, routed through a
 	// one-tenant, one-reader scheduler — the scheduler's concurrency-1
-	// overhead, in charged simulated I/O seconds (every other time here is
-	// elapsed ÷ timescale).
+	// overhead. Every time in the report is on one clock: the experiment's
+	// modelled-I/O time (iomodel).
 	DirectQ6Sim float64 `json:"direct_q6_sim_seconds"`
 	SchedQ6Sim  float64 `json:"sched_q6_sim_seconds"`
 }
@@ -79,7 +80,7 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	opts := base
 	opts.Volume = "s3"
 	opts.Instance = M5ad4xl
-	coord, err := Setup(ctx, opts)
+	coord, ctx, err := Setup(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +91,6 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	conns := make(map[string]*tpch.Conn, readers)
 	dbs := make([]*cloudiq.Database, 0, readers)
 	defer func() {
-		coord.Scale.Set(0)
 		for _, db := range dbs {
 			_ = db.Close()
 		}
@@ -105,15 +105,13 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 		conns[name] = conn
 	}
 
-	// Queue waits, tenant charges and the total share one clock: elapsed
-	// wall time ÷ timescale. Scale.Charged is not that clock — it sums every
-	// goroutine's sleeps, so with N queries in flight it runs N times fast,
-	// and waits read off it came out longer than the whole run.
-	epoch := time.Now()
-	simNow := func() time.Duration {
-		return time.Duration(coord.SimSeconds(time.Since(epoch)) * float64(time.Second))
-	}
-	s := sched.New(sched.Config{Clock: simNow, Scale: coord.Scale})
+	// Queue waits, tenant charges and the total share one clock: each query
+	// runs on its own fork of the experiment's modelled-I/O clock, the
+	// scheduler stamps waits and charges on its callers' clocks, and the
+	// total is the join of every query. Scale.Charged is not that clock —
+	// it sums every query's I/O, so with N queries in flight it runs N
+	// times fast.
+	s := sched.New(sched.Config{Scale: coord.Scale})
 	for _, cfg := range schedTenants {
 		if err := s.AddTenant(cfg); err != nil {
 			return nil, err
@@ -128,18 +126,34 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	var completed, failed, retries int64
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
+	// A rejected query backs off in simulated time, but its queue drains in
+	// real time: it resubmits once some query has ended since its rejection.
+	var endMu sync.Mutex
+	ended := sync.NewCond(&endMu)
+	var ends int64
+	endOne := func() {
+		endMu.Lock()
+		ends++
+		ended.Broadcast()
+		endMu.Unlock()
+	}
 	fleetCtx, fleetSp := trace.Root(ctx, opts.Trace, "bench.schedfleet",
 		trace.Int("queries", int64(queries)), trace.Int("readers", int64(readers)))
-	start := simNow()
+	start := iomodel.Now(fleetCtx)
 	for i := 0; i < queries; i++ {
 		tenant := schedTenants[i%len(schedTenants)].Name
 		lane := sched.Lane((i / len(schedTenants)) % int(sched.NumLanes))
 		q := schedQueries[i%len(schedQueries)]
+		qctx := iomodel.Fork(fleetCtx)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer iomodel.Join(fleetCtx, qctx)
 			for attempt := 0; ; attempt++ {
-				err := s.Run(fleetCtx, tenant, lane, func(ctx context.Context, reader string) error {
+				endMu.Lock()
+				seen := ends
+				endMu.Unlock()
+				err := s.Run(qctx, tenant, lane, func(ctx context.Context, reader string) error {
 					_, qerr := conns[reader].Query(ctx, q)
 					return qerr
 				})
@@ -162,9 +176,15 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 					if wait > 2*time.Second {
 						wait = 2 * time.Second
 					}
-					coord.Scale.Sleep(wait)
+					coord.Scale.Sleep(qctx, wait)
+					endMu.Lock()
+					for ends == seen {
+						ended.Wait()
+					}
+					endMu.Unlock()
 					continue
 				}
+				defer endOne()
 				if err != nil {
 					atomic.AddInt64(&failed, 1)
 					firstErr.CompareAndSwap(nil, err)
@@ -177,7 +197,7 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	}
 	wg.Wait()
 	fleetSp.End()
-	totalSim := (simNow() - start).Seconds()
+	totalSim := since(fleetCtx, start)
 	if err, ok := firstErr.Load().(error); ok && err != nil {
 		return nil, err
 	}
@@ -226,12 +246,9 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	// Concurrency-1 overhead probe: one Q6 run directly on a reader conn,
 	// and one routed through a fresh one-tenant scheduler, each on a reader
 	// node opened for it, so both read the same pages through the same
-	// path from the store. These two fields are charged simulated I/O time,
-	// not the clock above: with one query in flight nothing else advances
-	// Scale.Charged, and unlike elapsed time it leaves out the host's CPU
-	// time, which would drown a difference this small. A reader the fleet
-	// warmed will not do: its buffer pool can hold all of Q6, and a Q6 that
-	// charges no I/O compares nothing.
+	// path from the store. A reader the fleet warmed will not do: its
+	// buffer pool can hold all of Q6, and a Q6 that does no I/O compares
+	// nothing.
 	probe := func(name string) (*tpch.Conn, error) {
 		db, conn, err := coord.OpenReader(ctx, name)
 		if err != nil {
@@ -244,31 +261,31 @@ func RunSchedFleet(ctx context.Context, base Options, queries, readers int) (*Sc
 	if err != nil {
 		return nil, err
 	}
-	c0 := coord.Scale.Charged()
+	c0 := iomodel.Now(ctx)
 	if _, err := direct.Query(ctx, 6); err != nil {
 		return nil, err
 	}
-	rep.DirectQ6Sim = (coord.Scale.Charged() - c0).Seconds()
+	rep.DirectQ6Sim = since(ctx, c0)
 
 	routed, err := probe("p2")
 	if err != nil {
 		return nil, err
 	}
-	s1 := sched.New(sched.Config{Clock: coord.Scale.Charged, Scale: coord.Scale})
+	s1 := sched.New(sched.Config{Scale: coord.Scale})
 	if err := s1.AddTenant(sched.TenantConfig{Name: "probe"}); err != nil {
 		return nil, err
 	}
 	if err := s1.AddReader("p2", 1); err != nil {
 		return nil, err
 	}
-	c0 = coord.Scale.Charged()
+	c0 = iomodel.Now(ctx)
 	if err := s1.Run(ctx, "probe", sched.LaneNormal, func(ctx context.Context, reader string) error {
 		_, qerr := routed.Query(ctx, 6)
 		return qerr
 	}); err != nil {
 		return nil, err
 	}
-	rep.SchedQ6Sim = (coord.Scale.Charged() - c0).Seconds()
+	rep.SchedQ6Sim = since(ctx, c0)
 	return rep, nil
 }
 
@@ -304,14 +321,14 @@ func (rep *SchedReport) Table() string {
 		})
 	}
 	out := FormatTable([]string{"lane", "admitted", "rejected", "p50 wait ms", "p99 wait ms", "max wait ms"}, rows)
-	out += "(waits, charges and the total are on one clock: elapsed wall time ÷ timescale)\n"
+	out += "(waits, charges, the total and the probe are on one clock: modelled I/O time)\n"
 	out += fmt.Sprintf("%d queries over %d readers: %d completed, %d failed, %d retried rejections, %.2f sim s total\n",
 		rep.Queries, rep.Readers, rep.Completed, rep.Failed, rep.Retries, rep.TotalSim)
 	for _, cfg := range schedTenants {
 		out += fmt.Sprintf("  %-6s w%d: %4d dispatches, %8.1f sim ms charged\n",
 			cfg.Name, cfg.Weight, rep.Dispatches[cfg.Name], rep.ChargedMs[cfg.Name])
 	}
-	out += fmt.Sprintf("concurrency-1 overhead: cold-reader Q6 direct %.4f vs scheduled %.4f charged sim I/O s\n",
+	out += fmt.Sprintf("concurrency-1 overhead: cold-reader Q6 direct %.4f vs scheduled %.4f sim s\n",
 		rep.DirectQ6Sim, rep.SchedQ6Sim)
 	return out
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"cloudiq"
@@ -83,19 +84,28 @@ func newSSD(scale *iomodel.Scale, bwScale float64, capacity int64, seed int64) *
 type nodeStore struct {
 	inner cloudiq.ObjectStore
 	nic   *iomodel.Resource
+	meter *netMeter // nil: the NIC's traffic is not sampled
 }
 
 var _ cloudiq.ObjectStore = (*nodeStore)(nil)
 
+// transfer moves n bytes over the node's NIC.
+func (n *nodeStore) transfer(ctx context.Context, bytes int) {
+	n.nic.Acquire(ctx, bytes)
+	if n.meter != nil {
+		n.meter.add(iomodel.Now(ctx), bytes)
+	}
+}
+
 func (n *nodeStore) Put(ctx context.Context, key string, data []byte) error {
-	n.nic.Acquire(len(data))
+	n.transfer(ctx, len(data))
 	return n.inner.Put(ctx, key, data)
 }
 
 func (n *nodeStore) Get(ctx context.Context, key string) ([]byte, error) {
 	data, err := n.inner.Get(ctx, key)
 	if err == nil {
-		n.nic.Acquire(len(data))
+		n.transfer(ctx, len(data))
 	}
 	return data, err
 }
@@ -122,7 +132,57 @@ func (n *nodeStore) Select(ctx context.Context, req objstore.SelectRequest) (*ob
 	}
 	res, err := sel.Select(ctx, req)
 	if err == nil {
-		n.nic.Acquire(int(res.ReturnedBytes))
+		n.transfer(ctx, int(res.ReturnedBytes))
 	}
 	return res, err
+}
+
+// meterTick is the width of one Figure 8 sample, in simulated time.
+const meterTick = 100 * time.Millisecond
+
+// netMeter buckets the bytes a NIC moves by the simulated time they move
+// in. The NIC is a Resource, so its transfers never overlap: a transfer of
+// n bytes that ended at t occupied [t − n/rate, t), and its bytes are
+// spread evenly over the ticks that interval spans.
+type netMeter struct {
+	rate float64 // the NIC's bytes per simulated second
+
+	mu    sync.Mutex
+	ticks []float64 // bytes moved in each meterTick from time 0
+}
+
+func (m *netMeter) add(end time.Duration, n int) {
+	d := iomodel.TransferTime(n, m.rate)
+	start := end - d
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := int(start / meterTick); i <= int(end/meterTick); i++ {
+		for len(m.ticks) <= i {
+			m.ticks = append(m.ticks, 0)
+		}
+		if d <= 0 {
+			m.ticks[i] += float64(n)
+			return
+		}
+		lo := max(start, time.Duration(i)*meterTick)
+		hi := min(end, time.Duration(i+1)*meterTick)
+		if hi > lo {
+			m.ticks[i] += float64(n) * float64(hi-lo) / float64(d)
+		}
+	}
+}
+
+// samples returns the ticks from start to end as Figure 8's series,
+// unscaled to the paper's bandwidth.
+func (m *netMeter) samples(start, end time.Duration) BandwidthSamples {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out BandwidthSamples
+	for i := int(start / meterTick); i < len(m.ticks) && time.Duration(i)*meterTick < end; i++ {
+		out = append(out, BandwidthSample{
+			SimSecond: (time.Duration(i+1)*meterTick - start).Seconds(),
+			Gbps:      m.ticks[i] * 8 / meterTick.Seconds() / 1e9 / bandwidthScale,
+		})
+	}
+	return out
 }

@@ -51,7 +51,9 @@ type Config struct {
 	// Network, if non-nil, models a shared NIC consumed by remote volumes.
 	Network *iomodel.Resource
 
-	// Scale is the time scale for latency sleeps. Nil means no sleeping.
+	// Scale is charged each request's latency and queue time, which also
+	// advance the caller's modelled-I/O clock (iomodel). Nil means a
+	// private Scale.
 	Scale *iomodel.Scale
 
 	// Seed seeds the jitter source.
@@ -158,9 +160,9 @@ func (d *MemDevice) ReadAt(ctx context.Context, p []byte, off int64) error {
 	}
 	d.stats.reads.Add(1)
 	d.stats.bytesRead.Add(int64(len(p)))
-	d.scale.Sleep(d.cfg.ReadLatency.Duration(len(p), d.rnd))
-	d.cfg.Network.Acquire(len(p))
-	d.cfg.Queue.Acquire(len(p))
+	d.scale.Sleep(ctx, d.cfg.ReadLatency.Duration(len(p), d.rnd))
+	d.cfg.Network.Acquire(ctx, len(p))
+	d.cfg.Queue.Acquire(ctx, len(p))
 
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -193,9 +195,9 @@ func (d *MemDevice) WriteAt(ctx context.Context, p []byte, off int64) error {
 	}
 	d.stats.writes.Add(1)
 	d.stats.bytesWritten.Add(int64(len(p)))
-	d.scale.Sleep(d.cfg.WriteLatency.Duration(len(p), d.rnd))
-	d.cfg.Network.Acquire(len(p))
-	d.cfg.Queue.Acquire(len(p))
+	d.scale.Sleep(ctx, d.cfg.WriteLatency.Duration(len(p), d.rnd))
+	d.cfg.Network.Acquire(ctx, len(p))
+	d.cfg.Queue.Acquire(ctx, len(p))
 
 	d.mu.Lock()
 	defer d.mu.Unlock()

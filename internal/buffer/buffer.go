@@ -17,8 +17,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cloudiq/internal/core"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/pageio"
 	"cloudiq/internal/trace"
 )
@@ -74,6 +76,9 @@ type page struct {
 	refused bool
 	lru     *list.Element
 	touched uint64 // sketch.ticks at the last lookup or write that found it
+	// loaded is the loading reader's modelled-I/O time when its fetch
+	// ended (iomodel): a reader that waited on the placeholder joins it.
+	loaded time.Duration
 }
 
 // Pool is the buffer manager. It is safe for concurrent use.
@@ -327,6 +332,9 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 				p.touch(pg)
 				p.stats.Hits++
 				out[t.i] = pg.data
+				if t.wait != nil {
+					iomodel.JoinAt(ctx, t.wait.loaded)
+				}
 			case ok:
 				again = append(again, pending{t.i, pg})
 			case t.wait != nil && t.wait.refused && t.wait.key == keys[k]:
@@ -334,6 +342,7 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 				p.sketch.add(keys[k])
 				p.stats.Hits++
 				out[t.i] = t.wait.data
+				iomodel.JoinAt(ctx, t.wait.loaded)
 			default:
 				p.sketch.add(keys[k])
 				npg := &page{key: keys[k], logical: logicals[t.i], loading: true}
@@ -354,9 +363,11 @@ func (o *Object) ReadBatch(ctx context.Context, logicals []uint64) ([][]byte, er
 		}
 
 		data, itemErrs := o.fetch(ctx, logicals, misses)
+		loaded := iomodel.Now(ctx)
 		p.mu.Lock()
 		for j, m := range misses {
 			m.pg.loading = false
+			m.pg.loaded = loaded
 			switch err := itemErrs[j]; {
 			case err == errRekeyed:
 				delete(p.pages, m.pg.key)

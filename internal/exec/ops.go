@@ -10,6 +10,7 @@ import (
 
 	"cloudiq/internal/column"
 	"cloudiq/internal/expr"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/pageio"
 	"cloudiq/internal/table"
 	"cloudiq/internal/trace"
@@ -62,6 +63,7 @@ type scanSource struct {
 // scan leaves behind only tasks that are finishing their one segment.
 type segRead struct {
 	done chan struct{}
+	ctx  context.Context // the task's fork of the consumer's clock (iomodel)
 	b    *table.Batch
 	err  error
 }
@@ -144,12 +146,12 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 		if s.ahead == nil {
 			s.ahead = make([]*segRead, len(s.segs))
 		}
-		t := &segRead{done: make(chan struct{})}
+		t := &segRead{done: make(chan struct{}), ctx: iomodel.Fork(ctx)}
 		s.ahead[s.started] = t
 		i := s.started
 		//lint:ignore detclosure each task writes only its own slot, which the consumer reads after done closes, and batches leave in segment order, so the interleaving reaches no result (only internal/bench/failover.go passes Prefetch -1)
 		pageio.Go(func() {
-			t.b, t.err = s.segment(ctx, i)
+			t.b, t.err = s.segment(t.ctx, i)
 			close(t.done)
 		})
 	}
@@ -158,6 +160,7 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 	if s.ahead != nil && s.ahead[s.pos] != nil {
 		t := s.ahead[s.pos]
 		<-t.done
+		iomodel.Join(ctx, t.ctx)
 		b, err = t.b, t.err
 	} else {
 		b, err = s.segment(ctx, s.pos)

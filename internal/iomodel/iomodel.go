@@ -1,58 +1,43 @@
 // Package iomodel provides the timing substrate shared by the simulated
-// storage devices: latency models, token-bucket rate limits for IOPS and
-// bandwidth, and a global time scale that maps simulated I/O service time to
-// real sleeping so that concurrency effects (parallel I/O masking latency,
-// bandwidth saturation) remain physically real while experiments stay fast.
+// storage devices: latency models, shared capacities (a device queue, a
+// provisioned IOPS budget, a network link), and the clock they charge.
+// Modelled I/O never sleeps: it advances the virtual clock of the activity
+// on the caller's context (clock.go), so concurrency effects — parallel I/O
+// masking latency, bandwidth saturation — come out of fork, join and queue
+// arithmetic, and the host's CPU speed does not reach a simulated second.
 package iomodel
 
 import (
-	"math"
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Scale maps simulated durations to real sleeps. A factor of 0 disables
-// sleeping entirely (unit-test mode); a factor of 0.001 makes one simulated
-// second cost one real millisecond. Scale also accumulates the total
-// simulated time charged, which experiment harnesses report as "simulated
-// seconds" regardless of the factor in effect.
+// Scale accumulates the simulated time charged by the devices that share
+// it, summed over every caller (N concurrent requests charge N times their
+// service time). An activity's elapsed simulated time is its clock, not
+// this sum.
 type Scale struct {
-	factor  atomic.Uint64 // math.Float64bits of the factor
-	charged atomic.Int64  // total simulated nanoseconds charged
+	charged atomic.Int64 // total simulated nanoseconds charged
 }
 
-// NewScale returns a Scale with the given factor.
+// NewScale returns a Scale. The factor is ignored: it once mapped
+// simulated time to real sleeps, and the parameter stays until the callers
+// that still pass one are gone.
 func NewScale(factor float64) *Scale {
-	s := &Scale{}
-	s.Set(factor)
-	return s
+	return &Scale{}
 }
 
-// Set changes the scale factor.
-func (s *Scale) Set(factor float64) {
-	s.factor.Store(math.Float64bits(factor))
-}
-
-// Factor reports the current scale factor.
-func (s *Scale) Factor() float64 {
-	return math.Float64frombits(s.factor.Load())
-}
-
-// Sleep charges d of simulated time and blocks for d scaled by the factor.
-// It returns immediately (after charging) when the factor is zero or d is
-// non-positive.
-func (s *Scale) Sleep(d time.Duration) {
+// Sleep charges d of simulated time and advances ctx's activity clock by d.
+// It never blocks; a non-positive d does nothing.
+func (s *Scale) Sleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	s.charged.Add(int64(d))
-	f := s.Factor()
-	if f <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(d) * f))
+	advance(ctx, d)
 }
 
 // Charged reports the total simulated time charged through this Scale.

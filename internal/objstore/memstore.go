@@ -15,7 +15,7 @@ import (
 
 // Consistency configures the eventual-consistency anomalies the simulated
 // store exhibits. The model is read-count based rather than clock based so
-// tests are deterministic and independent of the time scale:
+// tests are deterministic and independent of timing:
 //
 //   - A freshly created object answers ErrNotFound to its first
 //     NewKeyMissReads Get/Exists probes (scenario 3 of §3 in the paper).
@@ -45,7 +45,9 @@ type Config struct {
 	// prefix). The prefix is the part of the key before the first '/'.
 	PrefixRate float64
 
-	// Scale is the time scale for latency sleeps. Nil means no sleeping.
+	// Scale is charged each request's latency and throttling, which also
+	// advance the caller's modelled-I/O clock (iomodel). Nil means a
+	// private Scale.
 	Scale *iomodel.Scale
 
 	// Seed seeds the jitter source.
@@ -129,7 +131,7 @@ func (s *MemStore) Len() int {
 	return len(s.objects)
 }
 
-func (s *MemStore) throttlePrefix(key string) {
+func (s *MemStore) throttlePrefix(ctx context.Context, key string) {
 	if s.cfg.PrefixRate <= 0 {
 		return
 	}
@@ -145,7 +147,7 @@ func (s *MemStore) throttlePrefix(key string) {
 		s.prefixes[prefix] = r
 	}
 	s.mu.Unlock()
-	r.Acquire(0)
+	r.Acquire(ctx, 0)
 }
 
 // Put implements Store.
@@ -157,8 +159,8 @@ func (s *MemStore) Put(ctx context.Context, key string, data []byte) error {
 	if err := s.inject("put", faultinject.ObjPut, key); err != nil {
 		return err
 	}
-	s.throttlePrefix(key)
-	s.scale.Sleep(s.cfg.WriteLatency.Duration(len(data), s.rnd))
+	s.throttlePrefix(ctx, key)
+	s.scale.Sleep(ctx, s.cfg.WriteLatency.Duration(len(data), s.rnd))
 	s.metrics.bytesIn.Add(int64(len(data)))
 
 	cp := make([]byte, len(data))
@@ -190,21 +192,21 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := s.inject("get", faultinject.ObjGet, key); err != nil {
 		return nil, err
 	}
-	s.throttlePrefix(key)
+	s.throttlePrefix(ctx, key)
 
 	s.mu.Lock()
 	o, ok := s.objects[key]
 	if !ok {
 		s.mu.Unlock()
 		s.metrics.getMisses.Add(1)
-		s.scale.Sleep(s.cfg.ReadLatency.Duration(0, s.rnd))
+		s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(0, s.rnd))
 		return nil, fmt.Errorf("get %q: %w", key, ErrNotFound)
 	}
 	if o.missLeft > 0 {
 		o.missLeft--
 		s.mu.Unlock()
 		s.metrics.getMisses.Add(1)
-		s.scale.Sleep(s.cfg.ReadLatency.Duration(0, s.rnd))
+		s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(0, s.rnd))
 		return nil, fmt.Errorf("get %q: %w", key, ErrNotFound)
 	}
 	version := o.versions[len(o.versions)-1]
@@ -214,7 +216,7 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	s.mu.Unlock()
 
-	s.scale.Sleep(s.cfg.ReadLatency.Duration(len(version), s.rnd))
+	s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(len(version), s.rnd))
 	s.metrics.bytesOut.Add(int64(len(version)))
 
 	cp := make([]byte, len(version))
@@ -231,8 +233,8 @@ func (s *MemStore) Delete(ctx context.Context, key string) error {
 	if err := s.inject("delete", faultinject.ObjDelete, key); err != nil {
 		return err
 	}
-	s.throttlePrefix(key)
-	s.scale.Sleep(s.cfg.WriteLatency.Duration(0, s.rnd))
+	s.throttlePrefix(ctx, key)
+	s.scale.Sleep(ctx, s.cfg.WriteLatency.Duration(0, s.rnd))
 
 	s.mu.Lock()
 	delete(s.objects, key)
@@ -249,8 +251,8 @@ func (s *MemStore) Exists(ctx context.Context, key string) (bool, error) {
 	if err := s.inject("exists", faultinject.ObjExists, key); err != nil {
 		return false, err
 	}
-	s.throttlePrefix(key)
-	s.scale.Sleep(s.cfg.ReadLatency.Duration(0, s.rnd))
+	s.throttlePrefix(ctx, key)
+	s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(0, s.rnd))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,7 +276,7 @@ func (s *MemStore) List(ctx context.Context, prefix string) ([]string, error) {
 	if err := s.inject("list", faultinject.ObjList, prefix); err != nil {
 		return nil, err
 	}
-	s.scale.Sleep(s.cfg.ReadLatency.Duration(0, s.rnd))
+	s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(0, s.rnd))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

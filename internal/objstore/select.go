@@ -194,7 +194,7 @@ func (s *MemStore) Select(ctx context.Context, req SelectRequest) (*SelectResult
 		return nil, err
 	}
 	for _, c := range req.Cols {
-		s.throttlePrefix(c.Key)
+		s.throttlePrefix(ctx, c.Key)
 	}
 
 	raw := make([][]byte, len(req.Cols))
@@ -204,14 +204,14 @@ func (s *MemStore) Select(ctx context.Context, req SelectRequest) (*SelectResult
 		if !ok {
 			s.mu.Unlock()
 			s.metrics.getMisses.Add(1)
-			s.scale.Sleep(s.cfg.ReadLatency.Duration(0, s.rnd))
+			s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(0, s.rnd))
 			return nil, fmt.Errorf("select %q: %w", c.Key, ErrNotFound)
 		}
 		if o.missLeft > 0 {
 			o.missLeft--
 			s.mu.Unlock()
 			s.metrics.getMisses.Add(1)
-			s.scale.Sleep(s.cfg.ReadLatency.Duration(0, s.rnd))
+			s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(0, s.rnd))
 			return nil, fmt.Errorf("select %q: %w", c.Key, ErrNotFound)
 		}
 		version := o.versions[len(o.versions)-1]
@@ -232,7 +232,7 @@ func (s *MemStore) Select(ctx context.Context, req SelectRequest) (*SelectResult
 
 	// Service time is driven by the bytes the store itself had to scan;
 	// only the result crosses the network.
-	s.scale.Sleep(s.cfg.ReadLatency.Duration(int(res.ScannedBytes), s.rnd))
+	s.scale.Sleep(ctx, s.cfg.ReadLatency.Duration(int(res.ScannedBytes), s.rnd))
 	s.metrics.bytesOut.Add(res.ReturnedBytes)
 	s.metrics.selScanned.Add(res.ScannedBytes)
 	s.metrics.selReturned.Add(res.ReturnedBytes)

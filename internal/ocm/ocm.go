@@ -22,6 +22,7 @@ import (
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/faultinject"
 	"cloudiq/internal/freelist"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/pageio"
 	"cloudiq/internal/trace"
@@ -103,6 +104,9 @@ type entry struct {
 	lru    *list.Element // nil while not in the LRU
 	data   []byte        // retained until upload completes (uploading state)
 	err    error         // terminal upload error (failed state)
+	// uploaded is the modelled-I/O time its upload finished (iomodel),
+	// which FlushForCommit joins.
+	uploaded time.Duration
 }
 
 type uploadJob struct {
@@ -111,8 +115,13 @@ type uploadJob struct {
 	// stamp minus this is the job's queue-wait. Zero when tracing is off.
 	enqueuedAt time.Duration
 	// depth is the queue length ahead of this job at enqueue time — a
-	// clock-free brown-out signal that survives coarse time scales.
+	// clock-free brown-out signal.
 	depth int
+	// timed is set when the writer's context carries a modelled-I/O
+	// activity (iomodel); the upload then runs on a clock starting at at,
+	// the writer's time at enqueue.
+	timed bool
+	at    time.Duration
 }
 
 // Cache is the Object Cache Manager. It is safe for concurrent use. All of
@@ -136,6 +145,8 @@ type Cache struct {
 
 	wg     sync.WaitGroup
 	fillWG sync.WaitGroup
+	// lanes are the upload workers in modelled time (iomodel).
+	lanes *iomodel.Lanes
 }
 
 // New returns a running Cache.
@@ -165,6 +176,7 @@ func New(cfg Config) (*Cache, error) {
 		queue:   list.New(),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.lanes = iomodel.NewLanes(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		c.wg.Add(1)
 		//lint:ignore detclosure upload workers drain a FIFO queue and join via wg on Close; WaitUploads is the only observation point and it barriers on the queue being empty
@@ -297,16 +309,7 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	// Asynchronously cache for future lookups.
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.wg.Add(1)
-	c.fillWG.Add(1)
-	//lint:ignore detclosure the async fill is an idempotent single-key cache insert joined via fillWG/wg; cache content is order-insensitive
-	pageio.Go(func() {
-		defer c.wg.Done()
-		defer c.fillWG.Done()
-		c.fill(context.WithoutCancel(ctx), key, cp)
-	})
+	c.fillBehind(ctx, key, data)
 	return data, nil
 }
 
@@ -349,6 +352,29 @@ func (c *Cache) fill(ctx context.Context, key string, data []byte) {
 	c.mu.Unlock()
 }
 
+// fillBehind copies data into the cache beside the caller, which does not
+// wait for it. Under a modelled-I/O activity (iomodel) the fill runs on a
+// fork of the caller's clock and on its goroutine, so its device write
+// reaches the device queue before anything the caller does next, as it
+// does in modelled time, instead of whenever a worker gets to it.
+func (c *Cache) fillBehind(ctx context.Context, key string, data []byte) {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	fctx := iomodel.Fork(context.WithoutCancel(ctx))
+	if iomodel.Active(ctx) {
+		c.fill(fctx, key, cp)
+		return
+	}
+	c.wg.Add(1)
+	c.fillWG.Add(1)
+	//lint:ignore detclosure the async fill is an idempotent single-key cache insert joined via fillWG/wg; cache content is order-insensitive
+	pageio.Go(func() {
+		defer c.wg.Done()
+		defer c.fillWG.Done()
+		c.fill(fctx, key, cp)
+	})
+}
+
 // PutBack is the write-back mode: the page is written synchronously to the
 // local device and uploaded to the object store in the background. The entry
 // joins the LRU only once the upload succeeds, so failed/rolled-back
@@ -387,8 +413,16 @@ func (c *Cache) PutBack(ctx context.Context, key string, data []byte) error {
 	c.mu.Lock()
 	ent.pins--
 	ent.state = stateUploading
-	c.queue.PushBack(uploadJob{ent: ent, enqueuedAt: c.cfg.Trace.Now(), depth: c.queue.Len()})
+	timed := iomodel.Active(ctx)
+	c.queue.PushBack(uploadJob{ent: ent, enqueuedAt: c.cfg.Trace.Now(), depth: c.queue.Len(), timed: timed, at: iomodel.Now(ctx)})
 	c.cond.Broadcast()
+	// Under an activity the writer waits, in real time only, until its
+	// upload has been served: the upload then reaches the shared NIC and
+	// store throttles before anything the writer does next, as it does in
+	// modelled time, instead of whenever a worker gets to it.
+	for timed && ent.state == stateUploading && !c.closed {
+		c.cond.Wait()
+	}
 	c.mu.Unlock()
 	return nil
 }
@@ -419,20 +453,13 @@ func (c *Cache) PutThrough(ctx context.Context, key string, data []byte) error {
 	if err := c.putDirect(ctx, key, data); err != nil {
 		return err
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.wg.Add(1)
-	c.fillWG.Add(1)
-	//lint:ignore detclosure the async fill is an idempotent single-key cache insert joined via fillWG/wg; cache content is order-insensitive
-	pageio.Go(func() {
-		defer c.wg.Done()
-		defer c.fillWG.Done()
-		c.fill(context.WithoutCancel(ctx), key, cp)
-	})
+	c.fillBehind(ctx, key, data)
 	return nil
 }
 
-// uploadWorker drains the background upload queue.
+// uploadWorker drains the background upload queue. In modelled-I/O time a
+// job starts at the later of its writer's enqueue time and the first free
+// upload lane.
 func (c *Cache) uploadWorker() {
 	defer c.wg.Done()
 	for {
@@ -462,6 +489,11 @@ func (c *Cache) uploadWorker() {
 		// brown-out signal — store time stays flat while queue-wait grows.
 		//lint:ignore ctxflow write-back uploads outlive every writer context by design; cancellation is Close draining the queue
 		ctx := context.Background()
+		if job.timed {
+			ctx = iomodel.Start(ctx)
+			iomodel.JoinAt(ctx, job.at)
+			ctx = c.lanes.Fork(ctx)
+		}
 		var sp *trace.Span
 		if c.cfg.Trace != nil {
 			sp = c.cfg.Trace.Root("ocm.upload",
@@ -484,9 +516,11 @@ func (c *Cache) uploadWorker() {
 			sp.End()
 		}
 
+		c.lanes.Release(ctx)
 		c.mu.Lock()
 		ent.pins--
 		ent.data = nil
+		ent.uploaded = iomodel.Now(ctx)
 		if ok {
 			ent.state = stateCached
 			ent.lru = c.lruList.PushFront(ent)
@@ -516,10 +550,17 @@ func (c *Cache) FlushForCommit(ctx context.Context, keys []string) error {
 	}
 	want := make(map[*entry]bool)
 	for _, k := range keys {
-		if ent, ok := c.index[k]; ok && ent.state == stateUploading {
+		ent, ok := c.index[k]
+		switch {
+		case !ok:
+		case ent.state == stateUploading:
 			want[ent] = true
-		} else if ok && ent.state == stateFailed {
+		case ent.state == stateFailed:
 			return fmt.Errorf("flush for commit: key %s: %w: %v", k, ErrUploadFailed, ent.err)
+		default:
+			// Uploaded already (under an activity PutBack waits for it):
+			// the commit still waits for it in modelled time.
+			iomodel.JoinAt(ctx, ent.uploaded)
 		}
 	}
 	sp.AddInt("pending", int64(len(want)))
@@ -546,6 +587,7 @@ func (c *Cache) FlushForCommit(ctx context.Context, keys []string) error {
 		if ent.state == stateFailed {
 			return fmt.Errorf("flush for commit: key %s: %w: %v", ent.key, ErrUploadFailed, ent.err)
 		}
+		iomodel.JoinAt(ctx, ent.uploaded)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"cloudiq/internal/blockdev"
 	"cloudiq/internal/faultinject"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/objstore"
 )
 
@@ -509,5 +510,43 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				t.Fatalf("Get(%s) = %q, %v", key, got, err)
 			}
 		}
+	}
+}
+
+// TestWriteBackUploadOnWriterClock: under a modelled-I/O activity a
+// write-back upload starts at its writer's time, the writer does not wait
+// for it in modelled time, and FlushForCommit joins its end. Outside an
+// activity nothing is timed.
+func TestWriteBackUploadOnWriterClock(t *testing.T) {
+	scale := iomodel.NewScale(0)
+	store := objstore.NewMem(objstore.Config{
+		WriteLatency: iomodel.Latency{Base: 25 * time.Millisecond},
+		Scale:        scale,
+	})
+	c := newCache(t, 1<<16, store)
+	ctx := iomodel.Start(ctxb())
+	scale.Sleep(ctx, 10*time.Millisecond)
+	if err := c.PutBack(ctx, "page1", []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+	if got := iomodel.Now(ctx); got != 10*time.Millisecond {
+		t.Fatalf("writer at %v after PutBack, want 10ms: the upload runs beside it", got)
+	}
+	if err := c.FlushForCommit(ctx, []string{"page1"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := iomodel.Now(ctx); got != 35*time.Millisecond {
+		t.Fatalf("writer at %v after FlushForCommit, want 10ms + the 25ms upload", got)
+	}
+
+	untimed := ctxb()
+	if err := c.PutBack(untimed, "page2", []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushForCommit(untimed, []string{"page2"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := iomodel.Now(untimed); got != 0 {
+		t.Fatalf("untimed writer's clock reads %v", got)
 	}
 }

@@ -153,7 +153,7 @@ func TestPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	errs := NewPool(1).Do(ctx, 8, func(i int) error {
+	errs := NewPool(1).Do(ctx, 8, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 2 {
 			cancel()
@@ -176,7 +176,7 @@ func TestPoolCancellation(t *testing.T) {
 // TestPoolCollectsAllErrors: every distinct task failure survives into the
 // positional slice; joining shows them all, not just the race winner.
 func TestPoolCollectsAllErrors(t *testing.T) {
-	errs := NewPool(4).Do(context.Background(), 6, func(i int) error {
+	errs := NewPool(4).Do(context.Background(), 6, func(_ context.Context, i int) error {
 		if i%2 == 1 {
 			return fmt.Errorf("task %d failed", i)
 		}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cloudiq/internal/iomodel"
 )
 
 // WorkPool bounds the fan-out of batch operations. It holds no long-lived
@@ -35,11 +37,15 @@ func (p *WorkPool) Size() int {
 }
 
 // Do runs fn(0) .. fn(n-1) on up to Size workers and returns the positional
-// error slice. Workers check ctx before claiming each task; once the context
+// error slice. Workers check ctx before running each task; once the context
 // is cancelled no further tasks start and every task that never ran reports
 // ctx.Err(). Tasks that did run keep their own result, so a caller joining
-// the slice sees every distinct failure, not just the race winner.
-func (p *WorkPool) Do(ctx context.Context, n int, fn func(i int) error) []error {
+// the slice sees every distinct failure, not just the race winner. When ctx
+// carries a modelled-I/O activity (iomodel), worker w runs tasks w,
+// w+workers, w+2·workers, … in order on its own fork of ctx's clock, passed
+// to fn, so a task's modelled start never depends on which goroutine ran
+// first; Do returns with ctx's clock at the latest worker's.
+func (p *WorkPool) Do(ctx context.Context, n int, fn func(ctx context.Context, i int) error) []error {
 	errs := make([]error, n)
 	if n == 0 {
 		return errs
@@ -48,41 +54,54 @@ func (p *WorkPool) Do(ctx context.Context, n int, fn func(i int) error) []error 
 	if workers > n {
 		workers = n
 	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			errs[i] = fn(i)
-		}
-	}
 	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			//lint:ignore detclosure workers join via wg.Wait before Do returns, and each claimed index writes its own errs slot, so the result is independent of interleaving
-			Go(func() {
-				defer wg.Done()
-				run()
-			})
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			errs[i] = fn(ctx, i)
 		}
-		wg.Wait()
+		return errs
 	}
-	if err := ctx.Err(); err != nil {
-		claimed := int(next.Load())
-		if claimed > n {
-			claimed = n
+	// claim hands worker w its j-th task: the next unclaimed one, or under
+	// an activity the j-th of its own stride.
+	var next atomic.Int64
+	claim := func(w, j int) int { return int(next.Add(1)) - 1 }
+	var lanes []context.Context // each worker's clock, under an activity
+	if iomodel.Active(ctx) {
+		claim = func(w, j int) int { return w + j*workers }
+		lanes = make([]context.Context, workers)
+		for w := range lanes {
+			lanes[w] = iomodel.Fork(ctx)
 		}
-		for i := claimed; i < n; i++ {
-			errs[i] = err
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		wctx := ctx
+		if lanes != nil {
+			wctx = lanes[w]
 		}
+		//lint:ignore detclosure workers join via wg.Wait before Do returns, and each claimed index writes its own errs slot, so the result is independent of interleaving
+		Go(func() {
+			defer wg.Done()
+			for j := 0; ; j++ {
+				i := claim(w, j)
+				if i >= n {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue
+				}
+				errs[i] = fn(wctx, i)
+			}
+		})
+	}
+	wg.Wait()
+	for _, l := range lanes {
+		iomodel.Join(ctx, l)
 	}
 	return errs
 }
@@ -189,7 +208,7 @@ func sweep() {
 // items, with Do's cancellation.
 func readEach(ctx context.Context, pool *WorkPool, h Handler, refs []Ref) ([][]byte, error) {
 	out := make([][]byte, len(refs))
-	errs := pool.Do(ctx, len(refs), func(i int) error {
+	errs := pool.Do(ctx, len(refs), func(ctx context.Context, i int) error {
 		data, err := h.ReadPage(ctx, refs[i])
 		if err != nil {
 			return err
@@ -202,7 +221,7 @@ func readEach(ctx context.Context, pool *WorkPool, h Handler, refs []Ref) ([][]b
 
 // writeEach is readEach's WriteBatch counterpart, calling h.WritePage.
 func writeEach(ctx context.Context, pool *WorkPool, h Handler, reqs []WriteReq) error {
-	return batchErr(pool.Do(ctx, len(reqs), func(i int) error {
+	return batchErr(pool.Do(ctx, len(reqs), func(ctx context.Context, i int) error {
 		return h.WritePage(ctx, reqs[i])
 	}))
 }

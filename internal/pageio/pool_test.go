@@ -1,11 +1,14 @@
 package pageio
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cloudiq/internal/iomodel"
 )
 
 // startedWorkers reads how many worker goroutines Go has ever started.
@@ -162,4 +165,63 @@ func BenchmarkGo(b *testing.B) {
 			wg.Wait()
 		}
 	})
+}
+
+// TestDoStridesUnderActivity: under a modelled-I/O activity worker w runs
+// tasks w, w+workers, … on its own clock, so each task starts where the
+// previous task of its stride ended, whatever goroutine the scheduler ran
+// first, and Do returns at the latest worker's time.
+func TestDoStridesUnderActivity(t *testing.T) {
+	scale := iomodel.NewScale(0)
+	ctx := iomodel.Start(context.Background())
+	scale.Sleep(ctx, time.Millisecond)
+	durs := []time.Duration{5, 1, 1, 5, 1, 1, 5} // ms; 3 workers
+	starts := make([]time.Duration, len(durs))
+	errs := NewPool(3).Do(ctx, len(durs), func(tctx context.Context, i int) error {
+		starts[i] = iomodel.Now(tctx)
+		scale.Sleep(tctx, durs[i]*time.Millisecond)
+		return nil
+	})
+	if err := batchErr(errs); err != nil {
+		t.Fatal(err)
+	}
+	// Strides {0,3,6}, {1,4}, {2,5} from 1ms: 5+5+5, 1+1, 1+1.
+	want := []time.Duration{1, 1, 1, 6, 2, 2, 11}
+	for i, w := range want {
+		if starts[i] != w*time.Millisecond {
+			t.Errorf("task %d started at %v, want %v", i, starts[i], w*time.Millisecond)
+		}
+	}
+	if got := iomodel.Now(ctx); got != 16*time.Millisecond {
+		t.Fatalf("Do returned at %v, want the longest stride's end, 16ms", got)
+	}
+}
+
+// TestDoCancelledReportsEveryUnrunTask: a task that never ran reports
+// ctx.Err() on both claim orders.
+func TestDoCancelledReportsEveryUnrunTask(t *testing.T) {
+	for _, timed := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if timed {
+			ctx = iomodel.Start(ctx)
+		}
+		var ran atomic.Int64
+		errs := NewPool(4).Do(ctx, 64, func(context.Context, int) error {
+			if ran.Add(1) == 1 {
+				cancel()
+			}
+			return nil
+		})
+		cancelled := 0
+		for _, err := range errs {
+			if err == context.Canceled {
+				cancelled++
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if int(ran.Load())+cancelled != 64 || cancelled == 0 {
+			t.Errorf("timed=%v: %d ran, %d cancelled of 64", timed, ran.Load(), cancelled)
+		}
+	}
 }

@@ -8,8 +8,8 @@
 // The core implements:
 //
 //   - per-tenant token buckets denominated in simulated service time
-//     (tokens refill with the injected clock — iomodel.Scale.Charged in the
-//     experiment harness — and are debited with each query's measured
+//     (tokens refill with the injected clock — the callers' modelled-I/O
+//     clock under Scheduler — and are debited with each query's measured
 //     service time at completion; rejected queries are never charged);
 //   - bounded admission queues with backpressure: once a tenant's queue
 //     budget is exceeded, or its bucket is in debt, Submit rejects with a
@@ -251,8 +251,9 @@ type Core struct {
 }
 
 // NewCore builds a core on the injected clock. A nil clock counts dispatch
-// rounds (useful in pure logic tests); real embedders pass the simulated
-// clock (iomodel.Scale.Charged) or another monotonic source.
+// rounds (useful in pure logic tests); real embedders pass a simulated
+// clock: Scheduler its callers' modelled-I/O time, the simulator
+// iomodel.Scale.Charged.
 func NewCore(clock func() time.Duration) *Core {
 	c := &Core{tenants: make(map[string]*tenant)}
 	if clock == nil {
@@ -503,7 +504,10 @@ func (c *Core) Dispatch() (*Query, bool) {
 			}
 			t.deficit--
 			t.pop(q)
-			now := c.clock()
+			// A slot freed before q arrived still serves q from its
+			// arrival: a clock that is not monotone across callers (the
+			// Scheduler's) never dates a dispatch before its submission.
+			now := max(c.clock(), q.SubmitAt)
 			t.refill(now)
 			q.State = Running
 			q.DispatchAt = now

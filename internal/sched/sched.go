@@ -13,10 +13,6 @@ import (
 
 // Config parameterizes a Scheduler.
 type Config struct {
-	// Clock supplies the scheduling clock. The experiment harness wires
-	// the simulated clock (iomodel.Scale.Charged) so queue waits are
-	// simulated time; nil falls back to a monotonic internal counter.
-	Clock func() time.Duration
 	// Faults arms the admission-drop (SchedAdmit) and reader-stall
 	// (SchedStall) sites. Nil means no injected faults.
 	Faults *faultinject.Plan
@@ -28,9 +24,11 @@ type Config struct {
 // stallUnit converts a SchedStall lag draw to simulated time.
 const stallUnit = time.Millisecond
 
-// grant delivers a dispatch decision to a waiting query goroutine.
+// grant delivers a dispatch decision to a waiting query goroutine: the
+// reader, the modelled-I/O time of the dispatch and any injected stall.
 type grant struct {
 	reader string
+	at     time.Duration
 	stall  time.Duration
 }
 
@@ -38,10 +36,18 @@ type grant struct {
 // queries; admission, queueing, fairness and reader placement happen under
 // one lock; dispatched queries run on their callers' goroutines with a
 // cooperative yield point installed on the context.
+//
+// The core's clock is the modelled-I/O clock (iomodel) of the call in
+// progress: a submission is stamped with its caller's time, a release of a
+// slot with the releasing query's, and a query dispatched into a released
+// slot starts at the later of its arrival and that release — so waits,
+// tenant charges and the callers' clocks are one clock. Callers without an
+// activity all read 0, and every wait and charge is then 0.
 type Scheduler struct {
 	cfg Config
 
 	mu      sync.Mutex
+	now     time.Duration // the core's clock, set under mu by each call
 	core    *Core
 	waiters map[uint64]chan grant
 
@@ -53,11 +59,9 @@ type Scheduler struct {
 
 // New builds a Scheduler.
 func New(cfg Config) *Scheduler {
-	return &Scheduler{
-		cfg:     cfg,
-		core:    NewCore(cfg.Clock),
-		waiters: make(map[uint64]chan grant),
-	}
+	s := &Scheduler{cfg: cfg, waiters: make(map[uint64]chan grant)}
+	s.core = NewCore(func() time.Duration { return s.now })
+	return s
 }
 
 // AddTenant registers a tenant.
@@ -128,7 +132,7 @@ func (s *Scheduler) pumpLocked() {
 		if !ok {
 			return
 		}
-		g := grant{reader: q.Reader}
+		g := grant{reader: q.Reader, at: q.DispatchAt}
 		if lag := s.cfg.Faults.LagAt(faultinject.SchedStall, q.Reader); lag > 0 {
 			g.stall = time.Duration(lag) * stallUnit
 		}
@@ -167,6 +171,7 @@ func (s *Scheduler) Run(ctx context.Context, tenant string, lane Lane, fn func(c
 	defer sp.End()
 
 	s.mu.Lock()
+	s.now = iomodel.Now(ctx)
 	q, rej := s.core.Submit(tenant, lane)
 	if rej != nil {
 		if lane >= 0 && lane < NumLanes {
@@ -187,6 +192,7 @@ func (s *Scheduler) Run(ctx context.Context, tenant string, lane Lane, fn func(c
 		sp.SetAttr("cancelled", err.Error())
 		return err
 	}
+	iomodel.JoinAt(ctx, g.at)
 	sp.AddInt("queue_ns", int64(q.FirstWait))
 	sp.AddInt("queue_depth", int64(q.DepthAtSubmit))
 	sp.SetAttr("reader", g.reader)
@@ -195,11 +201,12 @@ func (s *Scheduler) Run(ctx context.Context, tenant string, lane Lane, fn func(c
 	s.mu.Unlock()
 	if g.stall > 0 {
 		sp.AddInt("stall_ns", int64(g.stall))
-		s.stall(g.stall)
+		s.stall(ctx, g.stall)
 	}
 
 	runErr := fn(exec.WithYield(ctx, s.yieldFunc(q, ch)), q.Reader)
 	s.mu.Lock()
+	s.now = iomodel.Now(ctx)
 	delete(s.waiters, q.ID)
 	if q.State == Running {
 		err = s.core.Complete(q, runErr == nil)
@@ -245,9 +252,9 @@ func (s *Scheduler) await(ctx context.Context, q *Query, ch chan grant) (grant, 
 
 // stall blocks for an injected reader stall, charging it as simulated time
 // when a scale is wired (a stalled reader's time really passes).
-func (s *Scheduler) stall(d time.Duration) {
+func (s *Scheduler) stall(ctx context.Context, d time.Duration) {
 	if s.cfg.Scale != nil {
-		s.cfg.Scale.Sleep(d)
+		s.cfg.Scale.Sleep(ctx, d)
 		return
 	}
 	time.Sleep(d)
@@ -264,6 +271,7 @@ func (s *Scheduler) yieldFunc(q *Query, ch chan grant) exec.YieldFunc {
 			return err
 		}
 		s.mu.Lock()
+		s.now = iomodel.Now(ctx)
 		if !s.core.ShouldYield(q) {
 			s.mu.Unlock()
 			return nil
@@ -278,8 +286,9 @@ func (s *Scheduler) yieldFunc(q *Query, ch chan grant) exec.YieldFunc {
 		if err != nil {
 			return err
 		}
+		iomodel.JoinAt(ctx, g.at)
 		if g.stall > 0 {
-			s.stall(g.stall)
+			s.stall(ctx, g.stall)
 		}
 		return nil
 	}

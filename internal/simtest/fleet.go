@@ -102,7 +102,7 @@ func (f *Fleet) Probe(ctx context.Context, name string) (multiplex.NodeStatus, e
 		return multiplex.NodeStatus{}, err
 	}
 	if f.scale != nil {
-		f.scale.Sleep(probeRTT) // health checks cost (simulated) wire time
+		f.scale.Sleep(ctx, probeRTT) // health checks cost (simulated) wire time
 	}
 	if err := f.plan.Check(faultinject.RPCProbe, name); err != nil {
 		return multiplex.NodeStatus{}, fmt.Errorf("simtest: probe %s: %w", name, err)

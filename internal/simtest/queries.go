@@ -110,7 +110,7 @@ func (r *runner) qSubmitStep(i int, st Step) error {
 	return nil
 }
 
-func (r *runner) qDispatchStep(i int, st Step) error {
+func (r *runner) qDispatchStep(ctx context.Context, i int, st Step) error {
 	if r.qcore == nil {
 		r.logf(i, st, "noop: queries off")
 		return nil
@@ -120,16 +120,16 @@ func (r *runner) qDispatchStep(i int, st Step) error {
 		r.logf(i, st, "noop: nothing dispatchable")
 		return nil
 	}
-	r.qStall(q)
+	r.qStall(ctx, q)
 	r.logf(i, st, "q%d on %s wait=%s", q.ID, q.Reader, q.FirstWait)
 	return nil
 }
 
 // qStall draws the reader-stall fault for a fresh dispatch and charges it as
 // simulated time, mirroring the concurrent shell.
-func (r *runner) qStall(q *sched.Query) {
+func (r *runner) qStall(ctx context.Context, q *sched.Query) {
 	if lag := r.plan.LagAt(faultinject.SchedStall, q.Reader); lag > 0 {
-		r.scale.Sleep(time.Duration(lag) * time.Millisecond)
+		r.scale.Sleep(ctx, time.Duration(lag)*time.Millisecond)
 	}
 }
 
@@ -248,7 +248,7 @@ func (r *runner) drainQueries(ctx context.Context) error {
 	}
 	for {
 		if q, ok := r.qcore.Dispatch(); ok {
-			r.qStall(q)
+			r.qStall(ctx, q)
 			ok2, err := r.runQueryScan(ctx, q)
 			if err != nil {
 				return err

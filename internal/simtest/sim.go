@@ -482,7 +482,7 @@ func (r *runner) step(ctx context.Context, i int, st Step) error {
 		return r.qSubmitStep(i, st)
 
 	case OpQDispatch:
-		return r.qDispatchStep(i, st)
+		return r.qDispatchStep(ctx, i, st)
 
 	case OpQFinish:
 		return r.qFinishStep(ctx, i, st)

@@ -69,7 +69,7 @@ func Load(ctx context.Context, t *Table, store objstore.Store, prefix string, pa
 		fetchErrs := pageio.ItemErrors(batchErr, len(window))
 
 		batches := make([]*Batch, len(window))
-		parseErrs := pool.Do(ctx, len(window), func(i int) (err error) {
+		parseErrs := pool.Do(ctx, len(window), func(_ context.Context, i int) (err error) {
 			if fetchErrs[i] == nil {
 				batches[i], err = ParseRows(t.Schema(), string(blobs[i]))
 			}

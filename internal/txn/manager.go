@@ -59,6 +59,13 @@ type committedTxn struct {
 type Manager struct {
 	cfg Config
 
+	// publish orders commits against checkpoints: a commit holds it shared
+	// from its log append until its sequence is published, a checkpoint
+	// exclusively from capturing its image until that image is in the log.
+	// So a checkpoint's image includes every commit logged before it, and
+	// replay from it finds every later commit after it.
+	publish sync.RWMutex
+
 	mu        sync.Mutex
 	spaces    map[string]core.Dbspace
 	nextTxnID uint64
@@ -245,12 +252,15 @@ func (m *Manager) Commit(ctx context.Context, t *Txn, meta []byte, apply func(se
 		}
 	}
 
-	// Phase 2: log the commit with the RF/RB images.
+	// Phase 2: log the commit with the RF/RB images. No checkpoint runs
+	// from here until the commit is published.
 	payload := MarshalCommit(CommitRecord{TxnID: t.id, Node: t.node, Spaces: spaces, Meta: meta})
+	m.publish.RLock()
 	wctx, wsp := trace.Start(ctx, "commit.wal", trace.Int("bytes", int64(len(payload))))
 	_, err := m.cfg.Log.Append(wctx, wal.RecCommit, payload)
 	wsp.End()
 	if err != nil {
+		m.publish.RUnlock()
 		return fmt.Errorf("txn %d: log commit: %w", t.id, err)
 	}
 
@@ -262,6 +272,7 @@ func (m *Manager) Commit(ctx context.Context, t *Txn, meta []byte, apply func(se
 		if err := apply(seq); err != nil {
 			m.commitSeq--
 			m.mu.Unlock()
+			m.publish.RUnlock()
 			return fmt.Errorf("txn %d: apply: %w", t.id, err)
 		}
 	}
@@ -269,6 +280,7 @@ func (m *Manager) Commit(ctx context.Context, t *Txn, meta []byte, apply func(se
 	delete(m.active, t.id)
 	m.releaseRefLocked(t.snapshot)
 	m.mu.Unlock()
+	m.publish.RUnlock()
 
 	t.mu.Lock()
 	t.status = StatusCommitted

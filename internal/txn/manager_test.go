@@ -513,3 +513,52 @@ func TestCheckpointCarriesRetirementChain(t *testing.T) {
 		t.Fatalf("store has %d objects after recovery, want 1 (superseded page leaked)", e.store.Len())
 	}
 }
+
+// TestCheckpointRacingCommitsLosesNone: a checkpoint taken while commits
+// are in flight must not hide a logged commit from replay. Each history
+// commits 20 single-page transactions on one goroutine while another takes
+// 20 checkpoints; recovery must come back at commit sequence 20.
+func TestCheckpointRacingCommitsLosesNone(t *testing.T) {
+	const commits = 20
+	for h := 0; h < 300; h++ {
+		e := newEnv(t)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				if err := e.mgr.Checkpoint(ctxb()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < commits; i++ {
+			tx := e.mgr.Begin()
+			e.writePages(tx, e.cloud, 1)
+			if err := e.mgr.Commit(ctxb(), tx, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+
+		log2, err := wal.Open(ctxb(), e.logDev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen2 := keygen.NewGenerator(log2)
+		mgr2, err := NewManager(Config{Node: "coord", Log: log2, Keys: gen2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr2.Register(core.NewCloud(core.CloudConfig{Name: "user", Store: e.store, Keys: keygen.NewClient(
+			func(ctx context.Context, n uint64) (rfrb.Range, error) { return gen2.Allocate(ctx, "coord", n) })}))
+		mgr2.Register(e.block)
+		if err := mgr2.Recover(ctxb(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := mgr2.CommitSeq(); got != commits {
+			t.Fatalf("history %d: recovered commit seq %d, want %d", h, got, commits)
+		}
+	}
+}

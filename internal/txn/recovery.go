@@ -91,6 +91,8 @@ func parseCheckpoint(p []byte) (checkpointImage, error) {
 // without it a crash would forget the pending retirements and leak their
 // pages.
 func (m *Manager) Checkpoint(ctx context.Context) error {
+	m.publish.Lock()
+	defer m.publish.Unlock()
 	m.mu.Lock()
 	img := checkpointImage{commitSeq: m.commitSeq, nextTxnID: m.nextTxnID, consumed: m.consumed.Clone()}
 	if m.cfg.Keys != nil {

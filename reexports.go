@@ -84,7 +84,7 @@ type (
 	MemBlockDevice = blockdev.MemDevice
 	// BlockDeviceConfig parameterizes a MemBlockDevice.
 	BlockDeviceConfig = blockdev.Config
-	// Scale maps simulated I/O time to real sleeping.
+	// Scale sums the simulated I/O time its devices charge.
 	Scale = iomodel.Scale
 	// Latency models per-request service time.
 	Latency = iomodel.Latency
@@ -142,7 +142,7 @@ var NewMemObjectStore = objstore.NewMem
 // NewMemBlockDevice returns an in-memory simulated block device.
 var NewMemBlockDevice = blockdev.NewMem
 
-// NewScale returns a simulated-time scale.
+// NewScale returns a Scale; its argument is ignored.
 var NewScale = iomodel.NewScale
 
 // NewResource returns a shared-capacity resource.

@@ -7,29 +7,42 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"cloudiq/internal/iomodel"
 )
 
 // QueryResult records one query execution.
 type QueryResult struct {
 	Query   int
 	Rows    int
-	Elapsed time.Duration
+	Elapsed time.Duration // wall clock
+	// IO is the query's modelled-I/O time: how far it moved the activity
+	// clock on ctx (iomodel), 0 when ctx carries none.
+	IO time.Duration
 }
 
 // PowerRun executes Q1–Q22 sequentially (the paper's power mode) and
-// returns per-query results. Timings are wall clock, which under a scaled
-// simulation corresponds to simulated time divided by the scale factor.
+// returns per-query results.
 func PowerRun(ctx context.Context, conn *Conn) ([]QueryResult, error) {
 	results := make([]QueryResult, 0, 22)
 	for q := 1; q <= 22; q++ {
-		start := time.Now()
-		out, err := conn.Query(ctx, q)
+		r, err := RunQuery(ctx, conn, q)
 		if err != nil {
-			return results, fmt.Errorf("tpch: Q%d: %w", q, err)
+			return results, err
 		}
-		results = append(results, QueryResult{Query: q, Rows: out.Rows(), Elapsed: time.Since(start)})
+		results = append(results, r)
 	}
 	return results, nil
+}
+
+// RunQuery executes query q and times it on both clocks.
+func RunQuery(ctx context.Context, conn *Conn, q int) (QueryResult, error) {
+	start, io := time.Now(), iomodel.Now(ctx)
+	out, err := conn.Query(ctx, q)
+	if err != nil {
+		return QueryResult{}, fmt.Errorf("tpch: Q%d: %w", q, err)
+	}
+	return QueryResult{Query: q, Rows: out.Rows(), Elapsed: time.Since(start), IO: iomodel.Now(ctx) - io}, nil
 }
 
 // Streams builds n pseudo-random permutations of the 22 queries (the
@@ -51,7 +64,8 @@ func Streams(n int, seed int64) [][]int {
 // RunStreams executes the given query streams concurrently, each against
 // its own Conn (the paper balances streams across secondary nodes; conns
 // may therefore belong to different database instances). It returns the
-// total wall time.
+// total wall time; each stream runs on its own fork of ctx's modelled-I/O
+// clock, and ctx's clock ends at the last stream's (iomodel).
 func RunStreams(ctx context.Context, conns []*Conn, streams [][]int) (time.Duration, error) {
 	if len(conns) == 0 {
 		return 0, fmt.Errorf("tpch: no connections")
@@ -61,11 +75,13 @@ func RunStreams(ctx context.Context, conns []*Conn, streams [][]int) (time.Durat
 	errs := make(chan error, len(streams))
 	for i, qs := range streams {
 		conn := conns[i%len(conns)]
+		sctx := iomodel.Fork(ctx)
 		wg.Add(1)
 		go func(qs []int, conn *Conn) {
 			defer wg.Done()
+			defer iomodel.Join(ctx, sctx)
 			for _, q := range qs {
-				if _, err := conn.Query(ctx, q); err != nil {
+				if _, err := conn.Query(sctx, q); err != nil {
 					errs <- fmt.Errorf("tpch: stream query Q%d: %w", q, err)
 					return
 				}
