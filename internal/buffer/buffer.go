@@ -432,7 +432,9 @@ func (o *Object) fetch(ctx context.Context, logicals []uint64, misses []miss) ([
 // Write installs data as the new contents of the page, marking it dirty in
 // the cache, and queues it for compression. The page is born in RAM;
 // permanent storage sees it on eviction or commit. Write never waits for a
-// compression.
+// compression. Write takes ownership of data: the cache, the compression
+// queue and readers of the page hold the slice itself, so the caller must
+// not modify it afterwards.
 func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	if o.sink == nil {
 		return ErrReadOnly
@@ -442,8 +444,6 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 	}
 	p := o.pool
 	key := o.entryKey(logical, core.Entry{}) // dirty pages are private
-	cp := make([]byte, len(data))
-	copy(cp, data)
 
 	p.mu.Lock()
 	for {
@@ -463,12 +463,12 @@ func (o *Object) Write(ctx context.Context, logical uint64, data []byte) error {
 		break
 	}
 	pg := p.pages[key]
-	pg.data = cp
+	pg.data = data
 	pg.image = nil
 	pg.dirty = true
 	pg.owner = o
-	p.size += int64(len(cp))
-	p.enqueueLocked(compressJob{o: o, pg: pg, data: cp})
+	p.size += int64(len(data))
+	p.enqueueLocked(compressJob{o: o, pg: pg, data: data})
 
 	o.mu.Lock()
 	if o.dirty == nil {

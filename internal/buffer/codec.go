@@ -3,6 +3,7 @@ package buffer
 import (
 	"fmt"
 
+	"cloudiq/internal/column"
 	"cloudiq/internal/deflate"
 )
 
@@ -25,8 +26,17 @@ type pageCodec interface {
 // pooled scratch, and both methods return slices the caller owns.
 type FlateCodec struct{}
 
-// Compress returns the stored form of src.
-func (FlateCodec) Compress(src []byte) []byte { return deflate.Compress(src) }
+// Compress returns the stored form of src. A compact decimal page
+// (column.Compact's EncDecimalFloat) is already n-bit packed, and DEFLATE
+// stores it whatever it tries, so it is written as stored blocks without a
+// parse; any other page is deflated. Both are plain DEFLATE: a page that only
+// begins with those two bytes is stored too, and still reads back whole.
+func (FlateCodec) Compress(src []byte) []byte {
+	if len(src) >= 2 && column.Type(src[0]) == column.Float64 && column.Encoding(src[1]) == column.EncDecimalFloat {
+		return deflate.Store(src)
+	}
+	return deflate.Compress(src)
+}
 
 // Decompress reverses Compress.
 func (FlateCodec) Decompress(src []byte) ([]byte, error) {

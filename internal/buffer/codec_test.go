@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,9 @@ import (
 	"testing"
 
 	"cloudiq/internal/column"
+	"cloudiq/internal/core"
+	"cloudiq/internal/deflate"
+	"cloudiq/internal/objstore"
 )
 
 // xorshift is the corpus's own generator, so the golden pages do not depend on
@@ -42,8 +46,12 @@ type corpusPage struct {
 	// sha256 of FlateCodec{}.Compress(data). Stored bytes are the object
 	// sizes every PUT, GET and stored dollar is priced by
 	// (stored_bytes_per_input_byte), so they move only by a decision to move
-	// them, re-pinned here in the same change. Last moved when
-	// internal/deflate's own encoder replaced compress/flate's writer:
+	// them, re-pinned here in the same change. Last moved when the match
+	// finder took a five-byte key and stopped indexing the inside of matches
+	// longer than 16 bytes: comment_column went 4,155 → 4,063 bytes, and
+	// zeros_64k 78 → 301 (its 258-byte matches now reach back 258 bytes, not
+	// one, and a far distance costs extra bits). Before that, when
+	// internal/deflate's own encoder replaced compress/flate's writer,
 	// comment_column, zeros_64k and random_64k changed (each is now one
 	// final block of whichever type is smallest); empty, one_byte and
 	// int_column, under 1 KiB, kept the stored framing compress/flate's
@@ -78,8 +86,8 @@ func goldenCorpus() []corpusPage {
 		{"empty", []byte{}, "f067985d352d2da6dfaef4844a66d06c5371ecbd9530a4d195ac599fef8b3427"},
 		{"one_byte", []byte{0x2a}, "e2c53d8ee8c816adb62f72ebb6796606d62a94e03c55ea0acd4b7a3b44a15efd"},
 		{"int_column", column.EncodeSegment(ints), "f37288a3ccbaff71c8d4bed582c51038560f75fcea7ae190af93e1e25a1eea1d"},
-		{"comment_column", column.EncodeSegment(comments), "efdbbcdeec706450ac6433522224efcda8933caec8f1439b5c9386f7e34ae089"},
-		{"zeros_64k", make([]byte, 64<<10), "9831d56352b2b4e0a2b507aaec8853cbdaa082c60388f281ac2f16aa0411ea56"},
+		{"comment_column", column.EncodeSegment(comments), "f442eaa90e73bcba04ef53668623d70d30d4306b1993824b1d0cd7b02d1fa60f"},
+		{"zeros_64k", make([]byte, 64<<10), "31b2fe46a09b1b8013f8f87f85385e20fcf2adbb94ebe800cc897760436c03bc"},
 		{"random_64k", randomBytes(11, 64<<10), "a2327c0435a1afed78f6f5da30b7e082924b85e1100ee5d46e1f3549195b3d27"},
 	}
 }
@@ -192,6 +200,74 @@ func TestFlateCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: %d bytes come back as %d (err %v)", pg.name, len(pg.data), len(back), err)
 		}
 	}
+}
+
+// decimalPage is the compact form of an n-row plain-float page of cents
+// k/100, k drawn from [0, 2^width) with both ends present: an EncDecimalFloat
+// page of exactly that width. Past 45 bits k/100 no longer round-trips
+// through a float64, so the values are the integers k.
+func decimalPage(x *xorshift, n, width int) []byte {
+	v := column.NewVector(column.Float64)
+	top := uint64(1)<<width - 1
+	div := 100.0
+	if width > 45 {
+		div = 1
+	}
+	for i := 0; i < n; i++ {
+		k := x.next() & top
+		switch i {
+		case 0:
+			k = 0
+		case 1:
+			k = top
+		}
+		v.AppendFloat(float64(k) / div)
+	}
+	return column.Compact(column.EncodeSegment(v))
+}
+
+// TestPackedPagesSkipTheParse: a compact decimal page of any width, 1–53
+// bits, and any row count, from just under 1 KiB to 65,536 rows, and
+// MaxSegmentRows at five widths (not under -short), is stored without a
+// parse — the bytes the full parse-and-choose path writes wherever that path
+// chose stored blocks — and comes back whole. The full path deflates only
+// 16-bit pages of 65,536 rows or more, by 0.1 %.
+func TestPackedPagesSkipTheParse(t *testing.T) {
+	x := xorshift(23)
+	codec := FlateCodec{}
+	var pages, parsedStored int
+	for width := 1; width <= 53; width++ {
+		atKiB := ((1<<10-16)*8 + width - 1) / width // rows of the first page of 1 KiB or more
+		rows := []int{atKiB - 1, atKiB, atKiB + 1, 4096, 65536}
+		switch width {
+		case 1, 16, 17, 32, 53:
+			if !testing.Short() {
+				rows = append(rows, column.MaxSegmentRows)
+			}
+		}
+		for _, n := range rows {
+			page := decimalPage(&x, n, width)
+			if column.Encoding(page[1]) != column.EncDecimalFloat {
+				t.Fatalf("width %d, %d rows: the page did not compact", width, n)
+			}
+			stored := codec.Compress(page)
+			if stored[0]>>1&3 != 0 {
+				t.Fatalf("width %d, %d rows: the page was deflated, not stored", width, n)
+			}
+			if full := deflate.Compress(page); full[0]>>1&3 == 0 {
+				parsedStored++
+				if !bytes.Equal(stored, full) {
+					t.Fatalf("width %d, %d rows: the stored page differs from the parsed path's stored blocks", width, n)
+				}
+			}
+			back, err := codec.Decompress(stored)
+			if err != nil || !bytes.Equal(back, page) {
+				t.Fatalf("width %d, %d rows: round trip differs (err %v)", width, n, err)
+			}
+			pages++
+		}
+	}
+	t.Logf("%d pages, %d of them stored by the full parse too", pages, parsedStored)
 }
 
 // TestFlateCodecReadsDefaultLevel decodes images written the way every page
@@ -358,6 +434,50 @@ func TestFlateCodecAllocs(t *testing.T) {
 		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > uint64(2*len(pg.data)) {
 			t.Errorf("Decompress allocates %d bytes for a %d-byte %s page, limit 2x", perRun, len(pg.data), pg.path)
 		}
+	}
+}
+
+// fixedCodec stores every page as one shared image and reads nothing back:
+// with it, the bytes a Write allocates are the pool's, not DEFLATE's.
+type fixedCodec struct{ image []byte }
+
+func (c fixedCodec) Compress([]byte) []byte { return c.image }
+
+func (fixedCodec) Decompress([]byte) ([]byte, error) {
+	return nil, errors.New("fixedCodec stores no page")
+}
+
+// TestObjectWriteAllocs is the allocation gate on Object.Write, which takes
+// ownership of the page it is given: rewriting a dirty 64 KiB page (and
+// waiting for its compression) allocates the pool's bookkeeping, a few
+// hundred bytes, and no copy of the page. The copy Write used to make showed
+// here as 64 KiB a call.
+func TestObjectWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := newRig(t, 1<<20, objstore.Consistency{})
+	o := r.openCodec(t, fixedCodec{image: []byte{1}})
+	page := pageData(1, 64<<10)
+	write := func() {
+		if err := o.Write(ctxb(), 0, page); err != nil {
+			t.Fatal(err)
+		}
+		pageImage(o, 0) // wait for the compression worker
+	}
+	write()
+	if got := o.pool.pages[o.entryKey(0, core.Entry{})].data; &got[0] != &page[0] {
+		t.Fatal("the cache holds a copy of the written page, not the page")
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > uint64(len(page)/16) {
+		t.Errorf("Write of a dirty %d-byte page allocates %d bytes, limit %d — is the page copied again?", len(page), perRun, len(page)/16)
 	}
 }
 

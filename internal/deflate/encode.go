@@ -14,19 +14,23 @@ import (
 // here the page is the window, the hash table is sized to it, and the whole
 // page is one final block.
 //
-// The parse is greedy: at each position the hash of the next four bytes
+// The parse is greedy: at each position the hash of the next five bytes
 // names the most recent earlier position with the same hash, and a chain of
 // up to maxChain earlier ones links back from it; the longest match of at
 // least minMatch bytes within the last 32 KiB wins, and a match of niceMatch
-// bytes or more ends the search. The block is then written with whichever of
-// the three block types (stored, fixed Huffman, dynamic Huffman) takes the
-// fewest bits, counted exactly from the symbol frequencies.
+// bytes or more ends the search. Positions inside a match are indexed only
+// when it is at most maxInsert bytes long (zlib's max_insert_length): a long
+// match is a repeat, and its interior adds chain to walk, not matches. The
+// block is then written with whichever of the three block types (stored,
+// fixed Huffman, dynamic Huffman) takes the fewest bits, counted exactly
+// from the symbol frequencies.
 const (
 	minMatch  = 4
 	maxMatch  = 258
 	maxDist   = 1 << 15
 	maxChain  = 16
 	niceMatch = 32
+	maxInsert = 16
 
 	minHashBits = 9
 	maxHashBits = 15
@@ -283,18 +287,10 @@ type encoder struct {
 	out []byte
 }
 
-// compress writes the DEFLATE stream of src into e.out. A page under
-// storeBelow takes the framing compress/flate's NoCompression level writes
-// (a stored block, then an empty final one); any other is one final block.
+// compress writes the DEFLATE stream of src, a page of at least storeBelow
+// bytes, into e.out: one final block, or stored blocks when those are the
+// smallest.
 func (e *encoder) compress(src []byte) {
-	e.out = e.out[:0]
-	if len(src) < storeBelow {
-		if len(src) > 0 {
-			e.storedBlock(src, false)
-		}
-		e.storedBlock(nil, true)
-		return
-	}
 	e.parse(src)
 
 	// Choose the block type by its exact size in bits.
@@ -305,48 +301,82 @@ func (e *encoder) compress(src []byte) {
 	for sym, f := range e.distFreq {
 		extra += int(f) * int(distExtra[sym])
 	}
-	storedBits := 8 * (len(src) + 5*((len(src)+maxStored-1)/maxStored))
+	storedBits := 8 * storedLen(len(src))
 	fixedBits := 3 + extra + fixedLitCode.cost(e.litFreq[:]) + fixedDistCode.cost(e.distFreq[:])
 	dynBits := 3 + extra + e.buildDynamic()
 	switch {
 	case storedBits <= fixedBits && storedBits <= dynBits:
-		for len(src) > maxStored {
-			e.storedBlock(src[:maxStored], false)
-			src = src[maxStored:]
-		}
-		e.storedBlock(src, true)
+		e.out = appendStored(e.out[:0], src)
 	case fixedBits <= dynBits:
-		e.out = slices.Grow(e.out, fixedBits/8+8)
+		e.out = slices.Grow(e.out[:0], fixedBits/8+8)
 		e.writeBlock(1, &fixedLitCode, &fixedDistCode)
 	default:
-		e.out = slices.Grow(e.out, dynBits/8+8)
+		e.out = slices.Grow(e.out[:0], dynBits/8+8)
 		e.writeBlock(2, &e.lit, &e.dist)
 	}
+}
+
+// storedLen is the length of appendStored's stream of n bytes.
+func storedLen(n int) int {
+	if n < storeBelow {
+		return n + 5*((n+maxStored-1)/maxStored) + 5
+	}
+	return n + 5*((n+maxStored-1)/maxStored)
+}
+
+// appendStored appends the stream of src as stored blocks of up to maxStored
+// bytes each: under storeBelow in the framing compress/flate's NoCompression
+// level writes (the data, then an empty final block), from there with the
+// last block final — the stored choice compress makes for a parsed page.
+func appendStored(out, src []byte) []byte {
+	out = slices.Grow(out, storedLen(len(src)))
+	final := len(src) >= storeBelow
+	for len(src) > 0 {
+		b := src[:min(len(src), maxStored)]
+		src = src[len(b):]
+		out = storedBlock(out, b, final && len(src) == 0)
+	}
+	if !final {
+		out = storedBlock(out, nil, true)
+	}
+	return out
 }
 
 // storedBlock appends a stored block of b (at most maxStored bytes). The
 // output is at a byte boundary: stored blocks are only ever written from
 // the start of the stream or after another stored block.
-func (e *encoder) storedBlock(b []byte, final bool) {
+func storedBlock(out, b []byte, final bool) []byte {
 	hdr := byte(0)
 	if final {
 		hdr = 1
 	}
 	n := uint16(len(b))
-	e.out = append(e.out, hdr, byte(n), byte(n>>8), byte(^n), byte(^n>>8))
-	e.out = append(e.out, b...)
+	out = append(out, hdr, byte(n), byte(n>>8), byte(^n), byte(^n>>8))
+	return append(out, b...)
 }
 
-// hash4 hashes four little-endian bytes to 32 − shift bits (Fibonacci
-// hashing: the product's top bits mix every input bit).
-func hash4(u uint32, shift uint) uint32 { return u * 0x9e3779b1 >> shift }
+// hash5 hashes the low five bytes of u to 64 − shift bits: the left shift
+// drops the other three, and the product's top bits mix every bit left
+// (Fibonacci hashing).
+func hash5(u uint64, shift uint) uint32 { return uint32((u << 24) * 0x9e3779b97f4a7c15 >> shift) }
+
+// load64 returns the eight bytes at src[i:] little-endian, zero past the end
+// of src: the hash reads five of them, so the last positions hash as well.
+func load64(src []byte, i int) uint64 {
+	if i+8 <= len(src) {
+		return binary.LittleEndian.Uint64(src[i:])
+	}
+	var b [8]byte
+	copy(b[:], src[i:])
+	return binary.LittleEndian.Uint64(b[:])
+}
 
 // parse fills e.tokens with a greedy LZ77 parse of src and counts each
 // symbol's frequency, end-of-block included.
 func (e *encoder) parse(src []byte) {
 	n := len(src)
 	hashBits := min(max(bits.Len(uint(n))-2, minHashBits), maxHashBits)
-	shift := uint(32 - hashBits)
+	shift := uint(64 - hashBits)
 	e.head = slices.Grow(e.head[:0], 1<<hashBits)[:1<<hashBits]
 	clear(e.head)
 	e.prev = slices.Grow(e.prev[:0], n)[:n]
@@ -356,9 +386,9 @@ func (e *encoder) parse(src []byte) {
 	head, prev, tokens := e.head, e.prev, e.tokens
 	litFreq, distFreq := &e.litFreq, &e.distFreq
 
-	i, last := 0, n-minMatch // last: the last position with four bytes to hash
+	i, last := 0, n-5 // last: the last position with five bytes to hash
 	for i <= last {
-		h := hash4(binary.LittleEndian.Uint32(src[i:]), shift)
+		h := hash5(load64(src, i), shift)
 		cand := head[h]
 		head[h] = uint32(i + 1)
 		prev[i] = cand
@@ -391,13 +421,15 @@ func (e *encoder) parse(src []byte) {
 		tokens = append(tokens, uint32(bestDist)<<matchShift|uint32(best-3))
 		litFreq[257+int(lenSym[best-3])]++
 		distFreq[distSym(uint32(bestDist))]++
-		// Index the positions the match covers, so later matches can start
-		// inside it.
+		// Index the positions a short match covers, so later matches can
+		// start inside it.
 		end := i + best
-		for i++; i < end && i <= last; i++ {
-			h := hash4(binary.LittleEndian.Uint32(src[i:]), shift)
-			prev[i] = head[h]
-			head[h] = uint32(i + 1)
+		if best <= maxInsert {
+			for i++; i < end && i <= last; i++ {
+				h := hash5(load64(src, i), shift)
+				prev[i] = head[h]
+				head[h] = uint32(i + 1)
+			}
 		}
 		i = end
 	}

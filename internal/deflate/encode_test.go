@@ -44,6 +44,40 @@ func TestCompressRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreIsCompressStored: Store writes the bytes Compress writes for a
+// page it stores — under 1 KiB always, above that for random bytes, across
+// the 65,535-byte block limit — and any page, compressible or not, comes
+// back whole from both decoders.
+func TestStoreIsCompressStored(t *testing.T) {
+	x := xorshift(5)
+	for _, size := range []int{0, 1, 1023, 1024, 4 << 10, 65535, 65536, 70 << 10, 200 << 10} {
+		random := make([]byte, size)
+		for i := range random {
+			random[i] = byte(x.next())
+		}
+		for _, c := range []struct {
+			name   string
+			data   []byte
+			stored bool // Compress stores it too
+		}{
+			{"random", random, true},
+			{"sample", sample(&x, size), size < storeBelow},
+		} {
+			what := fmt.Sprintf("%d bytes, %s", size, c.name)
+			got := Store(c.data)
+			if want := Compress(c.data); c.stored && !bytes.Equal(got, want) {
+				t.Fatalf("%s: Store writes %d bytes, Compress's stored blocks %d", what, len(got), len(want))
+			}
+			if back, err := reference(got); err != nil || !bytes.Equal(back, c.data) {
+				t.Fatalf("%s: compress/flate reads %d bytes back (err %v)", what, len(back), err)
+			}
+			if back, err := Decompress(got); err != nil || !bytes.Equal(back, c.data) {
+				t.Fatalf("%s: Decompress reads %d bytes back (err %v)", what, len(back), err)
+			}
+		}
+	}
+}
+
 // TestCompressBlockTypes checks each block type is chosen where it is the
 // smallest: random bytes are stored, a short run of text takes the fixed
 // code, and a long page of text a dynamic one.

@@ -97,7 +97,8 @@ func Load(ctx context.Context, t *Table, store objstore.Store, prefix string, pa
 // ParseRows parses '|'-separated lines into a batch of the given schema.
 // Blank lines are skipped and one trailing '|' per line is tolerated; line
 // numbers in errors count every line, blank ones included. Lines and fields
-// are walked in place: string columns keep substrings of data.
+// are walked in place, each line once: string columns keep substrings of
+// data.
 func ParseRows(schema Schema, data string) (*Batch, error) {
 	b := NewBatch(schema)
 	// One row per newline plus an unterminated last line: an upper bound
@@ -106,6 +107,7 @@ func ParseRows(schema Schema, data string) (*Batch, error) {
 	for _, v := range b.Vecs {
 		v.Grow(maxRows)
 	}
+	last := len(schema.Cols) - 1
 	for lineNo := 1; data != ""; lineNo++ {
 		line := data
 		if nl := strings.IndexByte(data, '\n'); nl >= 0 {
@@ -116,40 +118,88 @@ func ParseRows(schema Schema, data string) (*Batch, error) {
 		if line == "" {
 			continue
 		}
-		line = strings.TrimSuffix(line, "|")
-		if n := strings.Count(line, "|") + 1; n != len(schema.Cols) {
-			return nil, fmt.Errorf("table: line %d has %d fields, schema %d", lineNo, n, len(schema.Cols))
+		if last < 0 {
+			return nil, fieldCountError(schema, line, lineNo)
 		}
+		rest := line
 		for c, def := range schema.Cols {
-			f := line
-			if bar := strings.IndexByte(line, '|'); bar >= 0 {
-				f, line = line[:bar], line[bar+1:]
+			// Every field but the last is followed by a '|' and more of the
+			// line; the last by nothing, or by the one trailing '|'.
+			f := rest
+			if bar := strings.IndexByte(rest, '|'); bar >= 0 {
+				f, rest = rest[:bar], rest[bar+1:]
+			} else {
+				rest = ""
 			}
+			if (rest != "") != (c < last) {
+				return nil, fieldCountError(schema, line, lineNo)
+			}
+			var err error
 			switch {
 			case def.Date:
-				days, err := parseDate(f)
-				if err != nil {
-					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
+				var days int64
+				if days, err = parseDate(f); err == nil {
+					b.Vecs[c].AppendInt(days)
 				}
-				b.Vecs[c].AppendInt(days)
 			case def.Typ == column.Int64:
-				v, err := strconv.ParseInt(f, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
+				var v int64
+				if v, err = parseInt(f); err == nil {
+					b.Vecs[c].AppendInt(v)
 				}
-				b.Vecs[c].AppendInt(v)
 			case def.Typ == column.Float64:
-				v, err := parseFloat(f)
-				if err != nil {
-					return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
+				var v float64
+				if v, err = parseFloat(f); err == nil {
+					b.Vecs[c].AppendFloat(v)
 				}
-				b.Vecs[c].AppendFloat(v)
 			default:
 				b.Vecs[c].AppendStr(f)
+			}
+			if err != nil {
+				// A line with the wrong field count reports that first, as a
+				// count taken before any field is read would.
+				if fields(line) != len(schema.Cols) {
+					return nil, fieldCountError(schema, line, lineNo)
+				}
+				return nil, fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
 			}
 		}
 	}
 	return b, nil
+}
+
+// fields is the number of fields in line: one per '|', one trailing '|'
+// not counted, plus one.
+func fields(line string) int { return strings.Count(strings.TrimSuffix(line, "|"), "|") + 1 }
+
+// fieldCountError is the error for a line whose field count is not schema's.
+func fieldCountError(schema Schema, line string, lineNo int) error {
+	return fmt.Errorf("table: line %d has %d fields, schema %d", lineNo, fields(line), len(schema.Cols))
+}
+
+// parseInt is strconv.ParseInt(s, 10, 64) with a fast path for a plain int:
+// an optional '-' and 1 to 18 digits, read as parseDate reads its digits;
+// 18 digits cannot overflow. Anything else, an error included, is
+// ParseInt's.
+func parseInt(s string) (int64, error) {
+	d := s
+	if len(d) > 0 && d[0] == '-' {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 18 {
+		return strconv.ParseInt(s, 10, 64)
+	}
+	var n int64
+	for i := 0; i < len(d); i++ {
+		c := d[i]
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(s, 10, 64)
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(d) < len(s) {
+		n = -n
+	}
+	return n, nil
 }
 
 // pow10 holds the powers of ten a plain decimal's scale can take.

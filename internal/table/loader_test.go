@@ -88,9 +88,15 @@ func refDate(s string) (int64, bool) {
 	return daysFromCivil(y, m, d), true
 }
 
-// checkField holds parseFloat and parseDate to the reference on one field.
+// checkField holds parseFloat, parseDate and parseInt to the reference on
+// one field.
 func checkField(t *testing.T, f string) {
 	t.Helper()
+	n, err := parseInt(f)
+	wantN, refErr := strconv.ParseInt(f, 10, 64)
+	if n != wantN || fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Fatalf("parseInt(%q) = %d, %v; strconv %d, %v", f, n, err, wantN, refErr)
+	}
 	got, err := parseFloat(f)
 	want, refErr := refFloat(f)
 	if (err != nil) != (refErr != nil) || math.Float64bits(got) != math.Float64bits(want) {
@@ -140,9 +146,38 @@ var parseEdgeFields = []string{
 	"NaN", "Inf", "-Inf", "1_0", "0x1p-2", "1995-+1-02", "1995-01-02", "+995-01-02", "1995-13-01", "0000-00-00",
 }
 
+// parseIntEdgeFields are fields at the edges of parseInt's fast path: a sign
+// it leaves to ParseInt, a negative zero, leading zeros, 18 and 19 digits
+// either side of int64's limit, an underscore, and nothing at all.
+var parseIntEdgeFields = []string{
+	"+5", "-0", "007", "999999999999999999", "-999999999999999999",
+	"9223372036854775807", "9223372036854775808", "-9223372036854775808", "1_000", "",
+}
+
+// TestParseIntMatchesStrconv sweeps ints of 1 to 20 digits of either sign,
+// and the edge fields, through parseInt and strconv.ParseInt: same value,
+// same error.
+func TestParseIntMatchesStrconv(t *testing.T) {
+	for _, f := range parseIntEdgeFields {
+		checkField(t, f)
+	}
+	r := mt.New(11)
+	for i := 0; i < 100000; i++ {
+		var sb strings.Builder
+		if r.Uint64()%2 == 0 {
+			sb.WriteByte('-')
+		}
+		for d := 1 + int(r.Uint64()%20); d > 0; d-- {
+			sb.WriteByte(byte('0' + r.Uint64()%10))
+		}
+		checkField(t, sb.String())
+	}
+}
+
 // FuzzParseRows parses arbitrary bytes as lineitem-shaped rows: an error or a
-// batch, never a panic, and every float and date field — of the rows, and
-// the input taken as one field — read as strconv reads it.
+// batch, never a panic, the reference's error word for word, and every int,
+// float and date field — of the rows, and the input taken as one field —
+// read as strconv reads it.
 func FuzzParseRows(f *testing.F) {
 	schema, rows := lineitemRows(3)
 	f.Add([]byte(rows))
@@ -153,12 +188,22 @@ func FuzzParseRows(f *testing.F) {
 		fields[4], fields[10] = e, e
 		f.Add([]byte(strings.Join(fields, "|")))
 	}
+	for _, e := range parseIntEdgeFields {
+		f.Add([]byte(e))
+		fields := strings.Split(line, "|")
+		fields[0] = e
+		f.Add([]byte(strings.Join(fields, "|")))
+	}
+	short := line[:strings.LastIndexByte(line[:len(line)-1], '|')+1]
+	f.Add([]byte(short))                // a field short, with a trailing '|'
+	f.Add([]byte(short[:len(short)-1])) // a field short
+	f.Add([]byte(line + "x|"))          // a field over
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := string(data)
 		checkField(t, in)
 		b, err := ParseRows(schema, in)
 		want, refErr := parseRowsRef(schema, in)
-		if (err != nil) != (refErr != nil) {
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("ParseRows error %v, reference %v", err, refErr)
 		}
 		if err != nil {
@@ -185,35 +230,40 @@ func sameValue(a, b *column.Vector, r int) bool {
 	}
 }
 
-// parseRowsRef is ParseRows with every field read by strconv.
+// parseRowsRef is ParseRows with every field read by strconv, each line
+// split whole before its fields are read, and ParseRows's errors.
 func parseRowsRef(schema Schema, data string) (*Batch, error) {
 	b := NewBatch(schema)
-	for lineNo, line := range strings.Split(data, "\n") {
+	for i, line := range strings.Split(data, "\n") {
+		lineNo := i + 1
 		if line == "" {
 			continue
 		}
 		fields := strings.Split(strings.TrimSuffix(line, "|"), "|")
 		if len(fields) != len(schema.Cols) {
-			return nil, fmt.Errorf("line %d: %d fields", lineNo+1, len(fields))
+			return nil, fmt.Errorf("table: line %d has %d fields, schema %d", lineNo, len(fields), len(schema.Cols))
 		}
 		for c, def := range schema.Cols {
+			fieldErr := func(err error) error {
+				return fmt.Errorf("table: line %d column %s: %w", lineNo, def.Name, err)
+			}
 			switch f := fields[c]; {
 			case def.Date:
 				days, ok := refDate(f)
 				if !ok {
-					return nil, fmt.Errorf("line %d: bad date", lineNo+1)
+					return nil, fieldErr(fmt.Errorf("bad date %q", f))
 				}
 				b.Vecs[c].AppendInt(days)
 			case def.Typ == column.Int64:
 				v, err := strconv.ParseInt(f, 10, 64)
 				if err != nil {
-					return nil, err
+					return nil, fieldErr(err)
 				}
 				b.Vecs[c].AppendInt(v)
 			case def.Typ == column.Float64:
 				v, err := refFloat(f)
 				if err != nil {
-					return nil, err
+					return nil, fieldErr(err)
 				}
 				b.Vecs[c].AppendFloat(v)
 			default:
