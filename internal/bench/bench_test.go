@@ -199,3 +199,32 @@ func TestAblations(t *testing.T) {
 	}
 	_ = Ablations{{Title: "prefixes", Rows: prefix}}.Table()
 }
+
+// TestPushdownShape: at the smoke scale every arm runs cold, so each off arm
+// reads its segments from the store with no select, and each auto arm
+// answers with selects and moves at least 5× fewer bytes than its off arm.
+func TestPushdownShape(t *testing.T) {
+	rep, err := RunPushdown(ctxb(), Short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != 6 || len(rep.Factors) != 3 {
+		t.Fatalf("%d runs, %d factors; want 6 and 3:\n%s", len(rep.Runs), len(rep.Factors), rep.Table())
+	}
+	for _, r := range rep.Runs {
+		switch {
+		case r.Mode == "off" && (r.StoreBytes <= 0 || r.Selects != 0):
+			t.Errorf("%s off: %d bytes, %d selects; want bytes and no select", r.Query, r.StoreBytes, r.Selects)
+		case r.Mode == "auto" && r.Selects <= 0:
+			t.Errorf("%s auto: no select", r.Query)
+		}
+	}
+	for _, f := range rep.Factors {
+		if f.BytesOn <= 0 || f.BytesOff < 5*f.BytesOn {
+			t.Errorf("%s: %d bytes off, %d on: less than 5× fewer", f.Query, f.BytesOff, f.BytesOn)
+		}
+	}
+	if t.Failed() {
+		t.Log("\n" + rep.Table())
+	}
+}

@@ -18,9 +18,10 @@ import (
 // Q1- and Q6-shaped lineitem scans with pushdown off and on against the
 // same environment shape and reports per-query byte and cost deltas.
 //
-// The environment uses a deliberately tiny buffer cache: with the working
-// set resident, the "off" arm would read nothing from the store and the
-// comparison would be measuring the cache, not the network.
+// Every query runs on a freshly restarted node with a deliberately tiny
+// buffer cache: with the working set resident, the "off" arm would read
+// nothing from the store and the comparison would be measuring the cache,
+// not the network.
 
 // PushdownQueryRun is one (query, mode) cell of the pushdown experiment.
 type PushdownQueryRun struct {
@@ -164,6 +165,13 @@ func RunPushdown(ctx context.Context, base Options) (*PushdownReport, error) {
 		}
 		m := e.Store.Metrics()
 		for _, q := range pushdownQueries() {
+			// Each query runs on a restarted node, as Table 2's do: the
+			// pages an earlier query left in the pool would serve the off
+			// arm from memory and measure the cache, not the store.
+			if err := e.Restart(ctx); err != nil {
+				e.Close()
+				return nil, err
+			}
 			preBytes, preGets := m.BytesOut(), m.Gets()
 			preSel, preScan, preRet := m.Selects(), m.SelectScannedBytes(), m.SelectReturnedBytes()
 			start := iomodel.Now(ctx)

@@ -11,6 +11,7 @@ import (
 	"cloudiq/internal/column"
 	"cloudiq/internal/expr"
 	"cloudiq/internal/iomodel"
+	"cloudiq/internal/objstore"
 	"cloudiq/internal/pageio"
 	"cloudiq/internal/table"
 	"cloudiq/internal/trace"
@@ -51,21 +52,23 @@ type scanSource struct {
 	segs     []int // surviving segments after zone pruning
 	pos      int
 
-	ahead     []*segRead // parallel to segs: the read-ahead task of a segment, nil before it starts and once returned
-	started   int        // positions in segs below this one were considered for read-ahead
-	push      []bool     // per-segment pushdown decision, parallel to segs
-	emitted   bool       // whether any batch has been returned yet
-	deltaDone bool       // whether the delta merge batch was emitted
+	ahead     []*segRead          // parallel to segs: the read-ahead task of a segment, nil before it starts and once returned
+	started   int                 // positions in segs below this one were started
+	plan      objstore.SelectPlan // what a pushed segment asks the store for (planPushdown)
+	push      []bool              // per-segment pushdown decision, parallel to segs
+	emitted   bool                // whether any batch has been returned yet
+	deltaDone bool                // whether the delta merge batch was emitted
 }
 
-// segRead is the slot of one read-ahead task. The task writes b and err once,
+// segRead is the slot of one read-ahead task. The task writes its result once,
 // closes done and exits: it never waits for the consumer, so an abandoned
 // scan leaves behind only tasks that are finishing their one segment.
 type segRead struct {
-	done chan struct{}
-	ctx  context.Context // the task's fork of the consumer's clock (iomodel)
-	b    *table.Batch
-	err  error
+	done  chan struct{}
+	ctx   context.Context // the task's fork of the consumer's clock (iomodel)
+	b     *table.Batch
+	parts []expr.AggState
+	err   error
 }
 
 // Scan streams the named columns of t, pruning segments by zone maps and
@@ -74,6 +77,16 @@ type segRead struct {
 // decode on the other cores. Batches come out in segment order whatever the
 // window.
 func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
+	s, err := newScan(t, cols, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newScan resolves the columns, prunes the segments and plans the pushdown
+// of a scan; aggs are ScanAgg's, nil for a plain Scan.
+func newScan(t *table.Table, cols []string, opts ScanOptions, aggs []Agg) (*scanSource, error) {
 	s := &scanSource{tbl: t, colNames: cols, opts: opts}
 	s.schema.Cols = make([]table.ColumnDef, 0, len(cols)) // shared by every batch: no spare capacity
 	if s.opts.Prefetch == 0 {
@@ -97,11 +110,20 @@ func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
 			s.segs = append(s.segs, seg)
 		}
 	}
-	s.planPushdown()
+	s.planPushdown(aggs)
 	return s, nil
 }
 
 func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
+	b, _, err := s.next(ctx)
+	return b, err
+}
+
+// next is the scan's one segment driver. It returns the next segment's batch
+// or, for a segment the store aggregated under ScanAgg's plan, its partial
+// states; then the delta rows and the typed empty batch Next documents; then
+// nothing.
+func (s *scanSource) next(ctx context.Context) (*table.Batch, []expr.AggState, error) {
 	if s.pos >= len(s.segs) {
 		// After the encoded segments, merge in the table's delta rows (the
 		// trickle inserts visible to this snapshot but not yet compacted).
@@ -112,11 +134,11 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 			s.deltaDone = true
 			b, err := s.deltaBatch()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if b != nil {
 				s.emitted = true
-				return b, nil
+				return b, nil, nil
 			}
 		}
 		// A scan that pruned (or never had) every segment still yields one
@@ -126,70 +148,69 @@ func (s *scanSource) Next(ctx context.Context) (*table.Batch, error) {
 		// equivalent unpruned-but-fully-filtered one.
 		if !s.emitted {
 			s.emitted = true
-			return s.emptyBatch(), nil
+			return s.emptyBatch(), nil, nil
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
 	// A scan is a schedulable unit: between segments it offers its
 	// reader slot back to whatever scheduler runs it, so one long scan
 	// cannot starve a priority lane.
 	if err := YieldPoint(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Keep the read-ahead window full: every segment below pos+window that
-	// is not headed for pushdown gets a task of its own. A pushdown segment
-	// is read inline below, where a failed push falls back to the plain read.
+	// Keep the read-ahead window full: every segment below pos+window gets a
+	// task of its own, which pushes the segment when it is planned to and
+	// reads its pages only when it is not, or when the push fails.
 	for s.started = max(s.started, s.pos); s.started < min(s.pos+s.opts.Prefetch, len(s.segs)); s.started++ {
-		if s.push != nil && s.push[s.started] {
-			continue
-		}
 		if s.ahead == nil {
 			s.ahead = make([]*segRead, len(s.segs))
 		}
 		t := &segRead{done: make(chan struct{}), ctx: iomodel.Fork(ctx)}
 		s.ahead[s.started] = t
 		i := s.started
-		//lint:ignore detclosure each task writes only its own slot, which the consumer reads after done closes, and batches leave in segment order, so the interleaving reaches no result (only internal/bench/failover.go passes Prefetch -1)
+		//lint:ignore detclosure each task writes only its own slot, which the consumer reads after done closes, and results leave in segment order, so the interleaving reaches no result; callers that need one order of fault-stream draws pass Prefetch -1 (internal/bench/failover.go, simtest's pushdown oracle, exec's test oracles)
 		pageio.Go(func() {
-			t.b, t.err = s.segment(t.ctx, i)
+			t.b, t.parts, t.err = s.segment(t.ctx, i)
 			close(t.done)
 		})
 	}
 	var b *table.Batch
+	var parts []expr.AggState
 	var err error
 	if s.ahead != nil && s.ahead[s.pos] != nil {
 		t := s.ahead[s.pos]
 		<-t.done
 		iomodel.Join(ctx, t.ctx)
-		b, err = t.b, t.err
+		b, parts, err = t.b, t.parts, t.err
 	} else {
-		b, err = s.segment(ctx, s.pos)
+		b, parts, err = s.segment(ctx, s.pos)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s.ahead != nil {
-		s.ahead[s.pos] = nil // the batch is the consumer's now
+		s.ahead[s.pos] = nil // the result is the consumer's now
 	}
 	s.pos++
 	s.emitted = true
-	return b, nil
+	return b, parts, nil
 }
 
-// segment reads and decodes the segment at position i of segs under its one
-// scan.segment span, on whichever goroutine calls it: through the store's
-// compute endpoint when planned, else — or when that fails — the plain read.
-func (s *scanSource) segment(ctx context.Context, i int) (*table.Batch, error) {
+// segment reads the segment at position i of segs under its one scan.segment
+// span, on whichever goroutine calls it: through the store's compute endpoint
+// when planned, which answers a batch or, under ScanAgg's plan, partial
+// states; else — or when that fails — as a batch by the plain read.
+func (s *scanSource) segment(ctx context.Context, i int) (*table.Batch, []expr.AggState, error) {
 	seg := s.segs[i]
 	ctx, sp := trace.Start(ctx, "scan.segment",
 		trace.String("table", s.tbl.Name()), trace.Int("seg", int64(seg)))
 	defer sp.End()
 	if s.push != nil && s.push[i] {
-		b, err := s.pushSegment(ctx, seg)
+		res, b, err := s.pushSegment(ctx, seg)
 		if err == nil {
 			sp.AddInt("pushdown", 1)
-			sp.AddInt("rows", int64(b.Rows()))
-			return b, nil
+			sp.AddInt("rows", int64(res.Rows))
+			return b, res.Aggs, nil
 		}
 		// Every pushdown failure — store without the capability,
 		// unsupported plan, injected fault, dirty page — degrades to the
@@ -202,10 +223,10 @@ func (s *scanSource) segment(ctx context.Context, i int) (*table.Batch, error) {
 	b, err := s.readSegment(ctx, seg)
 	if err != nil {
 		sp.SetAttr("err", err.Error())
-		return nil, err
+		return nil, nil, err
 	}
 	sp.AddInt("rows", int64(b.Rows()))
-	return b, nil
+	return b, nil, nil
 }
 
 // markCols sets in[i] for every cols[i] the tree e references.

@@ -19,7 +19,6 @@ import (
 	"cloudiq/internal/expr"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/table"
-	"cloudiq/internal/trace"
 )
 
 // PushdownMode selects whether a scan may evaluate its filter (and partial
@@ -251,71 +250,40 @@ func accepted[T cmp.Ordered](op expr.Op, min, max, c T) (lo, hi T) {
 
 // --- scan integration ------------------------------------------------------
 
-// planPushdown decides, per surviving segment, whether the scan will use the
-// store's compute endpoint. It runs once at Scan time; a per-segment false
-// (or a nil push slice) means plain reads.
-func (s *scanSource) planPushdown() {
-	if s.opts.Pushdown == PushdownOff || len(s.segs) == 0 {
+// planPushdown is the one place that decides what the scan pushes to the
+// store's compute endpoint: the plan, and per surviving segment whether to
+// use it. A per-segment false (or a nil push slice) means plain reads. With
+// ScanAgg's aggs all Mergeable, the plan is the store's partial aggregation
+// and every segment takes it under any mode but Off: a partial state is ~64
+// bytes however many rows qualify, so no selectivity estimate is needed.
+// Otherwise the plan is the filtered rows of the scan's columns. A
+// delta-dirty table pushes nothing: the store only holds the columnar main,
+// so a pushed result would be stale the way a dirty cached page is; the scan
+// stays on plain local reads and merges the delta rows reader-side.
+func (s *scanSource) planPushdown(aggs []Agg) {
+	if s.opts.Pushdown == PushdownOff || len(s.segs) == 0 || s.tbl.Delta() != nil {
 		return
 	}
-	if s.tbl.Delta() != nil {
-		// Delta-dirty table: the store only holds the columnar main, so a
-		// pushed result would be stale the way a dirty cached page is —
-		// stay on plain local reads and merge the delta rows reader-side.
-		return
+	plan, pushAll := aggPlan(s.opts.Filter, aggs)
+	if !pushAll {
+		if s.opts.Filter == nil && s.opts.Pushdown != PushdownForce {
+			return // pushing an unfiltered scan returns every byte anyway
+		}
+		plan = objstore.SelectPlan{Filter: s.opts.Filter, Project: s.colNames}
+		pushAll = s.opts.Pushdown == PushdownForce
 	}
-	if s.opts.Filter == nil && s.opts.Pushdown != PushdownForce {
-		return // pushing an unfiltered scan returns every byte anyway
-	}
-	s.push = make([]bool, len(s.segs))
+	s.plan, s.push = plan, make([]bool, len(s.segs))
 	sch := s.tbl.Schema()
 	for i, seg := range s.segs {
-		if s.opts.Pushdown == PushdownForce {
-			s.push[i] = true
-			continue
-		}
-		sel := estimateSelectivity(s.opts.Filter, sch, s.tbl.Seg(seg).Zones)
-		s.push[i] = sel <= autoPushThreshold
+		s.push[i] = pushAll || estimateSelectivity(s.opts.Filter, sch, s.tbl.Seg(seg).Zones) <= autoPushThreshold
 	}
 }
-
-// pushSegment reads one segment through the store's compute endpoint: the
-// filter runs store-side and only qualifying rows cross the network, already
-// filtered. Any error sends the caller to readSegment, the plain path.
-func (s *scanSource) pushSegment(ctx context.Context, seg int) (*table.Batch, error) {
-	res, err := s.tbl.SelectSegment(ctx, seg, s.cols, objstore.SelectPlan{
-		Filter:  s.opts.Filter,
-		Project: s.colNames,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Cols) != len(s.cols) {
-		return nil, fmt.Errorf("exec: pushdown returned %d columns, want %d", len(res.Cols), len(s.cols))
-	}
-	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
-	for i := range s.cols {
-		v, err := column.DecodeSegment(res.Cols[i])
-		if err != nil {
-			return nil, fmt.Errorf("exec: decode pushdown column %q: %w", s.colNames[i], err)
-		}
-		b.Vecs[i] = v
-	}
-	return b, nil
-}
-
-// emptyBatch is the typed zero-row result of a scan whose every segment was
-// pruned: downstream operators still need the schema to type their output,
-// exactly as a filter that removed every row would leave behind.
-func (s *scanSource) emptyBatch() *table.Batch { return table.NewBatch(s.schema) }
-
-// --- aggregate pushdown ----------------------------------------------------
 
 // aggPlan builds the store plan for an ungrouped aggregation. The one
 // pushability rule is on the aggregate function: only Mergeable ones have the
 // fixed-size partial state a store returns (and the cost model charges for).
-func aggPlan(opts ScanOptions, aggs []Agg) (objstore.SelectPlan, bool) {
-	plan := objstore.SelectPlan{Filter: opts.Filter}
+func aggPlan(filter Expr, aggs []Agg) (objstore.SelectPlan, bool) {
+	plan := objstore.SelectPlan{Filter: filter}
 	for _, a := range aggs {
 		if !a.Func.Mergeable() {
 			return plan, false
@@ -325,68 +293,71 @@ func aggPlan(opts ScanOptions, aggs []Agg) (objstore.SelectPlan, bool) {
 	return plan, len(aggs) > 0
 }
 
-// ScanAgg computes ungrouped aggregates over a table scan, pushing the
-// filter and partial aggregation into the object store when opts.Pushdown
-// allows and every aggregate is pushable (Count, Sum, Min, Max over any
-// expression). Each partial state that comes back is ~64 bytes
-// regardless of how many rows qualified — the extreme case of the
-// scanned/returned asymmetry pushdown exists for — so any allowed aggregate
-// push is taken without a selectivity estimate. Segments whose pushdown
-// fails fall back to plain reads; anything unpushable falls back entirely to
-// HashAgg over Scan. The result is one row, matching
-// HashAgg(Scan(...), nil, aggs).
-func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOptions, aggs []Agg) (*table.Batch, error) {
-	plan, pushable := aggPlan(opts, aggs)
-	// A delta-dirty table refuses aggregate pushdown outright: the store
-	// cannot see the delta rows, so its partial states would be stale. The
-	// Scan fallback below merges them reader-side.
-	if opts.Pushdown == PushdownOff || !pushable || t.Delta() != nil {
-		src, err := Scan(t, cols, opts)
-		if err != nil {
-			return nil, err
-		}
-		return HashAgg(ctx, src, nil, aggs)
+// pushSegment runs the scan's plan on one segment through the store's compute
+// endpoint: the filter runs store-side and only the qualifying rows — or,
+// under an aggregate plan, one partial state per aggregate (res.Aggs, with a
+// nil batch) — cross the network. Any error sends the caller to readSegment,
+// the plain path.
+func (s *scanSource) pushSegment(ctx context.Context, seg int) (*objstore.SelectResult, *table.Batch, error) {
+	res, err := s.tbl.SelectSegment(ctx, seg, s.cols, s.plan)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case len(res.Aggs) != len(s.plan.Aggs):
+		return nil, nil, fmt.Errorf("exec: pushdown returned %d aggregates, want %d", len(res.Aggs), len(s.plan.Aggs))
+	case len(s.plan.Aggs) > 0:
+		return res, nil, nil
+	case len(res.Cols) != len(s.cols):
+		return nil, nil, fmt.Errorf("exec: pushdown returned %d columns, want %d", len(res.Cols), len(s.cols))
 	}
-	// Reuse Scan's column resolution and zone pruning, but drive the
-	// segments ourselves.
-	src, err := Scan(t, cols, opts)
+	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
+	for i := range s.cols {
+		v, err := column.DecodeSegment(res.Cols[i])
+		if err != nil {
+			return nil, nil, fmt.Errorf("exec: decode pushdown column %q: %w", s.colNames[i], err)
+		}
+		b.Vecs[i] = v
+	}
+	return res, b, nil
+}
+
+// emptyBatch is the typed zero-row result of a scan whose every segment was
+// pruned: downstream operators still need the schema to type their output,
+// exactly as a filter that removed every row would leave behind.
+func (s *scanSource) emptyBatch() *table.Batch { return table.NewBatch(s.schema) }
+
+// ScanAgg computes ungrouped aggregates over a table scan, one row. It folds
+// what the scan's one segment driver yields, in segment order whatever the
+// read-ahead window: a batch is folded as HashAgg folds it, and a segment the
+// store aggregated under the plan planPushdown made (every aggregate
+// Mergeable, any mode but Off, a table without delta rows) is merged as its
+// partial states. A segment whose push fails comes back as a batch, read
+// plain. With nothing pushed the result is HashAgg(Scan(...), nil, aggs),
+// float sums bit for bit; a pushed float sum adds per segment first.
+func ScanAgg(ctx context.Context, t *table.Table, cols []string, opts ScanOptions, aggs []Agg) (*table.Batch, error) {
+	s, err := newScan(t, cols, opts, aggs)
 	if err != nil {
 		return nil, err
 	}
-	sc := src.(*scanSource)
 	set := newAggSet(aggs)
-	for _, seg := range sc.segs {
-		if err := YieldPoint(ctx); err != nil {
-			return nil, err
-		}
-		rctx, rsp := trace.Start(ctx, "scan.agg",
-			trace.String("table", t.Name()), trace.Int("seg", int64(seg)))
-		res, perr := t.SelectSegment(rctx, seg, sc.cols, plan)
-		if perr == nil && len(res.Aggs) == len(aggs) {
-			rsp.AddInt("pushdown", 1)
-			rsp.AddInt("rows", int64(res.Rows))
-			rsp.End()
-			for i := range res.Aggs {
-				set.merge(i, &res.Aggs[i])
-			}
-			continue
-		}
-		if perr != nil {
-			rsp.SetAttr("fallback", perr.Error())
-		}
-		b, err := sc.readSegment(rctx, seg)
+	for {
+		b, parts, err := s.next(ctx)
 		if err != nil {
-			rsp.SetAttr("err", err.Error())
-			rsp.End()
 			return nil, err
 		}
-		rsp.End()
-		if err := set.fold(b, nil, 1); err != nil {
-			return nil, err
+		switch {
+		case parts != nil:
+			for i := range parts {
+				set.merge(i, &parts[i])
+			}
+		case b == nil:
+			out := &table.Batch{}
+			set.emit(out, 1)
+			return out, nil
+		case len(b.Vecs) > 0: // a schemaless empty batch adds nothing, as in HashAgg
+			if err := set.fold(b, nil, 1); err != nil {
+				return nil, err
+			}
 		}
 	}
-	// Emit exactly as HashAgg's global group would.
-	out := &table.Batch{}
-	set.emit(out, 1)
-	return out, nil
 }

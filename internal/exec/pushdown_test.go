@@ -30,7 +30,7 @@ var diffCols = []string{"a", "b", "f", "g", "s", "t"}
 // pushdownTable stores rows of the differential schema (a,b int; f,g float;
 // s,t string) in small segments on the given store. The tiny pool capacity
 // keeps the page cache cold so plain reads actually hit the store.
-func pushdownTable(t *testing.T, store *objstore.MemStore, rows, segRows int, seed uint64) (*table.Table, []diffRow) {
+func pushdownTable(t *testing.T, store objstore.Store, rows, segRows int, seed uint64) (*table.Table, []diffRow) {
 	t.Helper()
 	gen := keygen.NewGenerator(nil)
 	client := keygen.NewClient(func(ctx context.Context, n uint64) (rfrb.Range, error) {
@@ -244,10 +244,30 @@ func TestScanAllPrunedTypedEmpty(t *testing.T) {
 // TestScanAggDifferential checks pushed partial aggregation against HashAgg
 // over a plain scan. Counts, min/max and integer sums must match exactly;
 // float sums are compared with a relative epsilon (partitioned summation
-// regroups the additions).
+// regroups the additions). Every read-ahead window must then give the
+// synchronous result bit for bit, float sums included — on a store that
+// answers every select, on one without Select, and on one where injected
+// obj.select faults send a fixed half of the segments to the plain read.
 func TestScanAggDifferential(t *testing.T) {
 	store := objstore.NewMem(objstore.Config{})
 	tbl, _ := pushdownTable(t, store, 500, 64, 0x90BB)
+	fallback, _ := pushdownTable(t, selectless{objstore.NewMem(objstore.Config{})}, 500, 64, 0x90BB)
+	faults := faultinject.New(0x90BD)
+	faulted, _ := pushdownTable(t, objstore.NewMem(objstore.Config{Faults: faults}), 500, 64, 0x90BB)
+	// A probabilistic pass picks the segments whose selects fail; each is
+	// then failed by its key, so read-ahead's call order does not move them.
+	faults.Prob(faultinject.ObjSelect, 0.5)
+	if _, err := ScanAgg(ctxb(), faulted, diffCols, ScanOptions{Prefetch: -1, Pushdown: PushdownForce}, []Agg{{Func: Count, As: "n"}}); err != nil {
+		t.Fatal(err)
+	}
+	faults.Clear(faultinject.ObjSelect)
+	failed := faults.Events()
+	if len(failed) == 0 || len(failed) == faulted.Segments() {
+		t.Fatalf("%d of %d segments' selects failed; want some", len(failed), faulted.Segments())
+	}
+	for _, ev := range failed {
+		faults.Always(faultinject.ObjSelect.With(ev.Detail))
+	}
 	rng := mt.New(0x90BC)
 	g := &diffGen{rng: rng}
 	trials := diffTrials(t) / 5
@@ -270,40 +290,60 @@ func TestScanAggDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Pushdown = PushdownForce
-		got, err := ScanAgg(ctxb(), tbl, diffCols, opts, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Rows() != 1 || want.Rows() != 1 {
-			t.Fatalf("trial %d: rows = %d / %d", trial, got.Rows(), want.Rows())
-		}
-		for i, c := range want.Schema.Cols {
-			if got.Schema.Cols[i] != c {
-				t.Fatalf("trial %d: %s / %s: column %d typed %+v, want %+v",
-					trial, pred, e, i, got.Schema.Cols[i], c)
-			}
-			switch c.Typ {
-			case column.Int64:
-				if got.Vecs[i].I64[0] != want.Vecs[i].I64[0] {
-					t.Fatalf("trial %d: %s / %s: %s = %d, want %d",
-						trial, pred, e, c.Name, got.Vecs[i].I64[0], want.Vecs[i].I64[0])
+		for _, tc := range []struct {
+			name string
+			tbl  *table.Table
+		}{{"selects answered", tbl}, {"store without Select", fallback}, {"injected select faults", faulted}} {
+			var sync *table.Batch
+			for _, w := range readAheadWindows {
+				opts.Prefetch = w
+				got, err := ScanAgg(ctxb(), tc.tbl, diffCols, opts, aggs)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case column.Float64:
-				gv, wv := got.Vecs[i].F64[0], want.Vecs[i].F64[0]
-				if c.Name == "sum" {
-					if diff := math.Abs(gv - wv); diff > 1e-9*math.Max(1, math.Abs(wv)) {
-						t.Fatalf("trial %d: %s / %s: sum = %v, want %v",
-							trial, pred, e, gv, wv)
+				if w >= 0 {
+					if !sameBatch(got, sync) {
+						t.Fatalf("trial %d: %s / %s, %s: window %d gave %v, synchronous %v",
+							trial, pred, e, tc.name, w, got.Vecs, sync.Vecs)
 					}
-				} else if gv != wv && !(math.IsNaN(gv) && math.IsNaN(wv)) {
-					t.Fatalf("trial %d: %s / %s: %s = %v, want %v",
-						trial, pred, e, c.Name, gv, wv)
+					continue
+				}
+				sync = got
+				if got.Rows() != 1 || want.Rows() != 1 {
+					t.Fatalf("trial %d: rows = %d / %d", trial, got.Rows(), want.Rows())
+				}
+				for i, c := range want.Schema.Cols {
+					if got.Schema.Cols[i] != c {
+						t.Fatalf("trial %d: %s / %s, %s: column %d typed %+v, want %+v",
+							trial, pred, e, tc.name, i, got.Schema.Cols[i], c)
+					}
+					switch c.Typ {
+					case column.Int64:
+						if got.Vecs[i].I64[0] != want.Vecs[i].I64[0] {
+							t.Fatalf("trial %d: %s / %s, %s: %s = %d, want %d",
+								trial, pred, e, tc.name, c.Name, got.Vecs[i].I64[0], want.Vecs[i].I64[0])
+						}
+					case column.Float64:
+						gv, wv := got.Vecs[i].F64[0], want.Vecs[i].F64[0]
+						if c.Name == "sum" {
+							if diff := math.Abs(gv - wv); diff > 1e-9*math.Max(1, math.Abs(wv)) {
+								t.Fatalf("trial %d: %s / %s, %s: sum = %v, want %v",
+									trial, pred, e, tc.name, gv, wv)
+							}
+						} else if gv != wv && !(math.IsNaN(gv) && math.IsNaN(wv)) {
+							t.Fatalf("trial %d: %s / %s, %s: %s = %v, want %v",
+								trial, pred, e, tc.name, c.Name, gv, wv)
+						}
+					}
 				}
 			}
 		}
 	}
 	if store.Metrics().Selects() == 0 {
 		t.Fatal("no aggregate pushdown ever reached the store")
+	}
+	if faults.Injected() <= len(failed) {
+		t.Fatal("no injected select fault sent a trial's segment to the plain read")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"cloudiq/internal/buffer"
 	"cloudiq/internal/column"
 	"cloudiq/internal/core"
+	"cloudiq/internal/iomodel"
 	"cloudiq/internal/mt"
 	"cloudiq/internal/objstore"
 	"cloudiq/internal/table"
@@ -30,8 +31,8 @@ var readAheadWindows = []int{-1, 1, 0, 64}
 type selectless struct{ objstore.Store }
 
 // nextAll returns every batch a scan yields, in order, or the batches before
-// the error and the error. push, if not nil, overrides the pushdown plan. A
-// synchronous scan must start no task.
+// the error and the error. push, if not nil, overrides the pushdown decision
+// with a push of the scan's rows. A synchronous scan must start no task.
 func nextAll(t *testing.T, tbl *table.Table, cols []string, opts ScanOptions, push func(i int) bool) ([]*table.Batch, error) {
 	t.Helper()
 	src, err := Scan(tbl, cols, opts)
@@ -40,6 +41,7 @@ func nextAll(t *testing.T, tbl *table.Table, cols []string, opts ScanOptions, pu
 	}
 	s := src.(*scanSource)
 	if push != nil {
+		s.plan = objstore.SelectPlan{Filter: opts.Filter, Project: cols}
 		s.push = make([]bool, len(s.segs))
 		for i := range s.push {
 			s.push[i] = push(i)
@@ -247,6 +249,54 @@ func TestReadAheadReadsEachPageOnce(t *testing.T) {
 		}
 		if requests, misses, gets := scan(); requests != want || misses != 0 || gets != 0 {
 			t.Fatalf("window %d: warm scan made %d page requests, %d misses, %d GETs; want %d, 0, 0", win, requests, misses, gets, want)
+		}
+	}
+}
+
+// TestPushedSegmentsReadAhead: pushed-down segments ride the read-ahead
+// window as plain reads do. On a store whose selects each take 10 ms of
+// modelled time, a forced Scan and a forced ScanAgg over 20 segments take at
+// most ⌈segments ÷ window⌉ + 1 select latencies, not one latency a segment.
+func TestPushedSegmentsReadAhead(t *testing.T) {
+	const latency = 10 * time.Millisecond
+	store := objstore.NewMem(objstore.Config{ReadLatency: iomodel.Latency{Base: latency}})
+	tbl, _ := pushdownTable(t, store, 640, 32, 0xAEB3)
+	segs := tbl.Segments()
+	if segs < 16 {
+		t.Fatalf("%d segments, want at least 16", segs)
+	}
+	aggs := []Agg{{Func: Count, As: "n"}, {Func: Sum, Expr: Col("f"), As: "sum"}}
+	for _, window := range readAheadWindows[1:] {
+		opts := ScanOptions{Pushdown: PushdownForce, Prefetch: window}
+		width := window
+		if width == 0 {
+			width = 8
+		}
+		limit := time.Duration((segs+width-1)/width+1) * latency
+		for name, run := range map[string]func(ctx context.Context) error{
+			"Scan": func(ctx context.Context) error {
+				src, err := Scan(tbl, diffCols, opts)
+				if err == nil {
+					_, err = Collect(ctx, src)
+				}
+				return err
+			},
+			"ScanAgg": func(ctx context.Context) error {
+				_, err := ScanAgg(ctx, tbl, diffCols, opts, aggs)
+				return err
+			},
+		} {
+			selects := store.Metrics().Selects()
+			ctx := iomodel.Start(ctxb())
+			if err := run(ctx); err != nil {
+				t.Fatalf("%s, window %d: %v", name, window, err)
+			}
+			if n := store.Metrics().Selects() - selects; n != int64(segs) {
+				t.Fatalf("%s, window %d: %d selects over %d segments", name, window, n, segs)
+			}
+			if took := iomodel.Now(ctx); took > limit {
+				t.Errorf("%s, window %d: %v of modelled time over %d segments, limit %v", name, window, took, segs, limit)
+			}
 		}
 	}
 }

@@ -510,3 +510,36 @@ func TestScanFilteredAllocs(t *testing.T) {
 			scanBenchRows, got, limit)
 	}
 }
+
+// TestScanAggOffAllocs: ScanAgg with pushdown off — the benchmark's Q6 path —
+// folds the scan's batches as HashAgg over Scan does, and allocates no more
+// than it, with read-ahead and without.
+func TestScanAggOffAllocs(t *testing.T) {
+	tbl, filter, _ := q6Table(t)
+	aggs := []Agg{{Func: Sum, Expr: Mul(Col("l_extendedprice"), Col("l_discount")), As: "revenue"}}
+	for _, window := range []int{0, -1} {
+		opts := ScanOptions{Filter: filter, Prefetch: window}
+		var want, got *table.Batch
+		var err error
+		hashAgg := testing.AllocsPerRun(5, func() {
+			var src Source
+			if src, err = Scan(tbl, q6ScanCols, opts); err == nil {
+				want, err = HashAgg(ctxb(), src, nil, aggs)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanAgg := testing.AllocsPerRun(5, func() { got, err = ScanAgg(ctxb(), tbl, q6ScanCols, opts, aggs) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBatch(got, want) {
+			t.Fatalf("window %d: ScanAgg %v, HashAgg over Scan %v", window, got.Vecs[0].F64, want.Vecs[0].F64)
+		}
+		t.Logf("window %d: ScanAgg %.0f allocations, HashAgg over Scan %.0f", window, scanAgg, hashAgg)
+		if scanAgg > hashAgg {
+			t.Errorf("window %d: ScanAgg made %.0f allocations, HashAgg over Scan %.0f", window, scanAgg, hashAgg)
+		}
+	}
+}

@@ -40,10 +40,17 @@ func TestPushdownSweep(t *testing.T) {
 }
 
 // TestPushdownSweepDeterministic: the pushdown oracle draws from its own
-// seeded stream, so arming it must keep runs bit-reproducible.
+// seeded stream and obj.select faults from one stream per site, in call
+// order, so a run whose pushed scans met an injected select fault must still
+// replay bit for bit. Every such seed of the -short sweep is run twice.
 func TestPushdownSweepDeterministic(t *testing.T) {
-	for _, seed := range []uint64{3, 57, 181} {
+	replayed := 0
+	for seed := uint64(1); seed <= 25; seed++ {
 		a, errA := Run(bg(), Options{Seed: seed, Queries: true})
+		if a == nil || !strings.Contains(a.Trace, string(faultinject.ObjSelect)) {
+			continue
+		}
+		replayed++
 		b, errB := Run(bg(), Options{Seed: seed, Queries: true})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("seed %d: inconsistent outcome: %v vs %v", seed, errA, errB)
@@ -51,5 +58,9 @@ func TestPushdownSweepDeterministic(t *testing.T) {
 		if a.Fingerprint() != b.Fingerprint() {
 			t.Fatalf("seed %d: fingerprints diverged", seed)
 		}
+	}
+	t.Logf("%d seeds replayed", replayed)
+	if replayed == 0 {
+		t.Fatal("no seed of the sweep injected an obj.select fault")
 	}
 }

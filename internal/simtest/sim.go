@@ -867,7 +867,9 @@ func scanRows(ctx context.Context, tbl *cloudiq.Table, opts exec.ScanOptions) ([
 // the data — and the pushed result must match the plain read exactly. With
 // the select fault family armed, injected obj.select failures make some of
 // these scans fall back to plain reads mid-query; the result must still be
-// identical.
+// identical. The forced scans run without read-ahead: obj.select faults are
+// drawn from one stream per site in call order, and read-ahead tasks would
+// reorder the calls from run to run.
 func (r *runner) scanRowsChecked(ctx context.Context, tbl *cloudiq.Table) ([]int64, error) {
 	rows, err := scanRows(ctx, tbl, exec.ScanOptions{})
 	if err != nil || r.pushRng == nil {
@@ -876,7 +878,7 @@ func (r *runner) scanRowsChecked(ctx context.Context, tbl *cloudiq.Table) ([]int
 	switch r.pushRng.Uint64() % 3 {
 	case 0: // plain read only
 	case 1: // unfiltered pushdown vs the plain read
-		pushed, perr := scanRows(ctx, tbl, exec.ScanOptions{Pushdown: exec.PushdownForce})
+		pushed, perr := scanRows(ctx, tbl, exec.ScanOptions{Pushdown: exec.PushdownForce, Prefetch: -1})
 		if perr != nil {
 			return nil, fmt.Errorf("pushdown scan: %v", perr)
 		}
@@ -893,7 +895,7 @@ func (r *runner) scanRowsChecked(ctx context.Context, tbl *cloudiq.Table) ([]int
 		if perr != nil {
 			return nil, fmt.Errorf("filtered scan: %v", perr)
 		}
-		pushed, perr := scanRows(ctx, tbl, exec.ScanOptions{Filter: pred(), Pushdown: exec.PushdownForce})
+		pushed, perr := scanRows(ctx, tbl, exec.ScanOptions{Filter: pred(), Pushdown: exec.PushdownForce, Prefetch: -1})
 		if perr != nil {
 			return nil, fmt.Errorf("filtered pushdown scan: %v", perr)
 		}
