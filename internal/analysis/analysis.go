@@ -43,6 +43,7 @@ type Pass struct {
 	Graph    *Graph  // call graph over the base (non-test) units
 
 	analyzed map[string]bool // filename -> this run reports on it
+	sup      *suppressions
 	diags    *[]Diagnostic
 }
 
@@ -58,6 +59,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Rule:     p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// Suppressed reports whether a //lint:ignore directive for rule covers pos.
+func (p *Pass) Suppressed(pos token.Pos, rule string) bool {
+	return p.sup.suppressed(Diagnostic{Position: p.Fset.Position(pos), Rule: rule})
 }
 
 // InTestFile reports whether pos lies in a _test.go file.

@@ -300,6 +300,17 @@ func (w *graphWalker) add(e *Edge) {
 // breadth-first over position-sorted edges, so the parent forest — and any
 // diagnostic path built from it — is deterministic.
 func (g *Graph) Reachable(roots []*types.Func, follow func(*Edge) bool) map[*types.Func]*Edge {
+	return g.bfs(roots, follow, false)
+}
+
+// Callers is Reachable against the edges: it returns every function from
+// which some root is reachable, each with its first edge on a shortest path
+// toward a root (nil for the roots themselves).
+func (g *Graph) Callers(roots []*types.Func, follow func(*Edge) bool) map[*types.Func]*Edge {
+	return g.bfs(roots, follow, true)
+}
+
+func (g *Graph) bfs(roots []*types.Func, follow func(*Edge) bool, reverse bool) map[*types.Func]*Edge {
 	reached := make(map[*types.Func]*Edge)
 	var queue []*types.Func
 	for _, r := range roots {
@@ -309,21 +320,30 @@ func (g *Graph) Reachable(roots []*types.Func, follow func(*Edge) bool) map[*typ
 		}
 	}
 	for len(queue) > 0 {
-		fn := queue[0]
+		n := g.Nodes[queue[0]]
 		queue = queue[1:]
-		for _, e := range g.Nodes[fn].Out {
-			if follow != nil && !follow(e) {
+		edges := n.Out
+		if reverse {
+			edges = n.In
+		}
+		for _, e := range edges {
+			next := e.To
+			if reverse {
+				next = e.From
+			}
+			if (follow != nil && !follow(e)) || hasKey(reached, next) {
 				continue
 			}
-			if hasKey(reached, e.To) {
-				continue
-			}
-			reached[e.To] = e
-			queue = append(queue, e.To)
+			reached[next] = e
+			queue = append(queue, next)
 		}
 	}
 	return reached
 }
+
+// onGoroutine admits the edges that keep the caller's goroutine: calls and
+// dispatches, not spawns or references.
+func onGoroutine(e *Edge) bool { return e.Kind == EdgeCall || e.Kind == EdgeDispatch }
 
 func hasKey(m map[*types.Func]*Edge, k *types.Func) bool {
 	_, ok := m[k]

@@ -131,6 +131,39 @@ func TestCallGraphReachability(t *testing.T) {
 	}
 }
 
+// TestCallGraphCallers pins the reverse walk: each caller comes back with
+// its edge toward the target, and a follow that keeps to the caller's
+// goroutine does not cross a go edge.
+func TestCallGraphCallers(t *testing.T) {
+	g := loadBaseGraph(t, graphdemoPattern(t))
+	odd := findNode(t, g, "graphdemo.Odd").Func
+	even := findNode(t, g, "graphdemo.Even").Func
+	callers := g.Callers([]*types.Func{odd}, nil)
+	if e, ok := callers[odd]; !ok || e != nil {
+		t.Errorf("root Odd: got edge %v, present %v; want a nil edge", e, ok)
+	}
+	if e := callers[even]; e == nil || e.From != even || e.To != odd || e.Kind != EdgeCall {
+		t.Errorf("Even's edge toward Odd: got %+v", e)
+	}
+
+	ring := findNode(t, g, "graphdemo.(*Bell).Ring").Func
+	callers = g.Callers([]*types.Func{ring}, onGoroutine)
+	if e := callers[findNode(t, g, "graphdemo.Dispatch").Func]; e == nil || e.Kind != EdgeDispatch || e.To != ring {
+		t.Errorf("Dispatch's edge toward Ring: got %+v", e)
+	}
+	for _, spawner := range []string{"graphdemo.Spawn", "graphdemo.SpawnWorker", "graphdemo.MethodValue"} {
+		if e, ok := callers[findNode(t, g, spawner).Func]; ok {
+			t.Errorf("%s reached over a %s edge", spawner, e.Kind)
+		}
+	}
+	if len(callers) != 2 {
+		t.Errorf("callers of Ring: got %d functions, want Ring and Dispatch", len(callers))
+	}
+	if _, ok := g.Callers([]*types.Func{ring}, nil)[findNode(t, g, "graphdemo.Spawn").Func]; !ok {
+		t.Error("Spawn not reached over its go edge when every edge is followed")
+	}
+}
+
 // TestCallGraphPageioDispatch pins the acceptance property on the real
 // module: a pageio.Handler interface call inside one middleware resolves to
 // dispatch edges reaching the other concrete middlewares.

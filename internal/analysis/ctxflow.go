@@ -33,8 +33,7 @@ func CtxFlow() *Analyzer {
 
 func runCtxFlow(pass *Pass) {
 	cf := &ctxFlow{pass: pass, fabricates: make(map[*types.Func]ast.Expr)}
-	cf.collectFabrications()
-	cf.closeFabrications()
+	cf.reaches = pass.Graph.Callers(cf.collectFabrications(), onGoroutine)
 	for _, n := range pass.Graph.NodesSorted() {
 		cf.checkFunc(n)
 	}
@@ -42,11 +41,13 @@ func runCtxFlow(pass *Pass) {
 
 type ctxFlow struct {
 	pass *Pass
-	// fabricates maps a function to a context.Background/TODO call it can
-	// reach without crossing a goroutine boundary (itself included), nil
-	// expr meaning "reaches one transitively".
+	// fabricates maps a function to an unsuppressed context.Background/TODO
+	// call in its own body.
 	fabricates map[*types.Func]ast.Expr
-	reaches    map[*types.Func]*types.Func // first callee leading to a fabrication
+	// reaches holds every function that can reach a fabrication without
+	// crossing a goroutine boundary, with its first call toward one (nil
+	// for the fabricating functions themselves).
+	reaches map[*types.Func]*Edge
 }
 
 // isCtxFabrication matches context.Background() and context.TODO().
@@ -71,91 +72,27 @@ func (cf *ctxFlow) exempt(n *Node) bool {
 	return n.Decl.Recv == nil && n.Decl.Name.Name == "init"
 }
 
-// suppressedFabrication reports whether the fabrication at pos carries a
-// ctxflow ignore directive (on its line or the line above): an audited
-// fabrication is a sanctioned root and must not indict its callers.
-func (cf *ctxFlow) suppressedFabrication(n *Node, call *ast.CallExpr) bool {
-	pos := cf.pass.Fset.Position(call.Pos())
-	var file *ast.File
-	for _, f := range n.Unit.Files {
-		if cf.pass.Fset.Position(f.Package).Filename == pos.Filename {
-			file = f
-			break
-		}
-	}
-	if file == nil {
-		return false
-	}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			line := cf.pass.Fset.Position(c.Pos()).Line
-			if rule, _, _ := parseDirective(c.Text); rule == "ctxflow" && (line == pos.Line || line+1 == pos.Line) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (cf *ctxFlow) collectFabrications() {
+// collectFabrications records each function's first unsuppressed
+// fabrication and returns those functions in node order.
+func (cf *ctxFlow) collectFabrications() []*types.Func {
+	var roots []*types.Func
 	for _, n := range cf.pass.Graph.NodesSorted() {
 		if cf.pass.InTestFile(n.Decl.Pos()) {
 			continue
 		}
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			// An audited fabrication is a sanctioned root and must not
+			// indict its callers.
 			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if isCtxFabrication(n.Unit.Info, call) && !cf.suppressedFabrication(n, call) {
-				if cf.fabricates[n.Func] == nil {
-					cf.fabricates[n.Func] = call
-				}
+			if ok && cf.fabricates[n.Func] == nil && isCtxFabrication(n.Unit.Info, call) &&
+				!cf.pass.Suppressed(call.Pos(), "ctxflow") {
+				cf.fabricates[n.Func] = call
+				roots = append(roots, n.Func)
 			}
 			return true
 		})
 	}
-}
-
-// closeFabrications propagates the fabrication fact backwards over call and
-// dispatch edges (not goroutine spawns) to a fixpoint.
-func (cf *ctxFlow) closeFabrications() {
-	cf.reaches = make(map[*types.Func]*types.Func)
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range cf.pass.Graph.NodesSorted() {
-			if _, ok := cf.fabricates[n.Func]; ok {
-				continue
-			}
-			for _, e := range n.Out {
-				if e.Kind != EdgeCall && e.Kind != EdgeDispatch {
-					continue
-				}
-				if _, ok := cf.fabricates[e.To]; ok {
-					cf.fabricates[n.Func] = nil
-					cf.reaches[n.Func] = e.To
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// fabricationSite walks the reaches chain down to the function holding the
-// concrete Background/TODO call.
-func (cf *ctxFlow) fabricationSite(fn *types.Func) (*types.Func, ast.Expr) {
-	for {
-		if expr := cf.fabricates[fn]; expr != nil {
-			return fn, expr
-		}
-		next, ok := cf.reaches[fn]
-		if !ok {
-			return fn, nil
-		}
-		fn = next
-	}
+	return roots
 }
 
 func (cf *ctxFlow) checkFunc(n *Node) {
@@ -189,17 +126,16 @@ func (cf *ctxFlow) checkFunc(n *Node) {
 		if seen[e.To] || hasCtxParam(e.To) {
 			continue
 		}
-		if _, ok := cf.fabricates[e.To]; !ok {
+		if _, ok := cf.reaches[e.To]; !ok {
 			continue
 		}
 		seen[e.To] = true
-		site, expr := cf.fabricationSite(e.To)
-		where := FuncDisplay(site)
-		if expr != nil {
-			where += " at " + cf.pass.Fset.Position(expr.Pos()).String()
+		site := e.To
+		for next := cf.reaches[site]; next != nil; next = cf.reaches[site] {
+			site = next.To
 		}
 		cf.pass.Reportf(e.Pos,
-			"call to %s drops the received ctx: the callee fabricates a new root context (%s); add a ctx parameter through the chain",
-			FuncDisplay(e.To), where)
+			"call to %s drops the received ctx: the callee fabricates a new root context (%s at %s); add a ctx parameter through the chain",
+			FuncDisplay(e.To), FuncDisplay(site), cf.pass.Fset.Position(cf.fabricates[site].Pos()))
 	}
 }

@@ -50,7 +50,7 @@ func RunAll(units []*Unit, analyzers []*Analyzer) Result {
 
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		a.Run(&Pass{Analyzer: a, Fset: fset, Units: units, Graph: graph, analyzed: analyzed, diags: &diags})
+		a.Run(&Pass{Analyzer: a, Fset: fset, Units: units, Graph: graph, analyzed: analyzed, sup: sup, diags: &diags})
 	}
 
 	ignores := sup.audit(diags)

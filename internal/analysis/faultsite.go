@@ -60,18 +60,9 @@ func FaultSite() *Analyzer {
 }
 
 func runFaultSite(pass *Pass) {
-	// Map every function declared in an obliged unit to its body so the
-	// closure walk can follow same-package calls.
-	bodies := make(map[*types.Func]*ast.BlockStmt)
-	type target struct {
-		decl *ast.FuncDecl
-		unit *Unit
-		kind string
-	}
-	var targets []target
 	for u, f := range pass.files() {
 		rows := policyOf(u.Pkg.Path()).faults
-		if len(rows) == 0 {
+		if len(rows) == 0 || pass.InTestFile(f.Package) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -83,24 +74,12 @@ func runFaultSite(pass *Pass) {
 			if !ok {
 				continue
 			}
-			bodies[fn] = fd.Body
-			if pass.InTestFile(fd.Pos()) {
-				continue
+			i := slices.IndexFunc(rows, func(o *obligation) bool { return isExportedPrefixedMethod(fd, fn, o) })
+			if i >= 0 && !reachesFaultHook(pass.Graph, fn) {
+				pass.Reportf(fd.Name.Pos(),
+					"exported %s operation %s.%s has no faultinject site on any path: add a Plan.Check call or route the write through a covered boundary",
+					rows[i].kind, recvTypeName(fn), fn.Name())
 			}
-			for _, o := range rows {
-				if isExportedPrefixedMethod(fd, fn, o) {
-					targets = append(targets, target{fd, u, o.kind})
-					break
-				}
-			}
-		}
-	}
-	for _, t := range targets {
-		fn := t.unit.Info.Defs[t.decl.Name].(*types.Func)
-		if !reachesFaultHook(t.unit, fn, bodies, make(map[*types.Func]bool)) {
-			pass.Reportf(t.decl.Name.Pos(),
-				"exported %s operation %s.%s has no faultinject site on any path: add a Plan.Check call or route the write through a covered boundary",
-				t.kind, recvTypeName(fn), fn.Name())
 		}
 	}
 }
@@ -139,44 +118,30 @@ func recvTypeName(fn *types.Func) string {
 	return named.Obj().Name()
 }
 
-// reachesFaultHook walks fn's call closure within u's package, following
-// calls to same-package functions, and succeeds on a faultinject Plan hook
-// or a delegated mutating call into another covered boundary package.
-func reachesFaultHook(u *Unit, fn *types.Func, bodies map[*types.Func]*ast.BlockStmt, seen map[*types.Func]bool) bool {
-	if seen[fn] {
-		return false
-	}
-	seen[fn] = true
-	body, ok := bodies[fn]
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeFunc(u.Info, call)
-		if callee == nil || callee.Pkg() == nil {
-			return true
-		}
-		switch {
-		case isFaultHook(callee):
-			found = true
-		case isBoundaryDelegate(u, callee):
-			found = true
-		case callee.Pkg() == u.Pkg:
-			if reachesFaultHook(u, callee, bodies, seen) {
-				found = true
-			}
-		}
-		return !found
+// reachesFaultHook walks fn's closure within its package, following static
+// calls and goroutine spawns (not dispatch or references), and succeeds on a
+// faultinject Plan hook or a delegated mutating call into another covered
+// boundary package in any reached body.
+func reachesFaultHook(g *Graph, fn *types.Func) bool {
+	reached := g.Reachable([]*types.Func{fn}, func(e *Edge) bool {
+		return (e.Kind == EdgeCall || e.Kind == EdgeGo) && e.To.Pkg() == fn.Pkg()
 	})
-	return found
+	for f := range reached {
+		n := g.Nodes[f]
+		found := false
+		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok {
+				callee := calleeFunc(n.Unit.Info, call)
+				found = callee != nil && callee.Pkg() != nil &&
+					(isFaultHook(callee) || isBoundaryDelegate(n.Unit, callee))
+			}
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // isFaultHook matches (*faultinject.Plan).Check and LagAt.

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // LockCheck flags a mu.Lock() whose Unlock is neither deferred nor provably
@@ -31,10 +30,10 @@ func runLockCheck(pass *Pass) {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkFuncLocks(pass, u.Info, fn.Body)
+					walkLocks(pass, u.Info, fn.Body, nil)
 				}
 			case *ast.FuncLit:
-				checkFuncLocks(pass, u.Info, fn.Body)
+				walkLocks(pass, u.Info, fn.Body, nil)
 			}
 			return true
 		})
@@ -112,6 +111,8 @@ type lockSim struct {
 	info          *types.Info
 	key           string
 	kind          lockKind
+	mu            ast.Expr // the receiver of the first Lock, for held
+	held          func(mu ast.Expr, call *ast.CallExpr)
 	callerManaged bool
 	flagged       map[token.Pos]bool
 
@@ -123,36 +124,40 @@ type lockSim struct {
 	loopLabels map[string][2]int
 }
 
-// checkFuncLocks analyses one function body. Nested function literals are
-// separate scopes with their own balance (they are walked separately by the
-// analyzer's Inspect), so the simulation does not descend into them except
-// to recognise the `defer func() { mu.Unlock() }()` idiom.
-func checkFuncLocks(pass *Pass, info *types.Info, body *ast.BlockStmt) {
-	keys := make(map[string]lockKind)
-	order := []string{}
+// walkLocks simulates one function body once per mutex it locks. Nested
+// function literals are separate scopes with their own balance (lockcheck
+// walks them separately), so the simulation does not descend into them
+// except to recognise the `defer func() { mu.Unlock() }()` idiom.
+//
+// With held nil it reports every path out of the function that still holds
+// a lock. Otherwise it reports nothing and hands held each call the function
+// makes on its own goroutine at a point where the mutex may be held, with
+// the receiver of that mutex's first Lock; an Unlock of a mutex the function
+// never locked does not end that walk, so a *Locked helper that retakes the
+// lock keeps its calls.
+func walkLocks(pass *Pass, info *types.Info, body *ast.BlockStmt, held func(mu ast.Expr, call *ast.CallExpr)) {
+	mus := make(map[mutexOp]ast.Expr) // one simulation per (key, kind)
+	var order []mutexOp
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // literals are separate scopes with their own walk
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := classifyMutexCall(info, call); ok && op.isLock {
-				id := op.key + lockKindSuffix(op.kind)
-				if _, seen := keys[id]; !seen {
-					keys[id] = op.kind
-					order = append(order, id)
-				}
+			if op, ok := classifyMutexCall(info, call); ok && op.isLock && mus[op] == nil {
+				mus[op] = ast.Unparen(call.Fun).(*ast.SelectorExpr).X
+				order = append(order, op)
 			}
 		}
 		return true
 	})
-	for _, id := range order {
-		kind := keys[id]
-		key := strings.TrimSuffix(id, lockKindSuffix(kind))
+	for _, op := range order {
 		sim := &lockSim{
 			pass:       pass,
 			info:       info,
-			key:        key,
-			kind:       kind,
+			key:        op.key,
+			kind:       op.kind,
+			mu:         mus[op],
+			held:       held,
 			flagged:    make(map[token.Pos]bool),
 			loopLabels: make(map[string][2]int),
 		}
@@ -165,13 +170,6 @@ func checkFuncLocks(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	}
 }
 
-func lockKindSuffix(k lockKind) string {
-	if k == readLock {
-		return "\x00r"
-	}
-	return "\x00w"
-}
-
 func (s *lockSim) lockName() string {
 	if s.kind == readLock {
 		return s.key + ".RLock"
@@ -181,7 +179,7 @@ func (s *lockSim) lockName() string {
 
 // checkExit reports if a path leaves the function with the lock held.
 func (s *lockSim) checkExit(st lockState, fallback token.Pos) {
-	if s.callerManaged || st.depth-st.deferred <= 0 {
+	if s.held != nil || s.callerManaged || st.depth-st.deferred <= 0 {
 		return
 	}
 	pos := st.lockPos
@@ -214,6 +212,7 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 		return s.block(st.List, in)
 
 	case *ast.ExprStmt:
+		s.visit(st, in)
 		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
 			if _, ok := spawnedCall(s.info, call); ok {
 				return in // pageio.Go(f): as under go, f is a separate scope
@@ -239,6 +238,7 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 		return in
 
 	case *ast.ReturnStmt:
+		s.visit(st, in)
 		for state := range in {
 			s.checkExit(state, st.Pos())
 		}
@@ -248,6 +248,7 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 		if st.Init != nil {
 			in = s.stmt(st.Init, in)
 		}
+		s.visit(st.Cond, in)
 		thenOut := s.block(st.Body.List, in)
 		elseOut := in
 		if st.Else != nil {
@@ -255,39 +256,30 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 		}
 		return union(thenOut, elseOut)
 
-	case *ast.ForStmt:
-		if st.Init != nil {
-			in = s.stmt(st.Init, in)
-		}
-		return s.loop(st.Body, st.Post, st.Cond != nil, in, "")
-
-	case *ast.RangeStmt:
-		return s.loop(st.Body, nil, true, in, "")
+	case *ast.ForStmt, *ast.RangeStmt:
+		return s.loop(st, in, "")
 
 	case *ast.SwitchStmt:
 		if st.Init != nil {
 			in = s.stmt(st.Init, in)
 		}
+		s.visit(st.Tag, in)
 		return s.clauses(st.Body, in, hasDefaultClause(st.Body))
 
 	case *ast.TypeSwitchStmt:
 		if st.Init != nil {
 			in = s.stmt(st.Init, in)
 		}
+		s.visit(st.Assign, in)
 		return s.clauses(st.Body, in, hasDefaultClause(st.Body))
 
 	case *ast.SelectStmt:
 		return s.clauses(st.Body, in, true)
 
 	case *ast.LabeledStmt:
-		switch inner := st.Stmt.(type) {
-		case *ast.ForStmt:
-			if inner.Init != nil {
-				in = s.stmt(inner.Init, in)
-			}
-			return s.loop(inner.Body, inner.Post, inner.Cond != nil, in, st.Label.Name)
-		case *ast.RangeStmt:
-			return s.loop(inner.Body, nil, true, in, st.Label.Name)
+		switch st.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			return s.loop(st.Stmt, in, st.Label.Name)
 		}
 		return s.stmt(st.Stmt, in)
 
@@ -298,8 +290,36 @@ func (s *lockSim) stmt(stmt ast.Stmt, in stateSet) stateSet {
 		return in // the goroutine body is a separate scope
 
 	default:
+		s.visit(st, in) // assignments, declarations, sends, inc/dec
 		return in
 	}
+}
+
+// visit hands held every call in n that runs on this goroutine, if the
+// mutex may be held on some path in.
+func (s *lockSim) visit(n ast.Node, in stateSet) {
+	if s.held == nil || n == nil {
+		return
+	}
+	mayHold := false
+	for state := range in {
+		mayHold = mayHold || state.depth > 0
+	}
+	if !mayHold {
+		return
+	}
+	ast.Inspect(n, func(x ast.Node) bool {
+		if _, ok := spawnedCall(s.info, x); ok {
+			return false
+		}
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			s.held(s.mu, x)
+		}
+		return true
+	})
 }
 
 // matches reports whether op is the mutex/kind this simulation tracks.
@@ -316,9 +336,10 @@ func (s *lockSim) apply(op mutexOp, pos token.Pos, in stateSet) stateSet {
 			}
 			state.depth++
 		} else {
-			if state.depth == 0 && state.deferred == 0 {
+			if state.depth == 0 && state.deferred == 0 && s.held == nil {
 				// Unlock of a mutex this function never locked: the
-				// caller holds it (the *Locked helper convention).
+				// caller holds it (the *Locked helper convention). A
+				// walk for held calls goes on to a Lock that retakes it.
 				s.callerManaged = true
 				return in
 			}
@@ -356,10 +377,24 @@ func (s *lockSim) isDeferredUnlock(call *ast.CallExpr) bool {
 	return found
 }
 
-// loop runs body to a fixpoint: fall-through and continue states re-enter
-// the next iteration; break states (and, for conditional loops, the entry
-// states) form the exit set.
-func (s *lockSim) loop(body *ast.BlockStmt, post ast.Stmt, conditional bool, entry stateSet, label string) stateSet {
+// loop runs a for or range statement's body to a fixpoint: fall-through and
+// continue states re-enter the next iteration; break states (and, for
+// conditional loops, the entry states) form the exit set.
+func (s *lockSim) loop(stmt ast.Stmt, entry stateSet, label string) stateSet {
+	var body *ast.BlockStmt
+	var cond ast.Expr
+	var post ast.Stmt
+	conditional := true
+	switch l := stmt.(type) {
+	case *ast.ForStmt:
+		if l.Init != nil {
+			entry = s.stmt(l.Init, entry)
+		}
+		body, cond, post, conditional = l.Body, l.Cond, l.Post, l.Cond != nil
+	case *ast.RangeStmt:
+		s.visit(l.X, entry)
+		body = l.Body
+	}
 	s.breaks = append(s.breaks, make(stateSet))
 	s.continues = append(s.continues, make(stateSet))
 	bi, ci := len(s.breaks)-1, len(s.continues)-1
@@ -374,6 +409,7 @@ func (s *lockSim) loop(body *ast.BlockStmt, post ast.Stmt, conditional bool, ent
 
 	cur := entry
 	for range 8 { // depths are tiny; the fixpoint settles in 2-3 rounds
+		s.visit(cond, cur)
 		out := s.block(body.List, cur)
 		out = union(out, s.continues[ci])
 		if post != nil {
@@ -404,6 +440,9 @@ func (s *lockSim) clauses(body *ast.BlockStmt, in stateSet, exhaustive bool) sta
 	for _, clause := range body.List {
 		switch c := clause.(type) {
 		case *ast.CaseClause:
+			for _, e := range c.List {
+				s.visit(e, in)
+			}
 			exit = union(exit, s.block(c.Body, in))
 		case *ast.CommClause:
 			var states stateSet = in

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -15,10 +14,12 @@ import (
 // per function), closes those sets over the call graph, and adds an edge A→B
 // wherever some execution acquires mutex B while holding mutex A, either
 // directly in one function or by calling (to any interprocedural depth,
-// across packages) a function that may acquire B. A cycle in that graph is a
-// potential deadlock — two goroutines entering the cycle from different
-// points can block each other forever — and is reported once per cycle at
-// the edge that closes it.
+// across packages) a function that may acquire B. Where A is held comes from
+// lockcheck's path simulation (walkLocks), so a lock released on a path that
+// returns or continues stays held on the paths that go on. A cycle in that
+// graph is a potential deadlock — two goroutines entering the cycle from
+// different points can block each other forever — and is reported once per
+// cycle at the edge that closes it.
 //
 // Mutexes are identified by their declaration site (pkg.Type.field for
 // struct fields, pkg.var for package-level mutexes), so the same field
@@ -36,14 +37,32 @@ func LockOrder() *Analyzer {
 }
 
 func runLockOrder(pass *Pass) {
-	lo := &lockOrder{
-		pass:  pass,
-		acq:   make(map[*types.Func]map[string]bool),
-		edges: make(map[string]map[string]*lockEdge),
-	}
+	lo := &lockOrder{pass: pass, edges: make(map[string]map[string]*lockEdge)}
 	lo.collectAcquisitions()
 	for _, n := range pass.Graph.NodesSorted() {
-		lo.walkFunc(n)
+		info := n.Unit.Info
+		walkLocks(pass, info, n.Decl.Body, func(mu ast.Expr, call *ast.CallExpr) {
+			from := lockIdentity(info, mu)
+			if from == "" {
+				return
+			}
+			if op, ok := classifyMutexCall(info, call); ok {
+				if op.isLock {
+					sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+					lo.addEdge(from, lockIdentity(info, sel.X), call.Pos(), "")
+				}
+				return
+			}
+			// A call made while holding from orders everything its callees
+			// may acquire after it.
+			for _, e := range n.Out {
+				if e.Pos == call.Pos() && onGoroutine(e) {
+					for id := range lo.acq[e.To] {
+						lo.addEdge(from, id, call.Pos(), FuncDisplay(e.To))
+					}
+				}
+			}
+		})
 	}
 	lo.reportCycles()
 }
@@ -100,13 +119,13 @@ func lockIdentity(info *types.Info, expr ast.Expr) string {
 }
 
 // collectAcquisitions computes, for every function, the set of lock
-// identities it may acquire, then closes the sets over call and dispatch
-// edges with a worklist fixpoint (goroutine spawns excluded: locks taken on
-// another goroutine are not held by the caller).
+// identities it may acquire: one reverse walk per identity from the
+// functions whose bodies lock it, over call and dispatch edges (goroutine
+// spawns excluded: locks taken on another goroutine are not held by the
+// caller).
 func (lo *lockOrder) collectAcquisitions() {
-	nodes := lo.pass.Graph.NodesSorted()
-	for _, n := range nodes {
-		set := make(map[string]bool)
+	direct := make(map[string][]*types.Func)
+	for _, n := range lo.pass.Graph.NodesSorted() {
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
 			if !ok {
@@ -115,116 +134,27 @@ func (lo *lockOrder) collectAcquisitions() {
 			if op, ok := classifyMutexCall(n.Unit.Info, call); ok && op.isLock {
 				sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 				if id := lockIdentity(n.Unit.Info, sel.X); id != "" {
-					set[id] = true
+					direct[id] = append(direct[id], n.Func)
 				}
 			}
 			return true
 		})
-		lo.acq[n.Func] = set
 	}
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range nodes {
-			set := lo.acq[n.Func]
-			for _, e := range n.Out {
-				if e.Kind != EdgeCall && e.Kind != EdgeDispatch {
-					continue
-				}
-				for id := range lo.acq[e.To] {
-					if !set[id] {
-						set[id] = true
-						changed = true
-					}
-				}
+	lo.acq = make(map[*types.Func]map[string]bool)
+	for id, roots := range direct {
+		for fn := range lo.pass.Graph.Callers(roots, onGoroutine) {
+			if lo.acq[fn] == nil {
+				lo.acq[fn] = make(map[string]bool)
 			}
+			lo.acq[fn][id] = true
 		}
 	}
 }
 
-// walkFunc simulates one function body in source order, tracking the held
-// set and emitting ordering edges at every acquisition and at every call
-// into a function that may acquire.
-func (lo *lockOrder) walkFunc(n *Node) {
-	held := []string{} // acquisition-ordered
-	lo.walkStmts(n, n.Decl.Body, &held)
-}
-
-func (lo *lockOrder) walkStmts(n *Node, body ast.Node, held *[]string) {
-	ast.Inspect(body, func(x ast.Node) bool {
-		if _, ok := spawnedCall(n.Unit.Info, x); ok {
-			return false // new goroutine: caller's held set does not transfer
-		}
-		switch st := x.(type) {
-		case *ast.FuncLit:
-			return false // separate lock context (callbacks, deferred closures)
-		case *ast.DeferStmt:
-			return false // runs at return; does not release mid-body
-		case *ast.CallExpr:
-			lo.callSite(n, st, held)
-			return true
-		}
-		return true
-	})
-}
-
-func (lo *lockOrder) callSite(n *Node, call *ast.CallExpr, held *[]string) {
-	info := n.Unit.Info
-	if op, ok := classifyMutexCall(info, call); ok {
-		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		id := lockIdentity(info, sel.X)
-		if id == "" {
-			return
-		}
-		if op.isLock {
-			for _, h := range *held {
-				lo.addEdge(h, id, call.Pos(), "")
-			}
-			if !slices.Contains(*held, id) {
-				*held = append(*held, id)
-			}
-		} else {
-			*held = slices.DeleteFunc(*held, func(h string) bool { return h == id })
-		}
-		return
-	}
-	if len(*held) == 0 {
-		return
-	}
-	// A call made while holding locks orders everything the callee may
-	// acquire after everything currently held.
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return
-	}
-	targets := []*types.Func{fn}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil &&
-		types.IsInterface(sig.Recv().Type()) {
-		targets = lo.dispatchTargets(n, call.Pos())
-	}
-	for _, t := range targets {
-		for id := range lo.acq[t] {
-			for _, h := range *held {
-				lo.addEdge(h, id, call.Pos(), FuncDisplay(t))
-			}
-		}
-	}
-}
-
-// dispatchTargets returns the concrete callees the graph recorded for the
-// dispatch edges at pos.
-func (lo *lockOrder) dispatchTargets(n *Node, pos token.Pos) []*types.Func {
-	var out []*types.Func
-	for _, e := range n.Out {
-		if e.Pos == pos && (e.Kind == EdgeDispatch || e.Kind == EdgeCall) {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
+// addEdge records from→to at pos, keeping an edge's earliest witness so the
+// report does not depend on walk order.
 func (lo *lockOrder) addEdge(from, to string, pos token.Pos, via string) {
-	if from == to {
+	if to == "" || from == to {
 		return
 	}
 	m := lo.edges[from]
@@ -232,7 +162,7 @@ func (lo *lockOrder) addEdge(from, to string, pos token.Pos, via string) {
 		m = make(map[string]*lockEdge)
 		lo.edges[from] = m
 	}
-	if m[to] == nil {
+	if e := m[to]; e == nil || pos < e.pos {
 		m[to] = &lockEdge{from: from, to: to, pos: pos, via: via}
 	}
 }

@@ -28,6 +28,18 @@ func outer(ctx context.Context) {
 	helper() // want "ctxflow: call to ctxdemo.helper drops the received ctx"
 }
 
+// deeper takes no context and reaches fabricate two calls down.
+func deeper() {
+	helper()
+}
+
+// outer2's severed chain is outer2 → deeper → helper → fabricate: the message
+// names the function that fabricates, not the next hop.
+func outer2(ctx context.Context) {
+	work(ctx)
+	deeper() // want "ctxflow: call to ctxdemo.deeper drops the received ctx: the callee fabricates a new root context (ctxdemo.fabricate at"
+}
+
 // threaded passes its ctx on: clean.
 func threaded(ctx context.Context) {
 	work(ctx)

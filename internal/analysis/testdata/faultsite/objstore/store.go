@@ -83,3 +83,42 @@ type Metrics struct {
 }
 
 func (m *Metrics) Puts() int { return m.puts }
+
+// Spooler checks the plan only on a goroutine that Put starts: the closure
+// walk follows the go statement into flush, so Put is compliant.
+type Spooler struct {
+	faults *faultinject.Plan
+}
+
+func (s *Spooler) Put(ctx context.Context, key string, val []byte) error {
+	done := make(chan error, 1)
+	go s.flush(key, done)
+	return <-done
+}
+
+func (s *Spooler) flush(key string, done chan<- error) {
+	done <- s.faults.Check(faultinject.ObjPut, key)
+}
+
+// remover is a same-package interface. The closure walk does not resolve
+// dispatch, so the hook behind hookedRemover does not cover Indirect.Delete.
+type remover interface {
+	remove(key string) error
+}
+
+type hookedRemover struct {
+	faults *faultinject.Plan
+}
+
+func (h *hookedRemover) remove(key string) error {
+	return h.faults.Check(faultinject.ObjDelete, key)
+}
+
+// Indirect reaches a hook only through the remover interface: a finding.
+type Indirect struct {
+	r remover
+}
+
+func (s *Indirect) Delete(ctx context.Context, key string) error { // want "faultsite: exported mutating operation Indirect.Delete has no faultinject site"
+	return s.r.remove(key)
+}

@@ -163,18 +163,8 @@ func (r *runner) clusterQuiesce(ctx context.Context) error {
 	if err := r.drainQueries(ctx); err != nil {
 		return err
 	}
-	// 1. Close pins and roll back open transactions on live nodes.
-	for _, node := range r.sc.NodeNames() {
-		if p := r.pins[node]; p != nil {
-			_ = p.tx.Rollback(ctx)
-			delete(r.pins, node)
-		}
-		if tx := r.txs[node]; tx != nil {
-			_ = tx.Rollback(ctx)
-			delete(r.txs, node)
-			r.model.node(node).abort()
-		}
-	}
+	// 1. Close pins and roll back open transactions.
+	r.closeClients(ctx)
 	// 2. The quiescent period: no more probe partitions, reconcile-loop
 	// crashes or mid-promotion kills. Storage and RPC faults stay armed —
 	// convergence must hold through transient store failures. Clearing and
@@ -199,28 +189,19 @@ func (r *runner) clusterQuiesce(ctx context.Context) error {
 	// 4. Re-arm the ambient families (cluster faults included) for the steps
 	// after the quiescent point.
 	if r.sc.FaultCluster {
-		r.plan.Prob(faultinject.RPCProbe, 0.15)
-		r.plan.Prob(faultinject.ClusterReconcile, 0.05)
-		r.plan.Prob(faultinject.ClusterPromote, 0.15)
+		armClusterFaults(r.plan)
 	}
 	// 5. Garbage collect everywhere and run the data oracles over the
 	// converged fleet.
-	for _, node := range r.sc.NodeNames() {
-		db := r.cl.Node(node)
-		if db == nil {
-			continue // unreachable post-convergence; the oracle above failed first
-		}
-		if err := db.CollectGarbage(ctx); err != nil {
-			return fmt.Errorf("collect garbage on %s: %w", node, err)
-		}
-	}
-	if err := r.lightOracles(ctx); err != nil {
-		return err
-	}
-	if err := r.snapshotListOracle(); err != nil {
-		return err
-	}
-	return r.reachabilityOracle(ctx)
+	return r.collectAndCheck(ctx)
+}
+
+// armClusterFaults arms the faults that keep a cluster-mode fleet sick:
+// probe partitions, reconcile-loop crashes and mid-promotion kills.
+func armClusterFaults(p *faultinject.Plan) {
+	p.Prob(faultinject.RPCProbe, 0.15)
+	p.Prob(faultinject.ClusterReconcile, 0.05)
+	p.Prob(faultinject.ClusterPromote, 0.15)
 }
 
 // convergedFleetOracle asserts the shape Converge's fixed point promises:

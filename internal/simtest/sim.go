@@ -231,9 +231,7 @@ func runWithStats(ctx context.Context, opts Options, ioStats *pageio.StatsRegist
 			p.Lag(faultinject.SchedStall, 0, 3)
 		}
 		if sc.FaultCluster {
-			p.Prob(faultinject.RPCProbe, 0.15)
-			p.Prob(faultinject.ClusterReconcile, 0.05)
-			p.Prob(faultinject.ClusterPromote, 0.15)
+			armClusterFaults(p)
 		}
 		if sc.FaultSelect {
 			p.Prob(faultinject.ObjSelect, 0.1)
@@ -931,18 +929,8 @@ func (r *runner) quiesce(ctx context.Context) error {
 	if err := r.drainQueries(ctx); err != nil {
 		return err
 	}
-	// 1. Close pins and roll back open transactions in node order.
-	for _, node := range nodes {
-		if p := r.pins[node]; p != nil {
-			_ = p.tx.Rollback(ctx)
-			delete(r.pins, node)
-		}
-		if tx := r.txs[node]; tx != nil {
-			_ = tx.Rollback(ctx)
-			delete(r.txs, node)
-			r.model.node(node).abort()
-		}
-	}
+	// 1. Close pins and roll back open transactions.
+	r.closeClients(ctx)
 	// 2. Crash everything; 3. recover in Table 1's order: coordinator
 	// first (its WAL holds allocations and received notifications), then
 	// writers (replay re-notifies their commits), then the restart
@@ -970,13 +958,38 @@ func (r *runner) quiesce(ctx context.Context) error {
 	if err := r.deltaQuiesceOracle(ctx); err != nil {
 		return err
 	}
-	// 4. Garbage collect everywhere.
-	for _, node := range nodes {
-		if err := r.cl.Node(node).CollectGarbage(ctx); err != nil {
+	// 4. Garbage collect everywhere; 5. oracles.
+	return r.collectAndCheck(ctx)
+}
+
+// closeClients closes every node's pin and rolls back its open
+// transaction, in node order.
+func (r *runner) closeClients(ctx context.Context) {
+	for _, node := range r.sc.NodeNames() {
+		if p := r.pins[node]; p != nil {
+			_ = p.tx.Rollback(ctx)
+			delete(r.pins, node)
+		}
+		if tx := r.txs[node]; tx != nil {
+			_ = tx.Rollback(ctx)
+			delete(r.txs, node)
+			r.model.node(node).abort()
+		}
+	}
+}
+
+// collectAndCheck ends a quiescent point: garbage collection on every open
+// node, then the data oracles.
+func (r *runner) collectAndCheck(ctx context.Context) error {
+	for _, node := range r.sc.NodeNames() {
+		db := r.cl.Node(node)
+		if db == nil {
+			continue // cluster mode: unreachable post-convergence; its oracle failed first
+		}
+		if err := db.CollectGarbage(ctx); err != nil {
 			return fmt.Errorf("collect garbage on %s: %w", node, err)
 		}
 	}
-	// 5. Oracles.
 	if err := r.lightOracles(ctx); err != nil {
 		return err
 	}
