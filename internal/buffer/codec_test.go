@@ -46,11 +46,14 @@ type corpusPage struct {
 	// sha256 of FlateCodec{}.Compress(data). Stored bytes are the object
 	// sizes every PUT, GET and stored dollar is priced by
 	// (stored_bytes_per_input_byte), so they move only by a decision to move
-	// them, re-pinned here in the same change. Last moved when the match
-	// finder took a five-byte key and stopped indexing the inside of matches
-	// longer than 16 bytes: comment_column went 4,155 → 4,063 bytes, and
-	// zeros_64k 78 → 301 (its 258-byte matches now reach back 258 bytes, not
-	// one, and a far distance costs extra bits). Before that, when
+	// them, re-pinned here in the same change. Last moved when a match
+	// longer than 16 bytes got its last position indexed again: zeros_64k
+	// went 301 → 78 bytes (a run's matches reach back one byte again) and
+	// comment_column 4,063 → 4,065. Before that, when the match finder took
+	// a five-byte key and stopped indexing the inside of matches longer than
+	// 16 bytes, comment_column went 4,155 → 4,063 bytes, and zeros_64k 78 →
+	// 301 (its 258-byte matches reached back 258 bytes, not one, and a far
+	// distance costs extra bits). Before that, when
 	// internal/deflate's own encoder replaced compress/flate's writer,
 	// comment_column, zeros_64k and random_64k changed (each is now one
 	// final block of whichever type is smallest); empty, one_byte and
@@ -86,8 +89,8 @@ func goldenCorpus() []corpusPage {
 		{"empty", []byte{}, "f067985d352d2da6dfaef4844a66d06c5371ecbd9530a4d195ac599fef8b3427"},
 		{"one_byte", []byte{0x2a}, "e2c53d8ee8c816adb62f72ebb6796606d62a94e03c55ea0acd4b7a3b44a15efd"},
 		{"int_column", column.EncodeSegment(ints), "f37288a3ccbaff71c8d4bed582c51038560f75fcea7ae190af93e1e25a1eea1d"},
-		{"comment_column", column.EncodeSegment(comments), "f442eaa90e73bcba04ef53668623d70d30d4306b1993824b1d0cd7b02d1fa60f"},
-		{"zeros_64k", make([]byte, 64<<10), "31b2fe46a09b1b8013f8f87f85385e20fcf2adbb94ebe800cc897760436c03bc"},
+		{"comment_column", column.EncodeSegment(comments), "d1d5350a429aa9b26541ba6c5661701d82e4906ffc63e576694c19c364ac64cc"},
+		{"zeros_64k", make([]byte, 64<<10), "9831d56352b2b4e0a2b507aaec8853cbdaa082c60388f281ac2f16aa0411ea56"},
 		{"random_64k", randomBytes(11, 64<<10), "a2327c0435a1afed78f6f5da30b7e082924b85e1100ee5d46e1f3549195b3d27"},
 	}
 }

@@ -199,7 +199,8 @@ func FuzzDecodeSegment(f *testing.F) {
 // FuzzDecodeSegmentRows: on any bytes and any ascending row list, decoding at
 // rows agrees with decoding everything and gathering — equal values, or both
 // fail. The one licensed difference is DecodeSegmentRows' own: a dictionary
-// page whose bad code sits at a row not asked for.
+// page whose bad code sits at a row not asked for. Dict.Open, which checks
+// every code, agrees with DecodeSegment outright.
 func FuzzDecodeSegmentRows(f *testing.F) {
 	for i, data := range segmentPages(f) {
 		f.Add(data, uint64(0x9E3779B97F4A7C15)>>i, uint8(i))
@@ -227,6 +228,19 @@ func FuzzDecodeSegmentRows(f *testing.F) {
 			if want := full.Gather(rows); !sameVector(got, want) || got.Typ != want.Typ {
 				t.Fatalf("rows %v: decoded %+v, want %+v", rows, got, want)
 			}
+		}
+		// A dictionary page opened as words and codes: it opens exactly when
+		// DecodeSegment reads it, and its values at every row and at rows are
+		// DecodeSegment's; a page of any other encoding does not open.
+		var d Dict
+		opened, openErr := d.Open(data)
+		switch {
+		case openErr != nil && fullErr == nil:
+			t.Fatalf("Dict.Open refuses a page DecodeSegment reads: %v", openErr)
+		case opened != (fullErr == nil && Encoding(data[1]) == EncDictString):
+			t.Fatalf("Dict.Open = %v of a page DecodeSegment reads as %+v, %v", opened, full, fullErr)
+		case opened && (!sameVector(d.Values(nil), full) || !sameVector(d.Values(rows), full.Gather(rows))):
+			t.Fatalf("rows %v: the dictionary's values differ from DecodeSegment's", rows)
 		}
 	})
 }

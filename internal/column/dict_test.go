@@ -101,7 +101,7 @@ func TestEncodeStringsMatchesMap(t *testing.T) {
 	cases = append(cases, same, empty, runs, lastByte, runs[:1], empty[:2])
 	for i, vals := range cases {
 		wantEnc, want := encodeStringsMap(vals)
-		gotEnc, got := encodeStrings(vals)
+		gotEnc, got, _, _ := encodeStrings(vals)
 		if gotEnc != wantEnc || !bytes.Equal(got, want) {
 			t.Fatalf("case %d (%d values): %v of %d bytes, want %v of %d bytes", i, len(vals), gotEnc, len(got), wantEnc, len(want))
 		}
@@ -114,4 +114,43 @@ func distinct(vals []string) map[string]bool {
 		m[s] = true
 	}
 	return m
+}
+
+// TestEncodeSegmentZone: the zone map EncodeSegmentZone takes from a
+// dictionary's sorted words is BuildZoneMap's, on both sides of the
+// dictionary/plain cut (cardinality half the values), with bounds past the
+// truncation length and the empty word among them; the page is
+// EncodeSegment's, and other types keep BuildZoneMap.
+func TestEncodeSegmentZone(t *testing.T) {
+	r := mt.New(0x20E)
+	var vecs []*Vector
+	for _, n := range []int{1, 2, 3, 64, 511} {
+		for card := max(1, n/2-2); card <= min(n, n/2+2); card++ {
+			vecs = append(vecs, &Vector{Typ: String, Str: cardVector(r, n, card)})
+		}
+	}
+	vecs = append(vecs, &Vector{Typ: String}, &Vector{Typ: Int64, I64: []int64{3, -1, 3}},
+		&Vector{Typ: Float64, F64: []float64{2.5, -0.5}}, &Vector{Typ: String, Str: []string{"x", "x", "x"}})
+	dicts, plains, truncated := 0, 0, 0
+	for i, v := range vecs {
+		page, zone := EncodeSegmentZone(v)
+		if !bytes.Equal(page, EncodeSegment(v)) {
+			t.Fatalf("vector %d: the page differs from EncodeSegment's", i)
+		}
+		if want := BuildZoneMap(v); zone != want {
+			t.Fatalf("vector %d (%v, %d values): zone %+v, BuildZoneMap %+v", i, Encoding(page[1]), v.Len(), zone, want)
+		}
+		switch {
+		case Encoding(page[1]) == EncDictString:
+			dicts++
+			if len(zone.MaxStr) > zoneStrLen {
+				truncated++
+			}
+		case v.Typ == String && v.Len() > 0:
+			plains++
+		}
+	}
+	if dicts < 5 || plains < 5 || truncated == 0 {
+		t.Fatalf("%d dictionary pages (%d with a truncated bound) and %d plain ones: the cases miss the cut", dicts, truncated, plains)
+	}
 }

@@ -57,9 +57,26 @@ func (e Encoding) String() string {
 // EncodeSegment serializes v, choosing an encoding from its statistics.
 // The layout is [type u8][encoding u8][count u32][payload].
 func EncodeSegment(v *Vector) []byte {
+	out, _, _ := encodeSegment(v)
+	return out
+}
+
+// EncodeSegmentZone is EncodeSegment and BuildZoneMap of v in one: a
+// dictionary page's string bounds are the first and last of the words the
+// encoder has already sorted, not a compare per value.
+func EncodeSegmentZone(v *Vector) ([]byte, ZoneMap) {
+	out, lo, hi := encodeSegment(v)
+	if v.Typ != String || Encoding(out[1]) != EncDictString {
+		return out, BuildZoneMap(v)
+	}
+	return out, ZoneMap{Typ: String, MinStr: truncMin(lo), MaxStr: truncMax(hi)}
+}
+
+// encodeSegment is EncodeSegment, also returning a dictionary page's least
+// and greatest words.
+func encodeSegment(v *Vector) (out []byte, lo, hi string) {
 	n := v.Len()
 	var enc Encoding
-	var out []byte
 	switch v.Typ {
 	case Int64:
 		enc, out = encodeInts(v.I64)
@@ -69,12 +86,12 @@ func EncodeSegment(v *Vector) []byte {
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
 		}
 	default:
-		enc, out = encodeStrings(v.Str)
+		enc, out, lo, hi = encodeStrings(v.Str)
 	}
 	out[0] = byte(v.Typ)
 	out[1] = byte(enc)
 	binary.LittleEndian.PutUint32(out[2:], uint32(n))
-	return out
+	return out, lo, hi
 }
 
 // segmentHeader is the length of a page's [type][encoding][count] header.
@@ -472,6 +489,35 @@ func decodePlainStrings(payload []byte, n int, rows []int32, all bool) ([]string
 	return vals, off, nil
 }
 
+// decodeWords reads a dictionary's n length-prefixed words, checked as
+// decodePlainStrings checks them, as substrings of one copy of the words:
+// two allocations a page whatever the word count. A value that outlives the
+// page keeps all of its words alive, a few bytes each. It also returns the
+// offset just past them.
+func decodeWords(payload []byte, n int) ([]string, int, error) {
+	off := 0
+	for i := 0; i < n; i++ {
+		if off+4 > len(payload) {
+			return nil, 0, fmt.Errorf("column: plain-string truncated at value %d", i)
+		}
+		l := int(binary.LittleEndian.Uint32(payload[off:]))
+		off += 4
+		if l > len(payload)-off {
+			return nil, 0, fmt.Errorf("column: plain-string value %d overflows payload", i)
+		}
+		off += l
+	}
+	block := string(payload[:off])
+	words := make([]string, n)
+	at := 0
+	for i := range words {
+		l := int(binary.LittleEndian.Uint32(payload[at:]))
+		words[i] = block[at+4 : at+4+l]
+		at += 4 + l
+	}
+	return words, off, nil
+}
+
 // encodeStrings dictionary-encodes when the dictionary pays for itself: the
 // distinct words sorted, then each value's word's rank in n-bit codes.
 //
@@ -479,11 +525,12 @@ func decodePlainStrings(payload []byte, n int, rows []int32, all bool) ([]string
 // open-addressing table of first rows (the fixed hash HashTable uses, so the
 // table's layout is a function of the page alone), or none when it repeats
 // the value before it. The words' first rows are sorted once, by word, and
-// the ids become ranks.
-func encodeStrings(vals []string) (Encoding, []byte) {
+// the ids become ranks. A dictionary page also returns its least and
+// greatest words.
+func encodeStrings(vals []string) (enc Encoding, page []byte, lo, hi string) {
 	n := len(vals)
 	if n == 0 {
-		return EncPlainString, newPage(0)
+		return EncPlainString, newPage(0), "", ""
 	}
 	// A dictionary helps when cardinality is well below the value count.
 	// The distinct count only grows, so once it reaches half the values the
@@ -503,7 +550,7 @@ func encodeStrings(vals []string) (Encoding, []byte) {
 			slot := slots[j]
 			if slot == 0 {
 				if words++; words*2 >= n {
-					return EncPlainString, encodePlainStrings(vals)
+					return EncPlainString, encodePlainStrings(vals), "", ""
 				}
 				slots[j] = uint64(tag)<<32 | uint64(i+1)
 				codes[i] = int64(words - 1)
@@ -537,33 +584,114 @@ func encodeStrings(vals []string) (Encoding, []byte) {
 	for _, row := range order {
 		out = appendString(out, vals[row])
 	}
-	return EncDictString, packInts(out, codes, 0, width)
+	return EncDictString, packInts(out, codes, 0, width), vals[order[0]], vals[order[words-1]]
 }
 
-// decodeDictStrings reads [words u32][words, length-prefixed][n-bit codes].
-func decodeDictStrings(payload []byte, n int, rows []int32, all bool) ([]string, error) {
+// parseDict reads [words u32][words, length-prefixed][n-bit codes] into the
+// words and the code block, unchecked against the word count.
+func parseDict(payload []byte, n int) ([]string, nbit, error) {
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("column: dict-string truncated")
+		return nil, nbit{}, fmt.Errorf("column: dict-string truncated")
 	}
 	nw := int(binary.LittleEndian.Uint32(payload))
 	if len(payload)-4 < 4*nw {
-		return nil, fmt.Errorf("column: dict-string truncated: %d bytes for %d words", len(payload)-4, nw)
+		return nil, nbit{}, fmt.Errorf("column: dict-string truncated: %d bytes for %d words", len(payload)-4, nw)
 	}
-	words, off, err := decodePlainStrings(payload[4:], nw, nil, true)
+	words, off, err := decodeWords(payload[4:], nw)
 	if err != nil {
-		return nil, fmt.Errorf("column: dict words: %w", err)
+		return nil, nbit{}, fmt.Errorf("column: dict words: %w", err)
 	}
 	b, err := parseNbit(payload[4+off:], n)
+	return words, b, err
+}
+
+// decodeDictStrings materialises every value of a dict-string page (all) or
+// those at rows.
+func decodeDictStrings(payload []byte, n int, rows []int32, all bool) ([]string, error) {
+	words, b, err := parseDict(payload, n)
 	if err != nil {
 		return nil, err
 	}
-	codes := b.unpack(n, rows, all)
-	vals := make([]string, len(codes))
-	for i, c := range codes {
-		if c < 0 || int(c) >= nw {
-			return nil, fmt.Errorf("column: dict code %d out of range %d", c, nw)
+	if all {
+		vals := make([]string, n)
+		for i := range vals {
+			if vals[i], err = word(words, b.at(i)); err != nil {
+				return nil, err
+			}
 		}
-		vals[i] = words[c]
+		return vals, nil
+	}
+	vals := make([]string, len(rows))
+	for i, r := range rows {
+		if vals[i], err = word(words, b.at(int(r))); err != nil {
+			return nil, err
+		}
 	}
 	return vals, nil
+}
+
+// word is the dictionary word a code names.
+func word(words []string, c int64) (string, error) {
+	if c < 0 || c >= int64(len(words)) {
+		return "", fmt.Errorf("column: dict code %d out of range %d", c, len(words))
+	}
+	return words[c], nil
+}
+
+// Dict is a dictionary page read as it is stored: its sorted distinct words
+// and, per row, the code of the row's word — its rank among them. A predicate
+// of the value alone can be decided once per word and looked up per row.
+type Dict struct {
+	Words []string
+	Codes []int32
+}
+
+// Open reads data into d when it is a dict-string page, unpacking the codes
+// into d.Codes' storage (grown when it is short) and checking every one
+// against the word count, as DecodeSegment does. It reports false, and
+// leaves d as it was, for a page of any other encoding.
+func (d *Dict) Open(data []byte) (bool, error) {
+	s, err := parseSegment(data)
+	if err != nil || s.enc != EncDictString {
+		return false, err
+	}
+	words, b, err := parseDict(s.payload, s.n)
+	if err != nil {
+		return false, err
+	}
+	// The codes are checked once, by their maximum: the loop has no branch.
+	codes := slices.Grow(d.Codes[:0], s.n)[:s.n]
+	top := uint64(0)
+	for i := range codes {
+		c := b.at(i)
+		top = max(top, uint64(c))
+		codes[i] = int32(c)
+	}
+	if top >= uint64(len(words)) {
+		for i := range codes {
+			if _, err := word(words, b.at(i)); err != nil {
+				return false, err
+			}
+		}
+	}
+	d.Words, d.Codes = words, codes
+	return true, nil
+}
+
+// Values returns the words of the given rows, every row when rows is nil:
+// DecodeSegment or DecodeSegmentRows of the page d was opened on.
+func (d *Dict) Values(rows []int32) *Vector {
+	var vals []string
+	if rows == nil {
+		vals = make([]string, len(d.Codes))
+		for i, c := range d.Codes {
+			vals[i] = d.Words[c]
+		}
+	} else {
+		vals = make([]string, len(rows))
+		for i, r := range rows {
+			vals[i] = d.Words[d.Codes[r]]
+		}
+	}
+	return &Vector{Typ: String, Str: vals}
 }

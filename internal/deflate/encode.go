@@ -20,7 +20,9 @@ import (
 // least minMatch bytes within the last 32 KiB wins, and a match of niceMatch
 // bytes or more ends the search. Positions inside a match are indexed only
 // when it is at most maxInsert bytes long (zlib's max_insert_length): a long
-// match is a repeat, and its interior adds chain to walk, not matches. The
+// match is a repeat, and its interior adds chain to walk, not matches. Its
+// last position is indexed all the same, so a run of one byte goes on at
+// distance 1 instead of the match's length. The
 // block is then written with whichever of the three block types (stored,
 // fixed Huffman, dynamic Huffman) takes the fewest bits, counted exactly
 // from the symbol frequencies.
@@ -422,14 +424,16 @@ func (e *encoder) parse(src []byte) {
 		litFreq[257+int(lenSym[best-3])]++
 		distFreq[distSym(uint32(bestDist))]++
 		// Index the positions a short match covers, so later matches can
-		// start inside it.
-		end := i + best
-		if best <= maxInsert {
-			for i++; i < end && i <= last; i++ {
-				h := hash5(load64(src, i), shift)
-				prev[i] = head[h]
-				head[h] = uint32(i + 1)
-			}
+		// start inside it; of a long one only the last, so a run goes on
+		// at distance 1 rather than at the match's length.
+		end, from := i+best, i+1
+		if best > maxInsert {
+			from = end - 1
+		}
+		for p := from; p < end && p <= last; p++ {
+			h := hash5(load64(src, p), shift)
+			prev[p] = head[h]
+			head[h] = uint32(p + 1)
 		}
 		i = end
 	}

@@ -25,7 +25,12 @@ type Source interface {
 // ScanOptions tunes a table scan.
 type ScanOptions struct {
 	// Filter, if non-nil, is applied to every segment batch; segments whose
-	// zone maps show that no row can pass it are skipped before any I/O.
+	// zone maps show that no row can pass it are skipped before any I/O. It
+	// may read table columns the scan does not return: those are read and
+	// filtered on, and never gathered, output or carried downstream. A
+	// conjunct that reads one string column alone runs once per word of a
+	// dictionary page and keeps rows by code (expr.Filter); such a column
+	// is decoded only at the surviving rows, and only if it is returned.
 	Filter Expr
 	// Prefetch is the segment read-ahead window: up to this many segments
 	// from the consumer's position on are each read and decoded on a
@@ -44,15 +49,18 @@ type ScanOptions struct {
 
 type scanSource struct {
 	tbl      *table.Table
-	cols     []int
-	colNames []string
-	schema   table.Schema // the projection: cols as column definitions
-	filtered []bool       // parallel to cols: whether opts.Filter reads the column
+	cols     []int        // schema positions read: the projection, then the columns only the filter reads
+	names    []string     // parallel to cols
+	colNames []string     // the projection: names[:len(colNames)]
+	schema   table.Schema // the projection as column definitions
+	read     table.Schema // every column read, the projection first
+	filter   *expr.Filter // opts.Filter, its code-space conjuncts marked
 	opts     ScanOptions
 	segs     []int // surviving segments after zone pruning
 	pos      int
 
 	ahead     []*segRead          // parallel to segs: the read-ahead task of a segment, nil before it starts and once returned
+	envs      []*expr.Segment     // per read-ahead slot: the environment its plain reads reuse (env)
 	started   int                 // positions in segs below this one were started
 	plan      objstore.SelectPlan // what a pushed segment asks the store for (planPushdown)
 	push      []bool              // per-segment pushdown decision, parallel to segs
@@ -85,31 +93,50 @@ func Scan(t *table.Table, cols []string, opts ScanOptions) (Source, error) {
 }
 
 // newScan resolves the columns, prunes the segments and plans the pushdown
-// of a scan; aggs are ScanAgg's, nil for a plain Scan.
+// of a scan; aggs are ScanAgg's, nil for a plain Scan. It decides here, once,
+// which conjuncts of the filter may run in code space.
 func newScan(t *table.Table, cols []string, opts ScanOptions, aggs []Agg) (*scanSource, error) {
-	s := &scanSource{tbl: t, colNames: cols, opts: opts}
-	s.schema.Cols = make([]table.ColumnDef, 0, len(cols)) // shared by every batch: no spare capacity
+	s := &scanSource{tbl: t, opts: opts}
 	if s.opts.Prefetch == 0 {
 		s.opts.Prefetch = 8
 	}
 	if s.opts.Prefetch < 0 {
 		s.opts.Prefetch = 0 // synchronous: no read-ahead window
 	}
+	sch := t.Schema()
+	s.cols, s.names = make([]int, 0, len(cols)), make([]string, 0, len(cols))
 	for _, name := range cols {
-		i := t.Schema().ColIndex(name)
+		i := sch.ColIndex(name)
 		if i < 0 {
 			return nil, fmt.Errorf("exec: scan of %s: no column %q", t.Name(), name)
 		}
 		s.cols = append(s.cols, i)
-		s.schema.Cols = append(s.schema.Cols, t.Schema().Cols[i])
+		s.names = append(s.names, name)
 	}
-	s.filtered = make([]bool, len(cols))
-	markCols(opts.Filter, cols, s.filtered)
+	// A filter column outside the table is left to the filter, which fails
+	// on it as Select does on any missing column.
+	opts.Filter.EachCol(func(name string) {
+		if i := sch.ColIndex(name); i >= 0 && !slices.Contains(s.names, name) {
+			s.cols = append(s.cols, i)
+			s.names = append(s.names, name)
+		}
+	})
+	s.read.Cols = make([]table.ColumnDef, len(s.cols))
+	for i, c := range s.cols {
+		s.read.Cols[i] = sch.Cols[c]
+	}
+	s.colNames = s.names[:len(cols):len(cols)]
+	s.schema.Cols = s.read.Cols[:len(cols):len(cols)] // shared by every batch: no spare capacity
+	s.filter = expr.Prepare(opts.Filter, func(name string) bool {
+		i := sch.ColIndex(name)
+		return i >= 0 && sch.Cols[i].Typ == column.String
+	})
 	for seg := 0; seg < t.Segments(); seg++ {
 		if mayMatch(opts.Filter, t.Schema(), t.Seg(seg).Zones) {
 			s.segs = append(s.segs, seg)
 		}
 	}
+	s.envs = make([]*expr.Segment, max(min(s.opts.Prefetch, len(s.segs)), 1))
 	s.planPushdown(aggs)
 	return s, nil
 }
@@ -220,7 +247,7 @@ func (s *scanSource) segment(ctx context.Context, i int) (*table.Batch, []expr.A
 	// Empty filtered batches are still returned: their schema lets
 	// downstream operators (joins, aggregations) type their output even
 	// when every row was filtered out.
-	b, err := s.readSegment(ctx, seg)
+	b, err := s.readSegment(ctx, seg, s.env(i))
 	if err != nil {
 		sp.SetAttr("err", err.Error())
 		return nil, nil, err
@@ -229,62 +256,40 @@ func (s *scanSource) segment(ctx context.Context, i int) (*table.Batch, []expr.A
 	return b, nil, nil
 }
 
-// markCols sets in[i] for every cols[i] the tree e references.
-func markCols(e Expr, cols []string, in []bool) {
-	if e == nil {
-		return
+// env returns the environment the read of position i reuses, its slot's.
+// Position i+window starts only after i's result was taken, so no two reads
+// hold one slot's at once, and a scan allocates at most a window's worth
+// whatever its length.
+func (s *scanSource) env(i int) *expr.Segment {
+	slot := i % len(s.envs)
+	if s.envs[slot] == nil {
+		s.envs[slot] = &expr.Segment{}
 	}
-	if i := slices.Index(cols, e.Col); e.Op == expr.OpCol && i >= 0 {
-		in[i] = true
-	}
-	for _, a := range e.Args {
-		markCols(a, cols, in)
-	}
+	return s.envs[slot]
 }
-
-// segEnv is a partly decoded segment as an expression environment: the row
-// count is the segment's, and a column not decoded yet is absent.
-type segEnv struct {
-	b    *table.Batch
-	rows int
-}
-
-func (e segEnv) Rows() int { return e.rows }
-
-func (e segEnv) Vec(name string) *column.Vector { return e.b.Vec(name) }
 
 // readSegment is the scan's one read-and-decode path for a segment that was
-// not pushed down, filter first: all requested pages are read in one batch,
-// the columns the filter reads are decoded and narrowed to a selection, and
-// only then are the other columns decoded, at the selected rows. With no
-// filter every row is selected and every column decoded whole.
-func (s *scanSource) readSegment(ctx context.Context, seg int) (*table.Batch, error) {
+// not pushed down, filter first: all pages read are fetched in one batch and
+// held in one expr.Segment, the filter narrows a selection over it — decoding
+// the columns it reads whole on first use, or a dictionary page's codes for a
+// code-space conjunct — and only then is each returned column materialised,
+// at the selected rows. With no filter every returned column is decoded whole.
+func (s *scanSource) readSegment(ctx context.Context, seg int, env *expr.Segment) (*table.Batch, error) {
 	pages, rows, err := s.tbl.ReadSegmentPages(ctx, seg, s.cols)
 	if err != nil {
 		return nil, err
 	}
-	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
-	decode := func(i int, sel []int32) (err error) {
-		if sel == nil {
-			b.Vecs[i], err = column.DecodeSegment(pages[i])
-		} else {
-			b.Vecs[i], err = column.DecodeSegmentRows(pages[i], sel)
-		}
-		if err != nil {
-			err = fmt.Errorf("exec: scan of %s: segment %d column %q: %w", s.tbl.Name(), seg, s.colNames[i], err)
-		}
-		return err
+	env.Reset(s.names, pages, rows)
+	defer env.Reset(nil, nil, 0)
+	colErr := func(i int, err error) error {
+		return fmt.Errorf("exec: scan of %s: segment %d column %q: %w", s.tbl.Name(), seg, s.names[i], err)
 	}
 	var sel []int32 // nil selects every row: decode whole, gather nothing
-	if s.opts.Filter != nil {
-		for i, f := range s.filtered {
-			if f {
-				if err := decode(i, nil); err != nil {
-					return nil, err
-				}
+	if s.filter != nil {
+		if sel, err = s.filter.Select(env, expr.AllRows(rows)); err != nil {
+			if i, derr := env.Err(); derr != nil {
+				return nil, colErr(i, derr)
 			}
-		}
-		if sel, err = s.opts.Filter.Select(segEnv{b, rows}, expr.AllRows(rows)); err != nil {
 			return nil, fmt.Errorf("exec: filter: %w", err)
 		}
 		switch len(sel) {
@@ -294,14 +299,10 @@ func (s *scanSource) readSegment(ctx context.Context, seg int) (*table.Batch, er
 			sel = nil
 		}
 	}
-	for i, v := range b.Vecs {
-		switch {
-		case v == nil:
-			if err := decode(i, sel); err != nil {
-				return nil, err
-			}
-		case sel != nil:
-			b.Vecs[i] = v.Gather(sel)
+	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.colNames))}
+	for i := range b.Vecs {
+		if b.Vecs[i], err = env.Values(i, sel); err != nil {
+			return nil, colErr(i, err)
 		}
 	}
 	return b, nil
@@ -310,7 +311,8 @@ func (s *scanSource) readSegment(ctx context.Context, seg int) (*table.Batch, er
 // deltaBatch joins the scan's columns of the runs in the table's attached
 // delta view into one batch and applies the row filter, returning nil when
 // there is no view (or it is empty). A single run's vectors are used as they
-// are; the columns the scan does not read are never copied.
+// are; the columns the scan does not read are never copied, and those only
+// the filter reads are dropped after it.
 func (s *scanSource) deltaBatch() (*table.Batch, error) {
 	dv := s.tbl.Delta()
 	if dv == nil {
@@ -324,23 +326,27 @@ func (s *scanSource) deltaBatch() (*table.Batch, error) {
 	if rows == 0 {
 		return nil, nil
 	}
-	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
+	b := &table.Batch{Schema: s.read, Vecs: make([]*column.Vector, len(s.cols))}
 	for i, c := range s.cols {
 		if len(runs) == 1 {
 			b.Vecs[i] = runs[0].Vecs[c]
 			continue
 		}
-		v := column.NewVector(s.schema.Cols[i].Typ)
+		v := column.NewVector(s.read.Cols[i].Typ)
 		v.Grow(rows)
 		for _, r := range runs {
 			v.AppendVector(r.Vecs[c])
 		}
 		b.Vecs[i] = v
 	}
-	if s.opts.Filter != nil {
-		return FilterBatch(b, s.opts.Filter)
+	if s.opts.Filter == nil {
+		return b, nil
 	}
-	return b, nil
+	b, err := FilterBatch(b, s.opts.Filter)
+	if err != nil || len(s.cols) == len(s.colNames) {
+		return b, err
+	}
+	return &table.Batch{Schema: s.schema, Vecs: b.Vecs[:len(s.colNames)]}, nil
 }
 
 // SliceSource feeds pre-materialized batches as a Source.

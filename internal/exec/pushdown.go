@@ -307,11 +307,11 @@ func (s *scanSource) pushSegment(ctx context.Context, seg int) (*objstore.Select
 		return nil, nil, fmt.Errorf("exec: pushdown returned %d aggregates, want %d", len(res.Aggs), len(s.plan.Aggs))
 	case len(s.plan.Aggs) > 0:
 		return res, nil, nil
-	case len(res.Cols) != len(s.cols):
-		return nil, nil, fmt.Errorf("exec: pushdown returned %d columns, want %d", len(res.Cols), len(s.cols))
+	case len(res.Cols) != len(s.colNames):
+		return nil, nil, fmt.Errorf("exec: pushdown returned %d columns, want %d", len(res.Cols), len(s.colNames))
 	}
-	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.cols))}
-	for i := range s.cols {
+	b := &table.Batch{Schema: s.schema, Vecs: make([]*column.Vector, len(s.colNames))}
+	for i := range b.Vecs {
 		v, err := column.DecodeSegment(res.Cols[i])
 		if err != nil {
 			return nil, nil, fmt.Errorf("exec: decode pushdown column %q: %w", s.colNames[i], err)

@@ -74,13 +74,23 @@ func fuzzSeeds() [][]byte {
 }
 
 // FuzzSelect: whatever the tree and whichever rows it starts from, Select
-// keeps what Eval marks non-zero and fails when Eval does (selectAgrees).
+// keeps what Eval marks non-zero and fails when Eval does, and a prepared
+// Filter over the same columns stored as pages, s a dictionary, agrees with
+// Select (selectAgrees and its dictionary mode).
 func FuzzSelect(f *testing.F) {
-	colI, colF := enc(OpCol, 0, 0), enc(OpCol, 1, 0)
+	colI, colF, colS := enc(OpCol, 0, 0), enc(OpCol, 1, 0), enc(OpCol, 2, 0)
 	for i, seed := range append(fuzzSeeds(),
 		enc(OpGt, 0, 0, enc(OpFloat, 0, 2), colF),                                             // literal on the left, NaN data
 		enc(OpOr, 0, 0, enc(OpEq, 0, 0, colI, enc(OpInt, 0, 7)), enc(OpLe, 0, 0, colF, colI)), // OR's merge, mixed vectors
 		enc(OpAnd, 0, 0, enc(OpLt, 0, 0, colI, enc(OpInt, 0, 0x80)), enc(OpCol, 4, 0)),        // nothing survives the left; the right is no column
+		// One string column alone: over its dictionary page, code space.
+		enc(OpOr, 0, 0, enc(OpEq, 0, 0, colS, enc(OpStr, 0, 0)), enc(OpLike, 1, 0, colS)),                 // OR
+		enc(OpNot, 0, 0, enc(OpIn, 3, 0, colS)),                                                           // NOT
+		enc(OpAnd, 0, 0, enc(OpLt, 0, 0, colI, enc(OpInt, 0, 7)), enc(OpIn, 2, 0, colS)),                  // IN after a numeric conjunct
+		enc(OpLike, 0x83, 0, colS),                                                                        // NOT LIKE
+		enc(OpEq, 0, 0, enc(OpSubstr, 5, 1, colS), enc(OpStr, 3, 0)),                                      // Substr
+		enc(OpAnd, 0, 0, enc(OpLt, 0, 0, colI, enc(OpInt, 0, 0x80)), enc(OpIn, 4, 0, colS)),               // nothing left for the words
+		enc(OpOr, 0, 0, enc(OpEq, 0, 0, colS, enc(OpStr, 0, 0)), enc(OpLt, 0, 0, colI, enc(OpInt, 0, 0))), // two columns: rows
 	) {
 		f.Add(seed, uint8(i*5))
 	}

@@ -3,6 +3,7 @@ package expr
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -45,7 +46,104 @@ func selectAgrees(e *Node, env Vectors, mask uint64) error {
 			return fmt.Errorf("Select(%v) = %v, want %v (Eval gives %v)", in, got, want, v.I64)
 		}
 	}
+	return dictAgrees(e, env, mask)
+}
+
+// dictAgrees is selectAgrees' dictionary mode: the tree, prepared as a
+// Filter, runs over a Segment of env's columns tiled three times and stored
+// as column.EncodeSegment writes them — a string column whose values repeat
+// becomes a dictionary page, and a conjunct reading it alone runs over its
+// words — and must keep exactly the rows Select keeps over the same tiled
+// vectors, and fail, with ErrInvalid, exactly when Select does.
+func dictAgrees(e *Node, env Vectors, mask uint64) error {
+	const tiles = 3
+	tiled := Vectors{Cols: make(map[string]*column.Vector, len(env.Cols)), N: tiles * env.N}
+	var names []string
+	var pages [][]byte
+	for _, name := range slices.Sorted(maps.Keys(env.Cols)) {
+		v := column.NewVector(env.Cols[name].Typ)
+		for range tiles {
+			v.AppendVector(env.Cols[name])
+		}
+		tiled.Cols[name] = v
+		names, pages = append(names, name), append(pages, column.EncodeSegment(v))
+	}
+	f := Prepare(e, func(col string) bool { v := tiled.Cols[col]; return v != nil && v.Typ == column.String })
+	if f == nil {
+		return nil // a nil tree prepares as no filter at all
+	}
+	var all, some []int32
+	for r := 0; r < tiled.N; r++ {
+		all = append(all, int32(r))
+		if mask>>(r%64)&1 == 1 {
+			some = append(some, int32(r))
+		}
+	}
+	for _, sel := range [][]int32{all, some, {}} {
+		want, wantErr := e.Select(tiled, slices.Clone(sel))
+		got, err := f.Select(NewSegment(names, pages, tiled.N), slices.Clone(sel))
+		switch {
+		case wantErr != nil:
+			if !errors.Is(err, ErrInvalid) {
+				return fmt.Errorf("dictionary Select(%v) = %v, %v; over vectors %v", sel, got, err, wantErr)
+			}
+		case err != nil:
+			return fmt.Errorf("dictionary Select(%v): %v; over vectors %v", sel, err, want)
+		case !slices.Equal(got, want):
+			return fmt.Errorf("dictionary Select(%v) = %v, over vectors %v", sel, got, want)
+		}
+	}
 	return nil
+}
+
+// TestPrepareCodeSpace pins which conjuncts run in code space — those that
+// read one string column alone — and that they do run there: over a
+// dictionary page the column is never decoded whole.
+func TestPrepareCodeSpace(t *testing.T) {
+	isString := func(col string) bool { return col == "s" || col == "u" }
+	oneCol := []*Node{
+		op(OpEq, col("s"), cs("alpha")), op(OpEq, cs("alpha"), col("s")), in(col("s"), "alp", ""),
+		like(col("s"), "%a%", false), op(OpNot, like(col("s"), "b%", true)),
+		op(OpEq, substr(col("s"), 1, 3), cs("alp")), op(OpOr, in(col("s"), "beta"), op(OpGe, col("s"), cs("b"))),
+		op(OpLt, col("s"), col("s")), op(OpEq, col("s"), ci(1)), // reads s alone, ill-typed: fails over the words too
+	}
+	mixed := []*Node{
+		op(OpOr, op(OpEq, col("s"), cs("alpha")), op(OpLt, col("i"), ci(0))),                // two columns
+		op(OpEq, col("s"), col("u")), op(OpLt, col("i"), ci(0)), op(OpEq, cs("a"), cs("a")), // two strings, a number, none
+		op(OpEq, col("ghost"), cs("a")), // no such column in isString
+	}
+	for _, e := range oneCol {
+		f := Prepare(op(OpAnd, op(OpGe, col("i"), ci(0)), e), isString)
+		if len(f.terms) != 2 || f.terms[0].col != "" || f.terms[1].col != "s" {
+			t.Errorf("%v: terms %+v, want the second on s", e, f.terms)
+		}
+	}
+	for _, e := range mixed {
+		if f := Prepare(op(OpAnd, e, op(OpGe, col("i"), ci(0))), isString); f.terms != nil {
+			t.Errorf("%v: terms %+v, want none in code space", e, f.terms)
+		}
+	}
+	if Prepare(nil, isString) != nil {
+		t.Error("Prepare(nil) is not nil")
+	}
+
+	s := &column.Vector{Typ: column.String}
+	for r := 0; r < 60; r++ {
+		s.AppendStr([]string{"alpha", "beta", "alp", ""}[r*7%4])
+	}
+	page := column.EncodeSegment(s)
+	if column.Encoding(page[1]) != column.EncDictString {
+		t.Fatalf("test page is %v", column.Encoding(page[1]))
+	}
+	for _, e := range oneCol[:7] {
+		seg := NewSegment([]string{"s"}, [][]byte{page}, s.Len())
+		got, err := Prepare(e, isString).Select(seg, AllRows(s.Len()))
+		decoded := seg.vecs[0] != nil
+		want, wantErr := e.Select(Vectors{Cols: map[string]*column.Vector{"s": s}, N: s.Len()}, AllRows(s.Len()))
+		if err != nil || wantErr != nil || !slices.Equal(got, want) || decoded {
+			t.Errorf("%v: %v, %v; over vectors %v, %v; decoded whole %v", e, got, err, want, wantErr, decoded)
+		}
+	}
 }
 
 // TestSelectSemantics covers what the Eval tables cannot put in one row:

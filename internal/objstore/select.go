@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cloudiq/internal/column"
 	"cloudiq/internal/deflate"
@@ -94,12 +95,17 @@ func unsupported(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrUnsupportedPlan, fmt.Sprintf(format, args...))
 }
 
-// evalSelect runs the plan against the decoded column vectors. raw holds the
-// stored (compressed) images parallel to req.Cols; the vectors are inflated
-// and decoded from them.
+// evalSelect runs the plan against the stored column pages. raw holds the
+// stored (compressed) images parallel to req.Cols; they are inflated and held
+// in one expr.Segment, the environment the reader's plain scan filters in, so
+// a page is decoded only as far as the plan reads it: the filter's columns on
+// first use, or a dictionary page's codes for a code-space conjunct, and the
+// rest at the qualifying rows.
 func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 	res := &SelectResult{}
-	cols := make(map[string]*column.Vector, len(req.Cols))
+	names := make([]string, len(req.Cols))
+	pages := make([][]byte, len(req.Cols))
+	types := make([]column.Type, len(req.Cols))
 	n := -1
 	for i, c := range req.Cols {
 		res.ScannedBytes += int64(len(raw[i]))
@@ -107,23 +113,42 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 		if err != nil {
 			return nil, unsupported("inflate %q: %v", c.Key, err)
 		}
-		v, err := column.DecodeSegment(img)
+		typ, rows, err := column.SegmentInfo(img)
 		if err != nil {
 			return nil, unsupported("decode %q: %v", c.Key, err)
 		}
-		if n >= 0 && v.Len() != n {
-			return nil, unsupported("column %q has %d rows, want %d", c.Name, v.Len(), n)
+		if n >= 0 && rows != n {
+			return nil, unsupported("column %q has %d rows, want %d", c.Name, rows, n)
 		}
-		n = v.Len()
-		cols[c.Name] = v
+		n = rows
+		names[i], pages[i], types[i] = c.Name, img, typ
 	}
 	n = max(n, 0)
-	env := expr.Vectors{Cols: cols, N: n}
+	env := expr.NewSegment(names, pages, n)
+	// values is column i at the qualifying rows; a page that fails to
+	// decode makes the plan unsupported, wherever it was first read.
+	values := func(i int, rows []int32) (*column.Vector, error) {
+		if len(rows) == n {
+			rows = nil
+		}
+		v, err := env.Values(i, rows)
+		if err != nil {
+			return nil, unsupported("decode %q: %v", req.Cols[i].Key, err)
+		}
+		return v, nil
+	}
 
 	rows := expr.AllRows(n)
 	if req.Plan.Filter != nil {
+		f := expr.Prepare(req.Plan.Filter, func(col string) bool {
+			i := slices.Index(names, col)
+			return i >= 0 && types[i] == column.String
+		})
 		var err error
-		if rows, err = req.Plan.Filter.Select(env, rows); err != nil {
+		if rows, err = f.Select(env, rows); err != nil {
+			if i, derr := env.Err(); derr != nil {
+				return nil, unsupported("decode %q: %v", req.Cols[i].Key, derr)
+			}
 			return nil, fmt.Errorf("%w: filter: %w", ErrUnsupportedPlan, err)
 		}
 	}
@@ -132,9 +157,13 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 		// Aggregate mode: fold the qualifying rows into partial states.
 		// Inputs are evaluated over the filtered mini-batch so constant
 		// broadcasts size correctly.
-		fenv := expr.Vectors{Cols: make(map[string]*column.Vector, len(cols)), N: len(rows)}
-		for name, v := range cols {
-			fenv.Cols[name] = v.Gather(rows)
+		fenv := expr.Vectors{Cols: make(map[string]*column.Vector, len(names)), N: len(rows)}
+		for i, name := range names {
+			v, err := values(i, rows)
+			if err != nil {
+				return nil, err
+			}
+			fenv.Cols[name] = v
 		}
 		res.Aggs = make([]expr.AggState, len(req.Plan.Aggs))
 		group0 := make([]int32, len(rows)) // one global group
@@ -162,11 +191,15 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 	res.Rows = len(rows)
 	res.Cols = make([][]byte, len(req.Plan.Project))
 	for i, name := range req.Plan.Project {
-		v, ok := cols[name]
-		if !ok {
+		c := slices.Index(names, name)
+		if c < 0 {
 			return nil, unsupported("projected column %q not in request", name)
 		}
-		enc := column.Compact(column.EncodeSegment(v.Gather(rows)))
+		v, err := values(c, rows)
+		if err != nil {
+			return nil, err
+		}
+		enc := column.Compact(column.EncodeSegment(v))
 		res.Cols[i] = enc
 		res.ReturnedBytes += int64(len(enc))
 	}

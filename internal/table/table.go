@@ -346,15 +346,17 @@ func (t *Table) partitionAt(b *Batch, r int) int {
 // sealLocked encodes and writes one full (or final partial) segment, each
 // column page in its stored form: column.Compact turns a plain-float page of
 // exact decimals into scaled n-bit integers, and the pool caches what it is
-// given.
+// given. A dictionary page's zone map comes from its encoder's sorted words
+// (column.EncodeSegmentZone).
 func (t *Table) sealLocked(ctx context.Context, part int, b *Batch) error {
 	seg := len(t.meta.Segs)
 	sm := SegMeta{Rows: b.Rows(), Partition: part, Zones: make([]column.ZoneMap, len(b.Vecs))}
 	nCols := uint64(len(t.meta.Schema.Cols))
 	for c, v := range b.Vecs {
-		sm.Zones[c] = column.BuildZoneMap(v)
+		enc, zone := column.EncodeSegmentZone(v)
+		sm.Zones[c] = zone
 		page := dataBase + uint64(seg)*nCols + uint64(c)
-		if err := t.obj.Write(ctx, page, column.Compact(column.EncodeSegment(v))); err != nil {
+		if err := t.obj.Write(ctx, page, column.Compact(enc)); err != nil {
 			return fmt.Errorf("table %s: seal segment %d column %d: %w", t.name, seg, c, err)
 		}
 	}

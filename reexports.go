@@ -154,7 +154,10 @@ type (
 	Expr = exec.Expr
 	// Source streams batches.
 	Source = exec.Source
-	// ScanOptions tunes a table scan.
+	// ScanOptions tunes a table scan. Its Filter may read table columns
+	// the scan does not return: they are filtered on and never output, and
+	// a conjunct over one dictionary-encoded string column alone is decided
+	// once per dictionary word.
 	ScanOptions = exec.ScanOptions
 	// NamedExpr pairs an output name with an expression.
 	NamedExpr = exec.NamedExpr

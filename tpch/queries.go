@@ -131,7 +131,7 @@ func (c *Conn) Query(ctx context.Context, q int) (*cloudiq.Batch, error) {
 func q1(p *plan) *cloudiq.Batch {
 	cutoff := dt(1998, 12, 1) - 90
 	li := p.scan("lineitem",
-		[]string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"},
+		[]string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax"},
 		le(cref("l_shipdate"), iv(cutoff)))
 	out := p.agg(li, []string{"l_returnflag", "l_linestatus"}, []cloudiq.Agg{
 		{Func: cloudiq.Sum, Expr: cref("l_quantity"), As: "sum_qty"},
@@ -148,7 +148,7 @@ func q1(p *plan) *cloudiq.Batch {
 
 // nationsOfRegion joins region (the one named) → nation.
 func nationsOfRegion(p *plan, region string) *cloudiq.Batch {
-	reg := p.collect("region", []string{"r_regionkey", "r_name"},
+	reg := p.collect("region", []string{"r_regionkey"},
 		eq(cref("r_name"), sv(region)))
 	nat := p.scan("nation", []string{"n_nationkey", "n_name", "n_regionkey"}, nil)
 	return p.join(src(reg), []string{"r_regionkey"}, nat, []string{"n_regionkey"}, cloudiq.Inner)
@@ -163,7 +163,7 @@ func q2(p *plan) *cloudiq.Batch {
 	esupp := p.join(src(nations), []string{"n_nationkey"}, supp, []string{"s_nationkey"}, cloudiq.Inner)
 	ps := p.scan("partsupp", []string{"ps_partkey", "ps_suppkey", "ps_supplycost"}, nil)
 	eps := p.join(src(esupp), []string{"s_suppkey"}, ps, []string{"ps_suppkey"}, cloudiq.Inner)
-	part := p.collect("part", []string{"p_partkey", "p_mfgr", "p_size", "p_type"},
+	part := p.collect("part", []string{"p_partkey", "p_mfgr"},
 		and2(eq(cref("p_size"), iv(15)), like(cref("p_type"), "%BRASS")))
 	full := p.join(src(part), []string{"p_partkey"}, src(eps), []string{"ps_partkey"}, cloudiq.Inner)
 	minCost := p.agg(src(full), []string{"ps_partkey"}, []cloudiq.Agg{
@@ -194,12 +194,12 @@ func q2(p *plan) *cloudiq.Batch {
 // q3: shipping priority.
 func q3(p *plan) *cloudiq.Batch {
 	cut := dt(1995, 3, 15)
-	cust := p.collect("customer", []string{"c_custkey", "c_mktsegment"},
+	cust := p.collect("customer", []string{"c_custkey"},
 		eq(cref("c_mktsegment"), sv("BUILDING")))
 	ord := p.scan("orders", []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"},
 		lt(cref("o_orderdate"), iv(cut)))
 	co := p.join(src(cust), []string{"c_custkey"}, ord, []string{"o_custkey"}, cloudiq.Inner)
-	li := p.scan("lineitem", []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"},
+	li := p.scan("lineitem", []string{"l_orderkey", "l_extendedprice", "l_discount"},
 		gt(cref("l_shipdate"), iv(cut)))
 	j := p.join(src(co), []string{"o_orderkey"}, li, []string{"l_orderkey"}, cloudiq.Inner)
 	out := p.agg(src(j), []string{"l_orderkey", "o_orderdate", "o_shippriority"}, []cloudiq.Agg{
@@ -212,9 +212,9 @@ func q3(p *plan) *cloudiq.Batch {
 // q4: order priority checking.
 func q4(p *plan) *cloudiq.Batch {
 	lo, hi := dt(1993, 7, 1), dt(1993, 10, 1)
-	late := p.collect("lineitem", []string{"l_orderkey", "l_commitdate", "l_receiptdate"},
+	late := p.collect("lineitem", []string{"l_orderkey"},
 		lt(cref("l_commitdate"), cref("l_receiptdate")))
-	ord := p.scan("orders", []string{"o_orderkey", "o_orderpriority", "o_orderdate"},
+	ord := p.scan("orders", []string{"o_orderkey", "o_orderpriority"},
 		and2(ge(cref("o_orderdate"), iv(lo)), lt(cref("o_orderdate"), iv(hi))))
 	semi := p.join(src(late), []string{"l_orderkey"}, ord, []string{"o_orderkey"}, cloudiq.Semi)
 	out := p.agg(src(semi), []string{"o_orderpriority"}, []cloudiq.Agg{
@@ -229,7 +229,7 @@ func q5(p *plan) *cloudiq.Batch {
 	cust := p.scan("customer", []string{"c_custkey", "c_nationkey"}, nil)
 	nc := p.join(src(nations), []string{"n_nationkey"}, cust, []string{"c_nationkey"}, cloudiq.Inner)
 	lo, hi := dt(1994, 1, 1), dt(1995, 1, 1)
-	ord := p.scan("orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+	ord := p.scan("orders", []string{"o_orderkey", "o_custkey"},
 		and2(ge(cref("o_orderdate"), iv(lo)), lt(cref("o_orderdate"), iv(hi))))
 	nco := p.join(src(nc), []string{"c_custkey"}, ord, []string{"o_custkey"}, cloudiq.Inner)
 	li := p.scan("lineitem", []string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"}, nil)
@@ -246,7 +246,7 @@ func q5(p *plan) *cloudiq.Batch {
 // q6: forecasting revenue change.
 func q6(p *plan) *cloudiq.Batch {
 	lo, hi := dt(1994, 1, 1), dt(1995, 1, 1)
-	li := p.scan("lineitem", []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"},
+	li := p.scan("lineitem", []string{"l_discount", "l_extendedprice"},
 		and2(
 			and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))),
 			and2(
@@ -309,7 +309,7 @@ func q8(p *plan) *cloudiq.Batch {
 	ro := p.join(src(rc), []string{"c_custkey"}, ord, []string{"o_custkey"}, cloudiq.Inner)
 	li := p.scan("lineitem", []string{"l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"}, nil)
 	j := p.join(src(ro), []string{"o_orderkey"}, li, []string{"l_orderkey"}, cloudiq.Inner)
-	part := p.collect("part", []string{"p_partkey", "p_type"},
+	part := p.collect("part", []string{"p_partkey"},
 		eq(cref("p_type"), sv("ECONOMY ANODIZED STEEL")))
 	j = p.join(src(part), []string{"p_partkey"}, src(j), []string{"l_partkey"}, cloudiq.Semi)
 	// Supplier nation name for the BRAZIL share.
@@ -339,7 +339,7 @@ func q8(p *plan) *cloudiq.Batch {
 
 // q9: product type profit measure.
 func q9(p *plan) *cloudiq.Batch {
-	part := p.collect("part", []string{"p_partkey", "p_name"},
+	part := p.collect("part", []string{"p_partkey"},
 		like(cref("p_name"), "%green%"))
 	li := p.scan("lineitem",
 		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount"},
@@ -367,9 +367,9 @@ func q9(p *plan) *cloudiq.Batch {
 // q10: returned item reporting.
 func q10(p *plan) *cloudiq.Batch {
 	lo, hi := dt(1993, 10, 1), dt(1994, 1, 1)
-	ord := p.collect("orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+	ord := p.collect("orders", []string{"o_orderkey", "o_custkey"},
 		and2(ge(cref("o_orderdate"), iv(lo)), lt(cref("o_orderdate"), iv(hi))))
-	li := p.scan("lineitem", []string{"l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"},
+	li := p.scan("lineitem", []string{"l_orderkey", "l_extendedprice", "l_discount"},
 		eq(cref("l_returnflag"), sv("R")))
 	j := p.join(src(ord), []string{"o_orderkey"}, li, []string{"l_orderkey"}, cloudiq.Inner)
 	cust := p.collect("customer",
@@ -387,7 +387,7 @@ func q10(p *plan) *cloudiq.Batch {
 
 // q11: important stock identification.
 func q11(p *plan) *cloudiq.Batch {
-	nat := p.collect("nation", []string{"n_nationkey", "n_name"},
+	nat := p.collect("nation", []string{"n_nationkey"},
 		eq(cref("n_name"), sv("GERMANY")))
 	supp := p.scan("supplier", []string{"s_suppkey", "s_nationkey"}, nil)
 	gs := p.join(src(nat), []string{"n_nationkey"}, supp, []string{"s_nationkey"}, cloudiq.Inner)

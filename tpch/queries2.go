@@ -6,7 +6,7 @@ import "cloudiq"
 func q12(p *plan) *cloudiq.Batch {
 	lo, hi := dt(1994, 1, 1), dt(1995, 1, 1)
 	li := p.collect("lineitem",
-		[]string{"l_orderkey", "l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate"},
+		[]string{"l_orderkey", "l_shipmode"},
 		and2(
 			and2(
 				or2(eq(cref("l_shipmode"), sv("MAIL")), eq(cref("l_shipmode"), sv("SHIP"))),
@@ -29,7 +29,7 @@ func q12(p *plan) *cloudiq.Batch {
 
 // q13: customer distribution.
 func q13(p *plan) *cloudiq.Batch {
-	ord := p.collect("orders", []string{"o_orderkey", "o_custkey", "o_comment"},
+	ord := p.collect("orders", []string{"o_orderkey", "o_custkey"},
 		cloudiq.NotLike(cref("o_comment"), "%special%requests%"))
 	cust := p.scan("customer", []string{"c_custkey"}, nil)
 	lo := p.join(src(ord), []string{"o_custkey"}, cust, []string{"c_custkey"}, cloudiq.LeftOuter)
@@ -47,7 +47,7 @@ func q13(p *plan) *cloudiq.Batch {
 // q14: promotion effect.
 func q14(p *plan) *cloudiq.Batch {
 	lo, hi := dt(1995, 9, 1), dt(1995, 10, 1)
-	li := p.scan("lineitem", []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"},
+	li := p.scan("lineitem", []string{"l_partkey", "l_extendedprice", "l_discount"},
 		and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))))
 	part := p.collect("part", []string{"p_partkey", "p_type"}, nil)
 	j := p.join(src(part), []string{"p_partkey"}, li, []string{"l_partkey"}, cloudiq.Inner)
@@ -63,7 +63,7 @@ func q14(p *plan) *cloudiq.Batch {
 // q15: top supplier.
 func q15(p *plan) *cloudiq.Batch {
 	lo, hi := dt(1996, 1, 1), dt(1996, 4, 1)
-	li := p.scan("lineitem", []string{"l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"},
+	li := p.scan("lineitem", []string{"l_suppkey", "l_extendedprice", "l_discount"},
 		and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))))
 	rev := p.agg(li, []string{"l_suppkey"}, []cloudiq.Agg{
 		{Func: cloudiq.Sum, Expr: revenue(), As: "total_revenue"},
@@ -99,7 +99,7 @@ func q16(p *plan) *cloudiq.Batch {
 		))
 	ps := p.scan("partsupp", []string{"ps_partkey", "ps_suppkey"}, nil)
 	j := p.join(src(part), []string{"p_partkey"}, ps, []string{"ps_partkey"}, cloudiq.Inner)
-	bad := p.collect("supplier", []string{"s_suppkey", "s_comment"},
+	bad := p.collect("supplier", []string{"s_suppkey"},
 		like(cref("s_comment"), "%Customer%Complaints%"))
 	j = p.join(src(bad), []string{"s_suppkey"}, src(j), []string{"ps_suppkey"}, cloudiq.Anti)
 	out := p.agg(src(j), []string{"p_brand", "p_type", "p_size"}, []cloudiq.Agg{
@@ -112,7 +112,7 @@ func q16(p *plan) *cloudiq.Batch {
 
 // q17: small-quantity-order revenue.
 func q17(p *plan) *cloudiq.Batch {
-	part := p.collect("part", []string{"p_partkey", "p_brand", "p_container"},
+	part := p.collect("part", []string{"p_partkey"},
 		and2(
 			eq(cref("p_brand"), sv("Brand#23")),
 			eq(cref("p_container"), sv("MED BOX")),
@@ -166,7 +166,7 @@ func q18(p *plan) *cloudiq.Batch {
 // q19: discounted revenue (three OR'd brand/container/quantity branches).
 func q19(p *plan) *cloudiq.Batch {
 	li := p.scan("lineitem",
-		[]string{"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"},
+		[]string{"l_partkey", "l_quantity", "l_extendedprice", "l_discount"},
 		and2(
 			or2(eq(cref("l_shipmode"), sv("AIR")), eq(cref("l_shipmode"), sv("REG AIR"))),
 			eq(cref("l_shipinstruct"), sv("DELIVER IN PERSON")),
@@ -204,10 +204,10 @@ func q19(p *plan) *cloudiq.Batch {
 
 // q20: potential part promotion.
 func q20(p *plan) *cloudiq.Batch {
-	part := p.collect("part", []string{"p_partkey", "p_name"},
+	part := p.collect("part", []string{"p_partkey"},
 		like(cref("p_name"), "forest%"))
 	lo, hi := dt(1994, 1, 1), dt(1995, 1, 1)
-	li := p.scan("lineitem", []string{"l_partkey", "l_suppkey", "l_quantity", "l_shipdate"},
+	li := p.scan("lineitem", []string{"l_partkey", "l_suppkey", "l_quantity"},
 		and2(ge(cref("l_shipdate"), iv(lo)), lt(cref("l_shipdate"), iv(hi))))
 	shipped := p.join(src(part), []string{"p_partkey"}, li, []string{"l_partkey"}, cloudiq.Semi)
 	half := p.agg(src(shipped), []string{"l_partkey", "l_suppkey"}, []cloudiq.Agg{
@@ -221,7 +221,7 @@ func q20(p *plan) *cloudiq.Batch {
 	ps := p.scan("partsupp", []string{"ps_partkey", "ps_suppkey", "ps_availqty"}, nil)
 	j := p.join(src(half), []string{"h_partkey", "h_suppkey"}, ps, []string{"ps_partkey", "ps_suppkey"}, cloudiq.Inner)
 	j = p.filter(j, gt(cref("ps_availqty"), cref("half_qty")))
-	nat := p.collect("nation", []string{"n_nationkey", "n_name"},
+	nat := p.collect("nation", []string{"n_nationkey"},
 		eq(cref("n_name"), sv("CANADA")))
 	supp := p.scan("supplier", []string{"s_suppkey", "s_name", "s_address", "s_nationkey"}, nil)
 	canada := p.join(src(nat), []string{"n_nationkey"}, supp, []string{"s_nationkey"}, cloudiq.Inner)
@@ -254,14 +254,14 @@ func q21(p *plan) *cloudiq.Batch {
 		{Name: "nlate", Expr: cref("nlate")},
 	})
 	// Candidate rows: late lineitems of F-status orders.
-	ord := p.collect("orders", []string{"o_orderkey", "o_orderstatus"},
+	ord := p.collect("orders", []string{"o_orderkey"},
 		eq(cref("o_orderstatus"), sv("F")))
 	j := p.join(src(ord), []string{"o_orderkey"}, src(late), []string{"l_orderkey"}, cloudiq.Inner)
 	j = p.join(src(allSupp), []string{"as_orderkey"}, src(j), []string{"l_orderkey"}, cloudiq.Inner)
 	j = p.join(src(lateSupp), []string{"ls_orderkey"}, src(j), []string{"l_orderkey"}, cloudiq.Inner)
 	// EXISTS another supplier in the order; NOT EXISTS another late one.
 	j = p.filter(j, and2(ge(cref("nsupp"), iv(2)), eq(cref("nlate"), iv(1))))
-	nat := p.collect("nation", []string{"n_nationkey", "n_name"},
+	nat := p.collect("nation", []string{"n_nationkey"},
 		eq(cref("n_name"), sv("SAUDI ARABIA")))
 	supp := p.scan("supplier", []string{"s_suppkey", "s_name", "s_nationkey"}, nil)
 	saudi := p.join(src(nat), []string{"n_nationkey"}, supp, []string{"s_nationkey"}, cloudiq.Inner)
