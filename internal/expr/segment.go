@@ -12,8 +12,7 @@ import (
 // value alone, so over a Segment whose page of the column is a dictionary it
 // runs once per word and keeps rows by their word's code (code space).
 type Filter struct {
-	root  *Node
-	terms []term // nil when no conjunct can run in code space: Select is root.Select
+	terms []term
 }
 
 // term is one conjunct and the string column it alone reads, "" for a
@@ -26,14 +25,13 @@ type term struct {
 // Prepare splits e into its conjuncts and marks those that may run in code
 // space: the ones whose every column reference names one column that
 // isString accepts. A nil e gives a nil Filter. Which conjuncts qualify is
-// decided here, once, so a filter with none does exactly root.Select's work
-// on every segment.
+// decided here, once, so a conjunct that does not runs Node.Select on every
+// segment, as the AND it came from would.
 func Prepare(e *Node, isString func(col string) bool) *Filter {
 	if e == nil {
 		return nil
 	}
-	f := &Filter{root: e}
-	coded := false
+	f := &Filter{}
 	var split func(n *Node)
 	split = func(n *Node) {
 		if n != nil && n.Op == OpAnd && n.check() == nil {
@@ -45,13 +43,9 @@ func Prepare(e *Node, isString func(col string) bool) *Filter {
 		if !one || !isString(col) {
 			col = ""
 		}
-		coded = coded || col != ""
 		f.terms = append(f.terms, term{n, col})
 	}
 	split(e)
-	if !coded {
-		f.terms = nil
-	}
 	return f
 }
 
@@ -84,9 +78,6 @@ func (e *Node) EachCol(f func(name string)) {
 // rows; no Eval error depends on a value, so it fails over the words exactly
 // when it would over the rows.
 func (f *Filter) Select(seg *Segment, sel []int32) ([]int32, error) {
-	if f.terms == nil {
-		return f.root.Select(seg, sel)
-	}
 	for _, t := range f.terms {
 		var err error
 		if d := seg.dict(t.col); d != nil {
@@ -200,8 +191,11 @@ func (s *Segment) Values(i int, sel []int32) (*column.Vector, error) {
 // is absent, already decoded, not a dictionary or does not open (the row path
 // then meets the same error through Vec).
 func (s *Segment) dict(name string) *column.Dict {
+	if name == "" {
+		return nil
+	}
 	i := slices.Index(s.names, name)
-	if name == "" || i < 0 || s.vecs[i] != nil {
+	if i < 0 || s.vecs[i] != nil {
 		return nil
 	}
 	d := &s.dicts[i]

@@ -119,7 +119,8 @@ func TestPrepareCodeSpace(t *testing.T) {
 		}
 	}
 	for _, e := range mixed {
-		if f := Prepare(op(OpAnd, e, op(OpGe, col("i"), ci(0))), isString); f.terms != nil {
+		f := Prepare(op(OpAnd, e, op(OpGe, col("i"), ci(0))), isString)
+		if len(f.terms) != 2 || f.terms[0].col != "" || f.terms[1].col != "" {
 			t.Errorf("%v: terms %+v, want none in code space", e, f.terms)
 		}
 	}
