@@ -5,8 +5,8 @@ package cloudiq
 import "testing"
 
 // TestTxInsertCommitAllocs gates the trickle write path's allocations: one
-// Begin, a 64-row Insert and its Commit (the WAL record, the delta append,
-// the commit record). The ceiling is the count measured when the gate was
+// Begin, a 64-row Insert and its Commit (the commit record that carries the
+// rows, the delta append). The ceiling is the count measured when the gate was
 // added; a change that needs more says so by raising it. The race detector
 // makes sync.Pool drop part of what is put back, so the gate is built
 // without it.

@@ -100,7 +100,6 @@ type Config struct {
 // Database is one node's database instance.
 type Database struct {
 	cfg    Config
-	log    *wal.Log
 	gen    *keygen.Generator // nil on secondary nodes
 	mgr    *txn.Manager
 	cat    *catalog.Catalog
@@ -163,7 +162,6 @@ func Open(ctx context.Context, cfg Config) (*Database, error) {
 	}
 	db := &Database{
 		cfg:    cfg,
-		log:    log,
 		cat:    catalog.New(),
 		pool:   buffer.NewPool(buffer.Config{Capacity: cfg.CacheBytes}),
 		iopool: pageio.NewPool(workers),
@@ -183,15 +181,11 @@ func Open(ctx context.Context, cfg Config) (*Database, error) {
 			if err != nil {
 				return nil, err
 			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(metaImage{Catalog: catImg, Delta: dImg}); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
+			return encodeImage(metaImage{Catalog: catImg, Delta: dImg})
 		},
 		RestoreExtra: func(img []byte) error {
-			var mi metaImage
-			if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&mi); err != nil {
+			mi, err := decodeImage[metaImage]("checkpoint image", img)
+			if err != nil {
 				return err
 			}
 			cat, err := catalog.Unmarshal(mi.Catalog)
@@ -327,7 +321,7 @@ func (db *Database) Checkpoint(ctx context.Context) error {
 // commit sequence, in database snapshots): the catalog plus the residual
 // delta — trickle inserts not yet drained into column segments, which have
 // no pages of their own and would otherwise be lost when a checkpoint cuts
-// replay short of their RecDeltaInsert records.
+// replay short of the commit records that carry them.
 type metaImage struct {
 	Catalog []byte
 	Delta   []byte
@@ -340,7 +334,27 @@ type sysImage struct {
 	Delta []byte
 }
 
-// catalogPublication is the commit-record meta payload.
+// encodeImage gob-encodes v: a metaImage, a sysImage or a commit's
+// publications.
+func encodeImage(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("cloudiq: encode %T: %w", v, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeImage decodes an encodeImage image of stored bytes, naming what it
+// decodes in its error.
+func decodeImage[T any](what string, img []byte) (T, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&v); err != nil {
+		return v, fmt.Errorf("cloudiq: decode %s: %w", what, err)
+	}
+	return v, nil
+}
+
+// catalogPublication is one catalog change a commit publishes.
 type catalogPublication struct {
 	Name    string
 	ID      core.Identity
@@ -353,64 +367,79 @@ type catalogPublication struct {
 	DeltaThrough uint64
 }
 
+// commitMeta is the engine payload of a commit record (txn.CommitRecord's
+// Meta): the catalog publications, then the rows the transaction inserted,
+// one record per table in table order. The rows ride the commit record, so
+// they are durable exactly when their commit is.
+type commitMeta struct {
+	pubs    []catalogPublication
+	inserts []delta.InsertRecord
+}
+
+// marshal encodes m: the publications' gob image (empty when there are
+// none), then one delta.EncodeInsert image per insert, each behind a u32
+// length prefix. A commit that publishes and inserts nothing has no meta.
+func (m commitMeta) marshal() (out []byte, err error) {
+	if len(m.pubs) == 0 && len(m.inserts) == 0 {
+		return nil, nil
+	}
+	var img []byte
+	if len(m.pubs) > 0 {
+		if img, err = encodeImage(m.pubs); err != nil {
+			return nil, err
+		}
+	}
+	out = wal.AppendBytes32(nil, img)
+	for _, ins := range m.inserts {
+		if img, err = delta.EncodeInsert(ins); err != nil {
+			return nil, err
+		}
+		out = wal.AppendBytes32(out, img)
+	}
+	return out, nil
+}
+
+// decodeCommitMeta parses commitMeta.marshal output. It refuses an insert
+// delta.DecodeInsert refuses, so replay never meets rows the delta store
+// cannot land.
+func decodeCommitMeta(p []byte) (m commitMeta, err error) {
+	if len(p) == 0 {
+		return m, nil
+	}
+	r := wal.NewReader(p)
+	if img := r.Bytes32(); len(img) > 0 {
+		if m.pubs, err = decodeImage[[]catalogPublication]("commit publications", img); err != nil {
+			return commitMeta{}, err
+		}
+	}
+	for r.Len() > 0 && r.Err() == nil {
+		m.inserts = append(m.inserts, wal.Decode32(&r, delta.DecodeInsert))
+	}
+	if err := r.End(); err != nil {
+		return commitMeta{}, fmt.Errorf("cloudiq: decode commit meta: %w", err)
+	}
+	return m, nil
+}
+
 // Recover replays the transaction log after a crash or restart: key ranges,
-// active sets, freelists, commits (including their catalog publications) and
-// garbage collection are all restored. Dbspaces must be re-attached (with
-// the surviving stores/devices) before calling Recover.
+// active sets, freelists, commits (including their catalog publications and
+// inserted rows) and garbage collection are all restored. Dbspaces must be
+// re-attached (with the surviving stores/devices) before calling Recover.
 func (db *Database) Recover(ctx context.Context) error {
 	ctx, sp := trace.Root(ctx, db.cfg.Trace, "db.recover", trace.String("node", db.cfg.Node))
 	defer sp.End()
-	pending := make(map[uint64][]delta.InsertRecord)
-	return db.mgr.Recover(ctx, func(rec wal.Record) error {
-		return db.replayRecord(rec, pending)
-	})
+	return db.mgr.Recover(ctx, db.replayCommit)
 }
 
-// replayRecord folds one log record into the node's catalog and delta
-// registry during recovery. Delta-insert records are buffered per
-// transaction and land only when that transaction's commit record follows —
-// in the same order (publications first, then inserts in table order) the
-// live commit path applies them, so row ids replay deterministically.
-// Orphaned records (crash before commit) are simply never applied.
-func (db *Database) replayRecord(rec wal.Record, pending map[uint64][]delta.InsertRecord) error {
-	switch rec.Type {
-	case wal.RecDeltaInsert:
-		ins, err := delta.DecodeInsert(rec.Payload)
-		if err != nil {
-			return err
-		}
-		// Keep post-recovery transaction ids from colliding with this one:
-		// if the owning transaction never committed (doomed mid-commit),
-		// its id appears only here, and a later transaction reusing it
-		// would resurrect these rows at the next replay.
-		db.mgr.NoteReplayedTxn(ins.TxnID)
-		pending[ins.TxnID] = append(pending[ins.TxnID], ins)
-		return nil
-	case wal.RecCommit:
-	default:
-		return nil
-	}
-	crec, err := txn.UnmarshalCommit(rec.Payload)
+// replayCommit applies one replayed commit record's meta at its sequence,
+// through the same applyCommit the live commit runs, so row ids replay
+// deterministically.
+func (db *Database) replayCommit(meta []byte, seq uint64) error {
+	m, err := decodeCommitMeta(meta)
 	if err != nil {
 		return err
 	}
-	seq := db.mgr.CommitSeq()
-	if len(crec.Meta) > 0 {
-		var pubs []catalogPublication
-		if err := gob.NewDecoder(bytes.NewReader(crec.Meta)).Decode(&pubs); err != nil {
-			return fmt.Errorf("cloudiq: decode commit meta: %w", err)
-		}
-		for _, p := range pubs {
-			if err := db.applyPublication(p, seq); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ins := range pending[crec.TxnID] {
-		db.delta.Apply(ins.Table, ins.Rows, seq)
-	}
-	delete(pending, crec.TxnID)
-	return nil
+	return db.applyCommit(m, seq)
 }
 
 // RecoverAsReader rebuilds this node's view of the database from a shared
@@ -420,10 +449,7 @@ func (db *Database) replayRecord(rec wal.Record, pending map[uint64][]delta.Inse
 func (db *Database) RecoverAsReader(ctx context.Context) error {
 	ctx, sp := trace.Root(ctx, db.cfg.Trace, "db.recover-reader", trace.String("node", db.cfg.Node))
 	defer sp.End()
-	pending := make(map[uint64][]delta.InsertRecord)
-	return db.mgr.RecoverForRead(ctx, func(rec wal.Record) error {
-		return db.replayRecord(rec, pending)
-	})
+	return db.mgr.RecoverForRead(ctx, db.replayCommit)
 }
 
 // OCMStats reports the statistics of every attached Object Cache Manager,
@@ -438,20 +464,30 @@ func (db *Database) OCMStats() []ocm.Stats {
 	return out
 }
 
-// applyPublication folds one catalog change into the in-memory catalog (and,
-// for compaction and drop publications, into the delta registry — the two
-// must move together under the commit lock or a reader could see the drained
-// segments and the still-live delta rows at once).
-func (db *Database) applyPublication(p catalogPublication, seq uint64) error {
-	if p.Dropped {
-		db.delta.Drop(p.Name, seq)
-		return db.cat.Drop(p.Name, seq)
+// applyCommit publishes one commit's meta at sequence seq: its catalog
+// publications, then its inserted rows in table order. Compaction and drop
+// publications move the delta registry with the catalog; the two must move
+// together under the commit lock or a reader could see the drained segments
+// and the still-live delta rows at once. The live commit runs it under that
+// lock, replay per commit record in log order.
+func (db *Database) applyCommit(m commitMeta, seq uint64) error {
+	for _, p := range m.pubs {
+		if p.Dropped {
+			db.delta.Drop(p.Name, seq)
+			if err := db.cat.Drop(p.Name, seq); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := db.cat.Publish(p.Name, p.ID, seq); err != nil {
+			return err
+		}
+		if p.DeltaThrough > 0 {
+			db.delta.MarkCompacted(p.Name, p.DeltaThrough, seq)
+		}
 	}
-	if err := db.cat.Publish(p.Name, p.ID, seq); err != nil {
-		return err
-	}
-	if p.DeltaThrough > 0 {
-		db.delta.MarkCompacted(p.Name, p.DeltaThrough, seq)
+	for _, ins := range m.inserts {
+		db.delta.Apply(ins.Table, ins.Rows, seq)
 	}
 	return nil
 }
@@ -891,11 +927,11 @@ func (db *Database) TakeSnapshot(ctx context.Context) (snapshot.SnapInfo, error)
 	if err != nil {
 		return snapshot.SnapInfo{}, err
 	}
-	var sys bytes.Buffer
-	if err := gob.NewEncoder(&sys).Encode(sysImage{Seq: db.mgr.CommitSeq(), Delta: dImg}); err != nil {
+	sys, err := encodeImage(sysImage{Seq: db.mgr.CommitSeq(), Delta: dImg})
+	if err != nil {
 		return snapshot.SnapInfo{}, err
 	}
-	return sm.Snapshot(ctx, catImg, sys.Bytes(), db.gen.MaxAllocated())
+	return sm.Snapshot(ctx, catImg, sys, db.gen.MaxAllocated())
 }
 
 // Snapshots lists stored snapshots.
@@ -937,9 +973,9 @@ func (db *Database) RestoreSnapshot(ctx context.Context, id uint64) error {
 	if err != nil {
 		return err
 	}
-	var sys sysImage
-	if err := gob.NewDecoder(bytes.NewReader(sysImg)).Decode(&sys); err != nil {
-		return fmt.Errorf("cloudiq: decode snapshot system image: %w", err)
+	sys, err := decodeImage[sysImage]("snapshot system image", sysImg)
+	if err != nil {
+		return err
 	}
 	db.mu.Lock()
 	var clouds []core.Dbspace

@@ -8,10 +8,13 @@ package cloudiq
 // every step, including across crash-replay and compaction swaps.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"cloudiq/internal/faultinject"
 	"cloudiq/internal/mt"
@@ -380,6 +383,90 @@ func TestDeltaCrashRecoveryReplay(t *testing.T) {
 	}
 }
 
+// checkpointingLog is a log device whose first write after arm starts a
+// checkpoint of db on another goroutine and holds the write 20 ms: time for
+// the checkpoint to take its image unless a lock stops it. Its own log
+// append waits for the held write either way.
+type checkpointingLog struct {
+	*MemBlockDevice
+	mu    sync.Mutex
+	db    *Database
+	armed bool
+	done  chan error
+}
+
+func (d *checkpointingLog) arm(db *Database) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.db, d.armed, d.done = db, true, make(chan error, 1)
+}
+
+func (d *checkpointingLog) WriteAt(ctx context.Context, p []byte, off int64) error {
+	d.mu.Lock()
+	fire, db, done := d.armed, d.db, d.done
+	d.armed = false
+	d.mu.Unlock()
+	if fire {
+		go func() { done <- db.Checkpoint(context.Background()) }()
+		time.Sleep(20 * time.Millisecond)
+	}
+	return d.MemBlockDevice.WriteAt(ctx, p, off)
+}
+
+// TestDeltaCheckpointRacingTrickleCommit starts a checkpoint while a trickle
+// transaction's first log frame is being written. The checkpoint either
+// precedes the commit, and replay applies the commit's rows after it, or
+// follows it and carries them in its delta image; recovery must see every
+// committed row either way. Rows logged in a record of their own ahead of
+// the commit record were lost here: the checkpoint landed between the two
+// records, without the uncommitted rows, and replay started after them.
+func TestDeltaCheckpointRacingTrickleCommit(t *testing.T) {
+	store := NewMemObjectStore(ObjectStoreConfig{})
+	logDev := &checkpointingLog{MemBlockDevice: NewMemBlockDevice(BlockDeviceConfig{Growable: true})}
+	db, err := Open(ctxb(), Config{LogDevice: logDev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AttachCloudDbspace("user", store, CloudOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if _, err := tx.CreateTable(ctxb(), "user", "t", demoSchema(), TableOptions{SegRows: 32}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	w := db.Begin()
+	if err := w.Insert(ctxb(), "t", fillBatch(6, 100)); err != nil {
+		t.Fatal(err)
+	}
+	logDev.arm(db)
+	if err := w.Commit(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-logDev.done; err != nil {
+		t.Fatalf("racing checkpoint: %v", err)
+	}
+	if got := scanKV(t, db, "t"); !sameKeys(got, seqKeys(100, 6)) {
+		t.Fatalf("live node sees %d rows, want 6", len(got))
+	}
+
+	db2, err := Open(ctxb(), Config{LogDevice: logDev.MemBlockDevice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.AttachCloudDbspace("user", store, CloudOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Recover(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanKV(t, db2, "t"); !sameKeys(got, seqKeys(100, 6)) {
+		t.Fatalf("recovered %d of the 6 committed rows", len(got))
+	}
+}
+
 func seqKeys(base int64, n int) []int64 {
 	ks := make([]int64, n)
 	for i := range ks {
@@ -459,9 +546,11 @@ func TestDeltaCrashMidCompactCycles(t *testing.T) {
 	}
 }
 
-// TestDeltaOrphanedInsertRecordIgnored dooms the commit record so the log
-// ends with delta-insert records from a transaction that never committed;
-// replay must discard them.
+// TestDeltaOrphanedInsertRecordIgnored dooms a trickle transaction's commit
+// record. Its rows ride that record, so none of them reach the log and
+// replay must not bring them back. (Rows used to be logged in records of
+// their own ahead of the commit record, and this left orphans replay had to
+// drop.)
 func TestDeltaOrphanedInsertRecordIgnored(t *testing.T) {
 	store := NewMemObjectStore(ObjectStoreConfig{})
 	logDev := NewMemBlockDevice(BlockDeviceConfig{Growable: true})
@@ -486,8 +575,7 @@ func TestDeltaOrphanedInsertRecordIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Doomed transaction: its delta-insert record lands in the log, the
-	// commit record does not.
+	// Doomed transaction: its commit record, rows included, never lands.
 	plan.Always(faultinject.WALAppend.With("commit"))
 	w2 := db.Begin()
 	_ = w2.Insert(ctxb(), "t", fillBatch(6, 200))
@@ -512,12 +600,12 @@ func TestDeltaOrphanedInsertRecordIgnored(t *testing.T) {
 	}
 }
 
-// TestDeltaOrphanTxnIDNotReclaimedAcrossRestart guards the replay path
-// against transaction-id reuse: a doomed commit leaves its delta-insert
-// records in the log under an id no commit record ever claims; after a
-// crash the restarted node's id counter must advance past that orphan, or a
-// later transaction reusing the id would resurrect the doomed rows at the
-// next replay.
+// TestDeltaOrphanTxnIDNotReclaimedAcrossRestart keeps a doomed commit's rows
+// dead across two restarts with a committed transaction between them. Rows
+// used to be logged ahead of the commit record under the transaction's id,
+// and a post-crash transaction reusing that id resurrected them at the next
+// replay; now they ride the commit record, so a doomed commit leaves nothing
+// in the log for a later transaction to claim.
 func TestDeltaOrphanTxnIDNotReclaimedAcrossRestart(t *testing.T) {
 	store := NewMemObjectStore(ObjectStoreConfig{})
 	logDev := NewMemBlockDevice(BlockDeviceConfig{Growable: true})
@@ -542,7 +630,7 @@ func TestDeltaOrphanTxnIDNotReclaimedAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The orphan: delta-insert records durable, commit record doomed.
+	// The doomed commit: its record, rows included, never lands.
 	plan.Always(faultinject.WALAppend.With("commit"))
 	w2 := db.Begin()
 	_ = w2.Insert(ctxb(), "t", fillBatch(4, 200))
@@ -551,8 +639,8 @@ func TestDeltaOrphanTxnIDNotReclaimedAcrossRestart(t *testing.T) {
 	}
 	plan.Clear(faultinject.WALAppend.With("commit"))
 
-	// Crash, recover, and commit again: the new transaction's id must not
-	// collide with the orphan's.
+	// Crash, recover, and commit again, perhaps under the doomed
+	// transaction's id.
 	db2, err := Open(ctxb(), Config{LogDevice: logDev})
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +657,7 @@ func TestDeltaOrphanTxnIDNotReclaimedAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second crash replays the whole log: the orphan's rows must stay
+	// A second crash replays the whole log: the doomed rows must stay
 	// dead even though a committed transaction now follows them.
 	db3, err := Open(ctxb(), Config{LogDevice: logDev})
 	if err != nil {

@@ -399,39 +399,3 @@ func (b *Blockmap) forEachPhysical(ctx context.Context, n *bmNode, fn func(Entry
 	}
 	return nil
 }
-
-// ForEach visits every mapped logical page in ascending order. fn returning
-// an error stops the walk.
-func (b *Blockmap) ForEach(ctx context.Context, fn func(logical uint64, e Entry) error) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.forEach(ctx, b.root, 0, fn)
-}
-
-func (b *Blockmap) forEach(ctx context.Context, n *bmNode, base uint64, fn func(uint64, Entry) error) error {
-	if err := b.ensureLoaded(ctx, n); err != nil {
-		return err
-	}
-	if n.level == 0 {
-		for i, e := range n.entries {
-			if e.IsZero() {
-				continue
-			}
-			if err := fn(base+uint64(i), e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	stride := b.capacity(n.level - 1)
-	for i := range n.entries {
-		child := b.child(n, i, false)
-		if child == nil {
-			continue
-		}
-		if err := b.forEach(ctx, child, base+uint64(i)*stride, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,10 +1,10 @@
 // Package delta implements the write-optimized half of the HTAP-lite ingest
 // lane: a per-table, row-oriented, in-memory delta store that absorbs trickle
 // inserts between bulk loads. Durability comes from the transaction log — the
-// engine appends a RecDeltaInsert record before commit and replays it after a
-// crash — so delta rows never touch the object store until a background
-// compactor drains them into encoded column pages through the ordinary
-// never-write-twice table append path.
+// engine writes a transaction's rows (EncodeInsert) inside its commit record
+// and replays them with the commit after a crash — so delta rows never touch
+// the object store until a background compactor drains them into encoded
+// column pages through the ordinary never-write-twice table append path.
 //
 // Visibility follows the engine's snapshot-sequence MVCC rules. Every run of
 // rows carries the commit sequence that published it (Seq) and, once a
@@ -396,11 +396,10 @@ func checkImage(it imageTable) error {
 	return nil
 }
 
-// InsertRecord is the payload of a wal.RecDeltaInsert record: rows staged
-// by one transaction into one table. The commit record that follows makes
-// them visible; without it the record is an orphan and replay drops it.
+// InsertRecord is the rows one transaction inserted into one table. The
+// engine logs it inside the transaction's commit record, so the rows are
+// durable exactly when the commit is.
 type InsertRecord struct {
-	TxnID uint64
 	Table string
 	Rows  *table.Batch
 }
@@ -414,7 +413,7 @@ func EncodeInsert(rec InsertRecord) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeInsert parses a wal.RecDeltaInsert payload. It refuses a record
+// DecodeInsert parses an EncodeInsert image. It refuses a record
 // whose rows Store.Apply could not land as they stand (table.Schema.Check),
 // so a corrupt record fails recovery instead of panicking it.
 func DecodeInsert(payload []byte) (InsertRecord, error) {

@@ -163,7 +163,7 @@ func TestMarshalRestoreRoundTrip(t *testing.T) {
 }
 
 func TestInsertRecordRoundTrip(t *testing.T) {
-	in := InsertRecord{TxnID: 42, Table: "t", Rows: kvBatch(7, 3)}
+	in := InsertRecord{Table: "t", Rows: kvBatch(7, 3)}
 	payload, err := EncodeInsert(in)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestInsertRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.TxnID != 42 || out.Table != "t" || out.Rows.Rows() != 3 || out.Rows.Col("k").I64[0] != 7 {
+	if out.Table != "t" || out.Rows.Rows() != 3 || out.Rows.Col("k").I64[0] != 7 {
 		t.Fatalf("round trip = %+v", out)
 	}
 }
@@ -242,17 +242,17 @@ func insertRecords() (good []InsertRecord, bad map[string]InsertRecord) {
 	unknown := kvBatch(0, 2)
 	unknown.Schema.Cols[1].Typ, unknown.Vecs[1].Typ = 9, 9
 	return []InsertRecord{
-			{TxnID: 42, Table: "t", Rows: kvBatch(7, 3)},
-			{TxnID: 1, Table: "t", Rows: kvBatch(0, 0)},
+			{Table: "t", Rows: kvBatch(7, 3)},
+			{Table: "t", Rows: kvBatch(0, 0)},
 		}, map[string]InsertRecord{
-			"nil rows":               {TxnID: 1, Table: "t"},
-			"unequal lengths":        {TxnID: 1, Table: "t", Rows: short},
-			"more vectors":           {TxnID: 1, Table: "t", Rows: extra},
-			"vector of other type":   {TxnID: 1, Table: "t", Rows: retyped},
-			"other type's slice":     {TxnID: 1, Table: "t", Rows: mixed},
-			"unknown column type":    {TxnID: 1, Table: "t", Rows: unknown},
-			"fewer vectors":          {TxnID: 1, Table: "t", Rows: &table.Batch{Schema: kvSchema(), Vecs: kvBatch(0, 1).Vecs[:1]}},
-			"vectors with no schema": {TxnID: 1, Table: "t", Rows: &table.Batch{Vecs: kvBatch(0, 1).Vecs}},
+			"nil rows":               {Table: "t"},
+			"unequal lengths":        {Table: "t", Rows: short},
+			"more vectors":           {Table: "t", Rows: extra},
+			"vector of other type":   {Table: "t", Rows: retyped},
+			"other type's slice":     {Table: "t", Rows: mixed},
+			"unknown column type":    {Table: "t", Rows: unknown},
+			"fewer vectors":          {Table: "t", Rows: &table.Batch{Schema: kvSchema(), Vecs: kvBatch(0, 1).Vecs[:1]}},
+			"vectors with no schema": {Table: "t", Rows: &table.Batch{Vecs: kvBatch(0, 1).Vecs}},
 		}
 }
 

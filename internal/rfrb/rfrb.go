@@ -174,9 +174,12 @@ func (b *Bitmap) Clone() *Bitmap {
 	return c
 }
 
+// MarshalSize returns the length of Marshal's output.
+func (b *Bitmap) MarshalSize() int { return 8 + 16*len(b.ranges) }
+
 // Marshal serializes the bitmap: a count followed by (start, end) pairs.
 func (b *Bitmap) Marshal() []byte {
-	buf := make([]byte, 8+16*len(b.ranges))
+	buf := make([]byte, b.MarshalSize())
 	binary.LittleEndian.PutUint64(buf, uint64(len(b.ranges)))
 	for i, r := range b.ranges {
 		binary.LittleEndian.PutUint64(buf[8+16*i:], r.Start)

@@ -70,7 +70,8 @@ func TestDeltaSmokeSeeds(t *testing.T) {
 // TestDeltaRegressionSeeds re-runs delta-mode seeds that exposed real engine
 // bugs during development: 33, 41 and 59 died on replay resurrecting a
 // doomed transaction's delta-insert records after a post-crash transaction
-// reused its id; 112, 159, 193 and 195 lost compacted rows (and leaked
+// reused its id (rows now ride the commit record, which leaves nothing to
+// resurrect); 112, 159, 193 and 195 lost compacted rows (and leaked
 // their segments) when a compaction swap raced a concurrent append
 // transaction's publication of the same table.
 func TestDeltaRegressionSeeds(t *testing.T) {

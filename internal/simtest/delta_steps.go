@@ -1,7 +1,7 @@
 package simtest
 
 // Delta-mode harness: the d-* steps drive the real-time ingest lane — trickle
-// inserts staged through Tx.Insert (durable as WAL delta-insert records),
+// inserts staged through Tx.Insert (durable in their commit's WAL record),
 // freeze/compact cycles that drain the in-memory delta store into encoded
 // column segments, and crash schedules that kill a node in the middle of a
 // compaction drain. The model does not distinguish the storage lane a row

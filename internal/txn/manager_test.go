@@ -436,6 +436,10 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	if _, err := UnmarshalCommit(img[:len(img)-5]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+	rec.Meta = []byte("rows")
+	if img := MarshalCommit(rec); len(img) != cap(img) {
+		t.Fatalf("%d-byte payload in a %d-byte buffer: not sized once", len(img), cap(img))
+	}
 }
 
 func TestStatusString(t *testing.T) {

@@ -181,9 +181,10 @@ func (m *Manager) restoreShared(img checkpointImage) error {
 // sets, re-apply allocations to the freelists, and queue the transactions'
 // RF bitmaps for garbage collection (there are no live readers after a
 // crash, so the chain drains immediately). Rollback records need no action —
-// their pages were reclaimed before the record was written. extra, if
-// non-nil, observes every replayed record (the snapshot manager uses it).
-func (m *Manager) Recover(ctx context.Context, extra func(wal.Record) error) error {
+// their pages were reclaimed before the record was written. replay, if
+// non-nil, is handed each commit record's meta and commit sequence in log
+// order (the database layer applies its catalog publications and rows).
+func (m *Manager) Recover(ctx context.Context, replay func(meta []byte, seq uint64) error) error {
 	ctx, sp := trace.Start(ctx, "txn.recover", trace.String("node", m.cfg.Node))
 	defer sp.End()
 	replayed := 0
@@ -214,11 +215,11 @@ func (m *Manager) Recover(ctx context.Context, extra func(wal.Record) error) err
 			if err := m.applyCommittedRecord(crec); err != nil {
 				return err
 			}
+			if replay != nil {
+				return replay(crec.Meta, m.CommitSeq())
+			}
 		case wal.RecRollback:
 			// Pages were reclaimed before the record was written.
-		}
-		if extra != nil {
-			return extra(rec)
 		}
 		return nil
 	})
@@ -288,27 +289,14 @@ func (m *Manager) renotify(node string, consumed *rfrb.Bitmap) {
 	m.cfg.Notify(node, consumed)
 }
 
-// NoteReplayedTxn raises the transaction-id counter past an id observed in
-// the log during replay. Commit records do this implicitly, but a
-// transaction that died before its commit record landed leaves its id only
-// in side records (delta inserts); without the bump a post-crash
-// transaction could reuse the id and claim the orphan's buffered records.
-func (m *Manager) NoteReplayedTxn(id uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id > m.nextTxnID {
-		m.nextTxnID = id
-	}
-}
-
 // RecoverForRead replays the log to rebuild metadata — commit sequences,
 // catalog extras — without performing any garbage collection. Of a
 // checkpoint it applies only the counters and the extra image: it restores
 // no key generator, chain or freelist and looks up no dbspace, so a reader
 // needs only the cloud dbspaces it reads. Reader nodes recovering from a
 // shared system dbspace they do not own use this (§2: reader nodes cannot
-// modify the database).
-func (m *Manager) RecoverForRead(ctx context.Context, extra func(wal.Record) error) error {
+// modify the database). replay is handed each commit's meta as in Recover.
+func (m *Manager) RecoverForRead(ctx context.Context, replay func(meta []byte, seq uint64) error) error {
 	err := m.cfg.Log.Replay(ctx, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecCheckpoint:
@@ -320,12 +308,17 @@ func (m *Manager) RecoverForRead(ctx context.Context, extra func(wal.Record) err
 				return err
 			}
 		case wal.RecCommit:
+			crec, err := UnmarshalCommit(rec.Payload)
+			if err != nil {
+				return err
+			}
 			m.mu.Lock()
 			m.commitSeq++
+			seq := m.commitSeq
 			m.mu.Unlock()
-		}
-		if extra != nil {
-			return extra(rec)
+			if replay != nil {
+				return replay(crec.Meta, seq)
+			}
 		}
 		return nil
 	})

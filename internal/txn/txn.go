@@ -167,9 +167,14 @@ type SpaceBitmaps struct {
 
 // MarshalCommit encodes a commit record payload: the transaction id, the
 // node name, the meta image, the dbspace count, then each dbspace's name
-// and RF and RB images.
+// and RF and RB images. The buffer is sized once: the meta image can carry
+// a transaction's inserted rows.
 func MarshalCommit(rec CommitRecord) []byte {
-	buf := binary.LittleEndian.AppendUint64(nil, rec.TxnID)
+	n := 8 + 2 + len(rec.Node) + 4 + len(rec.Meta) + 4
+	for _, sp := range rec.Spaces {
+		n += 2 + len(sp.Space) + 4 + sp.RF.MarshalSize() + 4 + sp.RB.MarshalSize()
+	}
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, n), rec.TxnID)
 	buf = wal.AppendBytes32(wal.AppendString16(buf, rec.Node), rec.Meta)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Spaces)))
 	for _, sp := range rec.Spaces {

@@ -32,7 +32,7 @@ func sampleLog(tb testing.TB) ([]byte, []Record) {
 	if _, err := l.Checkpoint(ctxb(), []byte("catalog image")); err != nil {
 		tb.Fatal(err)
 	}
-	appendAll(Record{Type: RecDeltaInsert, Payload: []byte("trickled rows")},
+	appendAll(Record{Type: RecSnapshot, Payload: []byte("snapshot meta")},
 		Record{Type: RecCommit, Payload: []byte("second commit")},
 		Record{Type: RecRollback})
 	image := make([]byte, dev.Size())

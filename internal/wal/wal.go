@@ -1,14 +1,17 @@
 // Package wal implements SAP IQ-style transaction logging. As in the paper,
-// the log stores metadata only — key-range allocations, commit/rollback
-// records carrying RF/RB bitmap images, and checkpoints — never user data,
-// which is why dirty data pages must reach permanent storage before a
-// transaction commits. Recovery starts from the last checkpoint and replays
-// subsequent records in order (§3.2, §3.3).
+// the log stores metadata — key-range allocations, commit/rollback records
+// carrying RF/RB bitmap images, and checkpoints — not data pages, which is
+// why dirty data pages must reach permanent storage before a transaction
+// commits. Recovery starts from the last checkpoint and replays subsequent
+// records in order (§3.2, §3.3).
 //
 // The paper flushes RF/RB bitmaps to storage and records their identities in
 // the log; this implementation inlines the (small) bitmap images in the
 // commit records, which preserves the recovery protocol while keeping the
-// log self-contained.
+// log self-contained. A commit is one record: its opaque engine payload also
+// carries the rows the transaction trickle-inserted, the only user data in
+// the log, which have no pages to flush and live there until the compactor
+// drains them into column pages.
 package wal
 
 import (
@@ -39,19 +42,10 @@ const (
 	RecCheckpoint
 	// RecSnapshot records a database snapshot event (§5).
 	RecSnapshot
-	// RecDeltaInsert records rows staged into a table's in-memory delta
-	// store by a not-yet-committed transaction. The record makes the
-	// trickle-insert lane durable: the rows become visible only when the
-	// transaction's RecCommit follows, so orphaned delta records (from a
-	// crash before commit) are ignored on replay. This is the one record
-	// kind that carries user data — delta rows have no page images to
-	// flush before commit, so the log IS their durable home until the
-	// compactor drains them into encoded column pages.
-	RecDeltaInsert
 
 	// maxRecordType bounds frame validation in readRecord; keep it equal
 	// to the last declared record type.
-	maxRecordType = RecDeltaInsert
+	maxRecordType = RecSnapshot
 )
 
 func (t RecordType) String() string {
@@ -66,8 +60,6 @@ func (t RecordType) String() string {
 		return "checkpoint"
 	case RecSnapshot:
 		return "snapshot"
-	case RecDeltaInsert:
-		return "delta-insert"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}

@@ -1,12 +1,12 @@
 package cloudiq
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"cloudiq/internal/buffer"
@@ -15,7 +15,6 @@ import (
 	"cloudiq/internal/table"
 	"cloudiq/internal/trace"
 	"cloudiq/internal/txn"
-	"cloudiq/internal/wal"
 )
 
 // blockmapFanout is the fanout of every table's blockmap tree.
@@ -185,10 +184,10 @@ func (tx *Tx) Table(ctx context.Context, space, name string) (*table.Table, erro
 }
 
 // Insert stages rows into the table's in-memory delta store — the trickle
-// lane. The rows must carry the table's full schema. At commit they are
-// logged as a RecDeltaInsert record (their durable home until the compactor
-// drains them into encoded column pages) and become visible, with the
-// commit's sequence, to every later snapshot. The table must already exist
+// lane. The rows must carry the table's full schema. At commit they ride
+// the commit record (their durable home until the compactor drains them
+// into encoded column pages) and become visible, with the commit's
+// sequence, to every later snapshot. The table must already exist
 // (committed, or created earlier in this transaction).
 func (tx *Tx) Insert(ctx context.Context, name string, b *table.Batch) error {
 	if err := ctx.Err(); err != nil {
@@ -286,8 +285,8 @@ func (tx *Tx) Tables() []string { return tx.db.cat.Names(tx.inner.Snapshot()) }
 
 // Commit makes the transaction durable: every staged table flushes its
 // dirty pages (write-through), blockmap cascades version up to fresh roots,
-// the commit record (with the catalog publications) is logged, and the new
-// identities are published atomically.
+// the commit record (with the catalog publications and the inserted rows) is
+// logged, and the new identities and rows are published atomically.
 func (tx *Tx) Commit(ctx context.Context) error {
 	ctx, sp := trace.Root(ctx, tx.db.cfg.Trace, "txn.commit", trace.Int("txn", int64(tx.inner.ID())))
 	defer sp.End()
@@ -298,7 +297,7 @@ func (tx *Tx) Commit(ctx context.Context) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var pubs []catalogPublication
+	var m commitMeta
 	for _, n := range names {
 		ot := tx.writable[n]
 		id, err := ot.tbl.Commit(ctx)
@@ -309,52 +308,25 @@ func (tx *Tx) Commit(ctx context.Context) error {
 			}
 			return fmt.Errorf("cloudiq: rolled back: %w", err)
 		}
-		pubs = append(pubs, catalogPublication{Name: n, ID: id, DeltaThrough: tx.compact[n]})
+		m.pubs = append(m.pubs, catalogPublication{Name: n, ID: id, DeltaThrough: tx.compact[n]})
 	}
 	for _, d := range tx.dropped {
-		pubs = append(pubs, catalogPublication{Name: d.name, Dropped: true})
+		m.pubs = append(m.pubs, catalogPublication{Name: d.name, Dropped: true})
 	}
-	insNames := make([]string, 0, len(tx.inserts))
-	for n := range tx.inserts {
-		insNames = append(insNames, n)
+	for n, rows := range tx.inserts {
+		m.inserts = append(m.inserts, delta.InsertRecord{Table: n, Rows: rows})
 	}
-	sort.Strings(insNames)
+	slices.SortFunc(m.inserts, func(a, b delta.InsertRecord) int { return strings.Compare(a.Table, b.Table) })
 	tx.mu.Unlock()
 
-	// Delta rows are durable in the log, not in pages: append their records
-	// before the commit record. A crash between the two leaves orphans that
-	// replay ignores; a failed append rolls the transaction back whole.
-	for _, n := range insNames {
-		payload, err := delta.EncodeInsert(delta.InsertRecord{TxnID: tx.inner.ID(), Table: n, Rows: tx.inserts[n]})
-		if err != nil {
-			return err
-		}
-		if _, err := tx.db.log.Append(ctx, wal.RecDeltaInsert, payload); err != nil {
-			if rbErr := tx.Rollback(ctx); rbErr != nil {
-				return fmt.Errorf("cloudiq: log delta insert for %q failed (%v); rollback also failed: %w", n, err, rbErr)
-			}
-			return fmt.Errorf("cloudiq: rolled back: %w", err)
-		}
-	}
-
-	var meta []byte
-	if len(pubs) > 0 {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(pubs); err != nil {
-			return fmt.Errorf("cloudiq: encode publications: %w", err)
-		}
-		meta = buf.Bytes()
+	// The rows ride the commit record: they are durable exactly when the
+	// commit is, in the one log append that makes it so.
+	meta, err := m.marshal()
+	if err != nil {
+		return err
 	}
 	return tx.db.mgr.Commit(ctx, tx.inner, meta, func(seq uint64) error {
-		for _, p := range pubs {
-			if err := tx.db.applyPublication(p, seq); err != nil {
-				return err
-			}
-		}
-		for _, n := range insNames {
-			tx.db.delta.Apply(n, tx.inserts[n], seq)
-		}
-		return nil
+		return tx.db.applyCommit(m, seq)
 	})
 }
 
