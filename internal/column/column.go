@@ -167,10 +167,15 @@ func (v *Vector) Gather(rows []int32) *Vector {
 }
 
 // gather appends src[r] for each r in rows to dst, the zero value where r is
-// negative.
+// negative. When dst needs room its storage at least doubles, so a column
+// gathered batch by batch copies each value O(1) times (append's growth
+// falls to 1.25× for large slices).
 func gather[T any](dst, src []T, rows []int32) []T {
 	n := len(dst)
-	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	if need := n + len(rows); need > cap(dst) {
+		dst = slices.Grow(dst, max(need, 2*cap(dst))-n)
+	}
+	dst = dst[:n+len(rows)]
 	out := dst[n:]
 	for i, r := range rows {
 		if r < 0 {

@@ -110,51 +110,18 @@ func parseDecimal(payload []byte, n int) (decimal, error) {
 	return decimal{pow10[payload[0]], b}, err
 }
 
-// floats returns all n values, or those at rows: nbit's kernel with each
-// integer converted as it is unpacked. At scale 0 the integers are the
-// values, and there is no division to make.
+// floats returns all n values, or those at rows: nbit's kernel, each integer
+// then divided by 10^scale. At scale 0 the integers are the values, and there
+// is no division to make.
 func (d decimal) floats(n int, rows []int32, all bool) []float64 {
 	if !all {
-		n = len(rows)
+		vals := make([]float64, len(rows))
+		for i, r := range rows {
+			vals[i] = float64(d.b.at(int(r))) / d.div
+		}
+		return vals
 	}
 	vals := make([]float64, n)
-	b, div := d.b, d.div
-	switch {
-	case b.width == 0:
-		for i := range vals {
-			vals[i] = float64(b.min) / div
-		}
-	case !all:
-		for i, r := range rows {
-			vals[i] = float64(b.at(int(r))) / div
-		}
-	default:
-		b.floatsTo(vals, div)
-	}
+	unpackTo(d.b, vals, 0, d.div)
 	return vals
-}
-
-// floatsTo fills dst with the block's first len(dst) values, each divided by
-// div — unless div is 1, which leaves an integer as it is. It walks the
-// stream with a running bit offset while a value's eight bytes lie in it;
-// only the last few values take nbit.at's padded path.
-func (b nbit) floatsTo(dst []float64, div float64) {
-	s, base, mask, w := b.stream, uint64(b.min), uint64(1)<<b.width-1, uint(b.width)
-	i, bit := 0, uint(0)
-	if div == 1 {
-		for ; i < len(dst) && bit>>3+8 <= uint(len(s)); i++ {
-			word := binary.LittleEndian.Uint64(s[bit>>3 : bit>>3+8])
-			dst[i] = float64(int64(base + word>>(bit&7)&mask))
-			bit += w
-		}
-	} else {
-		for ; i < len(dst) && bit>>3+8 <= uint(len(s)); i++ {
-			word := binary.LittleEndian.Uint64(s[bit>>3 : bit>>3+8])
-			dst[i] = float64(int64(base+word>>(bit&7)&mask)) / div
-			bit += w
-		}
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = float64(b.at(i)) / div
-	}
 }

@@ -207,8 +207,9 @@ func FuzzDecodeSegmentRows(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, mask uint64, stride uint8) {
 		full, fullErr := DecodeSegment(data)
-		// Rows: every stride+1-th row whose bit in the (repeating) mask is set.
-		var rows []int32
+		// Rows: every stride+1-th row whose bit in the (repeating) mask is
+		// set. Never nil, which Dict.Values reads as every row.
+		rows := []int32{}
 		if _, n, err := SegmentInfo(data); err == nil {
 			for r := 0; r < min(n, 4096); r += int(stride) + 1 {
 				if mask>>(r%64)&1 == 1 {

@@ -354,16 +354,71 @@ func (b nbit) unpack(n int, rows []int32, all bool) []int64 {
 		return vals
 	}
 	vals := make([]int64, n)
-	if b.width == 0 {
-		for i := range vals {
-			vals[i] = b.min
-		}
-		return vals
-	}
-	for i := range vals {
-		vals[i] = b.at(i)
-	}
+	unpackTo(b, vals, 0, 1)
 	return vals
+}
+
+// unpackTo is the n-bit kernel: it stores values first, first+1, … of the
+// block in dst, each converted to T and divided by div unless div is 1 (a
+// decimal page's 10^scale; every other caller passes 1). At a width of at
+// most 19 one 64-bit load shifted to its value's bit holds ⌊57/width⌋ whole
+// values, which are taken from it by mask and shift; a wider value takes a
+// load of its own at a running bit offset. Only a value whose load would run
+// past the stream — in its last eight bytes — goes through at.
+func unpackTo[T int32 | int64 | float64](b nbit, dst []T, first int, div T) {
+	scaled := div != 1
+	if b.width == 0 {
+		x := T(b.min)
+		if scaled {
+			x /= div
+		}
+		for i := range dst {
+			dst[i] = x
+		}
+		return
+	}
+	s, base, w := b.stream, uint64(b.min), uint(b.width)
+	mask := uint64(1)<<w - 1
+	bit, i := uint(first)*w, 0
+	if w <= 19 {
+		k := int(57 / w)
+		for ; i+k <= len(dst) && bit>>3+8 <= uint(len(s)); i += k {
+			word := binary.LittleEndian.Uint64(s[bit>>3:bit>>3+8]) >> (bit & 7)
+			out := dst[i : i+k]
+			for j := range out {
+				out[j] = T(int64(base + word&mask))
+				word >>= w & 63
+			}
+			if scaled {
+				for j := range out {
+					out[j] /= div
+				}
+			}
+			bit += uint(k) * w
+		}
+	}
+	// The division has a loop of its own, so that it overlaps the unpack
+	// and the unscaled loop has no branch.
+	if scaled {
+		for ; i < len(dst) && bit>>3+8 <= uint(len(s)); i++ {
+			word := binary.LittleEndian.Uint64(s[bit>>3 : bit>>3+8])
+			dst[i] = T(int64(base+word>>(bit&7)&mask)) / div
+			bit += w
+		}
+	} else {
+		for ; i < len(dst) && bit>>3+8 <= uint(len(s)); i++ {
+			word := binary.LittleEndian.Uint64(s[bit>>3 : bit>>3+8])
+			dst[i] = T(int64(base + word>>(bit&7)&mask))
+			bit += w
+		}
+	}
+	for ; i < len(dst); i++ {
+		x := T(b.at(first + i))
+		if scaled {
+			x /= div
+		}
+		dst[i] = x
+	}
 }
 
 // at returns value r, which starts at bit r×width: with width ≤ 56 the eight
@@ -614,9 +669,14 @@ func decodeDictStrings(payload []byte, n int, rows []int32, all bool) ([]string,
 	}
 	if all {
 		vals := make([]string, n)
-		for i := range vals {
-			if vals[i], err = word(words, b.at(i)); err != nil {
-				return nil, err
+		var codes [256]int64
+		for lo := 0; lo < n; lo += len(codes) {
+			chunk := codes[:min(len(codes), n-lo)]
+			unpackTo(b, chunk, lo, 1)
+			for i, c := range chunk {
+				if vals[lo+i], err = word(words, c); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return vals, nil
@@ -659,18 +719,25 @@ func (d *Dict) Open(data []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// The codes are checked once, by their maximum: the loop has no branch.
 	codes := slices.Grow(d.Codes[:0], s.n)[:s.n]
-	top := uint64(0)
-	for i := range codes {
-		c := b.at(i)
-		top = max(top, uint64(c))
-		codes[i] = int32(c)
-	}
-	if top >= uint64(len(words)) {
+	if nw := int64(len(words)); b.min >= 0 && b.min < nw && 1<<b.width-1 < nw-b.min {
+		// Every code is min plus width bits, so the block's header proves
+		// them all below the word count: the encoder's own pages.
+		unpackTo(b, codes, 0, 1)
+	} else {
+		// The codes are checked once, by their maximum: the loop has no
+		// branch.
+		top := uint64(0)
 		for i := range codes {
-			if _, err := word(words, b.at(i)); err != nil {
-				return false, err
+			c := b.at(i)
+			top = max(top, uint64(c))
+			codes[i] = int32(c)
+		}
+		if top >= uint64(len(words)) {
+			for i := range codes {
+				if _, err := word(words, b.at(i)); err != nil {
+					return false, err
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"cloudiq/internal/table"
@@ -70,6 +71,9 @@ var q1Aggs = []Agg{
 
 var q21Aggs = []Agg{{Func: CountDistinct, Expr: Col("supp"), As: "nsupp"}}
 
+// q18Aggs is Q18's inner aggregate: a float sum per order key.
+var q18Aggs = []Agg{{Func: Sum, Expr: Col("qty"), As: "sum_qty"}}
+
 // scanBatches cuts b into scan-sized views.
 func scanBatches(b *table.Batch) []*table.Batch {
 	var out []*table.Batch
@@ -100,24 +104,29 @@ func BenchmarkHashJoin(b *testing.B) {
 
 func BenchmarkHashAgg(b *testing.B) {
 	in := aggInput(benchProbeRows, benchBuildRows)
+	whole, parts := []*table.Batch{in}, scanBatches(in)
 	for _, c := range []struct {
 		name   string
+		src    []*table.Batch
 		keys   []string
 		aggs   []Agg
 		groups int
 	}{
-		{"Q1", []string{"flag", "status"}, q1Aggs, 6},
-		{"Q21", []string{"okey"}, q21Aggs, benchBuildRows},
-		{"Q21Sparse", []string{"skey"}, q21Aggs, benchBuildRows},
+		{"Q1", whole, []string{"flag", "status"}, q1Aggs, 6},
+		{"Q21", whole, []string{"okey"}, q21Aggs, benchBuildRows},
+		{"Q21Sparse", whole, []string{"skey"}, q21Aggs, benchBuildRows},
 		// count(distinct) at its worst: many rows and 200 values per group,
 		// in one group and in six.
-		{"LowCard", nil, q21Aggs, 1},
-		{"Flag", []string{"flag", "status"}, q21Aggs, 6},
+		{"LowCard", whole, nil, q21Aggs, 1},
+		{"Flag", whole, []string{"flag", "status"}, q21Aggs, 6},
+		// Q18's inner group-by: ≈30 k dense groups and a float sum, fed
+		// in scan-sized batches, so the state grows batch by batch.
+		{"ManyGroups", parts, []string{"okey"}, q18Aggs, benchBuildRows},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := HashAgg(ctxb(), SliceSource(in), c.keys, c.aggs)
+				out, err := HashAgg(ctxb(), SliceSource(c.src...), c.keys, c.aggs)
 				if err != nil || out.Rows() != c.groups {
 					b.Fatalf("agg = %v groups, %v", out.Rows(), err)
 				}
@@ -182,5 +191,30 @@ func TestHashOperatorAllocs(t *testing.T) {
 			t.Errorf("%s of %d rows: %.0f allocations, limit %.0f — is something allocating per row or per group again?",
 				c.name, rows, got, c.limit)
 		}
+	}
+}
+
+// TestHashAggManyGroupsAllocs gates the bytes BenchmarkHashAgg/ManyGroups
+// allocates per group: the group key column, the hash table's arrays and one
+// float64 sum per group, each grown by doubling — ≈70 bytes. (A 104-byte
+// state per group per aggregate, regrown by append's 1.25× once large, cost
+// ≈570.)
+func TestHashAggManyGroupsAllocs(t *testing.T) {
+	const manyGroupsBytesLimit = 120
+	parts := scanBatches(aggInput(benchProbeRows, benchBuildRows))
+	run := func() {
+		if _, err := HashAgg(ctxb(), SliceSource(parts...), []string{"okey"}, q18Aggs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perGroup := float64(after.TotalAlloc-before.TotalAlloc) / benchBuildRows
+	t.Logf("%.0f bytes allocated per group", perGroup)
+	if perGroup > manyGroupsBytesLimit {
+		t.Errorf("%.0f bytes allocated per group, limit %d — is the aggregate state a struct per group again?", perGroup, manyGroupsBytesLimit)
 	}
 }

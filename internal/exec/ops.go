@@ -722,23 +722,15 @@ func (s *aggSet) fold(b *table.Batch, gids []int32, groups int) error {
 // merge adds a store's partial state of aggregate i, whose rows follow the
 // ones folded so far, to the global group.
 func (s *aggSet) merge(i int, part *expr.AggState) {
-	s.folds[i].Grow(1)
-	s.folds[i].States[0].Merge(part)
+	s.folds[i].Merge(part)
 }
 
-// emit appends one output column per aggregate, a row per group, to out.
+// emit appends one output column per aggregate, a row per group, to out: the
+// aggregators' own columns, which the set hands over.
 func (s *aggSet) emit(out *table.Batch, groups int) {
 	for i, a := range s.aggs {
-		s.folds[i].Grow(groups)
-		s.folds[i].Finish()
-		states := s.folds[i].States[:groups]
-		t := aggOutputType(a, states)
-		v := column.NewVector(t)
-		v.Grow(groups)
-		for g := range states {
-			emitAgg(v, &states[g], a)
-		}
-		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: a.As, Typ: t})
+		v := s.folds[i].Column(groups)
+		out.Schema.Cols = append(out.Schema.Cols, table.ColumnDef{Name: a.As, Typ: v.Typ})
 		out.Vecs = append(out.Vecs, v)
 	}
 }
@@ -798,61 +790,6 @@ func HashAgg(ctx context.Context, src Source, groupBy []string, aggs []Agg) (*ta
 	}
 	set.emit(out, groups)
 	return out, nil
-}
-
-func aggOutputType(a Agg, states []expr.AggState) column.Type {
-	switch a.Func {
-	case Count, CountDistinct:
-		return column.Int64
-	case Avg:
-		return column.Float64
-	}
-	// Sum/Min/Max follow the input type; inspect any group.
-	for i := range states {
-		if st := &states[i]; st.Count > 0 || st.Seen {
-			return st.Typ
-		}
-	}
-	return column.Float64
-}
-
-func emitAgg(v *column.Vector, st *expr.AggState, a Agg) {
-	switch a.Func {
-	case Count:
-		v.AppendInt(st.Count)
-	case CountDistinct:
-		v.AppendInt(int64(st.Distinct()))
-	case Avg:
-		if st.Count == 0 {
-			v.AppendFloat(0)
-		} else {
-			v.AppendFloat(st.SumF / float64(st.Count))
-		}
-	case Sum:
-		if v.Typ == column.Int64 {
-			v.AppendInt(st.SumI)
-		} else {
-			v.AppendFloat(st.SumF)
-		}
-	case Min:
-		switch v.Typ {
-		case column.Int64:
-			v.AppendInt(st.MinI)
-		case column.Float64:
-			v.AppendFloat(st.MinF)
-		default:
-			v.AppendStr(st.MinS)
-		}
-	case Max:
-		switch v.Typ {
-		case column.Int64:
-			v.AppendInt(st.MaxI)
-		case column.Float64:
-			v.AppendFloat(st.MaxF)
-		default:
-			v.AppendStr(st.MaxS)
-		}
-	}
 }
 
 // --- sort & limit ---

@@ -203,7 +203,7 @@ func TestNewSet(t *testing.T) {
 }
 
 // TestAggMergeEqualsFold: folding rows into partial states and merging them
-// in order gives the state one fold over all rows gives — the property that
+// in order gives the value one fold over all rows gives — the property that
 // makes store-side partial aggregation exact.
 func TestAggMergeEqualsFold(t *testing.T) {
 	env := testEnv()
@@ -214,20 +214,25 @@ func TestAggMergeEqualsFold(t *testing.T) {
 				continue // count(*) is the only function of a nil input; sum has no strings
 			}
 			for cut := 0; cut <= env.N; cut++ {
-				// One fold with every row in group 0, one with the rows
-				// split at cut into groups 0 and 1.
-				whole, halves := Aggregator{Func: f}, Aggregator{Func: f}
-				split := make([]int32, env.N)
-				for r := cut; r < env.N; r++ {
-					split[r] = 1
-				}
+				// One fold over every row, and one partial per side of cut
+				// merged into a third aggregator.
+				whole, merged := Aggregator{Func: f}, Aggregator{Func: f}
 				whole.Fold(input, make([]int32, env.N), 1)
-				halves.Fold(input, split, 2)
-				var merged AggState
-				merged.Merge(&halves.States[0])
-				merged.Merge(&halves.States[1])
-				if !reflect.DeepEqual(merged, whole.States[0]) {
-					t.Errorf("func %d cut %d: merged %+v, whole %+v", f, cut, merged, whole.States[0])
+				for _, rows := range [][2]int{{0, cut}, {cut, env.N}} {
+					half := Aggregator{Func: f}
+					part := input
+					if input != nil {
+						part = input.Slice(rows[0], rows[1])
+					}
+					half.Fold(part, make([]int32, rows[1]-rows[0]), 1)
+					st := half.Partial()
+					merged.Merge(&st)
+				}
+				if got, want := merged.Partial(), whole.Partial(); !reflect.DeepEqual(got, want) {
+					t.Errorf("func %d cut %d: merged %+v, whole %+v", f, cut, got, want)
+				}
+				if got, want := merged.Column(1), whole.Column(1); !reflect.DeepEqual(got, want) {
+					t.Errorf("func %d cut %d: merged column %+v, whole %+v", f, cut, got, want)
 				}
 			}
 		}
@@ -236,36 +241,42 @@ func TestAggMergeEqualsFold(t *testing.T) {
 
 func TestAggFold(t *testing.T) {
 	env := testEnv()
-	fold := func(f AggFunc, e *Node) *AggState {
+	fold := func(f AggFunc, e *Node) *Aggregator {
 		input, err := AggInput(f, e, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := Aggregator{Func: f}
+		a := &Aggregator{Func: f}
 		a.Fold(input, make([]int32, env.N), 1)
-		a.Finish()
-		return &a.States[0]
+		return a
 	}
-	if st := fold(Count, nil); st.Count != 4 {
-		t.Errorf("count(*) = %d", st.Count)
+	value := func(f AggFunc, e *Node) *column.Vector { return fold(f, e).Column(1) }
+	if v := value(Count, nil); v.Typ != column.Int64 || v.I64[0] != 4 {
+		t.Errorf("count(*) = %+v", v)
 	}
-	if st := fold(Sum, col("i")); st.SumI != 11 || st.SumF != 11 || st.Typ != column.Int64 {
-		t.Errorf("sum(i) = %+v", st)
+	if v := value(Sum, col("i")); v.Typ != column.Int64 || v.I64[0] != 11 {
+		t.Errorf("sum(i) = %+v", v)
 	}
-	if st := fold(Avg, op(OpDiv, col("i"), ci(2))); st.SumF != 5.5 || st.Count != 4 || st.Typ != column.Float64 {
-		t.Errorf("avg(i/2) = %+v", st)
+	if v := value(Avg, op(OpDiv, col("i"), ci(2))); v.Typ != column.Float64 || v.F64[0] != 5.5/4 {
+		t.Errorf("avg(i/2) = %+v", v)
 	}
-	if st := fold(Min, col("s")); st.MinS != "" || st.MaxS != "betamax" || !st.Seen {
-		t.Errorf("min(s) = %+v", st)
+	if v := value(Min, col("s")); v.Typ != column.String || v.Str[0] != "" {
+		t.Errorf("min(s) = %+v", v)
 	}
-	if st := fold(Max, col("i")); st.MinI != -3 || st.MaxI != 7 {
-		t.Errorf("max(i) = %+v", st)
+	if v := value(Max, col("s")); v.Typ != column.String || v.Str[0] != "betamax" {
+		t.Errorf("max(s) = %+v", v)
 	}
-	if st := fold(CountDistinct, col("i")); st.Distinct() != 3 {
-		t.Errorf("count(distinct i) = %d", st.Distinct())
+	if v := value(Min, col("i")); v.I64[0] != -3 {
+		t.Errorf("min(i) = %+v", v)
 	}
-	if st := fold(CountDistinct, col("s")); st.Distinct() != 4 {
-		t.Errorf("count(distinct s) = %d", st.Distinct())
+	if v := value(Max, col("i")); v.I64[0] != 7 {
+		t.Errorf("max(i) = %+v", v)
+	}
+	if v := value(CountDistinct, col("i")); v.Typ != column.Int64 || v.I64[0] != 3 {
+		t.Errorf("count(distinct i) = %+v", v)
+	}
+	if v := value(CountDistinct, col("s")); v.I64[0] != 4 {
+		t.Errorf("count(distinct s) = %+v", v)
 	}
 }
 
@@ -274,18 +285,21 @@ func TestAggFold(t *testing.T) {
 // Finish — counts a value once per group however many batches repeat it.
 func TestAggFoldGroups(t *testing.T) {
 	f64 := func(xs ...float64) *column.Vector { return &column.Vector{Typ: column.Float64, F64: xs} }
-	sum := Aggregator{Func: Sum}
-	sum.Fold(f64(1e16, 1, 1, -1e16), []int32{0, 1, 0, 0}, 2)
-	sum.Fold(f64(1, 2), []int32{0, 1}, 2)
+	sum, avg := Aggregator{Func: Sum}, Aggregator{Func: Avg}
+	for _, a := range []*Aggregator{&sum, &avg} {
+		a.Fold(f64(1e16, 1, 1, -1e16), []int32{0, 1, 0, 0}, 2)
+		a.Fold(f64(1, 2), []int32{0, 1}, 2)
+	}
 	want := 0.0
 	for _, x := range []float64{1e16, 1, -1e16, 1} { // group 0's rows in order: the 1 after 1e16 is absorbed
 		want += x
 	}
-	if got := sum.States[0].SumF; got != want || want != 1 {
+	sums, avgs := sum.Column(2), avg.Column(2)
+	if got := sums.F64[0]; got != want || want != 1 {
 		t.Errorf("group 0 sum = %v, want the row-order sum %v", got, want)
 	}
-	if sum.States[1].SumF != 3 || sum.States[1].Count != 2 {
-		t.Errorf("group 1 = %+v", sum.States[1])
+	if sums.F64[1] != 3 || avgs.F64[1] != 1.5 {
+		t.Errorf("group 1: sum %v, avg %v", sums.F64[1], avgs.F64[1])
 	}
 
 	distinct := func(name string, a *Aggregator, want ...int) {
@@ -293,7 +307,7 @@ func TestAggFoldGroups(t *testing.T) {
 		for pass := 1; pass <= 2; pass++ { // a second Finish changes nothing
 			a.Finish()
 			for g, w := range want {
-				if got := a.States[g].Distinct(); got != w {
+				if got := a.Distinct(g); got != w {
 					t.Errorf("%s, finish %d: group %d distinct = %d, want %d", name, pass, g, got, w)
 				}
 			}

@@ -177,7 +177,7 @@ func evalSelect(req SelectRequest, raw [][]byte) (*SelectResult, error) {
 			}
 			fold := expr.Aggregator{Func: a.Func}
 			fold.Fold(input, group0, 1)
-			res.Aggs[i] = fold.States[0]
+			res.Aggs[i] = fold.Partial()
 			// One partial state is ~64 bytes on the wire.
 			res.ReturnedBytes += 64
 		}

@@ -215,6 +215,12 @@ func (m *Manager) ChainLen() int {
 // sequence — catalogs use it to publish new table versions atomically. meta
 // is an opaque payload stored in the commit record and replayed at recovery
 // (the database layer's catalog publications).
+//
+// A failed flush rolls t back, and so does a commit record the log reports
+// not appended (wal.ErrNotAppended): no recovery can replay it. Any other
+// failure of the log append leaves t active, because the whole record may
+// have reached the device, and a recovery would then commit what a rollback
+// had reclaimed.
 func (m *Manager) Commit(ctx context.Context, t *Txn, meta []byte, apply func(seq uint64) error) error {
 	t.mu.Lock()
 	if t.status != StatusActive {
@@ -261,6 +267,12 @@ func (m *Manager) Commit(ctx context.Context, t *Txn, meta []byte, apply func(se
 	wsp.End()
 	if err != nil {
 		m.publish.RUnlock()
+		if errors.Is(err, wal.ErrNotAppended) {
+			if rbErr := m.Rollback(ctx, t); rbErr != nil {
+				return fmt.Errorf("txn %d: log commit failed (%w); rollback also failed: %w", t.id, err, rbErr)
+			}
+			return fmt.Errorf("txn %d: rolled back: log commit: %w", t.id, err)
+		}
 		return fmt.Errorf("txn %d: log commit: %w", t.id, err)
 	}
 

@@ -137,3 +137,39 @@ func TestInjectedAppendFailureByRecordType(t *testing.T) {
 		t.Fatalf("one-shot fault did not heal: %v", err)
 	}
 }
+
+// TestAppendReportsNotAppended: an append that failed before its write, or
+// wrote only a torn prefix, is ErrNotAppended and leaves the end where it
+// was; a write the device refused is not, since the device may hold it.
+func TestAppendReportsNotAppended(t *testing.T) {
+	ctx := context.Background()
+	plan := faultinject.New(1)
+	l, err := Open(ctx, blockdev.NewMem(blockdev.Config{Growable: true, Faults: plan}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.InjectFaults(plan)
+	for _, c := range []struct {
+		site faultinject.Site
+		arm  func(s faultinject.Site)
+		not  bool
+	}{
+		{faultinject.WALAppend.With("commit"), func(s faultinject.Site) { plan.Always(s) }, true},
+		{faultinject.WALTornTail.With("commit"), func(s faultinject.Site) { plan.Lag(s, 1, 8) }, true},
+		{faultinject.DevWrite, func(s faultinject.Site) { plan.Always(s) }, false},
+	} {
+		end := l.Size()
+		c.arm(c.site)
+		_, err := l.Append(ctx, RecCommit, []byte("payload"))
+		plan.Clear(c.site)
+		if !errors.Is(err, faultinject.ErrInjected) || errors.Is(err, ErrNotAppended) != c.not {
+			t.Errorf("%s: err = %v, want injected, not appended %v", c.site, err, c.not)
+		}
+		if l.Size() != end {
+			t.Errorf("%s: the end moved %d → %d", c.site, end, l.Size())
+		}
+	}
+	if _, err := l.Append(ctx, RecCommit, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+}

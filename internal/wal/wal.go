@@ -136,6 +136,20 @@ func Open(ctx context.Context, dev blockdev.Device) (*Log, error) {
 	return l, nil
 }
 
+// ErrNotAppended marks an Append error after which the record is not in the
+// log: the append failed before its write, or wrote only a torn prefix of the
+// frame. Either way the log's end did not advance, a recovery stops at that
+// frame, and the next append overwrites it. An Append error without it — the
+// device refused the write — may have left the whole frame on the device.
+var ErrNotAppended = errors.New("wal: record not appended")
+
+// notAppended is an Append error that is ErrNotAppended; its text is the
+// error's own.
+type notAppended struct{ error }
+
+func (e notAppended) Unwrap() error      { return e.error }
+func (notAppended) Is(target error) bool { return target == ErrNotAppended }
+
 // Append writes a record and returns its LSN. The write is durable when
 // Append returns (the simulated device has no volatile cache).
 func (l *Log) Append(ctx context.Context, typ RecordType, payload []byte) (uint64, error) {
@@ -149,7 +163,7 @@ func (l *Log) Append(ctx context.Context, typ RecordType, payload []byte) (uint6
 	defer l.mu.Unlock()
 	lsn := l.end
 	if err := l.faults.Check(faultinject.WALAppend, typ.String()); err != nil {
-		return 0, fmt.Errorf("wal: append %s: %w", typ, err)
+		return 0, notAppended{fmt.Errorf("wal: append %s: %w", typ, err)}
 	}
 	if n := l.faults.LagAt(faultinject.WALTornTail, typ.String()); n > 0 {
 		// Persist a strict prefix of the frame without advancing end:
@@ -159,8 +173,8 @@ func (l *Log) Append(ctx context.Context, typ RecordType, payload []byte) (uint6
 			n = len(frame) - 1
 		}
 		_ = l.pipe.WritePage(ctx, pageio.WriteReq{Ref: pageio.Ref{Off: lsn}, Data: frame[:n]})
-		return 0, fmt.Errorf("wal: append %s: torn after %d of %d bytes: %w",
-			typ, n, len(frame), faultinject.ErrInjected)
+		return 0, notAppended{fmt.Errorf("wal: append %s: torn after %d of %d bytes: %w",
+			typ, n, len(frame), faultinject.ErrInjected)}
 	}
 	if err := l.pipe.WritePage(ctx, pageio.WriteReq{Ref: pageio.Ref{Off: lsn}, Data: frame}); err != nil {
 		return 0, fmt.Errorf("wal: append %s: %w", typ, err)
